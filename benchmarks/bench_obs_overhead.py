@@ -93,7 +93,6 @@ def _shuffle_config(num_partitions, num_processes, spill_dir):
         serializer=WritableSerializer(),
         spill_dir=spill_dir,
         memory_budget=1 << 30,
-        merge_threshold_blocks=64,
         pipelined=False,
     )
 

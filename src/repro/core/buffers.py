@@ -7,9 +7,9 @@ flush threshold it is sealed into a block (sorted and combined if the
 mode asks for it) and handed to the communication thread's send queue.
 
 Receive side: a :class:`ReceivePartitionList` (RPL) per hosted partition
-accumulates arriving blocks into a :class:`~repro.core.sorter.RunStore`,
-merging in the background past a block threshold and spilling to disk
-past the memory budget.
+files arriving blocks in a :class:`~repro.core.sorter.RunStore`, which
+merges them once — when the A task reads the partition, or before a
+spill when the memory budget overflows.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class SendPartitionList:
 class ReceivePartitionList:
     """RPL: arriving blocks for one hosted partition.
 
-    Thread-safe: the receiver thread appends while an A task may already
-    be iterating (Streaming mode uses :meth:`stream` instead).
+    Thread-safe: the receiver thread files blocks under the same lock
+    the A task takes to merge and read the partition.
     """
 
     def __init__(
@@ -179,34 +179,38 @@ class ReceivePartitionList:
         partition_id: int,
         cmp: Compare | None,
         store: RunStore,
-        merge_threshold_blocks: int,
+        merge_threshold_blocks: int | None = None,
     ) -> None:
+        """``merge_threshold_blocks`` is inert: arrivals are never merged
+        eagerly.  The slot stays because the frozen ``bench/replay.py``
+        fills it positionally; it goes with the next benchmark revision.
+        """
         self.partition_id = partition_id
         self.cmp = cmp
         self.store = store
-        self.merge_threshold_blocks = merge_threshold_blocks
         self.blocks_received = 0
         self.records_received = 0
         self._lock = threading.Lock()
 
-    def add_block(self, block: Block) -> None:
+    def add_block(self, block: Block, retain: bool = True) -> None:
+        """Count an arriving block and file it in the store — O(1) for a
+        sorted block.  ``retain=False`` only counts: a pipelined plane
+        hands the block to its stream queue, the sole consumer."""
         with self._lock:
+            self.blocks_received += 1
+            self.records_received += block.count
+            if not retain:
+                return
             records = block.records
             if isinstance(records, RecordBatch):
                 if self.cmp is not None and not block.sorted:
                     records = sort_batch(records, self.cmp, self.store.serializer)
                 self.store.add_batch(records, block.nbytes)
-                count = records.count
             else:
                 run = list(records)
                 if self.cmp is not None and not block.sorted:
                     run = sort_block(run, self.cmp)
                 self.store.add_run(run, block.nbytes)
-                count = len(run)
-            self.blocks_received += 1
-            self.records_received += count
-            # background merge pass once the merge queue is deep enough
-            self.store.compact(self.merge_threshold_blocks)
 
     def merged(self) -> Iterator[KV]:
         """Final merged iterator (after the plane completed)."""

@@ -122,7 +122,6 @@ class WorkerEngine:
             serializer=self.serializer,
             spill_dir=self.spill_dir,
             memory_budget=self.memory_budget,
-            merge_threshold_blocks=self.conf.get_int(K.MERGE_THRESHOLD_BLOCKS),
             pipelined=self.pipelined,
             compress_spills=self.conf.get_bool(K.SPILL_COMPRESS, False),
         )

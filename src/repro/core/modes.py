@@ -21,7 +21,7 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     K.SERIALIZER: "writable",
     K.SPL_PARTITION_BYTES: 32 * KiB,
     K.SHUFFLE_BATCH_BYTES: 256 * KiB,
-    K.MERGE_THRESHOLD_BLOCKS: 8,
+    K.MERGE_THRESHOLD_BLOCKS: 8,  # inert, see constants.py
     K.MEMORY_CACHE_BYTES: 64 * MiB,
     K.SPILL_COMPRESS: False,
     K.FT_ENABLED: False,

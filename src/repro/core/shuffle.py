@@ -6,8 +6,9 @@ Per worker process:
 * the **communication (sender) thread** drains sealed blocks from a send
   queue and pushes them to the owning process with MPI point-to-point;
 * the **receiver thread** accepts blocks from every peer, caching them
-  in the RPL of the hosted partition and triggering background merges
-  (the paper's merge thread) — so computation, copy and merge overlap.
+  in the RPL of the hosted partition — so computation and copy overlap;
+  the A task merges its partition once, when it reads it (CPython's GIL
+  leaves a background merge thread nothing to overlap with).
 
 A *plane* is one logical exchange (forward O→A, or backward A→O per
 Iteration round).  A plane completes when an end-of-stream marker has
@@ -58,17 +59,19 @@ class PlaneConfig:
         serializer: Serializer,
         spill_dir: str,
         memory_budget: int,
-        merge_threshold_blocks: int,
-        pipelined: bool,
+        merge_threshold_blocks: int | None = None,
+        pipelined: bool = False,
         compress_spills: bool = False,
     ) -> None:
+        """``merge_threshold_blocks`` is inert (nothing merges eagerly);
+        the slot stays because the frozen ``bench/replay.py`` fills it
+        positionally, and goes with the next benchmark revision."""
         self.num_partitions = num_partitions
         self.window = window
         self.cmp = cmp
         self.serializer = serializer
         self.spill_dir = spill_dir
         self.memory_budget = memory_budget
-        self.merge_threshold_blocks = merge_threshold_blocks
         self.pipelined = pipelined
         self.compress_spills = compress_spills
 
@@ -93,7 +96,6 @@ class ShufflePlane:
                     stem=f"{plane_id}-p{p}",
                     compress_spills=config.compress_spills,
                 ),
-                config.merge_threshold_blocks,
             )
             for p in owned
         }
@@ -115,7 +117,10 @@ class ShufflePlane:
                 f"plane {self.plane_id}: received partition {block.partition_id}"
                 " not owned by this process (Partition Window mismatch)"
             )
-        rpl.add_block(block)
+        # a pipelined plane delivers through the stream queue alone: the
+        # RPL counts the block but stores nothing, so an unbounded stream
+        # retains no history and never spills data nobody will read
+        rpl.add_block(block, retain=not self.config.pipelined)
         if self.config.pipelined:
             # one queue op per block, not per record; stream_iter unpacks
             self.streams[block.partition_id].put(block.records)

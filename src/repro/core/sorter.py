@@ -1,9 +1,11 @@
 """Sorting and k-way merging of key-value runs (§IV-C/§IV-D machinery).
 
-A *run* is a key-sorted sequence of (key, value) pairs.  Runs live in
-memory or on disk (spilled, serialized); :func:`merge_runs` lazily merges
-any mix of them with a heap, preserving stability so equal keys keep
-their arrival order — which MapReduce semantics rely on.
+A *run* is a key-sorted sequence of (key, value) pairs.  Runs resident
+in memory are merged once, by one stable sort over their concatenation
+(``list.sort`` gallops over the sorted runs at C speed); the heap of
+:func:`merge_runs` merges lazily where a run streams back from disk.
+Both are stable, so equal keys keep their arrival order — which
+MapReduce semantics rely on.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import operator
 import os
 import tempfile
 import zlib
+from itertools import chain
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.records import kv_run_bytes
 from repro.obs.tracer import TRACER as _T
-from repro.serde.batch import BatchBuilder, RecordBatch, concat_batches
+from repro.serde.batch import RecordBatch, concat_batches, sort_batch
 from repro.serde.comparators import Compare, bytes_compare, default_compare, sort_key
 from repro.serde.io import ChunkedDataInput, DataOutput
 from repro.serde.serialization import Serializer
@@ -144,22 +147,15 @@ def _drain_wrapped(
 def merge_batches(
     batches: list[RecordBatch], cmp: Compare | None, serializer: Serializer
 ) -> RecordBatch:
-    """K-way merge sealed batches into one batch, bytes-first.
+    """Merge key-sorted sealed batches into one batch, bytes-first.
 
-    Only the keys are decoded (to drive the heap); record payloads are
-    copied as opaque slices into the output batch — no value ever
-    materializes.  Raw batches merge on ``bytes`` key slices, which the
-    native heap fast path compares at C speed.
+    One stable sort over the concatenation: only the keys are decoded,
+    record payloads are copied as opaque slices — no value ever
+    materializes.  Ties keep batch order, then arrival order, exactly as
+    :func:`merge_runs` would.
     """
-    if cmp is None:
-        return concat_batches(batches)
-    builder = BatchBuilder(serializer, raw=batches[0].raw if batches else False)
-    add_record = builder.add_record
-    for _key, record in merge_runs(
-        [batch.iter_keyed(serializer) for batch in batches], cmp
-    ):
-        add_record(record)
-    return builder.seal()
+    merged = concat_batches(batches)
+    return merged if cmp is None else sort_batch(merged, cmp, serializer)
 
 
 def group_by_key(sorted_records: Iterable[KV]) -> Iterator[tuple[Any, list[Any]]]:
@@ -324,9 +320,11 @@ def spill_batch(
 class RunStore:
     """Accumulates runs for one partition, spilling past a memory budget.
 
-    The store tracks the estimated in-memory footprint; once it exceeds
-    ``memory_budget`` the largest in-memory runs are spilled.  Iteration
-    merges everything (memory + disk) in key order.
+    Arriving runs are only filed.  Whatever is resident is merged exactly
+    once: when the partition is read, or when the estimated in-memory
+    footprint exceeds ``memory_budget`` — then the merged run is spilled
+    as one file (Hadoop's sort-and-spill), never one file per block.
+    Iteration merges everything (disk + memory) in key order.
     """
 
     def __init__(
@@ -344,12 +342,10 @@ class RunStore:
         self.memory_budget = memory_budget
         self.stem = stem
         self.compress_spills = compress_spills
-        #: in-memory runs: object lists (legacy blocks) or sealed
-        #: :class:`RecordBatch` byte blocks (bytes-first datapath)
+        #: in-memory runs in arrival order: object lists (legacy blocks)
+        #: or sealed :class:`RecordBatch` byte blocks (bytes-first datapath)
         self.memory_runs: list[list[KV] | RecordBatch] = []
-        #: cached payload estimate per in-memory run, parallel to
-        #: ``memory_runs`` — sized once on entry, never re-scanned
-        self.run_nbytes: list[int] = []
+        #: spilled runs, oldest first; each precedes everything resident
         self.disk_runs: list[SpillFile] = []
         self.memory_bytes = 0
         self.spilled_bytes = 0
@@ -359,7 +355,7 @@ class RunStore:
         self.spill_seconds = 0.0
 
     def add_run(self, run: list[KV], nbytes: int | None = None) -> None:
-        """Add a key-sorted run (or unsorted when cmp is None).
+        """File a key-sorted run (or unsorted when cmp is None) — O(1).
 
         Callers that already know the run's size (sealed blocks carry it)
         pass ``nbytes``; otherwise the run is sized exactly once here.
@@ -367,36 +363,29 @@ class RunStore:
         if nbytes is None:
             nbytes = kv_run_bytes(run)
         self.memory_runs.append(run)
-        self.run_nbytes.append(nbytes)
         self.memory_bytes += nbytes
         self.total_records += len(run)
-        while self.memory_bytes > self.memory_budget and self.memory_runs:
-            self._spill_largest()
+        if self.memory_bytes > self.memory_budget:
+            self._spill()
 
     def add_batch(self, batch: RecordBatch, nbytes: int | None = None) -> None:
-        """Add a sealed record batch as one run — O(1) on arrival; the
+        """File a sealed record batch as one run — O(1) on arrival; the
         batch bytes spill and merge without per-record re-encoding."""
         self.add_run(batch, len(batch.data) if nbytes is None else nbytes)
 
-    def _spill_largest(self) -> None:
-        """Spill the largest-by-bytes in-memory run (frees the most budget
-        per disk write; the old largest-by-count pick could spill a long
-        run of tiny records while a few huge pairs stayed resident)."""
-        idx = max(range(len(self.run_nbytes)), key=self.run_nbytes.__getitem__)
-        run = self.memory_runs.pop(idx)
-        nbytes = self.run_nbytes.pop(idx)
-        self.memory_bytes = max(0, self.memory_bytes - nbytes)
+    def _spill(self) -> None:
+        """Merge everything resident into one run and write that to disk:
+        one coarse file per overflow, so the final merge's fan-in is the
+        number of overflows, not the number of blocks received."""
+        self.compact()
+        (run,) = self.memory_runs
+        self.memory_runs = []
+        self.memory_bytes = 0
         t0 = _clock()
-        if isinstance(run, RecordBatch):
-            spill = spill_batch(
-                run, self.serializer, self.directory, self.stem,
-                compress=self.compress_spills,
-            )
-        else:
-            spill = spill_run(
-                run, self.serializer, self.directory, self.stem,
-                compress=self.compress_spills,
-            )
+        spill = (spill_batch if isinstance(run, RecordBatch) else spill_run)(
+            run, self.serializer, self.directory, self.stem,
+            compress=self.compress_spills,
+        )
         dur = _clock() - t0
         self.spill_seconds += dur
         if _T.enabled:
@@ -410,33 +399,29 @@ class RunStore:
         self.disk_runs.append(spill)
         self.spilled_bytes += spill.nbytes
 
-    def compact(self, max_runs: int) -> None:
-        """Background merge: collapse in-memory runs when too many pile up.
-
-        This is the paper's receive-side merge thread behaviour: "some of
-        the cached RPLs are merged" once the merge queue crosses a
-        threshold.
+    def compact(self, max_runs: int = 1) -> None:
+        """Merge the resident runs into one (no-op at ``max_runs`` or
+        fewer): a stable sort over the runs in arrival order, so ties
+        break by run, then by position — the order a heap merge yields.
         """
-        if len(self.memory_runs) <= max_runs:
+        runs = self.memory_runs
+        if len(runs) <= max_runs:
             return
         with _T.span(
-            "rpl.compact", cat="merge",
-            args={"stem": self.stem, "runs": len(self.memory_runs)},
+            "rpl.merge", cat="merge",
+            args={
+                "stem": self.stem, "runs": len(runs),
+                "records": sum(map(len, runs)), "bytes": self.memory_bytes,
+            },
         ):
             merged: list[KV] | RecordBatch
-            if all(isinstance(run, RecordBatch) for run in self.memory_runs):
-                # bytes-first: keys drive the heap, record slices are
-                # copied verbatim — values never materialize
-                merged = merge_batches(self.memory_runs, self.cmp, self.serializer)
+            if all(isinstance(run, RecordBatch) for run in runs):
+                merged = merge_batches(runs, self.cmp, self.serializer)
             else:
-                runs = [self._as_pairs(run) for run in self.memory_runs]
-                merged = list(merge_runs(runs, self.cmp)) if self.cmp else [
-                    record for run in runs for record in run
-                ]
-        # merging permutes records but never changes their payload size
-        total = sum(self.run_nbytes)
+                merged = list(chain.from_iterable(map(self._as_pairs, runs)))
+                if self.cmp is not None:
+                    merged = sort_block(merged, self.cmp)
         self.memory_runs = [merged]
-        self.run_nbytes = [total]
 
     def _as_pairs(self, run: list[KV] | RecordBatch) -> Iterable[KV]:
         if isinstance(run, RecordBatch):
@@ -449,31 +434,30 @@ class RunStore:
         Available when everything is resident as sealed batches (no disk
         runs, no legacy object runs): raw-byte consumers (TeraSort A
         tasks) then read the merged partition without materializing any
-        Python objects.  Compacts first if several batches remain.
+        Python objects.
         """
         if self.disk_runs or not self.memory_runs:
             return None
         if not all(isinstance(run, RecordBatch) for run in self.memory_runs):
             return None
-        if len(self.memory_runs) > 1:
-            self.compact(1)
-        run = self.memory_runs[0]
-        return run if isinstance(run, RecordBatch) else None
+        self.compact()
+        return self.memory_runs[0]
 
     def __iter__(self) -> Iterator[KV]:
+        """Everything in key order; values decode as the consumer reaches
+        them.  The heap merges only when a run lives on disk (fan-in:
+        spill files + the one resident run)."""
+        self.compact()
         runs: list[Iterable[KV]] = [
-            self._as_pairs(run) for run in self.memory_runs
-        ] + list(self.disk_runs)
-        if self.cmp is None:
-            for run in runs:
-                yield from run
-        else:
-            yield from merge_runs(runs, self.cmp)
+            *self.disk_runs, *map(self._as_pairs, self.memory_runs)
+        ]
+        if self.cmp is None or len(runs) == 1:
+            return chain.from_iterable(runs)
+        return merge_runs(runs, self.cmp)
 
     def cleanup(self) -> None:
         for spill in self.disk_runs:
             spill.delete()
         self.disk_runs.clear()
         self.memory_runs.clear()
-        self.run_nbytes.clear()
         self.memory_bytes = 0

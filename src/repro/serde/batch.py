@@ -23,7 +23,6 @@ at the user-function boundary via :meth:`RecordBatch.iter_pairs`.
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Iterable, Iterator
 
 from repro.common.errors import SerializationError
@@ -37,8 +36,6 @@ from repro.serde.io import DataInput, DataOutput, write_vlong
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
-
-_key_of = operator.itemgetter(0)
 
 
 def _read_vint(buf, pos: int) -> tuple[int, int]:
@@ -168,33 +165,48 @@ class RecordBatch:
             value = deserialize(src)
             yield key, value
 
-    def iter_keyed(self, serializer: Serializer) -> Iterator[tuple[Any, memoryview]]:
-        """(decoded_key, whole_record_view) pairs: merges order on the key
-        while the value bytes stay opaque."""
-        view = memoryview(self.data)
-        pos = 0
+    def key_index(self, serializer: Serializer) -> tuple[list[Any], list[bytes]]:
+        """``(keys, records)`` columns in batch order: every record's
+        decoded key and its whole framed bytes (length prefixes included).
+
+        Sorts and merges order on the keys and copy the records verbatim —
+        value bytes stay opaque.  This is the one per-record Python loop
+        of a sort, so it slices ``bytes`` directly (raw keys never pass
+        through a memoryview) and decodes one-byte lengths inline.
+        """
+        data = self.data if type(self.data) is bytes else bytes(self.data)
+        keys: list[Any] = []
+        records: list[bytes] = []
+        add_key, add_record = keys.append, records.append
         read = _read_vint
+        pos = 0
         if self.raw:
             for _ in range(self.count):
                 start = pos
-                n, pos = read(view, pos)
-                key = bytes(view[pos : pos + n])
+                n = data[pos]
+                pos += 1
+                if n > 127:
+                    n, pos = read(data, start)
+                end = pos + n
+                add_key(data[pos:end])
+                n = data[end]
+                pos = end + 1
+                if n > 127:
+                    n, pos = read(data, end)
                 pos += n
-                n, pos = read(view, pos)
-                pos += n
-                yield key, view[start:pos]
-            return
-        src = DataInput(view)
-        deserialize = serializer.deserialize
+                add_record(data[start:pos])
+            return keys, records
+        src = DataInput(data)
+        seek, deserialize = src.seek, serializer.deserialize
         for _ in range(self.count):
             start = pos
-            n, pos = read(view, pos)
-            src.seek(pos)
-            key = deserialize(src)
+            n, pos = read(data, pos)
+            seek(pos)
+            add_key(deserialize(src))
+            n, pos = read(data, pos + n)
             pos += n
-            n, pos = read(view, pos)
-            pos += n
-            yield key, view[start:pos]
+            add_record(data[start:pos])
+        return keys, records
 
 
 class BatchBuilder:
@@ -294,34 +306,36 @@ def concat_batches(batches: list[RecordBatch]) -> RecordBatch:
         return RecordBatch(b"", 0)
     if len(batches) == 1:
         return batches[0]
-    data = bytearray()
-    count = 0
     raw = batches[0].raw
-    for batch in batches:
-        if batch.raw is not raw:
-            raise SerializationError("cannot concatenate raw and serialized batches")
-        data += batch.data
-        count += batch.count
-    return RecordBatch(bytes(data), count, raw)
+    if any(batch.raw is not raw for batch in batches):
+        raise SerializationError("cannot concatenate raw and serialized batches")
+    return RecordBatch(
+        b"".join([batch.data for batch in batches]),
+        sum(batch.count for batch in batches),
+        raw,
+    )
 
 
 def sort_batch(
     batch: RecordBatch, cmp: Compare | None, serializer: Serializer
 ) -> RecordBatch:
-    """Key-sort a batch by permuting record slices (stable; values opaque)."""
-    keyed = list(batch.iter_keyed(serializer))
-    done = False
+    """Key-sort a batch by permuting record slices (stable; values opaque).
+
+    ``list.sort`` detects the ascending runs already in the batch and
+    gallops over them, so sorting a concatenation of key-sorted batches
+    *is* their k-way merge — ties keep batch order, then arrival order.
+    """
+    keys, records = batch.key_index(serializer)
+    order = None
     if cmp is None or cmp is default_compare or cmp is bytes_compare:
         # both comparators order exactly like native ``<`` on conforming keys
         try:
-            keyed.sort(key=_key_of)
-            done = True
+            order = sorted(range(len(keys)), key=keys.__getitem__)
         except TypeError:
             pass  # heterogeneous keys: total-order path below
-    if not done:
+    if order is None:
         key_fn = sort_key(cmp or default_compare)
-        keyed.sort(key=lambda kr: key_fn(kr[0]))
-    builder = BatchBuilder(serializer, raw=batch.raw)
-    for _key, record in keyed:
-        builder.add_record(record)
-    return builder.seal()
+        order = sorted(range(len(keys)), key=lambda i: key_fn(keys[i]))
+    return RecordBatch(
+        b"".join(map(records.__getitem__, order)), batch.count, batch.raw
+    )

@@ -13,6 +13,7 @@ from repro.core.sorter import (
     sort_block,
     spill_run,
 )
+from repro.serde.batch import RecordBatch, batch_from_pairs
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
 
@@ -126,13 +127,80 @@ class TestRunStore:
         store.add_run([("a", 2)])
         assert [k for k, _ in store] == ["z", "a"]
 
-    def test_compact_collapses_runs(self, tmp_path):
+    def test_resident_runs_merge_once_on_read(self, tmp_path, monkeypatch):
+        import repro.core.sorter as sorter
+
+        sorts = []
+        real = sorter.sort_block
+        monkeypatch.setattr(
+            sorter, "sort_block",
+            lambda records, cmp=None: sorts.append(len(records)) or real(records, cmp),
+        )
         store = self.make_store(10**9, tmp_path)
-        for i in range(10):
+        for i in reversed(range(10)):
             store.add_run([(f"k{i}", i)])
-        store.compact(max_runs=3)
+        assert len(store.memory_runs) == 10 and not sorts  # filed, not merged
+        assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
+        assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
+        # one pass over all ten records, reused by the second read
+        assert sorts == [10]
         assert len(store.memory_runs) == 1
         assert store.total_records == 10
+
+    def test_one_merge_span_per_merge(self, tmp_path, monkeypatch):
+        import repro.core.sorter as sorter
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        tracer.enable(job="test")
+        monkeypatch.setattr(sorter, "_T", tracer)
+        store = RunStore(
+            default_compare, WritableSerializer(), str(tmp_path), 45, stem="fwd:0-p3"
+        )
+        for i in range(7):  # the fifth arrival overflows: merge, then spill
+            store.add_run([(f"k{i}", i)], nbytes=10)
+        assert len(list(store)) == len(list(store)) == 7
+        merges = [e for e in tracer.drain() if e["name"] == "rpl.merge"]
+        assert [e["cat"] for e in merges] == ["merge", "merge"]
+        assert [e["args"] for e in merges] == [
+            {"stem": "fwd:0-p3", "runs": 5, "records": 5, "bytes": 50},
+            {"stem": "fwd:0-p3", "runs": 2, "records": 2, "bytes": 20},
+        ]
+
+    def test_equal_keys_keep_arrival_order_across_spills(self, tmp_path):
+        store = self.make_store(budget=60, tmp_path=tmp_path)
+        for i in range(13):
+            store.add_run([("k", i), ("k", i + 100)], nbytes=25)
+        assert len(store.disk_runs) == 4 and len(store.memory_runs) == 1
+        expected = [v for i in range(13) for v in (i, i + 100)]
+        assert [v for _, v in store] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        budget=st.integers(1, 400),
+    )
+    def test_spill_granularity_and_accounting(self, tmp_path_factory, sizes, budget):
+        """One coarse file per overflow, not one per block; the footprint
+        estimate stays within [0, budget] after every arrival."""
+        ser = WritableSerializer()
+        batches = [
+            batch_from_pairs(sorted((f"k{(7 * i + j) % 50:02d}", j) for j in range(n)), ser)
+            for i, n in enumerate(sizes)
+        ]
+        total = sum(len(b.data) for b in batches)
+        spill_dir = str(tmp_path_factory.mktemp("spill"))
+        store = RunStore(default_compare, ser, spill_dir, budget)
+        resident = RunStore(default_compare, ser, spill_dir, 10**9)
+        for batch in batches:
+            store.add_batch(batch)
+            resident.add_batch(batch)
+            assert 0 <= store.memory_bytes <= budget
+        assert len(store.disk_runs) <= -(-total // budget) + 1
+        assert store.spilled_bytes == sum(s.nbytes for s in store.disk_runs)
+        assert list(store) == list(resident)
+        assert not resident.disk_runs
+        store.cleanup()
 
     def test_cleanup_removes_spills(self, tmp_path):
         import os
@@ -204,7 +272,7 @@ class TestReceivePartitionList:
         return RunStore(cmp, WritableSerializer(), str(tmp_path), 10**9)
 
     def test_accumulates_and_merges(self, tmp_path):
-        rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path), 8)
+        rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path))
         rpl.add_block(Block(0, (("b", 1),), 10, sorted=True))
         rpl.add_block(Block(0, (("a", 2),), 10, sorted=True))
         assert [k for k, _ in rpl.merged()] == ["a", "b"]
@@ -212,17 +280,36 @@ class TestReceivePartitionList:
         assert rpl.records_received == 2
 
     def test_unsorted_blocks_sorted_on_arrival(self, tmp_path):
-        rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path), 8)
+        rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path))
         rpl.add_block(Block(0, (("z", 1), ("a", 2)), 10, sorted=False))
         assert [k for k, _ in rpl.merged()] == ["a", "z"]
 
-    def test_background_merge_triggered(self, tmp_path):
+    def test_add_block_files_without_merging(self, tmp_path, monkeypatch):
+        """Arrival is O(1): no key is extracted and nothing is merged
+        until the partition is read; then every record is merged once."""
+        indexed = []
+        real = RecordBatch.key_index
+        monkeypatch.setattr(
+            RecordBatch, "key_index",
+            lambda batch, ser: indexed.append(batch.count) or real(batch, ser),
+        )
+        ser = WritableSerializer()
         store = self._store(tmp_path)
-        rpl = ReceivePartitionList(0, default_compare, store, merge_threshold_blocks=3)
-        for i in range(10):
-            rpl.add_block(Block(0, ((f"k{i}", i),), 5, sorted=True))
-        # compaction keeps the run count at/below the threshold
-        assert len(store.memory_runs) <= 3
+        rpl = ReceivePartitionList(0, default_compare, store)
+        for i in reversed(range(40)):
+            batch = batch_from_pairs([(f"k{i:02d}", i), (f"k{i:02d}x", i)], ser)
+            rpl.add_block(Block(0, batch, len(batch.data), sorted=True))
+        assert len(store.memory_runs) == 40 and not indexed
+        keys = [k for k, _ in rpl.merged()]
+        assert keys == sorted(keys) and len(keys) == 80
+        assert indexed == [80]
+
+    def test_unretained_block_is_only_counted(self, tmp_path):
+        store = self._store(tmp_path)
+        rpl = ReceivePartitionList(0, default_compare, store)
+        rpl.add_block(Block(0, (("a", 1), ("b", 2)), 20, sorted=True), retain=False)
+        assert (rpl.blocks_received, rpl.records_received) == (1, 2)
+        assert not store.memory_runs and store.memory_bytes == 0
 
 
 class TestSinglePassAccounting:
@@ -254,8 +341,8 @@ class TestSinglePassAccounting:
             store.add_run(run)
             total += len(run)
         assert store.disk_runs, "budget never forced a spill"
-        # spilling and compaction reuse the cached sizes — no re-scan
-        store.compact(max_runs=1)
+        # spilling and merging reuse the sizes taken on entry — no re-scan
+        assert len(list(store)) == total
         assert calls[0] == total
 
     def test_presized_runs_never_rescanned(self, tmp_path, monkeypatch):
@@ -267,19 +354,20 @@ class TestSinglePassAccounting:
         store.add_run([("b", 2)], nbytes=25)
         assert calls[0] == 0  # sealed blocks carry their size already
 
-    def test_spill_picks_largest_by_bytes(self, tmp_path):
+    def test_overflow_spills_everything_resident_as_one_run(self, tmp_path):
         store = RunStore(
             default_compare, WritableSerializer(), str(tmp_path),
             memory_budget=1200,
         )
         many_tiny = sorted((f"k{j}", "") for j in range(50))  # ~550 bytes total
         store.add_run(many_tiny)
+        assert not store.disk_runs
         store.add_run([("huge", "x" * 2000)])
-        assert len(store.disk_runs) == 1
-        # the single huge-payload record frees the most budget per write;
-        # a largest-by-count pick would have evicted the 50 tiny records
-        assert store.disk_runs[0].count == 1
-        assert len(store.memory_runs[0]) == 50
+        # sort-and-spill: one merged file, nothing left to re-merge later
+        assert [spill.count for spill in store.disk_runs] == [51]
+        assert not store.memory_runs and store.memory_bytes == 0
+        keys = [k for k, _ in store]
+        assert keys == sorted(keys) and len(keys) == 51
 
     def test_seal_reuses_partition_running_total(self, monkeypatch):
         import repro.core.buffers as buffers

@@ -25,7 +25,6 @@ def _config(num_partitions=1, num_processes=1, pipelined=False):
         serializer=WritableSerializer(),
         spill_dir=tempfile.mkdtemp(prefix="coalesce-test-"),
         memory_budget=1 << 30,
-        merge_threshold_blocks=4,
         pipelined=pipelined,
     )
 

@@ -22,7 +22,6 @@ def make_config(num_partitions=4, num_processes=2, cmp=default_compare,
         serializer=WritableSerializer(),
         spill_dir=tempfile.mkdtemp(prefix="shuffle-test-"),
         memory_budget=budget,
-        merge_threshold_blocks=4,
         pipelined=pipelined,
     )
 
@@ -81,6 +80,24 @@ class TestShufflePlane:
         assert next(it) == ("x", 1)
         plane.add_eos()
         assert list(it) == []
+
+
+    def test_pipelined_plane_stores_nothing(self):
+        """A stream's only consumer is its queue: with a 1-byte budget a
+        storing RPL would spill every block; a pipelined plane counts the
+        blocks, retains none and delivers them in arrival order."""
+        plane = ShufflePlane("p", 0, make_config(1, 1, cmp=None, pipelined=True, budget=1))
+        for i in range(20):
+            plane.add_block(block(0, [(f"k{i}", i), (f"k{i}", -i)], sorted_=False))
+        plane.add_eos()
+        assert list(plane.stream_iter(0)) == [
+            (f"k{i}", v) for i in range(20) for v in (i, -i)
+        ]
+        assert (plane.blocks_received(), plane.records_received()) == (20, 40)
+        assert plane.spilled_bytes() == 0
+        store = plane.rpls[0].store
+        assert store.memory_bytes == 0 and not store.memory_runs
+        assert not store.disk_runs
 
 
 class TestShuffleServiceOverMPI:

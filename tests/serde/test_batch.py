@@ -85,7 +85,7 @@ class TestEdgeCases:
         assert batch.data == b""
         assert list(batch.iter_pairs(SER)) == []
         assert list(batch.iter_views()) == []
-        assert list(batch.iter_keyed(SER)) == []
+        assert batch.key_index(SER) == ([], [])
 
     def test_concat_empty_list(self):
         batch = concat_batches([])
