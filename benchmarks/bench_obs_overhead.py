@@ -112,7 +112,10 @@ def _run_shuffle(records_per_rank: int, profile_hz: float = 0.0) -> tuple[float,
             lambda pid: _shuffle_config(num_partitions, comm.size, spill_dir),
         )
         plane = service.plane("fwd:0")
-        spl = SendPartitionList(num_partitions, flush_bytes, cmp=default_compare)
+        spl = SendPartitionList(
+            num_partitions, flush_bytes, cmp=default_compare,
+            serializer=WritableSerializer(),
+        )
         comm.barrier()
         t0 = time.perf_counter()
         for i in range(records_per_rank):

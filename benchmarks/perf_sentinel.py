@@ -1,38 +1,30 @@
 """Perf-regression sentinel.
 
-Re-runs the hot-path and observability-overhead benchmarks in quick mode
-and compares the *scale-free* metrics against the committed baselines
-(``BENCH_HOTPATH.json`` / ``BENCH_OBS.json``) with a tolerance band.
-Scale-free means ratios and overhead percentages — numbers that survive
-a move between machines.  Absolute throughputs and latencies are noise
-on shared CI runners, so they are reported but never gated.
+Re-runs the observability-overhead benchmark in quick mode and gates its
+*scale-free* metrics — overhead percentages, numbers that survive a move
+between machines — against the acceptance bar recorded in the committed
+baseline (``BENCH_OBS.json``).  Absolute throughputs and latencies are
+noise on shared CI runners, so they are reported but never gated; the
+datapath's own throughput is the business of ``bench/run.py``.
 
 Gated metrics:
 
-* ``shuffle_wire.terasort_raw.speedup`` and
-  ``shuffle_wire.wordcount_serialized.speedup`` — the bytes-path wire
-  codec must keep (most of) its committed advantage over the pickle
-  envelope;
 * ``disabled_overhead_pct_estimate`` — tracer guards on the disabled
   hot path;
 * ``telemetry.default_overhead_pct`` — snapshot shipping at the default
   interval;
 * ``profiler.default_overhead_pct`` — stack sampling at the default Hz.
 
-A speedup may degrade by at most ``--tolerance`` (fractional, default
-0.5 — quick-mode runs are small and shared runners are noisy).  The
-overhead percentages are gated against the committed acceptance bar
-(3%), not against their tiny baseline values: 0.005% → 0.05% is a 10x
-"regression" that still costs nothing.
+The percentages are gated against the committed acceptance bar (3%), not
+against their tiny baseline values: 0.005% → 0.05% is a 10x "regression"
+that still costs nothing.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/perf_sentinel.py [--tolerance F]
-        [--fresh-dir DIR] [--skip-run]
+    PYTHONPATH=src python benchmarks/perf_sentinel.py [--fresh-dir DIR]
 
-``--fresh-dir`` keeps the freshly generated JSON files (for CI artifact
-upload); ``--skip-run`` compares existing files in that directory
-instead of re-running the benchmarks.
+``--fresh-dir`` keeps the freshly generated JSON file (for CI artifact
+upload).
 """
 
 from __future__ import annotations
@@ -48,7 +40,6 @@ for p in (_SRC, os.path.dirname(os.path.abspath(__file__))):
     if p not in sys.path:
         sys.path.insert(0, p)
 
-BASELINE_HOTPATH = os.path.join(REPO_ROOT, "BENCH_HOTPATH.json")
 BASELINE_OBS = os.path.join(REPO_ROOT, "BENCH_OBS.json")
 
 
@@ -61,139 +52,85 @@ def _dig(tree: dict, path: str, default=None):
     return node
 
 
-def compare(baseline_hotpath: dict, baseline_obs: dict,
-            fresh_hotpath: dict, fresh_obs: dict,
-            tolerance: float) -> list[dict]:
+def compare(baseline_obs: dict, fresh_obs: dict) -> list[dict]:
     """Return one row per gated metric; row["ok"] is the verdict."""
-    rows: list[dict] = []
-
-    for path in ("shuffle_wire.terasort_raw.speedup",
-                 "shuffle_wire.wordcount_serialized.speedup"):
-        base = _dig(baseline_hotpath, path)
-        fresh = _dig(fresh_hotpath, path)
-        floor = None if base is None else round(base * (1.0 - tolerance), 2)
-        rows.append({
-            "metric": path, "kind": "speedup",
-            "baseline": base, "fresh": fresh, "floor": floor,
-            "ok": (base is not None and fresh is not None
-                   and fresh >= floor),
-        })
-
     bar = _dig(baseline_obs, "acceptance.bar_pct", 3.0)
+    rows: list[dict] = []
     for path in ("disabled_overhead_pct_estimate",
                  "telemetry.default_overhead_pct",
                  "profiler.default_overhead_pct"):
-        base = _dig(baseline_obs, path)
         fresh = _dig(fresh_obs, path)
         rows.append({
-            "metric": path, "kind": "overhead_pct",
-            "baseline": base, "fresh": fresh, "bar_pct": bar,
+            "metric": path,
+            "baseline": _dig(baseline_obs, path), "fresh": fresh,
+            "bar_pct": bar,
             "ok": fresh is not None and fresh < bar,
         })
     return rows
 
 
 def render(rows: list[dict]) -> str:
-    lines = []
-    for row in rows:
-        verdict = "ok  " if row["ok"] else "FAIL"
-        if row["kind"] == "speedup":
-            bound = f">= {row['floor']}"
-        else:
-            bound = f"< {row['bar_pct']}%"
-        lines.append(
-            f"  [{verdict}] {row['metric']}: fresh={row['fresh']} "
-            f"(baseline={row['baseline']}, want {bound})"
-        )
-    return "\n".join(lines)
-
-
-def _load(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+    return "\n".join(
+        f"  [{'ok  ' if row['ok'] else 'FAIL'}] {row['metric']}: "
+        f"fresh={row['fresh']} (baseline={row['baseline']}, "
+        f"want < {row['bar_pct']}%)"
+        for row in rows
+    )
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tolerance", type=float, default=0.5,
-                        help="allowed fractional speedup degradation")
     parser.add_argument("--fresh-dir", default=None,
-                        help="directory for the fresh bench JSON files")
-    parser.add_argument("--skip-run", action="store_true",
-                        help="compare existing files in --fresh-dir")
+                        help="directory for the fresh bench JSON file")
     args = parser.parse_args(argv)
 
     fresh_dir = args.fresh_dir or os.path.join(REPO_ROOT, "benchmarks",
                                                "results")
     os.makedirs(fresh_dir, exist_ok=True)
-    fresh_hotpath_path = os.path.join(fresh_dir, "fresh_hotpath.json")
     fresh_obs_path = os.path.join(fresh_dir, "fresh_obs.json")
 
-    if args.skip_run:
-        fresh_hotpath = _load(fresh_hotpath_path)
-        fresh_obs = _load(fresh_obs_path)
-    else:
-        import bench_hotpath
-        import bench_obs_overhead
-        print("sentinel: running bench_hotpath (quick)...", flush=True)
-        fresh_hotpath = bench_hotpath.run_all(quick=True)
-        print("sentinel: running bench_obs_overhead (quick)...", flush=True)
-        fresh_obs = bench_obs_overhead.run_all(quick=True)
-        for path, report in ((fresh_hotpath_path, fresh_hotpath),
-                             (fresh_obs_path, fresh_obs)):
-            with open(path, "w") as f:
-                json.dump(report, f, indent=2)
-                f.write("\n")
+    import bench_obs_overhead
+    print("sentinel: running bench_obs_overhead (quick)...", flush=True)
+    fresh_obs = bench_obs_overhead.run_all(quick=True)
+    with open(fresh_obs_path, "w") as f:
+        json.dump(fresh_obs, f, indent=2)
+        f.write("\n")
 
-    rows = compare(_load(BASELINE_HOTPATH), _load(BASELINE_OBS),
-                   fresh_hotpath, fresh_obs, args.tolerance)
-    print(f"perf sentinel (tolerance {args.tolerance:.0%}):")
+    with open(BASELINE_OBS) as f:
+        rows = compare(json.load(f), fresh_obs)
+    print("perf sentinel:")
     print(render(rows))
     failed = [row for row in rows if not row["ok"]]
     if failed:
-        print(f"\n{len(failed)} metric(s) regressed beyond tolerance")
+        print(f"\n{len(failed)} metric(s) over the acceptance bar")
         return 1
-    print("\nall gated metrics within tolerance")
+    print("\nall gated metrics under the acceptance bar")
     return 0
 
 
 # -- pytest entry (pure comparison logic, no bench runs) ------------------------
 def test_sentinel_compare_flags_regressions():
-    base_hot = {"shuffle_wire": {
-        "terasort_raw": {"speedup": 5.0},
-        "wordcount_serialized": {"speedup": 7.0},
-    }}
     base_obs = {
         "acceptance": {"bar_pct": 3.0},
         "disabled_overhead_pct_estimate": 0.05,
         "telemetry": {"default_overhead_pct": 0.005},
         "profiler": {"default_overhead_pct": 0.03},
     }
-    good_hot = {"shuffle_wire": {
-        "terasort_raw": {"speedup": 4.0},       # -20%, inside 50% band
-        "wordcount_serialized": {"speedup": 8.0},
-    }}
     good_obs = {
         "disabled_overhead_pct_estimate": 0.2,  # 4x baseline, under bar
         "telemetry": {"default_overhead_pct": 0.01},
         "profiler": {"default_overhead_pct": 0.06},
     }
-    rows = compare(base_hot, base_obs, good_hot, good_obs, tolerance=0.5)
+    rows = compare(base_obs, good_obs)
     assert all(row["ok"] for row in rows), render(rows)
 
-    bad_hot = {"shuffle_wire": {
-        "terasort_raw": {"speedup": 2.0},       # -60%, outside the band
-        "wordcount_serialized": {"speedup": 7.0},
-    }}
     bad_obs = dict(good_obs, profiler={"default_overhead_pct": 4.2})
-    rows = compare(base_hot, base_obs, bad_hot, bad_obs, tolerance=0.5)
-    failed = {row["metric"] for row in rows if not row["ok"]}
-    assert failed == {"shuffle_wire.terasort_raw.speedup",
-                      "profiler.default_overhead_pct"}
+    failed = {row["metric"] for row in compare(base_obs, bad_obs) if not row["ok"]}
+    assert failed == {"profiler.default_overhead_pct"}
 
 
 def test_sentinel_handles_missing_metrics():
-    rows = compare({}, {}, {}, {}, tolerance=0.5)
+    rows = compare({}, {})
     assert rows and not any(row["ok"] for row in rows)
     render(rows)  # must not raise on None values
 

@@ -32,15 +32,6 @@ def kv_bytes(key: Any, value: Any) -> int:
     return _size_of(key) + _size_of(value)
 
 
-def kv_run_bytes(records: Iterable[tuple[Any, Any]]) -> int:
-    """Single-pass total payload estimate of a whole run of records.
-
-    Buffer layers that need the size of a sealed block or run should call
-    this once and carry the result alongside the records — never re-scan.
-    """
-    return sum(kv_bytes(key, value) for key, value in records)
-
-
 def _size_of(obj: Any) -> int:
     if obj is None:
         return 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.records import kv_bytes, kv_run_bytes
+from repro.common.records import kv_bytes
 from repro.core.sorter import RunStore, combine_run, sort_block
 from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch, batch_from_pairs, sort_batch
@@ -54,24 +54,19 @@ class DataPartition:
 class Block:
     """A sealed partition block in flight between processes.
 
-    ``records`` is either a tuple of (key, value) pairs (legacy object
-    blocks) or a sealed :class:`~repro.serde.batch.RecordBatch` — one
+    ``records`` is a sealed :class:`~repro.serde.batch.RecordBatch` — one
     contiguous byte payload that every downstream hop (coalescing, wire,
     spill, merge) moves without re-encoding.
     """
 
     partition_id: int
-    records: "tuple[KV, ...] | RecordBatch"
+    records: RecordBatch
     nbytes: int
     sorted: bool
 
     @property
     def count(self) -> int:
         return len(self.records)
-
-    @property
-    def is_batch(self) -> bool:
-        return isinstance(self.records, RecordBatch)
 
     def serialized_size(self) -> int:
         # payload + header slop, picked up by common.records._size_of
@@ -87,16 +82,17 @@ class SendPartitionList:
         flush_bytes: int,
         cmp: Compare | None,
         combiner: Combiner | None = None,
-        serializer: Serializer | None = None,
+        *,
+        serializer: Serializer,
         raw: bool = False,
     ) -> None:
         self.partitions = [DataPartition(p) for p in range(num_partitions)]
         self.flush_bytes = flush_bytes
         self.cmp = cmp
         self.combiner = combiner
-        #: with a serializer (or ``raw``), seals encode records into one
-        #: contiguous RecordBatch — the single serialization point of the
-        #: bytes-first datapath; without one, seals ship object tuples
+        #: seals encode records into one contiguous RecordBatch — the
+        #: single serialization point of the datapath; ``raw`` frames
+        #: bytes keys/values as they are, without serializer tags
         self.serializer = serializer
         self.raw = raw
         self.records_in = 0
@@ -118,44 +114,28 @@ class SendPartitionList:
         return None
 
     def _seal(self, part: DataPartition) -> Block:
-        # sorting permutes records but never resizes them, so the running
-        # total kept by DataPartition.add is already exact — only a
-        # combiner (which rewrites the payload) forces a re-count; batch
-        # seals get an exact byte count for free from the encoded block
-        nbytes = part.nbytes
         records = part.drain()
-        batch_mode = self.serializer is not None or self.raw
         t0 = _clock()
-        timed = False
         if self.cmp is not None:
-            timed = True
             records = sort_block(records, self.cmp)
             if self.combiner is not None:
                 before = len(records)
                 records = combine_run(records, self.combiner)
                 self.combined_away += before - len(records)
-                if not batch_mode:
-                    nbytes = kv_run_bytes(records)
-        count = len(records)
-        payload: tuple[KV, ...] | RecordBatch
-        if batch_mode:
-            timed = True
-            payload = batch_from_pairs(records, self.serializer, raw=self.raw)
-            nbytes = len(payload.data)
-        else:
-            payload = tuple(records)
-        if timed:
-            dur = _clock() - t0
-            self.sort_seconds += dur
-            if _T.enabled:
-                _T.complete(
-                    "spl.seal", t0, dur, cat="sort",
-                    args={"partition": part.partition_id, "records": count},
-                )
-        self.records_out += count
+        batch = batch_from_pairs(records, self.serializer, raw=self.raw)
+        dur = _clock() - t0
+        self.sort_seconds += dur
+        if _T.enabled:
+            _T.complete(
+                "spl.seal", t0, dur, cat="sort",
+                args={"partition": part.partition_id, "records": batch.count},
+            )
+        # the encoded block is its own exact byte count
+        nbytes = len(batch.data)
+        self.records_out += batch.count
         self.bytes_out += nbytes
         return Block(
-            part.partition_id, payload, nbytes, sorted=self.cmp is not None
+            part.partition_id, batch, nbytes, sorted=self.cmp is not None
         )
 
     def flush_all(self) -> list[Block]:
@@ -201,16 +181,10 @@ class ReceivePartitionList:
             self.records_received += block.count
             if not retain:
                 return
-            records = block.records
-            if isinstance(records, RecordBatch):
-                if self.cmp is not None and not block.sorted:
-                    records = sort_batch(records, self.cmp, self.store.serializer)
-                self.store.add_batch(records, block.nbytes)
-            else:
-                run = list(records)
-                if self.cmp is not None and not block.sorted:
-                    run = sort_block(run, self.cmp)
-                self.store.add_run(run, block.nbytes)
+            batch = block.records
+            if self.cmp is not None and not block.sorted:
+                batch = sort_batch(batch, self.cmp, self.store.serializer)
+            self.store.add_run(batch)
 
     def merged(self) -> Iterator[KV]:
         """Final merged iterator (after the plane completed)."""
@@ -219,7 +193,7 @@ class ReceivePartitionList:
 
     def merged_batch(self) -> "RecordBatch | None":
         """The whole partition as one merged batch, or ``None`` when any
-        run is on disk / object-typed (callers fall back to :meth:`merged`)."""
+        run is on disk (callers fall back to :meth:`merged`)."""
         with self._lock:
             return self.store.as_batch()
 

@@ -54,9 +54,6 @@ class MPI_D_Constants:
     #: sender-side coalescing cap: blocks bound for one destination ride in
     #: a single MPI envelope until the batch reaches this many bytes
     SHUFFLE_BATCH_BYTES = "mpi.d.shuffle.batch.bytes"
-    #: bytes-first datapath: seal emitted pairs into contiguous record
-    #: batches (serialize once, ship bytes) instead of object tuples
-    SHUFFLE_BYTES = "mpi.d.shuffle.bytes.batch"
     #: raw record batches: keys/values are the application's own bytes,
     #: framed without serializer tags (TeraSort-style byte workloads)
     SHUFFLE_RAW = "mpi.d.shuffle.raw.bytes"

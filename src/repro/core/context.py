@@ -204,12 +204,13 @@ class TaskContext:
     def recv_batch(self):
         """This task's whole input as one merged record batch, or ``None``.
 
-        Available only when no pair has been consumed yet and the entire
-        partition is resident as sealed batches (no disk spills, no
-        object-tuple blocks, not pipelined) — the zero-materialization
-        fast path for byte workloads: iterate ``batch.iter_views()`` and
-        never build a Python object per record.  Callers must fall back
-        to :meth:`recv` / :meth:`recv_iter` on ``None``.
+        ``None`` means the partition spilled to disk, the plane is
+        pipelined, or a pair was already consumed — nothing else; callers
+        then fall back to :meth:`recv` / :meth:`recv_iter`.  The batch is
+        the zero-materialization fast path for byte workloads: when
+        ``batch.raw``, iterate ``batch.iter_views()`` and never build a
+        Python object per record (the fields of a non-raw batch carry
+        serializer framing: decode those with ``batch.iter_pairs``).
         """
         if self._recv_iter is not None or self._pipelined:
             return None

@@ -426,17 +426,13 @@ class WorkerEngine:
     # -- phase loops ----------------------------------------------------------------------
     def _new_spl(self, direction: str) -> SendPartitionList:
         num = self.job.a_tasks if direction == "fwd" else self.job.o_tasks
-        # bytes-first datapath (default on): seals serialize pairs into a
-        # contiguous RecordBatch exactly once; every later hop ships bytes
-        batched = self.conf.get_bool(K.SHUFFLE_BYTES, True)
-        raw = batched and self.conf.get_bool(K.SHUFFLE_RAW, False)
         return SendPartitionList(
             num_partitions=num,
             flush_bytes=self.conf.get_bytes(K.SPL_PARTITION_BYTES),
             cmp=self.cmp,
             combiner=self.job.combiner,
-            serializer=self.serializer if batched else None,
-            raw=raw,
+            serializer=self.serializer,
+            raw=self.conf.get_bool(K.SHUFFLE_RAW, False),
         )
 
     def _finish_sends(self, plane_id: str, spl: SendPartitionList) -> None:

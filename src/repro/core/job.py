@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.common.errors import DataMPIError
 from repro.core.constants import Mode
 from repro.core.context import TaskContext
+from repro.core.modes import mode_sorts, profile_for
 from repro.core.partition import Partitioner, hash_partitioner
 from repro.core.sorter import group_by_key
 from repro.serde.comparators import Compare
@@ -54,6 +55,16 @@ class DataMPIJob:
             raise DataMPIError("rounds must be >= 1")
         if self.rounds > 1 and self.mode is not Mode.ITERATION:
             raise DataMPIError("multi-round jobs require Iteration mode")
+        if self.combiner is not None and not mode_sorts(
+            profile_for(self.mode, self.conf)
+        ):
+            # combining groups equal keys of a *sorted* block; an unsorted
+            # exchange would drop the combiner without a word
+            raise DataMPIError(
+                f"job {self.name!r}: a combiner needs a sorted exchange, and "
+                f"{self.mode.value} mode with this configuration does not "
+                "sort (mpi.d.sort is false)"
+            )
 
 
 def mapreduce_job(

@@ -152,8 +152,8 @@ class ShufflePlane:
     def merged_batch(self, partition: int) -> "RecordBatch | None":
         """Post-completion partition payload as one contiguous batch.
 
-        ``None`` when the partition holds object runs or spilled to disk;
-        callers fall back to :meth:`merged_iter`.
+        ``None`` when the partition spilled to disk; callers fall back to
+        :meth:`merged_iter`.
         """
         if not self.complete.is_set():
             raise DataMPIError(
@@ -164,10 +164,10 @@ class ShufflePlane:
     def stream_iter(self, partition: int) -> Iterator[KV]:
         """Live iterator (Streaming mode): yields pairs as they arrive.
 
-        The queue carries whole blocks (tuples of records, or sealed
-        record batches decoded lazily here); per-partition record order
-        is preserved because the receiver thread enqueues blocks in
-        arrival order and each block is unpacked in order here.
+        The queue carries whole sealed batches, decoded lazily here;
+        per-partition record order is preserved because the receiver
+        thread enqueues blocks in arrival order and each block is
+        unpacked in order here.
         """
         stream = self.streams[partition]
         serializer = self.config.serializer
@@ -175,10 +175,7 @@ class ShufflePlane:
             item = stream.get()
             if item is _STREAM_EOS:
                 return
-            if isinstance(item, RecordBatch):
-                yield from item.iter_pairs(serializer)
-            else:
-                yield from item
+            yield from item.iter_pairs(serializer)
 
     def wait_complete(self, timeout: float | None = None) -> None:
         deadline = None if timeout is None else _now() + timeout
@@ -492,91 +489,86 @@ class ShuffleService:
                                       "committed": channel.committed},
                             )
                     continue
+                if kind != "batch":
+                    raise DataMPIError(f"unknown shuffle message kind {kind!r}")
                 plane = self.plane(plane_id)
-                if kind == "batch":
-                    seq, origin, blocks, eos = payload
-                    key = (plane_id, origin)
-                    if staging:
-                        channel = channels.get(key)
-                        if channel is None:
-                            channel = channels[key] = _Channel()
-                        if channel.committed:
-                            # a replayed stream whose first life already
-                            # landed in full: drop it wholesale
-                            self.replays_dropped += 1
-                            if _T.enabled:
-                                _T.instant(
-                                    "shuffle.replay_dropped", cat="recovery",
-                                    args={"plane": plane_id, "origin": origin,
-                                          "seq": seq},
-                                )
-                            continue
-                        last = channel.last
-                    else:
-                        last = last_seq.get(key, -1)
-                    if seq <= last:
-                        # duplicated envelope: already applied in full
-                        self.duplicates_dropped += 1
+                seq, origin, blocks, eos = payload
+                key = (plane_id, origin)
+                if staging:
+                    channel = channels.get(key)
+                    if channel is None:
+                        channel = channels[key] = _Channel()
+                    if channel.committed:
+                        # a replayed stream whose first life already
+                        # landed in full: drop it wholesale
+                        self.replays_dropped += 1
                         if _T.enabled:
                             _T.instant(
-                                "shuffle.duplicate_dropped", cat="shuffle",
+                                "shuffle.replay_dropped", cat="recovery",
                                 args={"plane": plane_id, "origin": origin,
                                       "seq": seq},
                             )
                         continue
-                    if seq != last + 1:
-                        if _T.enabled:
-                            _T.instant(
-                                "shuffle.seq_gap", cat="shuffle",
-                                args={"plane": plane_id, "origin": origin,
-                                      "expected": last + 1, "got": seq},
-                            )
-                        raise DataMPIError(
-                            f"shuffle plane {plane_id}: lost batch from "
-                            f"process {origin} (expected seq {last + 1}, "
-                            f"got {seq})"
-                        )
-                    trace_t0 = _T.clock() if _T.enabled else 0.0
-                    if staging:
-                        channel.last = seq
-                        channel.staged.extend(blocks)
-                        if eos:
-                            # commit the whole stream atomically
-                            for block in channel.staged:
-                                plane.add_block(block)
-                            channel.staged = []
-                            channel.committed = True
-                            plane.add_eos()
-                    else:
-                        last_seq[key] = seq
-                        for block in blocks:
-                            plane.add_block(block)
-                        if eos:
-                            plane.add_eos()
-                    if _T.enabled and blocks:
-                        # prefer the pair the envelope header carried; a
-                        # path that lost it (direct deposits in unit
-                        # tests) falls back to recomputing the same id
-                        channel_name = f"{plane_id}>{self.rank}"
-                        trace, parent = (
-                            flow_in if flow_in is not None
-                            else (_flow_id(channel_name, origin, seq),
-                                  _flow_id(channel_name, origin, seq,
-                                           domain=1))
-                        )
-                        _T.complete(
-                            "shuffle.recv.batch", trace_t0,
-                            _T.clock() - trace_t0, cat="shuffle",
-                            args={"plane": plane_id, "origin": origin,
-                                  "blocks": len(blocks), "seq": seq,
-                                  "flow_in": trace, "flow_parent": parent},
-                        )
-                elif kind == "block":  # un-coalesced single block (direct callers)
-                    plane.add_block(payload)
-                elif kind == "eos":
-                    plane.add_eos()
+                    last = channel.last
                 else:
-                    raise DataMPIError(f"unknown shuffle message kind {kind!r}")
+                    last = last_seq.get(key, -1)
+                if seq <= last:
+                    # duplicated envelope: already applied in full
+                    self.duplicates_dropped += 1
+                    if _T.enabled:
+                        _T.instant(
+                            "shuffle.duplicate_dropped", cat="shuffle",
+                            args={"plane": plane_id, "origin": origin,
+                                  "seq": seq},
+                        )
+                    continue
+                if seq != last + 1:
+                    if _T.enabled:
+                        _T.instant(
+                            "shuffle.seq_gap", cat="shuffle",
+                            args={"plane": plane_id, "origin": origin,
+                                  "expected": last + 1, "got": seq},
+                        )
+                    raise DataMPIError(
+                        f"shuffle plane {plane_id}: lost batch from "
+                        f"process {origin} (expected seq {last + 1}, "
+                        f"got {seq})"
+                    )
+                trace_t0 = _T.clock() if _T.enabled else 0.0
+                if staging:
+                    channel.last = seq
+                    channel.staged.extend(blocks)
+                    if eos:
+                        # commit the whole stream atomically
+                        for block in channel.staged:
+                            plane.add_block(block)
+                        channel.staged = []
+                        channel.committed = True
+                        plane.add_eos()
+                else:
+                    last_seq[key] = seq
+                    for block in blocks:
+                        plane.add_block(block)
+                    if eos:
+                        plane.add_eos()
+                if _T.enabled and blocks:
+                    # prefer the pair the envelope header carried; a
+                    # path that lost it (direct deposits in unit
+                    # tests) falls back to recomputing the same id
+                    channel_name = f"{plane_id}>{self.rank}"
+                    trace, parent = (
+                        flow_in if flow_in is not None
+                        else (_flow_id(channel_name, origin, seq),
+                              _flow_id(channel_name, origin, seq,
+                                       domain=1))
+                    )
+                    _T.complete(
+                        "shuffle.recv.batch", trace_t0,
+                        _T.clock() - trace_t0, cat="shuffle",
+                        args={"plane": plane_id, "origin": origin,
+                              "blocks": len(blocks), "seq": seq,
+                              "flow_in": trace, "flow_parent": parent},
+                    )
             except MPIAbort:
                 return
             except BaseException as exc:  # noqa: BLE001 - must abort the world

@@ -19,11 +19,10 @@ from itertools import chain
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.records import kv_run_bytes
 from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch, concat_batches, sort_batch
 from repro.serde.comparators import Compare, bytes_compare, default_compare, sort_key
-from repro.serde.io import ChunkedDataInput, DataOutput
+from repro.serde.io import ChunkedDataInput
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
@@ -195,7 +194,8 @@ _SPILL_CHUNK_BYTES = 64 * 1024
 
 
 class SpillFile:
-    """One on-disk serialized (optionally compressed) run."""
+    """One on-disk (optionally compressed) run: a sealed record batch
+    written verbatim, length-prefixed layout and all."""
 
     def __init__(
         self,
@@ -204,7 +204,6 @@ class SpillFile:
         count: int,
         nbytes: int,
         compressed: bool = False,
-        batch: bool = False,
         raw: bool = False,
     ):
         self.path = path
@@ -213,9 +212,6 @@ class SpillFile:
         #: bytes on disk (post-compression)
         self.nbytes = nbytes
         self.compressed = compressed
-        #: True when the file is one sealed record batch written verbatim
-        #: (length-prefixed layout) instead of back-to-back serialize_kv
-        self.batch = batch
         self.raw = raw
 
     def __iter__(self) -> Iterator[KV]:
@@ -227,23 +223,19 @@ class SpillFile:
         """
         with open(self.path, "rb") as f:
             src = ChunkedDataInput(self._chunks(f))
-            if self.batch:
-                if self.raw:
-                    for _ in range(self.count):
-                        key = src.read_bytes(src.read_vint())
-                        value = src.read_bytes(src.read_vint())
-                        yield key, value
-                else:
-                    deserialize = self.serializer.deserialize
-                    for _ in range(self.count):
-                        src.read_vint()  # record framing; encoding delimits
-                        key = deserialize(src)
-                        src.read_vint()
-                        value = deserialize(src)
-                        yield key, value
-            else:
+            if self.raw:
                 for _ in range(self.count):
-                    yield self.serializer.deserialize_kv(src)
+                    key = src.read_bytes(src.read_vint())
+                    value = src.read_bytes(src.read_vint())
+                    yield key, value
+            else:
+                deserialize = self.serializer.deserialize
+                for _ in range(self.count):
+                    src.read_vint()  # record framing; encoding delimits
+                    key = deserialize(src)
+                    src.read_vint()
+                    value = deserialize(src)
+                    yield key, value
 
     def _chunks(self, f) -> Iterator[bytes]:
         if not self.compressed:
@@ -272,31 +264,6 @@ class SpillFile:
             pass
 
 
-def spill_run(
-    records: list[KV],
-    serializer: Serializer,
-    directory: str,
-    stem: str,
-    compress: bool = False,
-) -> SpillFile:
-    """Serialize one run to ``directory`` and return its handle.
-
-    ``compress`` trades CPU for disk bandwidth like Hadoop's
-    ``mapred.compress.map.output`` — worthwhile exactly when the disk is
-    the bottleneck, which §V-B says it is on single-HDD nodes.
-    """
-    out = DataOutput()
-    for key, value in records:
-        serializer.serialize_kv(key, value, out)
-    payload = out.getvalue()
-    if compress:
-        payload = zlib.compress(payload, level=1)
-    fd, path = tempfile.mkstemp(prefix=f"{stem}-", suffix=".spill", dir=directory)
-    with os.fdopen(fd, "wb") as f:
-        f.write(payload)
-    return SpillFile(path, serializer, len(records), len(payload), compress)
-
-
 def spill_batch(
     batch: RecordBatch,
     serializer: Serializer,
@@ -304,7 +271,12 @@ def spill_batch(
     stem: str,
     compress: bool = False,
 ) -> SpillFile:
-    """Write a sealed batch to disk verbatim — no per-record re-encode."""
+    """Write a sealed batch to disk verbatim — no per-record re-encode.
+
+    ``compress`` trades CPU for disk bandwidth like Hadoop's
+    ``mapred.compress.map.output`` — worthwhile exactly when the disk is
+    the bottleneck, which §V-B says it is on single-HDD nodes.
+    """
     payload = batch.data if isinstance(batch.data, bytes) else bytes(batch.data)
     if compress:
         payload = zlib.compress(payload, level=1)
@@ -312,8 +284,7 @@ def spill_batch(
     with os.fdopen(fd, "wb") as f:
         f.write(payload)
     return SpillFile(
-        path, serializer, batch.count, len(payload), compress,
-        batch=True, raw=batch.raw,
+        path, serializer, batch.count, len(payload), compress, raw=batch.raw
     )
 
 
@@ -342,9 +313,8 @@ class RunStore:
         self.memory_budget = memory_budget
         self.stem = stem
         self.compress_spills = compress_spills
-        #: in-memory runs in arrival order: object lists (legacy blocks)
-        #: or sealed :class:`RecordBatch` byte blocks (bytes-first datapath)
-        self.memory_runs: list[list[KV] | RecordBatch] = []
+        #: in-memory runs in arrival order, each a sealed batch
+        self.memory_runs: list[RecordBatch] = []
         #: spilled runs, oldest first; each precedes everything resident
         self.disk_runs: list[SpillFile] = []
         self.memory_bytes = 0
@@ -354,24 +324,15 @@ class RunStore:
         #: on the receiver thread, so this is an overlay phase bucket)
         self.spill_seconds = 0.0
 
-    def add_run(self, run: list[KV], nbytes: int | None = None) -> None:
-        """File a key-sorted run (or unsorted when cmp is None) — O(1).
-
-        Callers that already know the run's size (sealed blocks carry it)
-        pass ``nbytes``; otherwise the run is sized exactly once here.
-        """
-        if nbytes is None:
-            nbytes = kv_run_bytes(run)
+    def add_run(self, run: RecordBatch) -> None:
+        """File a sealed batch (key-sorted, or unsorted when cmp is None)
+        as one run — O(1) on arrival; its bytes spill and merge without
+        per-record re-encoding."""
         self.memory_runs.append(run)
-        self.memory_bytes += nbytes
-        self.total_records += len(run)
+        self.memory_bytes += len(run.data)
+        self.total_records += run.count
         if self.memory_bytes > self.memory_budget:
             self._spill()
-
-    def add_batch(self, batch: RecordBatch, nbytes: int | None = None) -> None:
-        """File a sealed record batch as one run — O(1) on arrival; the
-        batch bytes spill and merge without per-record re-encoding."""
-        self.add_run(batch, len(batch.data) if nbytes is None else nbytes)
 
     def _spill(self) -> None:
         """Merge everything resident into one run and write that to disk:
@@ -382,7 +343,7 @@ class RunStore:
         self.memory_runs = []
         self.memory_bytes = 0
         t0 = _clock()
-        spill = (spill_batch if isinstance(run, RecordBatch) else spill_run)(
+        spill = spill_batch(
             run, self.serializer, self.directory, self.stem,
             compress=self.compress_spills,
         )
@@ -414,31 +375,17 @@ class RunStore:
                 "records": sum(map(len, runs)), "bytes": self.memory_bytes,
             },
         ):
-            merged: list[KV] | RecordBatch
-            if all(isinstance(run, RecordBatch) for run in runs):
-                merged = merge_batches(runs, self.cmp, self.serializer)
-            else:
-                merged = list(chain.from_iterable(map(self._as_pairs, runs)))
-                if self.cmp is not None:
-                    merged = sort_block(merged, self.cmp)
+            merged = merge_batches(runs, self.cmp, self.serializer)
         self.memory_runs = [merged]
-
-    def _as_pairs(self, run: list[KV] | RecordBatch) -> Iterable[KV]:
-        if isinstance(run, RecordBatch):
-            return run.iter_pairs(self.serializer)
-        return run
 
     def as_batch(self) -> RecordBatch | None:
         """The whole store as one merged batch, or ``None``.
 
-        Available when everything is resident as sealed batches (no disk
-        runs, no legacy object runs): raw-byte consumers (TeraSort A
-        tasks) then read the merged partition without materializing any
-        Python objects.
+        Available when everything is resident (no disk runs): raw-byte
+        consumers (TeraSort A tasks) then read the merged partition
+        without materializing any Python objects.
         """
         if self.disk_runs or not self.memory_runs:
-            return None
-        if not all(isinstance(run, RecordBatch) for run in self.memory_runs):
             return None
         self.compact()
         return self.memory_runs[0]
@@ -449,7 +396,8 @@ class RunStore:
         spill files + the one resident run)."""
         self.compact()
         runs: list[Iterable[KV]] = [
-            *self.disk_runs, *map(self._as_pairs, self.memory_runs)
+            *self.disk_runs,
+            *(run.iter_pairs(self.serializer) for run in self.memory_runs),
         ]
         if self.cmp is None or len(runs) == 1:
             return chain.from_iterable(runs)

@@ -39,8 +39,8 @@ pairs into Chrome-trace flow events (see ``repro.obs.journal``).
 
 Shuffle batch envelopes — the data-plane hot path — skip pickle
 entirely.  A ``("batch", plane_id, (seq, origin, blocks, eos))`` message
-whose blocks all carry sealed :class:`~repro.serde.batch.RecordBatch`
-payloads is framed with the Writable primitives (FLAG_BATCH set)::
+(every block carries a sealed :class:`~repro.serde.batch.RecordBatch`)
+is framed with the Writable primitives (FLAG_BATCH set)::
 
     utf           plane_id
     vlong         seq
@@ -59,11 +59,11 @@ so the batch bytes sealed by the sender-side buffer travel to the
 receiving process without any re-encode; the decoder hands back batches
 as zero-copy views over the frame body.
 
-Everything else (control traffic, object-tuple blocks, RPC) is pickled
-at the wire boundary via
+Everything else (control traffic, application point-to-point messages,
+RPC) is pickled at the wire boundary via
 :class:`repro.serde.serialization.PickleSerializer` — the same "Java
-Serializable analogue" the shuffle uses, so anything a job can shuffle
-it can also send across the process boundary.
+Serializable analogue" the shuffle can be configured with, so anything a
+job can shuffle it can also send across the process boundary.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def _shuffle_types():
 def encode_payload(payload: Any) -> tuple[bytes, int]:
     """Encode an envelope payload: ``(body, flag_bits)``.
 
-    Shuffle batch messages whose blocks are all sealed record batches use
-    the structured FLAG_BATCH layout (batch bytes copied verbatim, no
-    pickle); everything else falls back to :data:`WIRE_SERDE`.
+    Shuffle batch messages use the structured FLAG_BATCH layout (batch
+    bytes copied verbatim, no pickle); everything else falls back to
+    :data:`WIRE_SERDE`.
     """
     body = _encode_shuffle_batch(payload)
     if body is not None:
@@ -176,10 +176,9 @@ def _encode_shuffle_batch(payload: Any) -> bytes | None:
         or not isinstance(blocks, list)
     ):
         return None
-    block_cls, batch_cls = _shuffle_types()
-    for block in blocks:
-        if type(block) is not block_cls or not isinstance(block.records, batch_cls):
-            return None
+    block_cls, _ = _shuffle_types()
+    if any(type(block) is not block_cls for block in blocks):
+        return None  # an application message that merely looks like one
     out = DataOutput()
     out.write_utf(plane_id)
     out.write_vlong(seq)

@@ -8,6 +8,34 @@ import threading
 from collections import defaultdict
 from typing import Any
 
+from repro.core.buffers import Block
+from repro.serde.batch import batch_from_pairs
+from repro.serde.serialization import WritableSerializer
+
+#: what :func:`batch_block` seals with
+SERIALIZER = WritableSerializer()
+
+
+def batch_block(
+    partition: int,
+    records,
+    *,
+    sorted_: bool = True,
+    nbytes: int | None = None,
+    raw: bool = False,
+) -> Block:
+    """Seal ``records`` the way the SPL does: one batch ``Block``.
+
+    ``nbytes`` overrides the size the block declares (coalescing tests
+    want round numbers); ``batch_block(...).records`` is a run for a
+    :class:`~repro.core.sorter.RunStore`.
+    """
+    batch = batch_from_pairs(records, SERIALIZER, raw=raw)
+    return Block(
+        partition, batch, len(batch.data) if nbytes is None else nbytes,
+        sorted=sorted_,
+    )
+
 
 class Collector:
     """Thread-safe output sink keyed by A-task rank."""

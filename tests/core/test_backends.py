@@ -158,3 +158,27 @@ class TestTraceShardMerging:
         assert len({e["rank"] for e in task_spans}) > 1  # from several workers
         # shards are consumed, not left behind
         assert glob.glob(f"{journal_path}.a*.shard-*.jsonl") == []
+
+
+class TestSealedBytesAreTheSameOnBothBackends:
+    def test_terasort_sends_exactly_the_sealed_batches(self):
+        """Every backend seals the same batches, so with no combiner the
+        job's ``records_sent``/``bytes_sent`` are the input's record count
+        and framed size — on threads and on processes alike."""
+        from repro.hdfs import MiniDFSCluster
+        from repro.serde.batch import batch_from_pairs
+        from repro.workloads import teragen_to_dfs, terasort_datampi
+        from repro.workloads.teragen import RECORD_LEN, teragen_records
+
+        n = 600
+        sealed = batch_from_pairs(teragen_records(n), None, raw=True)
+        for launcher in ("threads", "processes"):
+            cluster = MiniDFSCluster(num_nodes=4, block_size=50 * RECORD_LEN)
+            teragen_to_dfs(cluster.client(0), "/in", n)
+            metrics = terasort_datampi(
+                cluster, "/in", "/out", o_tasks=4, a_tasks=3, nprocs=4,
+                conf={K.LAUNCHER: launcher},
+            ).metrics
+            assert (metrics.records_sent, metrics.bytes_sent) == (
+                sealed.count, len(sealed.data)
+            ), launcher

@@ -4,18 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffers import Block, ReceivePartitionList, SendPartitionList
+from repro.core.buffers import ReceivePartitionList, SendPartitionList
 from repro.core.sorter import (
     RunStore,
     combine_run,
     group_by_key,
     merge_runs,
     sort_block,
-    spill_run,
+    spill_batch,
 )
-from repro.serde.batch import RecordBatch, batch_from_pairs
+from repro.serde.batch import RecordBatch
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
+from tests.core.helpers import SERIALIZER as SER, batch_block
+
+
+def run(records):
+    """One sealed run for a :class:`RunStore`."""
+    return batch_block(0, records).records
+
+
+def pairs(block):
+    return list(block.records.iter_pairs(SER))
 
 
 class TestSortBlock:
@@ -99,15 +109,15 @@ class TestRunStore:
 
     def test_all_in_memory_under_budget(self, tmp_path):
         store = self.make_store(10**9, tmp_path)
-        store.add_run([("a", 1), ("c", 1)])
-        store.add_run([("b", 2)])
+        store.add_run(run([("a", 1), ("c", 1)]))
+        store.add_run(run([("b", 2)]))
         assert [k for k, _ in store] == ["a", "b", "c"]
         assert not store.disk_runs
 
     def test_spills_over_budget(self, tmp_path):
         store = self.make_store(budget=50, tmp_path=tmp_path)
         for i in range(10):
-            store.add_run(sorted((f"k{i}-{j}", "v" * 10) for j in range(5)))
+            store.add_run(run(sorted((f"k{i}-{j}", "v" * 10) for j in range(5))))
         assert store.disk_runs  # something spilled
         assert store.spilled_bytes > 0
         keys = [k for k, _ in store]
@@ -116,29 +126,29 @@ class TestRunStore:
 
     def test_zero_budget_spills_everything(self, tmp_path):
         store = self.make_store(budget=0, tmp_path=tmp_path)
-        store.add_run([("b", 1)])
-        store.add_run([("a", 2)])
+        store.add_run(run([("b", 1)]))
+        store.add_run(run([("a", 2)]))
         assert not store.memory_runs
         assert [k for k, _ in store] == ["a", "b"]
 
     def test_unsorted_mode_concatenates(self, tmp_path):
         store = self.make_store(10**9, tmp_path, cmp=None)
-        store.add_run([("z", 1)])
-        store.add_run([("a", 2)])
+        store.add_run(run([("z", 1)]))
+        store.add_run(run([("a", 2)]))
         assert [k for k, _ in store] == ["z", "a"]
 
     def test_resident_runs_merge_once_on_read(self, tmp_path, monkeypatch):
         import repro.core.sorter as sorter
 
         sorts = []
-        real = sorter.sort_block
+        real = sorter.sort_batch
         monkeypatch.setattr(
-            sorter, "sort_block",
-            lambda records, cmp=None: sorts.append(len(records)) or real(records, cmp),
+            sorter, "sort_batch",
+            lambda batch, cmp, ser: sorts.append(batch.count) or real(batch, cmp, ser),
         )
         store = self.make_store(10**9, tmp_path)
         for i in reversed(range(10)):
-            store.add_run([(f"k{i}", i)])
+            store.add_run(run([(f"k{i}", i)]))
         assert len(store.memory_runs) == 10 and not sorts  # filed, not merged
         assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
         assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
@@ -154,23 +164,31 @@ class TestRunStore:
         tracer = Tracer()
         tracer.enable(job="test")
         monkeypatch.setattr(sorter, "_T", tracer)
+        runs = [run([(f"k{i}", i)]) for i in range(7)]
+        size = len(runs[0].data)
+        assert all(len(r.data) == size for r in runs)
         store = RunStore(
-            default_compare, WritableSerializer(), str(tmp_path), 45, stem="fwd:0-p3"
+            default_compare, WritableSerializer(), str(tmp_path),
+            4 * size + size // 2, stem="fwd:0-p3",
         )
-        for i in range(7):  # the fifth arrival overflows: merge, then spill
-            store.add_run([(f"k{i}", i)], nbytes=10)
+        for r in runs:  # the fifth arrival overflows: merge, then spill
+            store.add_run(r)
         assert len(list(store)) == len(list(store)) == 7
         merges = [e for e in tracer.drain() if e["name"] == "rpl.merge"]
         assert [e["cat"] for e in merges] == ["merge", "merge"]
         assert [e["args"] for e in merges] == [
-            {"stem": "fwd:0-p3", "runs": 5, "records": 5, "bytes": 50},
-            {"stem": "fwd:0-p3", "runs": 2, "records": 2, "bytes": 20},
+            {"stem": "fwd:0-p3", "runs": 5, "records": 5, "bytes": 5 * size},
+            {"stem": "fwd:0-p3", "runs": 2, "records": 2, "bytes": 2 * size},
         ]
 
     def test_equal_keys_keep_arrival_order_across_spills(self, tmp_path):
-        store = self.make_store(budget=60, tmp_path=tmp_path)
-        for i in range(13):
-            store.add_run([("k", i), ("k", i + 100)], nbytes=25)
+        runs = [run([("k", i), ("k", i + 100)]) for i in range(13)]
+        size = len(runs[0].data)
+        assert all(len(r.data) == size for r in runs)
+        # every third arrival overflows
+        store = self.make_store(budget=2 * size + size // 2, tmp_path=tmp_path)
+        for r in runs:
+            store.add_run(r)
         assert len(store.disk_runs) == 4 and len(store.memory_runs) == 1
         expected = [v for i in range(13) for v in (i, i + 100)]
         assert [v for _, v in store] == expected
@@ -185,7 +203,7 @@ class TestRunStore:
         estimate stays within [0, budget] after every arrival."""
         ser = WritableSerializer()
         batches = [
-            batch_from_pairs(sorted((f"k{(7 * i + j) % 50:02d}", j) for j in range(n)), ser)
+            run(sorted((f"k{(7 * i + j) % 50:02d}", j) for j in range(n)))
             for i, n in enumerate(sizes)
         ]
         total = sum(len(b.data) for b in batches)
@@ -193,8 +211,8 @@ class TestRunStore:
         store = RunStore(default_compare, ser, spill_dir, budget)
         resident = RunStore(default_compare, ser, spill_dir, 10**9)
         for batch in batches:
-            store.add_batch(batch)
-            resident.add_batch(batch)
+            store.add_run(batch)
+            resident.add_run(batch)
             assert 0 <= store.memory_bytes <= budget
         assert len(store.disk_runs) <= -(-total // budget) + 1
         assert store.spilled_bytes == sum(s.nbytes for s in store.disk_runs)
@@ -206,21 +224,23 @@ class TestRunStore:
         import os
 
         store = self.make_store(budget=0, tmp_path=tmp_path)
-        store.add_run([("a", 1)])
+        store.add_run(run([("a", 1)]))
         paths = [s.path for s in store.disk_runs]
         store.cleanup()
         assert all(not os.path.exists(p) for p in paths)
 
     def test_spill_roundtrip(self, tmp_path):
         records = [("key", [1, 2]), ("other", "value")]
-        spill = spill_run(records, WritableSerializer(), str(tmp_path), "t")
+        spill = spill_batch(run(records), SER, str(tmp_path), "t")
         assert list(spill) == records
         spill.delete()
 
 
 class TestSendPartitionList:
     def test_seals_on_threshold(self):
-        spl = SendPartitionList(num_partitions=2, flush_bytes=40, cmp=None)
+        spl = SendPartitionList(
+            num_partitions=2, flush_bytes=40, cmp=None, serializer=SER
+        )
         blocks = []
         for i in range(10):
             block = spl.add(0, f"key{i}", "v" * 10)
@@ -230,7 +250,7 @@ class TestSendPartitionList:
         assert all(b.partition_id == 0 for b in blocks)
 
     def test_flush_all_covers_leftovers(self):
-        spl = SendPartitionList(2, flush_bytes=10**9, cmp=None)
+        spl = SendPartitionList(2, flush_bytes=10**9, cmp=None, serializer=SER)
         spl.add(0, "a", 1)
         spl.add(1, "b", 2)
         blocks = spl.flush_all()
@@ -238,11 +258,13 @@ class TestSendPartitionList:
         assert spl.records_out == 2
 
     def test_sorted_blocks_when_cmp(self):
-        spl = SendPartitionList(1, flush_bytes=10**9, cmp=default_compare)
+        spl = SendPartitionList(
+            1, flush_bytes=10**9, cmp=default_compare, serializer=SER
+        )
         for k in ["c", "a", "b"]:
             spl.add(0, k, None)
         (block,) = spl.flush_all()
-        assert [k for k, _ in block.records] == ["a", "b", "c"]
+        assert [k for k, _ in pairs(block)] == ["a", "b", "c"]
         assert block.sorted
 
     def test_combiner_shrinks_blocks(self):
@@ -251,15 +273,18 @@ class TestSendPartitionList:
             flush_bytes=10**9,
             cmp=default_compare,
             combiner=lambda k, vs: [sum(vs)],
+            serializer=SER,
         )
         for _ in range(5):
             spl.add(0, "w", 1)
         (block,) = spl.flush_all()
-        assert block.records == (("w", 5),)
+        assert pairs(block) == [("w", 5)]
         assert spl.combined_away == 4
+        # the sealed bytes are the block's size: nothing is re-counted
+        assert block.nbytes == spl.bytes_out == len(block.records.data)
 
     def test_counters(self):
-        spl = SendPartitionList(2, flush_bytes=10**9, cmp=None)
+        spl = SendPartitionList(2, flush_bytes=10**9, cmp=None, serializer=SER)
         spl.add(0, "a", 1)
         assert spl.records_in == 1
         spl.flush_all()
@@ -273,15 +298,15 @@ class TestReceivePartitionList:
 
     def test_accumulates_and_merges(self, tmp_path):
         rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path))
-        rpl.add_block(Block(0, (("b", 1),), 10, sorted=True))
-        rpl.add_block(Block(0, (("a", 2),), 10, sorted=True))
+        rpl.add_block(batch_block(0, [("b", 1)]))
+        rpl.add_block(batch_block(0, [("a", 2)]))
         assert [k for k, _ in rpl.merged()] == ["a", "b"]
         assert rpl.blocks_received == 2
         assert rpl.records_received == 2
 
     def test_unsorted_blocks_sorted_on_arrival(self, tmp_path):
         rpl = ReceivePartitionList(0, default_compare, self._store(tmp_path))
-        rpl.add_block(Block(0, (("z", 1), ("a", 2)), 10, sorted=False))
+        rpl.add_block(batch_block(0, [("z", 1), ("a", 2)], sorted_=False))
         assert [k for k, _ in rpl.merged()] == ["a", "z"]
 
     def test_add_block_files_without_merging(self, tmp_path, monkeypatch):
@@ -293,12 +318,10 @@ class TestReceivePartitionList:
             RecordBatch, "key_index",
             lambda batch, ser: indexed.append(batch.count) or real(batch, ser),
         )
-        ser = WritableSerializer()
         store = self._store(tmp_path)
         rpl = ReceivePartitionList(0, default_compare, store)
         for i in reversed(range(40)):
-            batch = batch_from_pairs([(f"k{i:02d}", i), (f"k{i:02d}x", i)], ser)
-            rpl.add_block(Block(0, batch, len(batch.data), sorted=True))
+            rpl.add_block(batch_block(0, [(f"k{i:02d}", i), (f"k{i:02d}x", i)]))
         assert len(store.memory_runs) == 40 and not indexed
         keys = [k for k, _ in rpl.merged()]
         assert keys == sorted(keys) and len(keys) == 80
@@ -307,7 +330,7 @@ class TestReceivePartitionList:
     def test_unretained_block_is_only_counted(self, tmp_path):
         store = self._store(tmp_path)
         rpl = ReceivePartitionList(0, default_compare, store)
-        rpl.add_block(Block(0, (("a", 1), ("b", 2)), 20, sorted=True), retain=False)
+        rpl.add_block(batch_block(0, [("a", 1), ("b", 2)]), retain=False)
         assert (rpl.blocks_received, rpl.records_received) == (1, 2)
         assert not store.memory_runs and store.memory_bytes == 0
 
@@ -315,105 +338,39 @@ class TestReceivePartitionList:
 class TestSinglePassAccounting:
     """The spill/seal paths must size each record exactly once."""
 
-    def _counting_kv_bytes(self, monkeypatch):
-        import repro.common.records as records
-
-        calls = [0]
-        real = records.kv_bytes
-
-        def counting(key, value):
-            calls[0] += 1
-            return real(key, value)
-
-        # kv_run_bytes resolves kv_bytes through the module global, so
-        # patching the records module counts every per-record sizing
-        monkeypatch.setattr(records, "kv_bytes", counting)
-        return calls
-
-    def test_kv_bytes_once_per_record_despite_spills(self, tmp_path, monkeypatch):
-        calls = self._counting_kv_bytes(monkeypatch)
-        store = RunStore(
-            default_compare, WritableSerializer(), str(tmp_path), memory_budget=64
-        )
-        total = 0
-        for i in range(20):
-            run = sorted((f"key{i}-{j}", "v" * 8) for j in range(10))
-            store.add_run(run)
-            total += len(run)
-        assert store.disk_runs, "budget never forced a spill"
-        # spilling and merging reuse the sizes taken on entry — no re-scan
-        assert len(list(store)) == total
-        assert calls[0] == total
-
-    def test_presized_runs_never_rescanned(self, tmp_path, monkeypatch):
-        calls = self._counting_kv_bytes(monkeypatch)
-        store = RunStore(
-            default_compare, WritableSerializer(), str(tmp_path), memory_budget=0
-        )
-        store.add_run([("a", 1)], nbytes=25)
-        store.add_run([("b", 2)], nbytes=25)
-        assert calls[0] == 0  # sealed blocks carry their size already
-
     def test_overflow_spills_everything_resident_as_one_run(self, tmp_path):
         store = RunStore(
             default_compare, WritableSerializer(), str(tmp_path),
             memory_budget=1200,
         )
-        many_tiny = sorted((f"k{j}", "") for j in range(50))  # ~550 bytes total
-        store.add_run(many_tiny)
+        many_tiny = sorted((f"k{j}", "") for j in range(50))  # ~500 bytes total
+        store.add_run(run(many_tiny))
         assert not store.disk_runs
-        store.add_run([("huge", "x" * 2000)])
+        store.add_run(run([("huge", "x" * 2000)]))
         # sort-and-spill: one merged file, nothing left to re-merge later
         assert [spill.count for spill in store.disk_runs] == [51]
         assert not store.memory_runs and store.memory_bytes == 0
         keys = [k for k, _ in store]
         assert keys == sorted(keys) and len(keys) == 51
 
-    def test_seal_reuses_partition_running_total(self, monkeypatch):
+    def test_seal_sizes_each_record_once(self, monkeypatch):
         import repro.core.buffers as buffers
 
         kv_calls = [0]
-        run_calls = [0]
         real_kv = buffers.kv_bytes
 
         def counting_kv(key, value):
             kv_calls[0] += 1
             return real_kv(key, value)
 
-        def counting_run(records):
-            run_calls[0] += 1
-            return sum(real_kv(k, v) for k, v in records)
-
-        # buffers binds both names at import time; patch its namespace
+        # buffers binds the name at import time; patch its namespace
         monkeypatch.setattr(buffers, "kv_bytes", counting_kv)
-        monkeypatch.setattr(buffers, "kv_run_bytes", counting_run)
 
-        spl = SendPartitionList(1, flush_bytes=10**9, cmp=default_compare)
+        spl = SendPartitionList(
+            1, flush_bytes=10**9, cmp=default_compare, serializer=SER
+        )
         for i in range(10):
             spl.add(0, f"k{i}", i)
         (block_,) = spl.flush_all()
         assert len(block_.records) == 10
-        assert kv_calls[0] == 10  # once per record, in add()
-        assert run_calls[0] == 0  # sealing reuses the running total
-
-    def test_seal_recounts_only_after_combiner(self, monkeypatch):
-        import repro.core.buffers as buffers
-
-        run_calls = [0]
-        real = buffers.kv_run_bytes
-
-        def counting_run(records):
-            run_calls[0] += 1
-            return real(records)
-
-        monkeypatch.setattr(buffers, "kv_run_bytes", counting_run)
-        spl = SendPartitionList(
-            1, flush_bytes=10**9, cmp=default_compare,
-            combiner=lambda k, vs: [sum(vs)],
-        )
-        for _ in range(5):
-            spl.add(0, "w", 1)
-        (block_,) = spl.flush_all()
-        assert block_.records == (("w", 5),)
-        assert run_calls[0] == 1  # combiner rewrote payloads: one re-count
-        assert block_.nbytes == real(block_.records)
+        assert kv_calls[0] == 10  # once per record, in add(); never at seal

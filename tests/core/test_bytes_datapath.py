@@ -38,7 +38,7 @@ class TestSplSealsBatches:
             spl.add(0, f"k{i}", i)
         [block] = spl.flush_all()
         assert isinstance(block.records, RecordBatch)
-        assert block.is_batch and block.count == 10
+        assert block.count == 10
         assert block.nbytes == len(block.records.data)
         assert block.sorted
 
@@ -66,15 +66,6 @@ class TestSplSealsBatches:
         # raw layout: vint(2) 'aa' vint(1) '1' vint(2) 'bb' vint(1) '2'
         assert bytes(block.records.data) == b"\x02aa\x011\x02bb\x012"
 
-    def test_legacy_spl_still_ships_tuples(self):
-        spl = SendPartitionList(
-            num_partitions=1, flush_bytes=1 << 20, cmp=default_compare
-        )
-        spl.add(0, "a", 1)
-        [block] = spl.flush_all()
-        assert isinstance(block.records, tuple)
-        assert not block.is_batch
-
 
 class TestRplBatchPath:
     def _rpl(self, tmp_path, serializer=None, budget=1 << 20):
@@ -96,16 +87,12 @@ class TestRplBatchPath:
         assert counting.serialized == 0
         assert [k for k, _ in rpl.merged()] == [f"k{i:02d}" for i in range(20)]
 
-    def test_merged_batch_fast_path_and_fallbacks(self, tmp_path):
+    def test_merged_batch_fast_path(self, tmp_path):
         rpl = self._rpl(tmp_path)
         batch = batch_from_pairs([(b"a", b"1")], None, raw=True)
         rpl.add_block(Block(0, batch, len(batch.data), sorted=True))
         merged = rpl.merged_batch()
         assert merged is not None and merged.raw
-        # an object-tuple block in the mix disables the batch fast path
-        rpl2 = self._rpl(tmp_path)
-        rpl2.add_block(Block(0, ((b"a", b"1"),), 10, sorted=True))
-        assert rpl2.merged_batch() is None
 
     def test_spilled_store_declines_merged_batch(self, tmp_path):
         rpl = self._rpl(tmp_path, budget=0)  # everything spills
@@ -152,10 +139,11 @@ class TestWireCodec:
         assert flags == 0
         assert wire.decode_payload(body, flags) == payload
 
-    def test_object_tuple_blocks_fall_back_to_pickle(self):
-        block = Block(0, (("a", 1),), 10, sorted=True)
-        _, flags = wire.encode_payload(("batch", "fwd:0", (0, 0, [block], False)))
+    def test_lookalike_application_message_falls_back_to_pickle(self):
+        payload = ("batch", "fwd:0", (0, 0, [("a", 1)], False))
+        body, flags = wire.encode_payload(payload)
         assert flags == 0
+        assert wire.decode_payload(body, flags) == payload
 
 
 def _no_pickle_dumps(*args, **kwargs):

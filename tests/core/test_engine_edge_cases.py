@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import DataMPIJob, Mode, mpidrun
 from repro.core.constants import MPI_D_Constants as K
+from tests.core.helpers import batch_block
 
 
 def collect_all(sink, lock):
@@ -140,6 +141,49 @@ class TestMisuseErrors:
             mpidrun(job, nprocs=1, raise_on_error=True)
 
 
+class TestCombinerNeedsSortedExchange:
+    """A combiner groups equal keys of a *sorted* block; a job whose
+    profile does not sort must be refused, not silently left uncombined."""
+
+    @staticmethod
+    def _job(mode, conf=None):
+        return DataMPIJob(
+            "combine", lambda ctx: ctx.send("k", 1),
+            lambda ctx: list(ctx.recv_iter()), 1, 1, mode=mode,
+            conf=conf or {}, combiner=lambda key, values: [sum(values)],
+        )
+
+    @pytest.mark.parametrize(
+        "mode, conf",
+        [
+            (Mode.STREAMING, None),
+            (Mode.ITERATION, None),
+            (Mode.MAPREDUCE, {K.SORT: False}),
+            (Mode.COMMON, {K.SORT: False}),
+        ],
+    )
+    def test_unsorted_profile_rejects_combiner(self, mode, conf):
+        from repro.common.errors import DataMPIError
+
+        with pytest.raises(DataMPIError, match=f"combiner.*{mode.value} mode"):
+            mpidrun(self._job(mode, conf), nprocs=1)
+
+    @pytest.mark.parametrize(
+        "mode, conf",
+        [
+            (Mode.MAPREDUCE, None),
+            (Mode.COMMON, None),
+            (Mode.ITERATION, {K.SORT: True}),
+        ],
+    )
+    def test_sorted_profile_combines(self, mode, conf):
+        job = self._job(mode, conf)
+        job.o_fn = lambda ctx: [ctx.send("k", 1) for _ in range(5)]
+        result = mpidrun(job, nprocs=1)
+        assert result.success, result.error
+        assert result.metrics.combined_away == 4
+
+
 class TestConfPlumbing:
     def test_pickle_serializer_via_conf(self):
         sink, lock = {}, threading.Lock()
@@ -239,7 +283,7 @@ class TestSpillCompression:
             memory_budget=0, compress_spills=True,
         )
         run_data = sorted((f"key{i:03d}", "v" * 50) for i in range(100))
-        store.add_run(list(run_data))
+        store.add_run(batch_block(0, run_data).records)
         assert store.disk_runs and store.disk_runs[0].compressed
         assert list(store) == run_data
         # compressed on-disk footprint beats the serialized size

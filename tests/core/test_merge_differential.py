@@ -4,18 +4,15 @@ The receive side merges resident runs with one stable sort over their
 concatenation; the heap of :func:`merge_runs` (still what merges runs
 streaming back from disk) is the reference.  On key-sorted runs the two
 must agree record for record — including the order of equal keys (run
-index, then arrival) — and, for sealed batches, byte for byte.
+index, then arrival) — and byte for byte.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sorter import RunStore, merge_batches, merge_runs, sort_block
-from repro.serde.batch import batch_from_pairs
 from repro.serde.comparators import bytes_compare, default_compare, reverse
-from repro.serde.serialization import WritableSerializer
-
-SER = WritableSerializer()
+from tests.core.helpers import SERIALIZER as SER, batch_block
 
 
 def _by_length(k1, k2):
@@ -62,7 +59,7 @@ def _store(tmp_path_factory, cmp, budget):
 
 
 def _check_batches(tmp_path_factory, runs, cmp, raw, budget):
-    batches = [batch_from_pairs(run, SER, raw=raw) for run in runs]
+    batches = [batch_block(0, run, raw=raw).records for run in runs]
     expected = list(merge_runs(runs, cmp))
 
     merged = merge_batches(batches, cmp, SER)
@@ -72,7 +69,7 @@ def _check_batches(tmp_path_factory, runs, cmp, raw, budget):
 
     store = _store(tmp_path_factory, cmp, budget)
     for batch in batches:
-        store.add_batch(batch)
+        store.add_run(batch)
     try:
         assert list(store) == expected
         whole = store.as_batch()
@@ -111,25 +108,3 @@ def test_writable_batches(tmp_path_factory, key_runs, cmp, pad, budget):
 def test_custom_comparator_ties(tmp_path_factory, key_runs, budget):
     runs = _tagged(key_runs, _by_length, lambda r, i: 1000 * r + i)
     _check_batches(tmp_path_factory, runs, _by_length, False, budget)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    key_runs=st.one_of(_runs(_text_keys), _runs(_mixed_keys)),
-    cmp=st.sampled_from([default_compare, reverse(default_compare)]),
-    budget=_budgets,
-    batch_every=st.sampled_from([0, 2]),
-)
-def test_object_runs(tmp_path_factory, key_runs, cmp, budget, batch_every):
-    """Object-tuple runs, alone or mixed with sealed batches in one store."""
-    runs = _tagged(key_runs, cmp, lambda r, i: 1000 * r + i)
-    store = _store(tmp_path_factory, cmp, budget)
-    for r, run in enumerate(runs):
-        if batch_every and r % batch_every == 0:
-            store.add_batch(batch_from_pairs(run, SER))
-        else:
-            store.add_run(list(run))
-    try:
-        assert list(store) == list(merge_runs(runs, cmp))
-    finally:
-        store.cleanup()

@@ -8,13 +8,16 @@ we control exactly which items coalesce into which envelope.
 import tempfile
 import threading
 
-from repro.core.buffers import Block
+import pytest
+
+from repro.common.errors import MPIAbort
 from repro.core.constants import SHUFFLE_TAG
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.mpi import run_world
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
+from tests.core.helpers import batch_block
 
 
 def _config(num_partitions=1, num_processes=1, pipelined=False):
@@ -30,7 +33,7 @@ def _config(num_partitions=1, num_processes=1, pipelined=False):
 
 
 def block(partition, records):
-    return Block(partition, tuple(records), 10 * len(records), sorted=True)
+    return batch_block(partition, records, nbytes=10 * len(records))
 
 
 class _GatedWorld:
@@ -156,19 +159,22 @@ class TestCoalescingOverMPI:
         assert 1 <= stats0["envelopes_sent"] <= 62  # 60 blocks + 2 eos worst case
         assert results[1][0]["records_received"] == 60
 
-    def test_legacy_single_block_wire_format_still_understood(self):
+    def test_uncoalesced_block_message_aborts_the_world(self):
+        """``("block", …)`` / ``("eos", …)`` left with the object path:
+        the receiver knows ``batch``, ``reset`` and ``shutdown`` only."""
+
         def main(comm):
             service = ShuffleService(comm, lambda pid: _config(1, comm.size))
             plane = service.plane("fwd:0")
             comm.send(("block", "fwd:0", block(0, [("a", 1)])),
                       dest=0, tag=SHUFFLE_TAG)
-            comm.send(("eos", "fwd:0", None), dest=0, tag=SHUFFLE_TAG)
-            plane.wait_complete(30)
-            out = [k for k, _ in plane.merged_iter(0)]
-            service.shutdown()
-            return out
+            try:
+                plane.wait_complete(30)
+            finally:
+                service.shutdown()
 
-        assert run_world(1, main)[0] == ["a"]
+        with pytest.raises(MPIAbort, match="unknown shuffle message kind 'block'"):
+            run_world(1, main)
 
 
 class TestStreamingBlockGranularity:

@@ -5,12 +5,12 @@ import tempfile
 import pytest
 
 from repro.common.errors import DataMPIError
-from repro.core.buffers import Block
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.mpi import run_world
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
+from tests.core.helpers import batch_block
 
 
 def make_config(num_partitions=4, num_processes=2, cmp=default_compare,
@@ -27,7 +27,7 @@ def make_config(num_partitions=4, num_processes=2, cmp=default_compare,
 
 
 def block(partition, records, sorted_=True):
-    return Block(partition, tuple(records), 10 * len(records), sorted=sorted_)
+    return batch_block(partition, records, sorted_=sorted_)
 
 
 class TestShufflePlane:

@@ -8,6 +8,7 @@ evaluation (performance shapes are covered by the simulator benches).
 import numpy as np
 import pytest
 
+from repro.core.constants import MPI_D_Constants as K
 from repro.hadoop import MiniHadoopCluster
 from repro.hdfs import MiniDFSCluster
 from repro.workloads import (
@@ -35,7 +36,7 @@ from repro.workloads import (
     wordcount_hadoop,
     wordcount_reference,
 )
-from repro.workloads.teragen import RECORD_LEN, teragen_records
+from repro.workloads.teragen import KEY_LEN, RECORD_LEN, teragen_records
 from repro.workloads.wordcount import write_text_to_dfs
 
 
@@ -87,6 +88,21 @@ class TestTeraSort:
         assert result.success
         assert verify_terasort_output(dfs_cluster.client(None), "/tera/out", self.N)
         assert result.a_data_locality == 1.0
+
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_datampi_output_is_the_reference_bytes(self, dfs_cluster, raw):
+        """Raw batches feed the part file from key/value views; Writable-
+        framed ones must be decoded first — same bytes either way."""
+        result = terasort_datampi(
+            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=4,
+            conf={K.SHUFFLE_RAW: raw},
+        )
+        assert result.success
+        dfs = dfs_cluster.client(None)
+        blob = dfs.read_file("/tera/in")
+        records = [blob[i : i + RECORD_LEN] for i in range(0, len(blob), RECORD_LEN)]
+        expected = b"".join(sorted(records, key=lambda r: r[:KEY_LEN]))
+        assert b"".join(dfs.read_file(p) for p in dfs.listdir("/tera/out")) == expected
 
     def test_hadoop_globally_sorted(self, dfs_cluster):
         hadoop = MiniHadoopCluster(dfs_cluster)
