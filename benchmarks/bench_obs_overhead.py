@@ -199,31 +199,25 @@ def bench_telemetry(quick: bool) -> dict:
     immune to the run-to-run noise an end-to-end A/B would add for an
     off-hot-path background thread.
     """
-    from repro.obs.metrics import MetricsRegistry
+    from repro.core.metrics import WorkerMetrics
     from repro.obs.telemetry import TelemetryHub, build_snapshot
 
     n = 2_000 if quick else 20_000
-    registry = MetricsRegistry()
-    counter = registry.counter("bench.records")
-    counter.inc(123_456)
-    phases = {
-        "compute": 1.25, "partition-sort": 0.4, "communicate": 0.8,
-        "merge": 0.3, "checkpoint": 0.1, "control": 0.05,
-    }
-    shuffle_stats = {
-        "blocks_sent": 640, "bytes_sent": 1 << 22, "envelopes_sent": 80,
-        "records_received": 100_000, "blocks_received": 640,
-        "spilled_bytes": 0, "duplicates_dropped": 0, "replays_dropped": 0,
-    }
+    metrics = WorkerMetrics(
+        rank=0, o_tasks_run=4, a_tasks_run=2, records_sent=123_456,
+        blocks_sent=640, bytes_sent=1 << 22, envelopes_sent=80,
+        records_received=100_000, blocks_received=640,
+        phase_times={
+            "compute": 1.25, "partition-sort": 0.4, "communicate": 0.8,
+            "merge": 0.3, "checkpoint": 0.1, "control": 0.05,
+        },
+    )
     queue_stats = {"pending": 3, "bytes_in": 4096}
     hub = TelemetryHub(ring=256)
 
     t0 = time.perf_counter()
     for seq in range(n):
-        hub.ingest(build_snapshot(
-            rank=0, epoch=0, seq=seq, phases=phases, shuffle=shuffle_stats,
-            queue=queue_stats, tasks={"o": 4, "a": 2}, registry=registry,
-        ))
+        hub.ingest(build_snapshot(metrics, epoch=0, seq=seq, queue=queue_stats))
     per_snapshot_s = (time.perf_counter() - t0) / n
 
     sweep = {

@@ -86,12 +86,6 @@ class MPI_D_Constants:
     TASK_MAX_ATTEMPTS = "mpi.d.task.max.attempts"
     #: base of the exponential backoff between restarts, seconds
     RESTART_BACKOFF_SECONDS = "mpi.d.restart.backoff.seconds"
-    #: jitter fraction applied to each restart delay: the computed delay is
-    #: scaled by a uniform factor in [1-j, 1+j] so concurrent supervised
-    #: jobs don't retry in lockstep (0 disables; default 0.25)
-    RESTART_BACKOFF_JITTER = "mpi.d.restart.backoff.jitter"
-    #: seed for the restart jitter RNG (tests pin it for determinism)
-    RESTART_BACKOFF_SEED = "mpi.d.restart.backoff.seed"
     #: worker -> driver heartbeat period, seconds
     HEARTBEAT_INTERVAL_SECONDS = "mpi.d.heartbeat.interval.seconds"
     #: a worker silent this long is declared lost (<= 0 disables detection)
@@ -126,8 +120,6 @@ class MPI_D_Constants:
     TRACE_PATH = "mpi.d.trace.path"
     #: windowed metrics sampling period, seconds (<= 0 disables the sampler)
     TRACE_METRICS_INTERVAL_SECONDS = "mpi.d.trace.metrics.interval.seconds"
-    #: also write a Chrome/Perfetto trace.json next to the journal
-    TRACE_CHROME = "mpi.d.trace.chrome"
 
     # -- live telemetry plane ------------------------------------------------------
     #: ship per-rank telemetry snapshots to the driver's TelemetryHub
@@ -136,8 +128,6 @@ class MPI_D_Constants:
     TELEMETRY_ENABLED = "mpi.d.telemetry.enabled"
     #: snapshot shipping period per rank, seconds
     TELEMETRY_INTERVAL_SECONDS = "mpi.d.telemetry.interval.seconds"
-    #: ring-buffer depth per (rank, epoch) series in the hub
-    TELEMETRY_RING = "mpi.d.telemetry.ring"
     #: write the hub's RPC endpoint address to this file so concurrent
     #: clients (`repro top`, scrapers) can find a running job
     TELEMETRY_ENDPOINT_FILE = "mpi.d.telemetry.endpoint.file"
@@ -156,13 +146,9 @@ class MPI_D_Constants:
     DOCTOR_ENABLED = "mpi.d.doctor.enabled"
     #: evaluation period, seconds
     DOCTOR_INTERVAL_SECONDS = "mpi.d.doctor.interval.seconds"
-    #: straggler score (max wall / median wall) that triggers a finding
-    DOCTOR_STRAGGLER_THRESHOLD = "mpi.d.doctor.straggler.threshold"
     #: seconds a live rank's phase clock may stand still before it is
     #: declared stalled (and an all-rank stack capture fires)
     DOCTOR_STALL_SECONDS = "mpi.d.doctor.stall.seconds"
-    #: pending-envelope depth per rank that triggers a queue finding
-    DOCTOR_QUEUE_DEPTH = "mpi.d.doctor.queue.depth"
     #: where to write the doctor.json report (default: temp dir)
     DOCTOR_PATH = "mpi.d.doctor.path"
 
@@ -182,25 +168,16 @@ SHUFFLE_BATCH_BYTES_DEFAULT = 256 * 1024
 #: default per-rank redelivery-buffer cap (see ``RANK_REDELIVERY_BYTES``)
 RANK_REDELIVERY_BYTES_DEFAULT = 64 * 1024 * 1024
 
-#: default restart-backoff jitter fraction (see ``RESTART_BACKOFF_JITTER``)
-RESTART_BACKOFF_JITTER_DEFAULT = 0.25
-
 #: default telemetry shipping period (see ``TELEMETRY_INTERVAL_SECONDS``)
 TELEMETRY_INTERVAL_DEFAULT = 0.25
-#: default hub ring-buffer depth (see ``TELEMETRY_RING``)
-TELEMETRY_RING_DEFAULT = 256
 
 #: default profiler sampling rate (see ``PROFILE_HZ``)
 PROFILE_HZ_DEFAULT = 50.0
 
 #: default doctor evaluation period (see ``DOCTOR_INTERVAL_SECONDS``)
 DOCTOR_INTERVAL_DEFAULT = 0.5
-#: default straggler-score trigger (see ``DOCTOR_STRAGGLER_THRESHOLD``)
-DOCTOR_STRAGGLER_THRESHOLD_DEFAULT = 2.0
 #: default stall window in seconds (see ``DOCTOR_STALL_SECONDS``)
 DOCTOR_STALL_SECONDS_DEFAULT = 5.0
-#: default queue-depth trigger (see ``DOCTOR_QUEUE_DEPTH``)
-DOCTOR_QUEUE_DEPTH_DEFAULT = 10_000
 
 #: internal shuffle tag on the worker world communicator
 SHUFFLE_TAG = 900_001

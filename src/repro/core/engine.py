@@ -39,10 +39,11 @@ from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
 from repro.core.constants import PROFILE_HZ_DEFAULT, TELEMETRY_INTERVAL_DEFAULT
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import PROFILER
 from repro.obs import profiler as profiler_mod
-from repro.obs.telemetry import build_snapshot
+# module, not name: obs.telemetry imports core.metrics, so when repro.obs
+# is imported first this line runs while obs.telemetry is still loading
+from repro.obs import telemetry as telemetry_mod
 from repro.obs.tracer import TRACER as _T
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import get_serializer
@@ -87,10 +88,9 @@ class WorkerEngine:
         )
         self.window_fwd = PartitionWindow(job.a_tasks, nprocs)
         self.window_bwd = PartitionWindow(job.o_tasks, nprocs)
-        self.metrics = WorkerMetrics(process_rank=self.rank)
-        #: per-rank registry shipped with telemetry snapshots
-        self.registry = MetricsRegistry()
+        self.metrics = WorkerMetrics(rank=self.rank)
         #: guards phase-bucket accrual (streaming A tasks run on threads)
+        #: and the shuffle fold (the telemetry shipper runs it too)
         self._phase_lock = threading.Lock()
         self.state: dict = {}  # process-local cross-round state (Iteration)
         self.shuffle = ShuffleService(
@@ -191,22 +191,26 @@ class WorkerEngine:
         thread.start()
         return stop
 
+    def _fold_shuffle(self) -> None:
+        """Bring ``self.metrics`` up to date with the shuffle service: its
+        counters (``stats()`` keys are :class:`Counters` field names) and
+        the spill overlay bucket, which accrues on the receiver thread.
+        Called by the telemetry shipper for every snapshot and by ``run``
+        ahead of the final report — the only reader of ``shuffle.stats()``."""
+        with self._phase_lock:
+            for name, value in self.shuffle.stats().items():
+                setattr(self.metrics, name, value)
+            spill = self.shuffle.spill_seconds()
+            if spill > 0:
+                self.metrics.phase_times["spill"] = spill
+
     # -- live telemetry ------------------------------------------------------------
     def _telemetry_snapshot(self, epoch: int, endpoint: Any, seq: int) -> dict:
+        self._fold_shuffle()
         with self._phase_lock:
-            phases = dict(self.metrics.phase_times)
-        return build_snapshot(
-            self.rank, epoch, seq, phases,
-            shuffle=self.shuffle.stats(),
-            queue=endpoint.stats(),
-            tasks={"o": self.metrics.o_tasks_run, "a": self.metrics.a_tasks_run},
-            registry=self.registry,
-        )
-
-    def _telemetry_snapshot_with_profile(
-        self, epoch: int, endpoint: Any, seq: int
-    ) -> dict:
-        snap = self._telemetry_snapshot(epoch, endpoint, seq)
+            snap = telemetry_mod.build_snapshot(
+                self.metrics, epoch, seq, queue=endpoint.stats()
+            )
         if self.profile_hz > 0:
             prof = PROFILER.snapshot_for(self.rank, epoch)
             if prof is not None:
@@ -233,23 +237,20 @@ class WorkerEngine:
             ship = hub.ingest
         epoch = int(getattr(runtime, "rank_epoch", 0) or 0)
         endpoint = self.world._my_endpoint()
-        snaps = self.registry.counter("telemetry.snapshots")
         stop = threading.Event()
 
         def pump() -> None:
             seq = 0
             while True:
                 try:
-                    snaps.inc()
-                    ship(self._telemetry_snapshot_with_profile(epoch, endpoint, seq))
+                    ship(self._telemetry_snapshot(epoch, endpoint, seq))
                 except BaseException:  # noqa: BLE001 - telemetry must not kill the rank
                     return
                 seq += 1
                 if stop.wait(interval):
                     # one parting snapshot so final phase totals land
                     try:
-                        snaps.inc()
-                        ship(self._telemetry_snapshot_with_profile(epoch, endpoint, seq))
+                        ship(self._telemetry_snapshot(epoch, endpoint, seq))
                     except BaseException:  # noqa: BLE001
                         pass
                     return
@@ -599,16 +600,7 @@ class WorkerEngine:
                     # replays every round from 0 and needs them all.
                     self.shuffle.ack_plane(f"fwd:{round_no}")
             t0 = time.perf_counter()
-            stats = self.shuffle.stats()
-            self.metrics.bytes_sent = stats["bytes_sent"]
-            self.metrics.blocks_sent = stats["blocks_sent"]
-            self.metrics.records_received = stats["records_received"]
-            self.metrics.blocks_received = stats["blocks_received"]
-            self.metrics.spilled_bytes = stats["spilled_bytes"]
-            self.metrics.replays_dropped = stats["replays_dropped"]
-            # spill happens on the receiver thread concurrently with the
-            # buckets above — report it as an overlay, not coverage
-            self._add_phase("spill", self.shuffle.spill_seconds())
+            self._fold_shuffle()
             self._add_phase("control", time.perf_counter() - t0)
             self.metrics.wall_seconds = time.perf_counter() - wall0
             # flush the parting telemetry snapshot before the final

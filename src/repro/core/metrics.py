@@ -1,8 +1,23 @@
-"""Job and task metrics collected by the DataMPI engine."""
+"""Job and task metrics: one record per rank, every report a view of it.
+
+:class:`WorkerMetrics` is the only thing a rank writes.  The driver sums
+the workers' :class:`Counters` into :class:`JobMetrics`; the telemetry
+snapshot, the journal summary, ``--metrics-json``, ``repro top`` and the
+Prometheus exposition are all derived from those two records, so a
+counter declared in :class:`Counters` reaches every one of them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any
+
+#: disjoint main-thread phase buckets; their sum explains a worker's wall
+COVERAGE_PHASES = (
+    "compute", "partition-sort", "communicate", "merge", "checkpoint", "control",
+)
+#: buckets measured on background threads; they overlap the ones above
+OVERLAY_PHASES = ("spill",)
 
 
 @dataclass
@@ -20,27 +35,24 @@ class TaskMetrics:
     round_no: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "worker": self.worker,
-            "round_no": self.round_no,
-            "duration": self.duration,
-            "records_emitted": self.records_emitted,
-            "records_received": self.records_received,
-        }
+        return asdict(self)
 
 
 @dataclass
-class WorkerMetrics:
-    """Per-process counters, merged into :class:`JobMetrics` by the driver."""
+class Counters:
+    """The per-rank counters the driver sums, each declared exactly once.
 
-    process_rank: int = -1
+    The shuffle-side ones carry the names of ``ShuffleService.stats()``
+    keys: the engine folds that dict in by name.
+    """
+
     o_tasks_run: int = 0
     a_tasks_run: int = 0
     records_sent: int = 0
     bytes_sent: int = 0
     blocks_sent: int = 0
+    #: coalesced shuffle envelopes that carried those blocks
+    envelopes_sent: int = 0
     records_received: int = 0
     blocks_received: int = 0
     spilled_bytes: int = 0
@@ -48,13 +60,27 @@ class WorkerMetrics:
     checkpointed_records: int = 0
     reloaded_records: int = 0
     local_a_tasks: int = 0  # A tasks that ran where their data lived
+    #: re-sent blocks a receiver had already staged (exactly-once)
+    duplicates_dropped: int = 0
     #: whole replayed shuffle streams dropped (rank recovery exactly-once)
     replays_dropped: int = 0
+
+    def counters(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
+
+
+COUNTER_NAMES = tuple(f.name for f in fields(Counters))
+
+
+@dataclass
+class WorkerMetrics(Counters):
+    """The one record a rank writes; merged into :class:`JobMetrics`."""
+
+    rank: int = -1
     #: wall-clock seconds of this worker's engine loop
     wall_seconds: float = 0.0
-    #: disjoint main-thread time buckets (compute / partition-sort /
-    #: communicate / merge / checkpoint / control) plus overlapping
-    #: background buckets (spill); see docs/OBSERVABILITY.md
+    #: seconds per phase bucket — :data:`COVERAGE_PHASES` on the main
+    #: thread, :data:`OVERLAY_PHASES` concurrently; docs/OBSERVABILITY.md
     phase_times: dict = field(default_factory=dict)
     #: every task attempt this worker executed, in execution order
     tasks: list = field(default_factory=list)
@@ -64,41 +90,27 @@ class WorkerMetrics:
             return
         self.phase_times[phase] = self.phase_times.get(phase, 0.0) + seconds
 
+    def as_dict(self) -> dict:
+        """Everything but the per-task table (the journal's worker rows)."""
+        return {
+            "rank": self.rank,
+            "wall_seconds": self.wall_seconds,
+            **self.counters(),
+            "phase_times": dict(self.phase_times),
+        }
+
     def merge_into(self, job: "JobMetrics") -> None:
-        job.o_tasks_run += self.o_tasks_run
-        job.a_tasks_run += self.a_tasks_run
-        job.records_sent += self.records_sent
-        job.bytes_sent += self.bytes_sent
-        job.blocks_sent += self.blocks_sent
-        job.records_received += self.records_received
-        job.blocks_received += self.blocks_received
-        job.spilled_bytes += self.spilled_bytes
-        job.combined_away += self.combined_away
-        job.checkpointed_records += self.checkpointed_records
-        job.reloaded_records += self.reloaded_records
-        job.local_a_tasks += self.local_a_tasks
-        job.replays_dropped += self.replays_dropped
+        for name in COUNTER_NAMES:
+            setattr(job, name, getattr(job, name) + getattr(self, name))
         for phase, seconds in self.phase_times.items():
             job.phase_times[phase] = job.phase_times.get(phase, 0.0) + seconds
         job.tasks.extend(self.tasks)
 
 
 @dataclass
-class JobMetrics:
-    """Aggregated view of one job execution."""
+class JobMetrics(Counters):
+    """The workers' counters summed, plus the job-level fields."""
 
-    o_tasks_run: int = 0
-    a_tasks_run: int = 0
-    records_sent: int = 0
-    bytes_sent: int = 0
-    blocks_sent: int = 0
-    records_received: int = 0
-    blocks_received: int = 0
-    spilled_bytes: int = 0
-    combined_away: int = 0
-    checkpointed_records: int = 0
-    reloaded_records: int = 0
-    local_a_tasks: int = 0
     duration: float = 0.0
     #: automatic supervised restarts it took to produce this result
     restarts: int = 0
@@ -108,8 +120,6 @@ class JobMetrics:
     redelivered_frames: int = 0
     #: zombie-incarnation frames fenced at the router by epoch
     stale_frames_dropped: int = 0
-    #: whole replayed shuffle streams dropped by receivers (exactly-once)
-    replays_dropped: int = 0
     #: per-phase seconds summed across workers (Fig. 5's breakdown)
     phase_times: dict = field(default_factory=dict)
     #: :class:`TaskMetrics` for every task attempt across all workers
@@ -117,28 +127,23 @@ class JobMetrics:
 
     def as_dict(self) -> dict:
         """JSON-friendly dump (``--metrics-json`` and the journal)."""
-        return {
-            "o_tasks_run": self.o_tasks_run,
-            "a_tasks_run": self.a_tasks_run,
-            "records_sent": self.records_sent,
-            "bytes_sent": self.bytes_sent,
-            "blocks_sent": self.blocks_sent,
-            "records_received": self.records_received,
-            "blocks_received": self.blocks_received,
-            "spilled_bytes": self.spilled_bytes,
-            "combined_away": self.combined_away,
-            "checkpointed_records": self.checkpointed_records,
-            "reloaded_records": self.reloaded_records,
-            "local_a_tasks": self.local_a_tasks,
-            "duration": self.duration,
-            "restarts": self.restarts,
-            "respawns": self.respawns,
-            "redelivered_frames": self.redelivered_frames,
-            "stale_frames_dropped": self.stale_frames_dropped,
-            "replays_dropped": self.replays_dropped,
-            "phase_times": dict(self.phase_times),
-            "tasks": [t.as_dict() for t in self.tasks],
-        }
+        return asdict(self)
+
+
+def recovery_counts(runtime: Any) -> dict[str, int]:
+    """One runtime's rank-recovery counters, keyed by the
+    :class:`JobMetrics` field each feeds; zeros on backends without rank
+    recovery (and for ``None``: a hub nobody bound a runtime to)."""
+    transport = getattr(runtime, "transport", None)
+    return {
+        "respawns": int(getattr(runtime, "respawns", 0) or 0),
+        "redelivered_frames": int(
+            getattr(transport, "redelivered_frames", 0) or 0
+        ),
+        "stale_frames_dropped": int(
+            getattr(transport, "stale_frames_dropped", 0) or 0
+        ),
+    }
 
 
 @dataclass

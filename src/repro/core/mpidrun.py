@@ -33,30 +33,28 @@ from typing import Any, Mapping
 from repro.common.errors import DataMPIError, FailureRecord
 from repro.core.constants import (
     DOCTOR_INTERVAL_DEFAULT,
-    DOCTOR_QUEUE_DEPTH_DEFAULT,
     DOCTOR_STALL_SECONDS_DEFAULT,
-    DOCTOR_STRAGGLER_THRESHOLD_DEFAULT,
     Mode,
     MPI_D_Constants as K,
     RANK_REDELIVERY_BYTES_DEFAULT,
-    RESTART_BACKOFF_JITTER_DEFAULT,
-    TELEMETRY_RING_DEFAULT,
 )
 from repro.core.job import DataMPIJob
-from repro.core.metrics import JobResult, WorkerMetrics
+from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics, recovery_counts
 from repro.core.modes import profile_for
 from repro.core.scheduler import driver_main, merge_reports
 from repro.mpi.runtime import BaseRuntime, ProcessRuntime, create_runtime
 from repro.mpi.transport import FaultInjector
 from repro.common.logging import get_logger
-from repro.obs.journal import JournalWriter, export_chrome, merge_shards, read_journal
-from repro.obs.metrics import MetricsRegistry, WindowedSampler
+from repro.obs.journal import JournalWriter, merge_shards
+from repro.obs.metrics import WindowedSampler
 from repro.obs.tracer import TRACER as _T
 
 _log = get_logger("core.mpidrun")
 
 #: cap on the exponential restart backoff, seconds
 _MAX_BACKOFF = 5.0
+#: restart backoff is scaled by a uniform factor in [1-j, 1+j]
+_BACKOFF_JITTER = 0.25
 
 #: reporting priority: a task's own failure outranks the liveness symptom
 #: it caused, which outranks generic rank/timeout/abort noise; "respawn"
@@ -86,22 +84,11 @@ def restart_delay(
     the attempt number, capped, then scaled by a uniform factor in
     ``[1-jitter, 1+jitter]`` so concurrent supervised jobs sharing a
     machine don't hammer it in lockstep.  Deterministic for a seeded
-    ``rng`` (``mpi.d.restart.backoff.seed``)."""
+    ``rng``."""
     delay = min(_MAX_BACKOFF, backoff * (2 ** (attempt - 1)))
     if jitter > 0 and delay > 0:
         delay *= (rng or random).uniform(max(0.0, 1.0 - jitter), 1.0 + jitter)
     return delay
-
-
-def _recovery_counts(runtime: BaseRuntime) -> tuple[int, int, int]:
-    """(respawns, redelivered frames, stale frames fenced) for one
-    attempt's runtime; zeros on backends without rank recovery."""
-    transport = getattr(runtime, "transport", None)
-    return (
-        int(getattr(runtime, "respawns", 0)),
-        int(getattr(transport, "redelivered_frames", 0)),
-        int(getattr(transport, "stale_frames_dropped", 0)),
-    )
 
 
 def _collect_failures(
@@ -172,7 +159,6 @@ class _TraceSession:
         _T.enable(job=job.name, nprocs=nprocs, mode=job.mode.value)
         _T.bind(-1)  # the driver/launcher thread
         self.sampler = WindowedSampler(
-            MetricsRegistry(),
             interval=conf.get_float(K.TRACE_METRICS_INTERVAL_SECONDS, 0.25),
         )
         self.sampler.start()
@@ -228,25 +214,12 @@ class _TraceSession:
             "nprocs": self.nprocs,
         }
         if result is not None:
+            summary.update(result.metrics.as_dict())
             summary["success"] = result.success
             summary["restarts"] = result.restarts
-            summary["phase_times"] = dict(result.metrics.phase_times)
-            summary["tasks"] = [t.as_dict() for t in result.metrics.tasks]
             summary["failures"] = [_failure_dict(f) for f in result.failures]
-            summary["recovery"] = {
-                "respawns": result.metrics.respawns,
-                "redelivered_frames": result.metrics.redelivered_frames,
-                "stale_frames_dropped": result.metrics.stale_frames_dropped,
-                "replays_dropped": result.metrics.replays_dropped,
-            }
-        summary["workers"] = [
-            {
-                "rank": rank,
-                "wall_seconds": wm.wall_seconds,
-                "phase_times": dict(wm.phase_times),
-            }
-            for rank, wm in sorted((reports or {}).items())
-        ]
+        reports = reports or {}
+        summary["workers"] = [reports[rank].as_dict() for rank in sorted(reports)]
         with JournalWriter(self.path) as writer:
             writer.write_meta(
                 job=self.job.name,
@@ -259,10 +232,6 @@ class _TraceSession:
             for profile in profiles:
                 writer.write_profile(profile)
             writer.write_summary(summary)
-        if self.conf.get_bool(K.TRACE_CHROME, False):
-            chrome_path = os.path.splitext(self.path)[0] + ".json"
-            export_chrome(read_journal(self.path), chrome_path)
-            _log.info("chrome trace exported to %s", chrome_path)
         _log.info("flight-recorder journal written to %s", self.path)
         return self.path
 
@@ -283,10 +252,7 @@ class _TelemetrySession:
         from repro.obs.telemetry import TelemetryHub
         from repro.rpc.server import SocketRpcServer
 
-        self.hub = TelemetryHub(
-            ring=conf.get_int(K.TELEMETRY_RING, TELEMETRY_RING_DEFAULT),
-            job=job.name,
-        )
+        self.hub = TelemetryHub(job=job.name)
         self.endpoint_file = str(conf.get(K.TELEMETRY_ENDPOINT_FILE) or "")
         self.doctor = None
         self.doctor_path = ""
@@ -303,15 +269,8 @@ class _TelemetrySession:
                     interval=conf.get_float(
                         K.DOCTOR_INTERVAL_SECONDS, DOCTOR_INTERVAL_DEFAULT
                     ),
-                    straggler_threshold=conf.get_float(
-                        K.DOCTOR_STRAGGLER_THRESHOLD,
-                        DOCTOR_STRAGGLER_THRESHOLD_DEFAULT,
-                    ),
                     stall_seconds=conf.get_float(
                         K.DOCTOR_STALL_SECONDS, DOCTOR_STALL_SECONDS_DEFAULT
-                    ),
-                    queue_depth=conf.get_int(
-                        K.DOCTOR_QUEUE_DEPTH, DOCTOR_QUEUE_DEPTH_DEFAULT
                     ),
                 ),
                 job=job.name,
@@ -432,11 +391,6 @@ def mpidrun(
     max_restarts = conf.get_int(K.JOB_MAX_RESTARTS, 0) if ft_enabled else 0
     max_task_attempts = max(1, conf.get_int(K.TASK_MAX_ATTEMPTS, 4))
     backoff = conf.get_float(K.RESTART_BACKOFF_SECONDS, 0.1)
-    jitter = conf.get_float(
-        K.RESTART_BACKOFF_JITTER, RESTART_BACKOFF_JITTER_DEFAULT
-    )
-    seed = conf.get(K.RESTART_BACKOFF_SEED)
-    backoff_rng = random.Random(None if seed is None else int(seed))
     max_respawns = conf.get_int(K.RANK_MAX_RESPAWNS, 0)
     redelivery_bytes = conf.get_bytes(
         K.RANK_REDELIVERY_BYTES, RANK_REDELIVERY_BYTES_DEFAULT
@@ -449,7 +403,13 @@ def mpidrun(
     attempt = 0
     result: JobResult | None = None
     reports: dict[int, WorkerMetrics] = {}
-    respawns_total = redelivered_total = stale_total = 0
+    #: JobMetrics' recovery fields, summed over every attempt's runtime
+    recovery: dict[str, int] = {}
+
+    def add_recovery(runtime: BaseRuntime) -> None:
+        for name, count in recovery_counts(runtime).items():
+            recovery[name] = recovery.get(name, 0) + count
+
     try:
         while True:
             attempt += 1
@@ -478,10 +438,7 @@ def mpidrun(
                     timeout=timeout, name="mpidrun",
                 )
             except Exception as exc:  # noqa: BLE001 - folded into the JobResult
-                counts = _recovery_counts(runtime)
-                respawns_total += counts[0]
-                redelivered_total += counts[1]
-                stale_total += counts[2]
+                add_recovery(runtime)
                 attempt_failures = _collect_failures(runtime, exc, attempt)
                 failures.extend(attempt_failures)
                 if trace is not None:
@@ -495,7 +452,7 @@ def mpidrun(
                     if task_attempts[key] >= max_task_attempts:
                         exhausted = key
                 if attempt <= max_restarts and exhausted is None:
-                    delay = restart_delay(attempt, backoff, jitter, backoff_rng)
+                    delay = restart_delay(attempt, backoff, _BACKOFF_JITTER)
                     _log.warning(
                         "job %s attempt %d failed (%s); restarting in %.2fs "
                         "(%d restart(s) left)",
@@ -523,27 +480,23 @@ def mpidrun(
                     error=error,
                     restarts=attempt - 1,
                     failures=list(failures),
+                    metrics=JobMetrics(**recovery),
                 )
-                result.metrics.respawns = respawns_total
-                result.metrics.redelivered_frames = redelivered_total
-                result.metrics.stale_frames_dropped = stale_total
                 break
             reports = results[0]
-            counts = _recovery_counts(runtime)
-            respawns_total += counts[0]
-            redelivered_total += counts[1]
-            stale_total += counts[2]
-            metrics = merge_reports(reports)
-            metrics.duration = time.perf_counter() - start
-            metrics.restarts = attempt - 1
-            metrics.respawns = respawns_total
-            metrics.redelivered_frames = redelivered_total
-            metrics.stale_frames_dropped = stale_total
-            if respawns_total:
+            add_recovery(runtime)
+            metrics = dataclasses.replace(
+                merge_reports(reports),
+                duration=time.perf_counter() - start,
+                restarts=attempt - 1,
+                **recovery,
+            )
+            if metrics.respawns:
                 _log.info(
                     "job %s survived %d surgical rank respawn(s) "
                     "(%d frame(s) redelivered, %d zombie frame(s) fenced)",
-                    job.name, respawns_total, redelivered_total, stale_total,
+                    job.name, metrics.respawns, metrics.redelivered_frames,
+                    metrics.stale_frames_dropped,
                 )
             if attempt > 1:
                 _log.info(

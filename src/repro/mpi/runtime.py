@@ -366,11 +366,12 @@ class ProcessRuntime(BaseRuntime):
         return RouterTransport(self)
 
     def request_stack_dump(self) -> list[dict]:
-        """Local dumps (the driver hosts no engine ranks) plus a DUMP_REQ
-        broadcast; worker replies land in the telemetry hub shortly."""
-        local = super().request_stack_dump()
+        """A DUMP_REQ broadcast; worker replies land in the telemetry hub
+        shortly.  Nothing local: the driver hosts no engine ranks, and a
+        thread an earlier thread-backend job leaked in this process
+        would be filed under a live worker's (rank, epoch)."""
         self._transport.request_stack_dump()
-        return local
+        return []
 
     # -- surgical rank recovery ----------------------------------------------
     def enable_rank_recovery(

@@ -10,13 +10,17 @@ Three pieces, all designed to cost nothing when off:
   disabled hot path ever touches.
 * :mod:`repro.obs.journal` — the per-job JSONL event journal and the
   Chrome ``chrome://tracing`` / Perfetto ``trace.json`` exporter.
-* :mod:`repro.obs.metrics` — a windowed :class:`MetricsRegistry`
-  (counter / gauge / histogram) sampled on an interval thread into
+* :mod:`repro.obs.metrics` — process CPU/RSS readings and the
+  :class:`WindowedSampler` that records them on an interval thread into
   Fig-11-style utilization time series.
-* :mod:`repro.obs.telemetry` — the live telemetry plane: per-rank
-  snapshot builders and the driver-side :class:`TelemetryHub` that
-  merges them into cluster rollups behind a Prometheus/RPC endpoint
-  (see docs/OBSERVABILITY.md and ``repro top``).
+* :mod:`repro.obs.telemetry` — the live telemetry plane: the snapshot
+  of a rank's :class:`~repro.core.metrics.WorkerMetrics` record and the
+  driver-side :class:`TelemetryHub` that merges snapshots into cluster
+  rollups behind a Prometheus/RPC endpoint (see docs/OBSERVABILITY.md
+  and ``repro top``).
+
+The counters themselves live in :mod:`repro.core.metrics`: one record
+per rank, of which every report here is a view.
 
 :mod:`repro.obs.inspect` turns a journal back into the paper's tables:
 per-phase time breakdown, top-N slowest tasks, failure timeline.
@@ -31,7 +35,7 @@ from repro.obs.journal import (
     to_chrome_trace,
     write_journal,
 )
-from repro.obs.metrics import MetricsRegistry, WindowedSampler
+from repro.obs.metrics import WindowedSampler
 from repro.obs.telemetry import TelemetryHub, build_snapshot
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
     "Tracer",
     "Journal",
     "JournalWriter",
-    "MetricsRegistry",
     "WindowedSampler",
     "build_snapshot",
     "export_chrome",

@@ -41,9 +41,7 @@ from typing import Any, Callable
 from repro.common.logging import get_logger
 from repro.core.constants import (
     DOCTOR_INTERVAL_DEFAULT,
-    DOCTOR_QUEUE_DEPTH_DEFAULT,
     DOCTOR_STALL_SECONDS_DEFAULT,
-    DOCTOR_STRAGGLER_THRESHOLD_DEFAULT,
 )
 
 _log = get_logger("obs.doctor")
@@ -69,9 +67,11 @@ _BUSY_PHASES = ("compute", "partition-sort", "merge", "checkpoint")
 @dataclass
 class DoctorConfig:
     interval: float = DOCTOR_INTERVAL_DEFAULT
-    straggler_threshold: float = DOCTOR_STRAGGLER_THRESHOLD_DEFAULT
+    #: busy-time ratio over the median that flags a straggler
+    straggler_threshold: float = 2.0
     stall_seconds: float = DOCTOR_STALL_SECONDS_DEFAULT
-    queue_depth: int = DOCTOR_QUEUE_DEPTH_DEFAULT
+    #: pending-envelope depth per rank that flags queue growth
+    queue_depth: int = 10_000
     skew_threshold: float = 2.0
     #: seconds to wait after a DUMP_REQ broadcast for replies to land
     capture_grace: float = 0.5

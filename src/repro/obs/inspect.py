@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.metrics import COVERAGE_PHASES, OVERLAY_PHASES
 from repro.obs.journal import Journal
 
 __all__ = [
@@ -30,13 +31,6 @@ __all__ = [
     "phase_table",
     "summarize_journal",
 ]
-
-#: disjoint main-thread buckets; their sum should explain a worker's wall
-COVERAGE_PHASES = (
-    "compute", "partition-sort", "communicate", "merge", "checkpoint", "control",
-)
-#: buckets measured on background threads; they overlap the ones above
-OVERLAY_PHASES = ("spill",)
 
 
 def _phase_times_from_spans(journal: Journal) -> dict[str, float]:
@@ -149,9 +143,7 @@ def summarize_journal(journal: Journal, n_tasks: int = 10) -> dict[str, Any]:
         "failures": failure_timeline(journal),
         "restarts": journal.summary.get("restarts", 0),
         "recovery": {
-            counter: int(
-                (journal.summary.get("recovery") or {}).get(counter, 0)
-            )
+            counter: int(journal.summary.get(counter, 0))
             for counter in (
                 "respawns", "redelivered_frames", "stale_frames_dropped",
                 "replays_dropped",

@@ -7,8 +7,9 @@ each tagged with a ``type``:
 * ``event``   — one tracer event (``ph`` is ``X`` span / ``i`` instant /
   ``C`` counter; ``ts``/``dur`` in seconds relative to the job epoch)
 * ``series``  — one windowed metrics time series (``times``/``values``)
-* ``summary`` — driver-side digest: per-worker phase times and wall,
-  merged job phase times, per-task metrics, failure timeline
+* ``summary`` — driver-side digest: ``JobMetrics.as_dict()`` (counters,
+  merged phase times, per-task metrics), one ``WorkerMetrics.as_dict()``
+  row per worker, failure timeline
 
 The format is append-friendly (a crashed run still has a parsable
 prefix) and greppable.  :func:`to_chrome_trace` converts a journal to

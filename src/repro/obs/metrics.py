@@ -1,15 +1,14 @@
-"""Windowed runtime metrics: counters, gauges, histograms, and a sampler.
+"""Process CPU/RSS readings and the windowed sampler that records them.
 
-The registry is the write side — cheap enough for hot paths (a counter
-``inc`` is one lock-free int add; CPython's GIL makes it atomic for our
-purposes).  The :class:`WindowedSampler` is the read side: it snapshots
-every metric on an interval into :class:`~repro.common.stats.TimeSeries`
-so a real run reproduces the paper's Fig-11-style utilization series.
-Process CPU and RSS are sampled alongside (stdlib ``os.times`` /
-``resource``; no external dependencies).
+The :class:`WindowedSampler` reads process CPU and RSS (stdlib
+``os.times`` / ``/proc``; no external dependencies) on an interval into
+:class:`~repro.common.stats.TimeSeries`, so a real run reproduces the
+paper's Fig-11-style utilization series.  The counters a job reports
+live in :mod:`repro.core.metrics`; telemetry snapshots take the same
+two process readings from here.
 
 The clock and the loop are injectable, so tests drive ``sample_once``
-with a fake clock and get bit-identical series.
+with a fake clock and get a bit-identical time axis.
 """
 
 from __future__ import annotations
@@ -17,138 +16,16 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable
+from typing import Callable
 
-from repro.common.stats import TimeSeries, percentile, summarize
+from repro.common.stats import TimeSeries
 
 try:  # not on every platform; gate instead of hard-requiring
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX
     _resource = None
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "WindowedSampler"]
-
-
-class Counter:
-    """Monotonic event count (records shuffled, bytes sent...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class Gauge:
-    """Point-in-time level; either set explicitly or read via callback."""
-
-    __slots__ = ("name", "_value", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], float] | None = None) -> None:
-        self.name = name
-        self._value = 0.0
-        self.fn = fn
-
-    def set(self, value: float) -> None:
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        return self._value
-
-
-class Histogram:
-    """Bounded reservoir of samples with percentile summaries.
-
-    The reservoir is deterministic: it keeps every sample until
-    ``capacity``, then thins itself by dropping every other retained
-    sample and doubling the keep-stride — so long-running series stay
-    bounded while remaining evenly spread over time, with no random
-    draws (reproducible runs are worth more than perfect uniformity).
-    """
-
-    __slots__ = ("name", "capacity", "samples", "count", "total", "_stride", "_skip")
-
-    def __init__(self, name: str, capacity: int = 1024) -> None:
-        self.name = name
-        self.capacity = max(2, capacity)
-        self.samples: list[float] = []
-        self.count = 0
-        self.total = 0.0
-        self._stride = 1
-        self._skip = 0
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self._skip += 1
-        if self._skip < self._stride:
-            return
-        self._skip = 0
-        self.samples.append(value)
-        if len(self.samples) >= self.capacity:
-            self.samples = self.samples[::2]
-            self._stride *= 2
-
-    def percentile(self, q: float) -> float:
-        return percentile(self.samples, q)
-
-    def summary(self) -> dict[str, float]:
-        out = summarize(self.samples)
-        out["count"] = float(self.count)
-        out["mean"] = self.total / self.count if self.count else 0.0
-        return out
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named metrics."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            c = self.counters.get(name)
-            if c is None:
-                c = self.counters[name] = Counter(name)
-            return c
-
-    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
-        with self._lock:
-            g = self.gauges.get(name)
-            if g is None:
-                g = self.gauges[name] = Gauge(name, fn)
-            elif fn is not None:
-                g.fn = fn
-            return g
-
-    def histogram(self, name: str, capacity: int = 1024) -> Histogram:
-        with self._lock:
-            h = self.histograms.get(name)
-            if h is None:
-                h = self.histograms[name] = Histogram(name, capacity)
-            return h
-
-    def snapshot(self) -> dict[str, float]:
-        """Current value of every counter and gauge (histograms report
-        their sample count; full summaries come from the objects)."""
-        with self._lock:
-            out: dict[str, float] = {}
-            for name, c in self.counters.items():
-                out[name] = float(c.value)
-            for name, g in self.gauges.items():
-                out[name] = g.value
-            for name, h in self.histograms.items():
-                out[f"{name}.count"] = float(h.count)
-            return out
+__all__ = ["WindowedSampler"]
 
 
 def _process_cpu_seconds() -> float:
@@ -179,25 +56,21 @@ def _process_rss_bytes() -> float:
 
 
 class WindowedSampler:
-    """Interval snapshotter: registry -> per-metric TimeSeries.
+    """Interval sampler: process CPU seconds / CPU percent / RSS series.
 
     ``start()`` runs a daemon thread; tests instead call
-    :meth:`sample_once` directly with a fake clock for deterministic
-    series.  Counter series record the cumulative value; consumers can
-    difference adjacent samples for rates (the inspector does).
+    :meth:`sample_once` directly with a fake clock for a deterministic
+    time axis.  The CPU-seconds series is cumulative from the first
+    sample.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
         interval: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
-        include_process: bool = True,
     ) -> None:
-        self.registry = registry
         self.interval = interval
         self.clock = clock
-        self.include_process = include_process
         self.series: dict[str, TimeSeries] = {}
         self._epoch: float | None = None
         self._cpu0 = 0.0
@@ -215,22 +88,19 @@ class WindowedSampler:
     def sample_once(self, now: float | None = None) -> None:
         """Take one snapshot at time ``now`` (defaults to the clock)."""
         t = self.clock() if now is None else now
+        cpu = _process_cpu_seconds()
         if self._epoch is None:
             self._epoch = t
-            self._cpu0 = _process_cpu_seconds() if self.include_process else 0.0
+            self._cpu0 = cpu
         rel = t - self._epoch
-        for name, value in self.registry.snapshot().items():
-            self._series(name).add(rel, value)
-        if self.include_process:
-            cpu = _process_cpu_seconds()
-            self._series("process.cpu.seconds").add(rel, cpu - self._cpu0)
-            if self._last is not None:
-                dt = t - self._last[0]
-                if dt > 0:
-                    util = (cpu - self._last[1]) / dt * 100.0
-                    self._series("process.cpu.percent").add(rel, util)
-            self._last = (t, cpu)
-            self._series("process.rss.bytes").add(rel, _process_rss_bytes())
+        self._series("process.cpu.seconds").add(rel, cpu - self._cpu0)
+        if self._last is not None:
+            dt = t - self._last[0]
+            if dt > 0:
+                util = (cpu - self._last[1]) / dt * 100.0
+                self._series("process.cpu.percent").add(rel, util)
+        self._last = (t, cpu)
+        self._series("process.rss.bytes").add(rel, _process_rss_bytes())
 
     # -- the interval thread ------------------------------------------------
     def start(self) -> "WindowedSampler":

@@ -2,8 +2,9 @@
 
 The flight recorder (:mod:`repro.obs.journal`) is post-hoc — nothing is
 inspectable until ``mpidrun`` returns.  This module is the *live* half:
-while a job runs, each rank's engine snapshots its metrics registry,
-phase buckets, shuffle/queue state and recovery counters on an interval
+while a job runs, each rank's engine snapshots its
+:class:`~repro.core.metrics.WorkerMetrics` record (counters and phase
+buckets), its mailbox depth and its process CPU/RSS on an interval
 (``mpi.d.telemetry.interval.seconds``) and ships the snapshot to the
 driver:
 
@@ -38,19 +39,10 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    _process_cpu_seconds,
-    _process_rss_bytes,
-)
+from repro.core.metrics import COVERAGE_PHASES, WorkerMetrics, recovery_counts
+from repro.obs.metrics import _process_cpu_seconds, _process_rss_bytes
 
 __all__ = ["TelemetryHub", "build_snapshot", "COVERAGE_PHASES"]
-
-#: the disjoint engine phase buckets (mirrors ``repro.obs.inspect``)
-COVERAGE_PHASES = (
-    "compute", "partition-sort", "communicate", "merge", "checkpoint",
-    "control",
-)
 
 
 def _escape_label_value(value: Any) -> str:
@@ -107,33 +99,36 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def build_snapshot(
-    rank: int,
+    metrics: WorkerMetrics,
     epoch: int,
     seq: int,
-    phases: dict[str, float],
-    shuffle: dict[str, int] | None = None,
     queue: dict[str, int] | None = None,
-    tasks: dict[str, int] | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> dict[str, Any]:
-    """One rank-side telemetry snapshot (a plain dict: it crosses the
-    wire pickled and must stay cheap to build on the shipper thread)."""
+    """One rank-side telemetry snapshot: the rank's metrics record — its
+    counters and phase buckets, never the per-task table — plus the
+    mailbox and process readings.  A plain dict: it crosses the wire
+    pickled and must stay cheap to build on the shipper thread."""
     return {
-        "rank": rank,
+        "rank": metrics.rank,
         "epoch": epoch,
         "seq": seq,
         "pid": os.getpid(),
         "ts": time.time(),
-        "phases": dict(phases),
-        "shuffle": dict(shuffle or {}),
+        "counters": metrics.counters(),
+        "phases": dict(metrics.phase_times),
         "queue": dict(queue or {}),
-        "tasks": dict(tasks or {}),
         "process": {
             "cpu_seconds": _process_cpu_seconds(),
             "rss_bytes": _process_rss_bytes(),
         },
-        "metrics": registry.snapshot() if registry is not None else {},
     }
+
+
+def _wall(snap: dict[str, Any]) -> float:
+    """Seconds a rank has run: its disjoint buckets (the ``spill``
+    overlay runs concurrently and would count the same time twice)."""
+    phases = snap.get("phases", {})
+    return sum(float(phases.get(phase, 0.0)) for phase in COVERAGE_PHASES)
 
 
 class TelemetryHub:
@@ -238,27 +233,6 @@ class TelemetryHub:
                     best[rank] = (epoch, ring[-1])
             return {rank: snap for rank, (_e, snap) in best.items()}
 
-    def _recovery_counts(self) -> dict[str, int]:
-        runtime = self._runtime
-        transport = getattr(runtime, "_transport", None)
-        counts = {
-            "respawns": int(getattr(runtime, "respawns", 0) or 0),
-            "redelivered_frames": int(
-                getattr(transport, "redelivered_frames", 0) or 0
-            ),
-            "stale_frames_dropped": int(
-                getattr(transport, "stale_frames_dropped", 0) or 0
-            ),
-        }
-        replays = duplicates = 0
-        for snap in self.latest().values():
-            shuffle = snap.get("shuffle", {})
-            replays += int(shuffle.get("replays_dropped", 0))
-            duplicates += int(shuffle.get("duplicates_dropped", 0))
-        counts["replays_dropped"] = replays
-        counts["duplicates_dropped"] = duplicates
-        return counts
-
     def per_rank(self) -> list[dict[str, Any]]:
         """One row per live rank for the ``repro top`` table."""
         with self._lock:
@@ -266,7 +240,7 @@ class TelemetryHub:
         rows = []
         for rank, snap in sorted(self.latest().items()):
             phases = snap.get("phases", {})
-            shuffle = snap.get("shuffle", {})
+            counters = snap.get("counters", {})
             q = snap.get("queue", {})
             rows.append(
                 {
@@ -276,9 +250,9 @@ class TelemetryHub:
                     "seq": snap.get("seq", 0),
                     "age_s": round(time.time() - snap.get("ts", 0.0), 3),
                     "phases": {k: round(v, 4) for k, v in phases.items()},
-                    "wall_s": round(sum(phases.values()), 4),
-                    "bytes_sent": _as_int(shuffle.get("bytes_sent", 0)),
-                    "records_received": _as_int(shuffle.get("records_received", 0)),
+                    "wall_s": round(_wall(snap), 4),
+                    "bytes_sent": _as_int(counters.get("bytes_sent", 0)),
+                    "records_received": _as_int(counters.get("records_received", 0)),
                     "pending": _as_int(q.get("pending", 0)),
                     "bytes_in": _as_int(q.get("bytes_in", 0)),
                     "cpu_s": round(
@@ -287,7 +261,10 @@ class TelemetryHub:
                     "rss_mb": round(
                         snap.get("process", {}).get("rss_bytes", 0.0) / 2**20, 1
                     ),
-                    "tasks": snap.get("tasks", {}),
+                    "tasks": {
+                        "o": _as_int(counters.get("o_tasks_run", 0)),
+                        "a": _as_int(counters.get("a_tasks_run", 0)),
+                    },
                     "status": "done" if rank in done else "running",
                 }
             )
@@ -310,13 +287,17 @@ class TelemetryHub:
                     "max": round(max(values), 6),
                     "ranks": len(values),
                 }
-        walls = [
-            sum(s.get("phases", {}).values()) for s in latest.values()
-        ]
+        walls = [_wall(s) for s in latest.values()]
         sent = [
-            float(s.get("shuffle", {}).get("bytes_sent", 0))
+            float(s.get("counters", {}).get("bytes_sent", 0))
             for s in latest.values()
         ]
+        recovery = recovery_counts(self._runtime)
+        for name in ("replays_dropped", "duplicates_dropped"):
+            recovery[name] = sum(
+                _as_int(s.get("counters", {}).get(name, 0))
+                for s in latest.values()
+            )
 
         def skew(values: list[float]) -> float:
             positive = [v for v in values if v > 0.0]
@@ -337,7 +318,7 @@ class TelemetryHub:
             "phases": phase_q,
             "straggler_score": skew(walls),
             "shuffle_skew": skew(sent),
-            "recovery": self._recovery_counts(),
+            "recovery": recovery,
         }
 
     # -- Prometheus text exposition -------------------------------------------
@@ -391,17 +372,17 @@ class TelemetryHub:
         family("datampi_telemetry_snapshots_total", "counter",
                "Snapshots received from each (rank, epoch) series.")
         for rank, snap in sorted(latest.items()):
-            shuffle = snap.get("shuffle", {})
+            counters = snap.get("counters", {})
             q = snap.get("queue", {})
             process = snap.get("process", {})
             label = f'rank="{rank}"'
             lines.append(
                 f"datampi_shuffle_bytes_sent_total{{{label}}}"
-                f" {_as_int(shuffle.get('bytes_sent', 0))}"
+                f" {_as_int(counters.get('bytes_sent', 0))}"
             )
             lines.append(
                 f"datampi_shuffle_records_received_total{{{label}}}"
-                f" {_as_int(shuffle.get('records_received', 0))}"
+                f" {_as_int(counters.get('records_received', 0))}"
             )
             lines.append(
                 f"datampi_queue_pending{{{label}}} {_as_int(q.get('pending', 0))}"
@@ -426,6 +407,14 @@ class TelemetryHub:
                 f'datampi_telemetry_snapshots_total{{rank="{rank}",'
                 f'epoch="{epoch}"}} {count}'
             )
+        family("datampi_rank_counter_total", "counter",
+               "Every counter of the rank's metrics record, by name.")
+        for rank, snap in sorted(latest.items()):
+            for name, value in sorted(snap.get("counters", {}).items()):
+                lines.append(
+                    f'datampi_rank_counter_total{{rank="{rank}",'
+                    f'counter="{_escape_label_value(name)}"}} {_as_int(value)}'
+                )
         family("datampi_straggler_score", "gauge",
                "Slowest rank wall time over the median (1.0 = balanced).")
         lines.append(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
+from repro.core.metrics import WorkerMetrics
 from repro.mpi import FaultInjector
 from repro.obs.doctor import Doctor, DoctorConfig, render_report
 from repro.obs.telemetry import TelemetryHub, build_snapshot
@@ -37,30 +38,14 @@ _mpidrun_mod = importlib.import_module("repro.core.mpidrun")
 
 
 def _snap(rank, epoch=0, seq=0, wall=1.0, bytes_sent=0, pending=0, **over):
+    metrics = WorkerMetrics(
+        rank=rank, bytes_sent=bytes_sent, phase_times={"compute": wall}
+    )
     snap = build_snapshot(
-        rank=rank, epoch=epoch, seq=seq,
-        phases={"compute": wall},
-        shuffle={"bytes_sent": bytes_sent, "records_received": 0,
-                 "replays_dropped": 0, "duplicates_dropped": 0},
-        queue={"pending": pending, "bytes_in": 0},
-        tasks={"o": 0, "a": 0},
+        metrics, epoch, seq, queue={"pending": pending, "bytes_in": 0}
     )
     snap.update(over)
     return snap
-
-
-@pytest.fixture
-def captured_hub(monkeypatch):
-    """Capture the driver-side hub that mpidrun wires up internally."""
-    captured = {}
-    orig = _mpidrun_mod._TelemetrySession.attach
-
-    def attach(self, runtime):
-        captured["hub"] = self.hub
-        orig(self, runtime)
-
-    monkeypatch.setattr(_mpidrun_mod._TelemetrySession, "attach", attach)
-    return captured
 
 
 # -- signatures, one by one -------------------------------------------------------
@@ -274,8 +259,11 @@ class TestDoctorEndToEnd:
         assert out.merged() == expected_wordcount(SKEW_TEXTS)
 
         # the hot partition made exactly one rank do all the merging
+        # (walls are near-equal: the other ranks wait in communicate)
         rows = captured_hub["hub"].per_rank()
-        expected_rank = max(rows, key=lambda r: r["wall_s"])["rank"]
+        expected_rank = max(
+            rows, key=lambda r: r["phases"].get("merge", 0.0)
+        )["rank"]
 
         with open(doctor_path, encoding="utf-8") as f:
             report = json.load(f)

@@ -1,97 +1,31 @@
-"""Metrics registry and windowed sampler determinism tests."""
+"""The windowed sampler: process CPU/RSS series on an injectable clock."""
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    WindowedSampler,
-)
-
-
-class TestPrimitives:
-    def test_counter(self):
-        c = Counter("n")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_gauge_set_and_callback(self):
-        g = Gauge("g")
-        g.set(2.5)
-        assert g.value == 2.5
-        g = Gauge("g2", fn=lambda: 7)
-        assert g.value == 7.0
-
-    def test_histogram_exact_stats_below_capacity(self):
-        h = Histogram("h", capacity=1024)
-        for v in range(100):
-            h.record(float(v))
-        assert h.count == 100
-        s = h.summary()
-        assert s["count"] == 100.0
-        assert s["mean"] == 49.5
-        assert h.percentile(0.0) == 0.0
-        assert h.percentile(100.0) == 99.0
-
-    def test_histogram_decimation_is_deterministic_and_bounded(self):
-        a, b = Histogram("a", capacity=64), Histogram("b", capacity=64)
-        for v in range(10_000):
-            a.record(float(v))
-            b.record(float(v))
-        assert a.samples == b.samples  # no randomness
-        assert len(a.samples) < 64
-        assert a.count == 10_000
-        assert a.summary()["mean"] == sum(range(10_000)) / 10_000
-        # decimated reservoir still spans the distribution
-        assert a.percentile(50.0) / 10_000 - 0.5 < 0.1
-
-
-class TestRegistry:
-    def test_get_or_create(self):
-        r = MetricsRegistry()
-        assert r.counter("x") is r.counter("x")
-        assert r.gauge("g") is r.gauge("g")
-        assert r.histogram("h") is r.histogram("h")
-
-    def test_snapshot(self):
-        r = MetricsRegistry()
-        r.counter("c").inc(3)
-        r.gauge("g").set(1.5)
-        r.histogram("h").record(9.0)
-        snap = r.snapshot()
-        assert snap == {"c": 3.0, "g": 1.5, "h.count": 1.0}
+from repro.obs.metrics import WindowedSampler
 
 
 class TestWindowedSampler:
-    def test_fake_clock_series_is_deterministic(self):
+    def test_fake_clock_time_axis_is_deterministic(self):
         def run():
-            r = MetricsRegistry()
-            c = r.counter("records")
-            s = WindowedSampler(r, clock=lambda: 0.0, include_process=False)
+            s = WindowedSampler(clock=lambda: 0.0)
             for tick in range(5):
-                c.inc(10)
                 s.sample_once(now=float(tick))
-            return s.as_journal_series()
+            return {name: t for name, (t, _v) in s.as_journal_series().items()}
 
         one, two = run(), run()
         assert one == two
-        times, values = one["records"]
-        assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert values == [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert one["process.cpu.seconds"] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert one["process.cpu.percent"] == [1.0, 2.0, 3.0, 4.0]
 
     def test_epoch_is_first_sample(self):
-        r = MetricsRegistry()
-        r.counter("c")
-        s = WindowedSampler(r, include_process=False)
+        s = WindowedSampler()
         s.sample_once(now=100.0)
         s.sample_once(now=100.5)
-        times, _ = s.as_journal_series()["c"]
+        times, values = s.as_journal_series()["process.cpu.seconds"]
         assert times == [0.0, 0.5]
+        assert values[0] == 0.0  # cumulative from the first sample
 
-    def test_process_series_present_when_enabled(self):
-        r = MetricsRegistry()
-        s = WindowedSampler(r, include_process=True)
+    def test_process_series_present(self):
+        s = WindowedSampler()
         s.sample_once(now=0.0)
         s.sample_once(now=1.0)
         series = s.as_journal_series()
@@ -99,14 +33,13 @@ class TestWindowedSampler:
         assert "process.rss.bytes" in series
         assert "process.cpu.percent" in series  # needs two samples
         assert len(series["process.cpu.seconds"][0]) == 2
+        assert all(v > 0 for v in series["process.rss.bytes"][1])
 
     def test_interval_thread_start_stop(self):
-        r = MetricsRegistry()
-        r.counter("c").inc()
-        s = WindowedSampler(r, interval=0.01, include_process=False)
+        s = WindowedSampler(interval=0.01)
         s.start()
         s.stop()
-        times, values = s.as_journal_series()["c"]
+        times, _ = s.as_journal_series()["process.rss.bytes"]
         # one sample at start, one closing sample at stop, maybe more between
         assert len(times) >= 2
-        assert all(v == 1.0 for v in values)
+        assert times == sorted(times)

@@ -1,0 +1,125 @@
+"""One metrics record per rank: every report is a view of WorkerMetrics.
+
+* a counter declared once in ``Counters`` reaches the merged
+  ``JobMetrics``, ``--metrics-json``, the journal summary, the telemetry
+  snapshot and the Prometheus exposition;
+* the parting telemetry snapshot the hub holds for a rank *is* that
+  rank's reported record;
+* a rank's disjoint phase buckets add up to its wall.
+"""
+
+import importlib
+from dataclasses import fields
+
+import pytest
+
+from repro.common.config import Configuration
+from repro.core import DataMPIJob, mapreduce_job, mpidrun
+from repro.core.constants import MPI_D_Constants as K
+from repro.core.metrics import (
+    COUNTER_NAMES,
+    COVERAGE_PHASES,
+    JobResult,
+    WorkerMetrics,
+)
+from repro.core.scheduler import merge_reports
+from repro.obs.journal import read_journal
+from repro.obs.telemetry import TelemetryHub, build_snapshot
+
+from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
+
+_mpidrun_mod = importlib.import_module("repro.core.mpidrun")
+
+
+def _worker(rank, base):
+    """A record whose every counter holds a distinct value."""
+    values = {name: base + i for i, name in enumerate(COUNTER_NAMES)}
+    return WorkerMetrics(rank=rank, **values)
+
+
+class TestEveryCounterReachesEveryView:
+    @pytest.fixture(scope="class")
+    def views(self, tmp_path_factory):
+        reports = {0: _worker(0, 100), 1: _worker(1, 1000)}
+        job = merge_reports(reports)
+        path = str(tmp_path_factory.mktemp("spine") / "spine.trace.jsonl")
+        noop = DataMPIJob("spine", lambda ctx: None, lambda ctx: None, 1, 1)
+        session = _mpidrun_mod._TraceSession(
+            noop, Configuration({K.TRACE_PATH: path}), nprocs=2
+        )
+        session.close(JobResult("spine", True, metrics=job), reports)
+        hub = TelemetryHub()
+        for wm in reports.values():
+            hub.ingest(build_snapshot(wm, epoch=0, seq=0))
+        return reports, job, read_journal(path).summary, hub
+
+    def test_the_counters_are_the_fields_declared_once(self):
+        ints = [f.name for f in fields(WorkerMetrics) if f.type == "int"]
+        assert ints == [*COUNTER_NAMES, "rank"]
+        assert len(set(COUNTER_NAMES)) == len(COUNTER_NAMES) >= 13
+
+    @pytest.mark.parametrize("index,name", list(enumerate(COUNTER_NAMES)))
+    def test_counter_is_summed_in_every_report(self, views, index, name):
+        reports, job, summary, hub = views
+        per_rank = [100 + index, 1000 + index]
+        assert getattr(job, name) == sum(per_rank)
+        assert job.as_dict()[name] == sum(per_rank)
+        assert summary[name] == sum(per_rank)
+        assert [w[name] for w in summary["workers"]] == per_rank
+        latest = hub.latest()
+        assert [latest[r]["counters"][name] for r in (0, 1)] == per_rank
+        text = hub.prometheus_text()
+        for rank, value in enumerate(per_rank):
+            assert (
+                f'datampi_rank_counter_total{{rank="{rank}",'
+                f'counter="{name}"}} {value}'
+            ) in text
+
+
+#: big enough that a rank runs ~0.3 s: one lost GIL hand-off between two
+#: buckets (5 ms) must stay well inside the 5 % the wall test allows
+TEXTS = [f"spine w{i % 11} w{(i * 7) % 13} view" for i in range(8000)]
+
+
+@pytest.fixture
+def finished_job(tmp_path, launcher, captured_hub):
+    """(result, journal worker rows, hub) of a traced, telemetered WordCount."""
+    path = str(tmp_path / "job.trace.jsonl")
+    provider, mapper, reducer = wordcount_pieces(TEXTS)
+    out = FileCollector(tmp_path / "out")
+    job = mapreduce_job(
+        "spine-wc", provider, mapper, reducer, out, o_tasks=4, a_tasks=2,
+        conf={
+            K.LAUNCHER: launcher,
+            K.TRACE_PATH: path,
+            K.TELEMETRY_ENABLED: True,
+            K.TELEMETRY_INTERVAL_SECONDS: 0.05,
+        },
+    )
+    result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+    assert out.merged() == expected_wordcount(TEXTS)
+    return result, read_journal(path).summary["workers"], captured_hub["hub"]
+
+
+class TestReportsAgree:
+    def test_parting_snapshot_is_the_reported_record(self, finished_job):
+        result, workers, hub = finished_job
+        latest = hub.latest()
+        assert sorted(latest) == [w["rank"] for w in workers] == [0, 1]
+        for w in workers:
+            snap = latest[w["rank"]]
+            assert snap["counters"] == {name: w[name] for name in COUNTER_NAMES}
+            assert snap["phases"] == w["phase_times"]
+        # ... and the job's totals are the sum of what the hub holds
+        for name in COUNTER_NAMES:
+            assert getattr(result.metrics, name) == sum(
+                snap["counters"][name] for snap in latest.values()
+            )
+        assert result.metrics.records_sent > 0
+        assert result.metrics.envelopes_sent > 0
+
+    def test_disjoint_buckets_add_up_to_the_wall(self, finished_job):
+        _result, workers, _hub = finished_job
+        for w in workers:
+            explained = sum(w["phase_times"].get(p, 0.0) for p in COVERAGE_PHASES)
+            assert explained == pytest.approx(w["wall_seconds"], rel=0.05)

@@ -11,7 +11,6 @@ Covers the tentpole invariants:
 * ``repro top`` renders the hub over the endpoint file.
 """
 
-import importlib
 import json
 import os
 import threading
@@ -21,6 +20,7 @@ import pytest
 
 from repro.core import DataMPIJob, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
+from repro.core.metrics import WorkerMetrics
 from repro.mpi import FaultInjector
 from repro.obs.journal import Journal, merge_shards, read_journal, to_chrome_trace
 from repro.obs.inspect import format_report, summarize_journal
@@ -29,8 +29,6 @@ from repro.obs.telemetry import COVERAGE_PHASES, TelemetryHub, build_snapshot
 from repro.obs.tracer import flow_id
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
-
-_mpidrun_mod = importlib.import_module("repro.core.mpidrun")
 
 
 # -- flow ids ---------------------------------------------------------------------
@@ -75,29 +73,33 @@ class TestProcessRss:
 
 class TestBuildSnapshot:
     def test_snapshot_shape(self):
-        snap = build_snapshot(
-            rank=2, epoch=1, seq=5, phases={"compute": 0.5},
-            shuffle={"bytes_sent": 10}, queue={"pending": 1, "bytes_in": 64},
-            tasks={"o": 3, "a": 1},
+        metrics = WorkerMetrics(
+            rank=2, bytes_sent=10, o_tasks_run=3, a_tasks_run=1,
+            phase_times={"compute": 0.5}, tasks=["not shipped"],
         )
+        snap = build_snapshot(
+            metrics, epoch=1, seq=5, queue={"pending": 1, "bytes_in": 64}
+        )
+        assert set(snap) == {
+            "rank", "epoch", "seq", "pid", "ts", "counters", "phases",
+            "queue", "process",
+        }
         assert snap["rank"] == 2
         assert snap["epoch"] == 1
         assert snap["seq"] == 5
         assert snap["pid"] == os.getpid()
+        assert snap["counters"] == metrics.counters()
         assert snap["phases"] == {"compute": 0.5}
+        assert snap["queue"] == {"pending": 1, "bytes_in": 64}
         assert snap["process"]["rss_bytes"] > 0
         assert snap["process"]["cpu_seconds"] >= 0
 
 
 def _snap(rank, epoch=0, seq=0, wall=1.0, bytes_sent=0, **over):
-    snap = build_snapshot(
-        rank=rank, epoch=epoch, seq=seq,
-        phases={"compute": wall},
-        shuffle={"bytes_sent": bytes_sent, "records_received": 0,
-                 "replays_dropped": 0, "duplicates_dropped": 0},
-        queue={"pending": 0, "bytes_in": 0},
-        tasks={"o": 0, "a": 0},
+    metrics = WorkerMetrics(
+        rank=rank, bytes_sent=bytes_sent, phase_times={"compute": wall}
     )
+    snap = build_snapshot(metrics, epoch, seq, queue={"pending": 0, "bytes_in": 0})
     snap.update(over)
     return snap
 
@@ -157,6 +159,15 @@ class TestTelemetryHub:
         # 400 bytes vs median 250 -> skew 1.6
         assert rollups["shuffle_skew"] == pytest.approx(1.6)
 
+    def test_wall_excludes_the_overlapping_spill_bucket(self):
+        # spill accrues on the receiver thread while the disjoint buckets
+        # run: adding it would report more wall than the rank ran
+        hub = TelemetryHub()
+        hub.ingest(_snap(0, phases={"compute": 1.0, "spill": 5.0}))
+        hub.ingest(_snap(1, phases={"compute": 1.0}))
+        assert [row["wall_s"] for row in hub.per_rank()] == [1.0, 1.0]
+        assert hub.rollups()["straggler_score"] == pytest.approx(1.0)
+
     def test_prometheus_text_exposition(self):
         hub = TelemetryHub()
         hub.expect(2)
@@ -198,20 +209,6 @@ def _wordcount_job(name, conf, texts, out, o_tasks=4, a_tasks=2):
         name, provider, mapper, reducer, out, o_tasks=o_tasks,
         a_tasks=a_tasks, conf=conf,
     )
-
-
-@pytest.fixture
-def captured_hub(monkeypatch):
-    """Capture the driver-side hub that mpidrun wires up internally."""
-    captured = {}
-    orig = _mpidrun_mod._TelemetrySession.attach
-
-    def attach(self, runtime):
-        captured["hub"] = self.hub
-        orig(self, runtime)
-
-    monkeypatch.setattr(_mpidrun_mod._TelemetrySession, "attach", attach)
-    return captured
 
 
 TEXTS = [f"tele w{i % 7} w{(i * 3) % 5} live" for i in range(40)]
@@ -400,7 +397,7 @@ class TestTraceRecoverySummary:
                  "ts": 1.0, "rank": -1, "args": {"gid": 1}},
             ],
             summary={"wall_seconds": 2.0, "nprocs": 2, "restarts": 0,
-                     "recovery": recovery},
+                     **recovery},
         )
 
     def test_summary_carries_the_recovery_counters(self):
