@@ -110,9 +110,6 @@ class MPI_D_Constants:
     #: rank substrate: "threads" (in-process, zero-copy) or "processes"
     #: (one OS process per rank over the socket router — real parallelism)
     LAUNCHER = "mpi.d.launcher"
-    #: multiprocessing start method for the process backend ("fork"
-    #: inherits job closures; "spawn" requires picklable jobs)
-    LAUNCHER_START_METHOD = "mpi.d.launcher.start.method"
 
     TRACE_ENABLED = "mpi.d.trace.enabled"
     #: journal path (defaults to <job>.trace.jsonl in the local dir);

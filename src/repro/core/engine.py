@@ -39,8 +39,7 @@ from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
 from repro.core.constants import PROFILE_HZ_DEFAULT, TELEMETRY_INTERVAL_DEFAULT
-from repro.obs.profiler import PROFILER
-from repro.obs import profiler as profiler_mod
+from repro.obs.profiler import PROFILE_CAT, PROFILER
 # module, not name: obs.telemetry imports core.metrics, so when repro.obs
 # is imported first this line runs while obs.telemetry is still loading
 from repro.obs import telemetry as telemetry_mod
@@ -79,9 +78,9 @@ class WorkerEngine:
         self.bidirectional = mode_is_bidirectional(self.conf)
         self.cmp = (job.comparator or default_compare) if self.sorts else None
         self.serializer = get_serializer(self.conf.get_str(K.SERIALIZER, "writable"))
-        self.spill_dir = self.conf.get(K.LOCAL_DIR) or tempfile.mkdtemp(
-            prefix=f"datampi-{job.name}-w{self.rank}-"
-        )
+        #: mpidrun sets this to the job's scratch directory when the user
+        #: named none; the engine creates no directory of its own
+        self.spill_dir = self.conf.get(K.LOCAL_DIR) or tempfile.gettempdir()
         cache_fraction = self.conf.get_float(K.CACHE_FRACTION, 1.0)
         self.memory_budget = max(
             0, int(self.conf.get_bytes(K.MEMORY_CACHE_BYTES) * cache_fraction)
@@ -106,7 +105,7 @@ class WorkerEngine:
             if self.conf.get_bool(K.PROFILE_ENABLED, False)
             else 0.0
         )
-        self._prof_epoch = 0
+        self._prof_epoch = world.runtime.rank_epoch
         from repro.serde.registry import resolve_type
 
         self.key_class = resolve_type(self.conf.get(K.KEY_CLASS))
@@ -219,8 +218,7 @@ class WorkerEngine:
 
     def _start_telemetry(self) -> tuple[threading.Event, threading.Thread] | None:
         """Ship telemetry snapshots to the driver's hub on an interval
-        thread — via the runtime's TELEMETRY wire frames on the process
-        backend, or straight into the in-process hub on threads."""
+        thread, by whatever route the runtime has to it."""
         if not self.conf.get_bool(K.TELEMETRY_ENABLED, False):
             return None
         interval = self.conf.get_float(
@@ -228,14 +226,9 @@ class WorkerEngine:
         )
         if interval <= 0:
             return None
-        runtime = getattr(self.world, "runtime", None)
-        ship = getattr(runtime, "ship_telemetry", None)
-        if ship is None:
-            hub = getattr(runtime, "telemetry_hub", None)
-            if hub is None:
-                return None
-            ship = hub.ingest
-        epoch = int(getattr(runtime, "rank_epoch", 0) or 0)
+        runtime = self.world.runtime
+        ship = runtime.ship_telemetry
+        epoch = runtime.rank_epoch
         endpoint = self.world._my_endpoint()
         stop = threading.Event()
 
@@ -565,8 +558,6 @@ class WorkerEngine:
     def run(self) -> WorkerMetrics:
         rounds = self.job.rounds if self.bidirectional else 1
         _T.bind(self.rank)
-        runtime = getattr(self.world, "runtime", None)
-        self._prof_epoch = int(getattr(runtime, "rank_epoch", 0) or 0)
         # the stack registry is always on (live DUMP captures work on an
         # unprofiled job); sampling only when profile_hz > 0
         PROFILER.register_thread(self.rank, self._prof_epoch)
@@ -598,7 +589,7 @@ class WorkerEngine:
                     # the barrier: release its driver-side redelivery
                     # entries.  Iteration mode never acks — a reborn rank
                     # replays every round from 0 and needs them all.
-                    self.shuffle.ack_plane(f"fwd:{round_no}")
+                    self.world.runtime.ack_plane(f"fwd:{round_no}")
             t0 = time.perf_counter()
             self._fold_shuffle()
             self._add_phase("control", time.perf_counter() - t0)
@@ -614,16 +605,14 @@ class WorkerEngine:
             if hb_stop is not None:
                 hb_stop.set()
             self._stop_telemetry(telemetry)
-            self._finish_profile(runtime)
+            self._finish_profile()
             self.shuffle.shutdown()
 
-    def _finish_profile(self, runtime: Any) -> None:
-        """Stop sampling, persist this rank's profile, drop registrations.
-
-        Process backend: the profile goes to the ``.prof-`` shard named in
-        the worker spec, merged by the driver's trace session.  Thread
-        backend: published to the in-process list the same session drains.
-        """
+    def _finish_profile(self) -> None:
+        """Stop sampling, hand this rank's profile to the tracer (which
+        carries it to the driver's journal with the rank's trace events;
+        without tracing there is no journal to hold it), drop
+        registrations."""
         try:
             if self.profile_hz > 0:
                 PROFILER.release()
@@ -631,13 +620,9 @@ class WorkerEngine:
                     self.rank, self._prof_epoch, hz=self.profile_hz
                 )
                 if profile["samples"]:
-                    shard = getattr(runtime, "profile_shard", None)
-                    if shard:
-                        profiler_mod.write_profile_shard(shard, profile)
-                    else:
-                        profiler_mod.publish_local(profile)
+                    _T.instant("profiler.profile", cat=PROFILE_CAT, args=profile)
         except Exception:  # noqa: BLE001 - profiling must never fail the rank
-            _log.exception("failed to persist profile for rank %d", self.rank)
+            _log.exception("failed to hand over profile for rank %d", self.rank)
         finally:
             PROFILER.unregister_thread()
             PROFILER.unregister_queue(self.rank, self._prof_epoch)

@@ -132,17 +132,14 @@ class JobMetrics(Counters):
 
 def recovery_counts(runtime: Any) -> dict[str, int]:
     """One runtime's rank-recovery counters, keyed by the
-    :class:`JobMetrics` field each feeds; zeros on backends without rank
-    recovery (and for ``None``: a hub nobody bound a runtime to)."""
-    transport = getattr(runtime, "transport", None)
+    :class:`JobMetrics` field each feeds; zeros for ``None`` (a hub
+    nobody bound a runtime to)."""
+    if runtime is None:
+        return {"respawns": 0, "redelivered_frames": 0, "stale_frames_dropped": 0}
     return {
-        "respawns": int(getattr(runtime, "respawns", 0) or 0),
-        "redelivered_frames": int(
-            getattr(transport, "redelivered_frames", 0) or 0
-        ),
-        "stale_frames_dropped": int(
-            getattr(transport, "stale_frames_dropped", 0) or 0
-        ),
+        "respawns": runtime.respawns,
+        "redelivered_frames": runtime.redelivered_frames,
+        "stale_frames_dropped": runtime.stale_frames_dropped,
     }
 
 

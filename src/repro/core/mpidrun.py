@@ -26,6 +26,7 @@ import dataclasses
 import os
 import random
 import shlex
+import shutil
 import tempfile
 import time
 from typing import Any, Mapping
@@ -42,7 +43,7 @@ from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics, recovery_counts
 from repro.core.modes import profile_for
 from repro.core.scheduler import driver_main, merge_reports
-from repro.mpi.runtime import BaseRuntime, ProcessRuntime, create_runtime
+from repro.mpi.runtime import BaseRuntime, create_runtime
 from repro.mpi.transport import FaultInjector
 from repro.common.logging import get_logger
 from repro.obs.journal import JournalWriter, merge_shards
@@ -151,11 +152,6 @@ class _TraceSession:
         )
         self.t0 = time.perf_counter()
         self._closed = False
-        # discard profiles a prior *untraced* profiled job in this
-        # process left in the hand-off buffer: they are not this job's
-        from repro.obs import profiler as _profiler_mod
-
-        _profiler_mod.drain_local_profiles()
         _T.enable(job=job.name, nprocs=nprocs, mode=job.mode.value)
         _T.bind(-1)  # the driver/launcher thread
         self.sampler = WindowedSampler(
@@ -201,14 +197,15 @@ class _TraceSession:
             events = sorted(
                 events + shard_events, key=lambda e: e.get("ts", 0.0)
             )
-        # sampling-profiler aggregates travel the same way: thread-backend
-        # engines publish in-process, process-backend workers leave
-        # ``.prof-`` shards next to the journal
-        from repro.obs import profiler as profiler_mod
+        # a finished rank hands its sampling profile to the tracer as one
+        # record; the journal keeps profiles apart from the timeline
+        from repro.obs.profiler import PROFILE_CAT
 
-        profiles = profiler_mod.drain_local_profiles()
-        profiles += profiler_mod.merge_profile_shards(self.path)
-        profiles.sort(key=lambda p: (p.get("rank", 0), p.get("epoch", 0)))
+        profiles = sorted(
+            (e["args"] for e in events if e.get("cat") == PROFILE_CAT),
+            key=lambda p: (p.get("rank", 0), p.get("epoch", 0)),
+        )
+        events = [e for e in events if e.get("cat") != PROFILE_CAT]
         summary: dict[str, Any] = {
             "wall_seconds": time.perf_counter() - self.t0,
             "nprocs": self.nprocs,
@@ -386,7 +383,6 @@ def mpidrun(
         raise DataMPIError("need at least one working process")
     conf = profile_for(job.mode, job.conf)
     launcher = str(conf.get(K.LAUNCHER) or "threads")
-    start_method = str(conf.get(K.LAUNCHER_START_METHOD) or "fork")
     ft_enabled = conf.get_bool(K.FT_ENABLED, False)
     max_restarts = conf.get_int(K.JOB_MAX_RESTARTS, 0) if ft_enabled else 0
     max_task_attempts = max(1, conf.get_int(K.TASK_MAX_ATTEMPTS, 4))
@@ -410,10 +406,19 @@ def mpidrun(
         for name, count in recovery_counts(runtime).items():
             recovery[name] = recovery.get(name, 0) + count
 
+    # spill files go under mpi.d.local.dir; a job that names none gets a
+    # scratch directory for the length of this call.  mpidrun owns it, not
+    # the ranks: a SIGKILLed rank cannot clean up after itself
+    scratch = (
+        None if conf.get(K.LOCAL_DIR)
+        else tempfile.mkdtemp(prefix=f"datampi-{job.name}-")
+    )
     try:
         while True:
             attempt += 1
             extra_conf: dict[str, Any] = {K.JOB_ATTEMPT: attempt}
+            if scratch is not None:
+                extra_conf[K.LOCAL_DIR] = scratch
             if telemetry is not None and telemetry.doctor is not None:
                 # the diagnosis engine reads live rollups, so engines must
                 # ship telemetry snapshots even if the user only asked for
@@ -422,13 +427,11 @@ def mpidrun(
             attempt_job = dataclasses.replace(
                 job, conf={**dict(job.conf or {}), **extra_conf}
             )
-            runtime = create_runtime(
-                launcher, fault_injector=fault_injector, start_method=start_method
-            )
-            if isinstance(runtime, ProcessRuntime) and max_respawns > 0:
+            runtime = create_runtime(launcher, fault_injector=fault_injector)
+            if max_respawns > 0:
                 runtime.enable_rank_recovery(max_respawns, redelivery_bytes)
-            if trace is not None and isinstance(runtime, ProcessRuntime):
-                # workers of this attempt write their tracer events here
+            if trace is not None:
+                # rank processes of this attempt write their tracer events here
                 runtime.trace_shard_prefix = f"{trace.path}.a{attempt}"
             if telemetry is not None:
                 telemetry.attach(runtime)
@@ -522,6 +525,8 @@ def mpidrun(
             path = trace.close(result, reports)
             if result is not None:
                 result.trace_path = path
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
     return result
 
 

@@ -214,25 +214,21 @@ def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetr
     scheduler = TaskScheduler(job, nprocs)
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}
-    # -- surgical rank recovery plumbing (process backend only) --------------
-    runtime = getattr(comm, "runtime", None)
+    runtime = comm.runtime
     # -- live telemetry: the hub tracks world size and rank completion so
     # `repro top` can show a status column and honest rollup denominators
-    telemetry_hub = getattr(runtime, "telemetry_hub", None)
+    telemetry_hub = runtime.telemetry_hub
     if telemetry_hub is not None:
         telemetry_hub.expect(nprocs)
-    worker_gids = dict(enumerate(getattr(inter, "remote_group", ())))
+    # -- surgical rank recovery plumbing ---------------------------------------
+    worker_gids = dict(enumerate(inter.remote_group))
     gid_to_worker = {gid: w for w, gid in worker_gids.items()}
-    pending_fn = getattr(runtime, "pending_respawns", None)
-    respawn_fn = getattr(runtime, "respawn_rank", None)
 
     def _try_respawn(worker: int, gid: int) -> bool:
         """Fork a replacement for one dead rank and replay only its
         failure domain; False when surgical recovery is off/exhausted."""
-        if respawn_fn is None:
-            return False
         t0 = _now()
-        epoch = respawn_fn(gid)
+        epoch = runtime.respawn_rank(gid)
         if epoch is None:
             return False
         requeued = scheduler.requeue_worker(worker)
@@ -270,24 +266,23 @@ def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetr
         """Heartbeat check + respawn servicing, recovery-aware: a dead
         rank is respawned in place when the budget allows; otherwise the
         original failure propagates (degrading to a whole-job restart)."""
-        if pending_fn is not None:
-            for gid in pending_fn():
-                worker = gid_to_worker.get(gid)
-                if worker is None or worker in supervisor.done:
-                    continue  # already reported: no successor needed
-                if not _try_respawn(worker, gid):
-                    record = FailureRecord(
-                        kind="respawn",
-                        worker=worker,
-                        attempt=attempt,
-                        error=(
-                            f"worker {worker} (global rank {gid}) died and "
-                            f"cannot be respawned (budget exhausted or "
-                            f"redelivery overflow); degrading to whole-job "
-                            f"restart"
-                        ),
-                    )
-                    raise RankRecoveryError(worker, record.error, record)
+        for gid in runtime.pending_respawns():
+            worker = gid_to_worker.get(gid)
+            if worker is None or worker in supervisor.done:
+                continue  # already reported: no successor needed
+            if not _try_respawn(worker, gid):
+                record = FailureRecord(
+                    kind="respawn",
+                    worker=worker,
+                    attempt=attempt,
+                    error=(
+                        f"worker {worker} (global rank {gid}) died and "
+                        f"cannot be respawned (budget exhausted or "
+                        f"redelivery overflow); degrading to whole-job "
+                        f"restart"
+                    ),
+                )
+                raise RankRecoveryError(worker, record.error, record)
         try:
             supervisor.check()
         except WorkerLostError as lost:

@@ -271,9 +271,8 @@ class ShuffleService:
         # that origin's EOS — a stream cut short by a death is discarded
         # wholesale instead of half-applied (coalescing boundaries are
         # nondeterministic, so replayed batches never line up seq-by-seq).
-        runtime = getattr(world, "runtime", None)
-        self.epoch = getattr(runtime, "rank_epoch", 0)
-        self.recovery = bool(getattr(runtime, "rank_recovery", False))
+        self.epoch = world.runtime.rank_epoch
+        self.recovery = world.runtime.rank_recovery
         self._reset_announced: set[tuple[str, int]] = set()
         self.replays_dropped = 0
         self._sender = threading.Thread(
@@ -291,9 +290,7 @@ class ShuffleService:
             plane = self._planes.get(plane_id)
             if plane is None:
                 plane = ShufflePlane(plane_id, self.rank, self._factory(plane_id))
-                runtime = getattr(self.world, "runtime", None)
-                if runtime is not None:
-                    plane.abort = runtime.abort_flag
+                plane.abort = self.world.runtime.abort_flag
                 self._planes[plane_id] = plane
             return plane
 
@@ -576,17 +573,6 @@ class ShuffleService:
                     reason=f"shuffle receiver rank {self.rank}: {exc!r}"
                 )
                 return
-
-    def ack_plane(self, plane_id: str) -> None:
-        """This rank has fully consumed ``plane_id``: release its entries
-        in the driver-side redelivery buffer (process backend with
-        recovery armed; a no-op everywhere else)."""
-        if not self.recovery:
-            return
-        runtime = getattr(self.world, "runtime", None)
-        ack = getattr(runtime, "ack_plane", None)
-        if ack is not None:
-            ack(plane_id)
 
     # -- lifecycle ---------------------------------------------------------------
     def drain_sends(self) -> None:

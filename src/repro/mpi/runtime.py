@@ -28,10 +28,13 @@ cause instead of a bare timeout.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import signal
 import threading
 import time
 import traceback as traceback_mod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.common.errors import FailureRecord, MPIAbort, MPIError
 from repro.mpi.comm import Intracomm
@@ -81,11 +84,32 @@ class _RankThread(threading.Thread):
 class BaseRuntime:
     """Rank registry, context allocation, abort + failure bookkeeping.
 
+    This class is the whole contract between a runtime and the layers
+    above it (communicators, ``repro.core``, ``repro.obs``): whatever
+    they may read or call is declared here with the thread-backend
+    behaviour, and a backend overrides only what differs for it.
     Subclasses choose the transport (:meth:`_make_transport`) and how
     spawned worlds execute (:meth:`launch_children`)."""
 
     #: the ``mpi.d.launcher`` value this runtime answers to
     launcher = "abstract"
+
+    # -- what a rank may ask about itself --------------------------------------
+    #: incarnation of the rank this runtime serves: 0 for a first life,
+    #: bumped each time the driver respawns the rank in place
+    rank_epoch = 0
+    #: surgical rank recovery armed for this rank's world (receivers then
+    #: stage shuffle streams and ACK consumed planes)
+    rank_recovery = False
+
+    # -- what the driver may ask about the job ----------------------------------
+    #: where rank processes write their trace shards (set by mpidrun when
+    #: tracing; thread ranks record into the driver's tracer instead)
+    trace_shard_prefix: str | None = None
+    #: rank-recovery counters (:func:`repro.core.metrics.recovery_counts`)
+    respawns = 0
+    redelivered_frames = 0
+    stale_frames_dropped = 0
 
     def __init__(self, fault_injector: FaultInjector | None = None) -> None:
         self._lock = threading.Lock()
@@ -97,12 +121,12 @@ class BaseRuntime:
         self.fault_injector = fault_injector
         self.abort_flag = AbortFlag()
         #: live TelemetryHub bound by mpidrun's telemetry session (None =
-        #: telemetry off); the router and the engine ship snapshots here
+        #: telemetry off); :meth:`ship_telemetry` delivers snapshots here
         self.telemetry_hub = None
         self._transport = self._make_transport()
 
     def _make_transport(self) -> Transport:
-        raise NotImplementedError
+        return LocalTransport(self.abort_flag, self.fault_injector)
 
     @property
     def transport(self) -> Transport:
@@ -117,6 +141,35 @@ class BaseRuntime:
         from repro.obs.profiler import PROFILER
 
         return PROFILER.dump_stacks()
+
+    def ship_telemetry(self, snap: dict) -> None:
+        """Deliver one rank's telemetry snapshot to the driver's hub
+        (dropped while no hub is bound)."""
+        hub = self.telemetry_hub
+        if hub is not None:
+            hub.ingest(snap)
+
+    # -- surgical rank recovery (a no-op without respawnable ranks) -------------
+    def enable_rank_recovery(
+        self, max_respawns: int, redelivery_bytes: int
+    ) -> None:
+        """Arm rank-level recovery.  Thread ranks share the driver's
+        fate, so there is nothing to respawn: a rank failure takes the
+        whole-job restart path."""
+
+    def ack_plane(self, plane_id: str) -> None:
+        """The calling rank fully consumed a shuffle plane: whatever is
+        retained to replay it may be released."""
+
+    def pending_respawns(self) -> list[int]:
+        """Drain the global ranks awaiting a respawn (driver loop)."""
+        return []
+
+    def respawn_rank(self, gid: int) -> int | None:
+        """Replace dead rank ``gid`` in place; returns its new epoch, or
+        ``None`` when it is not surgically recoverable (the caller
+        degrades to the whole-job restart path)."""
+        return None
 
     # -- registry -------------------------------------------------------------
     def mailbox(self, global_rank: int) -> Endpoint:
@@ -149,9 +202,15 @@ class BaseRuntime:
 
     # -- error handling ----------------------------------------------------------
     def record_error(self, comm: Intracomm, exc: BaseException) -> None:
-        """A rank thread died on ``exc``: capture a structured failure
-        record (or adopt the records the exception already carries) and
-        abort the world with it."""
+        """A rank died on ``exc``: capture it and abort the world."""
+        self._capture_error(comm, exc)
+        self.abort(f"rank {comm.rank} of {comm.name}: {exc!r}", record=False)
+
+    def _capture_error(
+        self, comm: Intracomm, exc: BaseException
+    ) -> list[FailureRecord]:
+        """File ``exc`` and a structured failure record for it (or the
+        records the exception already carries); returns the records."""
         carried = getattr(exc, "failures", None)
         if carried:
             records = list(carried)
@@ -168,7 +227,7 @@ class BaseRuntime:
         with self._lock:
             self._errors.append(exc)
             self._failure_records.extend(records)
-        self.abort(f"rank {comm.rank} of {comm.name}: {exc!r}", record=False)
+        return records
 
     def record_failure(self, record: FailureRecord) -> None:
         with self._lock:
@@ -252,8 +311,17 @@ class BaseRuntime:
         )
         return group, inter_context
 
-    def _finish_join(self, deadline: float | None, timeout: float | None) -> None:
-        """Hook: wait for any non-thread rank carriers (worker processes)."""
+    def _rank_carriers(self) -> list[tuple[Any, int]]:
+        """``(carrier, world-local rank)`` for every rank launched so far
+        (lock held).  A carrier is what runs the rank — a thread here, a
+        ``multiprocessing.Process`` on the process backend; the join loop
+        needs only ``join``/``is_alive``/``name`` of it."""
+        return [(thread, thread.comm.rank) for thread in self._threads]
+
+    def _joined(self, carrier: Any) -> None:
+        """Hook: ``carrier`` was joined, or outlived even the abort."""
+        if carrier.is_alive():
+            raise MPIError(f"rank thread {carrier.name} hung past abort")
 
     def run(
         self,
@@ -268,42 +336,41 @@ class BaseRuntime:
         _, _, world_threads = self._start_world(fn, nprocs, args, name)
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            # join until the thread set is stable (spawn may add threads
-            # while we wait)
-            joined: set[_RankThread] = set()
+            # join until the carrier set is stable (spawn and respawn add
+            # carriers while we wait)
+            joined: set[int] = set()
             while True:
                 with self._lock:
-                    pending = [t for t in self._threads if t not in joined]
+                    pending = [
+                        c for c in self._rank_carriers() if id(c[0]) not in joined
+                    ]
                 if not pending:
                     break
-                for thread in pending:
+                for carrier, rank in pending:
                     remaining = None
                     if deadline is not None:
                         remaining = max(0.0, deadline - time.monotonic())
-                    thread.join(remaining)
-                    if thread.is_alive():
+                    carrier.join(remaining)
+                    if carrier.is_alive():
                         self.record_failure(
                             FailureRecord(
                                 kind="timeout",
-                                where=thread.name,
+                                worker=rank,
+                                where=carrier.name,
                                 error=(
-                                    f"rank thread {thread.name} still running "
+                                    f"rank {carrier.name} still running "
                                     f"after the {timeout}s runtime timeout"
                                 ),
                             )
                         )
                         self.abort(
-                            f"runtime timeout: {thread.name} still running",
+                            f"runtime timeout: {carrier.name} still running",
                             errorcode=2,
                             record=False,
                         )
-                        thread.join(5.0)
-                        if thread.is_alive():
-                            raise MPIError(
-                                f"rank thread {thread.name} hung past abort"
-                            )
-                    joined.add(thread)
-            self._finish_join(deadline, timeout)
+                        carrier.join(5.0)
+                    self._joined(carrier)
+                    joined.add(id(carrier))
         finally:
             self._transport.shutdown()
         if self._errors:
@@ -318,9 +385,6 @@ class ThreadRuntime(BaseRuntime):
 
     launcher = "threads"
 
-    def _make_transport(self) -> Transport:
-        return LocalTransport(self.abort_flag, self.fault_injector)
-
 
 #: historical name — the thread backend was the only runtime before the
 #: transport split, and most callers/tests construct it under this name
@@ -333,24 +397,15 @@ class ProcessRuntime(BaseRuntime):
     The initial world (mpidrun's driver rank) runs in-process and doubles
     as the message router; ``Intracomm.spawn`` forks worker processes
     that connect back over a local socket
-    (:class:`repro.mpi.socket_transport.RouterTransport`).  With the
-    default ``fork`` start method, job closures (o_fn/a_fn, partitioners)
-    are inherited by the children and never pickled; only envelopes
-    crossing the wire are.
+    (:class:`repro.mpi.socket_transport.RouterTransport`).  Job closures
+    (o_fn/a_fn, partitioners) are inherited by the forked children and
+    never pickled; only envelopes crossing the wire are.
     """
 
     launcher = "processes"
 
-    def __init__(
-        self,
-        fault_injector: FaultInjector | None = None,
-        start_method: str = "fork",
-        trace_shard_prefix: str | None = None,
-    ) -> None:
-        self._procs: list[tuple[Any, Any]] = []  # (Process, _WorkerSpec)
-        self.start_method = start_method
-        #: set by mpidrun when tracing: workers write journal shards here
-        self.trace_shard_prefix = trace_shard_prefix
+    def __init__(self, fault_injector: FaultInjector | None = None) -> None:
+        self._procs: list[tuple[Any, Any]] = []  # (Process, WorkerSpec)
         #: surgical rank recovery (off until ``enable_rank_recovery``)
         self.rank_recovery_enabled = False
         self.respawns = 0
@@ -374,6 +429,14 @@ class ProcessRuntime(BaseRuntime):
         return []
 
     # -- surgical rank recovery ----------------------------------------------
+    @property
+    def redelivered_frames(self) -> int:
+        return self._transport.redelivered_frames
+
+    @property
+    def stale_frames_dropped(self) -> int:
+        return self._transport.stale_frames_dropped
+
     def enable_rank_recovery(
         self, max_respawns: int, redelivery_bytes: int
     ) -> None:
@@ -383,92 +446,46 @@ class ProcessRuntime(BaseRuntime):
         self.rank_recovery_enabled = max_respawns > 0
         self._transport.configure_recovery(max_respawns, redelivery_bytes)
 
-    def request_rank_respawn(self, gids: Sequence[int]) -> None:
-        """Router callback (reader thread): queue dead ranks for the
+    def request_rank_respawn(self, gid: int) -> None:
+        """Router callback (reader thread): queue a dead rank for the
         driver loop to respawn."""
         with self._lock:
-            for gid in gids:
-                if gid not in self._respawn_queue:
-                    self._respawn_queue.append(gid)
+            if gid not in self._respawn_queue:
+                self._respawn_queue.append(gid)
 
     def pending_respawns(self) -> list[int]:
-        """Drain the queue of ranks awaiting a respawn (driver loop)."""
         with self._lock:
             pending, self._respawn_queue = self._respawn_queue, []
             return pending
 
     def respawn_rank(self, gid: int) -> int | None:
-        """Fork a replacement process for ``gid``; returns the new epoch,
-        or ``None`` when the rank is not surgically recoverable (the
-        caller degrades to the whole-job restart path)."""
-        import dataclasses
-        import multiprocessing
-        import os
-        import signal
-
-        from repro.mpi.socket_transport import _worker_process_main
+        from repro.mpi.socket_transport import fork_worker
 
         transport = self._transport
         if not transport.recovery_eligible(gid):
             return None
-        spec = None
         with self._lock:
-            for _, candidate in reversed(self._procs):
-                if candidate.gid == gid:
-                    spec = candidate
-                    break
+            spec = next(
+                (s for _, s in reversed(self._procs) if s.gid == gid), None
+            )
         if spec is None:
             return None
         epoch, old_pid = transport.begin_respawn(gid)
-        if old_pid is not None and old_pid != os.getpid():
-            # make sure the old incarnation is dead before its successor
-            # speaks — its future frames are fenced by epoch regardless
-            try:
-                os.kill(old_pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-        new_spec = dataclasses.replace(
-            spec,
-            epoch=epoch,
-            name=f"{spec.world_name}[{spec.rank}]e{epoch}",
-            trace_shard=(
-                f"{self.trace_shard_prefix}.shard-g{gid}e{epoch}.jsonl"
-                if self.trace_shard_prefix
-                else None
-            ),
-            profile_shard=(
-                f"{self.trace_shard_prefix}.prof-g{gid}e{epoch}.jsonl"
-                if self.trace_shard_prefix
-                else None
-            ),
-        )
-        ctx = multiprocessing.get_context(self.start_method)
-        proc = ctx.Process(
-            target=_worker_process_main,
-            args=(new_spec,),
-            name=new_spec.name,
-            daemon=True,
+        # make sure the old incarnation is dead before its successor
+        # speaks — its future frames are fenced by epoch regardless
+        _sigkill(old_pid)
+        launched = fork_worker(
+            dataclasses.replace(spec, epoch=epoch), self.trace_shard_prefix
         )
         with self._lock:
-            self._procs.append((proc, new_spec))
-        proc.start()
+            self._procs.append(launched)
         self.respawns += 1
         return epoch
 
     def _kill_rank_process(self, gid: int) -> bool:
         """FaultInjector ``kill_rank`` hook: SIGKILL the process hosting
         global rank ``gid`` (a real, uncooperative death)."""
-        import os
-        import signal
-
-        pid = self._transport.pid_of(gid)
-        if pid is None or pid == os.getpid():
-            return False
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            return False
-        return True
+        return _sigkill(self._transport.pid_of(gid))
 
     def launch_children(
         self,
@@ -478,97 +495,92 @@ class ProcessRuntime(BaseRuntime):
         parent_group: tuple[int, ...],
         name: str,
     ) -> tuple[tuple[int, ...], int]:
-        from repro.mpi import socket_transport
+        """Fork one worker process per rank of the spawned world."""
+        from repro.mpi.socket_transport import WorkerSpec, fork_worker
 
         inter_context = self.allocate_context()
         world_context = self.allocate_context()
         group = self._allocate_ranks(nprocs, register=False)
-        self._transport.expect(group)
-        launched = socket_transport.launch_worker_processes(
-            self,
-            fn=fn,
-            args=tuple(args),
-            group=group,
-            world_context=world_context,
-            parent_group=tuple(parent_group),
-            inter_context=inter_context,
-            name=name,
-        )
+        self._transport.expect(group, name)
+        if self.rank_recovery_enabled:
+            self._transport.watch_world(group, world_context)
+        launched = [
+            fork_worker(
+                WorkerSpec(
+                    address=self._transport.address,
+                    gid=gid,
+                    group=group,
+                    rank=rank,
+                    world_context=world_context,
+                    parent_group=tuple(parent_group),
+                    inter_context=inter_context,
+                    fn=fn,
+                    args=tuple(args),
+                    world_name=name,
+                    chaos_routed=self.fault_injector is not None,
+                    recovery=self.rank_recovery_enabled,
+                ),
+                self.trace_shard_prefix,
+            )
+            for rank, gid in enumerate(group)
+        ]
         with self._lock:
             self._procs.extend(launched)
         return group, inter_context
 
-    def _finish_join(self, deadline: float | None, timeout: float | None) -> None:
-        """Join worker processes; a straggler past the deadline is a
-        structured timeout failure, then terminated."""
-        joined: set[int] = set()
-        while True:
-            with self._lock:
-                pending = [
-                    (proc, spec)
-                    for proc, spec in self._procs
-                    if id(proc) not in joined
-                ]
-            if not pending:
-                return
-            for proc, spec in pending:
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                proc.join(remaining)
-                if proc.is_alive():
-                    self.record_failure(
-                        FailureRecord(
-                            kind="timeout",
-                            worker=spec.rank,
-                            where=spec.name,
-                            error=(
-                                f"worker process {spec.name} still running "
-                                f"after the {timeout}s runtime timeout"
-                            ),
-                        )
-                    )
-                    self.abort(
-                        f"runtime timeout: {spec.name} still running",
-                        errorcode=2,
-                        record=False,
-                    )
-                    proc.join(5.0)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(2.0)
-                elif (
-                    proc.exitcode not in (0, None)
-                    and not self._transport.ever_connected(spec.gid)
-                    and not self.abort_flag.is_set()
-                ):
-                    # died before the handshake: the router never saw it, so
-                    # the disconnect path cannot have recorded the loss
-                    record = FailureRecord(
-                        kind="rank",
-                        worker=spec.rank,
-                        where=spec.name,
-                        error=(
-                            f"worker process {spec.name} exited with code "
-                            f"{proc.exitcode} before the rank handshake"
-                        ),
-                    )
-                    self.record_failure(record)
-                    self.abort(record.error, record=False)
-                joined.add(id(proc))
+    def _rank_carriers(self) -> list[tuple[Any, int]]:
+        return super()._rank_carriers() + [
+            (proc, spec.rank) for proc, spec in self._procs
+        ]
+
+    def _joined(self, carrier: Any) -> None:
+        with self._lock:
+            spec = next((s for p, s in self._procs if p is carrier), None)
+        if spec is None:  # the driver's rank thread
+            super()._joined(carrier)
+        elif carrier.is_alive():
+            carrier.terminate()
+            carrier.join(2.0)
+        elif (
+            carrier.exitcode not in (0, None)
+            and not self._transport.ever_connected(spec.gid)
+            and not self.abort_flag.is_set()
+        ):
+            # died before the handshake: the router never saw it, so
+            # the disconnect path cannot have recorded the loss
+            record = FailureRecord(
+                kind="rank",
+                worker=spec.rank,
+                where=spec.name,
+                error=(
+                    f"worker process {spec.name} exited with code "
+                    f"{carrier.exitcode} before the rank handshake"
+                ),
+            )
+            self.record_failure(record)
+            self.abort(record.error, record=False)
+
+
+def _sigkill(pid: int | None) -> bool:
+    """SIGKILL a worker process; False when there was nothing to kill."""
+    if pid is None or pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        return False
+    return True
 
 
 def create_runtime(
     launcher: str = "threads",
     fault_injector: FaultInjector | None = None,
-    start_method: str = "fork",
 ) -> BaseRuntime:
     """The runtime for an ``mpi.d.launcher`` value."""
-    normalized = (launcher or "threads").strip().lower()
-    if normalized in ("threads", "thread", "local"):
+    if launcher == "threads":
         return ThreadRuntime(fault_injector)
-    if normalized in ("processes", "process", "sockets", "socket"):
-        return ProcessRuntime(fault_injector, start_method=start_method)
+    if launcher == "processes":
+        return ProcessRuntime(fault_injector)
     raise MPIError(
         f"unknown launcher {launcher!r}; use 'threads' or 'processes'"
     )
@@ -588,11 +600,3 @@ def run_world(
     [6, 6, 6, 6]
     """
     return MPIRuntime().run(fn, nprocs, args=tuple(args), timeout=timeout)
-
-
-def gather_results(results: Sequence[Any]) -> Any:
-    """Collapse identical per-rank results into one value (sanity helper)."""
-    first = results[0]
-    if all(r == first for r in results):
-        return first
-    return list(results)

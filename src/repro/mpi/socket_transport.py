@@ -18,7 +18,7 @@ Semantics are those of the threaded backend, preserved deliberately:
   any (sender, receiver) pair never overtake.
 * **Fault injection** — the canonical :class:`FaultInjector` lives in
   the driver process and is applied at the router for every wire hop
-  (and by ``RouterTransport.deposit`` for driver-local traffic), so rule
+  (and by ``Transport.deposit`` for driver-local traffic), so rule
   hit counts and audit events stay observable to the chaos tests exactly
   as on the threaded backend.  When an injector is installed, workers
   route even self-sends through the router so the injector sees the same
@@ -43,12 +43,19 @@ Semantics are those of the threaded backend, preserved deliberately:
   the pre-existing whole-job abort/restart path.
 
 Payloads are pickled only at the wire boundary
-(:data:`repro.net.wire.WIRE_SERDE`); with the default ``fork`` start
-method, job closures reach workers by inheritance, never by pickle.
+(:data:`repro.net.wire.WIRE_SERDE`); workers are forked, so job closures
+reach them by inheritance, never by pickle.
+
+Both ends implement the one runtime contract
+(:class:`~repro.mpi.runtime.BaseRuntime`): :class:`WorkerRuntime` is a
+``BaseRuntime`` whose transport is a :class:`WorkerTransport` and which
+overrides only the calls that have to cross the wire.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import pickle
 import queue
@@ -56,19 +63,22 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from time import monotonic as _now
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.common.errors import FailureRecord, MPIAbort, MPIError
 from repro.common.logging import get_logger
+from repro.mpi.comm import Intracomm
+from repro.mpi.intercomm import Intercomm
+from repro.mpi.runtime import BaseRuntime, ProcessRuntime
 from repro.mpi.transport import (
     AbortFlag,
-    Endpoint,
     Envelope,
     Transport,
     TruncatedPayload,
 )
 from repro.net import wire
 from repro.net.wire import FrameConnection, FrameKind
+from repro.obs.profiler import PROFILER
 from repro.obs.tracer import TRACER as _T
 from repro.serde.io import DataInput
 
@@ -77,6 +87,10 @@ _log = get_logger("mpi.socket_transport")
 #: how long a worker waits for a router RPC reply before declaring the
 #: driver gone (aborts also break the wait, so this is a last resort)
 _RPC_DEADLINE = 120.0
+
+#: workers are forked: a :class:`WorkerSpec` carries the job's closures,
+#: which only inheritance can deliver
+_START_METHOD = "fork"
 
 
 def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
@@ -120,6 +134,20 @@ def _decode_envelope(
         payload = TruncatedPayload(payload)
     return Envelope(context, source, tag, payload, nbytes, origin=origin,
                     trace=trace, parent=parent)
+
+
+def _received(h: wire.EnvelopeHeader) -> Envelope:
+    """The envelope a parsed ENVELOPE frame delivers to a local mailbox."""
+    return _decode_envelope(
+        h.context, h.source, h.tag, h.origin, h.nbytes, h.flags, h.payload,
+        trace=h.trace, parent=h.parent,
+    )
+
+
+def _abort_frame(abort_flag: AbortFlag) -> bytes:
+    return wire.pack_obj_frame(
+        FrameKind.ABORT, (abort_flag.reason, abort_flag.errorcode)
+    )
 
 
 class _RedeliveryBuffer:
@@ -173,66 +201,71 @@ class _RedeliveryBuffer:
         self.nbytes = 0
 
 
+@dataclass(eq=False)
+class _Rank:
+    """Everything the router knows about one worker-process rank.
+
+    Created when the rank is announced (:meth:`RouterTransport.expect`)
+    and kept for the life of the runtime; a respawn mutates the record in
+    place, so a rank's epoch, budget and buffered traffic survive its
+    incarnations.  All fields are guarded by the router lock.
+    """
+
+    gid: int
+    #: world-local rank and world name, for failure records
+    local_rank: int = -1
+    world: str = "worker"
+    #: the live incarnation's connection; None before its HELLO, after
+    #: its death, and from the moment a respawn fences it
+    conn: FrameConnection | None = None
+    ever_connected: bool = False
+    #: the incarnation on ``conn`` said BYE or reported a fatal FAIL, so
+    #: the EOF that follows is not news
+    closed_clean: bool = False
+    #: OS pid from the latest HELLO (the runtime SIGKILLs a hung
+    #: incarnation before forking the next)
+    pid: int | None = None
+    #: respawn count; envelopes stamped lower are zombie traffic
+    epoch: int = 0
+    respawns: int = 0
+    #: frames bound for the rank that arrived before its HELLO
+    parked: list[bytes] = field(default_factory=list)
+    #: worker-world frames to replay into a reincarnation (None = the
+    #: rank's world is not watched: recovery off)
+    redelivery: _RedeliveryBuffer | None = None
+    #: when the rank was declared dead; None while it is not recovering
+    recovering_since: float | None = None
+
+
 class RouterTransport(Transport):
-    """Driver-side star router: local mailboxes + a gid→socket table.
+    """Driver-side star router: local mailboxes + one record per worker rank.
 
     Ranks of in-process worlds (the mpidrun driver world) get ordinary
     local endpoints; ranks announced via :meth:`expect` live in worker
-    processes and are reached through their HELLO'd connection.  Frames
-    deposited before a worker's handshake are buffered and flushed, in
-    order, when it arrives.
-
-    With rank recovery configured the router additionally keeps, per
-    worker gid: its current **epoch** (bumped on every respawn, checked
-    against the epoch stamped in each envelope header to fence zombies),
-    its OS pid (so the runtime can SIGKILL a hung incarnation before
-    forking the next), and a :class:`_RedeliveryBuffer` of worker-world
-    frames to replay into the reincarnation.
+    processes and are reached through their HELLO'd connection — one
+    connection is exactly one rank.  Frames deposited before a worker's
+    handshake are parked and flushed, in order, when it arrives.
     """
 
-    def __init__(self, runtime: Any) -> None:
+    def __init__(self, runtime: ProcessRuntime) -> None:
+        super().__init__(runtime.abort_flag, runtime.fault_injector)
         self._runtime = runtime
-        self.abort_flag: AbortFlag = runtime.abort_flag
-        self.fault_injector = runtime.fault_injector
-        self._lock = threading.Lock()
-        #: gids hosted here -> mailbox (injection is applied centrally in
-        #: deposit/forwarding, so these endpoints carry no injector)
-        self._endpoints: dict[int, Endpoint] = {}
-        #: remote gid -> live connection
-        self._routes: dict[int, FrameConnection] = {}
-        #: connection -> gids it announced
-        self._conn_gids: dict[FrameConnection, set[int]] = {}
-        #: remote gid -> frames parked until its HELLO
-        self._parked: dict[int, list[bytes]] = {}
-        self._expected: set[int] = set()
-        self._ever_connected: set[int] = set()
-        #: gid -> (world-local rank, world name) for failure records
-        self._rank_info: dict[int, tuple[int, str]] = {}
-        #: connections that ended with BYE or FAIL (EOF is then benign)
-        self._closed_clean: set[FrameConnection] = set()
+        #: gids hosted in worker processes -> their record
+        self._ranks: dict[int, _Rank] = {}
         self._stopping = False
-        # -- surgical rank recovery state (inert until configured) ----------
-        #: per-rank respawn budget; 0 keeps the legacy die-on-death path
+        # -- surgical rank recovery (inert until configured) ----------------
+        #: per-rank respawn budget; 0 keeps the die-on-death path
         self._max_respawns = 0
         self._redelivery_cap = 0
-        #: gid -> current epoch (respawn count); frames stamped lower are
-        #: zombie traffic and are dropped
-        self._epochs: dict[int, int] = {}
-        #: connection -> the epoch it HELLO'd with
-        self._conn_epochs: dict[FrameConnection, int] = {}
-        #: gid -> OS pid from its latest HELLO
-        self._pids: dict[int, int] = {}
         #: context bases of worker worlds whose traffic is redeliverable
         self._watched_contexts: set[int] = set()
-        self._redelivery: dict[int, _RedeliveryBuffer] = {}
-        self._recovering: set[int] = set()
-        self._respawns: dict[int, int] = {}
-        self._recovery_t0: dict[int, float] = {}
         self.stale_frames_dropped = 0
         self.redelivered_frames = 0
         self._server = wire.FrameServer(
             self._handle_frame, self._handle_disconnect, name="mpi-router"
         ).start()
+        #: where worker processes connect
+        self.address = self._server.address
 
     # -- rank recovery configuration -----------------------------------------
     def configure_recovery(self, max_respawns: int, redelivery_bytes: int) -> None:
@@ -251,48 +284,45 @@ class RouterTransport(Transport):
                 return
             self._watched_contexts.add(world_context)
             for gid in group:
-                self._epochs.setdefault(gid, 0)
-                self._redelivery.setdefault(
-                    gid, _RedeliveryBuffer(self._redelivery_cap)
-                )
-
-    def rank_epoch(self, gid: int) -> int:
-        with self._lock:
-            return self._epochs.get(gid, 0)
+                rank = self._ranks.setdefault(gid, _Rank(gid))
+                if rank.redelivery is None:
+                    rank.redelivery = _RedeliveryBuffer(self._redelivery_cap)
 
     def pid_of(self, gid: int) -> int | None:
         with self._lock:
-            return self._pids.get(gid)
-
-    def respawn_count(self, gid: int) -> int:
-        with self._lock:
-            return self._respawns.get(gid, 0)
+            rank = self._ranks.get(gid)
+            return rank.pid if rank is not None else None
 
     def recovery_eligible(self, gid: int) -> bool:
         """Can this rank still be respawned in place?"""
         with self._lock:
-            return self._eligible_locked(gid)
+            return self._eligible_locked(self._ranks.get(gid))
 
-    def _eligible_locked(self, gid: int) -> bool:
-        if self._max_respawns <= 0:
-            return False
-        buf = self._redelivery.get(gid)
-        if buf is None or buf.overflowed:
-            return False
-        return self._respawns.get(gid, 0) < self._max_respawns
+    def _eligible_locked(self, rank: _Rank | None) -> bool:
+        return (
+            rank is not None
+            and rank.redelivery is not None
+            and not rank.redelivery.overflowed
+            and rank.respawns < self._max_respawns
+        )
+
+    @staticmethod
+    def _mark_recovering_locked(rank: _Rank) -> None:
+        """Parked frames are discarded (they would be stale by redelivery
+        time); from here worker-world traffic accumulates in the
+        redelivery buffer and anything else bound for the rank is dropped
+        until the reincarnation's HELLO."""
+        if rank.recovering_since is None:
+            rank.recovering_since = _now()
+            rank.parked = []
 
     def begin_recovery(self, gid: int) -> bool:
-        """Mark ``gid`` recovering: its parked frames are discarded (they
-        would be stale by redelivery time), new worker-world traffic
-        accumulates in the redelivery buffer, and anything else bound for
-        it is dropped until the reincarnation's HELLO."""
+        """Mark ``gid`` recovering; False when it cannot be respawned."""
         with self._lock:
-            if not self._eligible_locked(gid):
+            rank = self._ranks.get(gid)
+            if not self._eligible_locked(rank):
                 return False
-            if gid not in self._recovering:
-                self._recovering.add(gid)
-                self._parked.pop(gid, None)
-                self._recovery_t0[gid] = _now()
+            self._mark_recovering_locked(rank)
             return True
 
     def begin_respawn(self, gid: int) -> tuple[int, int | None]:
@@ -300,80 +330,34 @@ class RouterTransport(Transport):
         returns ``(new_epoch, old_pid)``.  The caller (ProcessRuntime)
         kills the old pid and forks the replacement."""
         with self._lock:
-            if gid not in self._recovering:
-                # heartbeat-triggered: the incarnation may still be
-                # connected (hung, not dead) — fence and replace it anyway
-                self._recovering.add(gid)
-                self._parked.pop(gid, None)
-                self._recovery_t0.setdefault(gid, _now())
-            self._respawns[gid] = self._respawns.get(gid, 0) + 1
-            self._epochs[gid] = self._epochs.get(gid, 0) + 1
-            # drop the old route: traffic now lands in the redelivery
-            # buffer (worker-world) or is discarded (stale control)
-            self._routes.pop(gid, None)
-            return self._epochs[gid], self._pids.get(gid)
-
-    @property
-    def address(self) -> Any:
-        return self._server.address
+            rank = self._ranks[gid]
+            # heartbeat-triggered respawns get here with the incarnation
+            # still connected (hung, not dead) — fence and replace it anyway
+            self._mark_recovering_locked(rank)
+            rank.respawns += 1
+            rank.epoch += 1
+            rank.conn = None
+            return rank.epoch, rank.pid
 
     # -- Transport ----------------------------------------------------------
-    def register(self, gid: int) -> Endpoint:
-        with self._lock:
-            endpoint = self._endpoints.get(gid)
-            if endpoint is None:
-                endpoint = Endpoint(gid, self.abort_flag, None)
-                self._endpoints[gid] = endpoint
-            return endpoint
-
-    def mailbox(self, gid: int) -> Endpoint:
-        try:
-            return self._endpoints[gid]
-        except KeyError:
-            raise MPIError(
-                f"rank {gid} is hosted in a worker process; only its own "
-                f"process may receive on its mailbox"
-            ) from None
-
-    def local_endpoints(self) -> Iterable[Endpoint]:
-        with self._lock:
-            return list(self._endpoints.values())
-
-    def deposit(self, dest: int, envelope: Envelope) -> None:
-        injector = self.fault_injector
-        if injector is None:
-            self._route_envelope(dest, envelope)
-            return
-        for out in injector.apply(dest, envelope):
-            self._route_envelope(dest, out)
-
     def wake_all(self) -> None:
-        for endpoint in self.local_endpoints():
-            endpoint.wake()
+        super().wake_all()
         if self.abort_flag.is_set():
-            frame = wire.pack_obj_frame(
-                FrameKind.ABORT,
-                (self.abort_flag.reason, self.abort_flag.errorcode),
-            )
+            # a worker that has not handshaken yet is told at its HELLO
+            frame = _abort_frame(self.abort_flag)
             with self._lock:
-                conns = set(self._routes.values())
-                # workers that have not handshaken yet get the abort the
-                # moment they do (flushed with their parked frames)
-                for gid in self._expected - set(self._routes):
-                    self._parked.setdefault(gid, []).append(frame)
+                conns = self._live_conns_locked()
             for conn in conns:
                 conn.try_send(frame)
 
-    def request_stack_dump(self) -> int:
+    def request_stack_dump(self) -> None:
         """Broadcast DUMP_REQ to every connected worker; replies arrive
-        asynchronously as DUMP frames and land in the telemetry hub.
-        Returns how many workers were asked."""
+        asynchronously as DUMP frames and land in the telemetry hub."""
         frame = wire.pack_frame(FrameKind.DUMP_REQ)
         with self._lock:
-            conns = set(self._routes.values())
+            conns = self._live_conns_locked()
         for conn in conns:
             conn.try_send(frame)
-        return len(conns)
 
     def shutdown(self) -> None:
         self._stopping = True
@@ -383,16 +367,29 @@ class RouterTransport(Transport):
     def expect(self, group: tuple[int, ...], name: str = "worker") -> None:
         """Announce gids that will live in worker processes."""
         with self._lock:
-            self._expected.update(group)
-            for rank, gid in enumerate(group):
-                self._rank_info[gid] = (rank, name)
+            for local_rank, gid in enumerate(group):
+                rank = self._ranks.setdefault(gid, _Rank(gid))
+                rank.local_rank, rank.world = local_rank, name
 
     def ever_connected(self, gid: int) -> bool:
         with self._lock:
-            return gid in self._ever_connected
+            rank = self._ranks.get(gid)
+            return rank is not None and rank.ever_connected
+
+    def _live_conns_locked(self) -> list[FrameConnection]:
+        return [r.conn for r in self._ranks.values() if r.conn is not None]
+
+    def _rank_on_locked(self, conn: FrameConnection) -> _Rank | None:
+        """The rank whose live incarnation speaks on ``conn``.  None for
+        a connection that never said HELLO — and for a fenced zombie's,
+        which lost its rank when the successor was spawned."""
+        for rank in self._ranks.values():
+            if rank.conn is conn:
+                return rank
+        return None
 
     # -- routing -------------------------------------------------------------
-    def _route_envelope(self, dest: int, envelope: Envelope) -> None:
+    def _route(self, dest: int, envelope: Envelope) -> None:
         endpoint = self._endpoints.get(dest)
         if endpoint is not None:
             endpoint.deposit(envelope)
@@ -401,53 +398,49 @@ class RouterTransport(Transport):
         # the wire is the eager buffer: the send completes on acceptance
         envelope.delivered.set()
 
-    def _forward(self, dest: int, frame: bytes) -> None:
-        """Send (or park) one pre-packed frame; the routing lock orders
-        parked flushes against direct sends."""
+    def _forward(
+        self, dest: int, frame: bytes, h: wire.EnvelopeHeader | None = None
+    ) -> None:
+        """Send one packed frame to a worker rank — or park it until the
+        rank's HELLO, or discard it mid-recovery (anything redeliverable
+        already sits in the buffer, the rest would be stale by then).
+        ``h`` is the header of a frame relayed from another worker: those
+        are what a reincarnation may need replayed.  The router lock
+        orders parked flushes against direct sends."""
         with self._lock:
-            conn = self._park_or_route_locked(dest, frame)
-        if conn is None:
-            return
+            rank = self._ranks.get(dest)
+            if rank is None:
+                raise MPIError(f"no route to global rank {dest}")
+            if h is not None:
+                self._buffer_locked(rank, h, frame)
+            conn = rank.conn
+            if conn is None:
+                if rank.recovering_since is None:
+                    rank.parked.append(frame)
+                return
         try:
             conn.send(frame)
         except OSError:
             # receiver is gone; its disconnect handler owns the fallout
             _log.debug("router: dropping frame for dead rank %d", dest)
 
-    def _park_or_route_locked(self, dest: int, frame: bytes) -> FrameConnection | None:
-        """Route resolution under the lock: a live connection, or None
-        after parking (pre-HELLO) / discarding (mid-recovery — eligible
-        worker-world frames already sit in the redelivery buffer, and
-        anything else would be stale by redelivery time)."""
-        conn = self._routes.get(dest)
-        if conn is not None:
-            return conn
-        if dest not in self._expected:
-            raise MPIError(f"no route to global rank {dest}")
-        if dest not in self._recovering:
-            self._parked.setdefault(dest, []).append(frame)
-        return None
-
-    def _context_watched_locked(self, context: int) -> bool:
-        return any(
-            base <= context < base + 4 for base in self._watched_contexts
-        )
-
     def _buffer_locked(
-        self, dest: int, context: int, flags: int, payload: bytes, frame: bytes
+        self, rank: _Rank, h: wire.EnvelopeHeader, frame: bytes
     ) -> None:
         """Record a worker-world frame for possible redelivery.  Control
         traffic (intercomm contexts) is deliberately excluded: replaying
         a stale task assignment or report ack into a reincarnated rank
         would corrupt the driver protocol — the control plane instead
         recovers by re-requesting."""
-        buf = self._redelivery.get(dest)
-        if buf is None or not self._context_watched_locked(context):
+        buf = rank.redelivery
+        if buf is None or not any(
+            base <= h.context < base + 4 for base in self._watched_contexts
+        ):
             return
         plane: str | None = None
-        if flags & wire.FLAG_BATCH:
+        if h.flags & wire.FLAG_BATCH:
             try:
-                plane = DataInput(payload).read_utf()
+                plane = DataInput(h.payload).read_utf()
             except Exception:  # noqa: BLE001 - peeking must never drop a frame
                 plane = None
         buf.append(plane, frame)
@@ -457,80 +450,21 @@ class RouterTransport(Transport):
         if kind == FrameKind.ENVELOPE:
             self._on_envelope(body)
         elif kind == FrameKind.HELLO:
-            obj = wire.unpack_obj(body)
-            gid, pid, epoch = obj if len(obj) == 3 else (obj[0], obj[1], 0)
-            redelivered = 0
-            t0 = None
-            with self._lock:
-                current = self._epochs.get(gid, 0)
-                if epoch < current:
-                    # a zombie incarnation reconnecting: never route to it
-                    _log.warning(
-                        "router: fencing stale HELLO from rank %d "
-                        "(epoch %d < %d)", gid, epoch, current,
-                    )
-                    return
-                reborn = gid in self._recovering
-                self._routes[gid] = conn
-                self._conn_gids.setdefault(conn, set()).add(gid)
-                self._conn_epochs[conn] = epoch
-                self._ever_connected.add(gid)
-                self._pids[gid] = pid
-                if reborn:
-                    self._recovering.discard(gid)
-                    t0 = self._recovery_t0.pop(gid, None)
-                    buf = self._redelivery.get(gid)
-                    if buf is not None:
-                        # replay in original forwarding order; entries stay
-                        # buffered until ACK'd (a second death replays again)
-                        for frame in buf.frames():
-                            conn.try_send(frame)
-                            redelivered += 1
-                parked = self._parked.pop(gid, [])
-                for frame in parked:
-                    conn.try_send(frame)
-            if reborn:
-                self.redelivered_frames += redelivered
-                latency = (_now() - t0) if t0 is not None else -1.0
-                _T.instant(
-                    "recovery.rank.online",
-                    cat="recovery",
-                    args={
-                        "gid": gid, "epoch": epoch, "pid": pid,
-                        "redelivered_frames": redelivered,
-                        "latency_s": round(latency, 6),
-                    },
-                )
-                _T.counter("recovery.redelivered_frames", redelivered, cat="recovery")
-                _log.info(
-                    "router: rank %d reborn (pid %d, epoch %d, %d frames "
-                    "redelivered, %.3fs offline)",
-                    gid, pid, epoch, redelivered, latency,
-                )
-            else:
-                _log.debug("router: rank %d online (pid %d)", gid, pid)
-            if self.abort_flag.is_set():
-                conn.try_send(
-                    wire.pack_obj_frame(
-                        FrameKind.ABORT,
-                        (self.abort_flag.reason, self.abort_flag.errorcode),
-                    )
-                )
+            gid, pid, epoch = wire.unpack_obj(body)
+            self._on_hello(conn, gid, pid, epoch)
         elif kind == FrameKind.ACK:
             gid, plane_id = wire.unpack_obj(body)
             with self._lock:
-                buf = self._redelivery.get(gid)
-                if buf is not None:
-                    buf.release_plane(plane_id)
+                rank = self._ranks.get(gid)
+                if rank is not None and rank.redelivery is not None:
+                    rank.redelivery.release_plane(plane_id)
         elif kind == FrameKind.TELEMETRY:
-            hub = getattr(self._runtime, "telemetry_hub", None)
-            if hub is not None:
-                try:
-                    hub.ingest(wire.unpack_obj(body))
-                except Exception:  # noqa: BLE001 - telemetry never kills routing
-                    _log.debug("router: dropped malformed telemetry frame")
+            try:
+                self._runtime.ship_telemetry(wire.unpack_obj(body))
+            except Exception:  # noqa: BLE001 - telemetry never kills routing
+                _log.debug("router: dropped malformed telemetry frame")
         elif kind == FrameKind.DUMP:
-            hub = getattr(self._runtime, "telemetry_hub", None)
+            hub = self._runtime.telemetry_hub
             if hub is not None:
                 try:
                     for dump in wire.unpack_obj(body):
@@ -554,7 +488,10 @@ class RouterTransport(Transport):
                 self._runtime.record_failure(record)
             if fatal:
                 # the failure is accounted for; the coming EOF is not news
-                self._closed_clean.add(conn)
+                with self._lock:
+                    rank = self._rank_on_locked(conn)
+                    if rank is not None:
+                        rank.closed_clean = True
                 exc: BaseException | None = None
                 if exc_blob is not None:
                     try:
@@ -565,174 +502,189 @@ class RouterTransport(Transport):
                 self._runtime.record_remote_error(exc, reason)
         elif kind == FrameKind.BYE:
             with self._lock:
-                self._closed_clean.add(conn)
-                # the rank finished for good: nothing left to redeliver
-                for gid in self._conn_gids.get(conn, ()):
-                    buf = self._redelivery.get(gid)
-                    if buf is not None:
-                        buf.clear()
+                rank = self._rank_on_locked(conn)
+                if rank is not None:
+                    rank.closed_clean = True
+                    if rank.redelivery is not None:
+                        # finished for good: nothing left to redeliver
+                        rank.redelivery.clear()
         else:
             _log.warning("router: ignoring unknown frame kind %d", kind)
 
+    def _on_hello(
+        self, conn: FrameConnection, gid: int, pid: int, epoch: int
+    ) -> None:
+        offline: float | None = None
+        redelivered = 0
+        with self._lock:
+            rank = self._ranks.get(gid)
+            speaker = self._rank_on_locked(conn)
+            if rank is None or speaker not in (None, rank):
+                _log.warning(
+                    "router: refusing HELLO for rank %d from pid %d (%s)",
+                    gid, pid,
+                    "no such rank was announced" if rank is None else
+                    f"its connection already speaks for rank {speaker.gid}",
+                )
+                return
+            if epoch < rank.epoch:
+                # a zombie incarnation reconnecting: never route to it
+                _log.warning(
+                    "router: fencing stale HELLO from rank %d "
+                    "(epoch %d < %d)", gid, epoch, rank.epoch,
+                )
+                return
+            rank.conn, rank.pid = conn, pid
+            rank.ever_connected, rank.closed_clean = True, False
+            if rank.recovering_since is not None:
+                offline = _now() - rank.recovering_since
+                rank.recovering_since = None
+                if rank.redelivery is not None:
+                    # replay in original forwarding order; entries stay
+                    # buffered until ACK'd (a second death replays again)
+                    for frame in rank.redelivery.frames():
+                        conn.try_send(frame)
+                        redelivered += 1
+                self.redelivered_frames += redelivered
+            parked, rank.parked = rank.parked, []
+            for frame in parked:
+                conn.try_send(frame)
+        if offline is None:
+            _log.debug("router: rank %d online (pid %d)", gid, pid)
+        else:
+            _T.instant(
+                "recovery.rank.online",
+                cat="recovery",
+                args={
+                    "gid": gid, "epoch": epoch, "pid": pid,
+                    "redelivered_frames": redelivered,
+                    "latency_s": round(offline, 6),
+                },
+            )
+            _T.counter("recovery.redelivered_frames", redelivered, cat="recovery")
+            _log.info(
+                "router: rank %d reborn (pid %d, epoch %d, %d frames "
+                "redelivered, %.3fs offline)",
+                gid, pid, epoch, redelivered, offline,
+            )
+        if self.abort_flag.is_set():
+            conn.try_send(_abort_frame(self.abort_flag))
+
     def _on_envelope(self, body: bytes) -> None:
-        (context, source, tag, origin, dest, epoch, trace, parent, nbytes,
-         flags, payload) = wire.unpack_envelope_frame(body)
-        current = self._epochs.get(origin)
-        if current is not None and epoch < current:
+        h = wire.unpack_envelope_frame(body)
+        sender = self._ranks.get(h.origin)
+        if sender is not None and h.epoch < sender.epoch:
             # a zombie speaking: the rank was declared dead and respawned,
             # but its old incarnation got a frame out first.  Fence it.
-            self.stale_frames_dropped += 1
+            with self._lock:
+                self.stale_frames_dropped += 1
+                dropped = self.stale_frames_dropped
             _T.instant(
                 "recovery.stale_frame.dropped",
                 cat="recovery",
                 args={
-                    "origin": origin, "dest": dest, "epoch": epoch,
-                    "current": current, "tag": tag,
+                    "origin": h.origin, "dest": h.dest, "epoch": h.epoch,
+                    "current": sender.epoch, "tag": h.tag,
                 },
             )
-            _T.counter("recovery.stale_frames_dropped", self.stale_frames_dropped, cat="recovery")
+            _T.counter("recovery.stale_frames_dropped", dropped, cat="recovery")
             _log.debug(
                 "router: fenced stale frame from rank %d (epoch %d < %d)",
-                origin, epoch, current,
+                h.origin, h.epoch, sender.epoch,
             )
             return
         injector = self.fault_injector
         if injector is None:
-            self._deliver_raw(
-                dest, body, context, source, tag, origin, epoch, nbytes,
-                flags, payload, trace=trace, parent=parent,
-            )
+            self._deliver(h, body)
             return
         # Materialize an Envelope for the injector.  The payload is only
-        # unpickled when some rule actually inspects it; otherwise the
+        # decoded when some rule actually inspects it; otherwise the
         # router stays metadata-only.
-        needs_payload = any(rule.match is not None for rule in injector.rules)
         obj: Any = None
-        if needs_payload:
-            obj = wire.decode_payload(payload, flags)
-        envelope = Envelope(context, source, tag, obj, nbytes, origin=origin)
-        if flags & wire.FLAG_TRUNCATED:
-            envelope.payload = TruncatedPayload(envelope.payload)
-        for out in injector.apply(dest, envelope):
-            out_flags = flags
-            if isinstance(out.payload, TruncatedPayload):
-                out_flags |= wire.FLAG_TRUNCATED
-            frame = wire.pack_frame(
-                FrameKind.ENVELOPE,
-                wire._ENV_HEADER.pack(
-                    out.context, out.source, out.tag, out.origin,
-                    dest, epoch, trace, parent, out.nbytes, out_flags,
-                )
-                + payload,
-            )
-            self._deliver_raw(
-                dest, frame[wire._LEN.size + 1:], out.context, out.source,
-                out.tag, out.origin, epoch, out.nbytes, out_flags, payload,
-                prepacked=frame, trace=trace, parent=parent,
-            )
-
-    def _deliver_raw(
-        self,
-        dest: int,
-        body: bytes,
-        context: int,
-        source: int,
-        tag: int,
-        origin: int,
-        epoch: int,
-        nbytes: int,
-        flags: int,
-        payload: bytes,
-        prepacked: bytes | None = None,
-        trace: int = 0,
-        parent: int = 0,
-    ) -> None:
-        endpoint = self._endpoints.get(dest)
-        if endpoint is not None:
-            endpoint.deposit(
-                _decode_envelope(context, source, tag, origin, nbytes, flags,
-                                 payload, trace=trace, parent=parent)
-            )
-            return
-        # forwarding re-uses the received body verbatim when unmodified
-        frame = (
-            prepacked if prepacked is not None
-            else wire.pack_frame(FrameKind.ENVELOPE, body)
+        if any(rule.match is not None for rule in injector.rules):
+            obj = wire.decode_payload(h.payload, h.flags)
+        if h.flags & wire.FLAG_TRUNCATED:
+            obj = TruncatedPayload(obj)
+        envelope = Envelope(
+            h.context, h.source, h.tag, obj, h.nbytes, origin=h.origin
         )
-        with self._lock:
-            self._buffer_locked(dest, context, flags, payload, frame)
-            conn = self._park_or_route_locked(dest, frame)
-        if conn is None:
+        for out in injector.apply(h.dest, envelope):
+            flags = h.flags
+            if isinstance(out.payload, TruncatedPayload):
+                flags |= wire.FLAG_TRUNCATED
+            self._deliver(h._replace(
+                context=out.context, source=out.source, tag=out.tag,
+                origin=out.origin, nbytes=out.nbytes, flags=flags,
+            ))
+
+    def _deliver(
+        self, h: wire.EnvelopeHeader, body: bytes | None = None
+    ) -> None:
+        """Hand one worker-sent envelope to its destination: a mailbox
+        hosted here, or the destination rank's connection.  ``body`` is
+        the received frame body when ``h`` is still exactly what it
+        parsed to: the relay then forwards it verbatim — no re-pack, no
+        payload decode (every shuffle byte between workers comes through
+        here)."""
+        endpoint = self._endpoints.get(h.dest)
+        if endpoint is not None:
+            endpoint.deposit(_received(h))
             return
-        try:
-            conn.send(frame)
-        except OSError:
-            _log.debug("router: dropping frame for dead rank %d", dest)
+        frame = (
+            wire.pack_frame(FrameKind.ENVELOPE, body) if body is not None
+            else h.frame()
+        )
+        self._forward(h.dest, frame, h)
 
     def _handle_disconnect(self, conn: FrameConnection) -> None:
         with self._lock:
-            gids = self._conn_gids.pop(conn, set())
-            conn_epoch = self._conn_epochs.pop(conn, 0)
-            stale = bool(gids) and all(
-                conn_epoch < self._epochs.get(gid, 0) for gid in gids
-            )
-            for gid in gids:
-                if self._routes.get(gid) is conn:
-                    del self._routes[gid]
-            clean = conn in self._closed_clean
-            self._closed_clean.discard(conn)
-            truncated = getattr(conn, "truncated", False)
-        if clean or self._stopping or self.abort_flag.is_set() or not gids:
-            return
-        if stale:
-            # a fenced zombie finally letting go of its socket — its death
-            # was already handled when its successor was spawned
-            _log.debug("router: stale incarnation of %s disconnected", sorted(gids))
+            rank = self._rank_on_locked(conn)
+            if rank is None:
+                return
+            rank.conn = None
+            clean = rank.closed_clean
+        if clean or self._stopping or self.abort_flag.is_set():
             return
         # EOF without BYE/FAIL: the worker process died ungracefully.
-        # Try surgical recovery first: mark every gid recovering and hand
+        # Try surgical recovery first: mark the rank recovering and hand
         # the respawn to the runtime (the driver loop forks the
-        # replacement); only when some gid is unrecoverable do we fall
-        # through to the legacy abort -> whole-job-restart path.
-        recoverable = [gid for gid in sorted(gids) if self.begin_recovery(gid)]
-        if len(recoverable) == len(gids):
-            for gid in recoverable:
-                _T.instant(
-                    "recovery.rank.lost",
-                    cat="recovery",
-                    args={"gid": gid, "truncated": bool(truncated)},
-                )
+        # replacement); an unrecoverable rank falls through to the
+        # abort -> whole-job-restart path.
+        gid = rank.gid
+        if self.begin_recovery(gid):
+            _T.instant(
+                "recovery.rank.lost",
+                cat="recovery",
+                args={"gid": gid, "truncated": conn.truncated},
+            )
             _log.warning(
-                "router: worker rank(s) %s died; attempting surgical "
-                "respawn", recoverable,
+                "router: worker rank %d died; attempting surgical respawn", gid
             )
-            self._runtime.request_rank_respawn(recoverable)
+            self._runtime.request_rank_respawn(gid)
             return
-        for gid in sorted(gids):
-            rank, world = self._rank_info.get(gid, (-1, "worker"))
-            if self._max_respawns > 0 and gid not in set(recoverable):
-                kind, why = "respawn", (
-                    f"worker process for global rank {gid} died but is no "
-                    f"longer surgically recoverable (respawn budget "
-                    f"exhausted or redelivery buffer overflow); degrading "
-                    f"to a whole-job restart"
-                )
-            elif truncated:
-                kind, why = "wire", (
-                    f"connection to global rank {gid} severed mid-frame "
-                    f"(process killed or stream corrupted)"
-                )
-            else:
-                kind, why = "rank", (
-                    f"worker process for global rank {gid} disconnected "
-                    f"without a goodbye (crashed or killed)"
-                )
-            record = FailureRecord(
-                kind=kind, worker=rank, where=f"{world}[{rank}]", error=why
+        if self._max_respawns > 0:
+            kind, why = "respawn", (
+                f"worker process for global rank {gid} died but is no "
+                f"longer surgically recoverable (respawn budget "
+                f"exhausted or redelivery buffer overflow); degrading "
+                f"to a whole-job restart"
             )
-            self._runtime.record_failure(record)
+        elif conn.truncated:
+            kind, why = "wire", (
+                f"connection to global rank {gid} severed mid-frame "
+                f"(process killed or stream corrupted)"
+            )
+        else:
+            kind, why = "rank", (
+                f"worker process for global rank {gid} disconnected "
+                f"without a goodbye (crashed or killed)"
+            )
+        self._runtime.record_failure(FailureRecord(
+            kind=kind, worker=rank.local_rank,
+            where=f"{rank.world}[{rank.local_rank}]", error=why,
+        ))
         self._runtime.abort(
-            f"lost worker process (global rank(s) {sorted(gids)})", record=False
+            f"lost worker process (global rank {gid})", record=False
         )
 
     def _dispatch_rpc(self, method: str, params: tuple) -> Any:
@@ -749,7 +701,7 @@ class RouterTransport(Transport):
 @dataclass
 class WorkerSpec:
     """Everything a worker process needs; inherited via fork (fn/args are
-    never pickled on the default start method)."""
+    never pickled)."""
 
     address: Any
     gid: int
@@ -761,7 +713,8 @@ class WorkerSpec:
     fn: Callable[..., Any]
     args: tuple
     world_name: str
-    name: str
+    #: process name; set, like ``trace_shard``, by :func:`fork_worker`
+    name: str = ""
     #: route self-sends through the router so the driver-side injector
     #: sees the same traffic it would on the threaded backend
     chaos_routed: bool = False
@@ -772,51 +725,24 @@ class WorkerSpec:
     #: surgical rank recovery armed for this world (receivers stage
     #: shuffle streams and emit plane ACKs)
     recovery: bool = False
+    #: where this incarnation drains its tracer (None = tracing off)
     trace_shard: str | None = None
-    trace_epoch: float | None = None
-    trace_meta: dict = field(default_factory=dict)
-    #: where this rank persists its sampling-profiler aggregate (the
-    #: ``.prof-`` sibling of the trace shard); None = profiling off or
-    #: thread backend (which publishes in-process instead)
-    profile_shard: str | None = None
 
 
 class WorkerTransport(Transport):
     """One rank's view of the world: its own mailbox + the router link."""
 
     def __init__(
-        self,
-        abort_flag: AbortFlag,
-        gid: int,
-        conn: FrameConnection,
-        chaos_routed: bool,
-        epoch: int = 0,
+        self, abort_flag: AbortFlag, spec: WorkerSpec, conn: FrameConnection
     ) -> None:
-        self.abort_flag = abort_flag
-        self.fault_injector = None
-        self._gid = gid
+        super().__init__(abort_flag)
+        self._gid = spec.gid
         self._conn = conn
-        self._endpoint = Endpoint(gid, abort_flag, None)
-        self._chaos_routed = chaos_routed
-        self._epoch = epoch
+        self._endpoint = self.register(spec.gid)
+        self._chaos_routed = spec.chaos_routed
+        self._epoch = spec.epoch
 
-    def register(self, gid: int) -> Endpoint:
-        if gid != self._gid:
-            raise MPIError(f"worker process hosts rank {self._gid}, not {gid}")
-        return self._endpoint
-
-    def mailbox(self, gid: int) -> Endpoint:
-        if gid != self._gid:
-            raise MPIError(
-                f"rank {gid}'s mailbox lives in another process "
-                f"(this one hosts {self._gid})"
-            )
-        return self._endpoint
-
-    def local_endpoints(self) -> Iterable[Endpoint]:
-        return (self._endpoint,)
-
-    def deposit(self, dest: int, envelope: Envelope) -> None:
+    def _route(self, dest: int, envelope: Envelope) -> None:
         if dest == self._gid and not self._chaos_routed:
             self._endpoint.deposit(envelope)
             return
@@ -829,13 +755,14 @@ class WorkerTransport(Transport):
         envelope.delivered.set()
 
 
-class WorkerRuntime:
-    """Runtime proxy inside a worker process.
+class WorkerRuntime(BaseRuntime):
+    """The runtime inside a worker process: one rank, one router link.
 
-    Quacks like :class:`~repro.mpi.runtime.BaseRuntime` for everything a
-    communicator or the engine touches (deposit/mailbox/abort/context
-    allocation/spawn), forwarding global concerns to the router over the
-    wire while keeping matching and abort state process-local.
+    Matching, the abort flag and the failure list are process-local and
+    inherited as they are; what it overrides is what has to cross the
+    wire — global allocation and spawning become router RPCs, aborts and
+    failures are also reported to the driver, plane ACKs and telemetry
+    snapshots travel as frames.
     """
 
     launcher = "processes"
@@ -843,17 +770,9 @@ class WorkerRuntime:
     def __init__(self, spec: WorkerSpec, conn: FrameConnection) -> None:
         self._spec = spec
         self._conn = conn
-        self.abort_flag = AbortFlag()
-        self.fault_injector = None
-        #: this incarnation's epoch / recovery flag (read by the shuffle
-        #: layer to enable staging receivers and epoch-reset streams)
         self.rank_epoch = spec.epoch
         self.rank_recovery = spec.recovery
-        self.profile_shard = spec.profile_shard
-        self._transport = WorkerTransport(
-            self.abort_flag, spec.gid, conn, spec.chaos_routed, epoch=spec.epoch
-        )
-        self._failure_records: list[FailureRecord] = []
+        super().__init__()
         self._rpc_lock = threading.Lock()
         self._rpc_seq = 0
         self._rpc_pending: dict[int, queue.SimpleQueue] = {}
@@ -863,19 +782,10 @@ class WorkerRuntime:
         )
         self._receiver.start()
 
-    # -- BaseRuntime surface --------------------------------------------------
-    @property
-    def transport(self) -> Transport:
-        return self._transport
+    def _make_transport(self) -> Transport:
+        return WorkerTransport(self.abort_flag, self._spec, self._conn)
 
-    def mailbox(self, gid: int) -> Endpoint:
-        return self._transport.mailbox(gid)
-
-    endpoint = mailbox
-
-    def deposit(self, dest: int, envelope: Envelope) -> None:
-        self._transport.deposit(dest, envelope)
-
+    # -- what crosses the wire -------------------------------------------------
     def allocate_context(self) -> int:
         return int(self._rpc("alloc_context", ()))
 
@@ -899,26 +809,39 @@ class WorkerRuntime:
         return tuple(group), int(inter_context)
 
     def abort(self, reason: str, errorcode: int = 1, record: bool = True) -> None:
+        """Abort the world: the driver records it and fans the ABORT out;
+        this process unwinds right away."""
         self._conn.try_send(
             wire.pack_obj_frame(FrameKind.ABORT_REQ, (reason, errorcode))
         )
-        self.abort_flag.trip(reason, errorcode)
-        self._transport.wake_all()
+        super().abort(reason, errorcode, record=False)
 
     def record_failure(self, record: FailureRecord) -> None:
-        self._failure_records.append(record)
+        super().record_failure(record)
         self._conn.try_send(
             wire.pack_obj_frame(FrameKind.FAIL, ([record], None, False))
         )
 
+    def record_error(self, comm: Intracomm, exc: BaseException) -> None:
+        records = self._capture_error(comm, exc)
+        try:
+            blob = pickle.dumps(exc)
+        except Exception:  # noqa: BLE001 - unpicklable exceptions still report
+            blob = None
+        # a fatal FAIL aborts the driver's world; only this process is
+        # left to unwind
+        self._conn.try_send(
+            wire.pack_obj_frame(FrameKind.FAIL, (records, blob, True))
+        )
+        super().abort(f"rank {comm.rank}: {exc!r}", record=False)
+
     def ack_plane(self, plane_id: str) -> None:
         """Tell the router this rank fully consumed a shuffle plane, so
         its redelivery-buffer entries for that plane can be released."""
-        if not self._spec.recovery:
-            return
-        self._conn.try_send(
-            wire.pack_obj_frame(FrameKind.ACK, (self._spec.gid, plane_id))
-        )
+        if self.rank_recovery:
+            self._conn.try_send(
+                wire.pack_obj_frame(FrameKind.ACK, (self._spec.gid, plane_id))
+            )
 
     def ship_telemetry(self, snap: dict) -> None:
         """Fire-and-forget one telemetry snapshot to the driver's hub.
@@ -933,9 +856,7 @@ class WorkerRuntime:
         """Answer a DUMP_REQ: snapshot the live stacks and queue stats of
         every rank this process hosts and fire them back best-effort."""
         try:
-            from repro.obs.profiler import PROFILER
-
-            dumps = PROFILER.dump_stacks()
+            dumps = self.request_stack_dump()
             if not dumps:
                 # the engine has not registered yet (or already left):
                 # still identify this incarnation so the doctor sees it
@@ -949,37 +870,6 @@ class WorkerRuntime:
         except Exception:  # noqa: BLE001 - diagnostics never kill the rank
             return
         self._conn.try_send(wire.pack_obj_frame(FrameKind.DUMP, dumps))
-
-    def record_error(self, comm: Any, exc: BaseException) -> None:
-        import traceback as traceback_mod
-
-        carried = getattr(exc, "failures", None)
-        if carried:
-            records = list(carried)
-        else:
-            records = [
-                FailureRecord(
-                    kind="rank",
-                    worker=getattr(comm, "rank", self._spec.rank),
-                    where=getattr(comm, "name", self._spec.world_name),
-                    error=repr(exc),
-                    traceback=traceback_mod.format_exc(),
-                )
-            ]
-        self._failure_records.extend(records)
-        try:
-            blob = pickle.dumps(exc)
-        except Exception:  # noqa: BLE001 - unpicklable exceptions still report
-            blob = None
-        self._conn.try_send(
-            wire.pack_obj_frame(FrameKind.FAIL, (records, blob, True))
-        )
-        self.abort_flag.trip(f"rank {self._spec.rank}: {exc!r}")
-        self._transport.wake_all()
-
-    @property
-    def failure_records(self) -> list[FailureRecord]:
-        return list(self._failure_records)
 
     # -- wire plumbing --------------------------------------------------------
     def _rpc(self, method: str, params: tuple) -> Any:
@@ -1006,6 +896,7 @@ class WorkerRuntime:
 
     def _recv_loop(self) -> None:
         conn = self._conn
+        mailbox = self.mailbox(self._spec.gid)
         while True:
             try:
                 frame = conn.recv()
@@ -1018,14 +909,7 @@ class WorkerRuntime:
                 return
             kind, body = frame
             if kind == FrameKind.ENVELOPE:
-                (context, source, tag, origin, _dest, _epoch, trace, parent,
-                 nbytes, flags, payload) = wire.unpack_envelope_frame(body)
-                self._transport._endpoint.deposit(
-                    _decode_envelope(
-                        context, source, tag, origin, nbytes, flags, payload,
-                        trace=trace, parent=parent,
-                    )
-                )
+                mailbox.deposit(_received(wire.unpack_envelope_frame(body)))
             elif kind == FrameKind.ABORT:
                 reason, errorcode = wire.unpack_obj(body)
                 self.abort_flag.trip(reason, errorcode)
@@ -1047,73 +931,39 @@ class WorkerRuntime:
         self._conn.close()
 
 
-def launch_worker_processes(
-    runtime: Any,
-    fn: Callable[..., Any],
-    args: tuple,
-    group: tuple[int, ...],
-    world_context: int,
-    parent_group: tuple[int, ...],
-    inter_context: int,
-    name: str,
-) -> list[tuple[Any, WorkerSpec]]:
-    """Fork one process per rank of a spawned world; returns
-    ``[(Process, WorkerSpec), ...]`` for the runtime to join."""
-    import multiprocessing
+def fork_worker(
+    spec: WorkerSpec, shard_prefix: str | None
+) -> tuple[Any, WorkerSpec]:
+    """Start the process for incarnation ``spec.epoch`` of a rank.
 
-    transport: RouterTransport = runtime.transport
-    transport.expect(group, name=name)
-    recovery = getattr(runtime, "rank_recovery_enabled", False)
-    if recovery:
-        transport.watch_world(group, world_context)
-    ctx = multiprocessing.get_context(runtime.start_method)
-    shard_prefix = runtime.trace_shard_prefix
-    launched: list[tuple[Any, WorkerSpec]] = []
-    for rank, gid in enumerate(group):
-        spec = WorkerSpec(
-            address=transport.address,
-            gid=gid,
-            group=group,
-            rank=rank,
-            world_context=world_context,
-            parent_group=parent_group,
-            inter_context=inter_context,
-            fn=fn,
-            args=args,
-            world_name=name,
-            name=f"{name}[{rank}]",
-            chaos_routed=runtime.fault_injector is not None,
-            recovery=recovery,
-            trace_shard=(
-                f"{shard_prefix}.shard-g{gid}.jsonl" if shard_prefix else None
-            ),
-            trace_epoch=_T._epoch if shard_prefix else None,
-            trace_meta=dict(_T.meta) if shard_prefix else {},
-            profile_shard=(
-                f"{shard_prefix}.prof-g{gid}.jsonl" if shard_prefix else None
-            ),
-        )
-        proc = ctx.Process(
-            target=_worker_process_main, args=(spec,), name=spec.name, daemon=True
-        )
-        launched.append((proc, spec))
-    for proc, _ in launched:
-        proc.start()
-    return launched
+    A rank's first life and every respawn start here, so this is the one
+    place that names an incarnation: its process and — when the job is
+    traced — the journal shard it drains its tracer into, which
+    ``obs.journal.merge_shards`` finds by the ``.shard-`` infix.
+    """
+    life = f"e{spec.epoch}" if spec.epoch else ""
+    spec = dataclasses.replace(
+        spec,
+        name=f"{spec.world_name}[{spec.rank}]{life}",
+        trace_shard=(
+            f"{shard_prefix}.shard-g{spec.gid}{life}.jsonl"
+            if shard_prefix else None
+        ),
+    )
+    proc = multiprocessing.get_context(_START_METHOD).Process(
+        target=_worker_process_main, args=(spec,), name=spec.name, daemon=True
+    )
+    proc.start()
+    return proc, spec
 
 
 def _worker_process_main(spec: WorkerSpec) -> None:
     """Entry point of one worker process: handshake, run the rank, report."""
-    from repro.mpi.comm import Intracomm
-    from repro.mpi.intercomm import Intercomm
-
-    _T.reset_after_fork(epoch=spec.trace_epoch)
-    from repro.obs.profiler import PROFILER as _profiler
-
-    _profiler.reset_after_fork()
-    if spec.trace_shard:
-        _T.enabled = True
-        _T.meta = dict(spec.trace_meta)
+    # the tracer's epoch and meta are the driver's, inherited by the fork,
+    # so every shard lands on the driver's timeline
+    _T.reset_after_fork()
+    PROFILER.reset_after_fork()
+    _T.enabled = spec.trace_shard is not None
     conn = wire.connect_local(spec.address, timeout=30.0, retries=4)
     conn.send(
         wire.pack_obj_frame(FrameKind.HELLO, (spec.gid, os.getpid(), spec.epoch))

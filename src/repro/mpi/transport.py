@@ -34,7 +34,7 @@ thundering herd is gone.
 A runtime-wide abort flag wakes every blocked receiver so one failing
 rank cannot deadlock the world.
 
-Chaos testing hooks into the deposit path: every endpoint carries an
+Chaos testing hooks into the deposit path: every transport carries an
 optional :class:`FaultInjector` that can drop, delay, duplicate, or
 truncate matching messages, and can *sever* a global rank entirely (all
 its traffic silently vanishes, simulating a dead or partitioned
@@ -100,17 +100,6 @@ class Envelope:
         self.parent = parent
         #: set when a receiver consumes the message (for synchronous sends)
         self.delivered = threading.Event()
-
-    def restamp(self) -> "Envelope":
-        """Re-stamp ``seq`` from the local counter.
-
-        Wire transports call this when an envelope materializes at its
-        destination process: ``seq`` orders wildcard matching, and that
-        order must reflect *arrival* order in the receiver's interpreter,
-        not the send order of some other process's counter.
-        """
-        self.seq = next(_seq)
-        return self
 
     def matches(self, context: int, source: int, tag: int) -> bool:
         return (
@@ -229,8 +218,8 @@ class FaultInjector:
     """Deterministic transport chaos: drop/delay/duplicate/truncate/sever.
 
     Installed runtime-wide (``MPIRuntime(fault_injector=...)`` or
-    ``mpidrun(..., fault_injector=...)``); every :meth:`Endpoint.deposit`
-    consults it before enqueueing.  The first eligible rule wins.  Rule
+    ``mpidrun(..., fault_injector=...)``); every :meth:`Transport.deposit`
+    consults it before routing.  The first eligible rule wins.  Rule
     hit counters persist across job restarts, so a ``max_matches`` rule
     naturally models a transient fault the retry no longer sees.
     """
@@ -391,15 +380,9 @@ class Endpoint:
     #: a hot loop (aborts also notify the conditions directly).
     WAIT_SLICE = 0.1
 
-    def __init__(
-        self,
-        rank: int,
-        abort: AbortFlag,
-        fault_injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, rank: int, abort: AbortFlag) -> None:
         self.rank = rank
         self.abort = abort
-        self.fault_injector = fault_injector
         self._lock = threading.Lock()
         #: exact-match sub-queues: (context, source, tag) -> FIFO of envelopes
         self._queues: dict[tuple[int, int, int], deque[Envelope]] = {}
@@ -420,27 +403,20 @@ class Endpoint:
     # -- sender side --------------------------------------------------------
     def deposit(self, envelope: Envelope) -> None:
         """Called by the *sender's* thread to deliver a message."""
-        if self.fault_injector is not None:
-            envelopes = self.fault_injector.apply(self.rank, envelope)
-            if not envelopes:
-                return
-        else:
-            envelopes = (envelope,)
         with self._lock:
-            for envelope in envelopes:
-                key = (envelope.context, envelope.source, envelope.tag)
-                q = self._queues.get(key)
-                if q is None:
-                    self._queues[key] = q = deque()
-                q.append(envelope)
-                self._arrivals += 1
-                self._pending += 1
-                self._bytes_in += envelope.nbytes
-                entry = self._key_waiters.get(key)
-                if entry is not None:
-                    entry[0].notify_all()
-                if self._num_wild_waiters:
-                    self._wild_cond.notify_all()
+            key = (envelope.context, envelope.source, envelope.tag)
+            q = self._queues.get(key)
+            if q is None:
+                self._queues[key] = q = deque()
+            q.append(envelope)
+            self._arrivals += 1
+            self._pending += 1
+            self._bytes_in += envelope.nbytes
+            entry = self._key_waiters.get(key)
+            if entry is not None:
+                entry[0].notify_all()
+            if self._num_wild_waiters:
+                self._wild_cond.notify_all()
             if _T.enabled:
                 _T.counter(f"transport.r{self.rank}.pending", self._pending)
                 _T.counter(f"transport.r{self.rank}.bytes", self._bytes_in)
@@ -492,10 +468,6 @@ class Endpoint:
         if not best_q:
             del self._queues[best_key]
         return best
-
-    def _find(self, context: int, source: int, tag: int) -> Envelope | None:
-        """Peek at the first matching envelope (kept for introspection)."""
-        return self._match(context, source, tag, pop=False)
 
     # -- waiter bookkeeping (lock held) ---------------------------------------
     def _waiter_for(self, context: int, source: int, tag: int):
@@ -627,26 +599,60 @@ class Transport(ABC):
     :meth:`deposit` and receive from the mailbox :meth:`mailbox` returns;
     they never reach into a peer's endpoint directly, which is what makes
     the rank substrate (threads vs. processes) swappable underneath them.
+
+    Every transport hosts the mailboxes of the ranks that live in its
+    interpreter and applies the runtime's fault injector where a message
+    enters it; an implementation only says where a message for a given
+    rank goes (:meth:`_route`).
     """
 
-    abort_flag: AbortFlag
-    fault_injector: FaultInjector | None
+    def __init__(
+        self,
+        abort_flag: AbortFlag,
+        fault_injector: FaultInjector | None = None,
+    ) -> None:
+        self.abort_flag = abort_flag
+        self.fault_injector = fault_injector
+        self._lock = threading.Lock()
+        self._endpoints: dict[int, Endpoint] = {}
 
-    @abstractmethod
     def register(self, gid: int) -> Endpoint:
         """Create (or return) the mailbox for a rank hosted *here*."""
+        with self._lock:
+            endpoint = self._endpoints.get(gid)
+            if endpoint is None:
+                endpoint = self._endpoints[gid] = Endpoint(gid, self.abort_flag)
+            return endpoint
 
-    @abstractmethod
-    def deposit(self, dest: int, envelope: Envelope) -> None:
-        """Deliver ``envelope`` to global rank ``dest``, wherever it runs."""
-
-    @abstractmethod
     def mailbox(self, gid: int) -> Endpoint:
         """The local mailbox of global rank ``gid`` (receive side)."""
+        try:
+            return self._endpoints[gid]
+        except KeyError:
+            raise MPIError(
+                f"global rank {gid} has no mailbox in this process (only "
+                f"the process hosting a rank may receive for it)"
+            ) from None
 
-    @abstractmethod
     def local_endpoints(self) -> Iterable[Endpoint]:
         """Every mailbox hosted in this interpreter."""
+        with self._lock:
+            return list(self._endpoints.values())
+
+    def deposit(self, dest: int, envelope: Envelope) -> None:
+        """Deliver ``envelope`` to global rank ``dest``, wherever it runs.
+        Called by the *sender's* thread, which is also where injected
+        faults happen (a ``delay`` sleeps here, preserving FIFO order)."""
+        injector = self.fault_injector
+        if injector is None:
+            self._route(dest, envelope)
+            return
+        for out in injector.apply(dest, envelope):
+            self._route(dest, out)
+
+    @abstractmethod
+    def _route(self, dest: int, envelope: Envelope) -> None:
+        """Move one envelope, already past fault injection, to ``dest``."""
 
     def wake_all(self) -> None:
         """Wake every blocked receiver everywhere (abort propagation)."""
@@ -665,37 +671,8 @@ class LocalTransport(Transport):
     """The in-process implementation: every rank's mailbox lives here.
 
     A deposit is a direct call into the destination endpoint — zero
-    copies, no serialization.  Fault injection stays where it always was,
-    inside :meth:`Endpoint.deposit` on the sender's thread.
+    copies, no serialization.
     """
 
-    def __init__(
-        self,
-        abort_flag: AbortFlag,
-        fault_injector: FaultInjector | None = None,
-    ) -> None:
-        self.abort_flag = abort_flag
-        self.fault_injector = fault_injector
-        self._lock = threading.Lock()
-        self._endpoints: dict[int, Endpoint] = {}
-
-    def register(self, gid: int) -> Endpoint:
-        with self._lock:
-            endpoint = self._endpoints.get(gid)
-            if endpoint is None:
-                endpoint = Endpoint(gid, self.abort_flag, self.fault_injector)
-                self._endpoints[gid] = endpoint
-            return endpoint
-
-    def deposit(self, dest: int, envelope: Envelope) -> None:
+    def _route(self, dest: int, envelope: Envelope) -> None:
         self.mailbox(dest).deposit(envelope)
-
-    def mailbox(self, gid: int) -> Endpoint:
-        try:
-            return self._endpoints[gid]
-        except KeyError:
-            raise MPIError(f"no endpoint for global rank {gid}") from None
-
-    def local_endpoints(self) -> Iterable[Endpoint]:
-        with self._lock:
-            return list(self._endpoints.values())

@@ -76,7 +76,7 @@ import struct
 import tempfile
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.common.logging import get_logger
 from repro.serde.io import DataInput, DataOutput
@@ -104,7 +104,6 @@ class FrameKind:
     BYE = 6         # worker -> router: clean shutdown (EOF without BYE = crash)
     RPC_REQ = 7     # worker -> router: (req_id, method, pickled args)
     RPC_REP = 8     # router -> worker: (req_id, ok, payload-or-error)
-    TRACE = 9       # reserved: inline trace events (shards are file-based)
     ACK = 10        # worker -> router: (gid, plane_id) plane consumed; the
                     # router releases that plane's redelivery-buffer entries
     TELEMETRY = 11  # worker -> router: one pickled telemetry snapshot dict;
@@ -253,24 +252,40 @@ def pack_envelope_frame(
     trace: int = 0,
     parent: int = 0,
 ) -> bytes:
-    """ENVELOPE frame: routable header + already-pickled payload bytes."""
-    header = _ENV_HEADER.pack(
-        context, source, tag, origin, dest, epoch, trace, parent, nbytes, flags
-    )
-    return pack_frame(FrameKind.ENVELOPE, header + payload)
-
-
-def unpack_envelope_frame(
-    body: bytes,
-) -> tuple[int, int, int, int, int, int, int, int, int, int, bytes]:
-    """(context, source, tag, origin, dest, epoch, trace, parent, nbytes,
-    flags, payload)."""
-    context, source, tag, origin, dest, epoch, trace, parent, nbytes, flags = (
-        _ENV_HEADER.unpack_from(body)
-    )
-    return (
+    """ENVELOPE frame: routable header + already-encoded payload bytes."""
+    return EnvelopeHeader(
         context, source, tag, origin, dest, epoch, trace, parent, nbytes,
-        flags, body[_ENV_HEADER.size:],
+        flags, payload,
+    ).frame()
+
+
+class EnvelopeHeader(NamedTuple):
+    """A parsed ENVELOPE frame body: the routable header, then the
+    still-encoded payload (see the module docstring for the layout)."""
+
+    context: int
+    source: int
+    tag: int
+    origin: int
+    dest: int
+    epoch: int
+    trace: int
+    parent: int
+    nbytes: int
+    flags: int
+    payload: bytes
+
+    def frame(self) -> bytes:
+        """This header and payload packed as one ENVELOPE frame."""
+        return pack_frame(
+            FrameKind.ENVELOPE, _ENV_HEADER.pack(*self[:10]) + self.payload
+        )
+
+
+def unpack_envelope_frame(body: bytes) -> EnvelopeHeader:
+    """Split an ENVELOPE frame body into its header fields and payload."""
+    return EnvelopeHeader._make(
+        _ENV_HEADER.unpack_from(body) + (body[_ENV_HEADER.size:],)
     )
 
 

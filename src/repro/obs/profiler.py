@@ -23,16 +23,15 @@ Design notes:
   capture) works on an unprofiled job.
 * Aggregates are collapsed-stack counts — the flamegraph interchange
   format — keyed ``(rank, epoch)`` so a respawned rank's incarnations
-  stay distinct.  Workers persist them as ``.prof-`` shard files next
-  to trace shards; the driver folds them into the journal as
-  ``profile`` records, exported via ``repro flame`` as collapsed text
+  stay distinct.  A finished rank hands its aggregate to the tracer as
+  one :data:`PROFILE_CAT` record, so it reaches the driver the way the
+  rank's trace events do; the trace session files it in the journal as
+  a ``profile`` record, exported via ``repro flame`` as collapsed text
   or speedscope JSON.
 """
 
 from __future__ import annotations
 
-import glob as _glob
-import json
 import os
 import sys
 import threading
@@ -47,6 +46,9 @@ MAX_STACK_DEPTH = 64
 
 #: phase assumed for a registered thread that never declared one
 DEFAULT_PHASE = "control"
+
+#: tracer category of the record a finished rank's profile travels as
+PROFILE_CAT = "profile"
 
 
 def _frame_name(code: Any) -> str:
@@ -309,66 +311,6 @@ class StackSampler:
 
 #: the process-wide sampler every engine/worker shares
 PROFILER = StackSampler()
-
-
-# -- thread-backend profile hand-off ------------------------------------------
-# On the thread backend engines finish inside the driver interpreter, so
-# finished profiles are published to this bounded in-process list and
-# drained by the driver's trace session.  (Workers on the process
-# backend persist shard files instead — see write_profile_shard.)
-_LOCAL_LOCK = threading.Lock()
-_LOCAL_PROFILES: list[dict] = []
-_LOCAL_CAP = 256
-
-
-def publish_local(profile: dict) -> None:
-    with _LOCAL_LOCK:
-        _LOCAL_PROFILES.append(profile)
-        del _LOCAL_PROFILES[:-_LOCAL_CAP]
-
-
-def drain_local_profiles() -> list[dict]:
-    with _LOCAL_LOCK:
-        out = list(_LOCAL_PROFILES)
-        _LOCAL_PROFILES.clear()
-    return out
-
-
-# -- shard persistence (process backend) --------------------------------------
-def write_profile_shard(path: str, profile: dict) -> None:
-    """Append one profile as a JSON line; same contract as trace shards."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(profile, sort_keys=True) + "\n")
-
-
-def merge_profile_shards(journal_path: str, cleanup: bool = True) -> list[dict]:
-    """Collect worker ``.prof-`` shards written next to ``journal_path``.
-
-    Shards are named ``{journal}.a{attempt}.prof-g{gid}[e{epoch}].jsonl``
-    — the ``.prof-`` infix keeps them clear of the trace-shard glob.
-    """
-    profiles: list[dict] = []
-    for shard in sorted(_glob.glob(f"{_glob.escape(journal_path)}.a*.prof-*.jsonl")):
-        try:
-            with open(shard, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(record, dict) and "stacks" in record:
-                        profiles.append(record)
-        except OSError:
-            continue
-        if cleanup:
-            try:
-                os.unlink(shard)
-            except OSError:
-                pass
-    return profiles
 
 
 # -- exporters ----------------------------------------------------------------

@@ -182,22 +182,20 @@ class Tracer:
             self._bufs = []
             self._generation += 1
 
-    def reset_after_fork(self, epoch: float | None = None) -> None:
+    def reset_after_fork(self) -> None:
         """Make the tracer sane in a freshly forked worker process.
 
         The child inherits the parent's buffers (they belong to threads
         that do not exist here) and possibly a lock captured mid-hold;
-        both are replaced.  ``epoch`` lets the driver hand its own epoch
-        to workers so per-process journal shards share one timeline
-        (``perf_counter`` is CLOCK_MONOTONIC — system-wide on Linux).
+        both are replaced.  The epoch is kept: it is the driver's, so
+        per-process journal shards share one timeline (``perf_counter``
+        is CLOCK_MONOTONIC — system-wide on Linux).
         """
         self._lock = threading.Lock()
         self._local = threading.local()
         self._bufs = []
         self._generation += 1
         self.enabled = False
-        if epoch is not None:
-            self._epoch = epoch
 
     # -- thread attribution -------------------------------------------------
     def _buf(self) -> _ThreadBuf:

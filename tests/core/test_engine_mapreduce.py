@@ -1,5 +1,9 @@
 """End-to-end MapReduce-mode jobs on the DataMPI engine."""
 
+import glob
+import os
+import tempfile
+
 import pytest
 
 from repro.core import Mode, mapreduce_job, mpidrun
@@ -8,6 +12,7 @@ from repro.serde.comparators import reverse, default_compare
 
 from tests.core.helpers import (
     Collector,
+    FileCollector,
     expected_wordcount,
     int_range_input,
     wordcount_pieces,
@@ -259,3 +264,44 @@ class TestLargerPipelines:
         assert result.metrics.spilled_bytes > 0
         expected = {k: sum(v for v in range(n) if v % 10 == k) for k in range(10)}
         assert out.merged() == expected
+
+
+class TestScratchDirectory:
+    """Spills need a directory; a job must not leave one behind."""
+
+    @staticmethod
+    def _spilling_job(launcher, out_dir, **conf):
+        def mapper(k, v, emit):
+            emit(v % 10, v)
+
+        def reducer(k, vs, emit):
+            emit(k, sum(vs))
+
+        return mapreduce_job(
+            "scratch", int_range_input(800), mapper, reducer,
+            FileCollector(out_dir), o_tasks=2, a_tasks=2,
+            conf={K.LAUNCHER: launcher, K.CACHE_FRACTION: 0.0,
+                  K.SPL_PARTITION_BYTES: 256, **conf},
+        )
+
+    def test_a_job_leaves_nothing_in_the_temp_directory(
+        self, launcher, tmp_path, monkeypatch
+    ):
+        # a short path (the router's AF_UNIX socket lives under it too);
+        # forked rank processes inherit the module global
+        with tempfile.TemporaryDirectory(prefix="t") as private_tmp:
+            monkeypatch.setattr(tempfile, "tempdir", private_tmp)
+            job = self._spilling_job(launcher, tmp_path / "out")
+            result = mpidrun(job, nprocs=2, raise_on_error=True)
+            assert result.metrics.spilled_bytes > 0  # the directory was used
+            assert glob.glob(os.path.join(private_tmp, "datampi-*")) == []
+
+    def test_a_user_supplied_local_dir_is_kept(self, launcher, tmp_path):
+        local = tmp_path / "local"
+        local.mkdir()
+        job = self._spilling_job(
+            launcher, tmp_path / "out", **{K.LOCAL_DIR: str(local)}
+        )
+        result = mpidrun(job, nprocs=2, raise_on_error=True)
+        assert result.metrics.spilled_bytes > 0
+        assert local.is_dir() and list(local.iterdir()) == []  # spills removed

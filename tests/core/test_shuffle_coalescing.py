@@ -14,7 +14,7 @@ from repro.common.errors import MPIAbort
 from repro.core.constants import SHUFFLE_TAG
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
-from repro.mpi import run_world
+from repro.mpi import ThreadRuntime, run_world
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
 from tests.core.helpers import batch_block
@@ -43,6 +43,7 @@ class _GatedWorld:
     def __init__(self):
         self.rank = 0
         self.size = 1
+        self.runtime = ThreadRuntime()  # rank epoch, abort flag, plane ACKs
         self.envelopes = []
         self.in_send = threading.Event()
         self.gate = threading.Event()

@@ -168,7 +168,8 @@ class TestCreateRuntime:
     def test_launcher_names(self):
         assert isinstance(create_runtime("threads"), ThreadRuntime)
         assert isinstance(create_runtime("processes"), ProcessRuntime)
-        assert isinstance(create_runtime("sockets"), ProcessRuntime)
+        with pytest.raises(MPIError, match="unknown launcher"):
+            create_runtime("sockets")  # the aliases are gone
 
     def test_unknown_launcher_is_an_error(self):
         with pytest.raises(MPIError, match="unknown launcher"):

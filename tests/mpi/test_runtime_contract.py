@@ -1,0 +1,166 @@
+"""The runtime contract: what ``repro.core`` may ask of ``comm.runtime``.
+
+``BaseRuntime`` declares it once with the thread-backend behaviour; the
+process backend's two ends — ``ProcessRuntime`` in the driver,
+``WorkerRuntime`` inside a rank process — are subclasses that override
+what has to cross the wire.  The first half checks the contract from
+inside a rank on both launchers; the second half checks the router's
+handshake rules (a connection is exactly one rank; stale epochs are
+fenced).
+"""
+
+import logging
+
+import pytest
+
+from repro.mpi import BaseRuntime, ProcessRuntime, create_runtime
+from repro.mpi.socket_transport import WorkerRuntime
+from repro.net import wire
+from repro.net.wire import FrameKind, pack_obj_frame
+
+
+# -- inside a rank ------------------------------------------------------------------
+
+# module-level: the process backend forks these into worker processes
+
+
+def _probe_rank(comm):
+    runtime = comm.runtime
+    # callable with no hub bound and no recovery armed
+    runtime.ack_plane("fwd:0")
+    runtime.ship_telemetry({"rank": comm.rank, "epoch": 0, "seq": 0})
+    comm.parent.send(
+        (
+            comm.rank,
+            isinstance(runtime, BaseRuntime),
+            runtime.launcher,
+            runtime.rank_epoch,
+            runtime.rank_recovery,
+            runtime.pending_respawns(),
+            runtime.respawn_rank(comm.group[comm.rank]),
+        ),
+        dest=0,
+        tag=5,
+    )
+
+
+def _probe_driver(comm, nprocs):
+    inter = comm.spawn(_probe_rank, nprocs, name="probe")
+    return sorted(inter.recv(tag=5) for _ in range(nprocs))
+
+
+@pytest.mark.parametrize("launcher", ["threads", "processes"])
+def test_a_rank_sees_the_same_contract_on_both_launchers(launcher):
+    runtime = create_runtime(launcher)
+    (answers,) = runtime.run(_probe_driver, 1, args=(2,), timeout=60.0)
+    assert answers == [
+        (rank, True, launcher, 0, False, [], None) for rank in range(2)
+    ]
+    # the driver-side half of the contract, on the same runtime
+    assert (runtime.respawns, runtime.redelivered_frames,
+            runtime.stale_frames_dropped) == (0, 0, 0)
+    assert not runtime.failure_records
+
+
+def test_the_process_backend_implements_the_contract_by_subclassing():
+    assert issubclass(WorkerRuntime, BaseRuntime)
+    assert issubclass(ProcessRuntime, BaseRuntime)
+
+
+def test_thread_runtime_recovery_hooks_are_inert():
+    runtime = create_runtime("threads")
+    runtime.enable_rank_recovery(2, 1 << 20)  # nothing to arm
+    assert runtime.rank_recovery is False
+    assert runtime.pending_respawns() == []
+    assert runtime.respawn_rank(0) is None
+
+
+# -- the router's handshake -------------------------------------------------------------
+
+
+class _LogCapture(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+@pytest.fixture
+def router():
+    """A live router expecting worker ranks 1 and 2, plus its warnings."""
+    runtime = ProcessRuntime()
+    capture = _LogCapture()
+    logger = logging.getLogger("repro.mpi.socket_transport")
+    logger.addHandler(capture)
+    transport = runtime.transport
+    transport.expect((1, 2), "w")
+    try:
+        yield transport, capture.lines
+    finally:
+        logger.removeHandler(capture)
+        transport.shutdown()
+
+
+def _hello(conn, gid, pid, epoch=0):
+    conn.send(pack_obj_frame(FrameKind.HELLO, (gid, pid, epoch)))
+
+
+def _drain(conn):
+    """Return once the router has handled every frame sent on ``conn``:
+    one reader thread serves a connection in order, so the reply to an
+    RPC sent last proves everything before it was processed."""
+    conn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "alloc_context", ())))
+    kind, _body = conn.recv()
+    assert kind == FrameKind.RPC_REP
+
+
+class TestHello:
+    def test_a_connection_is_exactly_one_rank(self, router):
+        transport, warnings = router
+        conn = wire.connect_local(transport.address)
+        try:
+            _hello(conn, 1, 111)
+            _hello(conn, 2, 222)  # the same socket claiming a second rank
+            _drain(conn)
+            assert transport.pid_of(1) == 111
+            assert transport.pid_of(2) is None
+            assert not transport.ever_connected(2)
+            assert any(
+                "refusing HELLO for rank 2" in line
+                and "already speaks for rank 1" in line
+                for line in warnings
+            )
+        finally:
+            conn.close()
+
+    def test_an_unannounced_rank_is_refused(self, router):
+        transport, warnings = router
+        conn = wire.connect_local(transport.address)
+        try:
+            _hello(conn, 9, 999)
+            _drain(conn)
+            assert transport.pid_of(9) is None
+            assert any("refusing HELLO for rank 9" in line for line in warnings)
+        finally:
+            conn.close()
+
+    def test_a_stale_epoch_hello_is_fenced(self, router):
+        transport, warnings = router
+        transport.configure_recovery(max_respawns=1, redelivery_bytes=1 << 20)
+        transport.watch_world((1, 2), world_context=4)
+        assert transport.begin_respawn(1) == (1, None)  # rank 1 -> epoch 1
+        zombie = wire.connect_local(transport.address)
+        reborn = wire.connect_local(transport.address)
+        try:
+            _hello(zombie, 1, 111, epoch=0)
+            _drain(zombie)
+            assert transport.pid_of(1) is None  # never routed to
+            assert any("fencing stale HELLO from rank 1" in w for w in warnings)
+            _hello(reborn, 1, 112, epoch=1)
+            _drain(reborn)
+            assert transport.pid_of(1) == 112
+        finally:
+            zombie.close()
+            reborn.close()

@@ -1,4 +1,4 @@
-"""The sampling profiler: registry, sampler, shards, exporters, flame CLI.
+"""The sampling profiler: registry, sampler, exporters, flame CLI.
 
 Tentpole invariants:
 
@@ -6,10 +6,10 @@ Tentpole invariants:
   attributed to that thread's rank under its declared phase bucket;
 * the registry works with sampling off (live stack dumps for the DUMP
   frame / doctor captures, including transport queue stats);
-* worker ``.prof-`` shards round-trip through the merge without being
-  picked up by the trace-shard glob;
 * a profiled job folds one ``profile`` record per rank into its
-  journal on BOTH backends, and ``repro flame`` renders/exports them.
+  journal on BOTH backends — carried there by the tracer, so nothing
+  but the journal is left behind — and ``repro flame`` renders/exports
+  them.
 """
 
 import json
@@ -22,17 +22,14 @@ import pytest
 
 from repro.core import DataMPIJob, mpidrun
 from repro.core.constants import MPI_D_Constants as K
-from repro.obs import profiler as profiler_mod
-from repro.obs.journal import JournalWriter, merge_shards, read_journal
+from repro.obs.journal import JournalWriter, read_journal
 from repro.obs.profiler import (
     DEFAULT_PHASE,
     StackSampler,
     collapse_stack,
     describe_stack,
-    merge_profile_shards,
     to_collapsed,
     to_speedscope,
-    write_profile_shard,
 )
 
 
@@ -175,31 +172,6 @@ class TestStackSampler:
         assert sampler.dump_stacks()[0]["threads"]
 
 
-# -- shards -----------------------------------------------------------------------
-
-
-class TestProfileShards:
-    def test_round_trip_and_cleanup(self, tmp_path):
-        journal = str(tmp_path / "job.trace.jsonl")
-        shard = f"{journal}.a1.prof-g1.jsonl"
-        write_profile_shard(shard, {"rank": 0, "epoch": 0, "samples": 2,
-                                    "hz": 50.0, "stacks": {"compute": {"a.b": 2}}})
-        write_profile_shard(shard, {"rank": 1, "epoch": 0, "samples": 1,
-                                    "hz": 50.0, "stacks": {"merge": {"c.d": 1}}})
-        with open(shard, "a", encoding="utf-8") as fh:
-            fh.write('{"torn')  # crashed-worker tail must be tolerated
-        profiles = merge_profile_shards(journal)
-        assert [p["rank"] for p in profiles] == [0, 1]
-        assert not os.path.exists(shard)  # consumed
-
-    def test_prof_shards_do_not_feed_the_trace_glob(self, tmp_path):
-        journal = str(tmp_path / "job.trace.jsonl")
-        write_profile_shard(f"{journal}.a1.prof-g1.jsonl",
-                            {"rank": 0, "stacks": {}})
-        assert merge_shards(journal) == []  # trace merge must not eat it
-        assert merge_profile_shards(journal)  # still there for the profiler
-
-
 # -- exporters --------------------------------------------------------------------
 
 
@@ -279,10 +251,11 @@ class TestProfiledJob:
         for profile in journal.profiles:
             all_phases.update(profile["stacks"])
         assert all_phases & {"compute", "merge"}
-        # no stray shard files survive the merge
-        assert not [
-            name for name in os.listdir(tmp_path) if ".prof-" in name
-        ]
+        # the profiles rode the trace events: they are records of their
+        # own in the journal, not events on its timeline ...
+        assert not [e for e in journal.events if e.get("cat") == "profile"]
+        # ... and nothing but the journal is left behind
+        assert os.listdir(tmp_path) == ["prof.trace.jsonl"]
 
 
 # -- repro flame ------------------------------------------------------------------
