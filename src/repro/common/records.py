@@ -33,6 +33,13 @@ def kv_bytes(key: Any, value: Any) -> int:
 
 
 def _size_of(obj: Any) -> int:
+    # exact-type front for the shuffle's common field types; subclasses
+    # and everything else take the ladder below, with the same answers
+    t = type(obj)
+    if t is str or t is bytes:
+        return len(obj) + 4
+    if t is int or t is float:
+        return 8
     if obj is None:
         return 1
     if isinstance(obj, (bytes, bytearray, memoryview)):

@@ -1,10 +1,10 @@
 """Partition-List buffer management (§IV-D, Figure 6).
 
-Send side: a :class:`SendPartitionList` (SPL) holds one
-:class:`DataPartition` per A task.  An emitted pair is cached in the
-partition selected by ``MPI_D_PARTITION``; when a partition crosses the
-flush threshold it is sealed into a block (sorted and combined if the
-mode asks for it) and handed to the communication thread's send queue.
+Send side: a :class:`SendPartitionList` (SPL) holds one staging buffer
+per A task.  An emitted pair is cached in the partition selected by
+``MPI_D_PARTITION``; when a partition crosses the flush threshold it is
+sealed into a block (sorted and combined if the mode asks for it) and
+handed to the communication thread's send queue.
 
 Receive side: a :class:`ReceivePartitionList` (RPL) per hosted partition
 files arriving blocks in a :class:`~repro.core.sorter.RunStore`, which
@@ -15,12 +15,12 @@ spill when the memory budget overflows.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.records import kv_bytes
-from repro.core.sorter import RunStore, combine_run, sort_block
+from repro.common.records import _size_of
+from repro.core.sorter import RunStore, combine_groups, combine_run, sort_block
 from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch, batch_from_pairs, sort_batch
 from repro.serde.comparators import Compare
@@ -28,26 +28,6 @@ from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
 Combiner = Callable[[Any, list[Any]], Iterable[Any]]
-
-
-@dataclass
-class DataPartition:
-    """Buffered records destined for one A task, with meta information."""
-
-    partition_id: int
-    records: list[KV] = field(default_factory=list)
-    nbytes: int = 0
-
-    def add(self, key: Any, value: Any) -> None:
-        self.records.append((key, value))
-        self.nbytes += kv_bytes(key, value)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def drain(self) -> list[KV]:
-        records, self.records, self.nbytes = self.records, [], 0
-        return records
 
 
 @dataclass(frozen=True)
@@ -74,7 +54,12 @@ class Block:
 
 
 class SendPartitionList:
-    """SPL: per-destination-partition staging buffers."""
+    """SPL: per-destination-partition staging buffers.
+
+    A partition holds ``(key, value)`` tuples — or, under a combiner,
+    ``key -> [values]`` in arrival order, so that its seal sorts and
+    combines each *unique* key once instead of every record.
+    """
 
     def __init__(
         self,
@@ -86,7 +71,13 @@ class SendPartitionList:
         serializer: Serializer,
         raw: bool = False,
     ) -> None:
-        self.partitions = [DataPartition(p) for p in range(num_partitions)]
+        #: a combiner implies a sorted exchange (DataMPIJob validates it)
+        self._grouped = cmp is not None and combiner is not None
+        self._held: list[list[KV] | dict[Any, list[Any]]] = [
+            {} if self._grouped else [] for _ in range(num_partitions)
+        ]
+        #: per partition, the kv_bytes estimates of what it holds
+        self._nbytes = [0] * num_partitions
         self.flush_bytes = flush_bytes
         self.cmp = cmp
         self.combiner = combiner
@@ -95,7 +86,6 @@ class SendPartitionList:
         #: bytes keys/values as they are, without serializer tags
         self.serializer = serializer
         self.raw = raw
-        self.records_in = 0
         self.records_out = 0
         self.bytes_out = 0
         self.combined_away = 0
@@ -105,46 +95,60 @@ class SendPartitionList:
         self.sort_seconds = 0.0
 
     def add(self, partition: int, key: Any, value: Any) -> Block | None:
-        """Cache a pair; returns a sealed block when the partition filled."""
-        part = self.partitions[partition]
-        part.add(key, value)
-        self.records_in += 1
-        if part.nbytes >= self.flush_bytes:
-            return self._seal(part)
-        return None
+        """Cache a pair — the only per-record buffer call; returns a
+        sealed block when the partition filled."""
+        held = self._held[partition]
+        nbytes = self._nbytes[partition] + _size_of(key) + _size_of(value)
+        if type(held) is list:
+            held.append((key, value))
+        else:
+            try:
+                values = held.get(key)
+                if values is None:
+                    held[key] = [value]
+                else:
+                    values.append(value)
+            except TypeError:
+                # unhashable key: back to tuples until this block seals;
+                # equal keys keep their arrival order, all a stable sort uses
+                held = [(k, v) for k, vs in held.items() for v in vs]
+                held.append((key, value))
+                self._held[partition] = held
+        if nbytes >= self.flush_bytes:
+            return self._seal(partition)
+        self._nbytes[partition] = nbytes
 
-    def _seal(self, part: DataPartition) -> Block:
-        records = part.drain()
+    def _seal(self, partition: int) -> Block:
+        held = self._held[partition]
+        self._held[partition] = {} if self._grouped else []
+        self._nbytes[partition] = 0
         t0 = _clock()
-        if self.cmp is not None:
-            records = sort_block(records, self.cmp)
-            if self.combiner is not None:
-                before = len(records)
+        if type(held) is dict:
+            before = sum(map(len, held.values()))
+            records = combine_groups(held, self.cmp, self.combiner)
+        else:
+            before = len(held)
+            records = held if self.cmp is None else sort_block(held, self.cmp)
+            if self._grouped:  # this block met an unhashable key
                 records = combine_run(records, self.combiner)
-                self.combined_away += before - len(records)
         batch = batch_from_pairs(records, self.serializer, raw=self.raw)
         dur = _clock() - t0
         self.sort_seconds += dur
         if _T.enabled:
             _T.complete(
                 "spl.seal", t0, dur, cat="sort",
-                args={"partition": part.partition_id, "records": batch.count},
+                args={"partition": partition, "records": batch.count},
             )
         # the encoded block is its own exact byte count
         nbytes = len(batch.data)
         self.records_out += batch.count
         self.bytes_out += nbytes
-        return Block(
-            part.partition_id, batch, nbytes, sorted=self.cmp is not None
-        )
+        self.combined_away += before - batch.count
+        return Block(partition, batch, nbytes, sorted=self.cmp is not None)
 
     def flush_all(self) -> list[Block]:
         """Seal every non-empty partition (end of the O phase)."""
-        blocks = []
-        for part in self.partitions:
-            if part.records:
-                blocks.append(self._seal(part))
-        return blocks
+        return [self._seal(p) for p, held in enumerate(self._held) if held]
 
 
 class ReceivePartitionList:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.common.errors import DataMPIError
 from repro.core.buffers import SendPartitionList
@@ -80,17 +80,13 @@ class TaskContext:
         self.state = state if state is not None else {}
         self._cp_writer = checkpoint_writer
         self._cp_reader = checkpoint_reader
-        self._crash_after = crash_after
-        #: KEY_CLASS / VALUE_CLASS enforcement (§III-A reserved keys);
-        #: None disables checking (the default when conf omits them)
-        self._key_class = key_class
-        self._value_class = value_class
-        self._emit_index = 0
         self._skip_emits = 0
         self._recv_iter: Iterator[KV] | None = None
         self.metrics = TaskMetrics(task_id=task_id, kind=kind)
-        self.initialized = False
-        self.finalized = False
+        self.initialized = self.finalized = False
+        #: ``MPI_D_SEND``: emit one pair; no destination — the library
+        #: partitions and schedules the movement implicitly (§III-A)
+        self.send = self._bind_send(crash_after, key_class, value_class)
 
     # -- bipartite communicators -------------------------------------------------
     @property
@@ -106,72 +102,80 @@ class TaskContext:
     def size(self) -> int:
         return self.comm.size
 
-    @property
-    def num_send_partitions(self) -> int:
-        """Destination count: O sends toward A tasks, A (Iteration) toward O."""
-        return self.a_size if self.kind == "O" else self.o_size
-
     # -- recovery ------------------------------------------------------------------
     def replay_checkpoint(self) -> int:
         """Resend persisted pairs; the task then skips that many emits.
-
         Returns the number of reloaded records (Figure 13's "Job Reload
-        Checkpoint" phase).
-        """
-        if self._cp_reader is None:
-            return 0
-        reloaded = 0
-        for key, value in self._cp_reader.replay():
-            self._send_raw(key, value)
-            reloaded += 1
-        self._skip_emits = reloaded
-        return reloaded
+        Checkpoint" phase)."""
+        if self._cp_reader is not None:
+            for key, value in self._cp_reader.replay():
+                self._emit(key, value)
+                self._skip_emits += 1
+        return self._skip_emits
 
     # -- send path -------------------------------------------------------------------
-    def send(self, key: Any, value: Any) -> None:
-        """``MPI_D_SEND``: emit one pair; no destination — the library
-        partitions and schedules the movement implicitly (§III-A)."""
-        if self._spl is None:
-            raise DataMPIError(
-                f"{self.kind} task {self.task_id} cannot Send in this mode"
-            )
-        if self._crash_after >= 0 and self._emit_index >= self._crash_after:
-            raise DataMPIError(
-                f"injected crash in {self.kind} task {self.task_id} after "
-                f"{self._emit_index} records"
-            )
-        self._emit_index += 1
-        if self._emit_index <= self._skip_emits:
-            return  # this record was already sent from the checkpoint replay
-        key = self._typed("key", key, self._key_class)
-        value = self._typed("value", value, self._value_class)
-        self._send_raw(key, value)
+    def _bind_send(
+        self, crash_after: int, key_class: type | None, value_class: type | None
+    ) -> Callable[[Any, Any], None]:
+        """Build this task's ``MPI_D_SEND``, once: every emitted pair runs
+        the closure returned here.  Its core partitions, range-checks,
+        counts, buffers and ships a block the SPL sealed; checkpoint writes,
+        KEY_CLASS/VALUE_CLASS coercion (None: unchecked) and crash/replay
+        counting wrap that core only where they are configured."""
+        who = f"{self.kind} task {self.task_id}"
+        spl, shuffle, plane_id = self._spl, self._shuffle, self._send_plane_id
+        if spl is None:
+            def send(key: Any, value: Any) -> None:
+                raise DataMPIError(f"{who} cannot Send in this mode")
+            return send
+        partitioner, add, metrics = self._partitioner, spl.add, self.metrics
+        # O sends toward A tasks, A (Iteration mode) back toward O tasks
+        n = self.a_size if self.kind == "O" else self.o_size
+
+        def emit(key: Any, value: Any) -> None:
+            dest = partitioner(key, value, n)
+            if not 0 <= dest < n:
+                validate_destination(dest, n)  # raises
+            metrics.records_emitted += 1
+            block = add(dest, key, value)
+            if block is not None:
+                shuffle.send_block(plane_id, block)
+
+        self._emit = send = emit  # a checkpoint replay resends through the core
         if self._cp_writer is not None:
-            self._cp_writer.add(key, value)
+            def send(key: Any, value: Any, persist=self._cp_writer.add) -> None:
+                emit(key, value)
+                persist(key, value)
+        if key_class is not None or value_class is not None:
+            def typed(what: str, obj: Any, cls: type | None) -> Any:
+                if cls is None or isinstance(obj, cls):
+                    return obj
+                try:
+                    return cls(obj)
+                except (TypeError, ValueError) as exc:
+                    raise DataMPIError(
+                        f"{who}: {what} {obj!r} is not a {cls.__name__} "
+                        f"and cannot be coerced ({exc})"
+                    ) from None
 
-    def _typed(self, what: str, obj: Any, cls: type | None) -> Any:
-        """Enforce the configured KEY_CLASS/VALUE_CLASS on an emitted pair."""
-        if cls is None or isinstance(obj, cls):
-            return obj
-        try:
-            return cls(obj)
-        except (TypeError, ValueError) as exc:
-            raise DataMPIError(
-                f"{self.kind} task {self.task_id}: {what} {obj!r} is not a "
-                f"{cls.__name__} and cannot be coerced ({exc})"
-            ) from None
+            def send(key: Any, value: Any, checked=send) -> None:
+                checked(
+                    typed("key", key, key_class), typed("value", value, value_class)
+                )
+        if crash_after >= 0 or self._cp_reader is not None:
+            emitted = 0
 
-    def _send_raw(self, key: Any, value: Any) -> None:
-        assert self._spl is not None and self._shuffle is not None
-        dest = validate_destination(
-            self._partitioner(key, value, self.num_send_partitions),
-            self.num_send_partitions,
-        )
-        self.metrics.records_emitted += 1
-        block = self._spl.add(dest, key, value)
-        if block is not None:
-            assert self._send_plane_id is not None
-            self._shuffle.send_block(self._send_plane_id, block)
+            def send(key: Any, value: Any, counted=send) -> None:
+                nonlocal emitted
+                if 0 <= crash_after <= emitted:
+                    raise DataMPIError(
+                        f"injected crash in {who} after {emitted} records"
+                    )
+                emitted += 1
+                # the first _skip_emits pairs were resent by replay_checkpoint
+                if emitted > self._skip_emits:
+                    counted(key, value)
+        return send
 
     # -- receive path -----------------------------------------------------------------
     def _ensure_recv_iter(self) -> Iterator[KV]:
@@ -195,11 +199,7 @@ class TaskContext:
 
     def recv_iter(self) -> Iterator[KV]:
         """All remaining pairs as an iterator (Pythonic convenience)."""
-        while True:
-            record = self.recv()
-            if record is None:
-                return
-            yield record
+        yield from iter(self.recv, None)
 
     def recv_batch(self):
         """This task's whole input as one merged record batch, or ``None``.

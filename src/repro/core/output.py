@@ -7,7 +7,8 @@ that append to driver-side memory silently lose the output.
 appends pickled pairs to its own part file under a directory, and the
 driver reads the files back after ``mpidrun`` returns.  One writer per
 part file (tasks are pinned to ranks) keeps appends safe without
-cross-process locking.
+cross-process locking; the writer keeps its part file open and flushes
+every pair, so the stream stays parsable even if the worker dies mid-job.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import pickle
 import tempfile
 from collections import defaultdict
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 __all__ = ["FileSink"]
 
@@ -33,6 +34,11 @@ class FileSink:
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        #: append handle per task rank written from this process
+        self._files: dict[int, BinaryIO] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_files": {}}  # handles stay with their process
 
     @classmethod
     def temporary(cls, name: str = "job") -> "FileSink":
@@ -42,10 +48,11 @@ class FileSink:
         return os.path.join(self.directory, f"part-{rank:05d}.pkl")
 
     def __call__(self, rank: int, key: Any, value: Any) -> None:
-        # append-mode open per record: one writer per part file, and the
-        # stream stays parsable even if the worker dies mid-job
-        with open(self._path(rank), "ab") as f:
-            pickle.dump((key, value), f)
+        f = self._files.get(rank)
+        if f is None:
+            f = self._files[rank] = open(self._path(rank), "ab")
+        pickle.dump((key, value), f)
+        f.flush()
 
     # -- driver-side readers ---------------------------------------------------
     def ranks(self) -> list[int]:
@@ -83,6 +90,9 @@ class FileSink:
         return dict(self.pairs())
 
     def cleanup(self) -> None:
+        for f in self._files.values():
+            f.close()
+        self._files.clear()
         for rank in self.ranks():
             try:
                 os.unlink(self._path(rank))

@@ -21,6 +21,15 @@ Partitioner = Callable[[Any, Any, int], int]
 
 def _stable_hash(key: Any) -> int:
     """Deterministic, process-independent hash (Python's str hash is salted)."""
+    # exact-type front for the common key types; subclasses and everything
+    # else take the ladder below, which gives these types the same values
+    t = type(key)
+    if t is str:
+        return zlib.crc32(key.encode())
+    if t is bytes:
+        return zlib.crc32(key)
+    if t is int:
+        return key & 0x7FFFFFFF
     if isinstance(key, bytes):
         return zlib.crc32(key)
     if isinstance(key, str):

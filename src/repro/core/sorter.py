@@ -173,6 +173,16 @@ def group_by_key(sorted_records: Iterable[KV]) -> Iterator[tuple[Any, list[Any]]
     yield current_key, values
 
 
+def _combine(
+    groups: Iterable[tuple[Any, list[Any]]],
+    combiner: Callable[[Any, list[Any]], Iterable[Any]],
+) -> list[KV]:
+    return [
+        (key, combined) for key, values in groups
+        for combined in combiner(key, values)
+    ]
+
+
 def combine_run(
     sorted_records: Iterable[KV],
     combiner: Callable[[Any, list[Any]], Iterable[Any]],
@@ -182,11 +192,26 @@ def combine_run(
     The combiner receives (key, values) and returns the combined output
     values for that key (usually one).
     """
-    out: list[KV] = []
-    for key, values in group_by_key(sorted_records):
-        for combined in combiner(key, values):
-            out.append((key, combined))
-    return out
+    return _combine(group_by_key(sorted_records), combiner)
+
+
+def combine_groups(
+    groups: dict[Any, list[Any]],
+    cmp: Compare | None,
+    combiner: Callable[[Any, list[Any]], Iterable[Any]],
+) -> list[KV]:
+    """Hash-combine: the combined run of records already grouped as
+    ``key -> [values]``, keys in first-seen and values in arrival order.
+
+    Sorting the unique keys and combining each key's values is what
+    ``combine_run(sort_block(records, cmp), combiner)`` yields for the
+    records themselves — the sort is stable and both group by ``==``
+    under the first-seen key — without sorting every record.  (Keys the
+    comparator ties are taken to be ``==``, as the reduce side's
+    :func:`group_by_key` takes them: ties that are not fragment a key's
+    group there, and may fragment it differently here.)
+    """
+    return _combine(sort_block(list(groups.items()), cmp), combiner)
 
 
 #: read granularity when streaming a spill back in

@@ -231,10 +231,6 @@ class BatchBuilder:
         self._scratch = DataOutput()
         self.count = 0
 
-    @property
-    def nbytes(self) -> int:
-        return len(self._buf)
-
     def add(self, key: Any, value: Any) -> None:
         """Serialize one pair into the batch (raw mode: frame its bytes)."""
         if self._raw:

@@ -12,7 +12,7 @@ import glob
 import json
 import os
 
-from repro.core import DataMPIJob, Mode, common_job, mapreduce_job, mpidrun
+from repro.core import DataMPIJob, FileSink, Mode, common_job, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 
 from tests.core.helpers import (
@@ -56,6 +56,62 @@ class TestMapReduceParity:
                 for rank, pairs in out.by_task().items()
             }
         assert per_task["threads"] == per_task["processes"]
+
+
+class TestFileSink:
+    """One append handle per task rank per process, flushed every pair."""
+
+    def test_part_files_identical_and_no_handle_outlives_cleanup(self, tmp_path):
+        parts = {}
+        for launcher in ("threads", "processes"):
+            sink = FileSink(tmp_path / launcher)
+            mpidrun(_wc_job(sink, launcher), nprocs=4, raise_on_error=True)
+            handles = list(sink._files.values())
+            parts[launcher] = {
+                path.name: path.read_bytes()
+                for path in (tmp_path / launcher).glob("part-*.pkl")
+            }
+            # thread ranks wrote through this very object; process ranks
+            # through their forked copies, whose handles died with them
+            assert len(handles) == (
+                len(parts[launcher]) if launcher == "threads" else 0
+            )
+            assert sink.merged() == expected_wordcount(TEXTS)
+            sink.cleanup()
+            assert all(f.closed for f in handles) and not sink._files
+            assert not os.path.exists(sink.directory)
+        assert len(parts["threads"]) > 1
+        assert parts["threads"] == parts["processes"]
+
+    def test_every_pair_is_readable_before_any_close(self, tmp_path):
+        """A worker that dies mid-job leaves a parsable stream: a second
+        reader sees each pair as soon as the call returns."""
+        sink = FileSink(tmp_path / "live")
+        reader = FileSink(sink.directory)
+        written = []
+        for i in range(5):
+            sink(i % 2, f"k{i}", i)
+            written.append((f"k{i}", i))
+            assert sorted(reader.pairs()) == written
+        assert len(sink._files) == 2  # one handle per rank, not per pair
+        assert reader.by_task() == {
+            0: [("k0", 0), ("k2", 2), ("k4", 4)], 1: [("k1", 1), ("k3", 3)],
+        }
+        sink.cleanup()
+
+    def test_handles_are_dropped_from_pickled_state(self, tmp_path):
+        import pickle
+
+        sink = FileSink(tmp_path / "pickled")
+        sink(0, "a", 1)
+        clone = pickle.loads(pickle.dumps(sink))
+        assert clone.directory == sink.directory and clone._files == {}
+        clone(0, "b", 2)  # appends through a handle of its own
+        assert list(sink.pairs()) == [("a", 1), ("b", 2)]
+        handles = [*sink._files.values(), *clone._files.values()]
+        sink.cleanup()  # closes its own handle and removes the part files
+        assert [f.closed for f in handles] == [True, False]
+        clone._files.popitem()[1].close()
 
 
 class TestModesOnProcesses:

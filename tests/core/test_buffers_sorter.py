@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.records import _size_of, kv_bytes
 from repro.core.buffers import ReceivePartitionList, SendPartitionList
+from repro.core.partition import _stable_hash
 from repro.core.sorter import (
     RunStore,
     combine_run,
@@ -13,9 +15,10 @@ from repro.core.sorter import (
     sort_block,
     spill_batch,
 )
-from repro.serde.batch import RecordBatch
+from repro.serde.batch import RecordBatch, batch_from_pairs
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
+from repro.serde.writable import IntWritable, Text
 from tests.core.helpers import SERIALIZER as SER, batch_block
 
 
@@ -285,11 +288,204 @@ class TestSendPartitionList:
 
     def test_counters(self):
         spl = SendPartitionList(2, flush_bytes=10**9, cmp=None, serializer=SER)
-        spl.add(0, "a", 1)
-        assert spl.records_in == 1
-        spl.flush_all()
+        assert spl.add(0, "a", 1) is None
+        assert (spl.records_out, spl.bytes_out) == (0, 0)  # counted at seal
+        (block,) = spl.flush_all()
         assert spl.records_out == 1
-        assert spl.bytes_out > 0
+        assert spl.bytes_out == block.nbytes > 0
+        assert spl.flush_all() == []
+
+
+def _reversed_compare(k1, k2):
+    return default_compare(k2, k1)
+
+
+def _ends_and_count(_key, values):
+    """Several values per key, and sensitive to the values' order."""
+    return [values[0], len(values), values[-1]]
+
+
+#: key strategies of the hash-combine property; small domains so that
+#: keys repeat within a block
+_COMBINE_KEYS = {
+    "str": st.text("abc", max_size=2),
+    "equal_numbers": st.sampled_from([0, 0.0, False, 1, 1.0, True, 2, 2.5, -1]),
+    "tuple": st.tuples(st.integers(0, 2), st.sampled_from(["a", "b", ""])),
+    "text": st.builds(Text, st.text("xy", max_size=2)),
+    "int_writable": st.builds(IntWritable, st.integers(-2, 2)),
+    "mixed_writables": st.one_of(
+        st.builds(Text, st.text("xy", max_size=1)),
+        st.builds(IntWritable, st.integers(0, 2)),
+    ),
+    "list_unhashable": st.lists(st.integers(0, 2), max_size=2),
+    "tuple_and_list": st.one_of(
+        st.tuples(st.integers(0, 1)), st.lists(st.integers(0, 1), max_size=1),
+    ),
+    # b"a" == bytearray(b"a"), and only one of the two hashes
+    "bytes_and_bytearray": st.sampled_from(
+        [b"a", b"b", b""]
+    ).flatmap(lambda b: st.sampled_from([b, bytearray(b)])),
+}
+
+
+class TestHashCombine:
+    """With a combiner the SPL groups values by key as they arrive and
+    seals by sorting the unique keys.  The blocks must be what sorting,
+    grouping and combining the buffered tuples gives: same flush points,
+    same bytes."""
+
+    @staticmethod
+    def _reference(records, num_partitions, flush_bytes, cmp, combiner):
+        """The tuple-list SPL: per block (index of the sealing record, or
+        None at the final flush; partition; bytes), and the combined-away
+        total."""
+        held = [[] for _ in range(num_partitions)]
+        sizes = [0] * num_partitions
+        out, combined_away = [], 0
+
+        def seal(at, partition):
+            nonlocal combined_away
+            run = combine_run(sort_block(held[partition], cmp), combiner)
+            out.append((at, partition, bytes(batch_from_pairs(run, SER).data)))
+            combined_away += len(held[partition]) - len(run)
+            held[partition], sizes[partition] = [], 0
+
+        for at, (partition, key, value) in enumerate(records):
+            held[partition].append((key, value))
+            sizes[partition] += kv_bytes(key, value)
+            if sizes[partition] >= flush_bytes:
+                seal(at, partition)
+        for partition in range(num_partitions):
+            if held[partition]:
+                seal(None, partition)
+        return out, combined_away
+
+    @staticmethod
+    def _actual(records, num_partitions, flush_bytes, cmp, combiner):
+        spl = SendPartitionList(
+            num_partitions, flush_bytes, cmp, combiner=combiner, serializer=SER
+        )
+        sealed = [
+            (at, spl.add(partition, key, value))
+            for at, (partition, key, value) in enumerate(records)
+        ]
+        sealed = [(at, block) for at, block in sealed if block is not None]
+        sealed += [(None, block) for block in spl.flush_all()]
+        assert spl.flush_all() == []
+        assert all(b.sorted and b.nbytes == len(b.records.data) for _, b in sealed)
+        assert spl.records_out == sum(b.count for _, b in sealed)
+        assert spl.records_out == len(records) - spl.combined_away
+        return (
+            [(at, b.partition_id, bytes(b.records.data)) for at, b in sealed],
+            spl.combined_away,
+        )
+
+    @pytest.mark.parametrize("keys", sorted(_COMBINE_KEYS))
+    @pytest.mark.parametrize(
+        "cmp, combiner",
+        [
+            (default_compare, lambda key, values: [sum(values)]),
+            (default_compare, _ends_and_count),
+            (_reversed_compare, _ends_and_count),
+        ],
+        ids=["sum", "several_values", "custom_comparator"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), flush_bytes=st.sampled_from([1, 40, 150, 10**6]))
+    def test_blocks_are_byte_identical_to_sort_group_combine(
+        self, keys, cmp, combiner, data, flush_bytes
+    ):
+        records = data.draw(st.lists(
+            st.tuples(st.integers(0, 1), _COMBINE_KEYS[keys], st.integers(-5, 5)),
+            max_size=60,
+        ))
+        args = (records, 2, flush_bytes, cmp, combiner)
+        assert self._actual(*args) == self._reference(*args)
+
+    def test_a_block_that_met_an_unhashable_key_groups_again_after_its_seal(self):
+        spl = SendPartitionList(
+            1, 10**9, default_compare, combiner=lambda k, vs: [sum(vs)],
+            serializer=SER,
+        )
+        for key in ("a", ["l"], "a", ["l"]):
+            spl.add(0, key, 1)
+        (block,) = spl.flush_all()
+        assert pairs(block) == [(["l"], 2), ("a", 2)]  # 'list' < 'str'
+        assert spl._held == [{}]
+        spl.add(0, "a", 1)
+        assert spl._held == [{"a": [1]}]
+
+    def test_no_combiner_or_no_comparator_buffers_tuples(self):
+        combiner = lambda k, vs: [sum(vs)]  # noqa: E731
+        for cmp, comb in ((default_compare, None), (None, combiner)):
+            spl = SendPartitionList(1, 10**9, cmp, combiner=comb, serializer=SER)
+            for key in ("b", "a", "b"):
+                spl.add(0, key, 1)
+            assert spl._held == [[("b", 1), ("a", 1), ("b", 1)]]
+            (block,) = spl.flush_all()
+            assert sorted(pairs(block)) == [("a", 1), ("b", 1), ("b", 1)]
+            assert spl.combined_away == 0
+
+
+#: a subclass of each type the exact-type fronts answer
+_SUBCLASS = {
+    base: type(f"_{base.__name__.title()}", (base,), {})
+    for base in (str, bytes, int, float)
+}
+
+
+class TestExactTypeFronts:
+    """``_size_of`` and ``_stable_hash`` answer the common types by exact
+    type before their isinstance ladders; the values are pinned so the
+    two cannot drift apart (flush points and partitions depend on them)."""
+
+    TABLE = [
+        # obj, _size_of, _stable_hash — as measured before the fronts existed
+        ("", 4, 0),
+        ("word042", 11, 767629384),
+        ("clé-日本語", 11, 3974492310),
+        (b"", 4, 0),
+        (b"0123456789", 14, 2793719750),
+        (0, 8, 0),
+        (42, 8, 42),
+        (-1, 8, 0x7FFFFFFF),
+        (2**40 + 5, 8, 5),
+        (True, 1, 1),
+        (False, 1, 0),
+        (2.5, 8, 2233083363),
+        (None, 1, 3751981041),
+        (("a", 1), 4 + 5 + 8, 1521240739),
+        ((), 4, 0x811C9DC5),
+        ((b"k", (2, None)), 4 + 5 + (4 + 8 + 1), 1013171580),
+        (["a", 1], 4 + 5 + 8, 3591595165),
+        (bytearray(b"abc"), 7, 4236384222),
+        (Text("hello"), 6, 289235339),
+        (IntWritable(7), 4, 3206564543),
+        (_SUBCLASS[str]("word042"), 11, 767629384),
+        (_SUBCLASS[int](42), 8, 42),
+        (_SUBCLASS[int](-1), 8, 0x7FFFFFFF),
+    ]
+
+    @pytest.mark.parametrize("obj, size, hashed", TABLE, ids=lambda v: repr(v)[:20])
+    def test_pinned_values(self, obj, size, hashed):
+        assert _size_of(obj) == size
+        assert _stable_hash(obj) == hashed
+
+    @given(st.one_of(
+        st.text(max_size=20), st.binary(max_size=20), st.integers(), st.floats(),
+    ))
+    def test_fronts_agree_with_the_ladders(self, obj):
+        """A subclass instance misses the front and takes the ladder."""
+        via_ladder = _SUBCLASS[type(obj)](obj)
+        assert type(via_ladder) is not type(obj)
+        assert _size_of(obj) == _size_of(via_ladder)
+        try:
+            expected = _stable_hash(via_ladder)
+        except UnicodeEncodeError:  # lone surrogate: the front raises too
+            with pytest.raises(UnicodeEncodeError):
+                _stable_hash(obj)
+        else:
+            assert _stable_hash(obj) == expected
 
 
 class TestReceivePartitionList:
@@ -353,24 +549,25 @@ class TestSinglePassAccounting:
         keys = [k for k, _ in store]
         assert keys == sorted(keys) and len(keys) == 51
 
-    def test_seal_sizes_each_record_once(self, monkeypatch):
-        import repro.core.buffers as buffers
-
-        kv_calls = [0]
-        real_kv = buffers.kv_bytes
-
-        def counting_kv(key, value):
-            kv_calls[0] += 1
-            return real_kv(key, value)
-
-        # buffers binds the name at import time; patch its namespace
-        monkeypatch.setattr(buffers, "kv_bytes", counting_kv)
-
+    def test_seal_sizes_each_record_once(self):
+        """A record is sized once, in ``add``, by the ``kv_bytes``
+        estimate: for a fixed input the partition seals after the same
+        records, and each block's ``nbytes`` is its encoded size."""
         spl = SendPartitionList(
-            1, flush_bytes=10**9, cmp=default_compare, serializer=SER
+            1, flush_bytes=100, cmp=default_compare, serializer=SER
         )
-        for i in range(10):
-            spl.add(0, f"k{i}", i)
-        (block_,) = spl.flush_all()
-        assert len(block_.records) == 10
-        assert kv_calls[0] == 10  # once per record, in add(); never at seal
+        records = [(f"k{i:02d}", i) for i in range(25)]
+        # (3 + 4) + 8 = 15 estimated bytes a record: 7 records reach 100
+        assert {kv_bytes(k, v) for k, v in records} == {15}
+        sealed = [
+            (i, block) for i, (k, v) in enumerate(records)
+            if (block := spl.add(0, k, v)) is not None
+        ]
+        assert [i for i, _ in sealed] == [6, 13, 20]
+        blocks = [block for _, block in sealed] + spl.flush_all()
+        assert [b.count for b in blocks] == [7, 7, 7, 4]
+        # encoded: vint 4 + (tag, vint 3, 3 chars) + vint 2 + (tag, 1 byte)
+        assert [b.nbytes for b in blocks] == [9 * 7, 9 * 7, 9 * 7, 9 * 4]
+        assert all(b.nbytes == len(b.records.data) for b in blocks)
+        assert spl.bytes_out == sum(b.nbytes for b in blocks)
+        assert [kv for b in blocks for kv in pairs(b)] == records

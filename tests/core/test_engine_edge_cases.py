@@ -337,3 +337,238 @@ class TestDiversifiedTopologies:
         assert mpidrun(job, nprocs=3, raise_on_error=True).success
         for a, got in sink.items():
             assert sorted(v for _, v in got) == [0, 1, 2]
+
+
+class _RecordingShuffle:
+    """Stands in for the ShuffleService: keeps what ``send`` ships."""
+
+    def __init__(self):
+        self.shipped = []
+
+    def send_block(self, plane_id, block):
+        self.shipped.append((plane_id, block))
+
+
+class TestBoundSend:
+    """``ctx.send`` is built once per task; every check it used to make
+    per record still holds through the bound closure."""
+
+    @staticmethod
+    def _context(spl=None, *, kind="O", a_size=2, flush_bytes=10**9, **parts):
+        from repro.core.buffers import SendPartitionList
+        from repro.core.context import TaskContext
+        from repro.core.partition import hash_partitioner
+        from repro.serde.comparators import default_compare
+        from tests.core.helpers import SERIALIZER
+
+        if spl is None and kind == "O":
+            spl = SendPartitionList(
+                a_size, flush_bytes, default_compare, serializer=SERIALIZER
+            )
+        parts.setdefault("partitioner", hash_partitioner)
+        parts.setdefault("shuffle", _RecordingShuffle())
+        return TaskContext(
+            kind=kind, task_id=3, o_size=4, a_size=a_size, round_no=0, conf=None,
+            spl=spl, send_plane_id="fwd:0" if spl is not None else None,
+            recv_plane=None, **parts,
+        )
+
+    @staticmethod
+    def _buffered(ctx):
+        from tests.core.helpers import SERIALIZER
+
+        return sorted(
+            kv for block in ctx._spl.flush_all()
+            for kv in block.records.iter_pairs(SERIALIZER)
+        )
+
+    @pytest.mark.parametrize("crash_after", [0, 1, 7])
+    def test_injected_crash_after_exactly_n_records(self, crash_after):
+        from repro.common.errors import DataMPIError
+
+        ctx = self._context(crash_after=crash_after)
+        for i in range(crash_after):
+            ctx.send(i, i)
+        for _ in range(2):  # and it keeps raising
+            with pytest.raises(DataMPIError, match=(
+                f"injected crash in O task 3 after {crash_after} records"
+            )):
+                ctx.send("one too many", 0)
+        assert ctx.metrics.records_emitted == crash_after
+        assert self._buffered(ctx) == [(i, i) for i in range(crash_after)]
+
+    def test_resumed_task_skips_replayed_emits_and_writes_the_rest(self, tmp_path):
+        from repro.core.checkpoint import CheckpointReader, CheckpointWriter
+        from tests.core.helpers import SERIALIZER
+
+        emits = [(f"k{i}", i) for i in range(10)]
+        first = CheckpointWriter(str(tmp_path), "o3", SERIALIZER, 2)
+        for key, value in emits[:5]:
+            first.add(key, value)  # two complete rounds: 4 records on disk
+        reader = CheckpointReader(str(tmp_path), "o3", SERIALIZER)
+        writer = CheckpointWriter(
+            str(tmp_path), "o3", SERIALIZER, 2, start_round=reader.max_round()
+        )
+        ctx = self._context(checkpoint_reader=reader, checkpoint_writer=writer)
+        assert ctx.replay_checkpoint() == 4
+        assert ctx.metrics.records_emitted == 4
+        assert writer.records_persisted == 0  # replayed pairs are not rewritten
+        for key, value in emits:  # the rerun emits everything again
+            ctx.send(key, value)
+        ctx.close()
+        assert ctx.metrics.records_emitted == 10
+        assert writer.records_persisted == 6
+        assert self._buffered(ctx) == emits  # each pair exactly once
+        assert list(reader.replay()) == emits
+
+    def test_crash_counts_skipped_emits(self, tmp_path):
+        from repro.common.errors import DataMPIError
+        from repro.core.checkpoint import CheckpointReader, CheckpointWriter
+        from tests.core.helpers import SERIALIZER
+
+        writer = CheckpointWriter(str(tmp_path), "o3", SERIALIZER, 1)
+        for i in range(4):
+            writer.add(i, i)
+        ctx = self._context(
+            checkpoint_reader=CheckpointReader(str(tmp_path), "o3", SERIALIZER),
+            crash_after=6,
+        )
+        assert ctx.replay_checkpoint() == 4
+        for i in range(6):
+            ctx.send(i, i)
+        with pytest.raises(DataMPIError, match="after 6 records"):
+            ctx.send(6, 6)
+        assert ctx.metrics.records_emitted == 6  # 4 replayed + 2 new
+
+    def test_key_and_value_class_coerce_or_raise(self, tmp_path):
+        from repro.common.errors import DataMPIError
+        from repro.core.checkpoint import CheckpointReader, CheckpointWriter
+        from tests.core.helpers import SERIALIZER
+
+        writer = CheckpointWriter(str(tmp_path), "o3", SERIALIZER, 1)
+        ctx = self._context(
+            key_class=int, value_class=float, checkpoint_writer=writer
+        )
+        ctx.send("17", "2.5")
+        ctx.send(4, 1.5)  # conforming pairs pass untouched
+        with pytest.raises(DataMPIError, match=(
+            r"O task 3: key \['x'\] is not a int and cannot be coerced"
+        )):
+            ctx.send(["x"], 1.0)
+        with pytest.raises(DataMPIError, match="value 'y' is not a float"):
+            ctx.send(1, "y")
+        assert ctx.metrics.records_emitted == 2
+        assert self._buffered(ctx) == [(4, 1.5), (17, 2.5)]
+        # the checkpoint holds the coerced pair, as the shuffle does
+        replayed = list(CheckpointReader(str(tmp_path), "o3", SERIALIZER).replay())
+        assert replayed == [(17, 2.5), (4, 1.5)]
+        only_value = self._context(value_class=str)
+        only_value.send(b"raw", 5)
+        assert self._buffered(only_value) == [(b"raw", "5")]
+
+    @pytest.mark.parametrize("dest", [2, -1])
+    def test_partitioner_out_of_range_raises(self, dest):
+        from repro.common.errors import DataMPIError
+
+        ctx = self._context(partitioner=lambda key, value, n: dest)
+        with pytest.raises(DataMPIError, match=(
+            rf"partitioner returned {dest}, outside \[0, 2\)"
+        )):
+            ctx.send("k", 1)
+        assert ctx.metrics.records_emitted == 0
+        assert self._buffered(ctx) == []
+
+    def test_records_emitted_is_exact_per_task(self):
+        first = self._context()
+        second = self._context(first._spl)  # a rank's tasks share its SPL
+        for i in range(3):
+            first.send(i, "a")
+        for i in range(5):
+            second.send(i, "b")
+        assert first.metrics.records_emitted == 3
+        assert second.metrics.records_emitted == 5
+        assert len(self._buffered(first)) == 8
+
+    def test_sealed_blocks_ship_on_the_tasks_plane(self):
+        ctx = self._context(flush_bytes=64, partitioner=lambda k, v, n: k % n)
+        for i in range(40):
+            ctx.send(i, "x" * 8)
+        shipped = ctx._shuffle.shipped
+        assert shipped and {plane for plane, _ in shipped} == {"fwd:0"}
+        assert {block.partition_id for _, block in shipped} == {0, 1}
+        total = sum(block.count for _, block in shipped)
+        assert total + len(self._buffered(ctx)) == 40 == ctx.metrics.records_emitted
+
+    def test_shuffle_is_resolved_when_a_block_seals(self):
+        """``bench/replay.py`` times the dispatch with a bare ``object()``
+        for the shuffle and an SPL stub that never seals."""
+        added = []
+
+        class NeverSeals:
+            def add(self, partition, key, value):
+                added.append((partition, key, value))
+
+        ctx = self._context(
+            NeverSeals(), shuffle=object(), partitioner=lambda k, v, n: 1
+        )
+        ctx.send("k", "v")
+        assert added == [(1, "k", "v")] and ctx.metrics.records_emitted == 1
+
+    def test_a_task_send_outside_iteration_mode_raises(self):
+        from repro.common.errors import DataMPIError
+        from repro.core import MPI_D
+        from repro.core import context as context_mod
+
+        ctx = self._context(kind="A")
+        with pytest.raises(DataMPIError, match="A task 3 cannot Send in this mode"):
+            ctx.send("k", 1)
+        context_mod.bind(ctx)
+        try:
+            with pytest.raises(DataMPIError, match="cannot Send in this mode"):
+                MPI_D.Send("k", 1)
+        finally:
+            context_mod.bind(None)
+        assert ctx.metrics.records_emitted == 0
+
+    def test_mpi_d_send_reaches_the_bound_send(self):
+        from repro.core import MPI_D
+        from repro.core import context as context_mod
+
+        ctx = self._context(crash_after=5)
+        context_mod.bind(ctx)
+        try:
+            MPI_D.Send("k", 1)
+        finally:
+            context_mod.bind(None)
+        assert ctx.metrics.records_emitted == 1
+        assert self._buffered(ctx) == [("k", 1)]
+
+    def test_engine_crash_injection_names_the_exact_count(self, tmp_path):
+        def o_fn(ctx):
+            for i in range(50):
+                ctx.send(i, ctx.rank)
+
+        job = DataMPIJob(
+            "crash", o_fn, lambda ctx: list(ctx.recv_iter()), 3, 2,
+            mode=Mode.MAPREDUCE,
+            conf={K.INJECT_CRASH_AFTER_RECORDS: 13, K.INJECT_CRASH_TASK: 2},
+        )
+        result = mpidrun(job, nprocs=2)
+        assert not result.success
+        assert "injected crash in O task 2 after 13 records" in result.error
+
+    def test_engine_reports_exact_records_emitted_per_task(self):
+        def o_fn(ctx):
+            for i in range(10 * (ctx.rank + 1)):
+                ctx.send(i, 1)
+
+        job = DataMPIJob(
+            "emitted", o_fn, lambda ctx: list(ctx.recv_iter()), 3, 2,
+            mode=Mode.MAPREDUCE, combiner=lambda key, values: [sum(values)],
+        )
+        result = mpidrun(job, nprocs=2, raise_on_error=True)
+        emitted = {
+            t.task_id: t.records_emitted for t in result.metrics.tasks
+            if t.kind == "O"
+        }
+        assert emitted == {0: 10, 1: 20, 2: 30}
