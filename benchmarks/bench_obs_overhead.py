@@ -49,6 +49,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core.buffers import SendPartitionList  # noqa: E402
+from repro.core.metrics import PhaseClock, bind_clock  # noqa: E402
 from repro.core.partition import PartitionWindow  # noqa: E402
 from repro.core.shuffle import PlaneConfig, ShuffleService  # noqa: E402
 from repro.mpi import run_world  # noqa: E402
@@ -105,7 +106,11 @@ def _run_shuffle(records_per_rank: int, profile_hz: float = 0.0) -> tuple[float,
 
     def main(comm):
         if profile_hz > 0:
-            PROFILER.register_thread(comm.rank, phase="compute")
+            # as the engine does: the rank thread's lane is what the seals
+            # switch and what the sampler reads the phase from
+            clock = PhaseClock("compute")
+            bind_clock(clock)
+            PROFILER.register_thread(comm.rank, clock=clock)
         spill_dir = tempfile.mkdtemp(prefix="bench-obs-")
         service = ShuffleService(
             comm,
@@ -135,6 +140,7 @@ def _run_shuffle(records_per_rank: int, profile_hz: float = 0.0) -> tuple[float,
         service.shutdown()
         if profile_hz > 0:
             PROFILER.unregister_thread()
+            bind_clock(None)
         return elapsed, stats["blocks_sent"], consumed
 
     if profile_hz > 0:
@@ -253,9 +259,9 @@ def bench_profiler(quick: bool) -> dict:
 
     # register a few fake rank threads so each tick walks realistic state
     idents = [threading.get_ident() + 1 + i for i in range(nranks - 1)]
-    PROFILER.register_thread(0, phase="compute")
+    PROFILER.register_thread(0, clock=PhaseClock("compute"))
     for rank, ident in enumerate(idents, start=1):
-        PROFILER.register_thread(rank, phase="merge", ident=ident)
+        PROFILER.register_thread(rank, clock=PhaseClock("merge"), ident=ident)
     try:
         t0 = time.perf_counter()
         for _ in range(n):

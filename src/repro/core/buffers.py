@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.records import _size_of
+from repro.core.metrics import phase
 from repro.core.sorter import RunStore, combine_groups, combine_run, sort_block
 from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch, batch_from_pairs, sort_batch
@@ -89,10 +89,6 @@ class SendPartitionList:
         self.records_out = 0
         self.bytes_out = 0
         self.combined_away = 0
-        #: seconds spent sorting/combining inside seals — the engine
-        #: subtracts this from task compute time to isolate the paper's
-        #: "partition-sort" phase
-        self.sort_seconds = 0.0
 
     def add(self, partition: int, key: Any, value: Any) -> Block | None:
         """Cache a pair — the only per-record buffer call; returns a
@@ -122,23 +118,21 @@ class SendPartitionList:
         held = self._held[partition]
         self._held[partition] = {} if self._grouped else []
         self._nbytes[partition] = 0
-        t0 = _clock()
-        if type(held) is dict:
-            before = sum(map(len, held.values()))
-            records = combine_groups(held, self.cmp, self.combiner)
-        else:
-            before = len(held)
-            records = held if self.cmp is None else sort_block(held, self.cmp)
-            if self._grouped:  # this block met an unhashable key
-                records = combine_run(records, self.combiner)
-        batch = batch_from_pairs(records, self.serializer, raw=self.raw)
-        dur = _clock() - t0
-        self.sort_seconds += dur
-        if _T.enabled:
-            _T.complete(
-                "spl.seal", t0, dur, cat="sort",
-                args={"partition": partition, "records": batch.count},
-            )
+        # the paper's "partition-sort" stage: the seal moves the calling
+        # thread's lane there itself, whoever triggered it
+        with phase("partition-sort"), _T.span(
+            "spl.seal", cat="sort", args={"partition": partition}
+        ) as span:
+            if type(held) is dict:
+                before = sum(map(len, held.values()))
+                records = combine_groups(held, self.cmp, self.combiner)
+            else:
+                before = len(held)
+                records = held if self.cmp is None else sort_block(held, self.cmp)
+                if self._grouped:  # this block met an unhashable key
+                    records = combine_run(records, self.combiner)
+            batch = batch_from_pairs(records, self.serializer, raw=self.raw)
+            span.set("records", batch.count)
         # the encoded block is its own exact byte count
         nbytes = len(batch.data)
         self.records_out += batch.count

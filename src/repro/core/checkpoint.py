@@ -25,11 +25,11 @@ import os
 import re
 import struct
 import zlib
-from time import perf_counter as _clock
 from typing import Any, Iterator
 
 from repro.common.errors import CheckpointError
 from repro.common.logging import get_logger
+from repro.core.metrics import phase
 from repro.obs.tracer import TRACER as _T
 from repro.serde.io import DataInput, DataOutput
 from repro.serde.serialization import Serializer
@@ -70,9 +70,6 @@ class CheckpointWriter:
         self.round_no = start_round
         self._buffer: list[KV] = []
         self.records_persisted = 0
-        #: seconds spent serializing + fsync-writing round files; the
-        #: engine reports it as the "checkpoint" phase bucket
-        self.write_seconds = 0.0
 
     def add(self, key: Any, value: Any) -> None:
         self._buffer.append((key, value))
@@ -83,28 +80,27 @@ class CheckpointWriter:
         """Persist the buffered round atomically (write-then-rename)."""
         if not self._buffer:
             return
-        t0 = _clock()
-        out = DataOutput()
-        out.write_vint(len(self._buffer))
-        for key, value in self._buffer:
-            self.serializer.serialize_kv(key, value, out)
-        payload = out.getvalue()
-        final = _round_path(self.directory, self.task, self.round_no)
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(_CRC.pack(zlib.crc32(payload)))
-            f.write(payload)
-        os.replace(tmp, final)
-        dur = _clock() - t0
-        self.write_seconds += dur
-        if _T.enabled:
-            _T.complete(
-                "checkpoint.flush", t0, dur, cat="checkpoint",
-                args={
-                    "task": self.task, "round": self.round_no,
-                    "records": len(self._buffer), "bytes": len(payload),
-                },
-            )
+        # serializing and writing a round is the "checkpoint" phase of
+        # whichever thread's lane the task runs on
+        with phase("checkpoint"), _T.span(
+            "checkpoint.flush", cat="checkpoint",
+            args={
+                "task": self.task, "round": self.round_no,
+                "records": len(self._buffer),
+            },
+        ) as span:
+            out = DataOutput()
+            out.write_vint(len(self._buffer))
+            for key, value in self._buffer:
+                self.serializer.serialize_kv(key, value, out)
+            payload = out.getvalue()
+            final = _round_path(self.directory, self.task, self.round_no)
+            tmp = final + ".tmp"
+            with open(tmp, "wb") as f:
+                f.write(_CRC.pack(zlib.crc32(payload)))
+                f.write(payload)
+            os.replace(tmp, final)
+            span.set("bytes", len(payload))
         self.records_persisted += len(self._buffer)
         self._buffer.clear()
         self.round_no += 1

@@ -3,7 +3,7 @@
 ``MPI_D_Constants`` mirrors the Java binding's constants class used in
 Listing 1 (``MPI_D_Constants.KEY_CLASS`` etc.).  Every tunable the
 DataMPI engine reads is named here so profiles, tests and user code share
-one vocabulary.
+one vocabulary; their defaults are one table in :mod:`repro.core.modes`.
 """
 
 from __future__ import annotations
@@ -143,8 +143,9 @@ class MPI_D_Constants:
     DOCTOR_ENABLED = "mpi.d.doctor.enabled"
     #: evaluation period, seconds
     DOCTOR_INTERVAL_SECONDS = "mpi.d.doctor.interval.seconds"
-    #: seconds a live rank's phase clock may stand still before it is
-    #: declared stalled (and an all-rank stack capture fires)
+    #: seconds a live rank may go without progress (busy-phase time or a
+    #: counter advancing) before it is declared stalled and an all-rank
+    #: stack capture fires
     DOCTOR_STALL_SECONDS = "mpi.d.doctor.stall.seconds"
     #: where to write the doctor.json report (default: temp dir)
     DOCTOR_PATH = "mpi.d.doctor.path"
@@ -158,23 +159,6 @@ class MPI_D_Constants:
     #: defaults to the first, so an automatic restart recovers
     INJECT_CRASH_ATTEMPT = "mpi.d.inject.crash.attempt"
 
-
-#: default sender-side coalescing cap (see ``SHUFFLE_BATCH_BYTES``)
-SHUFFLE_BATCH_BYTES_DEFAULT = 256 * 1024
-
-#: default per-rank redelivery-buffer cap (see ``RANK_REDELIVERY_BYTES``)
-RANK_REDELIVERY_BYTES_DEFAULT = 64 * 1024 * 1024
-
-#: default telemetry shipping period (see ``TELEMETRY_INTERVAL_SECONDS``)
-TELEMETRY_INTERVAL_DEFAULT = 0.25
-
-#: default profiler sampling rate (see ``PROFILE_HZ``)
-PROFILE_HZ_DEFAULT = 50.0
-
-#: default doctor evaluation period (see ``DOCTOR_INTERVAL_SECONDS``)
-DOCTOR_INTERVAL_DEFAULT = 0.5
-#: default stall window in seconds (see ``DOCTOR_STALL_SECONDS``)
-DOCTOR_STALL_SECONDS_DEFAULT = 5.0
 
 #: internal shuffle tag on the worker world communicator
 SHUFFLE_TAG = 900_001

@@ -28,7 +28,7 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.job import DataMPIJob
-from repro.core.metrics import WorkerMetrics
+from repro.core.metrics import PhaseClock, WorkerMetrics, bind_clock, phase
 from repro.core.modes import (
     mode_is_bidirectional,
     mode_is_pipelined,
@@ -38,7 +38,6 @@ from repro.core.modes import (
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
-from repro.core.constants import PROFILE_HZ_DEFAULT, TELEMETRY_INTERVAL_DEFAULT
 from repro.obs.profiler import PROFILE_CAT, PROFILER
 # module, not name: obs.telemetry imports core.metrics, so when repro.obs
 # is imported first this line runs while obs.telemetry is still loading
@@ -48,9 +47,6 @@ from repro.serde.comparators import default_compare
 from repro.serde.serialization import get_serializer
 
 _log = get_logger("core.engine")
-
-#: plane completion timeout (seconds); generous, aborted earlier on failure
-PLANE_TIMEOUT = 120.0
 
 
 def worker_main(world: Any, job: DataMPIJob, nprocs: int) -> WorkerMetrics:
@@ -69,28 +65,29 @@ class WorkerEngine:
         self.nprocs = nprocs
         self.rank = world.rank
         self.conf: Configuration = profile_for(job.mode, job.conf)
-        self.attempt = self.conf.get_int(K.JOB_ATTEMPT, 1)
-        self.plane_timeout = self.conf.get_float(
-            K.PLANE_TIMEOUT_SECONDS, PLANE_TIMEOUT
-        )
+        self.attempt = self.conf.get_int(K.JOB_ATTEMPT)
+        #: generous; a failure aborts the wait earlier
+        self.plane_timeout = self.conf.get_float(K.PLANE_TIMEOUT_SECONDS)
         self.sorts = mode_sorts(self.conf)
         self.pipelined = mode_is_pipelined(self.conf)
         self.bidirectional = mode_is_bidirectional(self.conf)
         self.cmp = (job.comparator or default_compare) if self.sorts else None
-        self.serializer = get_serializer(self.conf.get_str(K.SERIALIZER, "writable"))
+        self.serializer = get_serializer(self.conf.get_str(K.SERIALIZER))
         #: mpidrun sets this to the job's scratch directory when the user
         #: named none; the engine creates no directory of its own
         self.spill_dir = self.conf.get(K.LOCAL_DIR) or tempfile.gettempdir()
-        cache_fraction = self.conf.get_float(K.CACHE_FRACTION, 1.0)
+        cache_fraction = self.conf.get_float(K.CACHE_FRACTION)
         self.memory_budget = max(
             0, int(self.conf.get_bytes(K.MEMORY_CACHE_BYTES) * cache_fraction)
         )
         self.window_fwd = PartitionWindow(job.a_tasks, nprocs)
         self.window_bwd = PartitionWindow(job.o_tasks, nprocs)
         self.metrics = WorkerMetrics(rank=self.rank)
-        #: guards phase-bucket accrual (streaming A tasks run on threads)
-        #: and the shuffle fold (the telemetry shipper runs it too)
-        self._phase_lock = threading.Lock()
+        #: the main thread's lane, the only writer of this rank's time;
+        #: whatever runs outside a ``phase(...)`` scope is control
+        self.clock = PhaseClock("control")
+        #: guards the fold (the telemetry shipper runs it too)
+        self._fold_lock = threading.Lock()
         self.state: dict = {}  # process-local cross-round state (Iteration)
         self.shuffle = ShuffleService(
             world,
@@ -101,8 +98,8 @@ class WorkerEngine:
         #: sampling rate; 0 = profiler off (the stack registry for live
         #: dumps is maintained regardless)
         self.profile_hz = (
-            self.conf.get_float(K.PROFILE_HZ, PROFILE_HZ_DEFAULT)
-            if self.conf.get_bool(K.PROFILE_ENABLED, False)
+            self.conf.get_float(K.PROFILE_HZ)
+            if self.conf.get_bool(K.PROFILE_ENABLED)
             else 0.0
         )
         self._prof_epoch = world.runtime.rank_epoch
@@ -122,11 +119,11 @@ class WorkerEngine:
             spill_dir=self.spill_dir,
             memory_budget=self.memory_budget,
             pipelined=self.pipelined,
-            compress_spills=self.conf.get_bool(K.SPILL_COMPRESS, False),
+            compress_spills=self.conf.get_bool(K.SPILL_COMPRESS),
         )
 
     def _build_checkpoint_manager(self) -> CheckpointManager | None:
-        if not self.conf.get_bool(K.FT_ENABLED, False):
+        if not self.conf.get_bool(K.FT_ENABLED):
             return None
         if self.job.mode is Mode.ITERATION or self.pipelined:
             raise DataMPIError(
@@ -141,20 +138,11 @@ class WorkerEngine:
             self.conf.get_int(K.FT_INTERVAL_RECORDS),
         )
 
-    # -- phase accounting ---------------------------------------------------------
-    def _add_phase(self, phase: str, seconds: float) -> None:
-        """Thread-safe accrual into this worker's phase-time buckets."""
-        with self._phase_lock:
-            self.metrics.add_phase(phase, seconds)
-
     # -- control protocol ------------------------------------------------------------
-    def _request_task(self, phase: str, round_no: int) -> int | None:
-        """Ask mpidrun for the next task of (phase, round); None = phase over."""
-        t0 = time.perf_counter()
-        PROFILER.set_phase("control")
-        self.parent.send(("req", phase, round_no, self.rank), dest=0, tag=CONTROL_TAG)
+    def _request_task(self, side: str, round_no: int) -> int | None:
+        """Ask mpidrun for the next task of (side, round); None = side over."""
+        self.parent.send(("req", side, round_no, self.rank), dest=0, tag=CONTROL_TAG)
         kind, task_id = self.parent.recv(source=0, tag=CONTROL_TAG)
-        self._add_phase("control", time.perf_counter() - t0)
         return task_id if kind == "task" else None
 
     def _report(self) -> None:
@@ -172,7 +160,7 @@ class WorkerEngine:
     def _start_heartbeat(self) -> threading.Event | None:
         """Beat ("hb", rank) at the configured interval on a daemon thread
         so a worker deep in a long shuffle wait still proves liveness."""
-        interval = self.conf.get_float(K.HEARTBEAT_INTERVAL_SECONDS, 0.5)
+        interval = self.conf.get_float(K.HEARTBEAT_INTERVAL_SECONDS)
         if interval <= 0:
             return None
         stop = threading.Event()
@@ -190,26 +178,30 @@ class WorkerEngine:
         thread.start()
         return stop
 
-    def _fold_shuffle(self) -> None:
-        """Bring ``self.metrics`` up to date with the shuffle service: its
-        counters (``stats()`` keys are :class:`Counters` field names) and
-        the spill overlay bucket, which accrues on the receiver thread.
-        Called by the telemetry shipper for every snapshot and by ``run``
-        ahead of the final report — the only reader of ``shuffle.stats()``."""
-        with self._phase_lock:
+    def _fold(self) -> None:
+        """Bring ``self.metrics`` up to date: the shuffle service's counters
+        (``stats()`` keys are :class:`Counters` field names), the phase
+        buckets — the main lane's clock as it reads now, plus the spill
+        overlay, which accrues on the receiver thread — and the wall, that
+        lane's total.  Called by the telemetry shipper for every snapshot
+        and by ``run`` ahead of the final report — the only reader of
+        ``shuffle.stats()`` and of the clock."""
+        with self._fold_lock:
             for name, value in self.shuffle.stats().items():
                 setattr(self.metrics, name, value)
+            phases = self.clock.read()
+            self.metrics.wall_seconds = sum(phases.values())
             spill = self.shuffle.spill_seconds()
             if spill > 0:
-                self.metrics.phase_times["spill"] = spill
+                phases["spill"] = spill
+            self.metrics.phase_times = phases
 
     # -- live telemetry ------------------------------------------------------------
     def _telemetry_snapshot(self, epoch: int, endpoint: Any, seq: int) -> dict:
-        self._fold_shuffle()
-        with self._phase_lock:
-            snap = telemetry_mod.build_snapshot(
-                self.metrics, epoch, seq, queue=endpoint.stats()
-            )
+        self._fold()
+        snap = telemetry_mod.build_snapshot(
+            self.metrics, epoch, seq, queue=endpoint.stats()
+        )
         if self.profile_hz > 0:
             prof = PROFILER.snapshot_for(self.rank, epoch)
             if prof is not None:
@@ -219,11 +211,9 @@ class WorkerEngine:
     def _start_telemetry(self) -> tuple[threading.Event, threading.Thread] | None:
         """Ship telemetry snapshots to the driver's hub on an interval
         thread, by whatever route the runtime has to it."""
-        if not self.conf.get_bool(K.TELEMETRY_ENABLED, False):
+        if not self.conf.get_bool(K.TELEMETRY_ENABLED):
             return None
-        interval = self.conf.get_float(
-            K.TELEMETRY_INTERVAL_SECONDS, TELEMETRY_INTERVAL_DEFAULT
-        )
+        interval = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
         if interval <= 0:
             return None
         runtime = self.world.runtime
@@ -269,7 +259,6 @@ class WorkerEngine:
     def _make_o_context(
         self, task_id: int, round_no: int, spl: SendPartitionList
     ) -> TaskContext:
-        t0 = time.perf_counter()
         recv_plane: ShufflePlane | None = None
         if self.bidirectional and round_no > 0:
             recv_plane = self.shuffle.plane(f"bwd:{round_no - 1}")
@@ -280,16 +269,13 @@ class WorkerEngine:
                 task_id, start_round=cp_reader.max_round()
             )
         crash_after = -1
-        inject_attempt = self.conf.get_int(K.INJECT_CRASH_ATTEMPT, 1)
+        inject_attempt = self.conf.get_int(K.INJECT_CRASH_ATTEMPT)
         if (
             self.conf.get_int(K.INJECT_CRASH_AFTER_RECORDS) >= 0
             and task_id == self.conf.get_int(K.INJECT_CRASH_TASK)
             and (inject_attempt < 0 or inject_attempt == self.attempt)
         ):
             crash_after = self.conf.get_int(K.INJECT_CRASH_AFTER_RECORDS)
-        # checkpoint reader/writer construction scans the FT directory;
-        # bill it to the control bucket so wall coverage stays honest
-        self._add_phase("control", time.perf_counter() - t0)
         return TaskContext(
             kind="O",
             task_id=task_id,
@@ -339,22 +325,16 @@ class WorkerEngine:
     def _execute(self, ctx: TaskContext, fn: Any) -> None:
         _log.debug("start %s task %d (round %d)", ctx.kind, ctx.task_id, ctx.round)
         context_mod.bind(ctx)
-        # phase attribution: sort time accrues inside the SPL and checkpoint
-        # write time inside the writer while the task function runs, so the
-        # deltas across the task let "compute" exclude both
-        spl = ctx._spl
-        sort0 = spl.sort_seconds if spl is not None else 0.0
-        cp = ctx._cp_writer
-        cp0 = cp.write_seconds if cp is not None else 0.0
-        replay_s = 0.0
-        PROFILER.set_phase("compute" if ctx.kind == "O" else "merge")
         start = time.perf_counter()
         try:
-            if ctx.kind == "O" and self._checkpoints is not None:
-                self.metrics.reloaded_records += ctx.replay_checkpoint()
-                replay_s = time.perf_counter() - start
-            fn(ctx)
-            ctx.close()
+            # the task's own phase; SPL seals and checkpoint flushes inside
+            # it move this thread's lane to theirs and back themselves
+            with phase("compute" if ctx.kind == "O" else "merge"):
+                if ctx.kind == "O" and self._checkpoints is not None:
+                    with phase("checkpoint"):
+                        self.metrics.reloaded_records += ctx.replay_checkpoint()
+                fn(ctx)
+                ctx.close()
         except MPIAbort:
             raise  # a peer already failed; not this task's fault
         except BaseException as exc:  # noqa: BLE001 - annotated and re-raised
@@ -381,18 +361,7 @@ class WorkerEngine:
             ctx.metrics.duration = duration
             ctx.metrics.worker = self.rank
             ctx.metrics.round_no = ctx.round
-            sort_delta = (spl.sort_seconds - sort0) if spl is not None else 0.0
-            cp_delta = replay_s + (
-                (cp.write_seconds - cp0) if cp is not None else 0.0
-            )
-            with self._phase_lock:
-                self.metrics.add_phase("partition-sort", sort_delta)
-                self.metrics.add_phase("checkpoint", cp_delta)
-                self.metrics.add_phase(
-                    "compute" if ctx.kind == "O" else "merge",
-                    max(0.0, duration - sort_delta - cp_delta),
-                )
-                self.metrics.tasks.append(ctx.metrics)
+            self.metrics.tasks.append(ctx.metrics)
             if _T.enabled:
                 _T.complete(
                     f"{ctx.kind}-task-{ctx.task_id}", start, duration, cat="task",
@@ -403,7 +372,6 @@ class WorkerEngine:
                         "received": ctx.metrics.records_received,
                     },
                 )
-            PROFILER.set_phase("control")
             context_mod.bind(None)
             _log.debug(
                 "end %s task %d: emitted=%d received=%d %.3fs",
@@ -426,26 +394,17 @@ class WorkerEngine:
             cmp=self.cmp,
             combiner=self.job.combiner,
             serializer=self.serializer,
-            raw=self.conf.get_bool(K.SHUFFLE_RAW, False),
+            raw=self.conf.get_bool(K.SHUFFLE_RAW),
         )
 
     def _finish_sends(self, plane_id: str, spl: SendPartitionList) -> None:
-        """Flush remaining SPL partitions and signal end-of-stream."""
-        t0 = time.perf_counter()
-        PROFILER.set_phase("communicate")
-        sort0 = spl.sort_seconds
-        for block in spl.flush_all():
-            self.shuffle.send_block(plane_id, block)
-        self.shuffle.send_eos(plane_id)
-        self.shuffle.drain_sends()
-        # flush_all seals (sorts/combines) the remaining partitions; that
-        # slice belongs to partition-sort, the rest is wire time
-        sort_delta = spl.sort_seconds - sort0
-        self._add_phase("partition-sort", sort_delta)
-        self._add_phase(
-            "communicate", max(0.0, time.perf_counter() - t0 - sort_delta)
-        )
-        PROFILER.set_phase("control")
+        """Flush remaining SPL partitions and signal end-of-stream: wire
+        time, but for the seals ``flush_all`` runs (partition-sort)."""
+        with phase("communicate"):
+            for block in spl.flush_all():
+                self.shuffle.send_block(plane_id, block)
+            self.shuffle.send_eos(plane_id)
+            self.shuffle.drain_sends()
         self.metrics.records_sent += spl.records_out
         self.metrics.combined_away += spl.combined_away
 
@@ -461,20 +420,11 @@ class WorkerEngine:
         return spl
 
     def _wait_plane(self, plane: ShufflePlane) -> None:
-        """Block until the plane completes, accrued as communicate time."""
-        t0 = time.perf_counter()
-        PROFILER.set_phase("communicate")
-        try:
-            if _T.enabled:
-                with _T.span(
-                    "plane.wait", cat="phase", args={"plane": plane.plane_id}
-                ):
-                    plane.wait_complete(self.plane_timeout)
-            else:
-                plane.wait_complete(self.plane_timeout)
-        finally:
-            self._add_phase("communicate", time.perf_counter() - t0)
-            PROFILER.set_phase("control")
+        """Block until the plane completes, as communicate time."""
+        with phase("communicate"), _T.span(
+            "plane.wait", cat="phase", args={"plane": plane.plane_id}
+        ):
+            plane.wait_complete(self.plane_timeout)
 
     def _run_a_phase(self, round_no: int) -> None:
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
@@ -511,7 +461,11 @@ class WorkerEngine:
 
         def run_a(task_id: int) -> None:
             _T.bind(self.rank)
-            PROFILER.register_thread(self.rank, self._prof_epoch, phase="merge")
+            # a lane of its own: this thread's time is the task's
+            # TaskMetrics.duration row, not a share of the rank's buckets
+            lane = PhaseClock("merge")
+            bind_clock(lane)
+            PROFILER.register_thread(self.rank, self._prof_epoch, lane)
             try:
                 ctx = self._make_a_context(task_id, round_no, fwd_plane, None)
                 self._execute(ctx, self.job.a_fn)
@@ -540,10 +494,11 @@ class WorkerEngine:
         # drain, not plane_timeout per consumer thread
         deadline = time.monotonic() + self.plane_timeout
         stuck: list[int] = []
-        for task_id, thread in zip(a_tasks, threads):
-            thread.join(max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                stuck.append(task_id)
+        with phase("communicate"):
+            for task_id, thread in zip(a_tasks, threads):
+                thread.join(max(0.0, deadline - time.monotonic()))
+                if thread.is_alive():
+                    stuck.append(task_id)
         if errors:
             # a real failure outranks a "stuck" symptom it probably caused
             raise errors[0]
@@ -558,9 +513,10 @@ class WorkerEngine:
     def run(self) -> WorkerMetrics:
         rounds = self.job.rounds if self.bidirectional else 1
         _T.bind(self.rank)
+        bind_clock(self.clock)
         # the stack registry is always on (live DUMP captures work on an
         # unprofiled job); sampling only when profile_hz > 0
-        PROFILER.register_thread(self.rank, self._prof_epoch)
+        PROFILER.register_thread(self.rank, self._prof_epoch, self.clock)
         try:
             PROFILER.register_queue(
                 self.rank, self._prof_epoch, self.world._my_endpoint().stats
@@ -571,7 +527,6 @@ class WorkerEngine:
             PROFILER.acquire(self.profile_hz)
         hb_stop = self._start_heartbeat()
         telemetry = self._start_telemetry()
-        wall0 = time.perf_counter()
         try:
             for round_no in range(rounds):
                 if self.pipelined:
@@ -579,21 +534,18 @@ class WorkerEngine:
                 else:
                     self._run_o_phase(round_no)
                     self._run_a_phase(round_no)
-                t0 = time.perf_counter()
-                PROFILER.set_phase("communicate")
-                self.world.barrier()
-                self._add_phase("communicate", time.perf_counter() - t0)
-                PROFILER.set_phase("control")
+                with phase("communicate"):
+                    self.world.barrier()
                 if not self.bidirectional:
                     # the forward plane is consumed and every peer passed
                     # the barrier: release its driver-side redelivery
                     # entries.  Iteration mode never acks — a reborn rank
                     # replays every round from 0 and needs them all.
                     self.world.runtime.ack_plane(f"fwd:{round_no}")
-            t0 = time.perf_counter()
-            self._fold_shuffle()
-            self._add_phase("control", time.perf_counter() - t0)
-            self.metrics.wall_seconds = time.perf_counter() - wall0
+            # stop the clock first: the last fold and the shipper's parting
+            # snapshot then read the same frozen buckets
+            self.clock.switch(None)
+            self._fold()
             # flush the parting telemetry snapshot before the final
             # report: both ride the same FIFO connection, so the hub is
             # guaranteed to hold this rank's last word when the
@@ -606,6 +558,7 @@ class WorkerEngine:
                 hb_stop.set()
             self._stop_telemetry(telemetry)
             self._finish_profile()
+            bind_clock(None)
             self.shuffle.shutdown()
 
     def _finish_profile(self) -> None:

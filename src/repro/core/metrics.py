@@ -9,15 +9,79 @@ counter declared in :class:`Counters` reaches every one of them.
 
 from __future__ import annotations
 
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, Callable, Iterator
 
-#: disjoint main-thread phase buckets; their sum explains a worker's wall
+#: the phases of a rank's main-thread lane: disjoint, and their sum is the
+#: worker's wall
 COVERAGE_PHASES = (
     "compute", "partition-sort", "communicate", "merge", "checkpoint", "control",
 )
 #: buckets measured on background threads; they overlap the ones above
 OVERLAY_PHASES = ("spill",)
+
+
+class PhaseClock:
+    """One thread lane's time: at every instant it is in exactly one
+    phase, so the buckets are disjoint and sum to the time since it
+    started.  The owning thread is the only one to :meth:`switch`; any
+    thread may :meth:`read` (the telemetry shipper) or look at
+    :attr:`current` (the sampling profiler)."""
+
+    def __init__(
+        self, phase: str, now: Callable[[], float] = time.perf_counter
+    ) -> None:
+        self._now = now  # a test seam, not a setting
+        self._lock = threading.Lock()
+        self._closed: dict[str, float] = {}
+        #: the phase the lane is in; ``None`` once stopped
+        self.current: str | None = phase
+        self._since = now()
+
+    def switch(self, phase: str | None) -> str | None:
+        """Enter ``phase`` (``None`` stops the clock); returns the phase left."""
+        with self._lock:
+            t, left = self._now(), self.current
+            if left is not None:
+                self._closed[left] = self._closed.get(left, 0.0) + (t - self._since)
+            self.current, self._since = phase, t
+        return left
+
+    def read(self) -> dict[str, float]:
+        """Seconds per phase so far, the open interval included."""
+        with self._lock:
+            out = dict(self._closed)
+            if self.current is not None:
+                out[self.current] = out.get(self.current, 0.0) + (
+                    self._now() - self._since
+                )
+        return out
+
+
+_LANE = threading.local()
+
+
+def bind_clock(clock: PhaseClock | None) -> None:
+    """Make ``clock`` the calling thread's lane (``None`` unbinds)."""
+    _LANE.clock = clock
+
+
+@contextmanager
+def phase(name: str) -> Iterator[None]:
+    """Spend the body in ``name`` on the calling thread's lane, then return
+    to the phase it left.  A no-op on a thread no engine bound a lane to."""
+    clock = getattr(_LANE, "clock", None)
+    if clock is None:
+        yield
+        return
+    left = clock.switch(name)
+    try:
+        yield
+    finally:
+        clock.switch(left)
 
 
 @dataclass
@@ -77,18 +141,15 @@ class WorkerMetrics(Counters):
     """The one record a rank writes; merged into :class:`JobMetrics`."""
 
     rank: int = -1
-    #: wall-clock seconds of this worker's engine loop
+    #: wall-clock seconds of this worker's engine loop: the total of its
+    #: main-thread :class:`PhaseClock`
     wall_seconds: float = 0.0
-    #: seconds per phase bucket — :data:`COVERAGE_PHASES` on the main
-    #: thread, :data:`OVERLAY_PHASES` concurrently; docs/OBSERVABILITY.md
+    #: seconds per phase bucket — that clock's ``read()``
+    #: (:data:`COVERAGE_PHASES`) plus the concurrent :data:`OVERLAY_PHASES`;
+    #: docs/OBSERVABILITY.md
     phase_times: dict = field(default_factory=dict)
     #: every task attempt this worker executed, in execution order
     tasks: list = field(default_factory=list)
-
-    def add_phase(self, phase: str, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        self.phase_times[phase] = self.phase_times.get(phase, 0.0) + seconds
 
     def as_dict(self) -> dict:
         """Everything but the per-task table (the journal's worker rows)."""

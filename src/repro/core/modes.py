@@ -17,12 +17,19 @@ from repro.common.config import Configuration
 from repro.common.units import KiB, MiB
 from repro.core.constants import Mode, MPI_D_Constants as K
 
+#: every default, written once: ``profile_for`` layers this table under the
+#: mode profile and the user conf, so readers pass no fallback of their own.
+#: The path-like keys (KEY_CLASS, VALUE_CLASS, LOCAL_DIR, FT_DIR, JOB_ID,
+#: TRACE_PATH, TELEMETRY_ENDPOINT_FILE, DOCTOR_PATH) have none: unset means
+#: "derive one", which only their reader can
 _SHARED_DEFAULTS: dict[str, Any] = {
     K.SERIALIZER: "writable",
     K.SPL_PARTITION_BYTES: 32 * KiB,
     K.SHUFFLE_BATCH_BYTES: 256 * KiB,
+    K.SHUFFLE_RAW: False,
     K.MERGE_THRESHOLD_BLOCKS: 8,  # inert, see constants.py
     K.MEMORY_CACHE_BYTES: 64 * MiB,
+    K.CACHE_FRACTION: 1.0,
     K.SPILL_COMPRESS: False,
     K.FT_ENABLED: False,
     K.FT_INTERVAL_RECORDS: 10_000,
@@ -33,6 +40,18 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     K.HEARTBEAT_DEADLINE_SECONDS: 15.0,
     K.PLANE_TIMEOUT_SECONDS: 120.0,
     K.JOB_ATTEMPT: 1,
+    K.RANK_MAX_RESPAWNS: 0,
+    K.RANK_REDELIVERY_BYTES: 64 * MiB,
+    K.LAUNCHER: "threads",
+    K.TRACE_ENABLED: False,
+    K.TRACE_METRICS_INTERVAL_SECONDS: 0.25,
+    K.TELEMETRY_ENABLED: False,
+    K.TELEMETRY_INTERVAL_SECONDS: 0.25,
+    K.PROFILE_ENABLED: False,
+    K.PROFILE_HZ: 50.0,
+    K.DOCTOR_ENABLED: False,
+    K.DOCTOR_INTERVAL_SECONDS: 0.5,
+    K.DOCTOR_STALL_SECONDS: 5.0,
     K.INJECT_CRASH_AFTER_RECORDS: -1,
     K.INJECT_CRASH_TASK: 0,
     K.INJECT_CRASH_ATTEMPT: 1,
@@ -76,13 +95,19 @@ def profile_for(mode: Mode, user_conf: Mapping[str, Any] | None = None) -> Confi
     return profile.child(dict(user_conf or {}))
 
 
+def default_of(key: str) -> Any:
+    """``key``'s default outside any job, for what tests and benches build
+    bare (a ``ShuffleService``, a ``DoctorConfig``)."""
+    return _SHARED_DEFAULTS[key]
+
+
 def mode_sorts(conf: Configuration) -> bool:
-    return conf.get_bool(K.SORT, False)
+    return conf.get_bool(K.SORT)
 
 
 def mode_is_pipelined(conf: Configuration) -> bool:
-    return conf.get_bool(K.PIPELINED_DELIVERY, False)
+    return conf.get_bool(K.PIPELINED_DELIVERY)
 
 
 def mode_is_bidirectional(conf: Configuration) -> bool:
-    return conf.get_bool(K.BIDIRECTIONAL, False)
+    return conf.get_bool(K.BIDIRECTIONAL)

@@ -29,16 +29,10 @@ import shlex
 import shutil
 import tempfile
 import time
-from typing import Any, Mapping
+from typing import Any
 
 from repro.common.errors import DataMPIError, FailureRecord
-from repro.core.constants import (
-    DOCTOR_INTERVAL_DEFAULT,
-    DOCTOR_STALL_SECONDS_DEFAULT,
-    Mode,
-    MPI_D_Constants as K,
-    RANK_REDELIVERY_BYTES_DEFAULT,
-)
+from repro.core.constants import Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics, recovery_counts
 from repro.core.modes import profile_for
@@ -155,14 +149,14 @@ class _TraceSession:
         _T.enable(job=job.name, nprocs=nprocs, mode=job.mode.value)
         _T.bind(-1)  # the driver/launcher thread
         self.sampler = WindowedSampler(
-            interval=conf.get_float(K.TRACE_METRICS_INTERVAL_SECONDS, 0.25),
+            interval=conf.get_float(K.TRACE_METRICS_INTERVAL_SECONDS),
         )
         self.sampler.start()
 
     @staticmethod
     def maybe(job: DataMPIJob, conf: Any, nprocs: int) -> "_TraceSession | None":
         # an explicit journal path implies tracing (the common CLI shape)
-        if not (conf.get_bool(K.TRACE_ENABLED, False) or conf.get(K.TRACE_PATH)):
+        if not (conf.get_bool(K.TRACE_ENABLED) or conf.get(K.TRACE_PATH)):
             return None
         return _TraceSession(job, conf, nprocs)
 
@@ -257,18 +251,14 @@ class _TelemetrySession:
         self._closed = False
         self.server = None
         target = self.hub.rpc_target()
-        if conf.get_bool(K.DOCTOR_ENABLED, False):
+        if conf.get_bool(K.DOCTOR_ENABLED):
             from repro.obs.doctor import Doctor, DoctorConfig
 
             self.doctor = Doctor(
                 self.hub,
                 DoctorConfig(
-                    interval=conf.get_float(
-                        K.DOCTOR_INTERVAL_SECONDS, DOCTOR_INTERVAL_DEFAULT
-                    ),
-                    stall_seconds=conf.get_float(
-                        K.DOCTOR_STALL_SECONDS, DOCTOR_STALL_SECONDS_DEFAULT
-                    ),
+                    interval=conf.get_float(K.DOCTOR_INTERVAL_SECONDS),
+                    stall_seconds=conf.get_float(K.DOCTOR_STALL_SECONDS),
                 ),
                 job=job.name,
             )
@@ -310,8 +300,8 @@ class _TelemetrySession:
     def maybe(job: DataMPIJob, conf: Any) -> "_TelemetrySession | None":
         # the doctor needs the live plane, so enabling it implies one
         if not (
-            conf.get_bool(K.TELEMETRY_ENABLED, False)
-            or conf.get_bool(K.DOCTOR_ENABLED, False)
+            conf.get_bool(K.TELEMETRY_ENABLED)
+            or conf.get_bool(K.DOCTOR_ENABLED)
         ):
             return None
         return _TelemetrySession(job, conf)
@@ -382,15 +372,13 @@ def mpidrun(
     if nprocs < 1:
         raise DataMPIError("need at least one working process")
     conf = profile_for(job.mode, job.conf)
-    launcher = str(conf.get(K.LAUNCHER) or "threads")
-    ft_enabled = conf.get_bool(K.FT_ENABLED, False)
-    max_restarts = conf.get_int(K.JOB_MAX_RESTARTS, 0) if ft_enabled else 0
-    max_task_attempts = max(1, conf.get_int(K.TASK_MAX_ATTEMPTS, 4))
-    backoff = conf.get_float(K.RESTART_BACKOFF_SECONDS, 0.1)
-    max_respawns = conf.get_int(K.RANK_MAX_RESPAWNS, 0)
-    redelivery_bytes = conf.get_bytes(
-        K.RANK_REDELIVERY_BYTES, RANK_REDELIVERY_BYTES_DEFAULT
-    )
+    launcher = conf.get_str(K.LAUNCHER)
+    ft_enabled = conf.get_bool(K.FT_ENABLED)
+    max_restarts = conf.get_int(K.JOB_MAX_RESTARTS) if ft_enabled else 0
+    max_task_attempts = max(1, conf.get_int(K.TASK_MAX_ATTEMPTS))
+    backoff = conf.get_float(K.RESTART_BACKOFF_SECONDS)
+    max_respawns = conf.get_int(K.RANK_MAX_RESPAWNS)
+    redelivery_bytes = conf.get_bytes(K.RANK_REDELIVERY_BYTES)
     start = time.perf_counter()
     trace = _TraceSession.maybe(job, conf, nprocs)
     telemetry = _TelemetrySession.maybe(job, conf)

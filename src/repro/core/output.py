@@ -56,8 +56,12 @@ class FileSink:
 
     # -- driver-side readers ---------------------------------------------------
     def ranks(self) -> list[int]:
+        try:
+            names = sorted(os.listdir(self.directory))
+        except FileNotFoundError:  # cleaned up already
+            return []
         out = []
-        for name in sorted(os.listdir(self.directory)):
+        for name in names:
             if name.startswith("part-") and name.endswith(".pkl"):
                 out.append(int(name[len("part-"):].split(".")[0]))
         return out
@@ -90,6 +94,8 @@ class FileSink:
         return dict(self.pairs())
 
     def cleanup(self) -> None:
+        """Close the handles, remove the part files and the directory;
+        calling it again is harmless."""
         for f in self._files.values():
             f.close()
         self._files.clear()

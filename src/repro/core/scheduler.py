@@ -207,8 +207,8 @@ def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetr
     from repro.core.engine import worker_main
 
     conf = profile_for(job.mode, job.conf)
-    deadline = conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS, 15.0)
-    attempt = conf.get_int(K.JOB_ATTEMPT, 1)
+    deadline = conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS)
+    attempt = conf.get_int(K.JOB_ATTEMPT)
     poll = max(0.02, min(1.0, deadline / 5)) if deadline > 0 else None
     inter = comm.spawn(worker_main, nprocs, args=(job, nprocs), name=f"{job.name}-w")
     scheduler = TaskScheduler(job, nprocs)
@@ -233,7 +233,7 @@ def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetr
             return False
         requeued = scheduler.requeue_worker(worker)
         supervisor.reset(worker)
-        if conf.get_bool(K.FT_ENABLED, False):
+        if conf.get_bool(K.FT_ENABLED):
             from repro.core.checkpoint import write_rank_manifest
 
             write_rank_manifest(

@@ -32,7 +32,8 @@ from typing import Any, Callable, Iterator
 
 from repro.common.errors import DataMPIError, MPIAbort
 from repro.core.buffers import Block, ReceivePartitionList
-from repro.core.constants import SHUFFLE_BATCH_BYTES_DEFAULT, SHUFFLE_TAG
+from repro.core.constants import SHUFFLE_TAG, MPI_D_Constants as K
+from repro.core.modes import default_of
 from repro.core.partition import PartitionWindow
 from repro.core.sorter import RunStore
 from repro.mpi.datatypes import ANY_SOURCE
@@ -245,7 +246,7 @@ class ShuffleService:
         self,
         world: Any,  # worker Intracomm
         plane_config_factory: Callable[[str], PlaneConfig],
-        batch_bytes: int = SHUFFLE_BATCH_BYTES_DEFAULT,
+        batch_bytes: int = default_of(K.SHUFFLE_BATCH_BYTES),
     ) -> None:
         self.world = world
         self.rank = world.rank

@@ -572,18 +572,23 @@ def _sigkill(pid: int | None) -> bool:
     return True
 
 
+def runtime_class(launcher: str) -> type[BaseRuntime]:
+    """The runtime class an ``mpi.d.launcher`` value selects."""
+    if launcher == "threads":
+        return ThreadRuntime
+    if launcher == "processes":
+        return ProcessRuntime
+    raise MPIError(
+        f"unknown launcher {launcher!r}; use 'threads' or 'processes'"
+    )
+
+
 def create_runtime(
     launcher: str = "threads",
     fault_injector: FaultInjector | None = None,
 ) -> BaseRuntime:
     """The runtime for an ``mpi.d.launcher`` value."""
-    if launcher == "threads":
-        return ThreadRuntime(fault_injector)
-    if launcher == "processes":
-        return ProcessRuntime(fault_injector)
-    raise MPIError(
-        f"unknown launcher {launcher!r}; use 'threads' or 'processes'"
-    )
+    return runtime_class(launcher)(fault_injector)
 
 
 def run_world(

@@ -12,11 +12,14 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   wall) over a threshold; the finding attributes the slow rank's time
   using the profile summary riding its telemetry snapshots ("82% of
   samples in sorter.merge under merge");
-* *stall*: a live rank whose snapshots keep arriving but whose phase
-  clock stands still for longer than the stall window — the shape of a
-  rank wedged inside a shuffle wait (phase buckets accrue only *after*
-  a wait returns), which automatically triggers an **all-rank stack
-  capture** over the DUMP wire frame;
+* *stall*: a live rank whose snapshots keep arriving but which made no
+  *progress* for longer than the stall window — its busy buckets stood
+  still and it sent, received and finished nothing.  A rank's phase
+  clock always advances (a blocked rank accrues ``communicate``), so
+  the clock's total says nothing; frozen busy time and flat counters
+  are the shape of a rank wedged inside a shuffle wait, and
+  automatically trigger an **all-rank stack capture** over the DUMP
+  wire frame;
 * *silent*: a rank that stopped reporting entirely (snapshots aged out);
 * *queue growth*: pending-envelope depth over a threshold;
 * *redelivery churn*: recovery counters (respawns, redelivered frames,
@@ -39,10 +42,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.logging import get_logger
-from repro.core.constants import (
-    DOCTOR_INTERVAL_DEFAULT,
-    DOCTOR_STALL_SECONDS_DEFAULT,
-)
+from repro.core.constants import MPI_D_Constants as K
+from repro.core.modes import default_of
 
 _log = get_logger("obs.doctor")
 
@@ -59,17 +60,23 @@ _SEV_STRAGGLER = 10.0
 _SEV_REDELIVERY = 5.0
 _SEV_SKEW = 1.0
 
-#: phases counted as *work* when scoring stragglers — communicate and
-#: control are waiting, and waiting ranks mirror the straggler's wall
+#: phases counted as *work*, for the straggler score and as progress for
+#: the stall check — communicate and control are waiting: waiting ranks
+#: mirror the straggler's wall, and a wedged rank waits forever
 _BUSY_PHASES = ("compute", "partition-sort", "merge", "checkpoint")
+
+
+def _busy(row: dict[str, Any]) -> float:
+    phases = row.get("phases", {})
+    return sum(phases.get(phase, 0.0) for phase in _BUSY_PHASES)
 
 
 @dataclass
 class DoctorConfig:
-    interval: float = DOCTOR_INTERVAL_DEFAULT
+    interval: float = default_of(K.DOCTOR_INTERVAL_SECONDS)
     #: busy-time ratio over the median that flags a straggler
     straggler_threshold: float = 2.0
-    stall_seconds: float = DOCTOR_STALL_SECONDS_DEFAULT
+    stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
     #: pending-envelope depth per rank that flags queue growth
     queue_depth: int = 10_000
     skew_threshold: float = 2.0
@@ -130,10 +137,8 @@ class Doctor:
         self.job = job
         self._clock = clock
         self._lock = threading.Lock()
-        #: rank -> (last observed wall_s, clock when it last advanced)
-        self._progress: dict[int, tuple[float, float]] = {}
-        #: rank -> clock when its stall was first seen (cleared on progress)
-        self._stalled_since: dict[int, float] = {}
+        #: rank -> (last observed progress signal, clock when it last moved)
+        self._progress: dict[int, tuple[tuple, float]] = {}
         self._recovery_last: dict[str, int] = {}
         self._recovery_churn: dict[str, int] = {}
         self._captures: list[dict] = []
@@ -212,18 +217,21 @@ class Doctor:
             rank = row["rank"]
             if row["status"] == "done":
                 self._progress.pop(rank, None)
-                self._stalled_since.pop(rank, None)
                 continue
-            wall = float(row["wall_s"])
+            # work done or data moved, all from the row: busy-phase seconds,
+            # bytes out, records in, tasks finished
+            progress = (
+                _busy(row), row["bytes_sent"], row["records_received"],
+                row["tasks"],
+            )
             held = self._progress.get(rank)
-            if held is None or wall > held[0] + 1e-9:
-                self._progress[rank] = (wall, now)
-                self._stalled_since.pop(rank, None)
+            if held is None or progress != held[0]:
+                self._progress[rank] = (progress, now)
                 continue
             stuck_for = now - held[1]
             if stuck_for < cfg.stall_seconds:
                 continue
-            self._stalled_since.setdefault(rank, now)
+            wall = float(row["wall_s"])
             silent = row["age_s"] > max(cfg.stall_seconds, 3.0)
             kind = "silent" if silent else "stall"
             attribution = self._attribution_for(rank)
@@ -236,7 +244,7 @@ class Doctor:
                     + (
                         "stopped reporting"
                         if silent
-                        else "phase clock frozen"
+                        else "no progress"
                     )
                     + f" for {stuck_for:.1f}s at wall {wall:.2f}s"
                     + (
@@ -259,12 +267,7 @@ class Doctor:
         # the hub's wall-based straggler score is blind to skew: ranks
         # *waiting* on the straggler accrue the same wall in communicate
         # as the straggler does working.  Diagnose on busy time instead.
-        busy = {
-            row["rank"]: sum(
-                row.get("phases", {}).get(phase, 0.0) for phase in _BUSY_PHASES
-            )
-            for row in rows
-        }
+        busy = {row["rank"]: _busy(row) for row in rows}
         busys = sorted(busy.values())
         if len(busys) < 2 or busys[-1] <= 0.0:
             return []

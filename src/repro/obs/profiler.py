@@ -4,9 +4,11 @@ The telemetry plane (:mod:`repro.obs.telemetry`) can say *which* rank is
 slow — straggler score, shuffle skew, queue depth.  This module says
 *why*: a process-wide daemon thread walks :func:`sys._current_frames`
 at a configurable rate and aggregates collapsed call stacks per rank,
-tagged with the rank's **current phase bucket** (compute /
-partition-sort / communicate / merge / checkpoint / control — the same
-vocabulary the tracer accrues post-hoc).
+tagged with the **current phase** of the sampled thread's lane — the
+``current`` of the :class:`~repro.core.metrics.PhaseClock` the thread
+registered, so a sample and the rank's phase buckets cannot disagree
+about which phase (compute / partition-sort / communicate / merge /
+checkpoint / control) a moment belongs to.
 
 Design notes:
 
@@ -17,7 +19,7 @@ Design notes:
   would pay the walk N times for the same data.  The sampler is
   refcounted: engines :meth:`~StackSampler.acquire` / ``release`` it,
   and the daemon thread runs only while someone holds it.
-* The *registry* (thread idents -> rank, current phase, queue-stats
+* The *registry* (thread idents -> rank and phase clock, queue-stats
   callables) is always maintained, even with sampling off, so the
   on-demand stack dump (the DUMP wire frame, ``repro doctor``'s
   capture) works on an unprofiled job.
@@ -44,7 +46,7 @@ DEFAULT_HZ = 50.0
 #: stacks deeper than this are truncated at the root end
 MAX_STACK_DEPTH = 64
 
-#: phase assumed for a registered thread that never declared one
+#: phase of a thread registered without a clock, or whose clock stopped
 DEFAULT_PHASE = "control"
 
 #: tracer category of the record a finished rank's profile travels as
@@ -79,21 +81,22 @@ def describe_stack(frame: Any) -> list[str]:
     return out
 
 
+def _phase_of(clock: Any) -> str:
+    return getattr(clock, "current", None) or DEFAULT_PHASE
+
+
 class StackSampler:
     """Registry of rank-owned threads plus an optional sampling thread.
 
-    Thread-safety: registration and aggregate access take ``_lock``;
-    :meth:`set_phase` is a plain dict store keyed by thread ident (one
-    writer per key — the owning thread), deliberately lock-free because
-    it sits on the engine's per-task hot path.
+    Thread-safety: registration and aggregate access take ``_lock``; a
+    thread's phase is read off its clock's ``current`` attribute, which
+    only the owning thread writes.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: thread ident -> (rank, epoch)
-        self._threads: dict[int, tuple[int, int]] = {}
-        #: thread ident -> current phase bucket
-        self._phases: dict[int, str] = {}
+        #: thread ident -> ((rank, epoch), the thread's phase clock or None)
+        self._threads: dict[int, tuple[tuple[int, int], Any]] = {}
         #: (rank, epoch) -> transport queue stats callable
         self._queues: dict[tuple[int, int], Callable[[], dict]] = {}
         #: (rank, epoch) -> {(phase, collapsed_stack): samples}
@@ -112,24 +115,19 @@ class StackSampler:
 
     # -- registry (always on) ------------------------------------------------
     def register_thread(
-        self, rank: int, epoch: int = 0, phase: str = DEFAULT_PHASE,
+        self, rank: int, epoch: int = 0, clock: Any = None,
         ident: int | None = None,
     ) -> None:
-        """Attribute the calling (or given) thread's samples to ``rank``."""
+        """Attribute the calling (or given) thread's samples to ``rank``,
+        each under the ``current`` phase of ``clock`` when it is taken."""
         ident = threading.get_ident() if ident is None else ident
         with self._lock:
-            self._threads[ident] = (int(rank), int(epoch))
-        self._phases[ident] = phase
+            self._threads[ident] = ((int(rank), int(epoch)), clock)
 
     def unregister_thread(self, ident: int | None = None) -> None:
         ident = threading.get_ident() if ident is None else ident
         with self._lock:
             self._threads.pop(ident, None)
-        self._phases.pop(ident, None)
-
-    def set_phase(self, phase: str, ident: int | None = None) -> None:
-        """Declare the calling thread's current phase bucket (hot path)."""
-        self._phases[threading.get_ident() if ident is None else ident] = phase
 
     def register_queue(
         self, rank: int, epoch: int, stats_fn: Callable[[], dict]
@@ -141,10 +139,6 @@ class StackSampler:
     def unregister_queue(self, rank: int, epoch: int = 0) -> None:
         with self._lock:
             self._queues.pop((int(rank), int(epoch)), None)
-
-    def registered_ranks(self) -> list[tuple[int, int]]:
-        with self._lock:
-            return sorted(set(self._threads.values()))
 
     # -- sampler lifecycle ---------------------------------------------------
     def acquire(self, hz: float = DEFAULT_HZ) -> None:
@@ -208,12 +202,12 @@ class StackSampler:
         frames = sys._current_frames()
         hit = 0
         with self._lock:
-            for ident, key in self._threads.items():
+            for ident, (key, clock) in self._threads.items():
                 frame = frames.get(ident)
                 if frame is None:
                     continue
                 stack = collapse_stack(frame)
-                phase = self._phases.get(ident, DEFAULT_PHASE)
+                phase = _phase_of(clock)
                 bucket = self._counts.setdefault(key, {})
                 bucket[(phase, stack)] = bucket.get((phase, stack), 0) + 1
                 self._samples[key] = self._samples.get(key, 0) + 1
@@ -265,10 +259,9 @@ class StackSampler:
         names = {t.ident: t.name for t in threading.enumerate()}
         with self._lock:
             threads = list(self._threads.items())
-            phases = dict(self._phases)
             queues = dict(self._queues)
         by_key: dict[tuple[int, int], dict] = {}
-        for ident, key in threads:
+        for ident, (key, clock) in threads:
             dump = by_key.setdefault(key, {
                 "rank": key[0],
                 "epoch": key[1],
@@ -280,7 +273,7 @@ class StackSampler:
             dump["threads"].append({
                 "name": names.get(ident, str(ident)),
                 "ident": ident,
-                "phase": phases.get(ident, DEFAULT_PHASE),
+                "phase": _phase_of(clock),
                 "stack": describe_stack(frame) if frame is not None else [],
             })
         for key, dump in by_key.items():
@@ -297,7 +290,6 @@ class StackSampler:
         """Drop state inherited from the parent (fork-start workers)."""
         self._lock = threading.Lock()
         self._threads.clear()
-        self._phases.clear()
         self._queues.clear()
         self._counts.clear()
         self._samples.clear()

@@ -266,8 +266,8 @@ class Tracer:
         args: dict | None = None,
     ) -> None:
         """Record an already-measured span (callers that time themselves
-        anyway — SPL seals, spills, checkpoint flushes — avoid a second
-        pair of clock reads)."""
+        anyway — spills, task attempts — avoid a second pair of clock
+        reads)."""
         if not self.enabled:
             return
         self._buf().events.append(("X", t0, dur, name, cat, args))

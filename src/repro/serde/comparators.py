@@ -58,30 +58,3 @@ def sort_key(cmp: Compare) -> Callable[[Any], Any]:
     """Adapt a 3-way comparator into a ``key=`` object for ``sorted``."""
     return functools.cmp_to_key(cmp)
 
-
-class ComparableKey:
-    """Wrap a key with a comparator so heapq/merge can order it.
-
-    The k-way merge in the sorter pushes these onto a heap; only the
-    comparator decides ordering, never the payload value.
-    """
-
-    __slots__ = ("key", "cmp")
-
-    def __init__(self, key: Any, cmp: Compare) -> None:
-        self.key = key
-        self.cmp = cmp
-
-    def __lt__(self, other: "ComparableKey") -> bool:
-        return self.cmp(self.key, other.key) < 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComparableKey):
-            return NotImplemented
-        return self.cmp(self.key, other.key) == 0
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        return f"ComparableKey({self.key!r})"

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
+import time
 from collections import defaultdict
 from typing import Any
 
 from repro.core.buffers import Block
+from repro.core.output import FileSink
 from repro.serde.batch import batch_from_pairs
 from repro.serde.serialization import WritableSerializer
 
@@ -37,6 +37,13 @@ def batch_block(
     )
 
 
+def busy_for(seconds: float) -> None:
+    """Burn CPU in Python frames (a sampler can see them) for ``seconds``."""
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        sum(i for i in range(100))
+
+
 class Collector:
     """Thread-safe output sink keyed by A-task rank."""
 
@@ -58,52 +65,14 @@ class Collector:
         return [kv for pairs in self.by_task.values() for kv in pairs]
 
 
-class FileCollector:
-    """Output sink that survives a process boundary.
-
-    With ``mpi.d.launcher=processes`` A tasks run in worker processes, so
-    an in-memory :class:`Collector` in the driver never sees their
-    output.  This sink appends each pair to a per-task pickle stream
-    under ``directory``; the driver reads the files after the job.  Works
-    identically on the thread backend, so tests parametrized over
-    launchers use it for both.
-    """
-
-    def __init__(self, directory) -> None:
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-
-    def _path(self, rank: int) -> str:
-        return os.path.join(self.directory, f"part-{rank:05d}.pkl")
-
-    def __call__(self, rank: int, key: Any, value: Any) -> None:
-        # append-mode open per record: atomic enough for one writer per
-        # task file, and robust to abrupt worker death mid-job
-        with open(self._path(rank), "ab") as f:
-            pickle.dump((key, value), f)
-
-    def by_task(self) -> dict[int, list[tuple[Any, Any]]]:
-        out: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
-        for name in sorted(os.listdir(self.directory)):
-            if not name.startswith("part-"):
-                continue
-            rank = int(name[len("part-"):].split(".")[0])
-            with open(os.path.join(self.directory, name), "rb") as f:
-                while True:
-                    try:
-                        out[rank].append(pickle.load(f))
-                    except EOFError:
-                        break
-        return dict(out)
-
-    def merged(self) -> dict[Any, Any]:
-        out: dict[Any, Any] = {}
-        for pairs in self.by_task().values():
-            out.update(pairs)
-        return out
+class FileCollector(FileSink):
+    """Output sink that survives a process boundary: the engine's own
+    :class:`~repro.core.output.FileSink`, read back like a
+    :class:`Collector`, so tests parametrized over launchers use it for
+    both backends."""
 
     def all_pairs(self) -> list[tuple[Any, Any]]:
-        return [kv for pairs in self.by_task().values() for kv in pairs]
+        return list(self.pairs())
 
 
 def int_range_input(n: int):

@@ -80,6 +80,8 @@ class TestFileSink:
             sink.cleanup()
             assert all(f.closed for f in handles) and not sink._files
             assert not os.path.exists(sink.directory)
+            sink.cleanup()  # idempotent: the directory is already gone
+            assert sink.ranks() == [] and sink.merged() == {}
         assert len(parts["threads"]) > 1
         assert parts["threads"] == parts["processes"]
 

@@ -57,3 +57,16 @@ class TestCli:
     def test_launcher_flag_rejects_unknown_backend(self, capsys):
         assert main(["--launcher=fibers", "-O", "2", "-A", "2",
                      "-M", "common", "-jar", "demos.jar", "Sort", "20"]) != 0
+
+    def test_launcher_flag_is_checked_without_building_a_runtime(self, monkeypatch):
+        # a ProcessRuntime owns a router socket and a temp directory:
+        # validating a name must not leave one behind
+        from repro.cli import _extract_obs_flags
+        from repro.mpi import runtime
+
+        def built(self, *args, **kwargs):
+            raise AssertionError("validation constructed a runtime")
+
+        monkeypatch.setattr(runtime.ProcessRuntime, "__init__", built)
+        _, conf, _ = _extract_obs_flags(["--launcher=processes"])
+        assert conf == {"mpi.d.launcher": "processes"}

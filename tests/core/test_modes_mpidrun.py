@@ -1,7 +1,11 @@
 """Tests for mode profiles and the mpidrun launcher surface."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.common.errors import DataMPIError
 from repro.core.constants import Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
@@ -52,6 +56,49 @@ class TestProfiles:
         streaming = profile_for(Mode.STREAMING).get_bytes(K.SPL_PARTITION_BYTES)
         mapreduce = profile_for(Mode.MAPREDUCE).get_bytes(K.SPL_PARTITION_BYTES)
         assert streaming < mapreduce
+
+
+#: keys with no default: unset means "derive a path / name / type", which
+#: only the reader can do
+NO_DEFAULT = {
+    "KEY_CLASS", "VALUE_CLASS", "LOCAL_DIR", "FT_DIR", "JOB_ID", "TRACE_PATH",
+    "TELEMETRY_ENDPOINT_FILE", "DOCTOR_PATH",
+}
+_TYPED_READ = re.compile(
+    r"\.get_(?:int|float|bool|bytes|str)\(\s*K\.([A-Z_]+)\s*([,)])"
+)
+
+
+class TestADefaultIsWrittenOnce:
+    """``profile_for`` layers one table of defaults under every conf, so
+    no reader in ``src/`` carries a fallback of its own."""
+
+    def _typed_reads(self):
+        src = pathlib.Path(repro.__file__).parent
+        for path in sorted(src.rglob("*.py")):
+            for key, after in _TYPED_READ.findall(path.read_text()):
+                yield path.name, key, after
+
+    def test_the_table_covers_every_key_but_the_path_like_ones(self):
+        keys = {
+            name: value for name, value in vars(K).items()
+            if isinstance(value, str) and value.startswith("mpi.d.")
+        }
+        assert len(keys) == 44
+        for mode in Mode:
+            conf = profile_for(mode)
+            assert {n for n, key in keys.items() if key not in conf} == NO_DEFAULT
+
+    def test_every_typed_read_in_src_resolves_without_a_fallback(self):
+        reads = list(self._typed_reads())
+        assert len(reads) >= 30  # the scan found the call sites
+        for mode in Mode:
+            conf = profile_for(mode)
+            for where, key, after in reads:
+                if key in NO_DEFAULT:
+                    continue
+                assert getattr(K, key) in conf, (where, key)
+                assert after == ")", f"{where}: {key} passes its own default"
 
 
 class TestJobValidation:

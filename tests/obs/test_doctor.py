@@ -6,9 +6,10 @@ Acceptance invariants (both rank backends):
   partition — produces a doctor.json whose TOP finding names the
   straggler rank and attributes >= 50% of its samples to the merge
   phase;
-* an injected stall (a severed worker) trips the frozen-phase-clock
-  signature and automatically captures all-rank stacks containing the
-  wedged shuffle-wait frame;
+* an injected stall (a severed worker) trips the no-progress signature
+  and automatically captures all-rank stacks containing the wedged
+  shuffle-wait frame — while a healthy task that computes for several
+  stall windows does not;
 * the telemetry endpoint file disappears on every mpidrun exit path,
   including a raising job (the stale-endpoint regression).
 """
@@ -21,7 +22,7 @@ import time
 
 import pytest
 
-from repro.core import mapreduce_job, mpidrun
+from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import WorkerMetrics
 from repro.mpi import FaultInjector
@@ -30,6 +31,7 @@ from repro.obs.telemetry import TelemetryHub, build_snapshot
 
 from tests.core.helpers import (
     FileCollector,
+    busy_for,
     expected_wordcount,
     wordcount_pieces,
 )
@@ -70,7 +72,7 @@ class TestStallSignature:
         (finding,) = doctor.evaluate()
         assert finding["kind"] == "stall"
         assert finding["rank"] == 0
-        assert "phase clock frozen for 10.0s" in finding["summary"]
+        assert "no progress for 10.0s" in finding["summary"]
 
     def test_progress_clears_the_stall(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
@@ -81,6 +83,30 @@ class TestStallSignature:
         assert doctor.evaluate()
         hub.ingest(_snap(0, seq=2, wall=2.0))  # the wait returned
         assert doctor.evaluate() == []
+
+    def test_waiting_time_is_not_progress(self):
+        # the phase clock is live: a wedged rank's communicate bucket (and
+        # so its wall) keeps growing, which must not clear the stall
+        hub, doctor, now = self.make(stall_seconds=5.0)
+        for seq, waited in enumerate((0.0, 10.0)):
+            now[0] = waited
+            snap = _snap(0, seq=seq, wall=1.0)
+            snap["phases"]["communicate"] = waited
+            hub.ingest(snap)
+            findings = doctor.evaluate()
+        assert [f["kind"] for f in findings] == ["stall"]
+        assert "at wall 11.00s" in findings[0]["summary"]
+
+    def test_moving_counters_are_progress(self):
+        # busy time flat (a rank waiting in communicate) but records keep
+        # arriving: its peers are feeding it, nothing is wedged
+        hub, doctor, now = self.make(stall_seconds=5.0)
+        for seq in range(3):
+            now[0] = 10.0 * seq
+            snap = _snap(0, seq=seq, wall=1.0)
+            snap["counters"]["records_received"] = 100 * seq
+            hub.ingest(snap)
+            assert doctor.evaluate() == []
 
     def test_aged_out_rank_is_silent_not_stalled(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
@@ -232,6 +258,13 @@ def _hot_reducer(word, counts, emit):
 
 SKEW_TEXTS = [f"w{i:03d} x{i:03d}" for i in range(150)]  # 300 distinct keys
 
+_STALL_SECONDS = 0.4
+
+
+def _long_healthy_o(ctx):
+    busy_for(3 * _STALL_SECONDS)
+    ctx.send("done", ctx.rank)
+
 
 class TestDoctorEndToEnd:
     def test_skewed_wordcount_names_the_straggler(
@@ -327,6 +360,29 @@ class TestDoctorEndToEnd:
         assert wedged, "no capture contains the wedged shuffle-wait frame"
         assert any(t["phase"] == "communicate" for t in wedged)
 
+    def test_long_healthy_tasks_are_not_a_stall(self, tmp_path, launcher):
+        """O tasks that compute for three stall windows before they emit
+        are progress (their ``compute`` bucket moves while they run), not
+        a wedge: no stall finding — which would have fired a capture the
+        moment the doctor's loop saw it — and none in the final report."""
+        job = DataMPIJob(
+            name="long-wc", o_fn=_long_healthy_o, a_fn=_noop_a,
+            o_tasks=2, a_tasks=2, mode=Mode.MAPREDUCE,
+            conf={
+                K.LAUNCHER: launcher,
+                K.TELEMETRY_INTERVAL_SECONDS: 0.05,
+                K.DOCTOR_ENABLED: True,
+                K.DOCTOR_PATH: str(tmp_path / "long.doctor.json"),
+                K.DOCTOR_INTERVAL_SECONDS: 0.1,
+                K.DOCTOR_STALL_SECONDS: _STALL_SECONDS,
+            },
+        )
+        result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        report = result.doctor
+        assert report["evaluations"] >= 3  # it watched more than a window
+        assert report["captures"] == []
+        assert not {f["kind"] for f in report["findings"]} & {"stall", "silent"}
+
 
 # -- the endpoint file dies with the job (all exit paths) -------------------------
 
@@ -341,8 +397,6 @@ def _noop_a(ctx):
 
 class TestEndpointCleanup:
     def test_raising_job_leaves_no_endpoint_file(self, tmp_path, launcher):
-        from repro.core import DataMPIJob
-
         endpoint = str(tmp_path / "job.endpoint")
         job = DataMPIJob(
             name="boom", o_fn=_raise_o, a_fn=_noop_a, o_tasks=2, a_tasks=2,
@@ -358,7 +412,6 @@ class TestEndpointCleanup:
 
     def test_raise_on_error_path_also_cleans_up(self, tmp_path, launcher):
         from repro.common.errors import JobFailedError
-        from repro.core import DataMPIJob
 
         endpoint = str(tmp_path / "job.endpoint")
         job = DataMPIJob(
@@ -374,14 +427,13 @@ class TestEndpointCleanup:
         assert not os.path.exists(endpoint)
 
     def test_close_unlinks_even_when_server_stop_raises(self, tmp_path):
-        from repro.common.config import Configuration
-        from repro.core import DataMPIJob
+        from repro.core.modes import profile_for
 
         endpoint = str(tmp_path / "job.endpoint")
         job = DataMPIJob(
             name="wc", o_fn=_noop_a, a_fn=_noop_a, o_tasks=1, a_tasks=1,
         )
-        conf = Configuration({
+        conf = profile_for(job.mode, {
             K.TELEMETRY_ENABLED: True,
             K.TELEMETRY_ENDPOINT_FILE: endpoint,
         })

@@ -180,6 +180,28 @@ class TestTraceCli:
         )
         assert trace_main([path, "--check-coverage", "95"]) == 1
 
+    def test_coverage_gate_fails_on_an_over_count(self, tmp_path, capsys):
+        # buckets twice the wall (two threads charging one rank): no clamp
+        # turns that into "100% covered"
+        from repro.cli import trace_main
+        from repro.obs.journal import write_journal
+
+        path = str(tmp_path / "twice.trace.jsonl")
+        write_journal(
+            path, meta={"job": "twice"},
+            events=[{"ph": "i", "ts": 0.0, "name": "e", "tid": "t",
+                     "rank": 0}],
+            summary={"workers": [
+                {"rank": rank, "wall_seconds": 10.0,
+                 "phase_times": {"compute": 8.0, "merge": 10.0,
+                                 "communicate": 2.0, "spill": 5.0}}
+                for rank in (0, 1)
+            ]},
+        )
+        assert coverage(read_journal(path)) == pytest.approx(2.0)
+        assert trace_main([path, "--check-coverage", "95"]) == 1
+        assert "coverage 200.0% outside 95.0–105%" in capsys.readouterr().err
+
     def test_missing_journal(self, tmp_path, capsys):
         from repro.cli import trace_main
 

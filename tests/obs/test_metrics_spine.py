@@ -5,7 +5,11 @@
   snapshot and the Prometheus exposition;
 * the parting telemetry snapshot the hub holds for a rank *is* that
   rank's reported record;
-* a rank's disjoint phase buckets add up to its wall.
+* a rank's disjoint phase buckets add up to its wall — also in Streaming
+  mode, where each A task runs on a lane of its own;
+* the phases the profiler's samples carry are the rank's bucket names,
+  ``partition-sort`` included;
+* a snapshot taken while a task runs already holds the task's time.
 """
 
 import importlib
@@ -13,8 +17,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.common.config import Configuration
-from repro.core import DataMPIJob, mapreduce_job, mpidrun
+from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import (
     COUNTER_NAMES,
@@ -22,13 +25,24 @@ from repro.core.metrics import (
     JobResult,
     WorkerMetrics,
 )
+from repro.core.modes import profile_for
 from repro.core.scheduler import merge_reports
 from repro.obs.journal import read_journal
 from repro.obs.telemetry import TelemetryHub, build_snapshot
 
-from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
+from tests.core.helpers import (
+    FileCollector,
+    busy_for,
+    expected_wordcount,
+    wordcount_pieces,
+)
 
 _mpidrun_mod = importlib.import_module("repro.core.mpidrun")
+
+
+def _explained(phases):
+    """Seconds in the disjoint buckets (the ``spill`` overlay left out)."""
+    return sum(phases.get(p, 0.0) for p in COVERAGE_PHASES)
 
 
 def _worker(rank, base):
@@ -45,7 +59,7 @@ class TestEveryCounterReachesEveryView:
         path = str(tmp_path_factory.mktemp("spine") / "spine.trace.jsonl")
         noop = DataMPIJob("spine", lambda ctx: None, lambda ctx: None, 1, 1)
         session = _mpidrun_mod._TraceSession(
-            noop, Configuration({K.TRACE_PATH: path}), nprocs=2
+            noop, profile_for(noop.mode, {K.TRACE_PATH: path}), nprocs=2
         )
         session.close(JobResult("spine", True, metrics=job), reports)
         hub = TelemetryHub()
@@ -121,5 +135,106 @@ class TestReportsAgree:
     def test_disjoint_buckets_add_up_to_the_wall(self, finished_job):
         _result, workers, _hub = finished_job
         for w in workers:
-            explained = sum(w["phase_times"].get(p, 0.0) for p in COVERAGE_PHASES)
-            assert explained == pytest.approx(w["wall_seconds"], rel=0.05)
+            assert _explained(w["phase_times"]) == pytest.approx(
+                w["wall_seconds"], rel=0.05
+            )
+
+
+def _stream_o(ctx):
+    for i in range(ctx.rank, 600, ctx.o_size):
+        ctx.send(f"k{i % 17}", i)
+        if i % 100 < ctx.o_size:
+            busy_for(0.02)
+
+
+def _stream_a(ctx):
+    for _key, _value in ctx.recv_iter():
+        pass
+    busy_for(0.05)
+
+
+def _long_o(ctx):
+    busy_for(1.2)
+    ctx.send("done", ctx.rank)
+
+
+def _drain(ctx):
+    list(ctx.recv_iter())
+
+
+class TestInstrumentsAgree:
+    def test_streaming_buckets_add_up_to_the_wall(self, tmp_path, launcher):
+        """More A tasks than ranks, each on its own thread lane: their time
+        is their TaskMetrics row and no longer a second wall in the
+        rank's buckets."""
+        path = str(tmp_path / "stream.trace.jsonl")
+        job = DataMPIJob(
+            "spine-stream", _stream_o, _stream_a, o_tasks=2, a_tasks=5,
+            mode=Mode.STREAMING,
+            conf={K.LAUNCHER: launcher, K.TRACE_PATH: path},
+        )
+        result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        workers = read_journal(path).summary["workers"]
+        assert [w["rank"] for w in workers] == [0, 1]
+        for w in workers:
+            assert w["wall_seconds"] > 0.1
+            assert _explained(w["phase_times"]) == pytest.approx(
+                w["wall_seconds"], rel=0.01
+            )
+        a_rows = [t for t in result.task_metrics if t.kind == "A"]
+        assert sorted(t.task_id for t in a_rows) == [0, 1, 2, 3, 4]
+        assert all(t.duration > 0.05 for t in a_rows)
+        assert sum(t.records_received for t in a_rows) == 600
+
+    def test_profiler_samples_carry_the_bucket_names(self, tmp_path, launcher):
+        """One clock feeds both: a sample's phase is a bucket of its rank,
+        and the seals' ``partition-sort`` shows up in the samples."""
+        path = str(tmp_path / "prof.trace.jsonl")
+        texts = [
+            " ".join(f"w{(i * 31 + j * 7) % 4001:04d}" for j in range(12))
+            for i in range(6000)
+        ]
+        provider, mapper, reducer = wordcount_pieces(texts)
+        out = FileCollector(tmp_path / "out")
+        job = mapreduce_job(
+            "spine-prof", provider, mapper, reducer, out, o_tasks=2, a_tasks=2,
+            conf={
+                K.LAUNCHER: launcher,
+                K.TRACE_PATH: path,
+                K.PROFILE_ENABLED: True,
+                K.PROFILE_HZ: 500.0,
+                K.SPL_PARTITION_BYTES: 8 * 1024,
+            },
+        )
+        mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        journal = read_journal(path)
+        seals = [e for e in journal.spans if e.get("name") == "spl.seal"]
+        assert len(seals) >= 20
+        buckets = {w["rank"]: set(w["phase_times"]) for w in journal.summary["workers"]}
+        sampled = set()
+        assert {p["rank"] for p in journal.profiles} == {0, 1}
+        for profile in journal.profiles:
+            assert set(profile["stacks"]) <= buckets[profile["rank"]]
+            sampled |= set(profile["stacks"])
+        assert "partition-sort" in sampled
+
+    def test_a_mid_task_snapshot_holds_the_running_time(
+        self, launcher, captured_hub
+    ):
+        job = DataMPIJob(
+            "spine-live", _long_o, _drain, o_tasks=2, a_tasks=2,
+            mode=Mode.MAPREDUCE,
+            conf={
+                K.LAUNCHER: launcher,
+                K.TELEMETRY_ENABLED: True,
+                K.TELEMETRY_INTERVAL_SECONDS: 0.05,
+            },
+        )
+        mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        hub = captured_hub["hub"]
+        for rank in (0, 1):
+            mid_task = [
+                snap for snap in hub.series(rank)
+                if snap["counters"]["o_tasks_run"] == 0
+            ]
+            assert max(_explained(snap["phases"]) for snap in mid_task) >= 0.9

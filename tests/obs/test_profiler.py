@@ -3,7 +3,9 @@
 Tentpole invariants:
 
 * samples taken while a registered thread burns inside a function are
-  attributed to that thread's rank under its declared phase bucket;
+  attributed to that thread's rank under the phase its registered
+  ``PhaseClock`` is in at that moment — the clock the rank's buckets
+  are read from, so the two cannot disagree;
 * the registry works with sampling off (live stack dumps for the DUMP
   frame / doctor captures, including transport queue stats);
 * a profiled job folds one ``profile`` record per rank into its
@@ -22,6 +24,7 @@ import pytest
 
 from repro.core import DataMPIJob, mpidrun
 from repro.core.constants import MPI_D_Constants as K
+from repro.core.metrics import PhaseClock
 from repro.obs.journal import JournalWriter, read_journal
 from repro.obs.profiler import (
     DEFAULT_PHASE,
@@ -31,6 +34,8 @@ from repro.obs.profiler import (
     to_collapsed,
     to_speedscope,
 )
+
+from tests.core.helpers import busy_for
 
 
 def _burn_until(stop: threading.Event) -> None:
@@ -72,7 +77,7 @@ class TestStackShapes:
 class TestStackSampler:
     def test_samples_attribute_to_rank_and_phase(self, burning_thread):
         sampler = StackSampler()
-        sampler.register_thread(7, ident=burning_thread, phase="merge")
+        sampler.register_thread(7, clock=PhaseClock("merge"), ident=burning_thread)
         for _ in range(20):
             sampler.sample_once()
         profile = sampler.collect(7, hz=100.0)
@@ -84,14 +89,17 @@ class TestStackSampler:
             "_burn_until" in stack for stack in profile["stacks"]["merge"]
         )
 
-    def test_set_phase_rebuckets_subsequent_samples(self, burning_thread):
+    def test_clock_switch_rebuckets_subsequent_samples(self, burning_thread):
         sampler = StackSampler()
-        sampler.register_thread(3, ident=burning_thread)  # default phase
+        clock = PhaseClock("compute")
+        sampler.register_thread(3, clock=clock, ident=burning_thread)
         sampler.sample_once()
-        sampler.set_phase("communicate", ident=burning_thread)
+        clock.switch("communicate")
+        sampler.sample_once()
+        clock.switch(None)  # a stopped clock samples as the default phase
         sampler.sample_once()
         profile = sampler.collect(3)
-        assert set(profile["stacks"]) == {DEFAULT_PHASE, "communicate"}
+        assert set(profile["stacks"]) == {"compute", "communicate", DEFAULT_PHASE}
 
     def test_collect_pops_the_aggregate(self, burning_thread):
         sampler = StackSampler()
@@ -102,7 +110,7 @@ class TestStackSampler:
 
     def test_snapshot_for_is_non_destructive_and_ranked(self, burning_thread):
         sampler = StackSampler()
-        sampler.register_thread(4, ident=burning_thread, phase="compute")
+        sampler.register_thread(4, clock=PhaseClock("compute"), ident=burning_thread)
         for _ in range(5):
             sampler.sample_once()
         snap = sampler.snapshot_for(4)
@@ -135,7 +143,7 @@ class TestStackSampler:
 
     def test_background_loop_actually_samples(self, burning_thread):
         sampler = StackSampler()
-        sampler.register_thread(9, ident=burning_thread, phase="compute")
+        sampler.register_thread(9, clock=PhaseClock("compute"), ident=burning_thread)
         sampler.acquire(200.0)
         try:
             deadline = time.monotonic() + 10
@@ -152,7 +160,9 @@ class TestStackSampler:
 
     def test_dump_stacks_reports_live_threads_and_queues(self, burning_thread):
         sampler = StackSampler()
-        sampler.register_thread(5, epoch=1, ident=burning_thread, phase="merge")
+        sampler.register_thread(
+            5, epoch=1, clock=PhaseClock("merge"), ident=burning_thread
+        )
         sampler.register_queue(5, 1, lambda: {"pending": 3, "bytes_in": 64})
         dumps = sampler.dump_stacks()
         assert len(dumps) == 1
@@ -210,24 +220,18 @@ class TestExporters:
 # -- a profiled job end-to-end ----------------------------------------------------
 
 
-def _busy(seconds: float) -> None:
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        sum(i for i in range(100))
-
-
 class TestProfiledJob:
     def test_profiles_land_in_the_journal(self, tmp_path, launcher):
         journal_path = str(tmp_path / "prof.trace.jsonl")
 
         def o_fn(ctx):
-            _busy(0.3)
+            busy_for(0.3)
             for i in range(ctx.rank, 60, ctx.o_size):
                 ctx.send(f"w{i % 7}", 1)
 
         def a_fn(ctx):
             list(ctx.recv_iter())
-            _busy(0.3)
+            busy_for(0.3)
 
         job = DataMPIJob(
             name="prof-wc", o_fn=o_fn, a_fn=a_fn, o_tasks=2, a_tasks=2,

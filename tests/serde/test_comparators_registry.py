@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.serde.comparators import (
-    ComparableKey,
     bytes_compare,
     default_compare,
     reverse,
@@ -54,17 +53,6 @@ class TestReverseAndComparableKey:
     def test_reverse(self):
         desc = reverse(default_compare)
         assert desc(1, 2) > 0
-
-    def test_comparable_key_heap_ordering(self):
-        import heapq
-
-        cmp = default_compare
-        heap = [ComparableKey(k, cmp) for k in (3, 1, 2)]
-        heapq.heapify(heap)
-        assert heapq.heappop(heap).key == 1
-
-    def test_comparable_key_equality(self):
-        assert ComparableKey(5, default_compare) == ComparableKey(5, default_compare)
 
 
 class TestRegistry:
