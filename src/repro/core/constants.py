@@ -65,8 +65,6 @@ class MPI_D_Constants:
     BIDIRECTIONAL = "mpi.d.bidirectional"
     #: deliver pairs as they arrive instead of after the O phase
     PIPELINED_DELIVERY = "mpi.d.pipelined.delivery"
-    #: number of O/A rounds (Iteration mode)
-    ROUNDS = "mpi.d.rounds"
 
     # -- fault tolerance (§IV-E) ----------------------------------------------
     #: enable the key-value library-level checkpoint
@@ -92,8 +90,6 @@ class MPI_D_Constants:
     HEARTBEAT_DEADLINE_SECONDS = "mpi.d.heartbeat.deadline.seconds"
     #: shuffle-plane completion timeout, seconds
     PLANE_TIMEOUT_SECONDS = "mpi.d.plane.timeout.seconds"
-    #: current job attempt, 1-based (set internally by mpidrun on restarts)
-    JOB_ATTEMPT = "mpi.d.job.attempt"
 
     # -- surgical rank recovery (process backend) ---------------------------------
     #: respawn a dead rank in place up to this many times per rank per

@@ -18,7 +18,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from repro.common.config import Configuration
 from repro.common.errors import DataMPIError, FailureRecord, MPIAbort
@@ -49,14 +49,16 @@ from repro.serde.serialization import get_serializer
 _log = get_logger("core.engine")
 
 
-def worker_main(world: Any, job: DataMPIJob, nprocs: int) -> WorkerMetrics:
+def worker_main(
+    world: Any, job: DataMPIJob, nprocs: int, attempt: int
+) -> WorkerMetrics:
     """Entry point of one spawned working process."""
-    engine = WorkerEngine(world, job, nprocs)
+    engine = WorkerEngine(world, job, nprocs, attempt)
     return engine.run()
 
 
 class WorkerEngine:
-    def __init__(self, world: Any, job: DataMPIJob, nprocs: int) -> None:
+    def __init__(self, world: Any, job: DataMPIJob, nprocs: int, attempt: int) -> None:
         self.world = world
         self.parent = world.Get_parent()
         if self.parent is None:
@@ -65,7 +67,8 @@ class WorkerEngine:
         self.nprocs = nprocs
         self.rank = world.rank
         self.conf: Configuration = profile_for(job.mode, job.conf)
-        self.attempt = self.conf.get_int(K.JOB_ATTEMPT)
+        #: the job attempt this rank serves, 1-based (mpidrun's restart loop)
+        self.attempt = attempt
         #: generous; a failure aborts the wait earlier
         self.plane_timeout = self.conf.get_float(K.PLANE_TIMEOUT_SECONDS)
         self.sorts = mode_sorts(self.conf)
@@ -139,11 +142,16 @@ class WorkerEngine:
         )
 
     # -- control protocol ------------------------------------------------------------
-    def _request_task(self, side: str, round_no: int) -> int | None:
-        """Ask mpidrun for the next task of (side, round); None = side over."""
-        self.parent.send(("req", side, round_no, self.rank), dest=0, tag=CONTROL_TAG)
-        kind, task_id = self.parent.recv(source=0, tag=CONTROL_TAG)
-        return task_id if kind == "task" else None
+    def _tasks(self, side: str, round_no: int) -> Iterator[int]:
+        """The tasks mpidrun hands this rank for (side, round): one request
+        each, until it answers that the side is over."""
+        request = ("req", side, round_no, self.rank)
+        while True:
+            self.parent.send(request, dest=0, tag=CONTROL_TAG)
+            kind, task_id = self.parent.recv(source=0, tag=CONTROL_TAG)
+            if kind != "task":
+                return
+            yield task_id
 
     def _report(self) -> None:
         self.parent.send(("report", self.rank, self.metrics), dest=0, tag=CONTROL_TAG)
@@ -408,16 +416,12 @@ class WorkerEngine:
         self.metrics.records_sent += spl.records_out
         self.metrics.combined_away += spl.combined_away
 
-    def _run_o_phase(self, round_no: int) -> SendPartitionList:
+    def _run_o_phase(self, round_no: int) -> None:
         spl = self._new_spl("fwd")
-        while True:
-            task_id = self._request_task("O", round_no)
-            if task_id is None:
-                break
+        for task_id in self._tasks("O", round_no):
             ctx = self._make_o_context(task_id, round_no, spl)
             self._execute(ctx, self.job.o_fn)
         self._finish_sends(f"fwd:{round_no}", spl)
-        return spl
 
     def _wait_plane(self, plane: ShufflePlane) -> None:
         """Block until the plane completes, as communicate time."""
@@ -430,10 +434,7 @@ class WorkerEngine:
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
         self._wait_plane(fwd_plane)
         spl = self._new_spl("bwd") if self.bidirectional else None
-        while True:
-            task_id = self._request_task("A", round_no)
-            if task_id is None:
-                break
+        for task_id in self._tasks("A", round_no):
             if task_id in fwd_plane.rpls:
                 self.metrics.local_a_tasks += 1
             ctx = self._make_a_context(task_id, round_no, fwd_plane, spl)
@@ -451,12 +452,7 @@ class WorkerEngine:
         the stuck task instead of silently falling through the join.
         """
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
-        a_tasks: list[int] = []
-        while True:
-            task_id = self._request_task("A", round_no)
-            if task_id is None:
-                break
-            a_tasks.append(task_id)
+        a_tasks = list(self._tasks("A", round_no))
         errors: list[BaseException] = []
 
         def run_a(task_id: int) -> None:
@@ -482,14 +478,7 @@ class WorkerEngine:
         ]
         for thread in threads:
             thread.start()
-        spl = self._new_spl("fwd")
-        while True:
-            task_id = self._request_task("O", round_no)
-            if task_id is None:
-                break
-            ctx = self._make_o_context(task_id, round_no, spl)
-            self._execute(ctx, self.job.o_fn)
-        self._finish_sends(f"fwd:{round_no}", spl)
+        self._run_o_phase(round_no)
         # one shared deadline: the plane budget covers the whole round's
         # drain, not plane_timeout per consumer thread
         deadline = time.monotonic() + self.plane_timeout

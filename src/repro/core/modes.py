@@ -39,7 +39,6 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     K.HEARTBEAT_INTERVAL_SECONDS: 0.5,
     K.HEARTBEAT_DEADLINE_SECONDS: 15.0,
     K.PLANE_TIMEOUT_SECONDS: 120.0,
-    K.JOB_ATTEMPT: 1,
     K.RANK_MAX_RESPAWNS: 0,
     K.RANK_REDELIVERY_BYTES: 64 * MiB,
     K.LAUNCHER: "threads",
@@ -55,7 +54,6 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     K.INJECT_CRASH_AFTER_RECORDS: -1,
     K.INJECT_CRASH_TASK: 0,
     K.INJECT_CRASH_ATTEMPT: 1,
-    K.ROUNDS: 1,
 }
 
 _PROFILE_DEFAULTS: dict[Mode, dict[str, Any]] = {

@@ -404,7 +404,7 @@ def mpidrun(
     try:
         while True:
             attempt += 1
-            extra_conf: dict[str, Any] = {K.JOB_ATTEMPT: attempt}
+            extra_conf: dict[str, Any] = {}
             if scratch is not None:
                 extra_conf[K.LOCAL_DIR] = scratch
             if telemetry is not None and telemetry.doctor is not None:
@@ -425,7 +425,7 @@ def mpidrun(
                 telemetry.attach(runtime)
             try:
                 results = runtime.run(
-                    driver_main, 1, args=(attempt_job, nprocs),
+                    driver_main, 1, args=(attempt_job, nprocs, attempt),
                     timeout=timeout, name="mpidrun",
                 )
             except Exception as exc:  # noqa: BLE001 - folded into the JobResult

@@ -191,7 +191,9 @@ class WorkerSupervisor:
         raise WorkerLostError(worker, silent, self.deadline, record)
 
 
-def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetrics]:
+def driver_main(
+    comm: Any, job: DataMPIJob, nprocs: int, attempt: int
+) -> dict[int, WorkerMetrics]:
     """The mpidrun process: spawn workers, serve the control protocol.
 
     Runs as rank 0 of a single-rank world; workers are spawned as a child
@@ -208,9 +210,10 @@ def driver_main(comm: Any, job: DataMPIJob, nprocs: int) -> dict[int, WorkerMetr
 
     conf = profile_for(job.mode, job.conf)
     deadline = conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS)
-    attempt = conf.get_int(K.JOB_ATTEMPT)
     poll = max(0.02, min(1.0, deadline / 5)) if deadline > 0 else None
-    inter = comm.spawn(worker_main, nprocs, args=(job, nprocs), name=f"{job.name}-w")
+    inter = comm.spawn(
+        worker_main, nprocs, args=(job, nprocs, attempt), name=f"{job.name}-w"
+    )
     scheduler = TaskScheduler(job, nprocs)
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}

@@ -21,12 +21,25 @@ same ``(plane, destination)`` ride in one MPI envelope (size-capped by
 for each destination instead of costing ``nprocs`` extra messages.
 Batches flush when the send queue runs dry, so an idle pipeline never
 holds data back.
+
+Three message kinds travel on ``SHUFFLE_TAG``:
+
+* ``("batch", plane, (seq, origin, blocks, eos))`` — envelope ``seq`` of
+  the stream ``origin`` sends this process on ``plane``;
+* ``("reset", plane, (origin, epoch))`` — a reborn ``origin`` restarts
+  that stream from seq 0 (rank recovery only);
+* ``("shutdown", "", None)`` — a process's stop marker to its own receiver.
+
+Each stream has one record on each side and the threads only pump them:
+:class:`_Outbound` (sender) and :class:`_Channel` (receiver, the
+exactly-once rule); neither touches a thread, queue, tracer or communicator.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from collections import defaultdict
 from time import monotonic as _now
 from typing import Any, Callable, Iterator
 
@@ -211,32 +224,102 @@ class ShufflePlane:
         return sum(r.store.spill_seconds for r in self.rpls.values())
 
 
-class _Batch:
-    """Blocks coalescing toward one (plane, destination) envelope."""
+#: :meth:`_Channel.accept` verdicts for an envelope that applies nothing
+DUPLICATE = "duplicate"  # this life of the stream already delivered it
+REPLAY = "replay"  # re-sent by a reborn origin; its first life landed whole
 
-    __slots__ = ("blocks", "nbytes", "eos", "items")
+
+class _Outbound:
+    """Send-side record of one (plane, dest) stream: the sequence number
+    of its next envelope and the blocks coalescing toward it.  Dropped at
+    the stream's EOS."""
+
+    __slots__ = ("seq", "blocks", "nbytes")
 
     def __init__(self) -> None:
+        self.seq = 0
         self.blocks: list[Block] = []
         self.nbytes = 0
-        self.eos = False
-        #: send-queue items folded in (for task_done accounting)
-        self.items = 0
+
+    def add(self, block: Block) -> None:
+        self.blocks.append(block)
+        self.nbytes += block.nbytes
+
+    def take(self) -> tuple[int, list[Block], int]:
+        """The held blocks leave as envelope ``seq``: (seq, blocks, bytes)."""
+        envelope = (self.seq, self.blocks, self.nbytes)
+        self.seq, self.blocks, self.nbytes = self.seq + 1, [], 0
+        return envelope
 
 
 class _Channel:
-    """Receive-side state of one (plane, origin) stream under rank
-    recovery: blocks stage here until the origin's EOS commits them
-    atomically, so a stream cut short by a death leaves no half-applied
-    contribution behind."""
+    """Receive-side record of one (plane, origin) stream, and the only
+    owner of the exactly-once rule.
 
-    __slots__ = ("epoch", "last", "staged", "committed")
+    The sequence advances by exactly one: an envelope at or below ``last``
+    is a :data:`DUPLICATE`, one beyond ``last + 1`` means a lost envelope
+    and raises instead of producing short output.  ``staging`` (rank
+    recovery armed) holds accepted blocks until the origin's EOS commits
+    the stream whole, so a stream cut short by a death leaves nothing
+    half-applied: a :meth:`reset` discards it, and once it committed every
+    later envelope is a :data:`REPLAY` (coalescing boundaries are
+    nondeterministic: a replay never lines up with the first life seq by
+    seq).  Without staging blocks are released at once, nothing commits.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("staging", "epoch", "last", "staged", "committed")
+
+    def __init__(self, staging: bool) -> None:
+        self.staging = staging
         self.epoch = 0
         self.last = -1
         self.staged: list[Block] = []
         self.committed = False
+
+    def reset(self, epoch: int) -> bool:
+        """A reborn origin restarts the stream from seq 0 at ``epoch``;
+        False when that epoch was already seen (a duplicated reset)."""
+        if epoch <= self.epoch:
+            return False
+        self.epoch = epoch
+        if not self.committed:
+            # the stream died mid-flight: discard the partial staging
+            self.staged = []
+            self.last = -1
+        return True
+
+    def accept(self, seq: int, blocks: list[Block], eos: bool) -> list[Block] | str:
+        """Envelope ``seq`` arrived: the blocks to apply now (the caller
+        counts the EOS once they are in), or a drop verdict."""
+        if self.committed:
+            return REPLAY
+        if seq <= self.last:
+            return DUPLICATE
+        if seq != self.last + 1:
+            raise DataMPIError(f"lost batch (expected seq {self.last + 1}, got {seq})")
+        self.last = seq
+        if not self.staging:
+            return blocks
+        self.staged.extend(blocks)
+        if not eos:
+            return []
+        self.committed = True
+        staged, self.staged = self.staged, []
+        return staged
+
+
+def _note(event: str, cat: str, plane_id: str, origin: int, **args: Any) -> None:
+    """Trace what the receiver decided about one stream's message."""
+    _T.instant(event, cat=cat, args={"plane": plane_id, "origin": origin, **args})
+
+
+def _flow_pair(plane_id: str, dest: int, origin: int, seq: int) -> tuple[int, int]:
+    """The causal pair linking a batch's send span to its receive span.
+    Deterministic, so either side can compute it; ``dest`` is part of the
+    name because seq counts per (plane, dest) stream — without it two
+    same-seq batches from one rank to different receivers would collide."""
+    stream = f"{plane_id}>{dest}"
+    return _flow_id(stream, origin, seq), _flow_id(stream, origin, seq, domain=1)
 
 
 class ShuffleService:
@@ -254,28 +337,21 @@ class ShuffleService:
         self._factory = plane_config_factory
         self._planes: dict[str, ShufflePlane] = {}
         self._planes_lock = threading.Lock()
-        self._send_queue: "queue.Queue[tuple | None]" = queue.Queue()
+        #: ``((plane, dest), block)`` (``block=None``: the stream's EOS), an
+        #: ``Event`` (a drain marker) or ``None`` (stop)
+        self._send_queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        #: set when the sender thread left; nobody will set a marker now
+        self._sender_gone = False
         self.batch_bytes = batch_bytes
         self.blocks_sent = 0
         self.bytes_sent = 0
         self.envelopes_sent = 0
-        #: per-(plane, dest) batch sequence numbers; receivers use them to
-        #: drop duplicated envelopes and detect lost ones (chaos tolerance)
-        self._send_seq: dict[tuple[str, int], int] = {}
         self.duplicates_dropped = 0
-        # -- surgical rank recovery (process backend) -----------------------
-        # This incarnation's epoch (> 0 after a respawn) and whether the
-        # world runs with rank recovery armed.  A reborn sender announces
-        # ("reset", plane, (rank, epoch)) ahead of each re-sent stream so
-        # receivers can tell a replay from a duplicate; receivers then
-        # *stage* each (plane, origin) stream and commit it atomically at
-        # that origin's EOS — a stream cut short by a death is discarded
-        # wholesale instead of half-applied (coalescing boundaries are
-        # nondeterministic, so replayed batches never line up seq-by-seq).
+        self.replays_dropped = 0
+        # rank recovery (process backend): this incarnation's epoch (> 0 after
+        # a respawn: streams open with a reset) and whether channels stage
         self.epoch = world.runtime.rank_epoch
         self.recovery = world.runtime.rank_recovery
-        self._reset_announced: set[tuple[str, int]] = set()
-        self.replays_dropped = 0
         self._sender = threading.Thread(
             target=self._sender_loop, daemon=True, name=f"shuffle-send-{self.rank}"
         )
@@ -295,168 +371,125 @@ class ShuffleService:
                 self._planes[plane_id] = plane
             return plane
 
+    def _planes_now(self) -> list[ShufflePlane]:
+        """A snapshot: ``plane()`` inserts from the main and the receiver
+        thread while the telemetry shipper reads the stats."""
+        with self._planes_lock:
+            return list(self._planes.values())
+
     # -- send path -------------------------------------------------------------
     def send_block(self, plane_id: str, block: Block) -> None:
         """Hand a sealed block to the communication thread."""
         config = self.plane(plane_id).config
         dest = config.window.owner(block.partition_id)
-        self._send_queue.put(("block", plane_id, dest, block))
+        self._send_queue.put(((plane_id, dest), block))
 
     def send_eos(self, plane_id: str) -> None:
         """Tell every process this sender finished the plane."""
         for dest in range(self.nprocs):
-            self._send_queue.put(("eos", plane_id, dest, None))
+            self._send_queue.put(((plane_id, dest), None))
+
+    def drain_sends(self) -> None:
+        """Block until everything handed in before this call is on the
+        wire — or the sender thread has left (the job is dead, or the
+        service shut down): nothing more will be sent either way."""
+        sent = threading.Event()
+        self._send_queue.put(sent)
+        # the sender raises the flag, then sweeps the queue: a marker
+        # put too late for the sweep sees the flag
+        if not self._sender_gone:
+            sent.wait()
 
     def _sender_loop(self) -> None:
         _T.bind(self.rank)  # attribute send spans to this rank's lane
-        pending: dict[tuple[str, int], _Batch] = {}
-        while True:
-            if pending:
-                # more batching is only worthwhile while items are already
-                # waiting; the moment the queue runs dry, flush everything
-                try:
-                    item = self._send_queue.get_nowait()
-                except queue.Empty:
-                    if not self._flush_pending(pending):
-                        return  # aborted
-                    continue
-            else:
-                item = self._send_queue.get()
-            if item is None:
-                self._flush_pending(pending)
-                self._send_queue.task_done()
-                return
-            kind, plane_id, dest, block = item
-            key = (plane_id, dest)
-            batch = pending.get(key)
-            if batch is None:
-                pending[key] = batch = _Batch()
-            batch.items += 1
-            if kind == "block":
-                batch.blocks.append(block)
-                batch.nbytes += block.nbytes
-                if batch.nbytes >= self.batch_bytes:
-                    del pending[key]
-                    if not self._transmit(key, batch):
-                        self._drain_aborted(pending)
-                        return
-            else:  # eos: nothing more can follow for this (plane, dest)
-                batch.eos = True
-                del pending[key]
-                if not self._transmit(key, batch):
-                    self._drain_aborted(pending)
-                    return
-
-    def _flush_pending(self, pending: dict[tuple[str, int], _Batch]) -> bool:
-        """Transmit every held batch; False when the job aborted."""
-        for key in list(pending):
-            batch = pending.pop(key)
-            if not self._transmit(key, batch):
-                self._drain_aborted(pending)
-                return False
-        return True
-
-    def _transmit(self, key: tuple[str, int], batch: _Batch) -> bool:
-        plane_id, dest = key
-        seq = self._send_seq.get(key, -1) + 1
-        self._send_seq[key] = seq
-        trace_t0 = _T.clock() if _T.enabled else 0.0
         try:
-            if self.recovery and self.epoch > 0 and key not in self._reset_announced:
-                # reborn incarnation: tell the receiver its (plane, origin)
-                # channel restarts from seq 0 at this epoch before the
-                # first batch of the re-sent stream arrives
-                self._reset_announced.add(key)
-                self.world.send(
-                    ("reset", plane_id, (self.rank, self.epoch)),
-                    dest=dest,
-                    tag=SHUFFLE_TAG,
-                )
-            flow = 0
-            if _T.enabled:
-                # deterministic causal pair: the receiver recomputes the
-                # same flow id from (plane>dest, origin, seq), and the
-                # pair additionally travels in the envelope header so the
-                # link survives the wire even for wildcard receivers.
-                # dest is part of the name because seq counts per
-                # (plane, dest) channel — without it two same-seq batches
-                # from one rank to different receivers would collide.
-                channel = f"{plane_id}>{dest}"
-                flow = _flow_id(channel, self.rank, seq)
-                _T.set_flow(flow, _flow_id(channel, self.rank, seq, domain=1))
-            self.world.send(
-                ("batch", plane_id, (seq, self.rank, batch.blocks, batch.eos)),
-                dest=dest,
-                tag=SHUFFLE_TAG,
-            )
+            self._pump_sends()
         except MPIAbort:
-            # the job is dead; account the items so drain_sends unblocks
-            for _ in range(batch.items):
-                self._send_queue.task_done()
-            return False
+            pass  # the job is dead; planes will never complete, that's fine
+        finally:
+            self._sender_gone = True
+            while not self._send_queue.empty():
+                item = self._send_queue.get()
+                if isinstance(item, threading.Event):
+                    item.set()
+
+    def _pump_sends(self) -> None:
+        streams = defaultdict(_Outbound)  # the open ones, by (plane, dest)
+        while True:
+            item = self._send_queue.get()
+            if type(item) is tuple:
+                key, block = item
+                out = streams[key]
+                if block is None:  # eos: nothing more can follow on this stream
+                    del streams[key]
+                    self._transmit(key, out, eos=True)
+                else:
+                    out.add(block)
+                    if out.nbytes >= self.batch_bytes:
+                        self._transmit(key, out, eos=False)
+                if not self._send_queue.empty():
+                    continue  # batching is only worthwhile while items wait
+            # the queue ran dry, or a drain marker or the stop came up:
+            # everything held goes out first
+            for key, out in streams.items():
+                if out.blocks:
+                    self._transmit(key, out, eos=False)
+            if item is None:
+                return
+            if isinstance(item, threading.Event):
+                item.set()
+
+    def _transmit(self, key: tuple[str, int], out: _Outbound, eos: bool) -> None:
+        """Send the stream's held blocks as its next envelope.  Raises
+        :class:`MPIAbort` (the job is dead) through to the sender loop."""
+        plane_id, dest = key
+        seq, blocks, nbytes = out.take()
+        trace_t0 = _T.clock() if _T.enabled else 0.0
+        if seq == 0 and self.recovery and self.epoch > 0:
+            # reborn incarnation: the receiver's channel must restart from
+            # seq 0 at this epoch before the re-sent stream's first batch
+            reset = ("reset", plane_id, (self.rank, self.epoch))
+            self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
+        flow = 0
+        if _T.enabled:
+            # the pair also travels in the envelope header, so the link
+            # survives the wire even for wildcard receivers
+            flow, parent = _flow_pair(plane_id, dest, self.rank, seq)
+            _T.set_flow(flow, parent)
+        batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
+        self.world.send(batch, dest=dest, tag=SHUFFLE_TAG)
         self.envelopes_sent += 1
-        self.blocks_sent += len(batch.blocks)
-        self.bytes_sent += batch.nbytes
+        self.blocks_sent += len(blocks)
+        self.bytes_sent += nbytes
         if _T.enabled:
             _T.complete(
                 "shuffle.send", trace_t0, _T.clock() - trace_t0, cat="shuffle",
                 args={
                     "plane": plane_id, "dest": dest, "seq": seq,
-                    "blocks": len(batch.blocks), "bytes": batch.nbytes,
-                    "eos": batch.eos, "flow_out": flow,
+                    "blocks": len(blocks), "bytes": nbytes,
+                    "eos": eos, "flow_out": flow,
                 },
             )
             _T.counter(f"shuffle.r{self.rank}.bytes_sent", self.bytes_sent)
-        for _ in range(batch.items):
-            self._send_queue.task_done()
-        return True
-
-    def _drain_aborted(self, pending: dict[tuple[str, int], _Batch]) -> None:
-        """After an abort: release every queued item so joiners unblock."""
-        for batch in pending.values():
-            for _ in range(batch.items):
-                self._send_queue.task_done()
-        pending.clear()
-        while True:
-            try:
-                self._send_queue.get_nowait()
-            except queue.Empty:
-                return
-            self._send_queue.task_done()
 
     # -- receive path ------------------------------------------------------------
     def _receiver_loop(self) -> None:
         """Accept blocks from every peer until shutdown (or abort).
 
-        Batch envelopes carry ``(seq, origin, blocks, eos)``: per
-        (plane, origin) the sequence must advance by exactly one, so a
-        duplicated envelope (``seq`` already applied) is dropped without
-        double-counting records and a lost envelope (a gap) fails loudly
-        instead of silently producing short output.  A
-        :class:`TruncatedPayload` marker means wire corruption — same
-        treatment.  Any receiver-side failure aborts the whole world; a
-        dead receiver thread must never leave peers blocked on a plane
-        that cannot complete.
-
-        With rank recovery armed, each (plane, origin) stream is
-        *staged* and committed atomically at that origin's EOS, and a
-        ``("reset", plane, (origin, epoch))`` announcement from a reborn
-        sender either discards the partial staging (stream restarts from
-        seq 0) or, when the stream already committed, marks the whole
-        replay as droppable — a rank's contribution is applied exactly
-        once, whole, no matter how many times it dies mid-stream.
+        The loop decodes a message, asks the stream's :class:`_Channel`,
+        applies the answer and traces it: a dropped duplicate or replay is
+        counted; a lost envelope (a gap) or a :class:`TruncatedPayload`
+        marker (wire corruption) fails loudly.  Any receiver-side failure
+        aborts the whole world; a dead receiver thread must never leave
+        peers blocked on a plane that cannot complete.
         """
         _T.bind(self.rank)  # attribute recv spans to this rank's lane
-        last_seq: dict[tuple[str, int], int] = {}
-        channels: dict[tuple[str, int], _Channel] = {}
-        staging = self.recovery
+        # one per stream, by (plane, origin)
+        channels = defaultdict(lambda: _Channel(self.recovery))
         while True:
             try:
                 message = self.world.recv(source=ANY_SOURCE, tag=SHUFFLE_TAG)
-            except MPIAbort:
-                return  # job aborted; planes will never complete, that's fine
-            flow_in = _T.recv_flow() if _T.enabled else None
-            try:
+                flow_in = _T.recv_flow() if _T.enabled else None
                 if isinstance(message, TruncatedPayload):
                     raise DataMPIError(
                         f"shuffle receiver rank {self.rank}: truncated "
@@ -468,107 +501,56 @@ class ShuffleService:
                     return
                 if kind == "reset":
                     origin, epoch = payload
-                    key = (plane_id, origin)
-                    channel = channels.get(key)
-                    if channel is None:
-                        channel = channels[key] = _Channel()
-                    if epoch > channel.epoch:
-                        channel.epoch = epoch
-                        if not channel.committed:
-                            # stream died mid-flight: discard the partial
-                            # staging, the replay restarts from seq 0
-                            channel.staged = []
-                            channel.last = -1
-                        if _T.enabled:
-                            _T.instant(
-                                "shuffle.stream_reset", cat="recovery",
-                                args={"plane": plane_id, "origin": origin,
-                                      "epoch": epoch,
-                                      "committed": channel.committed},
-                            )
+                    channel = channels[plane_id, origin]
+                    if channel.reset(epoch):
+                        _note("shuffle.stream_reset", "recovery", plane_id, origin,
+                              epoch=epoch, committed=channel.committed)
                     continue
                 if kind != "batch":
                     raise DataMPIError(f"unknown shuffle message kind {kind!r}")
                 plane = self.plane(plane_id)
                 seq, origin, blocks, eos = payload
-                key = (plane_id, origin)
-                if staging:
-                    channel = channels.get(key)
-                    if channel is None:
-                        channel = channels[key] = _Channel()
-                    if channel.committed:
-                        # a replayed stream whose first life already
-                        # landed in full: drop it wholesale
-                        self.replays_dropped += 1
-                        if _T.enabled:
-                            _T.instant(
-                                "shuffle.replay_dropped", cat="recovery",
-                                args={"plane": plane_id, "origin": origin,
-                                      "seq": seq},
-                            )
-                        continue
-                    last = channel.last
-                else:
-                    last = last_seq.get(key, -1)
-                if seq <= last:
-                    # duplicated envelope: already applied in full
-                    self.duplicates_dropped += 1
-                    if _T.enabled:
-                        _T.instant(
-                            "shuffle.duplicate_dropped", cat="shuffle",
-                            args={"plane": plane_id, "origin": origin,
-                                  "seq": seq},
-                        )
-                    continue
-                if seq != last + 1:
-                    if _T.enabled:
-                        _T.instant(
-                            "shuffle.seq_gap", cat="shuffle",
-                            args={"plane": plane_id, "origin": origin,
-                                  "expected": last + 1, "got": seq},
-                        )
+                channel = channels[plane_id, origin]
+                trace_t0 = _T.clock() if _T.enabled else 0.0
+                try:
+                    verdict = channel.accept(seq, blocks, eos)
+                except DataMPIError:
+                    expected = channel.last + 1
+                    _note("shuffle.seq_gap", "shuffle", plane_id, origin,
+                          expected=expected, got=seq)
                     raise DataMPIError(
                         f"shuffle plane {plane_id}: lost batch from "
-                        f"process {origin} (expected seq {last + 1}, "
+                        f"process {origin} (expected seq {expected}, "
                         f"got {seq})"
-                    )
-                trace_t0 = _T.clock() if _T.enabled else 0.0
-                if staging:
-                    channel.last = seq
-                    channel.staged.extend(blocks)
-                    if eos:
-                        # commit the whole stream atomically
-                        for block in channel.staged:
-                            plane.add_block(block)
-                        channel.staged = []
-                        channel.committed = True
-                        plane.add_eos()
-                else:
-                    last_seq[key] = seq
-                    for block in blocks:
-                        plane.add_block(block)
-                    if eos:
-                        plane.add_eos()
+                    ) from None
+                if verdict is DUPLICATE:
+                    self.duplicates_dropped += 1
+                    _note("shuffle.duplicate_dropped", "shuffle", plane_id,
+                          origin, seq=seq)
+                    continue
+                if verdict is REPLAY:
+                    self.replays_dropped += 1
+                    _note("shuffle.replay_dropped", "recovery", plane_id,
+                          origin, seq=seq)
+                    continue
+                for block in verdict:
+                    plane.add_block(block)
+                if eos:
+                    plane.add_eos()
                 if _T.enabled and blocks:
-                    # prefer the pair the envelope header carried; a
-                    # path that lost it (direct deposits in unit
-                    # tests) falls back to recomputing the same id
-                    channel_name = f"{plane_id}>{self.rank}"
-                    trace, parent = (
-                        flow_in if flow_in is not None
-                        else (_flow_id(channel_name, origin, seq),
-                              _flow_id(channel_name, origin, seq,
-                                       domain=1))
-                    )
+                    # prefer the pair the envelope header carried; a path
+                    # that lost it (direct deposits in unit tests) falls
+                    # back to recomputing the same id
+                    flow = flow_in or _flow_pair(plane_id, self.rank, origin, seq)
                     _T.complete(
                         "shuffle.recv.batch", trace_t0,
                         _T.clock() - trace_t0, cat="shuffle",
                         args={"plane": plane_id, "origin": origin,
                               "blocks": len(blocks), "seq": seq,
-                              "flow_in": trace, "flow_parent": parent},
+                              "flow_in": flow[0], "flow_parent": flow[1]},
                     )
             except MPIAbort:
-                return
+                return  # job aborted; planes will never complete, that's fine
             except BaseException as exc:  # noqa: BLE001 - must abort the world
                 self.world.abort(
                     reason=f"shuffle receiver rank {self.rank}: {exc!r}"
@@ -576,10 +558,6 @@ class ShuffleService:
                 return
 
     # -- lifecycle ---------------------------------------------------------------
-    def drain_sends(self) -> None:
-        """Block until the communication thread emptied the send queue."""
-        self._send_queue.join()
-
     def shutdown(self) -> None:
         self._send_queue.put(None)
         self._sender.join(timeout=10)
@@ -590,25 +568,22 @@ class ShuffleService:
         except MPIAbort:
             pass  # receiver already unwound via the abort
         self._receiver.join(timeout=10)
-        for plane in self._planes.values():
+        for plane in self._planes_now():
             plane.cleanup()
 
     def stats(self) -> dict[str, int]:
+        planes = self._planes_now()
         return {
             "blocks_sent": self.blocks_sent,
             "bytes_sent": self.bytes_sent,
             "envelopes_sent": self.envelopes_sent,
-            "records_received": sum(
-                p.records_received() for p in self._planes.values()
-            ),
-            "blocks_received": sum(
-                p.blocks_received() for p in self._planes.values()
-            ),
-            "spilled_bytes": sum(p.spilled_bytes() for p in self._planes.values()),
+            "records_received": sum(p.records_received() for p in planes),
+            "blocks_received": sum(p.blocks_received() for p in planes),
+            "spilled_bytes": sum(p.spilled_bytes() for p in planes),
             "duplicates_dropped": self.duplicates_dropped,
             "replays_dropped": self.replays_dropped,
         }
 
     def spill_seconds(self) -> float:
         """Receiver-thread seconds spent writing spills (overlay phase)."""
-        return sum(p.spill_seconds() for p in self._planes.values())
+        return sum(p.spill_seconds() for p in self._planes_now())

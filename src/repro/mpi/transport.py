@@ -498,13 +498,9 @@ class Endpoint:
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
         timeout: float | None = None,
-        cancelled: Callable[[], bool] | None = None,
     ) -> Envelope:
-        """Block until a matching message arrives, remove and return it.
-
-        ``timeout`` raises :class:`TimeoutError`; ``cancelled`` is polled so
-        higher layers (request cancellation) can back out.
-        """
+        """Block until a matching message arrives, remove and return it;
+        ``timeout`` raises :class:`TimeoutError`."""
         deadline = None if timeout is None else _now() + timeout
         with self._lock:
             self.abort.check()
@@ -517,8 +513,6 @@ class Endpoint:
             try:
                 while True:
                     self.abort.check()
-                    if cancelled is not None and cancelled():
-                        raise _Cancelled()
                     envelope = self._match(context, source, tag, pop=True)
                     if envelope is not None:
                         envelope.delivered.set()
@@ -586,10 +580,6 @@ class Endpoint:
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {"pending": self._pending, "bytes_in": self._bytes_in}
-
-
-class _Cancelled(Exception):
-    """Internal: a cancelled request backed out of a blocking receive."""
 
 
 class Transport(ABC):

@@ -49,6 +49,12 @@ def ft_conf(tmp_path, **extra):
     return conf
 
 
+def assert_conserved(metrics):
+    """What was sent is what landed, read off the one metrics record."""
+    assert metrics.records_received == metrics.records_sent
+    assert metrics.blocks_received == metrics.blocks_sent
+
+
 class TestBenignFaults:
     def test_duplicated_envelopes_never_double_count(self, tmp_path, launcher):
         injector = FaultInjector()
@@ -59,6 +65,10 @@ class TestBenignFaults:
         assert result.success
         assert injector.counts["duplicate"] > 0
         assert out.merged() == expected_wordcount(TEXTS)
+        assert_conserved(result.metrics)
+        # every shuffle envelope arrived twice and was applied once (the
+        # rule's other hits are the two ``shutdown`` self-sends)
+        assert result.metrics.duplicates_dropped == result.metrics.envelopes_sent > 0
 
     def test_delayed_envelopes_preserve_order_and_results(self, tmp_path, launcher):
         injector = FaultInjector()
@@ -69,6 +79,7 @@ class TestBenignFaults:
         assert result.success
         assert injector.counts["delay"] == 8
         assert out.merged() == expected_wordcount(TEXTS)
+        assert_conserved(result.metrics)
 
 
 class TestDestructiveFaults:

@@ -67,24 +67,36 @@ NO_DEFAULT = {
 _TYPED_READ = re.compile(
     r"\.get_(?:int|float|bool|bytes|str)\(\s*K\.([A-Z_]+)\s*([,)])"
 )
+#: a key handed to a call (``conf.get*``, ``default_of``) — not a table entry
+_READ = re.compile(r"\(\s*K\.([A-Z_]+)\s*[,)]")
+#: keys nothing in ``src/`` reads: the frozen ``bench/replay.py`` reads this one
+NO_READER_IN_SRC = {"MERGE_THRESHOLD_BLOCKS"}
+
+
+def _keys():
+    return {
+        name: value for name, value in vars(K).items()
+        if isinstance(value, str) and value.startswith("mpi.d.")
+    }
 
 
 class TestADefaultIsWrittenOnce:
     """``profile_for`` layers one table of defaults under every conf, so
     no reader in ``src/`` carries a fallback of its own."""
 
-    def _typed_reads(self):
+    def _sources(self):
         src = pathlib.Path(repro.__file__).parent
         for path in sorted(src.rglob("*.py")):
-            for key, after in _TYPED_READ.findall(path.read_text()):
-                yield path.name, key, after
+            yield path.name, path.read_text()
+
+    def _typed_reads(self):
+        for name, text in self._sources():
+            for key, after in _TYPED_READ.findall(text):
+                yield name, key, after
 
     def test_the_table_covers_every_key_but_the_path_like_ones(self):
-        keys = {
-            name: value for name, value in vars(K).items()
-            if isinstance(value, str) and value.startswith("mpi.d.")
-        }
-        assert len(keys) == 44
+        keys = _keys()
+        assert len(keys) == 42
         for mode in Mode:
             conf = profile_for(mode)
             assert {n for n, key in keys.items() if key not in conf} == NO_DEFAULT
@@ -99,6 +111,11 @@ class TestADefaultIsWrittenOnce:
                     continue
                 assert getattr(K, key) in conf, (where, key)
                 assert after == ")", f"{where}: {key} passes its own default"
+
+    def test_every_key_has_a_reader_in_src(self):
+        """A key nobody reads is not a key: setting it changes nothing."""
+        read = {key for _, text in self._sources() for key in _READ.findall(text)}
+        assert set(_keys()) - read == NO_READER_IN_SRC
 
 
 class TestJobValidation:

@@ -66,6 +66,10 @@ class TestSurgicalRecovery:
         assert result.restarts == 0  # the job itself never restarted
         assert result.metrics.respawns >= 1  # exactly the dead rank came back
         assert out.merged() == expected_wordcount(TEXTS)
+        # conservation across the death: the reborn rank's re-sent streams
+        # and the redelivered frames land once, whatever was replayed
+        assert result.metrics.records_received == result.metrics.records_sent > 0
+        assert result.metrics.blocks_received == result.metrics.blocks_sent
 
     def test_faulted_output_is_byte_identical_to_clean_run(self, tmp_path):
         clean_result, clean = run_wordcount(

@@ -1,6 +1,8 @@
 """Unit tests for the shuffle service and planes (below the engine)."""
 
+import sys
 import tempfile
+import threading
 
 import pytest
 
@@ -162,3 +164,42 @@ class TestShuffleServiceOverMPI:
         # both land on rank 0
         results = run_world(1, main)
         assert results[0] == (["first"], ["second"])
+
+    def test_stats_survive_concurrent_plane_creation(self):
+        """``stats()``/``spill_seconds()`` run on the telemetry shipper while
+        the main and the receiver thread create planes (an Iteration job
+        does every round): a reader that walked the live dict died on
+        ``dictionary changed size during iteration`` within ~600 planes,
+        and the shipper swallows that and stops without a word."""
+
+        def main(comm):
+            config = make_config(1, comm.size)
+            service = ShuffleService(comm, lambda pid: config)
+            errors, stop = [], threading.Event()
+
+            def read():
+                try:
+                    while not stop.is_set():
+                        service.stats()
+                        service.spill_seconds()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            reader = threading.Thread(target=read, daemon=True)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                reader.start()
+                for i in range(5000):
+                    service.plane(f"fwd:{i}")
+                    if errors:
+                        break
+            finally:
+                stop.set()
+                reader.join(10)
+                sys.setswitchinterval(interval)
+                service.shutdown()
+            return errors, reader.is_alive()
+
+        errors, alive = run_world(1, main)[0]
+        assert errors == [] and not alive

@@ -1,0 +1,349 @@
+"""The shuffle's exactly-once rule, driven by generated schedules.
+
+``_Channel`` (receive side) and ``_Outbound`` (send side) are plain
+records: the properties below construct them bare — no thread, no MPI,
+no sleeps — and feed them every interleaving Hypothesis can think of.
+The sender pump is then driven over a recording world, and the drain
+contract ("returns when sent, or when the job is dead") is pinned by
+regression tests that hung at the parent commit.
+"""
+
+import queue
+import tempfile
+import threading
+import types
+from collections import Counter, defaultdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.errors import DataMPIError, MPIAbort
+from repro.core.buffers import Block
+from repro.core.partition import PartitionWindow
+from repro.core.shuffle import (
+    DUPLICATE,
+    REPLAY,
+    PlaneConfig,
+    ShuffleService,
+    _Channel,
+    _Outbound,
+)
+from repro.serde.serialization import WritableSerializer
+
+# -- (a) the channel, bare ------------------------------------------------------
+#
+# The channel never looks inside a block, so the "blocks" here are the
+# integers 0..n-1: applied exactly once, in order, means the applied list
+# is range(n).
+
+
+def coalesce(n_blocks, cuts):
+    """Blocks 0..n-1 as a stream of ``(seq, blocks, eos)`` envelopes, split
+    at ``cuts``; a cut at 0 or ``n`` gives an empty first envelope or a bare
+    EOS, both of which the sender can produce."""
+    bounds = [0, *sorted(cuts), n_blocks]
+    batches = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    return [
+        (seq, blocks, seq == len(batches) - 1) for seq, blocks in enumerate(batches)
+    ]
+
+
+@st.composite
+def streams(draw, min_batches=1):
+    n_blocks = draw(st.integers(0, 12))
+    cuts = draw(
+        st.lists(st.integers(0, n_blocks), min_size=min_batches - 1, max_size=6)
+    )
+    return n_blocks, coalesce(n_blocks, cuts)
+
+
+class Applied:
+    """What a receiver does with the channel's answers."""
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.blocks = []
+        self.eos = 0
+        self.drops = Counter()
+
+    def feed(self, envelope):
+        seq, blocks, eos = envelope
+        verdict = self.channel.accept(seq, blocks, eos)
+        if verdict is DUPLICATE or verdict is REPLAY:
+            self.drops[verdict] += 1
+            return
+        self.blocks.extend(verdict)
+        self.eos += eos
+
+
+@pytest.mark.parametrize("staging", [False, True])
+class TestChannel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_duplicates_never_apply_twice(self, staging, data):
+        """Any interleaving of duplicates of already-sent envelopes: every
+        block applied once, in order, one EOS, one drop per duplicate."""
+        n_blocks, stream = data.draw(streams())
+        applied = Applied(_Channel(staging))
+        injected = 0
+        for sent, envelope in enumerate(stream):
+            applied.feed(envelope)
+            if staging and not envelope[2]:
+                assert applied.blocks == []  # nothing lands before the commit
+            for again in data.draw(st.lists(st.integers(0, sent), max_size=3)):
+                applied.feed(stream[again])
+                injected += 1
+                if not staging:
+                    assert applied.drops[REPLAY] == 0  # nothing ever commits
+                elif envelope[2]:
+                    assert applied.drops[REPLAY] > 0  # past the commit
+        assert applied.blocks == list(range(n_blocks))
+        assert applied.eos == 1
+        assert applied.drops[DUPLICATE] + applied.drops[REPLAY] == injected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_lost_envelope_fails_loudly(self, staging, data):
+        """Any lost non-final envelope raises at the next one (a lost final
+        one is the plane timeout's to find: no later seq exposes it)."""
+        _, stream = data.draw(streams(min_batches=2))
+        lost = data.draw(st.integers(0, len(stream) - 2))
+        applied = Applied(_Channel(staging))
+        for envelope in stream[:lost]:
+            applied.feed(envelope)
+        before = list(applied.blocks)
+        with pytest.raises(DataMPIError, match=f"expected seq {lost}, got {lost + 1}"):
+            applied.feed(stream[lost + 1])
+        assert applied.blocks == before and applied.eos == 0
+
+
+class TestRebirth:
+    """Rank recovery: the origin dies, its replacement re-sends the stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_replayed_stream_lands_once_and_whole(self, data):
+        """A first life cut after any prefix — or after its EOS — then
+        ``reset(1)`` and the same blocks re-coalesced at other boundaries:
+        applied once, whole; every envelope of the second life is a REPLAY
+        iff the first had committed.  A duplicated reset changes nothing."""
+        n_blocks, first = data.draw(streams())
+        second = coalesce(
+            n_blocks, data.draw(st.lists(st.integers(0, n_blocks), max_size=6))
+        )
+        survived = data.draw(st.integers(0, len(first)))
+        committed = survived == len(first)
+        channel = _Channel(staging=True)
+        applied = Applied(channel)
+        for envelope in first[:survived]:
+            applied.feed(envelope)
+        assert channel.reset(1) is True
+        echo = data.draw(st.integers(0, len(second)))  # the reset, duplicated
+        for seq, envelope in enumerate(second):
+            if seq == echo:
+                assert channel.reset(1) is False
+            if not committed:
+                assert applied.blocks == []  # the first life left nothing
+            applied.feed(envelope)
+        assert applied.blocks == list(range(n_blocks))
+        assert applied.eos == 1
+        assert applied.drops[DUPLICATE] == 0
+        assert applied.drops[REPLAY] == (len(second) if committed else 0)
+
+    @given(epochs=st.lists(st.integers(0, 4), max_size=8))
+    def test_a_reset_with_an_epoch_already_seen_changes_nothing(self, epochs):
+        channel = _Channel(staging=True)
+        channel.accept(0, ["a"], False)
+        seen = 0
+        for epoch in epochs:
+            state = (channel.last, list(channel.staged), channel.committed)
+            fresh = epoch > seen
+            assert channel.reset(epoch) is fresh
+            if fresh:
+                seen = epoch
+                assert (channel.last, channel.staged) == (-1, [])
+                channel.accept(0, ["a"], False)
+            else:
+                assert (channel.last, channel.staged, channel.committed) == state
+            assert channel.epoch == seen
+
+
+# -- (b) the sender, over a recording world ---------------------------------------
+
+NPROCS = 3
+BATCH_BYTES = 100
+
+
+class RecordingWorld:
+    """Intracomm stand-in that keeps what the sender thread sends; the
+    service's own shutdown marker is what its receiver thread gets."""
+
+    def __init__(self, reborn=False):
+        self.rank = 0
+        self.size = NPROCS
+        # everything the shuffle service reads off a runtime
+        self.runtime = types.SimpleNamespace(
+            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None
+        )
+        self.sent = []
+        self._inbox = queue.SimpleQueue()
+
+    def send(self, obj, dest, tag=0):
+        if obj[0] == "shutdown":
+            self._inbox.put(obj)
+        else:
+            self.sent.append((obj, dest))
+
+    def recv(self, source=None, tag=None):
+        return self._inbox.get()
+
+
+def plane_config(_plane_id):
+    return PlaneConfig(
+        NPROCS, PartitionWindow(NPROCS, NPROCS), None, WritableSerializer(),
+        tempfile.gettempdir(), 1 << 20,
+    )
+
+
+def returns(fn, timeout=10.0):
+    """Run a call that may block on its own thread; did it come back?"""
+    thread = threading.Thread(target=fn, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+#: ("block", plane, partition, nbytes) | ("eos", plane) | ("drain",)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("block"), st.sampled_from("ab"),
+                  st.integers(0, NPROCS - 1), st.integers(1, 80)),
+        st.tuples(st.just("eos"), st.sampled_from("ab")),
+        st.tuples(st.just("drain")),
+    ),
+    max_size=40,
+)
+
+
+class TestSenderStreams:
+    @pytest.mark.parametrize("reborn", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=OPS)
+    def test_every_stream_is_sequenced_ordered_and_closed_once(self, reborn, ops):
+        world = RecordingWorld(reborn)
+        service = ShuffleService(world, plane_config, batch_bytes=BATCH_BYTES)
+        handed = defaultdict(list)  # (plane, dest) -> block ids, hand-in order
+        closed = set()
+        serial = 0
+        try:
+            for op in [*ops, ("eos", "a"), ("eos", "b"), ("drain",)]:
+                if op[0] == "block" and op[1] not in closed:
+                    _, plane, partition, nbytes = op
+                    service.send_block(plane, Block(partition, serial, nbytes, False))
+                    handed[plane, partition].append(serial)  # dest == partition
+                    serial += 1
+                elif op[0] == "eos" and op[1] not in closed:
+                    closed.add(op[1])
+                    service.send_eos(op[1])
+                elif op[0] == "drain":
+                    assert returns(service.drain_sends)
+                    # everything handed in before the drain is on the wire
+                    on_wire = defaultdict(list)
+                    ended = set()
+                    for (kind, plane, payload), dest in list(world.sent):
+                        if kind == "batch":
+                            on_wire[plane, dest] += [b.records for b in payload[2]]
+                            if payload[3]:
+                                ended.add(plane)
+                    assert {k: v for k, v in on_wire.items() if v} == {
+                        k: v for k, v in handed.items() if v
+                    }
+                    assert ended == closed
+        finally:
+            service.shutdown()
+        assert not service._sender.is_alive() and not service._receiver.is_alive()
+
+        by_stream = defaultdict(list)
+        for (kind, plane, payload), dest in world.sent:
+            by_stream[plane, dest].append((kind, payload))
+        assert set(by_stream) == {(p, d) for p in "ab" for d in range(NPROCS)}
+        for (plane, dest), messages in by_stream.items():
+            if reborn:  # one reset, ahead of the stream's first envelope
+                assert messages.pop(0) == ("reset", (0, 1))
+            assert all(kind == "batch" for kind, _ in messages)
+            envelopes = [payload for _, payload in messages]
+            assert [seq for seq, *_ in envelopes] == list(range(len(envelopes)))
+            assert all(origin == 0 for _, origin, *_ in envelopes)
+            *before, last = [eos for *_, eos in envelopes]
+            assert not any(before) and last is True
+            blocks = [b for _, _, batch, _ in envelopes for b in batch]
+            assert [b.records for b in blocks] == handed[plane, dest]
+            assert all(b.partition_id == dest for b in blocks)
+            for _, _, batch, _ in envelopes:
+                # the cap flushes as soon as it is reached: at most one
+                # block rides above it
+                assert sum(b.nbytes for b in batch[:-1]) < BATCH_BYTES
+        stats = service.stats()
+        assert stats["envelopes_sent"] == sum(
+            kind == "batch" for (kind, *_), _ in world.sent
+        )
+        assert stats["blocks_sent"] == serial
+
+    def test_outbound_numbers_its_envelopes_and_hands_blocks_out_once(self):
+        out = _Outbound()
+        assert out.take() == (0, [], 0)  # a bare EOS envelope
+        first, second = Block(0, "x", 7, False), Block(0, "y", 5, False)
+        out.add(first)
+        out.add(second)
+        assert out.nbytes == 12
+        assert out.take() == (1, [first, second], 12)
+        assert (out.seq, out.blocks, out.nbytes) == (2, [], 0)
+
+
+# -- (c) drain returns when sent — or when the job is dead --------------------------
+
+
+class DeadWorld(RecordingWorld):
+    """A worker that lost its router: every send meets MPIAbort, the first
+    only once the gate opens."""
+
+    def __init__(self):
+        super().__init__()
+        self.in_send = threading.Event()
+        self.gate = threading.Event()
+
+    def send(self, obj, dest, tag=0):
+        if obj[0] == "shutdown":  # the local stop marker needs no router
+            return super().send(obj, dest, tag)
+        self.in_send.set()
+        assert self.gate.wait(10), "test gate never released"
+        raise MPIAbort(1, "router lost")
+
+
+class TestDrainAfterAbort:
+    def test_drain_after_the_sender_left_returns(self):
+        """Probe (i): a task still emitting after the abort must not sit in
+        ``drain_sends`` for ever (at the parent commit it did)."""
+        world = DeadWorld()
+        world.gate.set()
+        service = ShuffleService(world, plane_config)
+        service.send_block("a", Block(0, 0, 10, False))
+        service._sender.join(10)
+        assert not service._sender.is_alive()  # met MPIAbort and left
+        service.send_block("a", Block(0, 1, 10, False))
+        assert returns(service.drain_sends, timeout=5.0)
+        service.shutdown()
+
+    def test_a_drain_already_waiting_is_released_by_the_abort(self):
+        world = DeadWorld()
+        service = ShuffleService(world, plane_config)
+        service.send_block("a", Block(0, 0, 10, False))
+        assert world.in_send.wait(10)  # the sender is inside send()
+        service.send_block("a", Block(0, 1, 10, False))
+        drained = threading.Thread(target=service.drain_sends, daemon=True)
+        drained.start()
+        world.gate.set()  # ... which now raises MPIAbort
+        drained.join(5.0)
+        assert not drained.is_alive()
+        service.shutdown()
