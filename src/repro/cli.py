@@ -58,7 +58,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from repro.common.errors import DataMPIError
+from repro.common.errors import DataMPIError, JobFailedError
 from repro.core import DataMPIJob, FileSink, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import JobResult
@@ -166,8 +166,7 @@ def _launch(options: dict, o_fn: Callable, a_fn: Callable) -> JobResult:
         mode=options["mode"],
         conf=options.get("conf") or None,
     )
-    result = mpidrun(job, raise_on_error=True)
-    return result
+    return mpidrun(job, raise_on_error=True)
 
 
 #: classname -> runner; names mirror the paper's benchmark programs
@@ -709,7 +708,14 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    result = APPLICATIONS[classname](options, options["params"])
+    try:
+        result = APPLICATIONS[classname](options, options["params"])
+    except JobFailedError as exc:
+        # the demos launch with raise_on_error=True: report, don't crash
+        print(f"mpidrun: {exc}", file=sys.stderr)
+        for record in exc.failures:
+            print(f"  {record.describe()}", file=sys.stderr)
+        return 1
     print(
         f"\njob {result.name}: success={result.success} "
         f"records={result.metrics.records_sent} "

@@ -21,8 +21,6 @@ from repro.common.errors import (
     ReproError,
     RPCError,
     SerializationError,
-    TaskFailedError,
-    WorkerLostError,
 )
 from repro.common.records import KeyValue, kv_bytes
 from repro.common.units import (
@@ -51,9 +49,7 @@ __all__ = [
     "ConfigurationError",
     "CheckpointError",
     "JobFailedError",
-    "TaskFailedError",
     "FailureRecord",
-    "WorkerLostError",
     "KeyValue",
     "kv_bytes",
     "KB",

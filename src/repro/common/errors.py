@@ -7,30 +7,45 @@ an alias of :class:`DataMPIError` to mirror the paper's Listing 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+
+#: every kind a :class:`FailureRecord` may carry, most to blame first: a
+#: task's own failure outranks the liveness symptom it caused ("heartbeat"),
+#: which outranks "respawn" (surgical recovery exhausted) and the rank /
+#: "wire" (stream severed mid-frame) records it follows, then generic
+#: timeout and abort noise
+FAILURE_KINDS = ("task", "heartbeat", "respawn", "rank", "wire", "timeout", "abort")
 
 
 @dataclass
 class FailureRecord:
     """Structured description of one detected failure.
 
-    Produced by the MPI runtime (a rank thread dying), the worker engine
-    (a task attempt failing), or the supervising driver (a heartbeat
-    deadline expiring); collected into ``JobResult.failures`` so a caller
-    can see exactly which worker, task and attempt went down and why.
+    Built once, by whoever detects the failure — the worker engine (a
+    task attempt failing), the supervising driver (a heartbeat deadline
+    expiring, a respawn budget running out), the MPI runtime or its
+    router (a rank dying, a severed stream, a timeout, an abort) — and
+    handed to the runtime, the only road a record travels; ``mpidrun``
+    files them on ``JobResult.failures`` so a caller can see exactly
+    which worker, task and attempt went down and why.
     """
 
-    # "task" | "rank" | "heartbeat" | "timeout" | "abort" | "wire"
-    # (stream severed mid-frame) | "respawn" (surgical recovery exhausted)
-    kind: str = "error"
+    kind: str = "abort"  # one of FAILURE_KINDS
     worker: int = -1  # worker/rank index within its world (-1 unknown)
     phase: str = ""  # "O" / "A" for task failures, world name otherwise
     task_id: int = -1
     round_no: int = -1
-    attempt: int = 0  # job attempt (1-based) the failure happened on
+    attempt: int = 0  # job attempt (1-based); 0 = for mpidrun to stamp
     error: str = ""
     traceback: str = ""
     where: str = ""  # thread/world name for rank-level failures
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAILURE_KINDS:
+            raise ValueError(
+                f"unknown failure kind {self.kind!r}; one of {FAILURE_KINDS}"
+            )
 
     def describe(self) -> str:
         parts = [self.kind]
@@ -42,6 +57,12 @@ class FailureRecord:
             parts.append(f"attempt {self.attempt}")
         head = " ".join(parts)
         return f"[{head}] {self.error}" if self.error else f"[{head}]"
+
+    def as_dict(self) -> dict:
+        """The journal/tracer view: every field but the two long ones."""
+        view = asdict(self)
+        del view["traceback"], view["where"]
+        return view
 
 
 class ReproError(Exception):
@@ -88,54 +109,18 @@ class CheckpointError(DataMPIError):
     """Checkpoint could not be written, read, or reconciled."""
 
 
-class TaskFailedError(ReproError):
-    """A single task attempt failed; carries the task id and cause."""
-
-    def __init__(self, task_id: str, cause: BaseException | str):
-        super().__init__(f"task {task_id} failed: {cause}")
-        self.task_id = task_id
-        self.cause = cause
-
-
 class JobFailedError(ReproError):
-    """A whole job failed after exhausting retries.
+    """A job (or one attempt of it) failed; the one carrier of records.
 
-    ``failures`` carries the :class:`FailureRecord` objects describing the
-    precise cause(s) — which worker, which task, which attempt.
+    ``failures`` holds the :class:`FailureRecord` objects naming the
+    precise cause(s) — which worker, which task, which attempt: the
+    driver raises it with the record it built, ``mpidrun(raise_on_error=
+    True)`` with everything its ledger filed.
     """
 
     def __init__(self, message: str = "", failures: list | None = None):
         super().__init__(message)
         self.failures: list[FailureRecord] = list(failures or [])
-
-
-class WorkerLostError(ReproError):
-    """A working process went silent past the heartbeat deadline."""
-
-    def __init__(
-        self,
-        worker: int,
-        silent_for: float,
-        deadline: float,
-        record: "FailureRecord | None" = None,
-    ):
-        super().__init__(
-            f"worker {worker} missed the heartbeat deadline "
-            f"(silent {silent_for:.1f}s > {deadline:.1f}s)"
-        )
-        self.worker = worker
-        self.failures: list[FailureRecord] = [record] if record is not None else []
-
-
-class RankRecoveryError(ReproError):
-    """Surgical rank recovery could not proceed (budget exhausted,
-    redelivery buffer overflowed, or the respawn itself failed); the
-    caller degrades to the whole-job restart path."""
-
-    def __init__(self, worker: int, reason: str, record: "FailureRecord | None" = None):
-        super().__init__(f"rank recovery for worker {worker} failed: {reason}")
-        self.worker = worker
-        self.failures: list[FailureRecord] = [record] if record is not None else []
 
 
 class SimulationError(ReproError):

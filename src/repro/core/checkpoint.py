@@ -24,11 +24,13 @@ from __future__ import annotations
 import os
 import re
 import struct
+import tempfile
 import zlib
 from typing import Any, Iterator
 
 from repro.common.errors import CheckpointError
 from repro.common.logging import get_logger
+from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import phase
 from repro.obs.tracer import TRACER as _T
 from repro.serde.io import DataInput, DataOutput
@@ -208,6 +210,16 @@ class CheckpointReader:
             head.read_bytes(_CRC.size)
             total += head.read_vint()
         return total
+
+
+def checkpoint_location(conf: Any, job_name: str) -> tuple[str, str]:
+    """``(ft_dir, job_id)`` of a job's checkpoint directory — derived
+    here only, so the ranks' round files and the driver's rank manifests
+    land in the same place whatever the job left unset."""
+    return (
+        conf.get(K.FT_DIR) or tempfile.gettempdir(),
+        conf.get_str(K.JOB_ID, job_name),
+    )
 
 
 class CheckpointManager:

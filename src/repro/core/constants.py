@@ -160,5 +160,3 @@ class MPI_D_Constants:
 SHUFFLE_TAG = 900_001
 #: control-protocol tag on the driver<->worker intercommunicator
 CONTROL_TAG = 900_002
-#: completion/metrics tag
-REPORT_TAG = 900_003

@@ -24,7 +24,7 @@ from repro.common.config import Configuration
 from repro.common.errors import DataMPIError, FailureRecord, MPIAbort
 from repro.core import context as context_mod
 from repro.core.buffers import SendPartitionList
-from repro.core.checkpoint import CheckpointManager
+from repro.core.checkpoint import CheckpointManager, checkpoint_location
 from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.job import DataMPIJob
@@ -132,11 +132,8 @@ class WorkerEngine:
             raise DataMPIError(
                 "library-level checkpointing supports MapReduce/Common jobs"
             )
-        ft_dir = self.conf.get(K.FT_DIR) or tempfile.gettempdir()
-        job_id = self.conf.get_str(K.JOB_ID, self.job.name)
         return CheckpointManager(
-            ft_dir,
-            job_id,
+            *checkpoint_location(self.conf, self.job.name),
             self.serializer,
             self.conf.get_int(K.FT_INTERVAL_RECORDS),
         )
@@ -155,14 +152,6 @@ class WorkerEngine:
 
     def _report(self) -> None:
         self.parent.send(("report", self.rank, self.metrics), dest=0, tag=CONTROL_TAG)
-
-    def _report_failure(self, record: FailureRecord) -> None:
-        """Best-effort: tell mpidrun exactly which task died before the
-        abort storm makes the cause ambiguous."""
-        try:
-            self.parent.send(("fail", self.rank, record), dest=0, tag=CONTROL_TAG)
-        except BaseException:  # noqa: BLE001 - the original error matters more
-            pass
 
     # -- heartbeats ---------------------------------------------------------------
     def _start_heartbeat(self) -> threading.Event | None:
@@ -348,6 +337,8 @@ class WorkerEngine:
         except BaseException as exc:  # noqa: BLE001 - annotated and re-raised
             import traceback as traceback_mod
 
+            # built here, once; the rank's record_error adopts it off the
+            # exception, and that is the record's only way to mpidrun
             record = FailureRecord(
                 kind="task",
                 worker=self.rank,
@@ -358,9 +349,8 @@ class WorkerEngine:
                 error=repr(exc),
                 traceback=traceback_mod.format_exc(),
             )
-            self._report_failure(record)
             try:
-                exc.failures = [record]  # adopted by MPIRuntime.record_error
+                exc.failures = [record]
             except AttributeError:
                 pass
             raise

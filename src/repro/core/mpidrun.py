@@ -29,9 +29,12 @@ import shlex
 import shutil
 import tempfile
 import time
+from collections import Counter
 from typing import Any
 
-from repro.common.errors import DataMPIError, FailureRecord
+from repro.common.errors import (
+    FAILURE_KINDS, DataMPIError, FailureRecord, JobFailedError,
+)
 from repro.core.constants import Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics, recovery_counts
@@ -50,14 +53,6 @@ _log = get_logger("core.mpidrun")
 _MAX_BACKOFF = 5.0
 #: restart backoff is scaled by a uniform factor in [1-j, 1+j]
 _BACKOFF_JITTER = 0.25
-
-#: reporting priority: a task's own failure outranks the liveness symptom
-#: it caused, which outranks generic rank/timeout/abort noise; "respawn"
-#: (surgical recovery exhausted) beats the rank/wire records it follows
-_BLAME_ORDER = {
-    "task": 0, "heartbeat": 1, "respawn": 2, "rank": 3, "wire": 4,
-    "timeout": 5, "abort": 6,
-}
 
 #: default cap on working processes (threads on one box)
 MAX_DEFAULT_PROCESSES = 8
@@ -86,45 +81,67 @@ def restart_delay(
     return delay
 
 
-def _collect_failures(
-    runtime: BaseRuntime, exc: BaseException, attempt: int
-) -> list[FailureRecord]:
-    """Everything the runtime (and the exception itself) knows about why
-    this attempt died, stamped with the attempt number, deduplicated and
-    sorted by blame.  Dedup is by content, not identity: a record can
-    reach the runtime via both the worker's own exception and the
-    driver's ``fail`` control message, and on the process backend those
-    are distinct pickled copies of the same failure."""
-    records: list[FailureRecord] = []
-    seen: set[tuple] = set()
-    carried = getattr(exc, "failures", None) or []
-    for record in list(runtime.failure_records) + list(carried):
-        if record.attempt == 0:
-            record.attempt = attempt
-        key = (
-            record.kind, record.worker, record.phase, record.task_id,
-            record.round_no, record.attempt, record.error,
+class FailureLedger:
+    """Every failure of one ``mpidrun`` call, filed once, and the
+    restart-or-give-up rule read off what is filed.
+
+    A record reaches mpidrun by one road — whoever detected the failure
+    handed it to the attempt's runtime — so nothing is merged or dropped
+    here.  Touches no thread, runtime or clock: the rule is tested bare.
+    """
+
+    def __init__(self, max_restarts: int, max_task_attempts: int) -> None:
+        self.max_restarts = max_restarts
+        self.max_task_attempts = max_task_attempts
+        #: all attempts' records, in attempt order, each attempt's most
+        #: to blame first (:data:`FAILURE_KINDS` order)
+        self.records: list[FailureRecord] = []
+        #: failed attempts closed so far
+        self.attempts = 0
+        self._task_failures: Counter[tuple[str, int]] = Counter()
+        #: the (phase, task) that used up ``max_task_attempts``, if any
+        self.exhausted: tuple[str, int] | None = None
+
+    def close_attempt(
+        self, records: list[FailureRecord], exc: BaseException
+    ) -> list[FailureRecord]:
+        """File what the runtime recorded for an attempt that died on
+        ``exc`` (an attempt that left no record gets one ``abort`` made
+        of ``exc``); returns the attempt's records, primary first."""
+        self.attempts += 1
+        filed = sorted(
+            records or [FailureRecord(kind="abort", error=repr(exc))],
+            key=lambda record: FAILURE_KINDS.index(record.kind),
         )
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(record)
-    if not records:
-        records.append(FailureRecord(kind="abort", attempt=attempt, error=repr(exc)))
-    records.sort(key=lambda r: _BLAME_ORDER.get(r.kind, 9))
-    return records
+        for record in filed:
+            if record.attempt == 0:
+                record.attempt = self.attempts
+            if record.kind == "task" and record.task_id >= 0:
+                key = (record.phase, record.task_id)
+                self._task_failures[key] += 1
+                if self._task_failures[key] >= self.max_task_attempts:
+                    self.exhausted = key
+        self.records.extend(filed)
+        return filed
 
+    @property
+    def may_restart(self) -> bool:
+        """Restarting is within budget and could help: no single task has
+        failed ``max_task_attempts`` times (a deterministic bug)."""
+        return self.attempts <= self.max_restarts and self.exhausted is None
 
-def _failure_dict(record: FailureRecord) -> dict:
-    return {
-        "kind": record.kind,
-        "worker": record.worker,
-        "phase": record.phase,
-        "task_id": record.task_id,
-        "round_no": record.round_no,
-        "attempt": record.attempt,
-        "error": record.error,
-    }
+    def error(self, primary: FailureRecord) -> str:
+        """``JobResult.error``: the primary record, and the task that
+        exhausted its attempts when that is why the job gave up."""
+        if self.exhausted is None:
+            return primary.describe()
+        phase, task_id = self.exhausted
+        return (
+            f"{phase} task {task_id} failed "
+            f"{self._task_failures[self.exhausted]} attempt(s) "
+            f"(mpi.d.task.max.attempts={self.max_task_attempts}): "
+            f"{primary.describe()}"
+        )
 
 
 class _TraceSession:
@@ -164,7 +181,7 @@ class _TraceSession:
         for record in records:
             _T.instant(
                 f"failure.{record.kind}", cat="failure",
-                args=_failure_dict(record),
+                args=record.as_dict(),
             )
 
     def restart(self, attempt: int, delay: float) -> None:
@@ -208,7 +225,7 @@ class _TraceSession:
             summary.update(result.metrics.as_dict())
             summary["success"] = result.success
             summary["restarts"] = result.restarts
-            summary["failures"] = [_failure_dict(f) for f in result.failures]
+            summary["failures"] = [f.as_dict() for f in result.failures]
         reports = reports or {}
         summary["workers"] = [reports[rank].as_dict() for rank in sorted(reports)]
         with JournalWriter(self.path) as writer:
@@ -358,7 +375,9 @@ def mpidrun(
     """Run ``job`` on ``nprocs`` working processes; returns a JobResult.
 
     Failures (including injected crashes) are reported in the result by
-    default; pass ``raise_on_error=True`` to get the exception instead.
+    default; pass ``raise_on_error=True`` to get them raised instead, as
+    one :class:`~repro.common.errors.JobFailedError` whose ``failures``
+    is what ``JobResult.failures`` would have held.
     With fault tolerance enabled and ``mpi.d.job.max.restarts`` > 0 the
     job is automatically rerun after a failure (checkpointed rounds
     reload on re-execution), so a single call rides out transient
@@ -375,16 +394,13 @@ def mpidrun(
     launcher = conf.get_str(K.LAUNCHER)
     ft_enabled = conf.get_bool(K.FT_ENABLED)
     max_restarts = conf.get_int(K.JOB_MAX_RESTARTS) if ft_enabled else 0
-    max_task_attempts = max(1, conf.get_int(K.TASK_MAX_ATTEMPTS))
+    ledger = FailureLedger(max_restarts, max(1, conf.get_int(K.TASK_MAX_ATTEMPTS)))
     backoff = conf.get_float(K.RESTART_BACKOFF_SECONDS)
     max_respawns = conf.get_int(K.RANK_MAX_RESPAWNS)
     redelivery_bytes = conf.get_bytes(K.RANK_REDELIVERY_BYTES)
     start = time.perf_counter()
     trace = _TraceSession.maybe(job, conf, nprocs)
     telemetry = _TelemetrySession.maybe(job, conf)
-    failures: list[FailureRecord] = []
-    task_attempts: dict[tuple[str, int], int] = {}
-    attempt = 0
     result: JobResult | None = None
     reports: dict[int, WorkerMetrics] = {}
     #: JobMetrics' recovery fields, summed over every attempt's runtime
@@ -403,7 +419,7 @@ def mpidrun(
     )
     try:
         while True:
-            attempt += 1
+            attempt = ledger.attempts + 1
             extra_conf: dict[str, Any] = {}
             if scratch is not None:
                 extra_conf[K.LOCAL_DIR] = scratch
@@ -424,25 +440,16 @@ def mpidrun(
             if telemetry is not None:
                 telemetry.attach(runtime)
             try:
-                results = runtime.run(
+                reports = runtime.run(
                     driver_main, 1, args=(attempt_job, nprocs, attempt),
                     timeout=timeout, name="mpidrun",
-                )
+                )[0]
             except Exception as exc:  # noqa: BLE001 - folded into the JobResult
                 add_recovery(runtime)
-                attempt_failures = _collect_failures(runtime, exc, attempt)
-                failures.extend(attempt_failures)
+                attempt_failures = ledger.close_attempt(runtime.failure_records, exc)
                 if trace is not None:
                     trace.failures(attempt_failures)
-                exhausted: tuple[str, int] | None = None
-                for record in attempt_failures:
-                    if record.kind != "task" or record.task_id < 0:
-                        continue
-                    key = (record.phase, record.task_id)
-                    task_attempts[key] = task_attempts.get(key, 0) + 1
-                    if task_attempts[key] >= max_task_attempts:
-                        exhausted = key
-                if attempt <= max_restarts and exhausted is None:
+                if ledger.may_restart:
                     delay = restart_delay(attempt, backoff, _BACKOFF_JITTER)
                     _log.warning(
                         "job %s attempt %d failed (%s); restarting in %.2fs "
@@ -455,26 +462,18 @@ def mpidrun(
                     if delay > 0:
                         time.sleep(delay)
                     continue
+                error = ledger.error(attempt_failures[0])
                 if raise_on_error:
-                    raise
-                primary = attempt_failures[0]
-                error = primary.describe()
-                if exhausted is not None:
-                    error = (
-                        f"{exhausted[0]} task {exhausted[1]} failed "
-                        f"{task_attempts[exhausted]} attempt(s) "
-                        f"(mpi.d.task.max.attempts={max_task_attempts}): {error}"
-                    )
+                    raise JobFailedError(error, ledger.records) from exc
                 result = JobResult(
                     name=job.name,
                     success=False,
                     error=error,
                     restarts=attempt - 1,
-                    failures=list(failures),
+                    failures=list(ledger.records),
                     metrics=JobMetrics(**recovery),
                 )
                 break
-            reports = results[0]
             add_recovery(runtime)
             metrics = dataclasses.replace(
                 merge_reports(reports),
@@ -500,7 +499,7 @@ def mpidrun(
                 success=True,
                 metrics=metrics,
                 restarts=attempt - 1,
-                failures=list(failures),
+                failures=list(ledger.records),
             )
             break
     finally:

@@ -21,14 +21,9 @@ from collections import deque
 from time import monotonic as _now
 from typing import Any
 
-from repro.common.errors import (
-    DataMPIError,
-    FailureRecord,
-    JobFailedError,
-    RankRecoveryError,
-    WorkerLostError,
-)
+from repro.common.errors import DataMPIError, FailureRecord, JobFailedError
 from repro.common.logging import get_logger
+from repro.core.checkpoint import checkpoint_location, write_rank_manifest
 from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, WorkerMetrics
@@ -160,10 +155,10 @@ class WorkerSupervisor:
         self.done.discard(worker)
         self.last_assignment.pop(worker, None)
 
-    def check(self) -> None:
-        """Raise :class:`WorkerLostError` for the stalest expired worker."""
+    def check(self) -> FailureRecord | None:
+        """The ``heartbeat`` record of the stalest expired worker, if any."""
         if self.deadline <= 0:
-            return
+            return None
         now = _now()
         lost: tuple[float, int] | None = None
         for worker, seen in self.last_seen.items():
@@ -173,10 +168,10 @@ class WorkerSupervisor:
             if silent > self.deadline and (lost is None or silent > lost[0]):
                 lost = (silent, worker)
         if lost is None:
-            return
+            return None
         silent, worker = lost
         phase, round_no, task_id = self.last_assignment.get(worker, ("", -1, -1))
-        record = FailureRecord(
+        return FailureRecord(
             kind="heartbeat",
             worker=worker,
             phase=phase,
@@ -188,7 +183,6 @@ class WorkerSupervisor:
                 f"(heartbeat deadline {self.deadline:.1f}s)"
             ),
         )
-        raise WorkerLostError(worker, silent, self.deadline, record)
 
 
 def driver_main(
@@ -201,10 +195,12 @@ def driver_main(
 
     The serve loop is supervised: receives are bounded so worker
     heartbeat deadlines are enforced even when no traffic arrives, a
-    worker-reported task failure raises :class:`JobFailedError` with the
-    worker's own failure record, and *any* driver-side failure aborts the
-    worker world before propagating — workers can never be left blocked
-    on a dead driver.
+    failure the driver itself detects (a lost heartbeat, an exhausted
+    respawn) raises :class:`JobFailedError` with the record built for it
+    — a task's failure is not reported here, its rank hands the record to
+    the runtime — and *any* driver-side failure aborts the worker world
+    before propagating: workers can never be left blocked on a dead
+    driver.
     """
     from repro.core.engine import worker_main
 
@@ -237,11 +233,8 @@ def driver_main(
         requeued = scheduler.requeue_worker(worker)
         supervisor.reset(worker)
         if conf.get_bool(K.FT_ENABLED):
-            from repro.core.checkpoint import write_rank_manifest
-
             write_rank_manifest(
-                conf.get(K.FT_DIR) or "",
-                conf.get_str(K.JOB_ID, job.name),
+                *checkpoint_location(conf, job.name),
                 worker,
                 {
                     "gid": gid,
@@ -267,8 +260,8 @@ def driver_main(
 
     def _supervise() -> None:
         """Heartbeat check + respawn servicing, recovery-aware: a dead
-        rank is respawned in place when the budget allows; otherwise the
-        original failure propagates (degrading to a whole-job restart)."""
+        rank is respawned in place when the budget allows; otherwise its
+        record is raised (degrading to a whole-job restart)."""
         for gid in runtime.pending_respawns():
             worker = gid_to_worker.get(gid)
             if worker is None or worker in supervisor.done:
@@ -285,13 +278,12 @@ def driver_main(
                         f"restart"
                     ),
                 )
-                raise RankRecoveryError(worker, record.error, record)
-        try:
-            supervisor.check()
-        except WorkerLostError as lost:
-            gid = worker_gids.get(lost.worker)
-            if gid is None or not _try_respawn(lost.worker, gid):
-                raise
+                raise JobFailedError(record.error, [record])
+        lost = supervisor.check()
+        if lost is not None and not _try_respawn(
+            lost.worker, worker_gids[lost.worker]
+        ):
+            raise JobFailedError(lost.error, [lost])
 
     try:
         while len(reports) < nprocs:
@@ -321,19 +313,15 @@ def driver_main(
                     _T.instant(
                         "worker.done", cat="scheduler", args={"worker": worker}
                     )
-            elif kind == "fail":
-                _, worker, record = message
-                raise JobFailedError(
-                    f"worker {worker}: {record.phase} task {record.task_id} "
-                    f"(attempt {record.attempt}) failed: {record.error}",
-                    failures=[record],
-                )
             else:
                 raise DataMPIError(f"unknown control message {message[0]!r}")
             _supervise()
     except BaseException as exc:
-        # never leave workers blocked on a driver that is about to die
-        comm.abort(reason=f"driver failed: {exc!r}")
+        # never leave workers blocked on a driver that is about to die; a
+        # JobFailedError names its cause, an ``abort`` record would restate it
+        runtime.abort(
+            f"driver failed: {exc!r}", record=not isinstance(exc, JobFailedError)
+        )
         raise
     return reports
 

@@ -43,6 +43,28 @@ class TestCli:
         assert main(["-O", "1"]) == 2  # missing -A
         assert "mpidrun:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("launcher", ["threads", "processes"])
+    def test_failing_job_is_reported_not_a_traceback(
+        self, capsys, monkeypatch, launcher
+    ):
+        from repro.cli import _launch
+
+        def o_fn(ctx):
+            raise ValueError(f"demo bug in task {ctx.task_id}")
+
+        monkeypatch.setitem(
+            APPLICATIONS, "Boom",
+            lambda options, params: _launch(options, o_fn, lambda ctx: None),
+        )
+        assert main([f"--launcher={launcher}", "-O", "1", "-A", "1",
+                     "-M", "mapreduce", "-jar", "demos.jar", "Boom"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("mpidrun: [task worker 0 O task 0 attempt 1]")
+        assert "demo bug in task 0" in err[0]
+        # one describe() line per record, the cause first
+        assert err[1].strip() == err[0].removeprefix("mpidrun: ")
+        assert not any("Traceback" in line for line in err)
+
     def test_registry_mirrors_paper_programs(self):
         assert {"Sort", "WordCount", "TopK"} <= set(APPLICATIONS)
 

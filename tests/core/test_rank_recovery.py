@@ -10,7 +10,10 @@ respawn budget is spent or the redelivery buffer overflowed, the death
 degrades gracefully to the classic whole-job restart.
 """
 
+import os
 import random
+import shutil
+import tempfile
 
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.checkpoint import read_rank_manifest, write_rank_manifest
@@ -107,6 +110,32 @@ class TestSurgicalRecovery:
         assert recovered[0]["respawns"] == 1
         assert recovered[0]["epoch"] == 1
 
+    def test_manifest_lands_beside_the_checkpoints_without_ft_dir(
+        self, tmp_path, monkeypatch
+    ):
+        # no mpi.d.ft.dir: the ranks (round files) and the driver (rank
+        # manifest) must fall back to the same directory.  Ranks are
+        # forked, so they inherit the cwd and tempfile.tempdir set here;
+        # the tempdir is a short one of its own because the router's
+        # AF_UNIX socket lives under it
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        tmp = tempfile.mkdtemp(prefix="ft-")
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(tempfile, "tempdir", tmp)
+        try:
+            injector = FaultInjector()
+            injector.kill_rank(tag=SHUFFLE_TAG, skip_first=3, max_matches=1)
+            conf = recovery_conf(**{K.FT_ENABLED: True, K.FT_INTERVAL_RECORDS: 10})
+            result, out = run_wordcount(tmp_path, "out", conf, injector=injector)
+            assert result.success and result.metrics.respawns >= 1
+            names = os.listdir(os.path.join(tmp, "recovery-wc"))
+            assert any(n.startswith("cp_o") for n in names)
+            assert any(n.endswith(".manifest.json") for n in names)
+            assert os.listdir(cwd) == []
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+
     def test_killed_rank_mid_iteration_replays_its_rounds(self, tmp_path):
         def build(out, conf):
             def o_fn(ctx):
@@ -187,6 +216,9 @@ class TestGracefulDegradation:
         assert result.restarts >= 1
         assert result.metrics.respawns == 0
         assert any(f.kind == "respawn" for f in result.failures)
+        # the exhausted respawn is the first attempt's primary record
+        assert result.failures[0].kind == "respawn"
+        assert result.failures[0].attempt == 1
         assert out.merged() == expected_wordcount(TEXTS)
 
     def test_respawn_budget_gates_eligibility(self):

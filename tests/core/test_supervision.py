@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.common.errors import JobFailedError
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import CONTROL_TAG, MPI_D_Constants as K
 from repro.core.engine import WorkerEngine
@@ -138,6 +139,7 @@ class TestHeartbeatDetection:
         assert elapsed < 30.0  # detected at the deadline, not a hung timeout
         hb = [r for r in result.failures if r.kind == "heartbeat"]
         assert hb and hb[0].worker == 1
+        assert result.failures[0].kind == "heartbeat"  # and it is the primary
         assert "worker 1" in result.error
         assert "deadline" in result.error
 
@@ -156,6 +158,75 @@ class TestHeartbeatDetection:
             )
             assert result.success
             assert out.merged() == expected_wordcount(TEXTS)
+
+
+class TestOneRoute:
+    """A failure is recorded once, where it is detected, and reaches
+    mpidrun by the runtime only: no copy of a record, and no ``abort``
+    record restating a cause that is already on file."""
+
+    @staticmethod
+    def _job(launcher, failing_side, failing_tasks):
+        def body(side):
+            def fn(ctx):
+                if side == failing_side and ctx.task_id in failing_tasks:
+                    raise ValueError(f"boom {side}{ctx.task_id}")
+                if side == "O":
+                    ctx.send(ctx.task_id, 1)
+                else:
+                    list(ctx.recv_iter())
+            return fn
+
+        return DataMPIJob(
+            "route", body("O"), body("A"), o_tasks=2, a_tasks=2,
+            mode=Mode.MAPREDUCE, conf={K.LAUNCHER: launcher},
+        )
+
+    @staticmethod
+    def _check(failures, side, raised):
+        keys = [
+            (r.kind, r.worker, r.phase, r.task_id, r.round_no, r.attempt)
+            for r in failures
+        ]
+        assert len(set(keys)) == len(keys), keys  # nothing filed twice
+        assert failures[0].kind == "task"
+        assert {r.kind for r in failures} == {"task"}, keys  # no abort beside it
+        assert {r.phase for r in failures} == {side}
+        assert {r.task_id for r in failures} <= raised
+        assert all(r.attempt == 1 for r in failures)
+
+    @pytest.mark.parametrize(
+        "side, raised", [("O", {0, 1}), ("A", {0})], ids=["two-O", "one-A"]
+    )
+    def test_each_raising_task_is_on_record_once(self, launcher, side, raised):
+        for _ in range(5):
+            result = mpidrun(self._job(launcher, side, raised), nprocs=2,
+                             timeout=120.0)
+            assert not result.success
+            self._check(result.failures, side, raised)
+
+    def test_raise_on_error_raises_what_the_result_would_hold(self, launcher):
+        job = self._job(launcher, "A", {0})
+        result = mpidrun(job, nprocs=2, timeout=120.0)
+        for _ in range(5):
+            with pytest.raises(JobFailedError) as raised:
+                mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+            exc = raised.value
+            self._check(exc.failures, "A", {0})
+            assert [(r.kind, r.phase, r.task_id) for r in exc.failures] == [
+                (r.kind, r.phase, r.task_id) for r in result.failures
+            ]
+            assert str(exc) == result.error
+            # the task's own exception, also after crossing the wire
+            assert isinstance(exc.__cause__, ValueError)
+            assert "boom A0" in str(exc.__cause__)
+
+    def test_two_raising_tasks_raise_job_failed_whatever_the_timing(self, launcher):
+        for _ in range(5):
+            with pytest.raises(JobFailedError) as raised:
+                mpidrun(self._job(launcher, "O", {0, 1}), nprocs=2,
+                        timeout=120.0, raise_on_error=True)
+            self._check(raised.value.failures, "O", {0, 1})
 
 
 class TestDriverRobustness:

@@ -422,8 +422,9 @@ class TestEndpointCleanup:
                 K.TELEMETRY_ENDPOINT_FILE: endpoint,
             },
         )
-        with pytest.raises(JobFailedError):
+        with pytest.raises(JobFailedError) as raised:
             mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        assert raised.value.failures
         assert not os.path.exists(endpoint)
 
     def test_close_unlinks_even_when_server_stop_raises(self, tmp_path):
