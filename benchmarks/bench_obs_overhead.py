@@ -19,7 +19,7 @@ tracer states and writes ``BENCH_OBS.json`` at the repo root:
 * **profiler sampling cost** — mean cost of one ``sample_once()`` tick
   with rank threads registered, plus a measured shuffle Hz sweep
   (off/10/50/100 Hz).  Steady-state overhead ≈ tick cost × rate, and
-  that deterministic estimate at the default ``mpi.d.profile.hz`` (50)
+  that deterministic estimate at the ``--profile`` rate (50 Hz)
   is gated < 3%; the measured sweep is recorded as informational
   because an end-to-end A/B is dominated by run-to-run noise.
 

@@ -63,6 +63,7 @@ from repro.core import DataMPIJob, FileSink, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import JobResult
 from repro.core.mpidrun import parse_mpidrun_command
+from repro.obs.profiler import DEFAULT_HZ
 
 
 def _run_sort(options: dict, params: list[str]) -> JobResult:
@@ -189,10 +190,29 @@ def _check_launcher(backend: str) -> str:
     return backend
 
 
+#: the metrics-json path rides in the flag table like a conf key
+_METRICS_JSON = "--metrics-json"
+
+#: flag -> (conf a bare flag sets, key its =VALUE sets, VALUE parser, VALUE
+#: in words).  Without the first, the VALUE is required and may be the next
+#: argument
+_OBS_FLAGS: dict[str, tuple[dict | None, str, Callable[[str], Any], str]] = {
+    "--launcher": (None, K.LAUNCHER, _check_launcher, "a backend name"),
+    "--telemetry": (
+        {K.TELEMETRY_ENABLED: True}, K.TELEMETRY_ENDPOINT_FILE, str,
+        "an endpoint file",
+    ),
+    "--trace": ({K.TRACE_ENABLED: True}, K.TRACE_PATH, str, "a journal path"),
+    "--profile": (
+        {K.PROFILE_HZ: DEFAULT_HZ}, K.PROFILE_HZ, float, "a sampling rate in Hz",
+    ),
+    "--doctor": ({K.DOCTOR_ENABLED: True}, K.DOCTOR_PATH, str, "a report path"),
+    _METRICS_JSON: (None, _METRICS_JSON, str, "a path"),
+}
+
+
 def _extract_obs_flags(argv: list[str]) -> tuple[list[str], dict, str | None]:
-    """Strip ``--trace[=PATH]`` / ``--metrics-json[=PATH]`` /
-    ``--launcher=BACKEND`` / ``--telemetry[=ENDPOINT_FILE]`` /
-    ``--profile[=HZ]`` / ``--doctor[=PATH]`` from ``argv``.
+    """Strip the :data:`_OBS_FLAGS` from ``argv``.
 
     Returns (remaining argv, conf overrides for the launch, metrics-json
     output path or None).  The flags live outside the paper's mpidrun
@@ -200,53 +220,24 @@ def _extract_obs_flags(argv: list[str]) -> tuple[list[str], dict, str | None]:
     """
     rest: list[str] = []
     conf: dict = {}
-    metrics_json: str | None = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--launcher":
-            if i + 1 >= len(argv):
-                raise DataMPIError("--launcher requires a backend name")
-            conf[K.LAUNCHER] = _check_launcher(argv[i + 1])
-            i += 1
-        elif tok.startswith("--launcher="):
-            conf[K.LAUNCHER] = _check_launcher(tok.split("=", 1)[1])
-        elif tok == "--telemetry":
-            conf[K.TELEMETRY_ENABLED] = True
-        elif tok.startswith("--telemetry="):
-            conf[K.TELEMETRY_ENABLED] = True
-            conf[K.TELEMETRY_ENDPOINT_FILE] = tok.split("=", 1)[1]
-        elif tok == "--trace":
-            conf[K.TRACE_ENABLED] = True
-        elif tok.startswith("--trace="):
-            conf[K.TRACE_ENABLED] = True
-            conf[K.TRACE_PATH] = tok.split("=", 1)[1]
-        elif tok == "--profile":
-            conf[K.PROFILE_ENABLED] = True
-        elif tok.startswith("--profile="):
-            conf[K.PROFILE_ENABLED] = True
-            try:
-                conf[K.PROFILE_HZ] = float(tok.split("=", 1)[1])
-            except ValueError:
-                raise DataMPIError(
-                    f"--profile wants a sampling rate in Hz, got {tok!r}"
-                ) from None
-        elif tok == "--doctor":
-            conf[K.DOCTOR_ENABLED] = True
-        elif tok.startswith("--doctor="):
-            conf[K.DOCTOR_ENABLED] = True
-            conf[K.DOCTOR_PATH] = tok.split("=", 1)[1]
-        elif tok == "--metrics-json":
-            if i + 1 >= len(argv):
-                raise DataMPIError("--metrics-json requires a path")
-            metrics_json = argv[i + 1]
-            i += 1
-        elif tok.startswith("--metrics-json="):
-            metrics_json = tok.split("=", 1)[1]
-        else:
+    args = iter(argv)
+    for tok in args:
+        flag, given, value = tok.partition("=")
+        if flag not in _OBS_FLAGS:
             rest.append(tok)
-        i += 1
-    return rest, conf, metrics_json
+            continue
+        bare, key, parse, noun = _OBS_FLAGS[flag]
+        if bare is None and not given:
+            if (value := next(args, None)) is None:
+                raise DataMPIError(f"{flag} requires {noun}")
+            given = True
+        conf.update(bare or {})
+        if given:
+            try:
+                conf[key] = parse(value)
+            except ValueError:
+                raise DataMPIError(f"{flag} wants {noun}, got {tok!r}") from None
+    return rest, conf, conf.pop(_METRICS_JSON, None)
 
 
 def _write_metrics_json(result: JobResult, path: str) -> None:
@@ -267,12 +258,23 @@ def _write_metrics_json(result: JobResult, path: str) -> None:
 _COVERAGE_CEILING_PCT = 105.0
 
 
+def _open_journal(prog: str, path: str) -> Any:
+    """The journal at ``path``, or None after saying why not on stderr."""
+    from repro.obs.journal import read_journal
+
+    try:
+        return read_journal(path)
+    except OSError as exc:
+        print(f"repro {prog}: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def trace_main(argv: list[str]) -> int:
     """``repro trace <journal>`` — inspect a flight-recorder journal."""
     import argparse
 
     from repro.obs.inspect import format_report, summarize_journal
-    from repro.obs.journal import export_chrome, read_journal
+    from repro.obs.journal import export_chrome
 
     parser = argparse.ArgumentParser(
         prog="repro trace",
@@ -298,10 +300,8 @@ def trace_main(argv: list[str]) -> int:
         "counted twice)",
     )
     args = parser.parse_args(argv)
-    try:
-        journal = read_journal(args.journal)
-    except OSError as exc:
-        print(f"repro trace: cannot read {args.journal}: {exc}", file=sys.stderr)
+    journal = _open_journal("trace", args.journal)
+    if journal is None:
         return 2
     if not journal.events and not journal.summary:
         print(f"repro trace: {args.journal} holds no journal records",
@@ -367,44 +367,22 @@ def _resolve_telemetry_endpoint(spec: str) -> Any:
     return spec
 
 
-def _format_top_table(rows: list[dict], rollups: dict) -> str:
-    """Render one refresh of the ``repro top`` per-rank table."""
-    lines: list[str] = []
-    lines.append(
-        f"ranks {rollups.get('ranks_reporting', 0)}"
-        f"/{rollups.get('ranks_expected', 0) or '?'} reporting  "
-        f"done={rollups.get('ranks_done', 0)}  "
-        f"snapshots={rollups.get('snapshots_ingested', 0)}  "
-        f"straggler={rollups.get('straggler_score', 0.0):.2f}  "
-        f"skew={rollups.get('shuffle_skew', 0.0):.2f}"
-    )
-    recovery = rollups.get("recovery") or {}
-    if any(recovery.values()):
-        lines.append(
-            "recovery: " + "  ".join(
-                f"{k}={v}" for k, v in sorted(recovery.items()) if v
-            )
-        )
-    header = (
-        f"{'rank':>4} {'ep':>2} {'st':>7} {'wall':>8} {'cpu':>7} "
-        f"{'rss_mb':>7} {'sent_mb':>8} {'recv':>8} {'pend':>5} "
-        f"{'o/a':>7} {'age':>5}"
-    )
-    lines.append(header)
-    for row in sorted(rows, key=lambda r: r.get("rank", -1)):
-        tasks = row.get("tasks") or {}
-        lines.append(
-            f"{row.get('rank', -1):>4} {row.get('epoch', 0):>2} "
-            f"{row.get('status', '?'):>7} "
-            f"{row.get('wall_s', 0.0):>7.2f}s {row.get('cpu_s', 0.0):>6.2f}s "
-            f"{row.get('rss_mb', 0.0):>7.1f} "
-            f"{row.get('bytes_sent', 0) / 1e6:>8.2f} "
-            f"{row.get('records_received', 0):>8} "
-            f"{row.get('pending', 0):>5} "
-            f"{tasks.get('o', 0):>3}/{tasks.get('a', 0):<3} "
-            f"{row.get('age_s', 0.0):>4.1f}s"
-        )
-    return "\n".join(lines)
+def _connect_endpoint(prog: str, spec: str) -> Any:
+    """An RPC client on the telemetry endpoint ``spec`` names, or None
+    after saying why not on stderr."""
+    from repro.rpc import SocketRpcClient
+
+    try:
+        address = _resolve_telemetry_endpoint(spec)
+    except DataMPIError as exc:
+        print(f"repro {prog}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return SocketRpcClient(address, timeout=10.0)
+    except OSError as exc:
+        print(f"repro {prog}: cannot connect to {address!r}: {exc}",
+              file=sys.stderr)
+        return None
 
 
 def top_main(argv: list[str]) -> int:
@@ -413,7 +391,7 @@ def top_main(argv: list[str]) -> int:
     import time
 
     from repro.common.errors import RPCError
-    from repro.rpc import SocketRpcClient
+    from repro.obs.telemetry import format_top_table
 
     parser = argparse.ArgumentParser(
         prog="repro top",
@@ -448,16 +426,8 @@ def top_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
     iterations = 1 if args.once else args.iterations
-    try:
-        address = _resolve_telemetry_endpoint(args.endpoint)
-    except DataMPIError as exc:
-        print(f"repro top: {exc}", file=sys.stderr)
-        return 2
-    try:
-        client = SocketRpcClient(address, timeout=10.0)
-    except OSError as exc:
-        print(f"repro top: cannot connect to {address!r}: {exc}",
-              file=sys.stderr)
+    client = _connect_endpoint("top", args.endpoint)
+    if client is None:
         return 2
     count = 0
     try:
@@ -473,7 +443,7 @@ def top_main(argv: list[str]) -> int:
                             {"ranks": rows, "rollups": rollups}, default=repr
                         ))
                     else:
-                        print(_format_top_table(rows, rollups))
+                        print(format_top_table(rows, rollups))
             except (OSError, RPCError) as exc:
                 print(f"repro top: endpoint gone ({exc})", file=sys.stderr)
                 return 0 if count else 2
@@ -494,7 +464,6 @@ def flame_main(argv: list[str]) -> int:
     import argparse
 
     from repro.obs import profiler as profiler_mod
-    from repro.obs.journal import read_journal
 
     parser = argparse.ArgumentParser(
         prog="repro flame",
@@ -525,27 +494,18 @@ def flame_main(argv: list[str]) -> int:
         help="write a speedscope JSON document to PATH",
     )
     args = parser.parse_args(argv)
-    try:
-        journal = read_journal(args.journal)
-    except OSError as exc:
-        print(f"repro flame: cannot read {args.journal}: {exc}", file=sys.stderr)
+    journal = _open_journal("flame", args.journal)
+    if journal is None:
         return 2
     profiles = journal.profiles
     if args.rank is not None:
         profiles = [p for p in profiles if p.get("rank") == args.rank]
     if args.phase:
         profiles = [
-            {
-                **p,
-                "stacks": {
-                    ph: stacks
-                    for ph, stacks in (p.get("stacks") or {}).items()
-                    if ph == args.phase
-                },
-            }
+            {**p, "stacks": {args.phase: p["stacks"][args.phase]}}
             for p in profiles
+            if (p.get("stacks") or {}).get(args.phase)
         ]
-        profiles = [p for p in profiles if any(p["stacks"].values())]
     if not profiles:
         print(
             f"repro flame: {args.journal} holds no matching profiles "
@@ -554,27 +514,7 @@ def flame_main(argv: list[str]) -> int:
         )
         return 2
     for profile in profiles:
-        rank = profile.get("rank", -1)
-        epoch = profile.get("epoch", 0)
-        samples = profile.get("samples", 0)
-        hz = profile.get("hz", 0.0)
-        label = f"rank {rank}" + (f" (epoch {epoch})" if epoch else "")
-        print(f"{label}: {samples} samples @ {hz:g} Hz")
-        by_phase: dict[str, int] = {}
-        flat: list[tuple[int, str, str]] = []
-        for phase, stacks in (profile.get("stacks") or {}).items():
-            for stack, count in stacks.items():
-                by_phase[phase] = by_phase.get(phase, 0) + count
-                flat.append((count, phase, stack))
-        total = sum(by_phase.values()) or 1
-        phase_bits = "  ".join(
-            f"{phase}={100.0 * n / total:.0f}%"
-            for phase, n in sorted(by_phase.items(), key=lambda kv: -kv[1])
-        )
-        print(f"  phases: {phase_bits}")
-        for count, phase, stack in sorted(flat, reverse=True)[: args.top]:
-            leaf = stack.rsplit(";", 1)[-1]
-            print(f"  {100.0 * count / total:5.1f}%  [{phase}] {leaf}")
+        print(profiler_mod.format_profile(profile, args.top))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(profiler_mod.to_collapsed(profiles))
@@ -596,7 +536,6 @@ def doctor_main(argv: list[str]) -> int:
 
     from repro.common.errors import RPCError
     from repro.obs.doctor import render_report
-    from repro.rpc import SocketRpcClient
 
     parser = argparse.ArgumentParser(
         prog="repro doctor",
@@ -636,16 +575,8 @@ def doctor_main(argv: list[str]) -> int:
         # otherwise fall through: an endpoint file also parses as JSON
 
     if report is None:
-        try:
-            address = _resolve_telemetry_endpoint(args.target)
-        except DataMPIError as exc:
-            print(f"repro doctor: {exc}", file=sys.stderr)
-            return 2
-        try:
-            client = SocketRpcClient(address, timeout=10.0)
-        except OSError as exc:
-            print(f"repro doctor: cannot connect to {address!r}: {exc}",
-                  file=sys.stderr)
+        client = _connect_endpoint("doctor", args.target)
+        if client is None:
             return 2
         try:
             if args.capture:
@@ -679,20 +610,20 @@ def doctor_main(argv: list[str]) -> int:
     return 0
 
 
+_SUBCOMMANDS = {
+    "trace": trace_main, "top": top_main, "flame": flame_main,
+    "doctor": doctor_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         print("available classnames:", ", ".join(sorted(APPLICATIONS)))
         return 0
-    if argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv[0] == "top":
-        return top_main(argv[1:])
-    if argv[0] == "flame":
-        return flame_main(argv[1:])
-    if argv[0] == "doctor":
-        return doctor_main(argv[1:])
+    if argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     try:
         argv, conf, metrics_json = _extract_obs_flags(argv)
         options = parse_mpidrun_command("mpidrun " + " ".join(argv))

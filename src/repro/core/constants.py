@@ -44,13 +44,8 @@ class MPI_D_Constants:
     #: memory budget for cached intermediate data per process, bytes;
     #: beyond it, merged runs spill to disk (§V-E)
     MEMORY_CACHE_BYTES = "mpi.d.memory.cache.bytes"
-    #: fraction of intermediate data cached in memory (Figure 12 knob);
-    #: when set, overrides MEMORY_CACHE_BYTES proportionally
-    CACHE_FRACTION = "mpi.d.cache.fraction"
     #: directory for spill files (defaults to a temp dir)
     LOCAL_DIR = "mpi.d.local.dir"
-    #: zlib-compress spilled runs (trade CPU for disk bandwidth)
-    SPILL_COMPRESS = "mpi.d.spill.compress"
     #: sender-side coalescing cap: blocks bound for one destination ride in
     #: a single MPI envelope until the batch reaches this many bytes
     SHUFFLE_BATCH_BYTES = "mpi.d.shuffle.batch.bytes"
@@ -61,8 +56,6 @@ class MPI_D_Constants:
     # -- semantics toggles (mode profile defaults) --------------------------------
     #: sort key-value pairs by key during the exchange
     SORT = "mpi.d.sort"
-    #: allow A->O communication (Iteration mode)
-    BIDIRECTIONAL = "mpi.d.bidirectional"
     #: deliver pairs as they arrive instead of after the O phase
     PIPELINED_DELIVERY = "mpi.d.pipelined.delivery"
 
@@ -84,9 +77,8 @@ class MPI_D_Constants:
     TASK_MAX_ATTEMPTS = "mpi.d.task.max.attempts"
     #: base of the exponential backoff between restarts, seconds
     RESTART_BACKOFF_SECONDS = "mpi.d.restart.backoff.seconds"
-    #: worker -> driver heartbeat period, seconds
-    HEARTBEAT_INTERVAL_SECONDS = "mpi.d.heartbeat.interval.seconds"
-    #: a worker silent this long is declared lost (<= 0 disables detection)
+    #: a worker silent this long is declared lost (<= 0 disables detection);
+    #: workers beat thirty times per deadline
     HEARTBEAT_DEADLINE_SECONDS = "mpi.d.heartbeat.deadline.seconds"
     #: shuffle-plane completion timeout, seconds
     PLANE_TIMEOUT_SECONDS = "mpi.d.plane.timeout.seconds"
@@ -111,8 +103,6 @@ class MPI_D_Constants:
     #: journal path (defaults to <job>.trace.jsonl in the local dir);
     #: setting it implies TRACE_ENABLED
     TRACE_PATH = "mpi.d.trace.path"
-    #: windowed metrics sampling period, seconds (<= 0 disables the sampler)
-    TRACE_METRICS_INTERVAL_SECONDS = "mpi.d.trace.metrics.interval.seconds"
 
     # -- live telemetry plane ------------------------------------------------------
     #: ship per-rank telemetry snapshots to the driver's TelemetryHub
@@ -126,10 +116,9 @@ class MPI_D_Constants:
     TELEMETRY_ENDPOINT_FILE = "mpi.d.telemetry.endpoint.file"
 
     # -- sampling profiler ---------------------------------------------------------
-    #: sample every rank's call stacks while the job runs (collapsed
-    #: stacks land in the trace journal; `repro flame` renders them)
-    PROFILE_ENABLED = "mpi.d.profile.enabled"
-    #: sampling rate in Hz (stack walks per second)
+    #: sample every rank's call stacks at this rate, Hz, while the job
+    #: runs (0 = off; collapsed stacks land in the trace journal, `repro
+    #: flame` renders them)
     PROFILE_HZ = "mpi.d.profile.hz"
 
     # -- doctor (automatic diagnosis) ----------------------------------------------
@@ -137,8 +126,6 @@ class MPI_D_Constants:
     #: stall signatures, auto-capture all-rank stack dumps, and write a
     #: ranked doctor.json report (implies live telemetry)
     DOCTOR_ENABLED = "mpi.d.doctor.enabled"
-    #: evaluation period, seconds
-    DOCTOR_INTERVAL_SECONDS = "mpi.d.doctor.interval.seconds"
     #: seconds a live rank may go without progress (busy-phase time or a
     #: counter advancing) before it is declared stalled and an all-rank
     #: stack capture fires
@@ -149,11 +136,9 @@ class MPI_D_Constants:
     # -- failure injection (testing) ----------------------------------------------
     #: crash the job after this many total emitted records (-1 = never)
     INJECT_CRASH_AFTER_RECORDS = "mpi.d.inject.crash.after.records"
-    #: rank of the O task that crashes (with the above)
+    #: rank of the O task that crashes (with the above), on the job's first
+    #: attempt only, so an automatic restart recovers
     INJECT_CRASH_TASK = "mpi.d.inject.crash.task"
-    #: job attempt the injected crash fires on (-1 = every attempt);
-    #: defaults to the first, so an automatic restart recovers
-    INJECT_CRASH_ATTEMPT = "mpi.d.inject.crash.attempt"
 
 
 #: internal shuffle tag on the worker world communicator

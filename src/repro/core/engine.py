@@ -29,12 +29,7 @@ from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.job import DataMPIJob
 from repro.core.metrics import PhaseClock, WorkerMetrics, bind_clock, phase
-from repro.core.modes import (
-    mode_is_bidirectional,
-    mode_is_pipelined,
-    mode_sorts,
-    profile_for,
-)
+from repro.core.modes import mode_is_pipelined, mode_sorts, profile_for
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
@@ -73,16 +68,14 @@ class WorkerEngine:
         self.plane_timeout = self.conf.get_float(K.PLANE_TIMEOUT_SECONDS)
         self.sorts = mode_sorts(self.conf)
         self.pipelined = mode_is_pipelined(self.conf)
-        self.bidirectional = mode_is_bidirectional(self.conf)
+        #: A->O communication, rounds: the Iteration mode (§III-A)
+        self.bidirectional = job.mode is Mode.ITERATION
         self.cmp = (job.comparator or default_compare) if self.sorts else None
         self.serializer = get_serializer(self.conf.get_str(K.SERIALIZER))
         #: mpidrun sets this to the job's scratch directory when the user
         #: named none; the engine creates no directory of its own
         self.spill_dir = self.conf.get(K.LOCAL_DIR) or tempfile.gettempdir()
-        cache_fraction = self.conf.get_float(K.CACHE_FRACTION)
-        self.memory_budget = max(
-            0, int(self.conf.get_bytes(K.MEMORY_CACHE_BYTES) * cache_fraction)
-        )
+        self.memory_budget = self.conf.get_bytes(K.MEMORY_CACHE_BYTES)
         self.window_fwd = PartitionWindow(job.a_tasks, nprocs)
         self.window_bwd = PartitionWindow(job.o_tasks, nprocs)
         self.metrics = WorkerMetrics(rank=self.rank)
@@ -100,11 +93,7 @@ class WorkerEngine:
         self._checkpoints = self._build_checkpoint_manager()
         #: sampling rate; 0 = profiler off (the stack registry for live
         #: dumps is maintained regardless)
-        self.profile_hz = (
-            self.conf.get_float(K.PROFILE_HZ)
-            if self.conf.get_bool(K.PROFILE_ENABLED)
-            else 0.0
-        )
+        self.profile_hz = self.conf.get_float(K.PROFILE_HZ)
         self._prof_epoch = world.runtime.rank_epoch
         from repro.serde.registry import resolve_type
 
@@ -122,7 +111,6 @@ class WorkerEngine:
             spill_dir=self.spill_dir,
             memory_budget=self.memory_budget,
             pipelined=self.pipelined,
-            compress_spills=self.conf.get_bool(K.SPILL_COMPRESS),
         )
 
     def _build_checkpoint_manager(self) -> CheckpointManager | None:
@@ -155,9 +143,10 @@ class WorkerEngine:
 
     # -- heartbeats ---------------------------------------------------------------
     def _start_heartbeat(self) -> threading.Event | None:
-        """Beat ("hb", rank) at the configured interval on a daemon thread
-        so a worker deep in a long shuffle wait still proves liveness."""
-        interval = self.conf.get_float(K.HEARTBEAT_INTERVAL_SECONDS)
+        """Beat ("hb", rank) thirty times per deadline on a daemon thread so
+        a worker deep in a long shuffle wait still proves liveness; with
+        detection off (deadline <= 0) nobody checks, so nobody beats."""
+        interval = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
         if interval <= 0:
             return None
         stop = threading.Event()
@@ -266,12 +255,8 @@ class WorkerEngine:
                 task_id, start_round=cp_reader.max_round()
             )
         crash_after = -1
-        inject_attempt = self.conf.get_int(K.INJECT_CRASH_ATTEMPT)
-        if (
-            self.conf.get_int(K.INJECT_CRASH_AFTER_RECORDS) >= 0
-            and task_id == self.conf.get_int(K.INJECT_CRASH_TASK)
-            and (inject_attempt < 0 or inject_attempt == self.attempt)
-        ):
+        # the first attempt only, so an automatic restart recovers
+        if self.attempt == 1 and task_id == self.conf.get_int(K.INJECT_CRASH_TASK):
             crash_after = self.conf.get_int(K.INJECT_CRASH_AFTER_RECORDS)
         return TaskContext(
             kind="O",

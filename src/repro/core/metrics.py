@@ -20,8 +20,17 @@ from typing import Any, Callable, Iterator
 COVERAGE_PHASES = (
     "compute", "partition-sort", "communicate", "merge", "checkpoint", "control",
 )
+#: the ones counted as *work*, for the straggler score and as progress for
+#: the doctor's stall check — communicate and control are waiting: waiting
+#: ranks mirror the straggler's wall, and a wedged rank waits forever
+BUSY_PHASES = ("compute", "partition-sort", "merge", "checkpoint")
 #: buckets measured on background threads; they overlap the ones above
 OVERLAY_PHASES = ("spill",)
+
+
+def busy_seconds(phases: dict[str, float]) -> float:
+    """The :data:`BUSY_PHASES` share of a rank's phase buckets."""
+    return sum(phases.get(name, 0.0) for name in BUSY_PHASES)
 
 
 class PhaseClock:

@@ -29,57 +29,47 @@ _SHARED_DEFAULTS: dict[str, Any] = {
     K.SHUFFLE_RAW: False,
     K.MERGE_THRESHOLD_BLOCKS: 8,  # inert, see constants.py
     K.MEMORY_CACHE_BYTES: 64 * MiB,
-    K.CACHE_FRACTION: 1.0,
-    K.SPILL_COMPRESS: False,
     K.FT_ENABLED: False,
     K.FT_INTERVAL_RECORDS: 10_000,
     K.JOB_MAX_RESTARTS: 0,
     K.TASK_MAX_ATTEMPTS: 4,
     K.RESTART_BACKOFF_SECONDS: 0.1,
-    K.HEARTBEAT_INTERVAL_SECONDS: 0.5,
     K.HEARTBEAT_DEADLINE_SECONDS: 15.0,
     K.PLANE_TIMEOUT_SECONDS: 120.0,
     K.RANK_MAX_RESPAWNS: 0,
     K.RANK_REDELIVERY_BYTES: 64 * MiB,
     K.LAUNCHER: "threads",
     K.TRACE_ENABLED: False,
-    K.TRACE_METRICS_INTERVAL_SECONDS: 0.25,
     K.TELEMETRY_ENABLED: False,
     K.TELEMETRY_INTERVAL_SECONDS: 0.25,
-    K.PROFILE_ENABLED: False,
-    K.PROFILE_HZ: 50.0,
+    K.PROFILE_HZ: 0.0,  # off; --profile writes obs.profiler.DEFAULT_HZ
     K.DOCTOR_ENABLED: False,
-    K.DOCTOR_INTERVAL_SECONDS: 0.5,
     K.DOCTOR_STALL_SECONDS: 5.0,
     K.INJECT_CRASH_AFTER_RECORDS: -1,
     K.INJECT_CRASH_TASK: 0,
-    K.INJECT_CRASH_ATTEMPT: 1,
 }
 
 _PROFILE_DEFAULTS: dict[Mode, dict[str, Any]] = {
     # Common: SPMD, sorted exchange so the Listing-1 Sort works out of the box
     Mode.COMMON: {
         K.SORT: True,
-        K.BIDIRECTIONAL: False,
         K.PIPELINED_DELIVERY: False,
     },
     # MapReduce: sorted, strictly one-way O->A
     Mode.MAPREDUCE: {
         K.SORT: True,
-        K.BIDIRECTIONAL: False,
         K.PIPELINED_DELIVERY: False,
     },
-    # Iteration: bi-directional rounds, no sorting required
+    # Iteration: no sorting required (bi-directional rounds are the mode
+    # itself, ``job.mode is Mode.ITERATION``, not a setting)
     Mode.ITERATION: {
         K.SORT: False,
-        K.BIDIRECTIONAL: True,
         K.PIPELINED_DELIVERY: False,
     },
     # Streaming: unsorted, pairs delivered while O tasks still run; a
     # small flush threshold keeps per-record latency low
     Mode.STREAMING: {
         K.SORT: False,
-        K.BIDIRECTIONAL: False,
         K.PIPELINED_DELIVERY: True,
         K.SPL_PARTITION_BYTES: 2 * KiB,
     },
@@ -105,7 +95,3 @@ def mode_sorts(conf: Configuration) -> bool:
 
 def mode_is_pipelined(conf: Configuration) -> bool:
     return conf.get_bool(K.PIPELINED_DELIVERY)
-
-
-def mode_is_bidirectional(conf: Configuration) -> bool:
-    return conf.get_bool(K.BIDIRECTIONAL)

@@ -165,9 +165,7 @@ class _TraceSession:
         self._closed = False
         _T.enable(job=job.name, nprocs=nprocs, mode=job.mode.value)
         _T.bind(-1)  # the driver/launcher thread
-        self.sampler = WindowedSampler(
-            interval=conf.get_float(K.TRACE_METRICS_INTERVAL_SECONDS),
-        )
+        self.sampler = WindowedSampler()
         self.sampler.start()
 
     @staticmethod
@@ -274,7 +272,8 @@ class _TelemetrySession:
             self.doctor = Doctor(
                 self.hub,
                 DoctorConfig(
-                    interval=conf.get_float(K.DOCTOR_INTERVAL_SECONDS),
+                    # one evaluation per two snapshots of a rank
+                    interval=2 * conf.get_float(K.TELEMETRY_INTERVAL_SECONDS),
                     stall_seconds=conf.get_float(K.DOCTOR_STALL_SECONDS),
                 ),
                 job=job.name,

@@ -75,7 +75,6 @@ class PlaneConfig:
         memory_budget: int,
         merge_threshold_blocks: int | None = None,
         pipelined: bool = False,
-        compress_spills: bool = False,
     ) -> None:
         """``merge_threshold_blocks`` is inert (nothing merges eagerly);
         the slot stays because the frozen ``bench/replay.py`` fills it
@@ -87,7 +86,6 @@ class PlaneConfig:
         self.spill_dir = spill_dir
         self.memory_budget = memory_budget
         self.pipelined = pipelined
-        self.compress_spills = compress_spills
 
 
 class ShufflePlane:
@@ -108,7 +106,6 @@ class ShufflePlane:
                     config.spill_dir,
                     budget_each,
                     stem=f"{plane_id}-p{p}",
-                    compress_spills=config.compress_spills,
                 ),
             )
             for p in owned

@@ -14,7 +14,6 @@ import heapq
 import operator
 import os
 import tempfile
-import zlib
 from itertools import chain
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
@@ -219,8 +218,8 @@ _SPILL_CHUNK_BYTES = 64 * 1024
 
 
 class SpillFile:
-    """One on-disk (optionally compressed) run: a sealed record batch
-    written verbatim, length-prefixed layout and all."""
+    """One on-disk run: a sealed record batch written verbatim,
+    length-prefixed layout and all."""
 
     def __init__(
         self,
@@ -228,15 +227,13 @@ class SpillFile:
         serializer: Serializer,
         count: int,
         nbytes: int,
-        compressed: bool = False,
         raw: bool = False,
     ):
         self.path = path
         self.serializer = serializer
         self.count = count
-        #: bytes on disk (post-compression)
+        #: bytes on disk
         self.nbytes = nbytes
-        self.compressed = compressed
         self.raw = raw
 
     def __iter__(self) -> Iterator[KV]:
@@ -247,7 +244,7 @@ class SpillFile:
         defeating the memory budget that caused the spill.
         """
         with open(self.path, "rb") as f:
-            src = ChunkedDataInput(self._chunks(f))
+            src = ChunkedDataInput(iter(lambda: f.read(_SPILL_CHUNK_BYTES), b""))
             if self.raw:
                 for _ in range(self.count):
                     key = src.read_bytes(src.read_vint())
@@ -262,26 +259,6 @@ class SpillFile:
                     value = deserialize(src)
                     yield key, value
 
-    def _chunks(self, f) -> Iterator[bytes]:
-        if not self.compressed:
-            while True:
-                raw = f.read(_SPILL_CHUNK_BYTES)
-                if not raw:
-                    return
-                yield raw
-        else:
-            decomp = zlib.decompressobj()
-            while True:
-                raw = f.read(_SPILL_CHUNK_BYTES)
-                if not raw:
-                    break
-                out = decomp.decompress(raw)
-                if out:
-                    yield out
-            tail = decomp.flush()
-            if tail:
-                yield tail
-
     def delete(self) -> None:
         try:
             os.unlink(self.path)
@@ -294,23 +271,12 @@ def spill_batch(
     serializer: Serializer,
     directory: str,
     stem: str,
-    compress: bool = False,
 ) -> SpillFile:
-    """Write a sealed batch to disk verbatim — no per-record re-encode.
-
-    ``compress`` trades CPU for disk bandwidth like Hadoop's
-    ``mapred.compress.map.output`` — worthwhile exactly when the disk is
-    the bottleneck, which §V-B says it is on single-HDD nodes.
-    """
-    payload = batch.data if isinstance(batch.data, bytes) else bytes(batch.data)
-    if compress:
-        payload = zlib.compress(payload, level=1)
+    """Write a sealed batch to disk verbatim — no per-record re-encode."""
     fd, path = tempfile.mkstemp(prefix=f"{stem}-", suffix=".spill", dir=directory)
     with os.fdopen(fd, "wb") as f:
-        f.write(payload)
-    return SpillFile(
-        path, serializer, batch.count, len(payload), compress, raw=batch.raw
-    )
+        f.write(batch.data)
+    return SpillFile(path, serializer, batch.count, len(batch.data), raw=batch.raw)
 
 
 class RunStore:
@@ -330,14 +296,12 @@ class RunStore:
         directory: str,
         memory_budget: int,
         stem: str = "run",
-        compress_spills: bool = False,
     ) -> None:
         self.cmp = cmp
         self.serializer = serializer
         self.directory = directory
         self.memory_budget = memory_budget
         self.stem = stem
-        self.compress_spills = compress_spills
         #: in-memory runs in arrival order, each a sealed batch
         self.memory_runs: list[RecordBatch] = []
         #: spilled runs, oldest first; each precedes everything resident
@@ -368,10 +332,7 @@ class RunStore:
         self.memory_runs = []
         self.memory_bytes = 0
         t0 = _clock()
-        spill = spill_batch(
-            run, self.serializer, self.directory, self.stem,
-            compress=self.compress_spills,
-        )
+        spill = spill_batch(run, self.serializer, self.directory, self.stem)
         dur = _clock() - t0
         self.spill_seconds += dur
         if _T.enabled:

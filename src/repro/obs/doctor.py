@@ -6,7 +6,7 @@ land).  The :class:`Doctor` closes the loop on the driver side: a daemon
 thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
 **stall signatures** —
 
-* *straggler*: busy-time straggler score (max busy / median busy, where
+* *straggler*: the hub's straggler score (max busy / median busy, where
   busy = compute + partition-sort + merge + checkpoint; waiting phases
   are excluded because ranks blocked *on* the straggler mirror its
   wall) over a threshold; the finding attributes the slow rank's time
@@ -43,6 +43,7 @@ from typing import Any, Callable
 
 from repro.common.logging import get_logger
 from repro.core.constants import MPI_D_Constants as K
+from repro.core.metrics import busy_seconds
 from repro.core.modes import default_of
 
 _log = get_logger("obs.doctor")
@@ -60,20 +61,11 @@ _SEV_STRAGGLER = 10.0
 _SEV_REDELIVERY = 5.0
 _SEV_SKEW = 1.0
 
-#: phases counted as *work*, for the straggler score and as progress for
-#: the stall check — communicate and control are waiting: waiting ranks
-#: mirror the straggler's wall, and a wedged rank waits forever
-_BUSY_PHASES = ("compute", "partition-sort", "merge", "checkpoint")
-
-
-def _busy(row: dict[str, Any]) -> float:
-    phases = row.get("phases", {})
-    return sum(phases.get(phase, 0.0) for phase in _BUSY_PHASES)
-
 
 @dataclass
 class DoctorConfig:
-    interval: float = default_of(K.DOCTOR_INTERVAL_SECONDS)
+    #: evaluation period: every second telemetry snapshot
+    interval: float = 2 * default_of(K.TELEMETRY_INTERVAL_SECONDS)
     #: busy-time ratio over the median that flags a straggler
     straggler_threshold: float = 2.0
     stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
@@ -150,7 +142,9 @@ class Doctor:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "Doctor":
-        if self._thread is None:
+        # interval <= 0: telemetry is off, there is nothing to watch until
+        # the final evaluation of ``close``
+        if self._thread is None and self.config.interval > 0:
             self._stop = threading.Event()
             self._thread = threading.Thread(
                 target=self._loop, args=(self._stop,),
@@ -221,8 +215,8 @@ class Doctor:
             # work done or data moved, all from the row: busy-phase seconds,
             # bytes out, records in, tasks finished
             progress = (
-                _busy(row), row["bytes_sent"], row["records_received"],
-                row["tasks"],
+                busy_seconds(row["phases"]), row["bytes_sent"],
+                row["records_received"], row["tasks"],
             )
             held = self._progress.get(rank)
             if held is None or progress != held[0]:
@@ -264,24 +258,12 @@ class Doctor:
         return findings
 
     def _check_straggler(self, rows: list[dict], rollups: dict) -> list[dict]:
-        # the hub's wall-based straggler score is blind to skew: ranks
-        # *waiting* on the straggler accrue the same wall in communicate
-        # as the straggler does working.  Diagnose on busy time instead.
-        busy = {row["rank"]: _busy(row) for row in rows}
-        busys = sorted(busy.values())
-        if len(busys) < 2 or busys[-1] <= 0.0:
+        # the hub's score (busy time, slowest over median): the number
+        # `repro top` and the Prometheus family show
+        score = float(rollups.get("straggler_score", 0.0) or 0.0)
+        if not rows or score < self.config.straggler_threshold:
             return []
-        mid = len(busys) // 2
-        median = (
-            busys[mid] if len(busys) % 2 else 0.5 * (busys[mid - 1] + busys[mid])
-        )
-        # ranks that did (almost) no work can push the median to zero —
-        # floor it at 1ms so the score stays finite and comparable
-        score = round(busys[-1] / max(median, 1e-3), 4)
-        if score < self.config.straggler_threshold:
-            return []
-        slow_rank = max(busy, key=busy.get)
-        slow = next(row for row in rows if row["rank"] == slow_rank)
+        slow = max(rows, key=lambda row: busy_seconds(row["phases"]))
         attribution = self._attribution_for(slow["rank"])
         shuffle_skew = float(rollups.get("shuffle_skew", 0.0) or 0.0)
         pct = attribution["phase_pct"]
@@ -308,10 +290,7 @@ class Doctor:
             "summary": summary,
             "details": {
                 "straggler_score": score,
-                "busy_s": round(busy[slow_rank], 4),
-                "wall_straggler_score": float(
-                    rollups.get("straggler_score", 0.0) or 0.0
-                ),
+                "busy_s": round(busy_seconds(slow["phases"]), 4),
                 "shuffle_skew": shuffle_skew,
                 "wall_s": slow["wall_s"],
                 "phases": slow["phases"],

@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any, Callable, Iterable
 
-#: default sampling rate (Hz) when profiling is enabled without a rate
+#: the sampling rate (Hz) a bare ``--profile`` writes to ``mpi.d.profile.hz``
 DEFAULT_HZ = 50.0
 
 #: stacks deeper than this are truncated at the root end
@@ -310,6 +310,33 @@ def _profile_prefix(profile: dict) -> str:
     rank = profile.get("rank", "?")
     epoch = int(profile.get("epoch", 0) or 0)
     return f"rank{rank}" + (f"e{epoch}" if epoch else "")
+
+
+def format_profile(profile: dict, top: int = 5) -> str:
+    """One rank's profile for ``repro flame``: its share per phase and its
+    ``top`` hottest stacks, by leaf frame."""
+    rank = profile.get("rank", -1)
+    epoch = profile.get("epoch", 0)
+    samples = profile.get("samples", 0)
+    hz = profile.get("hz", 0.0)
+    label = f"rank {rank}" + (f" (epoch {epoch})" if epoch else "")
+    lines = [f"{label}: {samples} samples @ {hz:g} Hz"]
+    by_phase: dict[str, int] = {}
+    flat: list[tuple[int, str, str]] = []
+    for phase, stacks in (profile.get("stacks") or {}).items():
+        for stack, count in stacks.items():
+            by_phase[phase] = by_phase.get(phase, 0) + count
+            flat.append((count, phase, stack))
+    total = sum(by_phase.values()) or 1
+    phase_bits = "  ".join(
+        f"{phase}={100.0 * n / total:.0f}%"
+        for phase, n in sorted(by_phase.items(), key=lambda kv: -kv[1])
+    )
+    lines.append(f"  phases: {phase_bits}")
+    for count, phase, stack in sorted(flat, reverse=True)[:top]:
+        leaf = stack.rsplit(";", 1)[-1]
+        lines.append(f"  {100.0 * count / total:5.1f}%  [{phase}] {leaf}")
+    return "\n".join(lines)
 
 
 def to_collapsed(profiles: Iterable[dict]) -> str:

@@ -17,8 +17,8 @@ The driver-side :class:`TelemetryHub` keeps a bounded ring per
 ``(rank, epoch)`` series — a reincarnated rank gets a *new* series, so
 its counters never clobber its predecessor's — and merges the latest
 snapshots into cluster rollups: per-phase p50/p99, a straggler score
-(slowest rank vs median), shuffle skew (max bytes sent vs median) and
-live recovery counts read off the runtime at scrape time.
+(slowest rank's busy time vs median), shuffle skew (max bytes sent vs
+median) and live recovery counts read off the runtime at scrape time.
 
 Two read paths, both served by a :class:`repro.rpc.server.SocketRpcServer`
 the driver starts next to the job (its address is written to
@@ -39,10 +39,17 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from repro.core.metrics import COVERAGE_PHASES, WorkerMetrics, recovery_counts
+from repro.core.metrics import (
+    COVERAGE_PHASES,
+    WorkerMetrics,
+    busy_seconds,
+    recovery_counts,
+)
 from repro.obs.metrics import _process_cpu_seconds, _process_rss_bytes
 
-__all__ = ["TelemetryHub", "build_snapshot", "COVERAGE_PHASES"]
+__all__ = [
+    "TelemetryHub", "build_snapshot", "format_top_table", "COVERAGE_PHASES",
+]
 
 
 def _escape_label_value(value: Any) -> str:
@@ -287,7 +294,14 @@ class TelemetryHub:
                     "max": round(max(values), 6),
                     "ranks": len(values),
                 }
-        walls = [_wall(s) for s in latest.values()]
+        # busy time, not wall: ranks *waiting* on a straggler accrue the same
+        # wall in communicate as the straggler does working
+        busys = [busy_seconds(s.get("phases", {})) for s in latest.values()]
+        straggler = 0.0
+        if busys and max(busys) > 0.0:
+            # ranks that did (almost) no work can push the median to zero —
+            # floor it at 1ms so the score stays finite and comparable
+            straggler = round(max(busys) / max(_percentile(busys, 50.0), 1e-3), 4)
         sent = [
             float(s.get("counters", {}).get("bytes_sent", 0))
             for s in latest.values()
@@ -316,7 +330,7 @@ class TelemetryHub:
             "snapshots_ingested": ingested,
             "uptime_s": round(time.time() - self._t0, 3),
             "phases": phase_q,
-            "straggler_score": skew(walls),
+            "straggler_score": straggler,
             "shuffle_skew": skew(sent),
             "recovery": recovery,
         }
@@ -416,7 +430,7 @@ class TelemetryHub:
                     f'counter="{_escape_label_value(name)}"}} {_as_int(value)}'
                 )
         family("datampi_straggler_score", "gauge",
-               "Slowest rank wall time over the median (1.0 = balanced).")
+               "Slowest rank busy time over the median (1.0 = balanced).")
         lines.append(
             f"datampi_straggler_score {_fmt_value(rollups['straggler_score'], '{:.4f}')}"
         )
@@ -452,3 +466,43 @@ class TelemetryHub:
                 "snapshots_ingested": self.snapshots_ingested,
             },
         }
+
+
+def format_top_table(rows: list[dict], rollups: dict) -> str:
+    """Render one refresh of the ``repro top`` per-rank table."""
+    lines: list[str] = []
+    lines.append(
+        f"ranks {rollups.get('ranks_reporting', 0)}"
+        f"/{rollups.get('ranks_expected', 0) or '?'} reporting  "
+        f"done={rollups.get('ranks_done', 0)}  "
+        f"snapshots={rollups.get('snapshots_ingested', 0)}  "
+        f"straggler={rollups.get('straggler_score', 0.0):.2f}  "
+        f"skew={rollups.get('shuffle_skew', 0.0):.2f}"
+    )
+    recovery = rollups.get("recovery") or {}
+    if any(recovery.values()):
+        lines.append(
+            "recovery: " + "  ".join(
+                f"{k}={v}" for k, v in sorted(recovery.items()) if v
+            )
+        )
+    header = (
+        f"{'rank':>4} {'ep':>2} {'st':>7} {'wall':>8} {'cpu':>7} "
+        f"{'rss_mb':>7} {'sent_mb':>8} {'recv':>8} {'pend':>5} "
+        f"{'o/a':>7} {'age':>5}"
+    )
+    lines.append(header)
+    for row in sorted(rows, key=lambda r: r.get("rank", -1)):
+        tasks = row.get("tasks") or {}
+        lines.append(
+            f"{row.get('rank', -1):>4} {row.get('epoch', 0):>2} "
+            f"{row.get('status', '?'):>7} "
+            f"{row.get('wall_s', 0.0):>7.2f}s {row.get('cpu_s', 0.0):>6.2f}s "
+            f"{row.get('rss_mb', 0.0):>7.1f} "
+            f"{row.get('bytes_sent', 0) / 1e6:>8.2f} "
+            f"{row.get('records_received', 0):>8} "
+            f"{row.get('pending', 0):>5} "
+            f"{tasks.get('o', 0):>3}/{tasks.get('a', 0):<3} "
+            f"{row.get('age_s', 0.0):>4.1f}s"
+        )
+    return "\n".join(lines)

@@ -100,6 +100,7 @@ class HadoopRpcServer:
         for _ in self._threads:
             self._call_queue.put(None)
         for conn in self._connections:
+            conn.close()  # its reader thread is blocked on this queue
             conn.to_client.put(None)
         for t in self._threads:
             t.join(timeout=5)

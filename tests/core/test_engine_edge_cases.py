@@ -193,7 +193,7 @@ class TestConfPlumbing:
 
         job = DataMPIJob(
             "pickle", o_fn, collect_all(sink, lock), 1, 1, mode=Mode.MAPREDUCE,
-            conf={K.SERIALIZER: "pickle", K.CACHE_FRACTION: 0.0,
+            conf={K.SERIALIZER: "pickle", K.MEMORY_CACHE_BYTES: 0,
                   K.SPL_PARTITION_BYTES: 16},  # force the spill/serde path
         )
         assert mpidrun(job, nprocs=1, raise_on_error=True).success
@@ -238,56 +238,6 @@ class TestConfPlumbing:
         )
         result = mpidrun(job, nprocs=1, raise_on_error=True)
         assert result.metrics.duration > 0
-
-
-class TestSpillCompression:
-    def test_compressed_spills_smaller_same_output(self):
-        import threading
-
-        def run(compress):
-            sink, lock = {}, threading.Lock()
-
-            def o_fn(ctx):
-                for i in range(200):
-                    ctx.send(i % 10, "payload-" * 8)
-
-            def a_fn(ctx):
-                got = list(ctx.recv_iter())
-                with lock:
-                    sink[ctx.rank] = got
-
-            job = DataMPIJob(
-                "comp", o_fn, a_fn, 2, 2, mode=Mode.MAPREDUCE,
-                conf={K.CACHE_FRACTION: 0.0, K.SPL_PARTITION_BYTES: 128,
-                      K.SPILL_COMPRESS: compress},
-            )
-            result = mpidrun(job, nprocs=2, raise_on_error=True)
-            return result, sink
-
-        plain_result, plain_sink = run(False)
-        comp_result, comp_sink = run(True)
-        assert comp_result.metrics.spilled_bytes < plain_result.metrics.spilled_bytes
-        # identical results per task (multiset + key order)
-        from collections import Counter
-
-        for task_id in plain_sink:
-            assert Counter(plain_sink[task_id]) == Counter(comp_sink[task_id])
-
-    def test_runstore_compression_roundtrip(self, tmp_path):
-        from repro.core.sorter import RunStore
-        from repro.serde.comparators import default_compare
-        from repro.serde.serialization import WritableSerializer
-
-        store = RunStore(
-            default_compare, WritableSerializer(), str(tmp_path),
-            memory_budget=0, compress_spills=True,
-        )
-        run_data = sorted((f"key{i:03d}", "v" * 50) for i in range(100))
-        store.add_run(batch_block(0, run_data).records)
-        assert store.disk_runs and store.disk_runs[0].compressed
-        assert list(store) == run_data
-        # compressed on-disk footprint beats the serialized size
-        assert store.spilled_bytes < 100 * 55
 
 
 class TestDiversifiedTopologies:

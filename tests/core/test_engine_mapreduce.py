@@ -258,7 +258,7 @@ class TestLargerPipelines:
             out,
             o_tasks=2,
             a_tasks=2,
-            conf={K.CACHE_FRACTION: 0.0, K.SPL_PARTITION_BYTES: 256},
+            conf={K.MEMORY_CACHE_BYTES: 0, K.SPL_PARTITION_BYTES: 256},
         )
         result = mpidrun(job, nprocs=2, raise_on_error=True)
         assert result.metrics.spilled_bytes > 0
@@ -280,7 +280,7 @@ class TestScratchDirectory:
         return mapreduce_job(
             "scratch", int_range_input(800), mapper, reducer,
             FileCollector(out_dir), o_tasks=2, a_tasks=2,
-            conf={K.LAUNCHER: launcher, K.CACHE_FRACTION: 0.0,
+            conf={K.LAUNCHER: launcher, K.MEMORY_CACHE_BYTES: 0,
                   K.SPL_PARTITION_BYTES: 256, **conf},
         )
 

@@ -134,7 +134,7 @@ class TestExchangeProperties:
         cached = run_exchange(data, 2, 2, 2, Mode.MAPREDUCE)
         spilled = run_exchange(
             data, 2, 2, 2, Mode.MAPREDUCE,
-            conf={K.CACHE_FRACTION: 0.0, K.SPL_PARTITION_BYTES: 64},
+            conf={K.MEMORY_CACHE_BYTES: 0, K.SPL_PARTITION_BYTES: 64},
         )
         assert set(cached) == set(spilled)
         for task_id in cached:

@@ -10,7 +10,7 @@ from repro.common.errors import DataMPIError
 from repro.core.constants import Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.modes import (
-    mode_is_bidirectional,
+    default_of,
     mode_is_pipelined,
     mode_sorts,
     profile_for,
@@ -26,7 +26,8 @@ class TestProfiles:
     def test_mapreduce_sorts_one_way(self):
         conf = profile_for(Mode.MAPREDUCE)
         assert mode_sorts(conf)
-        assert not mode_is_bidirectional(conf)
+        with pytest.raises(DataMPIError):  # one way: no A->O rounds
+            DataMPIJob("j", _noop, _noop, 1, 1, Mode.MAPREDUCE, rounds=2).validate()
         assert not mode_is_pipelined(conf)
 
     def test_streaming_pipelined_unsorted(self):
@@ -36,7 +37,7 @@ class TestProfiles:
 
     def test_iteration_bidirectional(self):
         conf = profile_for(Mode.ITERATION)
-        assert mode_is_bidirectional(conf)
+        DataMPIJob("j", _noop, _noop, 1, 1, Mode.ITERATION, rounds=2).validate()
         assert not mode_sorts(conf)
 
     def test_common_sorts(self):
@@ -71,6 +72,24 @@ _TYPED_READ = re.compile(
 _READ = re.compile(r"\(\s*K\.([A-Z_]+)\s*[,)]")
 #: keys nothing in ``src/`` reads: the frozen ``bench/replay.py`` reads this one
 NO_READER_IN_SRC = {"MERGE_THRESHOLD_BLOCKS"}
+#: a key written into a conf: a dict-literal entry, an item assignment or
+#: a ``setdefault``
+_WRITE = re.compile(
+    r"\b(?:K|MPI_D_Constants)\.([A-Z_]+)\s*:"
+    r"|\[K\.([A-Z_]+)\]\s*="
+    r"|\.setdefault\(\s*K\.([A-Z_]+)\s*,"
+)
+#: keys nothing outside ``tests/`` sets, each with why it is a key anyway
+DEPLOYMENT_ONLY = {
+    "TASK_MAX_ATTEMPTS": "bound: how often one task may fail before giving up",
+    "RANK_REDELIVERY_BYTES": "bound: driver memory spent per rank on replay",
+    "HEARTBEAT_DEADLINE_SECONDS": "timeout: sized to the slowest healthy wait",
+    "DOCTOR_STALL_SECONDS": "timeout: sized to the longest healthy quiet spell",
+    "TELEMETRY_INTERVAL_SECONDS": "period: scrape cost against freshness",
+    "SERIALIZER": "pickle carries user types Writable cannot; bench/replay.py reads it",
+    "MERGE_THRESHOLD_BLOCKS": "inert; the frozen bench/replay.py reads it",
+}
+_ROOT = pathlib.Path(repro.__file__).parents[2]
 
 
 def _keys():
@@ -96,7 +115,7 @@ class TestADefaultIsWrittenOnce:
 
     def test_the_table_covers_every_key_but_the_path_like_ones(self):
         keys = _keys()
-        assert len(keys) == 42
+        assert len(keys) == 34
         for mode in Mode:
             conf = profile_for(mode)
             assert {n for n, key in keys.items() if key not in conf} == NO_DEFAULT
@@ -116,6 +135,63 @@ class TestADefaultIsWrittenOnce:
         """A key nobody reads is not a key: setting it changes nothing."""
         read = {key for _, text in self._sources() for key in _READ.findall(text)}
         assert set(_keys()) - read == NO_READER_IN_SRC
+
+    def test_every_key_has_a_setter_outside_tests(self):
+        """A key exists because two callers disagree: something that is not
+        a test sets it — a workload, a bench, an example, a mode profile, a
+        CLI flag — or it is a bound a deployment sizes."""
+        from repro.cli import _OBS_FLAGS
+        from repro.core.modes import _PROFILE_DEFAULTS
+
+        name_of = {value: name for name, value in _keys().items()}
+        written = {
+            name_of[key] for profile in _PROFILE_DEFAULTS.values() for key in profile
+        }
+        for bare, value_key, _parse, _noun in _OBS_FLAGS.values():
+            written |= {name_of[k] for k in (*(bare or ()), value_key) if k in name_of}
+        for top in ("src", "bench", "benchmarks", "examples"):
+            for path in sorted((_ROOT / top).rglob("*.py")):
+                if path.name == "modes.py" or "tests" in path.parts:
+                    continue  # the defaults table, the bench's own suite
+                for groups in _WRITE.findall(path.read_text()):
+                    written.add(next(filter(None, groups)))
+        assert set(_keys()) - written == set(DEPLOYMENT_ONLY)
+        assert all(DEPLOYMENT_ONLY.values())  # each entry says why
+
+    def test_every_key_is_documented_in_exactly_one_docs_table(self):
+        rows = [
+            key
+            for path in sorted((_ROOT / "docs").glob("*.md"))
+            for key in re.findall(r"^\| `(mpi\.d\.[a-z.]+)` \|", path.read_text(), re.M)
+        ]
+        assert sorted(rows) == sorted(_keys().values())
+
+    def test_docs_and_examples_name_only_keys_that_exist(self):
+        """A deleted key leaves no trace where users read: every
+        ``mpi.d.*`` string and every ``K.<NAME>`` is a current one."""
+        paths = [_ROOT / "README.md"]
+        for top in ("docs", "examples", "benchmarks"):
+            paths += [
+                p for p in sorted((_ROOT / top).rglob("*"))
+                if p.suffix in (".md", ".py")
+            ]
+        keys, named = _keys(), set()
+        for path in paths:
+            text = path.read_text()
+            named |= set(re.findall(r"mpi\.d\.[a-z]+(?:\.[a-z]+)*", text))
+            named |= {
+                getattr(K, name, name)
+                for name in re.findall(r"\b(?:K|MPI_D_Constants)\.([A-Z_]+)\b", text)
+            }
+        assert named <= set(keys.values())
+
+    def test_derived_periods_keep_the_pairs_the_keys_had(self):
+        from repro.obs.doctor import DoctorConfig
+        from repro.obs.metrics import WindowedSampler
+
+        assert default_of(K.HEARTBEAT_DEADLINE_SECONDS) / 30 == 0.5
+        assert DoctorConfig().interval == 0.5
+        assert WindowedSampler().interval == 0.25
 
 
 class TestJobValidation:

@@ -11,6 +11,7 @@ supervision must behave identically whether ranks are threads or OS
 processes behind the socket router.
 """
 
+import threading
 import time
 
 import pytest
@@ -44,8 +45,7 @@ def make_job(out, ft_dir, conf=None, launcher="threads"):
         K.FT_DIR: str(ft_dir),
         K.JOB_ID: "sup-wc",
         K.FT_INTERVAL_RECORDS: 10,
-        K.SPILL_COMPRESS: True,
-        K.MEMORY_CACHE_BYTES: 1024,  # force (compressed) spills
+        K.MEMORY_CACHE_BYTES: 1024,  # force spills
         K.RESTART_BACKOFF_SECONDS: 0.01,
     }
     base.update(conf or {})
@@ -99,16 +99,19 @@ class TestAutoResume:
         assert "injected crash" in result.error
 
     def test_task_max_attempts_stops_the_retry_loop(self, tmp_path, launcher):
-        result = mpidrun(
-            make_job(Collector(), tmp_path, launcher=launcher, conf={
-                K.JOB_MAX_RESTARTS: 5,
-                K.TASK_MAX_ATTEMPTS: 2,
-                K.INJECT_CRASH_AFTER_RECORDS: 12,
-                K.INJECT_CRASH_TASK: 1,
-                K.INJECT_CRASH_ATTEMPT: -1,  # deterministic bug: every attempt
-            }),
-            nprocs=NPROCS,
-        )
+        job = make_job(Collector(), tmp_path, launcher=launcher, conf={
+            K.JOB_MAX_RESTARTS: 5,
+            K.TASK_MAX_ATTEMPTS: 2,
+        })
+        o_fn = job.o_fn
+
+        def buggy_o_fn(ctx):  # a deterministic bug: fails on every attempt
+            if ctx.task_id == 1:
+                raise ValueError("bug in O task 1")
+            o_fn(ctx)
+
+        job.o_fn = buggy_o_fn
+        result = mpidrun(job, nprocs=NPROCS)
         assert not result.success
         assert result.restarts == 1  # gave up well before the 5-restart budget
         assert "mpi.d.task.max.attempts=2" in result.error
@@ -127,7 +130,6 @@ class TestHeartbeatDetection:
         result = mpidrun(
             make_job(out, tmp_path, launcher=launcher, conf={
                 K.HEARTBEAT_DEADLINE_SECONDS: 1.0,
-                K.HEARTBEAT_INTERVAL_SECONDS: 0.05,
                 K.PLANE_TIMEOUT_SECONDS: 30.0,
             }),
             nprocs=NPROCS,
@@ -151,13 +153,35 @@ class TestHeartbeatDetection:
             result = mpidrun(
                 make_job(out, tmp_path / f"d{deadline}", launcher=launcher, conf={
                     K.HEARTBEAT_DEADLINE_SECONDS: deadline,
-                    K.HEARTBEAT_INTERVAL_SECONDS: 0.05,
                 }),
                 nprocs=NPROCS,
                 raise_on_error=True,
             )
             assert result.success
             assert out.merged() == expected_wordcount(TEXTS)
+
+
+    def test_no_deadline_no_beat_thread(self):
+        # with detection off the supervisor never checks, so nobody beats
+        def beat_threads(deadline):
+            def beating():
+                return {t for t in threading.enumerate() if t.name.startswith("hb-w")}
+
+            before = beating()  # an earlier test's wedged rank may still beat
+            seen = []
+
+            def o_fn(ctx):
+                seen.extend(t.name for t in beating() - before)
+
+            job = DataMPIJob(
+                "beats", o_fn, lambda ctx: list(ctx.recv_iter()), 2, 1,
+                conf={K.HEARTBEAT_DEADLINE_SECONDS: deadline},
+            )
+            assert mpidrun(job, nprocs=2, raise_on_error=True).success
+            return seen
+
+        assert beat_threads(0) == []
+        assert beat_threads(15.0)
 
 
 class TestOneRoute:

@@ -67,7 +67,7 @@ class TestWritableKeys:
 
     def test_longwritable_values_spill_roundtrip(self):
         """Writables survive the serialize-to-disk spill path."""
-        conf = {K.CACHE_FRACTION: 0.0, K.SPL_PARTITION_BYTES: 64}
+        conf = {K.MEMORY_CACHE_BYTES: 0, K.SPL_PARTITION_BYTES: 64}
 
         def o_fn(ctx):
             for i in range(40):

@@ -282,8 +282,6 @@ class TestDoctorEndToEnd:
                 K.TELEMETRY_INTERVAL_SECONDS: 0.05,
                 K.DOCTOR_ENABLED: True,
                 K.DOCTOR_PATH: doctor_path,
-                K.DOCTOR_INTERVAL_SECONDS: 0.1,
-                K.PROFILE_ENABLED: True,
                 K.PROFILE_HZ: 200.0,
             },
         )
@@ -328,7 +326,6 @@ class TestDoctorEndToEnd:
                 K.TELEMETRY_INTERVAL_SECONDS: 0.05,
                 K.DOCTOR_ENABLED: True,
                 K.DOCTOR_PATH: doctor_path,
-                K.DOCTOR_INTERVAL_SECONDS: 0.1,
                 K.DOCTOR_STALL_SECONDS: 1.0,
                 K.PLANE_TIMEOUT_SECONDS: 10.0,
                 # keep the heartbeat detector out of the way: the doctor
@@ -373,7 +370,6 @@ class TestDoctorEndToEnd:
                 K.TELEMETRY_INTERVAL_SECONDS: 0.05,
                 K.DOCTOR_ENABLED: True,
                 K.DOCTOR_PATH: str(tmp_path / "long.doctor.json"),
-                K.DOCTOR_INTERVAL_SECONDS: 0.1,
                 K.DOCTOR_STALL_SECONDS: _STALL_SECONDS,
             },
         )

@@ -38,8 +38,7 @@ def _job(name="traced", conf=None):
 @pytest.fixture()
 def traced_result(tmp_path):
     path = str(tmp_path / "job.trace.jsonl")
-    conf = {K.TRACE_ENABLED: True, K.TRACE_PATH: path,
-            K.TRACE_METRICS_INTERVAL_SECONDS: 0.02}
+    conf = {K.TRACE_ENABLED: True, K.TRACE_PATH: path}
     result = mpidrun(_job(conf=conf), nprocs=2, raise_on_error=True)
     assert TRACER.enabled is False  # always returned to the cheap state
     return result, path

@@ -201,7 +201,6 @@ class TestInstrumentsAgree:
             conf={
                 K.LAUNCHER: launcher,
                 K.TRACE_PATH: path,
-                K.PROFILE_ENABLED: True,
                 K.PROFILE_HZ: 500.0,
                 K.SPL_PARTITION_BYTES: 8 * 1024,
             },

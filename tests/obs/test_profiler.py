@@ -25,8 +25,10 @@ import pytest
 from repro.core import DataMPIJob, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import PhaseClock
+from repro.core.modes import default_of
 from repro.obs.journal import JournalWriter, read_journal
 from repro.obs.profiler import (
+    DEFAULT_HZ,
     DEFAULT_PHASE,
     StackSampler,
     collapse_stack,
@@ -239,7 +241,6 @@ class TestProfiledJob:
                 K.LAUNCHER: launcher,
                 K.TRACE_ENABLED: True,
                 K.TRACE_PATH: journal_path,
-                K.PROFILE_ENABLED: True,
                 K.PROFILE_HZ: 200.0,
             },
         )
@@ -326,15 +327,14 @@ class TestProfileFlag:
 
         rest, conf, _ = _extract_obs_flags(["--profile=25", "-O", "2"])
         assert rest == ["-O", "2"]
-        assert conf[K.PROFILE_ENABLED] is True
-        assert conf[K.PROFILE_HZ] == 25.0
+        assert conf == {K.PROFILE_HZ: 25.0}  # the rate is the switch
 
     def test_bare_profile_flag_uses_the_default_rate(self):
         from repro.cli import _extract_obs_flags
 
         _, conf, _ = _extract_obs_flags(["--profile"])
-        assert conf[K.PROFILE_ENABLED] is True
-        assert K.PROFILE_HZ not in conf
+        assert conf == {K.PROFILE_HZ: DEFAULT_HZ} and DEFAULT_HZ == 50.0
+        assert default_of(K.PROFILE_HZ) == 0.0  # unconfigured: off
 
     def test_bad_profile_rate_is_rejected(self):
         from repro.cli import _extract_obs_flags

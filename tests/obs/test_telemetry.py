@@ -144,8 +144,10 @@ class TestTelemetryHub:
     def test_rollups_quantiles_and_scores(self):
         hub = TelemetryHub()
         hub.expect(4)
-        for rank, wall in enumerate([1.0, 1.0, 1.0, 3.0]):
-            hub.ingest(_snap(rank, wall=wall, bytes_sent=100 * (rank + 1)))
+        for rank, busy in enumerate([1.0, 1.0, 1.0, 3.0]):
+            # every rank ends at the same wall: the fast ones wait
+            phases = {"compute": busy, "communicate": 3.0 - busy}
+            hub.ingest(_snap(rank, bytes_sent=100 * (rank + 1), phases=phases))
         hub.mark_done(0)
         rollups = hub.rollups()
         assert rollups["ranks_expected"] == 4
@@ -154,7 +156,8 @@ class TestTelemetryHub:
         compute = rollups["phases"]["compute"]
         assert compute["p50"] == pytest.approx(1.0)
         assert compute["max"] == pytest.approx(3.0)
-        # slowest rank took 3x the median wall -> straggler score 3
+        # slowest rank worked 3x the median busy time -> straggler score 3
+        # (by wall it would read 1.0: waiting mirrors the straggler)
         assert rollups["straggler_score"] == pytest.approx(3.0)
         # 400 bytes vs median 250 -> skew 1.6
         assert rollups["shuffle_skew"] == pytest.approx(1.6)
@@ -580,11 +583,11 @@ class TestPrometheusEdgeCases:
         assert row["bytes_sent"] == 0 and row["pending"] == 0
 
     def test_weird_rank_table_values_do_not_break_top(self):
-        from repro.cli import _format_top_table
+        from repro.obs.telemetry import format_top_table
 
         hub = TelemetryHub()
         snap = _snap(3)
         snap["shuffle"] = {"bytes_sent": float("nan"), "records_received": 0}
         hub.ingest(snap)
-        rendered = _format_top_table(hub.per_rank(), hub.rollups())
+        rendered = format_top_table(hub.per_rank(), hub.rollups())
         assert "   3 " in rendered

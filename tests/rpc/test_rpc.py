@@ -1,6 +1,7 @@
 """Tests for the functional RPC engines."""
 
 import threading
+import time
 
 import pytest
 
@@ -120,6 +121,17 @@ class TestHadoopRpc:
             assert HadoopRpcClient(server).call("double", 21) == 42
         finally:
             server.stop()
+
+    def test_stop_unblocks_the_readers_of_open_connections(self):
+        server = HadoopRpcServer(Calculator(), name="stoptest").start()
+        client = HadoopRpcClient(server)  # never closed
+        assert client.call("add", 1, 1) == 2
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0  # not join(timeout=5) run out
+        assert not [
+            t.name for t in threading.enumerate() if t.name == "stoptest-reader"
+        ]
 
     def test_connect_after_stop_raises(self):
         server = HadoopRpcServer(Calculator()).start()
