@@ -500,12 +500,6 @@ class WorkerEngine:
                     self._run_a_phase(round_no)
                 with phase("communicate"):
                     self.world.barrier()
-                if not self.bidirectional:
-                    # the forward plane is consumed and every peer passed
-                    # the barrier: release its driver-side redelivery
-                    # entries.  Iteration mode never acks — a reborn rank
-                    # replays every round from 0 and needs them all.
-                    self.world.runtime.ack_plane(f"fwd:{round_no}")
             # stop the clock first: the last fold and the shipper's parting
             # snapshot then read the same frozen buckets
             self.clock.switch(None)

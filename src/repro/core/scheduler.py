@@ -195,8 +195,8 @@ def driver_main(
 
     The serve loop is supervised: receives are bounded so worker
     heartbeat deadlines are enforced even when no traffic arrives, a
-    failure the driver itself detects (a lost heartbeat, an exhausted
-    respawn) raises :class:`JobFailedError` with the record built for it
+    failure the driver itself detects (a lost heartbeat) raises
+    :class:`JobFailedError` with the record built for it
     — a task's failure is not reported here, its rank hands the record to
     the runtime — and *any* driver-side failure aborts the worker world
     before propagating: workers can never be left blocked on a dead
@@ -260,25 +260,16 @@ def driver_main(
 
     def _supervise() -> None:
         """Heartbeat check + respawn servicing, recovery-aware: a dead
-        rank is respawned in place when the budget allows; otherwise its
-        record is raised (degrading to a whole-job restart)."""
+        rank is respawned in place when the budget allows; otherwise the
+        job degrades to a whole-job restart."""
         for gid in runtime.pending_respawns():
             worker = gid_to_worker.get(gid)
-            if worker is None or worker in supervisor.done:
-                continue  # already reported: no successor needed
-            if not _try_respawn(worker, gid):
-                record = FailureRecord(
-                    kind="respawn",
-                    worker=worker,
-                    attempt=attempt,
-                    error=(
-                        f"worker {worker} (global rank {gid}) died and "
-                        f"cannot be respawned (budget exhausted or "
-                        f"redelivery overflow); degrading to whole-job "
-                        f"restart"
-                    ),
-                )
-                raise JobFailedError(record.error, [record])
+            if worker is not None and worker not in supervisor.done:
+                # (done = already reported: no successor needed.)  A
+                # refusal is not worded again here: the runtime filed the
+                # dead rank's record and aborted the world, so the next
+                # receive unwinds this loop
+                _try_respawn(worker, gid)
         lost = supervisor.check()
         if lost is not None and not _try_respawn(
             lost.worker, worker_gids[lost.worker]

@@ -81,6 +81,31 @@ class _RankThread(threading.Thread):
             self.runtime.record_error(self.comm, exc)
 
 
+def rank_comm(
+    runtime: "BaseRuntime",
+    world_context: int,
+    group: tuple[int, ...],
+    rank: int,
+    name: str,
+    parent: tuple[tuple[int, ...], int] | None = None,
+) -> Intracomm:
+    """The world communicator of one rank, on whichever substrate runs
+    it; ``parent`` is (parent_group, inter_context) of a spawned world."""
+    comm = Intracomm(runtime, world_context, group, rank, name=name)
+    if parent is not None:
+        parent_group, inter_context = parent
+        comm.parent = Intercomm(
+            runtime,
+            inter_context,
+            local_group=group,
+            remote_group=parent_group,
+            rank=rank,
+            side=1,
+            name=f"{name}.parent",
+        )
+    return comm
+
+
 class BaseRuntime:
     """Rank registry, context allocation, abort + failure bookkeeping.
 
@@ -99,7 +124,7 @@ class BaseRuntime:
     #: bumped each time the driver respawns the rank in place
     rank_epoch = 0
     #: surgical rank recovery armed for this rank's world (receivers then
-    #: stage shuffle streams and ACK consumed planes)
+    #: stage shuffle streams)
     rank_recovery = False
 
     # -- what the driver may ask about the job ----------------------------------
@@ -157,10 +182,6 @@ class BaseRuntime:
         fate, so there is nothing to respawn: a rank failure takes the
         whole-job restart path."""
 
-    def ack_plane(self, plane_id: str) -> None:
-        """The calling rank fully consumed a shuffle plane: whatever is
-        retained to replay it may be released."""
-
     def pending_respawns(self) -> list[int]:
         """Drain the global ranks awaiting a respawn (driver loop)."""
         return []
@@ -175,9 +196,6 @@ class BaseRuntime:
     def mailbox(self, global_rank: int) -> Endpoint:
         """The local mailbox of ``global_rank`` (receive side)."""
         return self._transport.mailbox(global_rank)
-
-    #: historical name; receives and tests go through ``endpoint`` too
-    endpoint = mailbox
 
     def deposit(self, dest: int, envelope: Envelope) -> None:
         """Deliver ``envelope`` to global rank ``dest`` via the transport."""
@@ -267,34 +285,22 @@ class BaseRuntime:
         args: tuple,
         name: str,
         parent: tuple[tuple[int, ...], int] | None = None,
-    ) -> tuple[tuple[int, ...], int | None, list[_RankThread]]:
+    ) -> tuple[tuple[int, ...], list[_RankThread]]:
         """Create endpoints + threads for an in-process world; returns
-        (group, inter_context, threads).  ``parent`` is (parent_group,
-        inter_context) when this world is spawned."""
+        (group, threads).  ``parent`` is (parent_group, inter_context)
+        when this world is spawned."""
         group = self._allocate_ranks(nprocs)
         world_context = self.allocate_context()
-        inter_context = None
         threads = []
         for rank in range(nprocs):
-            comm = Intracomm(self, world_context, group, rank, name=name)
-            if parent is not None:
-                parent_group, inter_context = parent
-                comm.parent = Intercomm(
-                    self,
-                    inter_context,
-                    local_group=group,
-                    remote_group=parent_group,
-                    rank=rank,
-                    side=1,
-                    name=f"{name}.parent",
-                )
+            comm = rank_comm(self, world_context, group, rank, name, parent)
             thread = _RankThread(self, comm, fn, args, f"{name}[{rank}]")
             threads.append(thread)
         with self._lock:
             self._threads.extend(threads)
         for thread in threads:
             thread.start()
-        return group, inter_context, threads
+        return group, threads
 
     def launch_children(
         self,
@@ -306,7 +312,7 @@ class BaseRuntime:
     ) -> tuple[tuple[int, ...], int]:
         """Spawn a child world (used by ``Intracomm.spawn``)."""
         inter_context = self.allocate_context()
-        group, _, _ = self._start_world(
+        group, _ = self._start_world(
             fn, nprocs, args, name, parent=(parent_group, inter_context)
         )
         return group, inter_context
@@ -333,7 +339,7 @@ class BaseRuntime:
     ) -> list[Any]:
         """Run ``fn(comm, *args)`` on ``nprocs`` ranks; return results in
         rank order.  Waits for spawned child worlds too."""
-        _, _, world_threads = self._start_world(fn, nprocs, args, name)
+        _, world_threads = self._start_world(fn, nprocs, args, name)
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
             # join until the carrier set is stable (spawn and respawn add
@@ -406,8 +412,6 @@ class ProcessRuntime(BaseRuntime):
 
     def __init__(self, fault_injector: FaultInjector | None = None) -> None:
         self._procs: list[tuple[Any, Any]] = []  # (Process, WorkerSpec)
-        #: surgical rank recovery (off until ``enable_rank_recovery``)
-        self.rank_recovery_enabled = False
         self.respawns = 0
         self._respawn_queue: list[int] = []
         super().__init__(fault_injector)
@@ -437,14 +441,19 @@ class ProcessRuntime(BaseRuntime):
     def stale_frames_dropped(self) -> int:
         return self._transport.stale_frames_dropped
 
+    @property
+    def rank_recovery_enabled(self) -> bool:
+        """Surgical rank recovery is armed (``enable_rank_recovery``)."""
+        return self._transport.max_respawns > 0
+
     def enable_rank_recovery(
         self, max_respawns: int, redelivery_bytes: int
     ) -> None:
         """Arm rank-level recovery: a worker-process death respawns only
         that rank (up to ``max_respawns`` times per rank) instead of
         aborting the world."""
-        self.rank_recovery_enabled = max_respawns > 0
-        self._transport.configure_recovery(max_respawns, redelivery_bytes)
+        self._transport.max_respawns = max(0, int(max_respawns))
+        self._transport.redelivery_cap = int(redelivery_bytes)
 
     def request_rank_respawn(self, gid: int) -> None:
         """Router callback (reader thread): queue a dead rank for the
@@ -461,16 +470,14 @@ class ProcessRuntime(BaseRuntime):
     def respawn_rank(self, gid: int) -> int | None:
         from repro.mpi.socket_transport import fork_worker
 
-        transport = self._transport
-        if not transport.recovery_eligible(gid):
-            return None
         with self._lock:
             spec = next(
                 (s for _, s in reversed(self._procs) if s.gid == gid), None
             )
-        if spec is None:
+        verdict = None if spec is None else self._transport.respawn(gid)
+        if verdict is None:
             return None
-        epoch, old_pid = transport.begin_respawn(gid)
+        epoch, old_pid = verdict
         # make sure the old incarnation is dead before its successor
         # speaks — its future frames are fenced by epoch regardless
         _sigkill(old_pid)
@@ -485,7 +492,8 @@ class ProcessRuntime(BaseRuntime):
     def _kill_rank_process(self, gid: int) -> bool:
         """FaultInjector ``kill_rank`` hook: SIGKILL the process hosting
         global rank ``gid`` (a real, uncooperative death)."""
-        return _sigkill(self._transport.pid_of(gid))
+        rank = self._transport.ranks.get(gid)
+        return _sigkill(rank.pid if rank is not None else None)
 
     def launch_children(
         self,
@@ -502,8 +510,7 @@ class ProcessRuntime(BaseRuntime):
         world_context = self.allocate_context()
         group = self._allocate_ranks(nprocs, register=False)
         self._transport.expect(group, name)
-        if self.rank_recovery_enabled:
-            self._transport.watch_world(group, world_context)
+        self._transport.watch_world(group, world_context)
         launched = [
             fork_worker(
                 WorkerSpec(
@@ -541,24 +548,8 @@ class ProcessRuntime(BaseRuntime):
         elif carrier.is_alive():
             carrier.terminate()
             carrier.join(2.0)
-        elif (
-            carrier.exitcode not in (0, None)
-            and not self._transport.ever_connected(spec.gid)
-            and not self.abort_flag.is_set()
-        ):
-            # died before the handshake: the router never saw it, so
-            # the disconnect path cannot have recorded the loss
-            record = FailureRecord(
-                kind="rank",
-                worker=spec.rank,
-                where=spec.name,
-                error=(
-                    f"worker process {spec.name} exited with code "
-                    f"{carrier.exitcode} before the rank handshake"
-                ),
-            )
-            self.record_failure(record)
-            self.abort(record.error, record=False)
+        elif carrier.exitcode not in (0, None):
+            self._transport.reaped(spec.gid, carrier.exitcode)
 
 
 def _sigkill(pid: int | None) -> bool:

@@ -26,21 +26,24 @@ Semantics are those of the threaded backend, preserved deliberately:
 * **Abort wakes everyone** — an abort broadcasts ABORT frames to every
   worker (bypassing injection: even a severed rank must unwind) and
   wakes all local endpoints.
-* **Failure capture** — a worker that dies sends a FAIL frame with its
-  :class:`FailureRecord`\\ s when it can; a connection that drops without
-  a BYE is recorded as a rank failure and aborts the world, so a
-  SIGKILL'd worker surfaces as structured evidence, not a hang.
+* **Failure capture** — a worker that dies on an exception hands the
+  router its :class:`FailureRecord`\\ s (``rank_failed``) when it can; a
+  connection that drops without a BYE is recorded as a rank failure and
+  aborts the world, so a SIGKILL'd worker surfaces as structured
+  evidence, not a hang.
 * **Surgical rank recovery** — with ``mpi.d.rank.max.respawns > 0`` the
   router does better than aborting: a no-goodbye disconnect marks the
   rank *recovering*, the runtime forks a replacement with an incremented
   **rank epoch**, and the reincarnation's HELLO replays that rank's
-  worker-world traffic from a bounded per-rank **redelivery buffer**
-  (shuffle batches its first life received but took to the grave).
-  Every envelope carries its sender's epoch in the wire header, so a
-  zombie — a rank declared dead that is still limping — has its frames
-  fenced at the hub (``stale_frames_dropped``) instead of corrupting its
-  successor's streams.  Budget exhaustion or buffer overflow degrades to
-  the pre-existing whole-job abort/restart path.
+  worker-world traffic from a byte-capped per-rank **redelivery log**
+  (shuffle batches its first life received but took to the grave; the
+  log is released at BYE).  Every envelope carries its sender's epoch in
+  the wire header, so a zombie — a rank declared dead that is still
+  limping — has its frames fenced at the hub (``stale_frames_dropped``)
+  instead of corrupting its successor's streams.  Budget exhaustion or
+  log overflow degrades to the pre-existing whole-job abort/restart
+  path.  What an event in a rank's life means is decided by its
+  :class:`_Rank` record alone.
 
 Payloads are pickled only at the wire boundary
 (:data:`repro.net.wire.WIRE_SERDE`); workers are forked, so job closures
@@ -49,38 +52,33 @@ reach them by inheritance, never by pickle.
 Both ends implement the one runtime contract
 (:class:`~repro.mpi.runtime.BaseRuntime`): :class:`WorkerRuntime` is a
 ``BaseRuntime`` whose transport is a :class:`WorkerTransport` and which
-overrides only the calls that have to cross the wire.
+overrides only the calls that have to cross the wire — each forwarded by
+name in the one call frame, ``RPC_REQ (req_id, method, params)``
+(``req_id`` 0: no reply wanted), to :attr:`RouterTransport.calls`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import multiprocessing
 import os
 import pickle
 import queue
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import monotonic as _now
 from typing import Any, Callable
 
 from repro.common.errors import FailureRecord, MPIAbort, MPIError
 from repro.common.logging import get_logger
 from repro.mpi.comm import Intracomm
-from repro.mpi.intercomm import Intercomm
-from repro.mpi.runtime import BaseRuntime, ProcessRuntime
-from repro.mpi.transport import (
-    AbortFlag,
-    Envelope,
-    Transport,
-    TruncatedPayload,
-)
+from repro.mpi.runtime import _CONTEXT_STRIDE, BaseRuntime, ProcessRuntime, rank_comm
+from repro.mpi.transport import AbortFlag, Envelope, Transport, TruncatedPayload
 from repro.net import wire
 from repro.net.wire import FrameConnection, FrameKind
 from repro.obs.profiler import PROFILER
 from repro.obs.tracer import TRACER as _T
-from repro.serde.io import DataInput
 
 _log = get_logger("mpi.socket_transport")
 
@@ -109,39 +107,21 @@ def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
         payload = payload.original
     body, payload_flags = wire.encode_payload(payload)
     return wire.pack_envelope_frame(
-        envelope.context,
-        envelope.source,
-        envelope.tag,
-        envelope.origin,
-        dest,
-        envelope.nbytes,
-        body,
-        flags | payload_flags,
-        epoch=epoch,
-        trace=envelope.trace,
-        parent=envelope.parent,
+        envelope.context, envelope.source, envelope.tag, envelope.origin,
+        dest, envelope.nbytes, body, flags | payload_flags,
+        epoch=epoch, trace=envelope.trace, parent=envelope.parent,
     )
 
 
-def _decode_envelope(
-    context: int, source: int, tag: int, origin: int, nbytes: int,
-    flags: int, payload_bytes: bytes, trace: int = 0, parent: int = 0,
-) -> Envelope:
-    """Wire frame -> Envelope, built in the *destination* interpreter so
-    ``seq`` reflects local arrival order (wildcard matching)."""
-    payload = wire.decode_payload(payload_bytes, flags)
-    if flags & wire.FLAG_TRUNCATED:
+def _decode_envelope(h: wire.EnvelopeHeader) -> Envelope:
+    """Parsed ENVELOPE frame -> the Envelope it delivers, built in the
+    *destination* interpreter so ``seq`` reflects local arrival order
+    (wildcard matching)."""
+    payload = wire.decode_payload(h.payload, h.flags)
+    if h.flags & wire.FLAG_TRUNCATED:
         payload = TruncatedPayload(payload)
-    return Envelope(context, source, tag, payload, nbytes, origin=origin,
-                    trace=trace, parent=parent)
-
-
-def _received(h: wire.EnvelopeHeader) -> Envelope:
-    """The envelope a parsed ENVELOPE frame delivers to a local mailbox."""
-    return _decode_envelope(
-        h.context, h.source, h.tag, h.origin, h.nbytes, h.flags, h.payload,
-        trace=h.trace, parent=h.parent,
-    )
+    return Envelope(h.context, h.source, h.tag, payload, h.nbytes,
+                    origin=h.origin, trace=h.trace, parent=h.parent)
 
 
 def _abort_frame(abort_flag: AbortFlag) -> bytes:
@@ -150,65 +130,50 @@ def _abort_frame(abort_flag: AbortFlag) -> bytes:
     )
 
 
+@dataclass(eq=False, slots=True)
 class _RedeliveryBuffer:
-    """Bounded, in-order store of the worker-world frames forwarded to one
-    rank, so a reincarnation can be replayed the shuffle batches (and
+    """Byte-capped, in-order log of the worker-world frames forwarded to
+    one rank, so a reincarnation can be replayed the shuffle batches (and
     barrier traffic) its first life received but took to the grave.
 
-    Entries are tagged with the shuffle plane id when the frame is a
-    FLAG_BATCH record batch (peeked cheaply from the payload header);
-    ACK frames from the consumer release a plane's entries.  Untagged
-    entries (pickled barrier/collective messages) are held until the
-    rank says BYE.  Overflowing the byte cap evicts oldest-first and
-    latches ``overflowed`` — the rank is then surgically unrecoverable
-    and its death degrades to a whole-job restart.
+    Kept until the rank says BYE (a second death replays it again; the
+    receiver's staging makes replay exactly-once).  Overflowing the byte
+    cap drops the log and latches ``overflowed`` — a lossy history may
+    never be replayed, so nothing more is recorded: the rank is then
+    surgically unrecoverable, its death degrades to a whole-job restart.
     """
 
-    __slots__ = ("cap", "nbytes", "entries", "overflowed")
+    cap: int
+    nbytes: int = 0
+    #: packed frames, forwarding order
+    frames: list[bytes] = field(default_factory=list)
+    overflowed: bool = False
 
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.nbytes = 0
-        #: list of (plane_id | None, frame bytes), forwarding order
-        self.entries: list[tuple[str | None, bytes]] = []
-        self.overflowed = False
-
-    def append(self, plane: str | None, frame: bytes) -> None:
-        self.entries.append((plane, frame))
+    def append(self, frame: bytes) -> None:
+        if self.overflowed:
+            return
+        self.frames.append(frame)
         self.nbytes += len(frame)
-        while self.nbytes > self.cap and self.entries:
-            _, evicted = self.entries.pop(0)
-            self.nbytes -= len(evicted)
+        if self.nbytes > self.cap:
             self.overflowed = True
-
-    def release_plane(self, plane: str) -> int:
-        kept: list[tuple[str | None, bytes]] = []
-        released = 0
-        for entry in self.entries:
-            if entry[0] == plane:
-                released += 1
-                self.nbytes -= len(entry[1])
-            else:
-                kept.append(entry)
-        self.entries = kept
-        return released
-
-    def frames(self) -> list[bytes]:
-        return [frame for _, frame in self.entries]
+            self.clear()
 
     def clear(self) -> None:
-        self.entries = []
+        self.frames = []
         self.nbytes = 0
 
 
 @dataclass(eq=False)
 class _Rank:
-    """Everything the router knows about one worker-process rank.
+    """Everything the router knows about one worker-process rank, and the
+    one place that decides what an event in its life means.
 
     Created when the rank is announced (:meth:`RouterTransport.expect`)
     and kept for the life of the runtime; a respawn mutates the record in
-    place, so a rank's epoch, budget and buffered traffic survive its
-    incarnations.  All fields are guarded by the router lock.
+    place, so a rank's epoch, budget and logged traffic survive its
+    incarnations.  The transitions (``hello``, ``route``, ``lost``,
+    ``respawn``, ``bye``) touch no socket or thread: each returns what
+    its caller is to do.  All fields are guarded by the router lock.
     """
 
     gid: int
@@ -216,25 +181,135 @@ class _Rank:
     local_rank: int = -1
     world: str = "worker"
     #: the live incarnation's connection; None before its HELLO, after
-    #: its death, and from the moment a respawn fences it
+    #: its BYE or death, and from the moment a respawn fences it
     conn: FrameConnection | None = None
-    ever_connected: bool = False
-    #: the incarnation on ``conn`` said BYE or reported a fatal FAIL, so
-    #: the EOF that follows is not news
-    closed_clean: bool = False
-    #: OS pid from the latest HELLO (the runtime SIGKILLs a hung
-    #: incarnation before forking the next)
+    #: OS pid from the latest HELLO, None before the first (the runtime
+    #: SIGKILLs a hung incarnation before forking the next)
     pid: int | None = None
     #: respawn count; envelopes stamped lower are zombie traffic
     epoch: int = 0
-    respawns: int = 0
+    #: respawn budget; 0 (the rank's world is not watched: recovery off)
+    #: keeps the die-on-death path
+    max_respawns: int = 0
     #: frames bound for the rank that arrived before its HELLO
     parked: list[bytes] = field(default_factory=list)
-    #: worker-world frames to replay into a reincarnation (None = the
-    #: rank's world is not watched: recovery off)
-    redelivery: _RedeliveryBuffer | None = None
+    #: worker-world frames to replay into a reincarnation, and that
+    #: world's context block (both idle while recovery is off)
+    redelivery: _RedeliveryBuffer = field(default_factory=lambda: _RedeliveryBuffer(0))
+    world_context: int = 0
     #: when the rank was declared dead; None while it is not recovering
     recovering_since: float | None = None
+
+    @property
+    def recoverable(self) -> bool:
+        """Can this rank still be respawned in place?"""
+        return self.epoch < self.max_respawns and not self.redelivery.overflowed
+
+    def _fence(self) -> None:
+        """Parked frames are discarded (they would be stale by redelivery
+        time); from here worker-world traffic accumulates in the log and
+        anything else bound for the rank is dropped until the
+        reincarnation's HELLO."""
+        if self.recovering_since is None:
+            self.recovering_since = _now()
+            self.parked = []
+
+    def failure(
+        self, truncated: bool = False, exitcode: int | None = None
+    ) -> FailureRecord:
+        """The one record of this rank's death, whoever noticed it."""
+        where = f"{self.world}[{self.local_rank}]"
+        if exitcode is not None:
+            kind, why = "rank", (
+                f"worker process {where} exited with code {exitcode} "
+                f"before the rank handshake"
+            )
+        elif self.max_respawns > 0:
+            kind, why = "respawn", (
+                f"worker process for global rank {self.gid} died but is no "
+                f"longer surgically recoverable (respawn budget exhausted "
+                f"or redelivery log overflow); degrading to a whole-job "
+                f"restart"
+            )
+        elif truncated:
+            kind, why = "wire", (
+                f"connection to global rank {self.gid} severed mid-frame "
+                f"(process killed or stream corrupted)"
+            )
+        else:
+            kind, why = "rank", (
+                f"worker process for global rank {self.gid} disconnected "
+                f"without a goodbye (crashed or killed)"
+            )
+        return FailureRecord(
+            kind=kind, worker=self.local_rank, where=where, error=why
+        )
+
+    def hello(
+        self, conn: FrameConnection, pid: int, epoch: int
+    ) -> tuple[list[bytes], float | None] | None:
+        """Incarnation ``epoch`` speaks on ``conn``.  None: a zombie,
+        never routed to.  Otherwise the frames to flush to it, in order,
+        and how long the rank was offline (None for a first life): a
+        rebirth is replayed its log in forwarding order — the entries
+        stay logged, a second death replays again."""
+        if epoch < self.epoch:
+            return None
+        self.conn, self.pid = conn, pid
+        frames, self.parked = self.parked, []
+        offline = None
+        if self.recovering_since is not None:
+            offline = _now() - self.recovering_since
+            self.recovering_since = None
+            frames = self.redelivery.frames + frames
+        return frames, offline
+
+    def route(self, frame: bytes, context: int) -> FrameConnection | None:
+        """One packed frame bound for this rank: the connection to send
+        it on, or None — it was parked until the rank's HELLO, or
+        dropped mid-recovery (anything redeliverable sits in the log, the
+        rest would be stale by then).  Traffic of the rank's own world
+        (``context`` in its block) is what a reincarnation may need
+        replayed.  Control traffic (intercomm contexts) is deliberately
+        excluded: replaying a stale task assignment or report ack into a
+        reincarnated rank would corrupt the driver protocol — the control
+        plane instead recovers by re-requesting."""
+        if self.max_respawns and 0 <= context - self.world_context < _CONTEXT_STRIDE:
+            self.redelivery.append(frame)
+        if self.conn is None and self.recovering_since is None:
+            self.parked.append(frame)
+        return self.conn
+
+    def lost(self, truncated: bool = False) -> FailureRecord | str:
+        """The live incarnation's connection reached EOF without a BYE:
+        the worker process died ungracefully.  ``"respawn"``: the rank is
+        now recovering, the runtime is to fork its successor.  Otherwise
+        the record of a death nothing can undo (the world aborts)."""
+        self.conn = None
+        if not self.recoverable:
+            return self.failure(truncated)
+        self._fence()
+        return "respawn"
+
+    def respawn(self) -> tuple[int, int | None] | FailureRecord | None:
+        """Charge the budget and bump the epoch: ``(new_epoch, old_pid)``
+        for the runtime to kill and fork.  A heartbeat-triggered respawn
+        gets here with the incarnation still connected (hung, not dead)
+        — it is fenced and replaced anyway.  Refused: the record of a
+        rank already down (its death is now final), None for one still
+        up (whoever noticed the trouble words it)."""
+        if not self.recoverable:
+            return self.failure() if self.recovering_since is not None else None
+        self._fence()
+        self.epoch += 1
+        self.conn = None
+        return self.epoch, self.pid
+
+    def bye(self) -> None:
+        """Finished for good: the coming EOF is not this rank's any more
+        and nothing is left to redeliver."""
+        self.conn = None
+        self.redelivery.clear()
 
 
 class RouterTransport(Transport):
@@ -251,14 +326,21 @@ class RouterTransport(Transport):
         super().__init__(runtime.abort_flag, runtime.fault_injector)
         self._runtime = runtime
         #: gids hosted in worker processes -> their record
-        self._ranks: dict[int, _Rank] = {}
-        self._stopping = False
-        # -- surgical rank recovery (inert until configured) ----------------
-        #: per-rank respawn budget; 0 keeps the die-on-death path
-        self._max_respawns = 0
-        self._redelivery_cap = 0
-        #: context bases of worker worlds whose traffic is redeliverable
-        self._watched_contexts: set[int] = set()
+        self.ranks: dict[int, _Rank] = {}
+        #: what a worker may call by name (``RPC_REQ``): the driver
+        #: runtime's own contract methods, plus two of the router's
+        self.calls: dict[str, Callable[..., Any]] = {
+            call.__name__: call for call in (
+                runtime.allocate_context, runtime.launch_children,
+                runtime.abort, runtime.record_failure,
+                runtime.ship_telemetry, self.rank_failed, self.ingest_dumps,
+            )
+        }
+        # -- surgical rank recovery (inert until the runtime arms it) --------
+        #: per-rank respawn budget (0 keeps the die-on-death path) and
+        #: redelivery-log byte cap, for the worlds watched from now on
+        self.max_respawns = 0
+        self.redelivery_cap = 0
         self.stale_frames_dropped = 0
         self.redelivered_frames = 0
         self._server = wire.FrameServer(
@@ -267,100 +349,67 @@ class RouterTransport(Transport):
         #: where worker processes connect
         self.address = self._server.address
 
-    # -- rank recovery configuration -----------------------------------------
-    def configure_recovery(self, max_respawns: int, redelivery_bytes: int) -> None:
-        """Arm surgical recovery: each rank may be respawned in place up
-        to ``max_respawns`` times, with up to ``redelivery_bytes`` of its
-        inbound worker-world traffic buffered for replay."""
-        with self._lock:
-            self._max_respawns = max(0, int(max_respawns))
-            self._redelivery_cap = int(redelivery_bytes)
-
+    # -- rank recovery ---------------------------------------------------------
     def watch_world(self, group: tuple[int, ...], world_context: int) -> None:
-        """Start buffering the worker-world traffic of ``group`` (its
-        point-to-point and collective context block) for redelivery."""
+        """With recovery armed, start logging the worker-world traffic of
+        ``group`` (its point-to-point and collective context block) for
+        redelivery."""
         with self._lock:
-            if self._max_respawns <= 0:
+            if self.max_respawns <= 0:
                 return
-            self._watched_contexts.add(world_context)
             for gid in group:
-                rank = self._ranks.setdefault(gid, _Rank(gid))
-                if rank.redelivery is None:
-                    rank.redelivery = _RedeliveryBuffer(self._redelivery_cap)
+                rank = self.ranks.setdefault(gid, _Rank(gid))
+                rank.redelivery = _RedeliveryBuffer(self.redelivery_cap)
+                rank.max_respawns = self.max_respawns
+                rank.world_context = world_context
 
-    def pid_of(self, gid: int) -> int | None:
+    def respawn(self, gid: int) -> tuple[int, int | None] | None:
+        """Perform :meth:`_Rank.respawn` for the runtime; None = refused
+        (a rank already down then fails the world with its record)."""
         with self._lock:
-            rank = self._ranks.get(gid)
-            return rank.pid if rank is not None else None
+            rank = self.ranks.get(gid)
+            verdict = rank.respawn() if rank is not None else None
+        if isinstance(verdict, FailureRecord):
+            self._fail_world(gid, verdict)
+            return None
+        return verdict
 
-    def recovery_eligible(self, gid: int) -> bool:
-        """Can this rank still be respawned in place?"""
+    def reaped(self, gid: int, exitcode: int) -> None:
+        """The runtime joined rank ``gid``'s process and it had failed.
+        News only when it died before the handshake: the router never
+        saw it, so the disconnect path cannot have recorded the loss."""
         with self._lock:
-            return self._eligible_locked(self._ranks.get(gid))
+            rank = self.ranks[gid]
+            record = rank.failure(exitcode=exitcode) if rank.pid is None else None
+        if record is not None and not self.abort_flag.is_set():
+            self._fail_world(gid, record)
 
-    def _eligible_locked(self, rank: _Rank | None) -> bool:
-        return (
-            rank is not None
-            and rank.redelivery is not None
-            and not rank.redelivery.overflowed
-            and rank.respawns < self._max_respawns
+    def _fail_world(self, gid: int, record: FailureRecord) -> None:
+        self._runtime.record_failure(record)
+        self._runtime.abort(
+            f"lost worker process (global rank {gid})", record=False
         )
-
-    @staticmethod
-    def _mark_recovering_locked(rank: _Rank) -> None:
-        """Parked frames are discarded (they would be stale by redelivery
-        time); from here worker-world traffic accumulates in the
-        redelivery buffer and anything else bound for the rank is dropped
-        until the reincarnation's HELLO."""
-        if rank.recovering_since is None:
-            rank.recovering_since = _now()
-            rank.parked = []
-
-    def begin_recovery(self, gid: int) -> bool:
-        """Mark ``gid`` recovering; False when it cannot be respawned."""
-        with self._lock:
-            rank = self._ranks.get(gid)
-            if not self._eligible_locked(rank):
-                return False
-            self._mark_recovering_locked(rank)
-            return True
-
-    def begin_respawn(self, gid: int) -> tuple[int, int | None]:
-        """Charge the budget and bump the epoch for a respawn of ``gid``;
-        returns ``(new_epoch, old_pid)``.  The caller (ProcessRuntime)
-        kills the old pid and forks the replacement."""
-        with self._lock:
-            rank = self._ranks[gid]
-            # heartbeat-triggered respawns get here with the incarnation
-            # still connected (hung, not dead) — fence and replace it anyway
-            self._mark_recovering_locked(rank)
-            rank.respawns += 1
-            rank.epoch += 1
-            rank.conn = None
-            return rank.epoch, rank.pid
 
     # -- Transport ----------------------------------------------------------
     def wake_all(self) -> None:
         super().wake_all()
         if self.abort_flag.is_set():
             # a worker that has not handshaken yet is told at its HELLO
-            frame = _abort_frame(self.abort_flag)
-            with self._lock:
-                conns = self._live_conns_locked()
-            for conn in conns:
-                conn.try_send(frame)
+            self._broadcast(_abort_frame(self.abort_flag))
 
     def request_stack_dump(self) -> None:
         """Broadcast DUMP_REQ to every connected worker; replies arrive
-        asynchronously as DUMP frames and land in the telemetry hub."""
-        frame = wire.pack_frame(FrameKind.DUMP_REQ)
+        asynchronously as ``ingest_dumps`` calls and land in the
+        telemetry hub."""
+        self._broadcast(wire.pack_frame(FrameKind.DUMP_REQ))
+
+    def _broadcast(self, frame: bytes) -> None:
         with self._lock:
-            conns = self._live_conns_locked()
+            conns = [r.conn for r in self.ranks.values() if r.conn is not None]
         for conn in conns:
             conn.try_send(frame)
 
     def shutdown(self) -> None:
-        self._stopping = True
         self._server.stop()
 
     # -- bookkeeping for ProcessRuntime -------------------------------------
@@ -368,22 +417,14 @@ class RouterTransport(Transport):
         """Announce gids that will live in worker processes."""
         with self._lock:
             for local_rank, gid in enumerate(group):
-                rank = self._ranks.setdefault(gid, _Rank(gid))
-                rank.local_rank, rank.world = local_rank, name
-
-    def ever_connected(self, gid: int) -> bool:
-        with self._lock:
-            rank = self._ranks.get(gid)
-            return rank is not None and rank.ever_connected
-
-    def _live_conns_locked(self) -> list[FrameConnection]:
-        return [r.conn for r in self._ranks.values() if r.conn is not None]
+                self.ranks[gid] = _Rank(gid, local_rank, name)
 
     def _rank_on_locked(self, conn: FrameConnection) -> _Rank | None:
         """The rank whose live incarnation speaks on ``conn``.  None for
-        a connection that never said HELLO — and for a fenced zombie's,
-        which lost its rank when the successor was spawned."""
-        for rank in self._ranks.values():
+        a connection that never said HELLO, for one that said BYE — and
+        for a fenced zombie's, which lost its rank when the successor was
+        spawned."""
+        for rank in self.ranks.values():
             if rank.conn is conn:
                 return rank
         return None
@@ -394,130 +435,81 @@ class RouterTransport(Transport):
         if endpoint is not None:
             endpoint.deposit(envelope)
             return
-        self._forward(dest, _encode_envelope(dest, envelope))
+        self._forward(dest, _encode_envelope(dest, envelope), envelope.context)
         # the wire is the eager buffer: the send completes on acceptance
         envelope.delivered.set()
 
-    def _forward(
-        self, dest: int, frame: bytes, h: wire.EnvelopeHeader | None = None
-    ) -> None:
-        """Send one packed frame to a worker rank — or park it until the
-        rank's HELLO, or discard it mid-recovery (anything redeliverable
-        already sits in the buffer, the rest would be stale by then).
-        ``h`` is the header of a frame relayed from another worker: those
-        are what a reincarnation may need replayed.  The router lock
-        orders parked flushes against direct sends."""
+    def _forward(self, dest: int, frame: bytes, context: int) -> None:
+        """Send one packed frame where :meth:`_Rank.route` says.  The
+        router lock orders parked flushes against direct sends."""
         with self._lock:
-            rank = self._ranks.get(dest)
+            rank = self.ranks.get(dest)
             if rank is None:
                 raise MPIError(f"no route to global rank {dest}")
-            if h is not None:
-                self._buffer_locked(rank, h, frame)
-            conn = rank.conn
-            if conn is None:
-                if rank.recovering_since is None:
-                    rank.parked.append(frame)
-                return
+            conn = rank.route(frame, context)
+        if conn is None:
+            return
         try:
             conn.send(frame)
         except OSError:
             # receiver is gone; its disconnect handler owns the fallout
             _log.debug("router: dropping frame for dead rank %d", dest)
 
-    def _buffer_locked(
-        self, rank: _Rank, h: wire.EnvelopeHeader, frame: bytes
-    ) -> None:
-        """Record a worker-world frame for possible redelivery.  Control
-        traffic (intercomm contexts) is deliberately excluded: replaying
-        a stale task assignment or report ack into a reincarnated rank
-        would corrupt the driver protocol — the control plane instead
-        recovers by re-requesting."""
-        buf = rank.redelivery
-        if buf is None or not any(
-            base <= h.context < base + 4 for base in self._watched_contexts
-        ):
-            return
-        plane: str | None = None
-        if h.flags & wire.FLAG_BATCH:
-            try:
-                plane = DataInput(h.payload).read_utf()
-            except Exception:  # noqa: BLE001 - peeking must never drop a frame
-                plane = None
-        buf.append(plane, frame)
-
     # -- frame handlers (router reader threads) ------------------------------
     def _handle_frame(self, conn: FrameConnection, kind: int, body: bytes) -> None:
         if kind == FrameKind.ENVELOPE:
             self._on_envelope(body)
         elif kind == FrameKind.HELLO:
-            gid, pid, epoch = wire.unpack_obj(body)
-            self._on_hello(conn, gid, pid, epoch)
-        elif kind == FrameKind.ACK:
-            gid, plane_id = wire.unpack_obj(body)
-            with self._lock:
-                rank = self._ranks.get(gid)
-                if rank is not None and rank.redelivery is not None:
-                    rank.redelivery.release_plane(plane_id)
-        elif kind == FrameKind.TELEMETRY:
-            try:
-                self._runtime.ship_telemetry(wire.unpack_obj(body))
-            except Exception:  # noqa: BLE001 - telemetry never kills routing
-                _log.debug("router: dropped malformed telemetry frame")
-        elif kind == FrameKind.DUMP:
-            hub = self._runtime.telemetry_hub
-            if hub is not None:
-                try:
-                    for dump in wire.unpack_obj(body):
-                        hub.ingest_dump(dump)
-                except Exception:  # noqa: BLE001 - diagnostics never kill routing
-                    _log.debug("router: dropped malformed dump frame")
+            self._on_hello(conn, *wire.unpack_obj(body))
         elif kind == FrameKind.RPC_REQ:
             req_id, method, params = wire.unpack_obj(body)
             try:
-                result = self._dispatch_rpc(method, params)
-                reply = (req_id, True, result)
+                call = self.calls.get(method)
+                if call is None:
+                    raise MPIError(f"unknown router rpc {method!r}")
+                reply = (req_id, True, call(*params))
             except Exception as exc:  # noqa: BLE001 - errors travel back
                 reply = (req_id, False, repr(exc))
-            conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REP, reply))
-        elif kind == FrameKind.ABORT_REQ:
-            reason, errorcode = wire.unpack_obj(body)
-            self._runtime.abort(reason, errorcode)
-        elif kind == FrameKind.FAIL:
-            records, exc_blob, fatal = wire.unpack_obj(body)
-            for record in records:
-                self._runtime.record_failure(record)
-            if fatal:
-                # the failure is accounted for; the coming EOF is not news
-                with self._lock:
-                    rank = self._rank_on_locked(conn)
-                    if rank is not None:
-                        rank.closed_clean = True
-                exc: BaseException | None = None
-                if exc_blob is not None:
-                    try:
-                        exc = pickle.loads(exc_blob)
-                    except Exception:  # noqa: BLE001 - diagnostics only
-                        exc = None
-                reason = records[0].error if records else "worker failed"
-                self._runtime.record_remote_error(exc, reason)
+                _log.debug("router: call %s failed: %r", method, exc)
+            if req_id:  # 0: fire-and-forget, nobody waits for an answer
+                conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REP, reply))
         elif kind == FrameKind.BYE:
             with self._lock:
                 rank = self._rank_on_locked(conn)
                 if rank is not None:
-                    rank.closed_clean = True
-                    if rank.redelivery is not None:
-                        # finished for good: nothing left to redeliver
-                        rank.redelivery.clear()
+                    rank.bye()
         else:
             _log.warning("router: ignoring unknown frame kind %d", kind)
+
+    def rank_failed(
+        self, records: list[FailureRecord], exc_blob: bytes | None
+    ) -> None:
+        """A rank died on an exception and says so: file its records,
+        adopt the exception when it survived the wire, abort the world —
+        which also makes the coming EOF not news."""
+        for record in records:
+            self._runtime.record_failure(record)
+        exc: BaseException | None = None
+        if exc_blob is not None:
+            try:
+                exc = pickle.loads(exc_blob)
+            except Exception:  # noqa: BLE001 - diagnostics only
+                exc = None
+        reason = records[0].error if records else "worker failed"
+        self._runtime.record_remote_error(exc, reason)
+
+    def ingest_dumps(self, dumps: list[dict]) -> None:
+        """A worker's answer to DUMP_REQ, for the telemetry hub."""
+        hub = self._runtime.telemetry_hub
+        if hub is not None:
+            for dump in dumps:
+                hub.ingest_dump(dump)
 
     def _on_hello(
         self, conn: FrameConnection, gid: int, pid: int, epoch: int
     ) -> None:
-        offline: float | None = None
-        redelivered = 0
         with self._lock:
-            rank = self._ranks.get(gid)
+            rank = self.ranks.get(gid)
             speaker = self._rank_on_locked(conn)
             if rank is None or speaker not in (None, rank):
                 _log.warning(
@@ -527,28 +519,18 @@ class RouterTransport(Transport):
                     f"its connection already speaks for rank {speaker.gid}",
                 )
                 return
-            if epoch < rank.epoch:
-                # a zombie incarnation reconnecting: never route to it
+            flush = rank.hello(conn, pid, epoch)
+            if flush is None:
                 _log.warning(
                     "router: fencing stale HELLO from rank %d "
                     "(epoch %d < %d)", gid, epoch, rank.epoch,
                 )
                 return
-            rank.conn, rank.pid = conn, pid
-            rank.ever_connected, rank.closed_clean = True, False
-            if rank.recovering_since is not None:
-                offline = _now() - rank.recovering_since
-                rank.recovering_since = None
-                if rank.redelivery is not None:
-                    # replay in original forwarding order; entries stay
-                    # buffered until ACK'd (a second death replays again)
-                    for frame in rank.redelivery.frames():
-                        conn.try_send(frame)
-                        redelivered += 1
-                self.redelivered_frames += redelivered
-            parked, rank.parked = rank.parked, []
-            for frame in parked:
+            frames, offline = flush
+            for frame in frames:
                 conn.try_send(frame)
+            if offline is not None:
+                self.redelivered_frames += len(frames)
         if offline is None:
             _log.debug("router: rank %d online (pid %d)", gid, pid)
         else:
@@ -557,22 +539,22 @@ class RouterTransport(Transport):
                 cat="recovery",
                 args={
                     "gid": gid, "epoch": epoch, "pid": pid,
-                    "redelivered_frames": redelivered,
+                    "redelivered_frames": len(frames),
                     "latency_s": round(offline, 6),
                 },
             )
-            _T.counter("recovery.redelivered_frames", redelivered, cat="recovery")
+            _T.counter("recovery.redelivered_frames", len(frames), cat="recovery")
             _log.info(
                 "router: rank %d reborn (pid %d, epoch %d, %d frames "
                 "redelivered, %.3fs offline)",
-                gid, pid, epoch, redelivered, offline,
+                gid, pid, epoch, len(frames), offline,
             )
         if self.abort_flag.is_set():
             conn.try_send(_abort_frame(self.abort_flag))
 
     def _on_envelope(self, body: bytes) -> None:
         h = wire.unpack_envelope_frame(body)
-        sender = self._ranks.get(h.origin)
+        sender = self.ranks.get(h.origin)
         if sender is not None and h.epoch < sender.epoch:
             # a zombie speaking: the rank was declared dead and respawned,
             # but its old incarnation got a frame out first.  Fence it.
@@ -628,74 +610,36 @@ class RouterTransport(Transport):
         here)."""
         endpoint = self._endpoints.get(h.dest)
         if endpoint is not None:
-            endpoint.deposit(_received(h))
+            endpoint.deposit(_decode_envelope(h))
             return
         frame = (
             wire.pack_frame(FrameKind.ENVELOPE, body) if body is not None
             else h.frame()
         )
-        self._forward(h.dest, frame, h)
+        self._forward(h.dest, frame, h.context)
 
     def _handle_disconnect(self, conn: FrameConnection) -> None:
         with self._lock:
             rank = self._rank_on_locked(conn)
             if rank is None:
                 return
-            rank.conn = None
-            clean = rank.closed_clean
-        if clean or self._stopping or self.abort_flag.is_set():
-            return
-        # EOF without BYE/FAIL: the worker process died ungracefully.
-        # Try surgical recovery first: mark the rank recovering and hand
-        # the respawn to the runtime (the driver loop forks the
-        # replacement); an unrecoverable rank falls through to the
-        # abort -> whole-job-restart path.
-        gid = rank.gid
-        if self.begin_recovery(gid):
+            verdict = rank.lost(conn.truncated)
+        if self.abort_flag.is_set():
+            return  # the world is going down anyway
+        if verdict == "respawn":
+            # the driver loop forks the replacement
             _T.instant(
                 "recovery.rank.lost",
                 cat="recovery",
-                args={"gid": gid, "truncated": conn.truncated},
+                args={"gid": rank.gid, "truncated": conn.truncated},
             )
             _log.warning(
-                "router: worker rank %d died; attempting surgical respawn", gid
+                "router: worker rank %d died; attempting surgical respawn",
+                rank.gid,
             )
-            self._runtime.request_rank_respawn(gid)
-            return
-        if self._max_respawns > 0:
-            kind, why = "respawn", (
-                f"worker process for global rank {gid} died but is no "
-                f"longer surgically recoverable (respawn budget "
-                f"exhausted or redelivery buffer overflow); degrading "
-                f"to a whole-job restart"
-            )
-        elif conn.truncated:
-            kind, why = "wire", (
-                f"connection to global rank {gid} severed mid-frame "
-                f"(process killed or stream corrupted)"
-            )
+            self._runtime.request_rank_respawn(rank.gid)
         else:
-            kind, why = "rank", (
-                f"worker process for global rank {gid} disconnected "
-                f"without a goodbye (crashed or killed)"
-            )
-        self._runtime.record_failure(FailureRecord(
-            kind=kind, worker=rank.local_rank,
-            where=f"{rank.world}[{rank.local_rank}]", error=why,
-        ))
-        self._runtime.abort(
-            f"lost worker process (global rank {gid})", record=False
-        )
-
-    def _dispatch_rpc(self, method: str, params: tuple) -> Any:
-        if method == "alloc_context":
-            return self._runtime.allocate_context()
-        if method == "spawn":
-            fn, nprocs, args, parent_group, name = params
-            return self._runtime.launch_children(
-                fn, nprocs, tuple(args), tuple(parent_group), name
-            )
-        raise MPIError(f"unknown router rpc {method!r}")
+            self._fail_world(rank.gid, verdict)
 
 
 @dataclass
@@ -723,7 +667,7 @@ class WorkerSpec:
     #: previous incarnation's zombie frames
     epoch: int = 0
     #: surgical rank recovery armed for this world (receivers stage
-    #: shuffle streams and emit plane ACKs)
+    #: shuffle streams)
     recovery: bool = False
     #: where this incarnation drains its tracer (None = tracing off)
     trace_shard: str | None = None
@@ -736,18 +680,17 @@ class WorkerTransport(Transport):
         self, abort_flag: AbortFlag, spec: WorkerSpec, conn: FrameConnection
     ) -> None:
         super().__init__(abort_flag)
-        self._gid = spec.gid
+        self._spec = spec
         self._conn = conn
         self._endpoint = self.register(spec.gid)
-        self._chaos_routed = spec.chaos_routed
-        self._epoch = spec.epoch
 
     def _route(self, dest: int, envelope: Envelope) -> None:
-        if dest == self._gid and not self._chaos_routed:
+        spec = self._spec
+        if dest == spec.gid and not spec.chaos_routed:
             self._endpoint.deposit(envelope)
             return
         try:
-            self._conn.send(_encode_envelope(dest, envelope, epoch=self._epoch))
+            self._conn.send(_encode_envelope(dest, envelope, epoch=spec.epoch))
         except OSError:
             self.abort_flag.trip("lost connection to the mpidrun router")
             self._endpoint.wake()
@@ -760,9 +703,9 @@ class WorkerRuntime(BaseRuntime):
 
     Matching, the abort flag and the failure list are process-local and
     inherited as they are; what it overrides is what has to cross the
-    wire — global allocation and spawning become router RPCs, aborts and
-    failures are also reported to the driver, plane ACKs and telemetry
-    snapshots travel as frames.
+    wire — global allocation and spawning wait for the driver's answer,
+    aborts, failures, telemetry snapshots and stack dumps are
+    fire-and-forget.
     """
 
     launcher = "processes"
@@ -773,21 +716,20 @@ class WorkerRuntime(BaseRuntime):
         self.rank_epoch = spec.epoch
         self.rank_recovery = spec.recovery
         super().__init__()
-        self._rpc_lock = threading.Lock()
-        self._rpc_seq = 0
+        #: ids of calls awaiting their RPC_REP (0 is "no reply wanted")
+        self._rpc_ids = itertools.count(1)
         self._rpc_pending: dict[int, queue.SimpleQueue] = {}
         self._closing = False
-        self._receiver = threading.Thread(
+        threading.Thread(
             target=self._recv_loop, name=f"{spec.name}-wire", daemon=True
-        )
-        self._receiver.start()
+        ).start()
 
     def _make_transport(self) -> Transport:
         return WorkerTransport(self.abort_flag, self._spec, self._conn)
 
     # -- what crosses the wire -------------------------------------------------
     def allocate_context(self) -> int:
-        return int(self._rpc("alloc_context", ()))
+        return self._rpc("allocate_context")
 
     def launch_children(
         self,
@@ -803,24 +745,17 @@ class WorkerRuntime(BaseRuntime):
         module-level functions and picklable arguments (driver-initiated
         spawns inherit closures via fork and have no such limit).
         """
-        group, inter_context = self._rpc(
-            "spawn", (fn, nprocs, tuple(args), tuple(parent_group), name)
-        )
-        return tuple(group), int(inter_context)
+        return self._rpc("launch_children", fn, nprocs, args, parent_group, name)
 
     def abort(self, reason: str, errorcode: int = 1, record: bool = True) -> None:
         """Abort the world: the driver records it and fans the ABORT out;
         this process unwinds right away."""
-        self._conn.try_send(
-            wire.pack_obj_frame(FrameKind.ABORT_REQ, (reason, errorcode))
-        )
+        self._cast("abort", reason, errorcode)
         super().abort(reason, errorcode, record=False)
 
     def record_failure(self, record: FailureRecord) -> None:
         super().record_failure(record)
-        self._conn.try_send(
-            wire.pack_obj_frame(FrameKind.FAIL, ([record], None, False))
-        )
+        self._cast("record_failure", record)
 
     def record_error(self, comm: Intracomm, exc: BaseException) -> None:
         records = self._capture_error(comm, exc)
@@ -828,29 +763,14 @@ class WorkerRuntime(BaseRuntime):
             blob = pickle.dumps(exc)
         except Exception:  # noqa: BLE001 - unpicklable exceptions still report
             blob = None
-        # a fatal FAIL aborts the driver's world; only this process is
+        # ``rank_failed`` aborts the driver's world; only this process is
         # left to unwind
-        self._conn.try_send(
-            wire.pack_obj_frame(FrameKind.FAIL, (records, blob, True))
-        )
+        self._cast("rank_failed", records, blob)
         super().abort(f"rank {comm.rank}: {exc!r}", record=False)
 
-    def ack_plane(self, plane_id: str) -> None:
-        """Tell the router this rank fully consumed a shuffle plane, so
-        its redelivery-buffer entries for that plane can be released."""
-        if self.rank_recovery:
-            self._conn.try_send(
-                wire.pack_obj_frame(FrameKind.ACK, (self._spec.gid, plane_id))
-            )
-
     def ship_telemetry(self, snap: dict) -> None:
-        """Fire-and-forget one telemetry snapshot to the driver's hub.
-
-        ``try_send`` keeps telemetry strictly best-effort: a full socket
-        or a dying connection drops the snapshot instead of blocking the
-        shipper thread or killing the rank.
-        """
-        self._conn.try_send(wire.pack_obj_frame(FrameKind.TELEMETRY, snap))
+        """Fire-and-forget one telemetry snapshot to the driver's hub."""
+        self._cast("ship_telemetry", snap)
 
     def send_stack_dump(self) -> None:
         """Answer a DUMP_REQ: snapshot the live stacks and queue stats of
@@ -869,15 +789,19 @@ class WorkerRuntime(BaseRuntime):
                 }]
         except Exception:  # noqa: BLE001 - diagnostics never kill the rank
             return
-        self._conn.try_send(wire.pack_obj_frame(FrameKind.DUMP, dumps))
+        self._cast("ingest_dumps", dumps)
 
     # -- wire plumbing --------------------------------------------------------
-    def _rpc(self, method: str, params: tuple) -> Any:
-        with self._rpc_lock:
-            self._rpc_seq += 1
-            req_id = self._rpc_seq
-            box: queue.SimpleQueue = queue.SimpleQueue()
-            self._rpc_pending[req_id] = box
+    def _cast(self, method: str, *params: Any) -> None:
+        """Call the driver by name, no reply wanted (``req_id`` 0).
+        ``try_send`` keeps it strictly best-effort: a full socket or a
+        dying connection drops the call instead of blocking the caller
+        (the telemetry shipper, a rank on its way down) or killing it."""
+        self._conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REQ, (0, method, params)))
+
+    def _rpc(self, method: str, *params: Any) -> Any:
+        req_id = next(self._rpc_ids)
+        box = self._rpc_pending[req_id] = queue.SimpleQueue()
         self._conn.send(wire.pack_obj_frame(FrameKind.RPC_REQ, (req_id, method, params)))
         deadline = _now() + _RPC_DEADLINE
         while True:
@@ -909,7 +833,7 @@ class WorkerRuntime(BaseRuntime):
                 return
             kind, body = frame
             if kind == FrameKind.ENVELOPE:
-                mailbox.deposit(_received(wire.unpack_envelope_frame(body)))
+                mailbox.deposit(_decode_envelope(wire.unpack_envelope_frame(body)))
             elif kind == FrameKind.ABORT:
                 reason, errorcode = wire.unpack_obj(body)
                 self.abort_flag.trip(reason, errorcode)
@@ -942,7 +866,7 @@ def fork_worker(
     ``obs.journal.merge_shards`` finds by the ``.shard-`` infix.
     """
     life = f"e{spec.epoch}" if spec.epoch else ""
-    spec = dataclasses.replace(
+    spec = replace(
         spec,
         name=f"{spec.world_name}[{spec.rank}]{life}",
         trace_shard=(
@@ -969,17 +893,9 @@ def _worker_process_main(spec: WorkerSpec) -> None:
         wire.pack_obj_frame(FrameKind.HELLO, (spec.gid, os.getpid(), spec.epoch))
     )
     runtime = WorkerRuntime(spec, conn)
-    comm = Intracomm(
-        runtime, spec.world_context, spec.group, spec.rank, name=spec.world_name
-    )
-    comm.parent = Intercomm(
-        runtime,
-        spec.inter_context,
-        local_group=spec.group,
-        remote_group=spec.parent_group,
-        rank=spec.rank,
-        side=1,
-        name=f"{spec.world_name}.parent",
+    comm = rank_comm(
+        runtime, spec.world_context, spec.group, spec.rank, spec.world_name,
+        (spec.parent_group, spec.inter_context),
     )
     _T.bind(spec.gid)
     exitcode = 0

@@ -192,17 +192,6 @@ class FaultRule:
             raise MPIError(
                 f"unknown fault action {self.action!r}; use one of {_FAULT_ACTIONS}"
             )
-        if self.match is not None:
-            # Rules must serialize cleanly so chaos configurations can cross
-            # a process boundary (and so the process backend's router can
-            # replay them); closures and lambdas capture interpreter state
-            # that cannot, so reject them at construction time.
-            closure = getattr(self.match, "__closure__", None)
-            if closure or getattr(self.match, "__name__", "") == "<lambda>":
-                raise MPIError(
-                    "FaultRule.match must be a module-level function "
-                    "(picklable); lambdas and closures are not allowed"
-                )
 
     def selects(self, dest_rank: int, envelope: Envelope) -> bool:
         return (
@@ -233,23 +222,8 @@ class FaultInjector:
         #: audit trail: (action, origin, dest, context, tag) per applied fault
         self.events: list[tuple[str, int, int, int, int]] = []
         #: kill hook installed by the process runtime: global rank -> bool
-        #: (SIGKILLed the hosting process); per-interpreter, never pickled
+        #: (SIGKILLed the hosting process)
         self.kill_callback: Callable[[int], bool] | None = None
-
-    # -- serialization -------------------------------------------------------
-    # Injectors must pickle cleanly (rules already enforce closure-free
-    # ``match`` predicates) so a chaos configuration can be shipped to
-    # another process; the lock is per-interpreter state and is recreated.
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        state["kill_callback"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.kill_callback = state.get("kill_callback")
-        self._lock = threading.Lock()
 
     # -- configuration ------------------------------------------------------
     def add_rule(self, rule: FaultRule) -> FaultRule:
@@ -395,7 +369,7 @@ class Endpoint:
         # monotonically increasing count of messages ever enqueued; lets
         # waiters detect arrivals without re-scanning spuriously
         self._arrivals = 0
-        #: currently queued envelopes (O(1) alternative to pending_count)
+        #: currently queued envelopes
         self._pending = 0
         #: cumulative payload bytes deposited into this mailbox
         self._bytes_in = 0
@@ -573,10 +547,6 @@ class Endpoint:
             finally:
                 self._release_waiter(key)
 
-    def pending_count(self) -> int:
-        with self._lock:
-            return sum(len(q) for q in self._queues.values())
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {"pending": self._pending, "bytes_in": self._bytes_in}
@@ -648,10 +618,6 @@ class Transport(ABC):
         """Wake every blocked receiver everywhere (abort propagation)."""
         for endpoint in self.local_endpoints():
             endpoint.wake()
-
-    def stats(self) -> dict[int, dict[str, int]]:
-        """Per-rank mailbox statistics for the ranks hosted here."""
-        return {ep.rank: ep.stats() for ep in self.local_endpoints()}
 
     def shutdown(self) -> None:
         """Release transport resources (sockets, worker links...)."""

@@ -6,7 +6,8 @@ for the modelled cost of this stack).  Two consumers share it:
 
 * :mod:`repro.mpi.socket_transport` — the process-per-rank MPI backend
   routes pickled envelopes between worker processes through a driver-side
-  router using these frames.
+  router using these frames; everything else a worker asks of the driver
+  is one call frame, ``RPC_REQ (req_id, method, params)``.
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — the Hadoop-style
   RPC layer serves its call protocol over the same accept/read loops
   instead of re-implementing them.
@@ -99,19 +100,13 @@ class FrameKind:
     HELLO = 1       # worker -> router: (gid, pid, epoch) rank handshake
     ENVELOPE = 2    # either direction: header + pickled payload
     ABORT = 3       # router -> workers: (reason, errorcode); wakes everyone
-    ABORT_REQ = 4   # worker -> router: (reason, errorcode) MPI_Abort request
-    FAIL = 5        # worker -> router: (FailureRecord, repr) rank failure
     BYE = 6         # worker -> router: clean shutdown (EOF without BYE = crash)
-    RPC_REQ = 7     # worker -> router: (req_id, method, pickled args)
+    RPC_REQ = 7     # worker -> router: (req_id, method, params), a call by
+                    # name; req_id 0 = fire-and-forget, no RPC_REP follows
     RPC_REP = 8     # router -> worker: (req_id, ok, payload-or-error)
-    ACK = 10        # worker -> router: (gid, plane_id) plane consumed; the
-                    # router releases that plane's redelivery-buffer entries
-    TELEMETRY = 11  # worker -> router: one pickled telemetry snapshot dict;
-                    # fire-and-forget (try_send), ingested by the TelemetryHub
     DUMP_REQ = 12   # router -> worker: request a live stack/queue dump of
-                    # every rank the worker hosts (empty body)
-    DUMP = 13       # worker -> router: pickled list of per-rank stack-dump
-                    # dicts; fire-and-forget reply to DUMP_REQ
+                    # every rank the worker hosts (empty body); answered by
+                    # an ``ingest_dumps`` call
 
 #: truncate-fault marker in the envelope header flags byte
 FLAG_TRUNCATED = 0x01

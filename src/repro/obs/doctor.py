@@ -18,8 +18,8 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   clock always advances (a blocked rank accrues ``communicate``), so
   the clock's total says nothing; frozen busy time and flat counters
   are the shape of a rank wedged inside a shuffle wait, and
-  automatically trigger an **all-rank stack capture** over the DUMP
-  wire frame;
+  automatically trigger an **all-rank stack capture** over the
+  DUMP_REQ wire frame;
 * *silent*: a rank that stopped reporting entirely (snapshots aged out);
 * *queue growth*: pending-envelope depth over a threshold;
 * *redelivery churn*: recovery counters (respawns, redelivered frames,

@@ -21,7 +21,7 @@ Design notes:
   and the daemon thread runs only while someone holds it.
 * The *registry* (thread idents -> rank and phase clock, queue-stats
   callables) is always maintained, even with sampling off, so the
-  on-demand stack dump (the DUMP wire frame, ``repro doctor``'s
+  on-demand stack dump (the DUMP_REQ wire frame, ``repro doctor``'s
   capture) works on an unprofiled job.
 * Aggregates are collapsed-stack counts — the flamegraph interchange
   format — keyed ``(rank, epoch)`` so a respawned rank's incarnations

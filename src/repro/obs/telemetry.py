@@ -8,8 +8,9 @@ buckets), its mailbox depth and its process CPU/RSS on an interval
 (``mpi.d.telemetry.interval.seconds``) and ships the snapshot to the
 driver:
 
-* **process backend** — a TELEMETRY wire frame (fire-and-forget
-  ``try_send``) through the rank's existing router connection;
+* **process backend** — a ``ship_telemetry`` call by name (the star's
+  one call frame, fire-and-forget ``try_send``) through the rank's
+  existing router connection;
 * **thread backend** — a direct :meth:`TelemetryHub.ingest` call (the
   hub lives in the same interpreter).
 
@@ -154,8 +155,8 @@ class TelemetryHub:
         self._lock = threading.Lock()
         self._ring = max(1, int(ring))
         self._series: dict[tuple[int, int], deque] = {}
-        #: latest live stack dump per (rank, epoch) — DUMP frames on the
-        #: process backend, direct ingest_dump on threads
+        #: latest live stack dump per (rank, epoch) — ``ingest_dumps``
+        #: calls on the process backend, direct ingest_dump on threads
         self._dumps: dict[tuple[int, int], dict] = {}
         self._done: set[int] = set()
         self._expected = 0
@@ -201,7 +202,7 @@ class TelemetryHub:
             self.snapshots_ingested += 1
 
     def ingest_dump(self, dump: dict[str, Any]) -> None:
-        """Accept one live stack dump (DUMP frame reply or local call)."""
+        """Accept one live stack dump (a DUMP_REQ's reply or local call)."""
         if not isinstance(dump, dict) or "rank" not in dump:
             return
         key = (int(dump["rank"]), int(dump.get("epoch", 0)))

@@ -26,8 +26,10 @@ O_TASKS, A_TASKS, NPROCS = 4, 2, 2
 
 def make_job(out, conf=None, launcher="threads"):
     provider, mapper, reducer = wordcount_pieces(TEXTS)
-    # many small envelopes per channel
-    base = {K.SHUFFLE_BATCH_BYTES: 64, K.LAUNCHER: launcher}
+    # many small envelopes per channel — as many whichever rank wins the
+    # dynamically scheduled O tasks: blocks seal by size, not per rank
+    base = {K.SHUFFLE_BATCH_BYTES: 64, K.SPL_PARTITION_BYTES: 64,
+            K.LAUNCHER: launcher}
     base.update(conf or {})
     return mapreduce_job(
         "chaos-wc", provider, mapper, reducer, out,
@@ -116,7 +118,10 @@ class TestInjectorMechanics:
         rule = injector.drop(tag=SHUFFLE_TAG, skip_first=2, max_matches=1)
         out = FileCollector(tmp_path / "out")
         result = mpidrun(
-            make_job(out, ft_conf(tmp_path, **{K.JOB_MAX_RESTARTS: 1}),
+            # should the dropped envelope be a stream's last (its EOS),
+            # only the plane timeout can notice: keep that wait short
+            make_job(out, ft_conf(tmp_path, **{K.JOB_MAX_RESTARTS: 1,
+                                               K.PLANE_TIMEOUT_SECONDS: 2.0}),
                      launcher=launcher),
             nprocs=NPROCS, timeout=120.0, fault_injector=injector,
         )

@@ -32,7 +32,11 @@ NPROCS = 2
 
 def recovery_conf(**extra):
     conf = {
-        K.SHUFFLE_BATCH_BYTES: 64,  # many small envelopes per channel
+        # many small envelopes per channel, and their number a property of
+        # the input: every O task seals more >= 64-byte blocks than any
+        # ``skip_first`` below, whichever rank wins the dynamic O tasks
+        K.SHUFFLE_BATCH_BYTES: 64,
+        K.SPL_PARTITION_BYTES: 64,
         K.LAUNCHER: "processes",
         K.RANK_MAX_RESPAWNS: 2,
         K.PLANE_TIMEOUT_SECONDS: 60.0,
@@ -181,7 +185,7 @@ class TestSurgicalRecovery:
             return DataMPIJob("stream-kill", o_fn, a_fn, o_tasks=2, a_tasks=2,
                               mode=Mode.STREAMING, conf=conf)
 
-        conf = recovery_conf(**{K.SPL_PARTITION_BYTES: 64})
+        conf = recovery_conf()
         clean = FileCollector(tmp_path / "clean")
         assert mpidrun(build(clean, conf), nprocs=NPROCS, timeout=120.0,
                        raise_on_error=True).success
@@ -202,7 +206,7 @@ class TestGracefulDegradation:
         # is not surgically recoverable: the death must degrade to the
         # classic supervised restart and still produce correct output
         injector = FaultInjector()
-        injector.kill_rank(tag=SHUFFLE_TAG, skip_first=6, max_matches=1)
+        rule = injector.kill_rank(tag=SHUFFLE_TAG, skip_first=6, max_matches=1)
         conf = recovery_conf(**{
             K.RANK_REDELIVERY_BYTES: 256,
             K.FT_ENABLED: True,
@@ -213,6 +217,7 @@ class TestGracefulDegradation:
         })
         result, out = run_wordcount(tmp_path, "out", conf, injector=injector)
         assert result.success
+        assert rule.applied == 1  # the SIGKILL really fired
         assert result.restarts >= 1
         assert result.metrics.respawns == 0
         assert any(f.kind == "respawn" for f in result.failures)
@@ -225,17 +230,38 @@ class TestGracefulDegradation:
         runtime = ProcessRuntime()
         try:
             transport = runtime._transport
-            transport.configure_recovery(max_respawns=1, redelivery_bytes=1 << 20)
+            runtime.enable_rank_recovery(1, 1 << 20)
             transport.watch_world((1, 2), world_context=4)
-            assert transport.recovery_eligible(1)
-            epoch, _pid = transport.begin_respawn(1)
+            assert transport.ranks[1].recoverable
+            epoch, _pid = transport.respawn(1)
             assert epoch == 1
             # budget spent: no second surgical respawn for rank 1
-            assert not transport.recovery_eligible(1)
-            assert not transport.begin_recovery(1)
+            assert not transport.ranks[1].recoverable
+            assert transport.ranks[1].lost().kind == "respawn"
             assert runtime.respawn_rank(1) is None
             # rank 2 is untouched and still has its full budget
-            assert transport.recovery_eligible(2)
+            assert transport.ranks[2].recoverable
+        finally:
+            runtime._transport.shutdown()
+
+    def test_a_respawn_refused_for_a_rank_already_down_is_worded_once(self):
+        # the window between the router's "respawn" verdict and the driver
+        # loop's fork: traffic for the dead rank keeps accumulating and
+        # overflows its log.  The refusal files the rank's one record and
+        # aborts the world; the scheduler words nothing of its own
+        runtime = ProcessRuntime()
+        try:
+            transport = runtime._transport
+            transport.expect((1, 2), "w")
+            runtime.enable_rank_recovery(2, 64)
+            transport.watch_world((1, 2), world_context=4)
+            rank = transport.ranks[1]
+            assert rank.lost() == "respawn"
+            rank.route(b"x" * 100, 4)  # 100 > 64: the log is gone
+            assert transport.respawn(1) is None
+            assert [r.kind for r in runtime.failure_records] == ["respawn"]
+            assert runtime.failure_records[0].where == "w[0]"
+            assert runtime.abort_flag.is_set()
         finally:
             runtime._transport.shutdown()
 
@@ -243,7 +269,9 @@ class TestGracefulDegradation:
         runtime = ProcessRuntime()
         try:
             assert not runtime.rank_recovery_enabled
-            assert not runtime._transport.recovery_eligible(1)
+            runtime._transport.expect((1,))
+            assert not runtime._transport.ranks[1].recoverable
+            assert runtime._transport.respawn(1) is None
         finally:
             runtime._transport.shutdown()
 
@@ -265,22 +293,22 @@ class TestEpochFencing:
         runtime = ProcessRuntime()
         try:
             transport = runtime._transport
-            transport.configure_recovery(max_respawns=2, redelivery_bytes=1 << 20)
+            runtime.enable_rank_recovery(2, 1 << 20)
             transport.watch_world((1, 2), world_context=4)
             mailbox = transport.register(0)  # driver-hosted destination
-            transport.begin_respawn(1)  # rank 1 now lives at epoch 1
+            transport.respawn(1)  # rank 1 now lives at epoch 1
             # a zombie of epoch 0 gets one last frame out: fenced
             transport._on_envelope(self._envelope_body(origin=1, dest=0, epoch=0))
             assert transport.stale_frames_dropped == 1
-            assert mailbox.pending_count() == 0
+            assert mailbox.stats()["pending"] == 0
             # the reincarnation's own traffic passes
             transport._on_envelope(self._envelope_body(origin=1, dest=0, epoch=1))
             assert transport.stale_frames_dropped == 1
-            assert mailbox.pending_count() == 1
+            assert mailbox.stats()["pending"] == 1
             # an unfenced peer at epoch 0 is untouched
             transport._on_envelope(self._envelope_body(origin=2, dest=0, epoch=0))
             assert transport.stale_frames_dropped == 1
-            assert mailbox.pending_count() == 2
+            assert mailbox.stats()["pending"] == 2
         finally:
             runtime._transport.shutdown()
 
@@ -298,33 +326,34 @@ class TestEpochFencing:
 
 class TestRedeliveryBuffer:
     def test_frames_kept_in_order_and_released_per_plane(self):
+        # (the id predates the plane ACK's removal: BYE alone releases)
         buf = _RedeliveryBuffer(cap=1 << 20)
-        buf.append("fwd:0", b"a" * 10)
-        buf.append(None, b"b" * 10)  # barrier traffic: held until BYE
-        buf.append("fwd:0", b"c" * 10)
-        buf.append("fwd:1", b"d" * 10)
-        assert buf.frames() == [b"a" * 10, b"b" * 10, b"c" * 10, b"d" * 10]
-        assert buf.release_plane("fwd:0") == 2
-        assert buf.frames() == [b"b" * 10, b"d" * 10]
-        assert buf.nbytes == 20
+        buf.append(b"a" * 10)
+        buf.append(b"b" * 10)
+        buf.append(b"c" * 10)
+        buf.append(b"d" * 10)
+        assert buf.frames == [b"a" * 10, b"b" * 10, b"c" * 10, b"d" * 10]
+        assert buf.nbytes == 40
         assert not buf.overflowed
 
     def test_overflow_evicts_oldest_and_latches(self):
         buf = _RedeliveryBuffer(cap=25)
-        buf.append("p", b"x" * 10)
-        buf.append("p", b"y" * 10)
+        buf.append(b"x" * 10)
+        buf.append(b"y" * 10)
         assert not buf.overflowed
-        buf.append("p", b"z" * 10)  # 30 > 25: oldest evicted
+        buf.append(b"z" * 10)  # 30 > 25: a lossy log is no log
         assert buf.overflowed  # the rank is no longer replayable
-        assert buf.frames() == [b"y" * 10, b"z" * 10]
-        assert buf.nbytes == 20
+        assert buf.frames == []
+        assert buf.nbytes == 0
+        buf.append(b"w" * 10)  # and nothing more is pinned
+        assert (buf.frames, buf.nbytes) == ([], 0)
 
     def test_clear_resets_bytes_but_not_the_overflow_latch(self):
         buf = _RedeliveryBuffer(cap=5)
-        buf.append("p", b"frame-too-big")
+        buf.append(b"frame-too-big")
         assert buf.overflowed
         buf.clear()
-        assert buf.frames() == []
+        assert buf.frames == []
         assert buf.nbytes == 0
         assert buf.overflowed  # a lossy history cannot be un-lost
 

@@ -170,7 +170,7 @@ class TestRuntime:
         from repro.common.errors import MPIError
 
         with pytest.raises(MPIError):
-            MPIRuntime().endpoint(99)
+            MPIRuntime().mailbox(99)
 
     def test_run_world_passes_args(self):
         def main(comm, a, b):

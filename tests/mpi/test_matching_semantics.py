@@ -178,11 +178,11 @@ class TestIndexedMailboxHousekeeping:
                 comm.send(None, dest=1, tag=99)
                 return None
             _await_arrivals(comm, source=0, tag=99)
-            endpoint = comm.runtime.endpoint(comm.group[comm.rank])
-            before = endpoint.pending_count()
+            mailbox = comm.runtime.mailbox(comm.group[comm.rank])
+            before = mailbox.stats()["pending"]
             for tag in (1, 2, 3):
                 comm.recv(source=0, tag=tag)
             comm.recv(source=0, tag=99)
-            return (before, endpoint.pending_count())
+            return (before, mailbox.stats()["pending"])
 
         assert run_world(2, main)[1] == (4, 0)

@@ -26,8 +26,7 @@ from repro.net.wire import FrameKind, pack_obj_frame
 
 def _probe_rank(comm):
     runtime = comm.runtime
-    # callable with no hub bound and no recovery armed
-    runtime.ack_plane("fwd:0")
+    # callable with no hub bound
     runtime.ship_telemetry({"rank": comm.rank, "epoch": 0, "seq": 0})
     comm.parent.send(
         (
@@ -111,7 +110,7 @@ def _drain(conn):
     """Return once the router has handled every frame sent on ``conn``:
     one reader thread serves a connection in order, so the reply to an
     RPC sent last proves everything before it was processed."""
-    conn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "alloc_context", ())))
+    conn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "allocate_context", ())))
     kind, _body = conn.recv()
     assert kind == FrameKind.RPC_REP
 
@@ -124,9 +123,9 @@ class TestHello:
             _hello(conn, 1, 111)
             _hello(conn, 2, 222)  # the same socket claiming a second rank
             _drain(conn)
-            assert transport.pid_of(1) == 111
-            assert transport.pid_of(2) is None
-            assert not transport.ever_connected(2)
+            assert transport.ranks[1].pid == 111
+            assert transport.ranks[2].pid is None
+            assert transport.ranks[2].conn is None
             assert any(
                 "refusing HELLO for rank 2" in line
                 and "already speaks for rank 1" in line
@@ -141,26 +140,27 @@ class TestHello:
         try:
             _hello(conn, 9, 999)
             _drain(conn)
-            assert transport.pid_of(9) is None
+            assert 9 not in transport.ranks
             assert any("refusing HELLO for rank 9" in line for line in warnings)
         finally:
             conn.close()
 
     def test_a_stale_epoch_hello_is_fenced(self, router):
         transport, warnings = router
-        transport.configure_recovery(max_respawns=1, redelivery_bytes=1 << 20)
+        transport.max_respawns, transport.redelivery_cap = 1, 1 << 20
         transport.watch_world((1, 2), world_context=4)
-        assert transport.begin_respawn(1) == (1, None)  # rank 1 -> epoch 1
+        assert transport.respawn(1) == (1, None)  # rank 1 -> epoch 1
         zombie = wire.connect_local(transport.address)
         reborn = wire.connect_local(transport.address)
         try:
             _hello(zombie, 1, 111, epoch=0)
             _drain(zombie)
-            assert transport.pid_of(1) is None  # never routed to
+            assert transport.ranks[1].pid is None  # never routed to
+            assert transport.ranks[1].conn is None
             assert any("fencing stale HELLO from rank 1" in w for w in warnings)
             _hello(reborn, 1, 112, epoch=1)
             _drain(reborn)
-            assert transport.pid_of(1) == 112
+            assert transport.ranks[1].pid == 112
         finally:
             zombie.close()
             reborn.close()

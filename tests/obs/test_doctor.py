@@ -327,7 +327,8 @@ class TestDoctorEndToEnd:
                 K.DOCTOR_ENABLED: True,
                 K.DOCTOR_PATH: doctor_path,
                 K.DOCTOR_STALL_SECONDS: 1.0,
-                K.PLANE_TIMEOUT_SECONDS: 10.0,
+                # three stall windows: the doctor fires well before this
+                K.PLANE_TIMEOUT_SECONDS: 3.0,
                 # keep the heartbeat detector out of the way: the doctor
                 # must see the wedge, not a declared-dead worker
                 K.HEARTBEAT_DEADLINE_SECONDS: 120.0,
