@@ -32,7 +32,7 @@ from repro.serde.comparators import (
     default_compare,
     sort_key,
 )
-from repro.serde.io import DataInput, DataOutput, write_vlong
+from repro.serde.io import DataInput, DataOutput, append_vint as _append_vint
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
@@ -59,16 +59,6 @@ def _read_vint(buf, pos: int) -> tuple[int, int]:
         value = (value << 8) | buf[pos]
         pos += 1
     return (~value if negative else value), pos
-
-
-def _append_vint(buf: bytearray, value: int) -> None:
-    """Append a vint; single byte for 0..127 (the hot case)."""
-    if 0 <= value <= 127:
-        buf.append(value)
-        return
-    out = DataOutput()
-    write_vlong(out, value)
-    buf += out.getbuffer()
 
 
 class RecordBatch:
@@ -142,10 +132,10 @@ class RecordBatch:
     def iter_pairs(self, serializer: Serializer) -> Iterator[KV]:
         """Decode records into (key, value) objects — the user-function
         boundary.  Raw batches yield ``bytes`` keys and values."""
+        buf = self.data if type(self.data) is bytes else bytes(self.data)
+        pos = 0
+        read = _read_vint
         if self.raw:
-            buf = self.data if isinstance(self.data, bytes) else bytes(self.data)
-            pos = 0
-            read = _read_vint
             for _ in range(self.count):
                 n, pos = read(buf, pos)
                 key = buf[pos : pos + n]
@@ -155,15 +145,13 @@ class RecordBatch:
                 pos += n
                 yield key, value
             return
-        src = DataInput(self.data)
-        deserialize = serializer.deserialize
-        read_vint = src.read_vint
+        decode, src = serializer.decode_field, DataInput(buf)
         for _ in range(self.count):
-            read_vint()
-            key = deserialize(src)
-            read_vint()
-            value = deserialize(src)
-            yield key, value
+            n, pos = read(buf, pos)
+            key = decode(buf, pos, pos + n, src)
+            n, pos = read(buf, pos + n)
+            yield key, decode(buf, pos, pos + n, src)
+            pos += n
 
     def key_index(self, serializer: Serializer) -> tuple[list[Any], list[bytes]]:
         """``(keys, records)`` columns in batch order: every record's
@@ -196,13 +184,11 @@ class RecordBatch:
                 pos += n
                 add_record(data[start:pos])
             return keys, records
-        src = DataInput(data)
-        seek, deserialize = src.seek, serializer.deserialize
+        decode, src = serializer.decode_field, DataInput(data)
         for _ in range(self.count):
             start = pos
             n, pos = read(data, pos)
-            seek(pos)
-            add_key(deserialize(src))
+            add_key(decode(data, pos, pos + n, src))
             n, pos = read(data, pos + n)
             pos += n
             add_record(data[start:pos])
@@ -236,17 +222,9 @@ class BatchBuilder:
         if self._raw:
             self.add_raw(key, value)
             return
-        buf = self._buf
-        scratch = self._scratch
-        serialize = self._serializer.serialize
-        scratch.reset()
-        serialize(key, scratch)
-        _append_vint(buf, len(scratch))
-        buf += scratch.getbuffer()
-        scratch.reset()
-        serialize(value, scratch)
-        _append_vint(buf, len(scratch))
-        buf += scratch.getbuffer()
+        encode = self._serializer.encode_field
+        encode(key, self._buf, self._scratch)
+        encode(value, self._buf, self._scratch)
         self.count += 1
 
     def add_raw(self, key, value) -> None:

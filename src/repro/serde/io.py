@@ -114,6 +114,16 @@ def write_vlong(out: DataOutput, value: int) -> None:
         out.write_byte((value >> (8 * idx)) & 0xFF)
 
 
+def append_vint(buf: bytearray, value: int) -> None:
+    """Append a vint to a bare buffer; single byte for 0..127 (the hot case)."""
+    if 0 <= value <= 127:
+        buf.append(value)
+        return
+    out = DataOutput()
+    write_vlong(out, value)
+    buf += out.getbuffer()
+
+
 class DataInput:
     """A big-endian binary reader over a bytes-like object."""
 

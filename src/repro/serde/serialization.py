@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import importlib
 import pickle
+import struct
 from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.common.errors import SerializationError
-from repro.serde.io import DataInput, DataOutput
+from repro.serde.io import _DOUBLE, DataInput, DataOutput, append_vint
 from repro.serde.writable import (
     BooleanWritable,
     BytesWritable,
@@ -67,6 +68,14 @@ _BUILTIN_WRITABLES: tuple[type, ...] = (
 )
 _BUILTIN_WRITABLE_IDS = {cls: i for i, cls in enumerate(_BUILTIN_WRITABLES)}
 
+# Whole record-batch fields (vint(len) + tag + encoding), byte for byte what
+# ``serialize`` writes: the head of a str of up to 125 UTF-8 bytes by that
+# length, a one-byte vlong by value + 112, any float.
+_STR_HEADS = [bytes((n + 2, _T_STR, n)) for n in range(126)]
+_SMALL_INTS = [bytes((2, _T_INT, v & 0xFF)) for v in range(-112, 128)]
+_FLOAT_FIELD = struct.Struct(">BBd").pack
+_DOUBLE_AT = _DOUBLE.unpack_from
+
 
 class Serializer(ABC):
     """Encodes/decodes single values onto Data streams."""
@@ -96,6 +105,22 @@ class Serializer(ABC):
 
     def deserialize_kv(self, src: DataInput) -> tuple[Any, Any]:
         return self.deserialize(src), self.deserialize(src)
+
+    # -- record-batch fields (serde.batch frames two per record) -------------
+    def encode_field(self, obj: Any, buf: bytearray, scratch: DataOutput) -> None:
+        """Append ``obj`` as one field: ``vint(len)`` + its :meth:`serialize`
+        bytes, staged in the caller's ``scratch``.  An override writes
+        exactly these bytes, faster."""
+        scratch.reset()
+        self.serialize(obj, scratch)
+        append_vint(buf, len(scratch))
+        buf += scratch.getbuffer()
+
+    def decode_field(self, buf: bytes, pos: int, end: int, src: DataInput) -> Any:
+        """The object :meth:`deserialize` reads from ``buf[pos:end]``;
+        ``src`` is the caller's reader over ``buf``."""
+        src.seek(pos)
+        return self.deserialize(src)
 
 
 class WritableSerializer(Serializer):
@@ -221,6 +246,53 @@ class WritableSerializer(Serializer):
             magnitude = int.from_bytes(raw, "big")
             return -magnitude if negative else magnitude
         raise SerializationError(f"corrupt stream: unknown tag {tag}")
+
+    def encode_field(self, obj: Any, buf: bytearray, scratch: DataOutput) -> None:
+        # exact types only: bool, subclasses, long strings, big ints and
+        # everything else take the generic field, same bytes
+        kind = type(obj)
+        if kind is str:
+            data = obj.encode()
+            if len(data) <= 125:
+                buf += _STR_HEADS[len(data)]
+                buf += data
+                return
+        elif kind is float:
+            buf += _FLOAT_FIELD(9, _T_FLOAT, obj)
+            return
+        elif kind is int:
+            if -112 <= obj <= 127:
+                buf += _SMALL_INTS[obj + 112]
+                return
+            if _INT64_MIN <= obj <= _INT64_MAX:
+                # multi-byte vlong: marker (sign, byte count), magnitude
+                magnitude = ~obj if obj < 0 else obj
+                n = (magnitude.bit_length() + 7) >> 3
+                buf += bytes((n + 2, _T_INT, (136 if obj < 0 else 144) - n))
+                buf += magnitude.to_bytes(n, "big")
+                return
+        elif kind is bytes and len(obj) <= 125:
+            buf += bytes((len(obj) + 2, _T_BYTES, len(obj)))
+            buf += obj
+            return
+        super().encode_field(obj, buf, scratch)
+
+    def decode_field(self, buf: bytes, pos: int, end: int, src: DataInput) -> Any:
+        # a field of up to 127 bytes has one-byte inner lengths
+        tag = buf[pos]
+        if tag == _T_STR and end - pos <= 127:
+            return buf[pos + 2 : end].decode()
+        if tag == _T_FLOAT:
+            return _DOUBLE_AT(buf, pos + 1)[0]
+        if tag == _T_INT:
+            marker = buf[pos + 1]
+            if end - pos == 2:
+                return marker - 256 if marker > 127 else marker
+            magnitude = int.from_bytes(buf[pos + 2 : end], "big")
+            return ~magnitude if marker < 136 else magnitude
+        if tag == _T_BYTES and end - pos <= 127:
+            return buf[pos + 2 : end]
+        return super().decode_field(buf, pos, end, src)
 
 
 class PickleSerializer(Serializer):
