@@ -15,6 +15,7 @@ spill when the memory budget overflows.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -70,6 +71,8 @@ class SendPartitionList:
         *,
         serializer: Serializer,
         raw: bool = False,
+        linger: float | None = None,
+        now: Callable[[], float] = time.perf_counter,
     ) -> None:
         #: a combiner implies a sorted exchange (DataMPIJob validates it)
         self._grouped = cmp is not None and combiner is not None
@@ -86,6 +89,14 @@ class SendPartitionList:
         #: bytes keys/values as they are, without serializer tags
         self.serializer = serializer
         self.raw = raw
+        #: Streaming mode bounds a held record's age too: the sending task
+        #: reads ``now`` after each pair (``TaskContext._bind_send``) and,
+        #: past ``next_seal``, ships ``flush_all("age")``.  Checked only when
+        #: the task sends: a task gone silent holds under one ``linger`` of
+        #: records until its next send or its end.  ``None``: bytes alone
+        self.linger = linger
+        self.now = now
+        self.next_seal = now() + linger if linger is not None else float("inf")
         self.records_out = 0
         self.bytes_out = 0
         self.combined_away = 0
@@ -111,17 +122,17 @@ class SendPartitionList:
                 held.append((key, value))
                 self._held[partition] = held
         if nbytes >= self.flush_bytes:
-            return self._seal(partition)
+            return self._seal(partition, "full")
         self._nbytes[partition] = nbytes
 
-    def _seal(self, partition: int) -> Block:
+    def _seal(self, partition: int, cause: str) -> Block:
         held = self._held[partition]
         self._held[partition] = {} if self._grouped else []
         self._nbytes[partition] = 0
         # the paper's "partition-sort" stage: the seal moves the calling
         # thread's lane there itself, whoever triggered it
         with phase("partition-sort"), _T.span(
-            "spl.seal", cat="sort", args={"partition": partition}
+            "spl.seal", cat="sort", args={"partition": partition, "cause": cause}
         ) as span:
             if type(held) is dict:
                 before = sum(map(len, held.values()))
@@ -140,9 +151,12 @@ class SendPartitionList:
         self.combined_away += before - batch.count
         return Block(partition, batch, nbytes, sorted=self.cmp is not None)
 
-    def flush_all(self) -> list[Block]:
-        """Seal every non-empty partition (end of the O phase)."""
-        return [self._seal(p) for p, held in enumerate(self._held) if held]
+    def flush_all(self, cause: str = "end") -> list[Block]:
+        """Seal every non-empty partition — at the end of the O phase, or
+        (``cause="age"``) when the linger ran out — and re-arm the linger."""
+        if self.linger is not None:
+            self.next_seal = self.now() + self.linger
+        return [self._seal(p, cause) for p, held in enumerate(self._held) if held]
 
 
 class ReceivePartitionList:

@@ -119,9 +119,10 @@ class TaskContext:
     ) -> Callable[[Any, Any], None]:
         """Build this task's ``MPI_D_SEND``, once: every emitted pair runs
         the closure returned here.  Its core partitions, range-checks,
-        counts, buffers and ships a block the SPL sealed; checkpoint writes,
-        KEY_CLASS/VALUE_CLASS coercion (None: unchecked) and crash/replay
-        counting wrap that core only where they are configured."""
+        counts, buffers and ships a block the SPL sealed; the linger check
+        (Streaming mode), checkpoint writes, KEY_CLASS/VALUE_CLASS coercion
+        (None: unchecked) and crash/replay counting wrap that core only
+        where they are configured."""
         who = f"{self.kind} task {self.task_id}"
         spl, shuffle, plane_id = self._spl, self._shuffle, self._send_plane_id
         if spl is None:
@@ -146,6 +147,13 @@ class TaskContext:
             def send(key: Any, value: Any, persist=self._cp_writer.add) -> None:
                 emit(key, value)
                 persist(key, value)
+        # Streaming mode (the frozen bench's SPL stand-in has no such attribute)
+        if getattr(spl, "linger", None) is not None:
+            def send(key: Any, value: Any, core=send, now=spl.now) -> None:
+                core(key, value)
+                if now() >= spl.next_seal:  # the oldest held pair is due
+                    for block in spl.flush_all("age"):
+                        shuffle.send_block(plane_id, block)
         if key_class is not None or value_class is not None:
             def typed(what: str, obj: Any, cls: type | None) -> Any:
                 if cls is None or isinstance(obj, cls):

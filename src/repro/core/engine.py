@@ -29,7 +29,12 @@ from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.job import DataMPIJob
 from repro.core.metrics import PhaseClock, WorkerMetrics, bind_clock, phase
-from repro.core.modes import mode_is_pipelined, mode_sorts, profile_for
+from repro.core.modes import (
+    STREAM_LINGER_SECONDS,
+    mode_is_pipelined,
+    mode_sorts,
+    profile_for,
+)
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
@@ -378,6 +383,7 @@ class WorkerEngine:
             combiner=self.job.combiner,
             serializer=self.serializer,
             raw=self.conf.get_bool(K.SHUFFLE_RAW),
+            linger=STREAM_LINGER_SECONDS if self.pipelined else None,
         )
 
     def _finish_sends(self, plane_id: str, spl: SendPartitionList) -> None:

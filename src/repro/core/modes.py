@@ -67,13 +67,21 @@ _PROFILE_DEFAULTS: dict[Mode, dict[str, Any]] = {
         K.PIPELINED_DELIVERY: False,
     },
     # Streaming: unsorted, pairs delivered while O tasks still run; a
-    # small flush threshold keeps per-record latency low
+    # small flush threshold bounds a block's bytes, STREAM_LINGER_SECONDS
+    # its age
     Mode.STREAMING: {
         K.SORT: False,
         K.PIPELINED_DELIVERY: True,
         K.SPL_PARTITION_BYTES: 2 * KiB,
     },
 }
+
+#: Streaming mode seals what a sending task holds every this many seconds,
+#: full or not: a record waits for a clock, not for neighbours, whatever
+#: the rate and the key skew.  A constant, not an ``mpi.d.*`` key: latency
+#: is what the mode is for and no caller wants another value
+#: (docs/PERFORMANCE.md §7 has the 2 / 4 / 8 ms table).
+STREAM_LINGER_SECONDS = 0.004
 
 
 def profile_for(mode: Mode, user_conf: Mapping[str, Any] | None = None) -> Configuration:
