@@ -370,8 +370,6 @@ class WorkerEngine:
             self.metrics.o_tasks_run += 1
             if ctx._cp_writer is not None:
                 self.metrics.checkpointed_records += ctx._cp_writer.records_persisted
-        else:
-            self.metrics.a_tasks_run += 1
 
     # -- phase loops ----------------------------------------------------------------------
     def _new_spl(self, direction: str) -> SendPartitionList:
@@ -420,6 +418,7 @@ class WorkerEngine:
                 self.metrics.local_a_tasks += 1
             ctx = self._make_a_context(task_id, round_no, fwd_plane, spl)
             self._execute(ctx, self.job.a_fn)
+            self.metrics.a_tasks_run += 1
         if spl is not None:
             self._finish_sends(f"bwd:{round_no}", spl)
             self._wait_plane(self.shuffle.plane(f"bwd:{round_no}"))
@@ -435,6 +434,7 @@ class WorkerEngine:
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
         a_tasks = list(self._tasks("A", round_no))
         errors: list[BaseException] = []
+        done: list[int] = []  # counted on the main thread, after the join
 
         def run_a(task_id: int) -> None:
             _T.bind(self.rank)
@@ -446,8 +446,7 @@ class WorkerEngine:
             try:
                 ctx = self._make_a_context(task_id, round_no, fwd_plane, None)
                 self._execute(ctx, self.job.a_fn)
-                if task_id in fwd_plane.rpls:
-                    self.metrics.local_a_tasks += 1
+                done.append(task_id)
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
             finally:
@@ -469,6 +468,8 @@ class WorkerEngine:
                 thread.join(max(0.0, deadline - time.monotonic()))
                 if thread.is_alive():
                     stuck.append(task_id)
+        self.metrics.a_tasks_run += len(done)
+        self.metrics.local_a_tasks += sum(t in fwd_plane.rpls for t in done)
         if errors:
             # a real failure outranks a "stuck" symptom it probably caused
             raise errors[0]

@@ -13,7 +13,8 @@ Per worker process:
 A *plane* is one logical exchange (forward O→A, or backward A→O per
 Iteration round).  A plane completes when an end-of-stream marker has
 arrived from every process; Streaming mode delivers records to per-
-partition queues as blocks land instead of waiting for completion.
+partition queues as blocks land instead of waiting for completion, and
+a rank's own blocks land there without the two threads (``send_block``).
 
 The sender thread *coalesces*: consecutive sealed blocks bound for the
 same ``(plane, destination)`` ride in one MPI envelope (size-capped by
@@ -58,8 +59,10 @@ from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
 
-#: sentinel ending a streaming partition queue
+#: sentinels on a streaming partition queue: the plane completed / the
+#: receiver left before it could (the job is dead)
 _STREAM_EOS = object()
+_STREAM_ABORT = object()
 
 
 class PlaneConfig:
@@ -110,8 +113,8 @@ class ShufflePlane:
             )
             for p in owned
         }
-        self.streams: dict[int, "queue.Queue[Any]"] = (
-            {p: queue.Queue() for p in owned} if config.pipelined else {}
+        self.streams: dict[int, "queue.SimpleQueue[Any]"] = (
+            {p: queue.SimpleQueue() for p in owned} if config.pipelined else {}
         )
         self._eos_seen = 0
         self._eos_expected = config.window.num_processes
@@ -186,7 +189,16 @@ class ShufflePlane:
             item = stream.get()
             if item is _STREAM_EOS:
                 return
+            if item is _STREAM_ABORT:
+                raise MPIAbort(message=f"plane {self.plane_id}: aborted before EOS")
             yield from item.iter_pairs(serializer)
+
+    def abort_streams(self) -> None:
+        """The receiver left: an open plane will never complete; wake its
+        stream consumers now, not at the plane timeout."""
+        if not self.complete.is_set():
+            for stream in self.streams.values():
+                stream.put(_STREAM_ABORT)
 
     def wait_complete(self, timeout: float | None = None) -> None:
         deadline = None if timeout is None else _now() + timeout
@@ -349,6 +361,12 @@ class ShuffleService:
         # a respawn: streams open with a reset) and whether channels stage
         self.epoch = world.runtime.rank_epoch
         self.recovery = world.runtime.rank_recovery
+        #: a pipelined plane's blocks for this rank's own partitions skip
+        #: sender, transport and receiver — unless channels stage (delivery
+        #: waits for the EOS) or a fault injector must see every block
+        self._local = not (self.recovery or world.runtime.chaos_routed)
+        #: what went that way; the sending task's thread is the only writer
+        self._local_blocks = self._local_bytes = 0
         self._sender = threading.Thread(
             target=self._sender_loop, daemon=True, name=f"shuffle-send-{self.rank}"
         )
@@ -376,9 +394,22 @@ class ShuffleService:
 
     # -- send path -------------------------------------------------------------
     def send_block(self, plane_id: str, block: Block) -> None:
-        """Hand a sealed block to the communication thread."""
-        config = self.plane(plane_id).config
-        dest = config.window.owner(block.partition_id)
+        """Hand a sealed block to the communication thread — or, when it
+        is this rank's own and the plane streams, straight to the plane.
+        The stream's EOS still travels as an envelope, after every local
+        block: the task sends it last."""
+        plane = self.plane(plane_id)
+        dest = plane.config.window.owner(block.partition_id)
+        if dest == self.rank and plane.config.pipelined and self._local:
+            plane.add_block(block)
+            self._local_blocks += 1
+            self._local_bytes += block.nbytes
+            if _T.enabled:  # no flow pair: nothing crossed a rank
+                _T.instant("shuffle.local", cat="shuffle", args={
+                    "plane": plane_id, "partition": block.partition_id,
+                    "bytes": block.nbytes,
+                })
+            return
         self._send_queue.put(((plane_id, dest), block))
 
     def send_eos(self, plane_id: str) -> None:
@@ -481,6 +512,13 @@ class ShuffleService:
         peers blocked on a plane that cannot complete.
         """
         _T.bind(self.rank)  # attribute recv spans to this rank's lane
+        try:
+            self._pump_receives()
+        finally:
+            for plane in self._planes_now():
+                plane.abort_streams()
+
+    def _pump_receives(self) -> None:
         # one per stream, by (plane, origin)
         channels = defaultdict(lambda: _Channel(self.recovery))
         while True:
@@ -571,8 +609,8 @@ class ShuffleService:
     def stats(self) -> dict[str, int]:
         planes = self._planes_now()
         return {
-            "blocks_sent": self.blocks_sent,
-            "bytes_sent": self.bytes_sent,
+            "blocks_sent": self.blocks_sent + self._local_blocks,
+            "bytes_sent": self.bytes_sent + self._local_bytes,
             "envelopes_sent": self.envelopes_sent,
             "records_received": sum(p.records_received() for p in planes),
             "blocks_received": sum(p.blocks_received() for p in planes),

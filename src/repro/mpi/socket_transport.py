@@ -727,6 +727,10 @@ class WorkerRuntime(BaseRuntime):
     def _make_transport(self) -> Transport:
         return WorkerTransport(self.abort_flag, self._spec, self._conn)
 
+    @property
+    def chaos_routed(self) -> bool:
+        return self._spec.chaos_routed  # the injector lives in the driver
+
     # -- what crosses the wire -------------------------------------------------
     def allocate_context(self) -> int:
         return self._rpc("allocate_context")

@@ -1,5 +1,6 @@
 """End-to-end tests of Common, Iteration and Streaming modes."""
 
+import sys
 import threading
 import time
 
@@ -218,3 +219,21 @@ class TestStreamingMode:
         result = mpidrun(job, nprocs=3, raise_on_error=True)
         assert result.success
         assert total["n"] == 300
+
+    def test_concurrent_a_tasks_of_one_rank_are_all_counted(self):
+        """The A-task threads of a rank used to bump ``a_tasks_run`` and
+        ``local_a_tasks`` themselves, unlocked: a lost update in waiting.
+        The main thread counts them after the join."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            job = DataMPIJob(
+                "cnt8", lambda ctx: ctx.send(ctx.rank, 1),
+                lambda ctx: sum(1 for _ in ctx.recv_iter()),
+                o_tasks=1, a_tasks=8, mode=Mode.STREAMING,
+            )
+            result = mpidrun(job, nprocs=1, raise_on_error=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.metrics.a_tasks_run == 8
+        assert result.metrics.local_a_tasks == 8

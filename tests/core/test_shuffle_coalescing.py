@@ -198,3 +198,16 @@ class TestStreamingBlockGranularity:
         assert next(it) == ("x", 1)  # no EOS yet
         plane.add_eos()
         assert list(it) == []
+
+    def test_the_abort_marker_wakes_a_consumer_of_an_open_plane_only(self):
+        plane = ShufflePlane("p", 0, _config(num_processes=1, pipelined=True))
+        plane.add_block(block(0, [("x", 1)]))
+        it = plane.stream_iter(0)
+        assert next(it) == ("x", 1)
+        plane.abort_streams()  # the receiver left before the EOS
+        with pytest.raises(MPIAbort):
+            next(it)
+        done = ShufflePlane("q", 0, _config(num_processes=1, pipelined=True))
+        done.add_eos()
+        done.abort_streams()  # complete: its consumers end at the EOS marker
+        assert list(done.stream_iter(0)) == [] and done.streams[0].empty()

@@ -30,6 +30,7 @@ from repro.core.shuffle import (
     _Outbound,
 )
 from repro.serde.serialization import WritableSerializer
+from tests.core.helpers import batch_block
 
 # -- (a) the channel, bare ------------------------------------------------------
 #
@@ -184,7 +185,8 @@ class RecordingWorld:
         self.size = NPROCS
         # everything the shuffle service reads off a runtime
         self.runtime = types.SimpleNamespace(
-            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None
+            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None,
+            chaos_routed=False,
         )
         self.sent = []
         self._inbox = queue.SimpleQueue()
@@ -301,7 +303,71 @@ class TestSenderStreams:
         assert (out.seq, out.blocks, out.nbytes) == (2, [], 0)
 
 
-# -- (c) drain returns when sent — or when the job is dead --------------------------
+# -- (c) local delivery: a rank's own streaming blocks skip the transport ------------
+
+
+def pipelined_config(_plane_id):
+    return PlaneConfig(
+        NPROCS, PartitionWindow(NPROCS, NPROCS), None, WritableSerializer(),
+        tempfile.gettempdir(), 1 << 20, pipelined=True,
+    )
+
+
+class TestLocalDelivery:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(0, NPROCS - 1), st.integers(1, 4)),
+                          max_size=30))
+    def test_own_partitions_keep_send_order_and_the_counters_add_up(self, sizes):
+        world = RecordingWorld()  # rank 0 owns partition 0 alone
+        service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
+        sent = defaultdict(list)  # partition -> records, send order
+        try:
+            for serial, (partition, count) in enumerate(sizes):
+                records = [(serial, i) for i in range(count)]
+                sent[partition] += records
+                service.send_block("a", batch_block(partition, records, sorted_=False))
+                # a local block is the consumer's before send_block returns
+                assert service.plane("a").records_received() == len(sent[0])
+            service.send_eos("a")
+            assert returns(service.drain_sends)
+            plane = service.plane("a")
+            # this rank's own EOS went to the recorded wire, after every
+            # local block; hand the plane that one and the two peers'
+            for _ in range(NPROCS):
+                plane.add_eos()
+            on_wire = defaultdict(list)
+            for (_kind, _plane, (_seq, _origin, blocks, _eos)), dest in world.sent:
+                for block in blocks:
+                    assert block.partition_id == dest != 0
+                    on_wire[dest] += block.records.iter_pairs(plane.config.serializer)
+            stats = service.stats()
+        finally:
+            service.shutdown()
+        assert [eos for (_, _, (*_, eos)), dest in world.sent if dest == 0] == [True]
+        assert list(plane.stream_iter(0)) == sent[0]
+        assert dict(on_wire) == {p: r for p, r in sent.items() if p != 0 and r}
+        assert stats["blocks_sent"] == len(sizes)
+        assert stats["records_received"] == len(sent[0])
+        assert stats["records_received"] + sum(map(len, on_wire.values())) == sum(
+            count for _, count in sizes
+        )
+        assert stats["envelopes_sent"] == len(world.sent)
+
+    @pytest.mark.parametrize("runtime", [{"rank_recovery": True}, {"chaos_routed": True}])
+    def test_staged_channels_and_fault_injectors_keep_the_transport(self, runtime):
+        world = RecordingWorld()
+        vars(world.runtime).update(runtime)
+        service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
+        try:
+            service.send_block("a", batch_block(0, [("k", 1)], sorted_=False))
+            assert returns(service.drain_sends)
+            assert service.plane("a").records_received() == 0
+            assert [dest for (kind, *_), dest in world.sent if kind == "batch"] == [0]
+        finally:
+            service.shutdown()
+
+
+# -- (d) drain returns when sent — or when the job is dead --------------------------
 
 
 class DeadWorld(RecordingWorld):

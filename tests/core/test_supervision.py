@@ -20,6 +20,7 @@ from repro.common.errors import JobFailedError
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import CONTROL_TAG, MPI_D_Constants as K
 from repro.core.engine import WorkerEngine
+from repro.core.shuffle import ShufflePlane
 from repro.mpi import FaultInjector
 
 from tests.core.helpers import (
@@ -308,3 +309,54 @@ class TestStreamingRoundFailures:
         task_failures = [r for r in result.failures if r.kind == "task"]
         assert task_failures and task_failures[0].phase == "A"
         assert "consumer exploded" in task_failures[0].error
+
+    def test_failing_o_task_ends_the_job_at_once_with_one_record(self, launcher):
+        """A surviving rank's A tasks sat in ``stream.get()`` with no way to
+        learn of the abort: the job took the whole plane timeout to fail and
+        blamed that rank as well (120.05 s with the default timeout)."""
+
+        def o_fn(ctx):
+            for i in range(2000):
+                ctx.send(f"k{i % 7}", i)
+            if ctx.rank == 1:
+                raise ValueError("producer exploded")
+
+        def a_fn(ctx):
+            for _ in ctx.recv_iter():
+                pass
+
+        job = DataMPIJob(
+            "stream-o-fail", o_fn, a_fn, o_tasks=2, a_tasks=2,
+            mode=Mode.STREAMING, conf={K.LAUNCHER: launcher},
+        )
+        start = time.monotonic()
+        result = mpidrun(job, nprocs=2, timeout=120.0)
+        assert time.monotonic() - start < 5.0
+        assert not result.success
+        assert [(r.kind, r.phase, r.task_id) for r in result.failures] == [
+            ("task", "O", 1)
+        ]
+        assert "producer exploded" in result.failures[0].error
+
+    def test_a_clean_job_ends_its_a_tasks_through_the_eos_marker(self, monkeypatch):
+        # the receiver offers the abort marker to every plane when it
+        # leaves; a clean job's planes had all completed by then
+        complete_at_exit = []
+        real = ShufflePlane.abort_streams
+
+        def spy(plane):
+            complete_at_exit.append(plane.complete.is_set())
+            real(plane)
+            assert all(s.empty() for s in plane.streams.values())
+
+        monkeypatch.setattr(ShufflePlane, "abort_streams", spy)
+        seen = Collector()
+
+        def a_fn(ctx):
+            for key, value in ctx.recv_iter():
+                seen(ctx.rank, key, value)
+
+        result = mpidrun(self._streaming_job(a_fn, "threads"), nprocs=1,
+                         timeout=120.0, raise_on_error=True)
+        assert result.success and not result.failures
+        assert complete_at_exit == [True]

@@ -186,6 +186,27 @@ class TestInstrumentsAgree:
         assert all(t.duration > 0.05 for t in a_rows)
         assert sum(t.records_received for t in a_rows) == 600
 
+    def test_a_streaming_trace_accounts_for_every_block(self, tmp_path, launcher):
+        """Every seal names its cause, and every sealed block left either
+        in a ``shuffle.send`` envelope or as one ``shuffle.local`` event."""
+        path = str(tmp_path / "blocks.trace.jsonl")
+        job = DataMPIJob(
+            "spine-blocks", _stream_o, _stream_a, o_tasks=2, a_tasks=5,
+            mode=Mode.STREAMING,
+            conf={K.LAUNCHER: launcher, K.TRACE_PATH: path},
+        )
+        result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        journal = read_journal(path)
+        causes = [e["args"]["cause"] for e in journal.spans if e["name"] == "spl.seal"]
+        # the O tasks pause 20 ms every 100 records: the linger runs out
+        assert set(causes) <= {"full", "age", "end"} and "age" in causes
+        local = [e for e in journal.instants if e["name"] == "shuffle.local"]
+        enveloped = sum(
+            e["args"]["blocks"] for e in journal.spans if e["name"] == "shuffle.send"
+        )
+        assert local and not any("flow_out" in e["args"] for e in local)
+        assert len(local) + enveloped == len(causes) == result.metrics.blocks_sent
+
     def test_profiler_samples_carry_the_bucket_names(self, tmp_path, launcher):
         """One clock feeds both: a sample's phase is a bucket of its rank,
         and the seals' ``partition-sort`` shows up in the samples."""
