@@ -1,15 +1,16 @@
 """Partition-List buffer management (§IV-D, Figure 6).
 
 Send side: a :class:`SendPartitionList` (SPL) holds one staging buffer
-per A task.  An emitted pair is cached in the partition selected by
-``MPI_D_PARTITION``; when a partition crosses the flush threshold it is
-sealed into a block (sorted and combined if the mode asks for it) and
-handed to the communication thread's send queue.
+per A task.  An emitted pair is framed into its record bytes at the call
+and cached in the partition selected by ``MPI_D_PARTITION``; when a
+partition crosses the flush threshold it is sealed into a block (sorted
+and combined if the mode asks for it) and handed to the communication
+thread's send queue.
 
 Receive side: a :class:`ReceivePartitionList` (RPL) per hosted partition
 files arriving blocks in a :class:`~repro.core.sorter.RunStore`, which
-merges them once — when the A task reads the partition, or before a
-spill when the memory budget overflows.
+merges them when the A task reads the partition, or before a spill when
+the memory budget overflows.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from repro.common.records import _size_of
 from repro.core.metrics import phase
 from repro.core.sorter import RunStore, combine_groups, combine_run, sort_block
 from repro.obs.tracer import TRACER as _T
-from repro.serde.batch import RecordBatch, batch_from_pairs, sort_batch
-from repro.serde.comparators import Compare
+from repro.serde.batch import RecordBatch, batch_from_pairs, framer, sort_batch
+from repro.serde.comparators import Compare, sorted_order
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
@@ -57,9 +58,14 @@ class Block:
 class SendPartitionList:
     """SPL: per-destination-partition staging buffers.
 
-    A partition holds ``(key, value)`` tuples — or, under a combiner,
-    ``key -> [values]`` in arrival order, so that its seal sorts and
-    combines each *unique* key once instead of every record.
+    Without a combiner the ``add`` that receives a pair frames it into its
+    record bytes — ``Send`` owns its bytes when it returns, and a pair that
+    cannot be encoded fails that call — and the partition holds the framed
+    records, beside their keys when the exchange sorts; its seal is a
+    stable sorted index and one join.  Under a combiner a partition holds
+    ``key -> [values]`` in arrival order — values *by reference* until the
+    seal — so that its seal sorts and combines each *unique* key once
+    instead of every record.
     """
 
     def __init__(
@@ -76,17 +82,18 @@ class SendPartitionList:
     ) -> None:
         #: a combiner implies a sorted exchange (DataMPIJob validates it)
         self._grouped = cmp is not None and combiner is not None
-        self._held: list[list[KV] | dict[Any, list[Any]]] = [
+        self._held: list[list | dict[Any, list[Any]]] = [
             {} if self._grouped else [] for _ in range(num_partitions)
         ]
-        #: per partition, the kv_bytes estimates of what it holds
+        #: the sort keys of the framed records a partition holds
+        self._keys: list[list] = [[] for _ in range(num_partitions)]
+        #: per partition, the bytes it holds: exact for framed records,
+        #: ``kv_bytes`` estimates under a combiner
         self._nbytes = [0] * num_partitions
         self.flush_bytes = flush_bytes
         self.cmp = cmp
         self.combiner = combiner
-        #: seals encode records into one contiguous RecordBatch — the
-        #: single serialization point of the datapath; ``raw`` frames
-        #: bytes keys/values as they are, without serializer tags
+        #: ``raw`` frames bytes keys/values as they are, without serializer tags
         self.serializer = serializer
         self.raw = raw
         #: Streaming mode bounds a held record's age too: the sending task
@@ -100,10 +107,13 @@ class SendPartitionList:
         self.records_out = 0
         self.bytes_out = 0
         self.combined_away = 0
+        if not self._grouped:
+            self.add = self._bind_add()
 
     def add(self, partition: int, key: Any, value: Any) -> Block | None:
         """Cache a pair — the only per-record buffer call; returns a
-        sealed block when the partition filled."""
+        sealed block when the partition filled.  This is the combiner's
+        ``add``; :meth:`_bind_add` builds the one that frames."""
         held = self._held[partition]
         nbytes = self._nbytes[partition] + _size_of(key) + _size_of(value)
         if type(held) is list:
@@ -125,6 +135,28 @@ class SendPartitionList:
             return self._seal(partition, "full")
         self._nbytes[partition] = nbytes
 
+    def _bind_add(self) -> Callable[[int, Any, Any], Block | None]:
+        """``add`` without a combiner: frame the pair here, once, and hold
+        the record's bytes (a raw sort key is snapshot to ``bytes`` with
+        them); the partition flushes on the exact bytes it holds."""
+        held, sizes, seal, flush_bytes = (
+            self._held, self._nbytes, self._seal, self.flush_bytes)
+        keys_of = self._keys if self.cmp is not None else None
+        frame, raw = framer(self.serializer, self.raw), self.raw
+
+        def add(partition: int, key: Any, value: Any) -> Block | None:
+            record = frame(key, value)
+            held[partition].append(record)
+            if keys_of is not None:
+                keys_of[partition].append(
+                    bytes(key) if raw and type(key) is not bytes else key)
+            nbytes = sizes[partition] + len(record)
+            if nbytes >= flush_bytes:
+                return seal(partition, "full")
+            sizes[partition] = nbytes
+
+        return add
+
     def _seal(self, partition: int, cause: str) -> Block:
         held = self._held[partition]
         self._held[partition] = {} if self._grouped else []
@@ -134,15 +166,20 @@ class SendPartitionList:
         with phase("partition-sort"), _T.span(
             "spl.seal", cat="sort", args={"partition": partition, "cause": cause}
         ) as span:
-            if type(held) is dict:
-                before = sum(map(len, held.values()))
-                records = combine_groups(held, self.cmp, self.combiner)
-            else:
+            if not self._grouped:
                 before = len(held)
-                records = held if self.cmp is None else sort_block(held, self.cmp)
-                if self._grouped:  # this block met an unhashable key
-                    records = combine_run(records, self.combiner)
-            batch = batch_from_pairs(records, self.serializer, raw=self.raw)
+                if self.cmp is not None:
+                    keys, self._keys[partition] = self._keys[partition], []
+                    held = map(held.__getitem__, sorted_order(keys, self.cmp))
+                batch = RecordBatch(b"".join(held), before, self.raw)
+            else:
+                if type(held) is dict:
+                    before = sum(map(len, held.values()))
+                    records = combine_groups(held, self.cmp, self.combiner)
+                else:  # this block met an unhashable key
+                    before = len(held)
+                    records = combine_run(sort_block(held, self.cmp), self.combiner)
+                batch = batch_from_pairs(records, self.serializer, raw=self.raw)
             span.set("records", batch.count)
         # the encoded block is its own exact byte count
         nbytes = len(batch.data)

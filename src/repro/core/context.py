@@ -206,19 +206,24 @@ class TaskContext:
         return record
 
     def recv_iter(self) -> Iterator[KV]:
-        """All remaining pairs as an iterator (Pythonic convenience)."""
-        yield from iter(self.recv, None)
+        """All remaining pairs — the fast way to read a task's input in
+        every mode: the merge's own iterator, a pair counted as it is
+        handed over (so ``recv`` may be mixed in, or the loop left early)."""
+        metrics = self.metrics
+        for record in self._ensure_recv_iter():
+            metrics.records_received += 1
+            yield record
 
     def recv_batch(self):
         """This task's whole input as one merged record batch, or ``None``.
 
         ``None`` means the partition spilled to disk, the plane is
         pipelined, or a pair was already consumed — nothing else; callers
-        then fall back to :meth:`recv` / :meth:`recv_iter`.  The batch is
-        the zero-materialization fast path for byte workloads: when
-        ``batch.raw``, iterate ``batch.iter_views()`` and never build a
-        Python object per record (the fields of a non-raw batch carry
-        serializer framing: decode those with ``batch.iter_pairs``).
+        then fall back to :meth:`recv_iter`.  This is for consumers of the
+        partition's *bytes* (``batch.data``, ``batch.iter_views()`` when
+        ``batch.raw``; the fields of a non-raw batch carry serializer
+        framing); pairs are read faster through :meth:`recv_iter`, which
+        does not build the merged batch.
         """
         if self._recv_iter is not None or self._pipelined:
             return None

@@ -1,11 +1,12 @@
 """Sorting and k-way merging of key-value runs (§IV-C/§IV-D machinery).
 
 A *run* is a key-sorted sequence of (key, value) pairs.  Runs resident
-in memory are merged once, by one stable sort over their concatenation
-(``list.sort`` gallops over the sorted runs at C speed); the heap of
-:func:`merge_runs` merges lazily where a run streams back from disk.
-Both are stable, so equal keys keep their arrival order — which
-MapReduce semantics rely on.
+in memory are merged by one stable sort over their concatenation
+(``list.sort`` gallops over the sorted runs at C speed) — of an index
+over their keys when the partition is read, of the records themselves
+when its bytes are wanted; the heap of :func:`merge_runs` merges lazily
+where a run streams back from disk.  All are stable, so equal keys keep
+their arrival order — which MapReduce semantics rely on.
 """
 
 from __future__ import annotations
@@ -14,14 +15,19 @@ import heapq
 import operator
 import os
 import tempfile
+from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter as _clock
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.common.errors import SerializationError
 from repro.obs.tracer import TRACER as _T
-from repro.serde.batch import RecordBatch, concat_batches, sort_batch
-from repro.serde.comparators import Compare, bytes_compare, default_compare, sort_key
-from repro.serde.io import ChunkedDataInput
+from repro.serde.batch import (
+    RecordBatch, concat_batches, sort_batch, whole_records,
+)
+from repro.serde.comparators import (
+    Compare, bytes_compare, default_compare, sort_key, sorted_order,
+)
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
@@ -217,47 +223,36 @@ def combine_groups(
 _SPILL_CHUNK_BYTES = 64 * 1024
 
 
+@dataclass(eq=False)
 class SpillFile:
     """One on-disk run: a sealed record batch written verbatim,
     length-prefixed layout and all."""
 
-    def __init__(
-        self,
-        path: str,
-        serializer: Serializer,
-        count: int,
-        nbytes: int,
-        raw: bool = False,
-    ):
-        self.path = path
-        self.serializer = serializer
-        self.count = count
-        #: bytes on disk
-        self.nbytes = nbytes
-        self.raw = raw
+    path: str
+    serializer: Serializer
+    count: int
+    nbytes: int  #: bytes on disk
+    raw: bool = False
 
     def __iter__(self) -> Iterator[KV]:
-        """Stream the run back with buffered incremental reads.
+        """Stream the run back in record-aligned chunks, each decoded as
+        the batch it is.
 
         The k-way merge holds one iterator per spill; slurping whole
         files here would momentarily resident the entire spilled dataset,
         defeating the memory budget that caused the spill.
         """
+        left, data = self.count, b""
         with open(self.path, "rb") as f:
-            src = ChunkedDataInput(iter(lambda: f.read(_SPILL_CHUNK_BYTES), b""))
-            if self.raw:
-                for _ in range(self.count):
-                    key = src.read_bytes(src.read_vint())
-                    value = src.read_bytes(src.read_vint())
-                    yield key, value
-            else:
-                deserialize = self.serializer.deserialize
-                for _ in range(self.count):
-                    src.read_vint()  # record framing; encoding delimits
-                    key = deserialize(src)
-                    src.read_vint()
-                    value = deserialize(src)
-                    yield key, value
+            while left:
+                chunk = f.read(_SPILL_CHUNK_BYTES)
+                if not chunk:
+                    raise SerializationError(
+                        f"spill {self.path} ends {left} records short")
+                data += chunk
+                end, count = whole_records(data, left)
+                yield from RecordBatch(data, count, self.raw).iter_pairs(self.serializer)
+                left, data = left - count, data[end:]
 
     def delete(self) -> None:
         try:
@@ -282,11 +277,12 @@ def spill_batch(
 class RunStore:
     """Accumulates runs for one partition, spilling past a memory budget.
 
-    Arriving runs are only filed.  Whatever is resident is merged exactly
-    once: when the partition is read, or when the estimated in-memory
-    footprint exceeds ``memory_budget`` — then the merged run is spilled
-    as one file (Hadoop's sort-and-spill), never one file per block.
-    Iteration merges everything (disk + memory) in key order.
+    Arriving runs are only filed.  What is resident is merged when the
+    partition is read — iteration parses it once and orders an index,
+    building nothing — or when the in-memory footprint exceeds
+    ``memory_budget``: then the merged run is spilled as one file
+    (Hadoop's sort-and-spill), never one file per block.  Iteration
+    merges everything (disk + memory) in key order.
     """
 
     def __init__(
@@ -346,45 +342,61 @@ class RunStore:
         self.disk_runs.append(spill)
         self.spilled_bytes += spill.nbytes
 
-    def compact(self, max_runs: int = 1) -> None:
-        """Merge the resident runs into one (no-op at ``max_runs`` or
-        fewer): a stable sort over the runs in arrival order, so ties
-        break by run, then by position — the order a heap merge yields.
-        """
+    def _merge_span(self):
+        """One ``rpl.merge`` span per merge of the resident runs."""
         runs = self.memory_runs
-        if len(runs) <= max_runs:
-            return
-        with _T.span(
+        return _T.span(
             "rpl.merge", cat="merge",
             args={
                 "stem": self.stem, "runs": len(runs),
                 "records": sum(map(len, runs)), "bytes": self.memory_bytes,
             },
-        ):
-            merged = merge_batches(runs, self.cmp, self.serializer)
+        )
+
+    def compact(self, max_runs: int = 1) -> None:
+        """Merge the resident runs into one batch (no-op at ``max_runs`` or
+        fewer) — for the spill and for whole-partition byte consumers: a
+        stable sort over the runs in arrival order, so ties break by run,
+        then by position — the order a heap merge yields.
+        """
+        if len(self.memory_runs) <= max_runs:
+            return
+        with self._merge_span():
+            merged = merge_batches(self.memory_runs, self.cmp, self.serializer)
         self.memory_runs = [merged]
 
     def as_batch(self) -> RecordBatch | None:
         """The whole store as one merged batch, or ``None``.
 
-        Available when everything is resident (no disk runs): raw-byte
-        consumers (TeraSort A tasks) then read the merged partition
-        without materializing any Python objects.
+        Available when everything is resident (no disk runs): for
+        consumers of the partition's bytes; pairs come from iteration.
         """
         if self.disk_runs or not self.memory_runs:
             return None
         self.compact()
         return self.memory_runs[0]
 
+    def _resident(self) -> Iterator[KV]:
+        """The resident runs' pairs in key order, merged without building
+        the merged batch: one parse into a key column and a value getter,
+        one stable sort of an index over the keys (runs in arrival order,
+        so ties break by run, then position), pairs straight from the
+        columns — each key decoded once, a value when it is reached."""
+        with self._merge_span():
+            keys, value_at = concat_batches(self.memory_runs).key_index(
+                self.serializer, values=True)
+            order = sorted_order(keys, self.cmp)
+        return zip(map(keys.__getitem__, order), map(value_at, order))
+
     def __iter__(self) -> Iterator[KV]:
         """Everything in key order; values decode as the consumer reaches
         them.  The heap merges only when a run lives on disk (fan-in:
-        spill files + the one resident run)."""
-        self.compact()
-        runs: list[Iterable[KV]] = [
-            *self.disk_runs,
-            *(run.iter_pairs(self.serializer) for run in self.memory_runs),
-        ]
+        spill files + the resident runs as one)."""
+        if self.cmp is not None and len(self.memory_runs) > 1:
+            resident: list[Iterable[KV]] = [self._resident()]
+        else:
+            resident = [run.iter_pairs(self.serializer) for run in self.memory_runs]
+        runs = [*self.disk_runs, *resident]
         if self.cmp is None or len(runs) == 1:
             return chain.from_iterable(runs)
         return merge_runs(runs, self.cmp)

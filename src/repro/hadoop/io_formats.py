@@ -112,14 +112,15 @@ class FixedLengthRecordFormat:
                 f"split of {len(data)} bytes is not a multiple of "
                 f"{self.record_len}-byte records"
             )
-        for pos in range(0, len(data), self.record_len):
-            record = data[pos : pos + self.record_len]
-            yield record[: self.key_len], record[self.key_len :]
+        record_len, key_len = self.record_len, self.key_len
+        for pos in range(0, len(data), record_len):
+            mid = pos + key_len
+            yield data[pos:mid], data[mid : pos + record_len]
 
     def read_split(self, dfs: DFSClient, split: InputSplit) -> Iterator[tuple[bytes, bytes]]:
         """Record-aligned blocks only (generators must size blocks to a
         multiple of ``record_len``; TeraGen does)."""
-        yield from self.read_records(dfs.read_blocks(split.path, [split.block_index]))
+        return self.read_records(dfs.read_blocks(split.path, [split.block_index]))
 
 
 class KeyValueTextOutputFormat:

@@ -9,7 +9,6 @@ types.
 """
 
 from repro.serde.batch import (
-    BatchBuilder,
     RecordBatch,
     batch_from_pairs,
     concat_batches,
@@ -37,7 +36,6 @@ from repro.serde.writable import (
 )
 
 __all__ = [
-    "BatchBuilder",
     "RecordBatch",
     "batch_from_pairs",
     "concat_batches",

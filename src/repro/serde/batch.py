@@ -14,24 +14,20 @@ the wire codec) slice and copy records without decoding them.  With
 exactly like the decoded keys under ``bytes_compare`` and a merged batch
 can be consumed without materializing a single Python object.
 
-The sender-side buffer seals emitted pairs into a batch exactly once
-(:class:`BatchBuilder`); from then on the batch travels as an opaque
-buffer through coalescing, transports, spill files and merges — zero
-re-encode, zero per-record pickle on any hop.  Receivers decode lazily
-at the user-function boundary via :meth:`RecordBatch.iter_pairs`.
+A pair becomes its record bytes exactly once (:func:`framer`, at the
+``send`` that emitted it); the sender-side buffer seals them into a batch,
+which then travels as an opaque buffer through coalescing, transports and
+spill files — zero re-encode, zero per-record pickle on any hop.  The
+receive side parses a batch once (:meth:`RecordBatch.key_index`) and
+decodes at the user-function boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import SerializationError
-from repro.serde.comparators import (
-    Compare,
-    bytes_compare,
-    default_compare,
-    sort_key,
-)
+from repro.serde.comparators import Compare, sorted_order
 from repro.serde.io import DataInput, DataOutput, append_vint as _append_vint
 from repro.serde.serialization import Serializer
 
@@ -59,6 +55,23 @@ def _read_vint(buf, pos: int) -> tuple[int, int]:
         value = (value << 8) | buf[pos]
         pos += 1
     return (~value if negative else value), pos
+
+
+def whole_records(data: bytes, limit: int) -> tuple[int, int]:
+    """``(end, count)`` of the up to ``limit`` whole records at the head of
+    ``data`` — framing only; a reader of record-aligned chunks leaves
+    ``data[end:]``, the cut-off record, for its next read."""
+    end = count = 0
+    try:
+        while count < limit:
+            n, pos = _read_vint(data, end)
+            n, pos = _read_vint(data, pos + n)
+            if pos + n > len(data):
+                break
+            end, count = pos + n, count + 1
+    except IndexError:
+        pass  # the cut fell inside a length prefix
+    return end, count
 
 
 class RecordBatch:
@@ -96,56 +109,35 @@ class RecordBatch:
         return (RecordBatch, (bytes(self.data), self.count, self.raw))
 
     # -- iteration --------------------------------------------------------
-    def iter_views(self) -> Iterator[tuple[memoryview, memoryview]]:
-        """(key_view, value_view) per record — zero decode, zero copy.
+    def _fields(self, values: bool) -> tuple[list[bytes], Any]:
+        """:meth:`key_index` over the field *bytes*: the framing is the
+        same with and without ``raw``, and raw fields are not decoded."""
+        return RecordBatch(self.data, self.count, True).key_index(None, values)
+
+    def iter_views(self) -> Iterator[tuple[bytes, bytes]]:
+        """(key bytes, value bytes) per record — zero decode.
 
         Only meaningful for ``raw`` batches, where the field bytes *are*
-        the application data; for serialized batches the views carry the
+        the application data; for serialized batches they carry the
         serializer framing.
         """
-        view = memoryview(self.data)
-        pos = 0
-        read = _read_vint
-        for _ in range(self.count):
-            n, pos = read(view, pos)
-            key = view[pos : pos + n]
-            pos += n
-            n, pos = read(view, pos)
-            value = view[pos : pos + n]
-            pos += n
-            yield key, value
+        keys, value_at = self._fields(True)
+        return zip(keys, map(value_at, range(self.count)))
 
-    def iter_records(self) -> Iterator[memoryview]:
-        """Whole-record views (length prefixes included): the unit a merge
+    def iter_records(self) -> Iterator[bytes]:
+        """Whole records (length prefixes included): the unit a merge
         copies into its output batch without decoding."""
-        view = memoryview(self.data)
-        pos = 0
-        read = _read_vint
-        for _ in range(self.count):
-            start = pos
-            n, pos = read(view, pos)
-            pos += n
-            n, pos = read(view, pos)
-            pos += n
-            yield view[start:pos]
+        return iter(self._fields(False)[1])
 
     def iter_pairs(self, serializer: Serializer) -> Iterator[KV]:
-        """Decode records into (key, value) objects — the user-function
-        boundary.  Raw batches yield ``bytes`` keys and values."""
+        """Decode records into (key, value) objects, one at a time — the
+        user-function boundary.  Raw batches yield ``bytes`` fields."""
+        if self.raw:
+            yield from self.iter_views()
+            return
         buf = self.data if type(self.data) is bytes else bytes(self.data)
         pos = 0
-        read = _read_vint
-        if self.raw:
-            for _ in range(self.count):
-                n, pos = read(buf, pos)
-                key = buf[pos : pos + n]
-                pos += n
-                n, pos = read(buf, pos)
-                value = buf[pos : pos + n]
-                pos += n
-                yield key, value
-            return
-        decode, src = serializer.decode_field, DataInput(buf)
+        read, decode, src = _read_vint, serializer.decode_field, DataInput(buf)
         for _ in range(self.count):
             n, pos = read(buf, pos)
             key = decode(buf, pos, pos + n, src)
@@ -153,19 +145,25 @@ class RecordBatch:
             yield key, decode(buf, pos, pos + n, src)
             pos += n
 
-    def key_index(self, serializer: Serializer) -> tuple[list[Any], list[bytes]]:
+    def key_index(
+        self, serializer: Serializer | None, values: bool = False
+    ) -> tuple[list[Any], Any]:
         """``(keys, records)`` columns in batch order: every record's
-        decoded key and its whole framed bytes (length prefixes included).
+        decoded key and its whole framed bytes (length prefixes included)
+        — sorts order on the keys and copy the records verbatim, value
+        bytes stay opaque.  With ``values`` the second column is a getter
+        instead, ``value_at(i)``: what a merge that hands out pairs reads
+        (raw values are sliced in the same pass; others are decoded when
+        asked for, from the bounds the pass noted).
 
-        Sorts and merges order on the keys and copy the records verbatim —
-        value bytes stay opaque.  This is the one per-record Python loop
-        of a sort, so it slices ``bytes`` directly (raw keys never pass
-        through a memoryview) and decodes one-byte lengths inline.
+        This is the one per-record parse loop of the datapath, so it
+        slices ``bytes`` directly (raw keys never pass through a
+        memoryview) and decodes one-byte lengths inline.
         """
         data = self.data if type(self.data) is bytes else bytes(self.data)
         keys: list[Any] = []
-        records: list[bytes] = []
-        add_key, add_record = keys.append, records.append
+        seconds: list[Any] = []
+        add_key, add_second = keys.append, seconds.append
         read = _read_vint
         pos = 0
         if self.raw:
@@ -181,97 +179,82 @@ class RecordBatch:
                 pos = end + 1
                 if n > 127:
                     n, pos = read(data, end)
+                if values:
+                    start = pos
                 pos += n
-                add_record(data[start:pos])
-            return keys, records
+                add_second(data[start:pos])
+            return keys, (seconds.__getitem__ if values else seconds)
         decode, src = serializer.decode_field, DataInput(data)
         for _ in range(self.count):
             start = pos
-            n, pos = read(data, pos)
-            add_key(decode(data, pos, pos + n, src))
-            n, pos = read(data, pos + n)
+            n = data[pos]
+            pos += 1
+            if n > 127:
+                n, pos = read(data, start)
+            end = pos + n
+            add_key(decode(data, pos, end, src))
+            n = data[end]
+            pos = end + 1
+            if n > 127:
+                n, pos = read(data, end)
+            if values:
+                add_second(pos)
             pos += n
-            add_record(data[start:pos])
-        return keys, records
+            add_second(pos if values else data[start:pos])
+
+        def value_at(i: int) -> Any:
+            return decode(data, seconds[2 * i], seconds[2 * i + 1], src)
+
+        return keys, (value_at if values else seconds)
 
 
-class BatchBuilder:
-    """Accumulates records into the batch wire layout.
+#: the one-byte Hadoop vints: the length prefix of a field of up to 127 B
+_VINT1 = [bytes((n,)) for n in range(128)]
 
-    One builder per seal: the sender-side buffer serializes each pair
-    exactly once here; every later hop copies or slices the sealed bytes.
-    """
 
-    __slots__ = ("_serializer", "_raw", "_buf", "_scratch", "count")
+def framer(serializer: Serializer | None, raw: bool) -> Callable[[Any, Any], bytes]:
+    """``frame(key, value)``: one pair as its record bytes — the only
+    writer of the layout, and the single serialization point of the
+    datapath.  A pair that cannot be encoded raises there."""
+    if raw:
+        def frame(key: Any, value: Any) -> bytes:
+            try:
+                return b"".join((_VINT1[len(key)], key, _VINT1[len(value)], value))
+            except (TypeError, IndexError):
+                pass  # a field over 127 B — or not bytes-like, found out below
+            buf = bytearray()
+            try:
+                for field in (key, value):
+                    _append_vint(buf, len(field))
+                    buf += field
+            except TypeError:
+                raise SerializationError(
+                    "raw record batches require bytes-like keys and values; got "
+                    f"({type(key).__name__}, {type(value).__name__})"
+                ) from None
+            return bytes(buf)
 
-    def __init__(
-        self, serializer: Serializer | None = None, raw: bool = False
-    ) -> None:
-        if serializer is None and not raw:
-            raise SerializationError(
-                "BatchBuilder needs a serializer unless building raw batches"
-            )
-        self._serializer = serializer
-        self._raw = raw
-        self._buf = bytearray()
-        self._scratch = DataOutput()
-        self.count = 0
+        return frame
+    if serializer is None:
+        raise SerializationError("framing needs a serializer unless it is raw")
+    encode, buf, scratch = serializer.encode_field, bytearray(), DataOutput()
 
-    def add(self, key: Any, value: Any) -> None:
-        """Serialize one pair into the batch (raw mode: frame its bytes)."""
-        if self._raw:
-            self.add_raw(key, value)
-            return
-        encode = self._serializer.encode_field
-        encode(key, self._buf, self._scratch)
-        encode(value, self._buf, self._scratch)
-        self.count += 1
+    def frame(key: Any, value: Any) -> bytes:
+        del buf[:]
+        encode(key, buf, scratch)
+        encode(value, buf, scratch)
+        return bytes(buf)
 
-    def add_raw(self, key, value) -> None:
-        """Frame raw ``bytes``-like key/value without serializer framing."""
-        buf = self._buf
-        try:
-            n = len(key)
-            if n <= 127:
-                buf.append(n)
-            else:
-                _append_vint(buf, n)
-            buf += key
-            n = len(value)
-            if n <= 127:
-                buf.append(n)
-            else:
-                _append_vint(buf, n)
-            buf += value
-        except TypeError:
-            raise SerializationError(
-                "raw record batches require bytes-like keys and values; got "
-                f"({type(key).__name__}, {type(value).__name__})"
-            ) from None
-        self.count += 1
-
-    def add_record(self, record: bytes | memoryview) -> None:
-        """Append one already-framed record verbatim (merge output path)."""
-        self._buf += record
-        self.count += 1
-
-    def seal(self) -> RecordBatch:
-        """Freeze the accumulated records; the builder resets for reuse."""
-        batch = RecordBatch(bytes(self._buf), self.count, self._raw)
-        self._buf = bytearray()
-        self.count = 0
-        return batch
+    return frame
 
 
 def batch_from_pairs(
     pairs: Iterable[KV], serializer: Serializer | None, raw: bool = False
 ) -> RecordBatch:
-    """Seal an iterable of pairs into one batch (serialize-once point)."""
-    builder = BatchBuilder(serializer, raw=raw)
-    add = builder.add_raw if raw else builder.add
-    for key, value in pairs:
-        add(key, value)
-    return builder.seal()
+    """Seal an iterable of pairs into one batch."""
+    frame = framer(serializer, raw)
+    records = [frame(key, value) for key, value in pairs]
+    return RecordBatch(b"".join(records), len(records), raw)
 
 
 def concat_batches(batches: list[RecordBatch]) -> RecordBatch:
@@ -293,23 +276,9 @@ def concat_batches(batches: list[RecordBatch]) -> RecordBatch:
 def sort_batch(
     batch: RecordBatch, cmp: Compare | None, serializer: Serializer
 ) -> RecordBatch:
-    """Key-sort a batch by permuting record slices (stable; values opaque).
-
-    ``list.sort`` detects the ascending runs already in the batch and
-    gallops over them, so sorting a concatenation of key-sorted batches
-    *is* their k-way merge — ties keep batch order, then arrival order.
-    """
+    """Key-sort a batch by permuting record slices (stable; values opaque)."""
     keys, records = batch.key_index(serializer)
-    order = None
-    if cmp is None or cmp is default_compare or cmp is bytes_compare:
-        # both comparators order exactly like native ``<`` on conforming keys
-        try:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-        except TypeError:
-            pass  # heterogeneous keys: total-order path below
-    if order is None:
-        key_fn = sort_key(cmp or default_compare)
-        order = sorted(range(len(keys)), key=lambda i: key_fn(keys[i]))
+    order = sorted_order(keys, cmp)
     return RecordBatch(
         b"".join(map(records.__getitem__, order)), batch.count, batch.raw
     )

@@ -58,3 +58,19 @@ def sort_key(cmp: Compare) -> Callable[[Any], Any]:
     """Adapt a 3-way comparator into a ``key=`` object for ``sorted``."""
     return functools.cmp_to_key(cmp)
 
+
+def sorted_order(keys: list, cmp: Compare | None) -> list[int]:
+    """The stable permutation that puts ``keys`` in ``cmp`` order.
+
+    ``list.sort`` detects the ascending runs already in ``keys`` and
+    gallops over them, so ordering a concatenation of key-sorted runs *is*
+    their k-way merge — ties keep run order, then arrival order.
+    """
+    if cmp is None or cmp is default_compare or cmp is bytes_compare:
+        # both comparators order exactly like native ``<`` on conforming keys
+        try:
+            return sorted(range(len(keys)), key=keys.__getitem__)
+        except TypeError:
+            pass  # heterogeneous keys: total-order path below
+    key_fn = sort_key(cmp or default_compare)
+    return sorted(range(len(keys)), key=lambda i: key_fn(keys[i]))

@@ -123,6 +123,17 @@ class Serializer(ABC):
         return self.deserialize(src)
 
 
+def _pickled(value: Any) -> bytes:
+    """``pickle.dumps``, refusing what it cannot take as every other
+    unencodable object is refused."""
+    try:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SerializationError(
+            f"cannot serialize a {type(value).__name__}: {exc}"
+        ) from exc
+
+
 class WritableSerializer(Serializer):
     """Self-describing Writable-protocol serializer."""
 
@@ -202,7 +213,7 @@ class WritableSerializer(Serializer):
         else:
             # escape hatch mirroring Hadoop's JavaSerialization fallback
             out.write_byte(_T_PICKLE)
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = _pickled(value)
             out.write_vint(len(blob))
             out.write_bytes(blob)
 
@@ -301,7 +312,7 @@ class PickleSerializer(Serializer):
     name = "pickle"
 
     def serialize(self, value: Any, out: DataOutput) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = _pickled(value)
         out.write_vint(len(blob))
         out.write_bytes(blob)
 

@@ -86,13 +86,7 @@ def terasort_datampi(
 
     def a_fn(ctx):
         out = bytearray()
-        # raw-batch fast path: the merged partition is one contiguous byte
-        # block; write key/value slices without materializing a single
-        # Python object per record.  Only raw fields are the record bytes —
-        # Writable-framed ones carry serializer tags and must be decoded
-        batch = ctx.recv_batch() if ctx.conf.get_bool(K.SHUFFLE_RAW) else None
-        pairs = ctx.recv_iter() if batch is None else batch.iter_views()
-        for key, value in pairs:
+        for key, value in ctx.recv_iter():
             out += key
             out += value
         with open(os.path.join(spill_dir, f"part-{ctx.rank:05d}"), "wb") as f:

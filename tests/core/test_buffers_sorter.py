@@ -16,10 +16,12 @@ from repro.core.sorter import (
     spill_batch,
 )
 from repro.serde.batch import RecordBatch, batch_from_pairs
-from repro.serde.comparators import default_compare
+from repro.common.errors import SerializationError
+from repro.serde.comparators import bytes_compare, default_compare
 from repro.serde.serialization import WritableSerializer
 from repro.serde.writable import IntWritable, Text
 from tests.core.helpers import SERIALIZER as SER, batch_block
+from tests.core.test_merge_differential import _by_length
 
 
 def run(records):
@@ -143,21 +145,30 @@ class TestRunStore:
     def test_resident_runs_merge_once_on_read(self, tmp_path, monkeypatch):
         import repro.core.sorter as sorter
 
-        sorts = []
-        real = sorter.sort_batch
+        parsed, batches = [], []
+        key_index, merge = RecordBatch.key_index, sorter.merge_batches
         monkeypatch.setattr(
-            sorter, "sort_batch",
-            lambda batch, cmp, ser: sorts.append(batch.count) or real(batch, cmp, ser),
+            RecordBatch, "key_index",
+            lambda batch, ser, values=False: (
+                parsed.append((batch.count, values)) or key_index(batch, ser, values)),
+        )
+        monkeypatch.setattr(
+            sorter, "merge_batches",
+            lambda runs, cmp, ser: batches.append(len(runs)) or merge(runs, cmp, ser),
         )
         store = self.make_store(10**9, tmp_path)
         for i in reversed(range(10)):
             store.add_run(run([(f"k{i}", i)]))
-        assert len(store.memory_runs) == 10 and not sorts  # filed, not merged
+        assert len(store.memory_runs) == 10 and not parsed  # filed, not merged
         assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
-        assert [k for k, _ in store] == [f"k{i}" for i in range(10)]
-        # one pass over all ten records, reused by the second read
-        assert sorts == [10]
-        assert len(store.memory_runs) == 1
+        # one pass over all ten records — keys and values of one parse —
+        # and no merged batch built for it
+        assert parsed == [(10, True)] and not batches
+        assert len(store.memory_runs) == 10
+        assert list(store) == [(f"k{i}", i) for i in range(10)]  # and again
+        # a consumer of the partition's bytes gets the merged batch, once
+        assert store.as_batch() is store.as_batch() and batches == [10]
+        assert list(store.as_batch().iter_pairs(SER)) == list(store)
         assert store.total_records == 10
 
     def test_one_merge_span_per_merge(self, tmp_path, monkeypatch):
@@ -178,10 +189,12 @@ class TestRunStore:
             store.add_run(r)
         assert len(list(store)) == len(list(store)) == 7
         merges = [e for e in tracer.drain() if e["name"] == "rpl.merge"]
-        assert [e["cat"] for e in merges] == ["merge", "merge"]
+        assert [e["cat"] for e in merges] == ["merge"] * 3
+        # the spill's merge, then one per read of the two resident runs
+        read = {"stem": "fwd:0-p3", "runs": 2, "records": 2, "bytes": 2 * size}
         assert [e["args"] for e in merges] == [
             {"stem": "fwd:0-p3", "runs": 5, "records": 5, "bytes": 5 * size},
-            {"stem": "fwd:0-p3", "runs": 2, "records": 2, "bytes": 2 * size},
+            read, read,
         ]
 
     def test_equal_keys_keep_arrival_order_across_spills(self, tmp_path):
@@ -237,6 +250,38 @@ class TestRunStore:
         spill = spill_batch(run(records), SER, str(tmp_path), "t")
         assert list(spill) == records
         spill.delete()
+
+
+    @settings(max_examples=60, deadline=None, print_blob=True)
+    @given(
+        records=st.lists(
+            st.tuples(st.binary(max_size=5), st.one_of(
+                st.binary(max_size=40), st.binary(min_size=120, max_size=400))),
+            max_size=30,
+        ),
+        raw=st.booleans(), chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_spill_streams_back_in_record_aligned_chunks(
+        self, tmp_path_factory, records, raw, chunk
+    ):
+        """Reads of any size — a record or a length prefix cut anywhere, a
+        record longer than many reads — decode to what was written, and
+        never hold more than the unread tail of one record plus a read."""
+        import repro.core.sorter as sorter
+
+        batch = batch_from_pairs(records, SER, raw=raw)
+        spill = spill_batch(batch, SER, str(tmp_path_factory.mktemp("spill")), "t")
+        before, sorter._SPILL_CHUNK_BYTES = sorter._SPILL_CHUNK_BYTES, chunk
+        try:
+            assert list(spill) == records
+            with open(spill.path, "r+b") as f:
+                f.truncate(max(0, spill.nbytes - 1))
+            if records:
+                with pytest.raises(SerializationError, match="records short"):
+                    list(spill)
+        finally:
+            sorter._SPILL_CHUNK_BYTES = before
+            spill.delete()
 
 
 class TestSendPartitionList:
@@ -296,8 +341,129 @@ class TestSendPartitionList:
         assert spl.flush_all() == []
 
 
+    def test_send_owns_its_bytes_when_add_returns(self):
+        """MPI buffer semantics: the caller may reuse what it passed.  The
+        record *and* its sort key are snapshots taken by ``add``."""
+        spl = SendPartitionList(
+            1, 10**9, cmp=bytes_compare, serializer=SER, raw=True
+        )
+        buf = bytearray(4)
+        for i, value in enumerate((b"v3", b"v1", b"v2")):
+            buf[:] = bytes([3 - i]) * 4  # keys arrive in descending order
+            spl.add(0, buf, value)
+        buf[:] = b"\xff" * 4
+        (block,) = spl.flush_all()
+        assert pairs(block) == [
+            (b"\x01" * 4, b"v2"), (b"\x02" * 4, b"v1"), (b"\x03" * 4, b"v3"),
+        ]
+
+    def test_a_value_mutated_after_add_ships_as_it_was_sent(self):
+        for cmp in (default_compare, None):
+            spl = SendPartitionList(1, 10**9, cmp=cmp, serializer=SER)
+            value = [1]
+            for key in ("b", "a"):
+                spl.add(0, key, value)
+                value.append(len(value) + 1)
+            (block,) = spl.flush_all()
+            assert sorted(pairs(block)) == [("a", [1, 2]), ("b", [1])]
+
+    def test_a_combiner_partition_holds_values_by_reference_until_its_seal(self):
+        """Documented, not promised otherwise: the combiner sees the value
+        as it is at the seal."""
+        spl = SendPartitionList(
+            1, 10**9, default_compare, combiner=lambda k, vs: [sum(vs, [])],
+            serializer=SER,
+        )
+        value = [1]
+        spl.add(0, "a", value)
+        value.append(2)
+        (block,) = spl.flush_all()
+        assert pairs(block) == [("a", [1, 2])]
+
+    def test_a_pair_that_cannot_be_encoded_fails_its_add_and_leaves_no_trace(self):
+        raw = SendPartitionList(1, 10**9, bytes_compare, serializer=SER, raw=True)
+        framed = SendPartitionList(1, 10**9, default_compare, serializer=SER)
+        raw.add(0, b"k", b"v")
+        framed.add(0, "k", "v")
+        for spl, bad in (
+            (raw, ("text", b"v")), (raw, (b"k", 5)), (raw, (b"k" * 200, None)),
+            (framed, ("k", (i for i in ()))), (framed, ((i for i in ()), "v")),
+        ):
+            with pytest.raises(SerializationError):
+                spl.add(0, *bad)
+        assert pairs(raw.flush_all()[0]) == [(b"k", b"v")]
+        assert pairs(framed.flush_all()[0]) == [("k", "v")]
+
+
 def _reversed_compare(k1, k2):
     return default_compare(k2, k1)
+
+
+#: key strategies of the framed-seal property: equal keys are the rule
+_FRAMED_KEYS = {
+    "text": st.text("abc", max_size=2),
+    "numbers": st.sampled_from([0, 0.0, 1, 1.5, -1, 2**70]),
+    "long": st.text("xy", min_size=126, max_size=130),
+    # int, str and bytes in one block: native ``<`` raises, the seal must
+    # fall back to the total-order comparator
+    "mixed": st.one_of(st.integers(-2, 2), st.text("ab", max_size=2),
+                       st.binary(max_size=2)),
+}
+_RAW_FIELDS = st.one_of(st.binary(max_size=3), st.binary(min_size=126, max_size=130))
+
+
+class TestFramedSeal:
+    """Without a combiner ``add`` frames each pair and the seal permutes
+    the framed records: for pairs that never reach the flush threshold the
+    block must be, byte for byte, ``batch_from_pairs(sort_block(pairs))``."""
+
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(
+        keys=st.sampled_from(sorted(_FRAMED_KEYS)),
+        cmp=st.sampled_from([default_compare, _reversed_compare, None]),
+        data=st.data(),
+    )
+    def test_writable_block_is_the_sorted_pairs_encoded(self, keys, cmp, data):
+        if cmp is _reversed_compare and keys == "long":
+            cmp = _by_length  # ties across distinct keys
+        records = data.draw(st.lists(
+            st.tuples(_FRAMED_KEYS[keys], st.one_of(
+                st.integers(-5, 5), st.text("v", min_size=120, max_size=135),
+                st.lists(st.integers(0, 3), max_size=2),
+            )), max_size=40,
+        ))
+        self._check(records, cmp, raw=False)
+
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(
+        records=st.lists(st.tuples(_RAW_FIELDS, _RAW_FIELDS), max_size=40),
+        cmp=st.sampled_from([bytes_compare, _by_length, None]),
+        as_bytearray=st.booleans(),
+    )
+    def test_raw_block_is_the_sorted_pairs_framed(self, records, cmp, as_bytearray):
+        if as_bytearray:
+            records = [(bytearray(k), memoryview(v)) for k, v in records]
+        self._check(records, cmp, raw=True)
+
+    @staticmethod
+    def _check(records, cmp, raw):
+        spl = SendPartitionList(2, 10**9, cmp, serializer=SER, raw=raw)
+        for i, (key, value) in enumerate(records):
+            assert spl.add(i % 2, key, value) is None
+        blocks = {b.partition_id: b for b in spl.flush_all()}
+        for p in (0, 1):
+            mine = records[p::2]
+            if cmp is not None:
+                mine = sort_block(mine, cmp)
+            expected = batch_from_pairs(mine, SER, raw=raw)
+            if not mine:
+                assert p not in blocks
+                continue
+            block = blocks[p]
+            assert bytes(block.records.data) == bytes(expected.data)
+            assert (block.count, block.nbytes) == (len(mine), len(expected.data))
+            assert block.records.raw is raw and block.sorted is (cmp is not None)
+        assert spl.records_out == len(records) and spl.combined_away == 0
 
 
 def _ends_and_count(_key, values):
@@ -415,16 +581,18 @@ class TestHashCombine:
         spl.add(0, "a", 1)
         assert spl._held == [{"a": [1]}]
 
-    def test_no_combiner_or_no_comparator_buffers_tuples(self):
+    def test_no_combiner_or_no_comparator_holds_framed_records(self):
         combiner = lambda k, vs: [sum(vs)]  # noqa: E731
+        framed = [batch_from_pairs([(key, 1)], SER).data for key in "bab"]
         for cmp, comb in ((default_compare, None), (None, combiner)):
             spl = SendPartitionList(1, 10**9, cmp, combiner=comb, serializer=SER)
             for key in ("b", "a", "b"):
                 spl.add(0, key, 1)
-            assert spl._held == [[("b", 1), ("a", 1), ("b", 1)]]
+            assert spl._held == [framed]  # the records' bytes, no tuple
             (block,) = spl.flush_all()
             assert sorted(pairs(block)) == [("a", 1), ("b", 1), ("b", 1)]
             assert spl.combined_away == 0
+            assert spl._held == [[]] and spl._keys == [[]]
 
 
 #: a subclass of each type the exact-type fronts answer
@@ -507,21 +675,22 @@ class TestReceivePartitionList:
 
     def test_add_block_files_without_merging(self, tmp_path, monkeypatch):
         """Arrival is O(1): no key is extracted and nothing is merged
-        until the partition is read; then every record is merged once."""
-        indexed = []
+        until the partition is read; then every record is parsed once."""
+        parsed = []
         real = RecordBatch.key_index
         monkeypatch.setattr(
             RecordBatch, "key_index",
-            lambda batch, ser: indexed.append(batch.count) or real(batch, ser),
+            lambda batch, ser, values=False: (
+                parsed.append(batch.count) or real(batch, ser, values)),
         )
         store = self._store(tmp_path)
         rpl = ReceivePartitionList(0, default_compare, store)
         for i in reversed(range(40)):
             rpl.add_block(batch_block(0, [(f"k{i:02d}", i), (f"k{i:02d}x", i)]))
-        assert len(store.memory_runs) == 40 and not indexed
+        assert len(store.memory_runs) == 40 and not parsed
         keys = [k for k, _ in rpl.merged()]
         assert keys == sorted(keys) and len(keys) == 80
-        assert indexed == [80]
+        assert parsed == [80]
 
     def test_unretained_block_is_only_counted(self, tmp_path):
         store = self._store(tmp_path)
@@ -550,24 +719,24 @@ class TestSinglePassAccounting:
         assert keys == sorted(keys) and len(keys) == 51
 
     def test_seal_sizes_each_record_once(self):
-        """A record is sized once, in ``add``, by the ``kv_bytes``
-        estimate: for a fixed input the partition seals after the same
-        records, and each block's ``nbytes`` is its encoded size."""
+        """A record is sized once, in ``add``, and exactly — it is framed
+        there: for a fixed input the partition seals after the same
+        records, and each block's ``nbytes`` is what ``add`` counted."""
         spl = SendPartitionList(
             1, flush_bytes=100, cmp=default_compare, serializer=SER
         )
         records = [(f"k{i:02d}", i) for i in range(25)]
-        # (3 + 4) + 8 = 15 estimated bytes a record: 7 records reach 100
-        assert {kv_bytes(k, v) for k, v in records} == {15}
+        # encoded: vint 5 + (tag, vint 3, 3 chars) + vint 2 + (tag, 1 byte)
+        # = 9 bytes a record (the ``kv_bytes`` estimate said 15): 12 reach 100
+        assert {len(batch_from_pairs([kv], SER).data) for kv in records} == {9}
         sealed = [
             (i, block) for i, (k, v) in enumerate(records)
             if (block := spl.add(0, k, v)) is not None
         ]
-        assert [i for i, _ in sealed] == [6, 13, 20]
+        assert [i for i, _ in sealed] == [11, 23]
         blocks = [block for _, block in sealed] + spl.flush_all()
-        assert [b.count for b in blocks] == [7, 7, 7, 4]
-        # encoded: vint 4 + (tag, vint 3, 3 chars) + vint 2 + (tag, 1 byte)
-        assert [b.nbytes for b in blocks] == [9 * 7, 9 * 7, 9 * 7, 9 * 4]
+        assert [b.count for b in blocks] == [12, 12, 1]
+        assert [b.nbytes for b in blocks] == [9 * 12, 9 * 12, 9]
         assert all(b.nbytes == len(b.records.data) for b in blocks)
         assert spl.bytes_out == sum(b.nbytes for b in blocks)
         assert [kv for b in blocks for kv in pairs(b)] == records

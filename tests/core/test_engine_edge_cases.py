@@ -3,6 +3,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DataMPIJob, Mode, mpidrun
 from repro.core.constants import MPI_D_Constants as K
@@ -522,3 +524,67 @@ class TestBoundSend:
             if t.kind == "O"
         }
         assert emitted == {0: 10, 1: 20, 2: 30}
+
+
+class _StorePlane:
+    """Stands in for a completed plane: one partition, a real RunStore."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def merged_iter(self, _partition):
+        return iter(self.store)
+
+
+class TestRecvCounts:
+    """``records_received`` is the number of pairs handed to the task,
+    however it asked for them."""
+
+    @settings(max_examples=100, deadline=None, print_blob=True)
+    @given(
+        runs=st.lists(st.lists(st.integers(0, 5), max_size=6), max_size=4),
+        # take this many pairs through one ``recv_iter()``, then drop it
+        # where it stands; 0: one ``recv()``
+        steps=st.lists(st.integers(0, 5), max_size=12),
+        spilled=st.booleans(),
+    )
+    def test_recv_and_recv_iter_mixed_and_abandoned(
+        self, tmp_path_factory, runs, steps, spilled
+    ):
+        from itertools import islice
+
+        from repro.core.context import TaskContext
+        from repro.core.sorter import RunStore
+        from repro.serde.comparators import default_compare
+        from tests.core.helpers import SERIALIZER
+
+        store = RunStore(
+            default_compare, SERIALIZER, str(tmp_path_factory.mktemp("recv")),
+            0 if spilled else 10**9,
+        )
+        for r, keys in enumerate(runs):
+            store.add_run(batch_block(
+                0, [(key, (r, i)) for i, key in enumerate(sorted(keys))]).records)
+        expected = list(store)
+        assert len(expected) == sum(map(len, runs))
+        ctx = TaskContext(
+            kind="A", task_id=0, o_size=1, a_size=1, round_no=0, conf=None,
+            partitioner=None, spl=None, send_plane_id=None, shuffle=None,
+            recv_plane=_StorePlane(store),
+        )
+        try:
+            got = []
+            for step in steps:
+                if step == 0:
+                    pair = ctx.recv()
+                    got.extend([pair] if pair is not None else [])
+                else:
+                    got.extend(islice(ctx.recv_iter(), step))
+                assert ctx.metrics.records_received == len(got)
+            assert got == expected[: len(got)]
+            got.extend(ctx.recv_iter())
+            assert got == expected
+            assert ctx.recv() is None and list(ctx.recv_iter()) == []
+            assert ctx.metrics.records_received == len(expected)
+        finally:
+            store.cleanup()

@@ -1,10 +1,13 @@
-"""Differential test of the sort-once merge against the heap merge.
+"""Differential test of the sort-once merges against the heap merge.
 
-The receive side merges resident runs with one stable sort over their
-concatenation; the heap of :func:`merge_runs` (still what merges runs
-streaming back from disk) is the reference.  On key-sorted runs the two
-must agree record for record — including the order of equal keys (run
-index, then arrival) — and byte for byte.
+The receive side merges resident runs with one stable sort: of an index
+over their key column when the partition is read (``RunStore.__iter__``),
+of the framed records when it needs the merged bytes (``merge_batches``:
+the spill, ``as_batch``).  The heap of :func:`merge_runs` (still what
+merges runs streaming back from disk, with the resident runs' column
+iterator as one more run) is the reference.  On key-sorted runs they must
+agree record for record — including the order of equal keys (run index,
+then arrival) — and byte for byte, whatever was spilled on the way.
 """
 
 from hypothesis import given, settings
@@ -58,7 +61,9 @@ def _store(tmp_path_factory, cmp, budget):
     return RunStore(cmp, SER, str(tmp_path_factory.mktemp("runs")), budget)
 
 
-def _check_batches(tmp_path_factory, runs, cmp, raw, budget):
+def _check_batches(tmp_path_factory, runs, cmp, raw, budget, spill_at=()):
+    """``spill_at``: arrivals that overflow whatever the budget — everything
+    resident then goes to disk as one run, later arrivals stay resident."""
     batches = [batch_block(0, run, raw=raw).records for run in runs]
     expected = list(merge_runs(runs, cmp))
 
@@ -68,43 +73,54 @@ def _check_batches(tmp_path_factory, runs, cmp, raw, budget):
     assert list(merged.iter_pairs(SER)) == expected
 
     store = _store(tmp_path_factory, cmp, budget)
-    for batch in batches:
+    for i, batch in enumerate(batches):
+        store.memory_budget = -1 if i in spill_at else budget
         store.add_run(batch)
     try:
+        if budget == 10**9:
+            spills = [i for i in sorted(spill_at) if i < len(batches)]
+            assert len(store.disk_runs) == len(spills)
+            assert len(store.memory_runs) == len(batches) - 1 - max(spills, default=-1)
         assert list(store) == expected
+        assert list(store) == expected  # a read consumes nothing
         whole = store.as_batch()
         if whole is not None:  # nothing spilled
             assert bytes(whole.data) == bytes(merged.data)
+            assert list(store) == expected  # nor does building the batch
     finally:
         store.cleanup()
 
 
 _budgets = st.sampled_from([10**9, 256, 0])
+#: none, one or two of the first arrivals spill what is resident
+_spill_at = st.sets(st.integers(0, 4), max_size=2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(key_runs=_runs(_raw_keys), pad=_padding, budget=_budgets)
-def test_raw_batches(tmp_path_factory, key_runs, pad, budget):
+@settings(max_examples=60, deadline=None, print_blob=True)
+@given(key_runs=_runs(_raw_keys), pad=_padding, budget=_budgets,
+       spill_at=_spill_at)
+def test_raw_batches(tmp_path_factory, key_runs, pad, budget, spill_at):
     runs = _tagged(
         key_runs, bytes_compare, lambda r, i: b"%d:%d" % (r, i) + b"." * pad
     )
-    _check_batches(tmp_path_factory, runs, bytes_compare, True, budget)
+    _check_batches(tmp_path_factory, runs, bytes_compare, True, budget, spill_at)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, print_blob=True)
 @given(
     key_runs=st.one_of(_runs(_text_keys), _runs(_int_keys), _runs(_mixed_keys)),
     cmp=st.sampled_from([default_compare, reverse(default_compare)]),
     pad=_padding,
     budget=_budgets,
+    spill_at=_spill_at,
 )
-def test_writable_batches(tmp_path_factory, key_runs, cmp, pad, budget):
+def test_writable_batches(tmp_path_factory, key_runs, cmp, pad, budget, spill_at):
     runs = _tagged(key_runs, cmp, lambda r, i: f"{r}:{i}" + "." * pad)
-    _check_batches(tmp_path_factory, runs, cmp, False, budget)
+    _check_batches(tmp_path_factory, runs, cmp, False, budget, spill_at)
 
 
-@settings(max_examples=40, deadline=None)
-@given(key_runs=_runs(_text_keys), budget=_budgets)
-def test_custom_comparator_ties(tmp_path_factory, key_runs, budget):
+@settings(max_examples=40, deadline=None, print_blob=True)
+@given(key_runs=_runs(_text_keys), budget=_budgets, spill_at=_spill_at)
+def test_custom_comparator_ties(tmp_path_factory, key_runs, budget, spill_at):
     runs = _tagged(key_runs, _by_length, lambda r, i: 1000 * r + i)
-    _check_batches(tmp_path_factory, runs, _by_length, False, budget)
+    _check_batches(tmp_path_factory, runs, _by_length, False, budget, spill_at)

@@ -179,28 +179,39 @@ class TestLayersChargeThemselves:
     """The seal and the checkpoint flush move the calling thread's lane to
     their phase and back; built bare (no lane bound) they just run."""
 
-    def _spl(self):
+    def _spl(self, serializer=None):
         return SendPartitionList(
             2, flush_bytes=64, cmp=default_compare,
-            serializer=get_serializer("writable"),
+            serializer=serializer or get_serializer("writable"),
         )
 
     def test_seal_charges_partition_sort(self, lane, now, monkeypatch):
+        """The seal — ordering the held records — is ``partition-sort``;
+        framing a pair is part of the ``send`` that passed it, so it is
+        charged to whatever phase the caller is in."""
         from repro.core import buffers
 
-        def slow_sort(block, cmp):
+        def slow_order(keys, cmp):
             now.advance(0.5)
-            return sorted(block)
+            return sorted(range(len(keys)), key=keys.__getitem__)
 
-        monkeypatch.setattr(buffers, "sort_block", slow_sort)
-        spl = self._spl()
+        serializer = get_serializer("writable")
+        encode = serializer.encode_field
+
+        def slow_encode(obj, buf, scratch):
+            now.advance(0.125)
+            encode(obj, buf, scratch)
+
+        monkeypatch.setattr(buffers, "sorted_order", slow_order)
+        monkeypatch.setattr(serializer, "encode_field", slow_encode)
+        spl = self._spl(serializer)
         with phase("compute"):
             blocks = [spl.add(i % 2, f"k{i:03d}", i) for i in range(40)]
             assert lane.current == "compute"
         sealed = [b for b in blocks if b is not None]
         assert sealed
         assert lane.read()["partition-sort"] == pytest.approx(0.5 * len(sealed))
-        assert lane.read()["compute"] == 0.0
+        assert lane.read()["compute"] == pytest.approx(0.125 * 2 * 40)
 
     def test_flush_round_charges_checkpoint(self, lane, now, tmp_path, monkeypatch):
         real_replace = os.replace

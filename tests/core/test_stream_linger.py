@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.buffers import SendPartitionList
 from repro.core.context import TaskContext
+from repro.serde.batch import batch_from_pairs
 from repro.serde.serialization import get_serializer
 
 SER = get_serializer("writable")
@@ -106,16 +107,15 @@ def test_blocks_concatenate_to_arrival_order(schedule):
 def test_without_a_linger_the_boundaries_are_the_byte_threshold_alone(schedule):
     _held, blocks, spl = drive(schedule, None)
     blocks = blocks + spl.flush_all()
-    # the parent's rule, restated: a partition seals when the size
-    # estimates of what it holds reach the threshold, and at the end
-    from repro.common.records import _size_of
-
+    # the rule, restated: a partition seals when the encoded bytes of the
+    # records it holds reach the threshold, and at the end
     expected, sizes = [], {}
     runs = {p: [] for p in range(PARTITIONS)}
     for partition, key, value, _dt in schedule:
         record = ((partition, key), value)
         runs[partition].append(record)
-        sizes[partition] = sizes.get(partition, 0) + _size_of(record[0]) + _size_of(value)
+        sizes[partition] = sizes.get(partition, 0) + len(
+            batch_from_pairs([record], SER).data)
         if sizes[partition] >= FLUSH_BYTES:
             expected.append((partition, runs[partition]))
             runs[partition], sizes[partition] = [], 0

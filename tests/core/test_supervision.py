@@ -254,6 +254,33 @@ class TestOneRoute:
             self._check(raised.value.failures, "O", {0, 1})
 
 
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw-str-key", "unpicklable"])
+    def test_an_unencodable_pair_fails_the_send_that_passed_it(self, launcher, raw):
+        """The pair is framed inside ``ctx.send``: what cannot be encoded is
+        the sending task's failure, not a later seal's or the rank's (the
+        end-of-task ``flush_all`` used to be the first to encode it)."""
+        bad = ("text", b"v") if raw else (b"k", threading.Lock())
+
+        def o_fn(ctx):
+            ctx.send(b"k", b"v")
+            if ctx.task_id == 1:
+                ctx.send(*bad)
+                raise AssertionError("the send took a pair it cannot encode")
+
+        job = DataMPIJob(
+            "unencodable", o_fn, lambda ctx: list(ctx.recv_iter()),
+            o_tasks=2, a_tasks=2, mode=Mode.MAPREDUCE,
+            conf={K.LAUNCHER: launcher, K.SHUFFLE_RAW: raw},
+        )
+        for _ in range(3):
+            result = mpidrun(job, nprocs=2, timeout=120.0)
+            assert not result.success
+            assert [(r.kind, r.phase, r.task_id) for r in result.failures] == [
+                ("task", "O", 1)
+            ]
+            assert "SerializationError" in result.failures[0].error
+
+
 class TestDriverRobustness:
     def test_unknown_control_message_aborts_instead_of_hanging(
         self, tmp_path, monkeypatch, launcher

@@ -40,6 +40,16 @@ from tests.core.helpers import (
 _mpidrun_mod = importlib.import_module("repro.core.mpidrun")
 
 
+def _compared_in_python(a, b):
+    """A comparator the seal cannot hand to native ``<``, a character at
+    a time: the seals then sort for a tenth of a second a rank, which a
+    500 Hz profiler cannot miss."""
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x < y else 1
+    return len(a) - len(b)
+
+
 def _explained(phases):
     """Seconds in the disjoint buckets (the ``spill`` overlay left out)."""
     return sum(phases.get(p, 0.0) for p in COVERAGE_PHASES)
@@ -219,6 +229,7 @@ class TestInstrumentsAgree:
         out = FileCollector(tmp_path / "out")
         job = mapreduce_job(
             "spine-prof", provider, mapper, reducer, out, o_tasks=2, a_tasks=2,
+            comparator=_compared_in_python,
             conf={
                 K.LAUNCHER: launcher,
                 K.TRACE_PATH: path,

@@ -7,10 +7,10 @@ import pytest
 from repro.common.errors import SerializationError
 from repro.core.sorter import merge_batches, spill_batch
 from repro.serde.batch import (
-    BatchBuilder,
     RecordBatch,
     batch_from_pairs,
     concat_batches,
+    framer,
     sort_batch,
 )
 from repro.serde.comparators import bytes_compare, default_compare
@@ -63,13 +63,17 @@ class TestRoundTrip:
         assert list(batch.iter_pairs(SER)) == pairs
 
     def test_raw_rejects_non_bytes(self):
-        builder = BatchBuilder(raw=True)
-        with pytest.raises(SerializationError, match="bytes-like"):
-            builder.add_raw("text", b"v")
+        frame = framer(None, raw=True)
+        for bad in (("text", b"v"), (b"k", 5), (b"k" * 200, "long and not bytes")):
+            with pytest.raises(SerializationError, match="bytes-like"):
+                frame(*bad)
+        assert frame(bytearray(b"k"), memoryview(b"v")) == b"\x01k\x01v"
 
     def test_builder_requires_serializer_unless_raw(self):
         with pytest.raises(SerializationError):
-            BatchBuilder()
+            framer(None, raw=False)
+        with pytest.raises(SerializationError):
+            batch_from_pairs([], None)
 
     def test_pickle_roundtrip_off_hot_path(self):
         batch = batch_from_pairs([(b"a", b"b")], None, raw=True)
@@ -80,7 +84,7 @@ class TestRoundTrip:
 
 class TestEdgeCases:
     def test_empty_batch(self):
-        batch = BatchBuilder(SER).seal()
+        batch = batch_from_pairs([], SER)
         assert len(batch) == 0
         assert batch.data == b""
         assert list(batch.iter_pairs(SER)) == []
@@ -154,10 +158,10 @@ class TestSortAndMerge:
     def test_iter_records_slices_reassemble(self):
         pairs = [(Text("k%d" % i), i) for i in range(10)]
         batch = batch_from_pairs(pairs, SER)
-        rebuilt = BatchBuilder(SER)
-        for record in batch.iter_records():
-            rebuilt.add_record(record)
-        assert list(rebuilt.seal().iter_pairs(SER)) == pairs
+        records = list(batch.iter_records())
+        assert len(records) == 10 and b"".join(records) == bytes(batch.data)
+        rebuilt = RecordBatch(b"".join(reversed(records)), batch.count)
+        assert list(rebuilt.iter_pairs(SER)) == pairs[::-1]
 
 
 class TestSerializeOnce:
