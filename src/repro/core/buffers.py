@@ -4,8 +4,8 @@ Send side: a :class:`SendPartitionList` (SPL) holds one staging buffer
 per A task.  An emitted pair is framed into its record bytes at the call
 and cached in the partition selected by ``MPI_D_PARTITION``; when a
 partition crosses the flush threshold it is sealed into a block (sorted
-and combined if the mode asks for it) and handed to the communication
-thread's send queue.
+and combined if the mode asks for it), which the sealing task's own
+thread ships (``ShuffleService.send_blocks``).
 
 Receive side: a :class:`ReceivePartitionList` (RPL) per hosted partition
 files arriving blocks in a :class:`~repro.core.sorter.RunStore`, which

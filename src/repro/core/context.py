@@ -140,7 +140,7 @@ class TaskContext:
             metrics.records_emitted += 1
             block = add(dest, key, value)
             if block is not None:
-                shuffle.send_block(plane_id, block)
+                shuffle.send_blocks(plane_id, (block,))
 
         self._emit = send = emit  # a checkpoint replay resends through the core
         if self._cp_writer is not None:
@@ -152,8 +152,7 @@ class TaskContext:
             def send(key: Any, value: Any, core=send, now=spl.now) -> None:
                 core(key, value)
                 if now() >= spl.next_seal:  # the oldest held pair is due
-                    for block in spl.flush_all("age"):
-                        shuffle.send_block(plane_id, block)
+                    shuffle.send_blocks(plane_id, spl.flush_all("age"))
         if key_class is not None or value_class is not None:
             def typed(what: str, obj: Any, cls: type | None) -> Any:
                 if cls is None or isinstance(obj, cls):

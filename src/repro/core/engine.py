@@ -385,13 +385,9 @@ class WorkerEngine:
         )
 
     def _finish_sends(self, plane_id: str, spl: SendPartitionList) -> None:
-        """Flush remaining SPL partitions and signal end-of-stream: wire
-        time, but for the seals ``flush_all`` runs (partition-sort)."""
-        with phase("communicate"):
-            for block in spl.flush_all():
-                self.shuffle.send_block(plane_id, block)
-            self.shuffle.send_eos(plane_id)
-            self.shuffle.drain_sends()
+        """Seal what the SPL still holds and ship it with the end-of-stream;
+        on return this rank's streams of the plane are on the wire."""
+        self.shuffle.send_blocks(plane_id, spl.flush_all(), eos=True)
         self.metrics.records_sent += spl.records_out
         self.metrics.combined_away += spl.combined_away
 

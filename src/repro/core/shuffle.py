@@ -1,27 +1,23 @@
 """O-side shuffle pipeline (§IV-C) over the MPI bipartite model.
 
-Per worker process:
-
-* the **main thread** runs task logic and emits pairs into the SPL;
-* the **communication (sender) thread** drains sealed blocks from a send
-  queue and pushes them to the owning process with MPI point-to-point;
-* the **receiver thread** accepts blocks from every peer, caching them
-  in the RPL of the hosted partition — so computation and copy overlap;
-  the A task merges its partition once, when it reads it (CPython's GIL
-  leaves a background merge thread nothing to overlap with).
+Per worker process, two threads: the **task thread** runs task logic,
+emits pairs into the SPL and itself ships every block a seal hands it
+(:meth:`ShuffleService.send_blocks`); the **receiver thread** files
+blocks from every peer in the RPL of the hosted partition, which the A
+task merges once, when it reads it.  The paper's communication thread
+between the two overlaps nothing under CPython's GIL, so there is none
+(docs/ARCHITECTURE.md, "Thread model").
 
 A *plane* is one logical exchange (forward O→A, or backward A→O per
 Iteration round).  A plane completes when an end-of-stream marker has
 arrived from every process; Streaming mode delivers records to per-
-partition queues as blocks land instead of waiting for completion, and
-a rank's own blocks land there without the two threads (``send_block``).
+partition queues as blocks land, a rank's own without the transport.
 
-The sender thread *coalesces*: consecutive sealed blocks bound for the
-same ``(plane, destination)`` ride in one MPI envelope (size-capped by
-``batch_bytes``), and the per-plane EOS marker folds into the last batch
-for each destination instead of costing ``nprocs`` extra messages.
-Batches flush when the send queue runs dry, so an idle pipeline never
-holds data back.
+Coalescing follows the seals alone: blocks bound for one ``(plane,
+destination)`` ride in one MPI envelope.  A batch plane's stream leaves
+when it reaches ``batch_bytes`` and at the EOS, which folds into its
+last envelope; a pipelined plane's streams leave at the end of the call
+that touched them, so nothing waits for a later seal.
 
 Three message kinds travel on ``SHUFFLE_TAG``:
 
@@ -31,9 +27,9 @@ Three message kinds travel on ``SHUFFLE_TAG``:
   that stream from seq 0 (rank recovery only);
 * ``("shutdown", "", None)`` — a process's stop marker to its own receiver.
 
-Each stream has one record on each side and the threads only pump them:
-:class:`_Outbound` (sender) and :class:`_Channel` (receiver, the
-exactly-once rule); neither touches a thread, queue, tracer or communicator.
+Each stream has one record on each side: :class:`_Outbound` (sender) and
+:class:`_Channel` (receiver, the exactly-once rule); neither touches a
+thread, queue, tracer or communicator.
 """
 
 from __future__ import annotations
@@ -41,12 +37,12 @@ from __future__ import annotations
 import queue
 import threading
 from collections import defaultdict
-from time import monotonic as _now
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import DataMPIError, MPIAbort
 from repro.core.buffers import Block, ReceivePartitionList
 from repro.core.constants import SHUFFLE_TAG, MPI_D_Constants as K
+from repro.core.metrics import phase
 from repro.core.modes import default_of
 from repro.core.partition import PartitionWindow
 from repro.core.sorter import RunStore
@@ -119,9 +115,11 @@ class ShufflePlane:
         self._eos_seen = 0
         self._eos_expected = config.window.num_processes
         self.complete = threading.Event()
+        #: set at completion, or when the receiver left before it
+        self._settled = threading.Event()
         self._lock = threading.Lock()
-        #: runtime abort latch (set by ShuffleService); lets waiters unwind
-        #: promptly when the world dies instead of sitting out the timeout
+        #: runtime abort latch (set by ShuffleService): what a waiter on a
+        #: plane that can no longer complete reports
         self.abort = None
 
     def add_block(self, block: Block) -> None:
@@ -148,6 +146,7 @@ class ShufflePlane:
                 for stream in self.streams.values():
                     stream.put(_STREAM_EOS)
                 self.complete.set()
+                self._settled.set()
                 if _T.enabled:
                     _T.instant(
                         "plane.complete", cat="shuffle",
@@ -195,25 +194,21 @@ class ShufflePlane:
 
     def abort_streams(self) -> None:
         """The receiver left: an open plane will never complete; wake its
-        stream consumers now, not at the plane timeout."""
+        stream consumers and waiters now, not at the plane timeout."""
         if not self.complete.is_set():
             for stream in self.streams.values():
                 stream.put(_STREAM_ABORT)
+            self._settled.set()
 
     def wait_complete(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else _now() + timeout
-        while not self.complete.is_set():
+        """Block until the plane completes; :class:`MPIAbort` (the world's
+        reason) as soon as it never will, the timeout error at ``timeout``."""
+        if not self._settled.wait(timeout):
+            raise DataMPIError(f"plane {self.plane_id}: completion timed out")
+        if not self.complete.is_set():
             if self.abort is not None:
-                self.abort.check()  # raises MPIAbort once the world died
-            slice_ = 0.05
-            if deadline is not None:
-                remaining = deadline - _now()
-                if remaining <= 0:
-                    raise DataMPIError(
-                        f"plane {self.plane_id}: completion timed out"
-                    )
-                slice_ = min(slice_, remaining)
-            self.complete.wait(slice_)
+                self.abort.check()
+            raise MPIAbort(message=f"plane {self.plane_id}: aborted before EOS")
 
     def cleanup(self) -> None:
         for rpl in self.rpls.values():
@@ -271,9 +266,10 @@ class _Channel:
     recovery armed) holds accepted blocks until the origin's EOS commits
     the stream whole, so a stream cut short by a death leaves nothing
     half-applied: a :meth:`reset` discards it, and once it committed every
-    later envelope is a :data:`REPLAY` (coalescing boundaries are
-    nondeterministic: a replay never lines up with the first life seq by
-    seq).  Without staging blocks are released at once, nothing commits.
+    later envelope is a :data:`REPLAY` — a reborn origin need not seal what
+    its first life sealed (FCFS task order, the Streaming clock), so a
+    replay never lines up with the first life seq by seq.  Without
+    staging blocks are released at once, nothing commits.
     """
 
     __slots__ = ("staging", "epoch", "last", "staged", "committed")
@@ -332,7 +328,7 @@ def _flow_pair(plane_id: str, dest: int, origin: int, seq: int) -> tuple[int, in
 
 
 class ShuffleService:
-    """Sender + receiver threads of one worker process."""
+    """The send path of one worker process, and its receiver thread."""
 
     def __init__(
         self,
@@ -346,11 +342,10 @@ class ShuffleService:
         self._factory = plane_config_factory
         self._planes: dict[str, ShufflePlane] = {}
         self._planes_lock = threading.Lock()
-        #: ``((plane, dest), block)`` (``block=None``: the stream's EOS), an
-        #: ``Event`` (a drain marker) or ``None`` (stop)
-        self._send_queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-        #: set when the sender thread left; nobody will set a marker now
-        self._sender_gone = False
+        #: set when the receiver left: a plane opened later never completes
+        self._receiver_gone = False
+        #: the open send streams; the sending task's thread is their only user
+        self._streams: dict[tuple[str, int], _Outbound] = defaultdict(_Outbound)
         self.batch_bytes = batch_bytes
         self.blocks_sent = 0
         self.bytes_sent = 0
@@ -362,18 +357,12 @@ class ShuffleService:
         self.epoch = world.runtime.rank_epoch
         self.recovery = world.runtime.rank_recovery
         #: a pipelined plane's blocks for this rank's own partitions skip
-        #: sender, transport and receiver — unless channels stage (delivery
-        #: waits for the EOS) or a fault injector must see every block
+        #: transport and receiver — unless channels stage (delivery waits
+        #: for the EOS) or a fault injector must see every block
         self._local = not (self.recovery or world.runtime.chaos_routed)
-        #: what went that way; the sending task's thread is the only writer
-        self._local_blocks = self._local_bytes = 0
-        self._sender = threading.Thread(
-            target=self._sender_loop, daemon=True, name=f"shuffle-send-{self.rank}"
-        )
         self._receiver = threading.Thread(
             target=self._receiver_loop, daemon=True, name=f"shuffle-recv-{self.rank}"
         )
-        self._sender.start()
         self._receiver.start()
 
     # -- plane registry -----------------------------------------------------------
@@ -383,6 +372,8 @@ class ShuffleService:
             if plane is None:
                 plane = ShufflePlane(plane_id, self.rank, self._factory(plane_id))
                 plane.abort = self.world.runtime.abort_flag
+                if self._receiver_gone:
+                    plane.abort_streams()  # nothing will ever land on it
                 self._planes[plane_id] = plane
             return plane
 
@@ -393,99 +384,72 @@ class ShuffleService:
             return list(self._planes.values())
 
     # -- send path -------------------------------------------------------------
-    def send_block(self, plane_id: str, block: Block) -> None:
-        """Hand a sealed block to the communication thread — or, when it
-        is this rank's own and the plane streams, straight to the plane.
-        The stream's EOS still travels as an envelope, after every local
-        block: the task sends it last."""
+    def send_blocks(
+        self, plane_id: str, blocks: Iterable[Block], eos: bool = False
+    ) -> None:
+        """Ship sealed blocks on the calling task's thread; ``eos``: this
+        process finished the plane, and when the call returns every stream
+        of it is on the wire.  A rank's own blocks of a pipelined plane go
+        straight to the plane; the stream's EOS still travels as an
+        envelope, after every local block.  Raises :class:`MPIAbort` (the
+        job is dead) into the sending task."""
         plane = self.plane(plane_id)
-        dest = plane.config.window.owner(block.partition_id)
-        if dest == self.rank and plane.config.pipelined and self._local:
-            plane.add_block(block)
-            self._local_blocks += 1
-            self._local_bytes += block.nbytes
-            if _T.enabled:  # no flow pair: nothing crossed a rank
-                _T.instant("shuffle.local", cat="shuffle", args={
-                    "plane": plane_id, "partition": block.partition_id,
-                    "bytes": block.nbytes,
-                })
-            return
-        self._send_queue.put(((plane_id, dest), block))
+        pipelined, owner = plane.config.pipelined, plane.config.window.owner
+        streams = self._streams
+        for block in blocks:
+            dest = owner(block.partition_id)
+            if dest == self.rank and pipelined and self._local:
+                plane.add_block(block)
+                self.blocks_sent += 1
+                self.bytes_sent += block.nbytes
+                if _T.enabled:  # no flow pair: nothing crossed a rank
+                    _T.instant("shuffle.local", cat="shuffle", args={
+                        "plane": plane_id, "partition": block.partition_id,
+                        "bytes": block.nbytes,
+                    })
+                continue
+            out = streams[plane_id, dest]
+            out.add(block)
+            if out.nbytes >= self.batch_bytes:
+                self._transmit((plane_id, dest), out, eos=False)
+        if eos:  # nothing more can follow on these streams
+            for dest in range(self.nprocs):
+                key = (plane_id, dest)
+                self._transmit(key, streams.pop(key, None) or _Outbound(), eos=True)
+        elif pipelined:  # nothing waits for a later seal
+            for dest in range(self.nprocs):
+                out = streams.get((plane_id, dest))
+                if out is not None and out.blocks:
+                    self._transmit((plane_id, dest), out, eos=False)
+
+    def send_block(self, plane_id: str, block: Block) -> None:
+        """:meth:`send_blocks` of one block."""
+        self.send_blocks(plane_id, (block,))
 
     def send_eos(self, plane_id: str) -> None:
         """Tell every process this sender finished the plane."""
-        for dest in range(self.nprocs):
-            self._send_queue.put(((plane_id, dest), None))
-
-    def drain_sends(self) -> None:
-        """Block until everything handed in before this call is on the
-        wire — or the sender thread has left (the job is dead, or the
-        service shut down): nothing more will be sent either way."""
-        sent = threading.Event()
-        self._send_queue.put(sent)
-        # the sender raises the flag, then sweeps the queue: a marker
-        # put too late for the sweep sees the flag
-        if not self._sender_gone:
-            sent.wait()
-
-    def _sender_loop(self) -> None:
-        _T.bind(self.rank)  # attribute send spans to this rank's lane
-        try:
-            self._pump_sends()
-        except MPIAbort:
-            pass  # the job is dead; planes will never complete, that's fine
-        finally:
-            self._sender_gone = True
-            while not self._send_queue.empty():
-                item = self._send_queue.get()
-                if isinstance(item, threading.Event):
-                    item.set()
-
-    def _pump_sends(self) -> None:
-        streams = defaultdict(_Outbound)  # the open ones, by (plane, dest)
-        while True:
-            item = self._send_queue.get()
-            if type(item) is tuple:
-                key, block = item
-                out = streams[key]
-                if block is None:  # eos: nothing more can follow on this stream
-                    del streams[key]
-                    self._transmit(key, out, eos=True)
-                else:
-                    out.add(block)
-                    if out.nbytes >= self.batch_bytes:
-                        self._transmit(key, out, eos=False)
-                if not self._send_queue.empty():
-                    continue  # batching is only worthwhile while items wait
-            # the queue ran dry, or a drain marker or the stop came up:
-            # everything held goes out first
-            for key, out in streams.items():
-                if out.blocks:
-                    self._transmit(key, out, eos=False)
-            if item is None:
-                return
-            if isinstance(item, threading.Event):
-                item.set()
+        self.send_blocks(plane_id, (), eos=True)
 
     def _transmit(self, key: tuple[str, int], out: _Outbound, eos: bool) -> None:
-        """Send the stream's held blocks as its next envelope.  Raises
-        :class:`MPIAbort` (the job is dead) through to the sender loop."""
+        """Send the stream's held blocks as its next envelope, as the
+        calling thread's communicate time."""
         plane_id, dest = key
         seq, blocks, nbytes = out.take()
-        trace_t0 = _T.clock() if _T.enabled else 0.0
-        if seq == 0 and self.recovery and self.epoch > 0:
-            # reborn incarnation: the receiver's channel must restart from
-            # seq 0 at this epoch before the re-sent stream's first batch
-            reset = ("reset", plane_id, (self.rank, self.epoch))
-            self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
-        flow = 0
-        if _T.enabled:
-            # the pair also travels in the envelope header, so the link
-            # survives the wire even for wildcard receivers
-            flow, parent = _flow_pair(plane_id, dest, self.rank, seq)
-            _T.set_flow(flow, parent)
-        batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
-        self.world.send(batch, dest=dest, tag=SHUFFLE_TAG)
+        with phase("communicate"):
+            trace_t0 = _T.clock() if _T.enabled else 0.0
+            if seq == 0 and self.recovery and self.epoch > 0:
+                # reborn incarnation: the receiver's channel must restart
+                # from seq 0 at this epoch before the stream's first batch
+                reset = ("reset", plane_id, (self.rank, self.epoch))
+                self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
+            flow = 0
+            if _T.enabled:
+                # the pair also travels in the envelope header, so the link
+                # survives the wire even for wildcard receivers
+                flow, parent = _flow_pair(plane_id, dest, self.rank, seq)
+                _T.set_flow(flow, parent)
+            batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
+            self.world.send(batch, dest=dest, tag=SHUFFLE_TAG)
         self.envelopes_sent += 1
         self.blocks_sent += len(blocks)
         self.bytes_sent += nbytes
@@ -515,7 +479,11 @@ class ShuffleService:
         try:
             self._pump_receives()
         finally:
-            for plane in self._planes_now():
+            # every world abort ends up here: no open plane can complete now
+            with self._planes_lock:
+                self._receiver_gone = True
+                planes = list(self._planes.values())
+            for plane in planes:
                 plane.abort_streams()
 
     def _pump_receives(self) -> None:
@@ -594,8 +562,6 @@ class ShuffleService:
 
     # -- lifecycle ---------------------------------------------------------------
     def shutdown(self) -> None:
-        self._send_queue.put(None)
-        self._sender.join(timeout=10)
         try:
             # self-deliver the receiver stop marker through MPI so it drains
             # everything already enqueued first
@@ -609,8 +575,8 @@ class ShuffleService:
     def stats(self) -> dict[str, int]:
         planes = self._planes_now()
         return {
-            "blocks_sent": self.blocks_sent + self._local_blocks,
-            "bytes_sent": self.bytes_sent + self._local_bytes,
+            "blocks_sent": self.blocks_sent,
+            "bytes_sent": self.bytes_sent,
             "envelopes_sent": self.envelopes_sent,
             "records_received": sum(p.records_received() for p in planes),
             "blocks_received": sum(p.blocks_received() for p in planes),

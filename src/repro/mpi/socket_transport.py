@@ -77,6 +77,7 @@ from repro.mpi.runtime import _CONTEXT_STRIDE, BaseRuntime, ProcessRuntime, rank
 from repro.mpi.transport import AbortFlag, Envelope, Transport, TruncatedPayload
 from repro.net import wire
 from repro.net.wire import FrameConnection, FrameKind
+from repro.obs.journal import shard_path, write_shard
 from repro.obs.profiler import PROFILER
 from repro.obs.tracer import TRACER as _T
 
@@ -247,12 +248,15 @@ class _Rank:
 
     def hello(
         self, conn: FrameConnection, pid: int, epoch: int
-    ) -> tuple[list[bytes], float | None] | None:
+    ) -> tuple[list[bytes], float | None] | FailureRecord | None:
         """Incarnation ``epoch`` speaks on ``conn``.  None: a zombie,
         never routed to.  Otherwise the frames to flush to it, in order,
         and how long the rank was offline (None for a first life): a
         rebirth is replayed its log in forwarding order — the entries
-        stay logged, a second death replays again."""
+        stay logged, a second death replays again.  A rebirth whose log
+        overflowed while it was down has nothing whole to replay: the
+        record of a death nothing can undo (the world fails now, not at
+        the reborn rank's plane timeout)."""
         if epoch < self.epoch:
             return None
         self.conn, self.pid = conn, pid
@@ -261,6 +265,8 @@ class _Rank:
         if self.recovering_since is not None:
             offline = _now() - self.recovering_since
             self.recovering_since = None
+            if self.redelivery.overflowed:
+                return self.failure()
             frames = self.redelivery.frames + frames
         return frames, offline
 
@@ -526,11 +532,16 @@ class RouterTransport(Transport):
                     "(epoch %d < %d)", gid, epoch, rank.epoch,
                 )
                 return
-            frames, offline = flush
-            for frame in frames:
-                conn.try_send(frame)
-            if offline is not None:
-                self.redelivered_frames += len(frames)
+            if not isinstance(flush, FailureRecord):
+                frames, offline = flush
+                for frame in frames:
+                    conn.try_send(frame)
+                if offline is not None:
+                    self.redelivered_frames += len(frames)
+        if isinstance(flush, FailureRecord):
+            # the abort's broadcast reaches the reborn rank as well
+            self._fail_world(gid, flush)
+            return
         if offline is None:
             _log.debug("router: rank %d online (pid %d)", gid, pid)
         else:
@@ -866,16 +877,15 @@ def fork_worker(
 
     A rank's first life and every respawn start here, so this is the one
     place that names an incarnation: its process and — when the job is
-    traced — the journal shard it drains its tracer into, which
-    ``obs.journal.merge_shards`` finds by the ``.shard-`` infix.
+    traced — the journal shard it drains its tracer into
+    (``obs.journal.shard_path``).
     """
     life = f"e{spec.epoch}" if spec.epoch else ""
     spec = replace(
         spec,
         name=f"{spec.world_name}[{spec.rank}]{life}",
         trace_shard=(
-            f"{shard_prefix}.shard-g{spec.gid}{life}.jsonl"
-            if shard_prefix else None
+            shard_path(shard_prefix, spec.gid, spec.epoch) if shard_prefix else None
         ),
     )
     proc = multiprocessing.get_context(_START_METHOD).Process(
@@ -912,22 +922,12 @@ def _worker_process_main(spec: WorkerSpec) -> None:
         exitcode = 1
     finally:
         if spec.trace_shard:
-            _write_trace_shard(spec.trace_shard)
+            # the driver merges it into the job's journal
+            try:
+                events = _T.drain()
+                if events:
+                    write_shard(spec.trace_shard, events)
+            except Exception:  # noqa: BLE001 - tracing must never fail the rank
+                _log.exception("failed to write trace shard %s", spec.trace_shard)
         runtime.close()
     sys.exit(exitcode)
-
-
-def _write_trace_shard(path: str) -> None:
-    """Drain this process's tracer into a journal shard for the driver to
-    merge (``obs.journal.merge_shards``)."""
-    import json
-
-    try:
-        events = _T.drain()
-        if not events:
-            return
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
-    except Exception:  # noqa: BLE001 - tracing must never fail the rank
-        _log.exception("failed to write trace shard %s", path)

@@ -265,7 +265,7 @@ class FaultInjector:
 
     # -- the hook -----------------------------------------------------------
     def apply(self, dest_rank: int, envelope: Envelope) -> list[Envelope]:
-        """Called by the sender thread; returns the envelopes to deliver
+        """Called on the sending thread; returns the envelopes to deliver
         (empty = dropped).  May sleep for ``delay`` faults."""
         with self._lock:
             if envelope.origin in self._severed or dest_rank in self._severed:

@@ -33,8 +33,10 @@ __all__ = [
     "export_chrome",
     "merge_shards",
     "read_journal",
+    "shard_path",
     "to_chrome_trace",
     "write_journal",
+    "write_shard",
 ]
 
 JOURNAL_VERSION = 1
@@ -129,14 +131,30 @@ def write_journal(
     return path
 
 
-def merge_shards(journal_path: str, cleanup: bool = True) -> list[dict]:
-    """Collect per-process journal shards written by worker processes.
+def shard_path(prefix: str, gid: int, epoch: int) -> str:
+    """Where incarnation ``epoch`` of worker rank ``gid`` writes its shard:
+    ``<prefix>.shard-g<gid>[e<epoch>].jsonl`` — a respawn never overwrites
+    its predecessor's.  ``prefix`` is ``<journal_path>.a<attempt>``."""
+    life = f"e{epoch}" if epoch else ""
+    return f"{prefix}.shard-g{gid}{life}.jsonl"
 
-    On the process backend every worker drains its own tracer into
-    ``<journal_path>.a<attempt>.shard-g<gid>.jsonl`` (raw event dicts, one
-    per line, timestamps already on the driver's epoch).  The driver calls
-    this while writing the merged journal; shard files are deleted after
-    a successful read so reruns do not double-count.
+
+def write_shard(path: str, events: Iterable[dict]) -> None:
+    """Write one worker incarnation's tracer events to its shard: raw
+    event dicts, one per line, timestamps already on the driver's epoch."""
+    with open(path, "w", encoding="utf-8") as f:
+        for event in events:
+            f.write(json.dumps(event) + "\n")
+
+
+def merge_shards(journal_path: str, cleanup: bool = True) -> list[dict]:
+    """Collect the shards (:func:`write_shard`) worker processes left at
+    :func:`shard_path` under ``journal_path``, time-sorted.
+
+    On the process backend every worker drains its own tracer into a
+    shard.  The driver calls this while writing the merged journal; shard
+    files are deleted after a successful read so reruns do not
+    double-count.
     """
     events: list[dict] = []
     for shard in sorted(_glob.glob(f"{_glob.escape(journal_path)}.a*.shard-*.jsonl")):

@@ -214,42 +214,3 @@ class DataInput:
         n = self.read_vint()
         return self.read_bytes(n).decode("utf-8")
 
-
-class ChunkedDataInput(DataInput):
-    """A :class:`DataInput` fed incrementally from an iterator of chunks.
-
-    Lets readers (spill-file merges, checkpoint replays) stream a large
-    serialized run without materializing the whole payload: the buffer
-    holds only the unconsumed tail plus one chunk.  The chunk source is
-    pulled lazily, so wrapping a file/decompressor generator costs nothing
-    until bytes are actually needed.
-    """
-
-    __slots__ = ("_chunks", "_buf", "_exhausted")
-
-    def __init__(self, chunks) -> None:
-        self._chunks = iter(chunks)
-        self._buf = bytearray()
-        self._exhausted = False
-        super().__init__(self._buf)
-
-    def seek(self, pos: int) -> None:
-        raise SerializationError("chunked streams are forward-only")
-
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._view):
-            self._refill(n)
-        return super()._take(n)
-
-    def _refill(self, n: int) -> None:
-        # the bytearray cannot be resized while the memoryview exports it
-        self._view.release()
-        del self._buf[: self._pos]
-        self._pos = 0
-        while len(self._buf) < n and not self._exhausted:
-            chunk = next(self._chunks, None)
-            if chunk is None:
-                self._exhausted = True
-            else:
-                self._buf += chunk
-        self._view = memoryview(self._buf)

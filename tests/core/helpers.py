@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+import types
 from collections import defaultdict
 from typing import Any
 
@@ -35,6 +37,33 @@ def batch_block(
         partition, batch, len(batch.data) if nbytes is None else nbytes,
         sorted=sorted_,
     )
+
+
+class RecordingWorld:
+    """Intracomm stand-in of rank 0 that keeps what a shuffle service
+    sends, as ``(payload, dest)``; its own shutdown marker is what the
+    service's receiver thread gets.  ``reborn``: a respawned incarnation
+    of a rank-recovery world."""
+
+    def __init__(self, size: int = 1, reborn: bool = False) -> None:
+        self.rank = 0
+        self.size = size
+        # everything the shuffle service reads off a runtime
+        self.runtime = types.SimpleNamespace(
+            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None,
+            chaos_routed=False,
+        )
+        self.sent: list[tuple[Any, int]] = []
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        if obj[0] == "shutdown":
+            self._inbox.put(obj)
+        else:
+            self.sent.append((obj, dest))
+
+    def recv(self, source: Any = None, tag: Any = None) -> Any:
+        return self._inbox.get()
 
 
 def busy_for(seconds: float) -> None:

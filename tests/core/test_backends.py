@@ -11,6 +11,8 @@ that works for both backends is exactly what real jobs need.
 import glob
 import json
 import os
+import re
+import threading
 
 from repro.core import DataMPIJob, FileSink, Mode, common_job, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
@@ -114,6 +116,45 @@ class TestFileSink:
         sink.cleanup()  # closes its own handle and removes the part files
         assert [f.closed for f in handles] == [True, False]
         clone._files.popitem()[1].close()
+
+
+class TestThreadModel:
+    """A rank's shuffle is its tasks' own thread plus one receiver."""
+
+    def test_a_rank_runs_its_receiver_and_no_other_shuffle_thread(
+        self, tmp_path, launcher
+    ):
+        outdir = tmp_path / "threads"
+        outdir.mkdir()
+        before = set(threading.enumerate())
+        job_threads = []  # on threads: the job's own, the very objects
+
+        def o_fn(ctx):
+            for i in range(20):
+                ctx.send(i, i)
+            mine = [t for t in threading.enumerate()
+                    if t.name.startswith("shuffle-") and t not in before]
+            job_threads.extend(mine)
+            names = sorted(t.name for t in mine)
+            (outdir / f"o{ctx.rank}.json").write_text(json.dumps(names))
+
+        def a_fn(ctx):
+            list(ctx.recv_iter())
+
+        job = common_job("thread-model", o_fn, a_fn, o_tasks=2, a_tasks=2,
+                         conf={K.LAUNCHER: launcher})
+        assert mpidrun(job, nprocs=2, raise_on_error=True).success
+        seen = [json.loads(p.read_text()) for p in sorted(outdir.iterdir())]
+        assert len(seen) == 2
+        for names in seen:
+            if launcher == "processes":  # a rank's process holds its own
+                assert len(names) == 1
+                assert re.fullmatch(r"shuffle-recv-\d+", names[0])
+            else:  # one interpreter holds every rank
+                assert names == ["shuffle-recv-0", "shuffle-recv-1"]
+        # a clean run joined every one of them
+        assert job_threads or launcher == "processes"
+        assert not any(t.is_alive() for t in job_threads)
 
 
 class TestModesOnProcesses:

@@ -297,8 +297,8 @@ class _RecordingShuffle:
     def __init__(self):
         self.shipped = []
 
-    def send_block(self, plane_id, block):
-        self.shipped.append((plane_id, block))
+    def send_blocks(self, plane_id, blocks, eos=False):
+        self.shipped.extend((plane_id, block) for block in blocks)
 
 
 class TestBoundSend:

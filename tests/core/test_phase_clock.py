@@ -231,6 +231,40 @@ class TestLayersChargeThemselves:
         assert lane.read()["checkpoint"] == pytest.approx(0.5)
         assert lane.current == "control"
 
+    def test_transmit_charges_communicate(self, lane, now):
+        """A task ships what it sealed on its own lane: the wire time of
+        each envelope is ``communicate``, the call around it stays the
+        caller's phase."""
+        import tempfile
+
+        from repro.core.partition import PartitionWindow
+        from repro.core.shuffle import PlaneConfig, ShuffleService
+        from tests.core.helpers import RecordingWorld, batch_block
+
+        class SlowWire(RecordingWorld):
+            def send(self, obj, dest, tag=0):
+                if obj[0] != "shutdown":
+                    now.advance(0.25)
+                super().send(obj, dest, tag)
+
+        world = SlowWire(size=2)
+        service = ShuffleService(world, lambda pid: PlaneConfig(
+            2, PartitionWindow(2, 2), None, get_serializer("writable"),
+            tempfile.gettempdir(), 1 << 20,
+        ), batch_bytes=1 << 20)
+        try:
+            with phase("compute"):
+                for i in range(6):
+                    service.send_block("fwd:0", batch_block(i % 2, [("k", i)]))
+                    now.advance(0.5)  # the task's own work between seals
+                service.send_eos("fwd:0")
+                assert lane.current == "compute"
+        finally:
+            service.shutdown()
+        assert len(world.sent) == 2  # one envelope per destination
+        assert lane.read()["communicate"] == pytest.approx(0.25 * 2)
+        assert lane.read()["compute"] == pytest.approx(0.5 * 6)
+
     def test_bare_objects_run_without_a_lane(self, tmp_path):
         spl = self._spl()
         assert [b for i in range(40) if (b := spl.add(0, f"k{i}", i))]

@@ -1,12 +1,11 @@
 """Sender-side block coalescing: batching, EOS folding, exact stats.
 
-The deterministic tests use a stub world whose first ``send`` parks on a
-gate; while the sender thread is stuck there the send queue backs up, so
-we control exactly which items coalesce into which envelope.
+The send path runs on the calling thread, so a recording world shows
+exactly which blocks rode in which envelope: on a batch plane a stream
+is held until its byte cap or the EOS.
 """
 
 import tempfile
-import threading
 
 import pytest
 
@@ -14,10 +13,10 @@ from repro.common.errors import MPIAbort
 from repro.core.constants import SHUFFLE_TAG
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
-from repro.mpi import ThreadRuntime, run_world
+from repro.mpi import run_world
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import WritableSerializer
-from tests.core.helpers import batch_block
+from tests.core.helpers import RecordingWorld, batch_block
 
 
 def _config(num_partitions=1, num_processes=1, pipelined=False):
@@ -36,102 +35,73 @@ def block(partition, records):
     return batch_block(partition, records, nbytes=10 * len(records))
 
 
-class _GatedWorld:
-    """Intracomm stand-in: the first ``send`` parks until the gate opens,
-    so everything enqueued meanwhile coalesces deterministically."""
-
-    def __init__(self):
-        self.rank = 0
-        self.size = 1
-        self.runtime = ThreadRuntime()  # rank epoch, abort flag, plane ACKs
-        self.envelopes = []
-        self.in_send = threading.Event()
-        self.gate = threading.Event()
-
-    def send(self, obj, dest, tag=0):
-        self.in_send.set()
-        assert self.gate.wait(10), "test gate never released"
-        self.envelopes.append((obj, dest))
-
-    def recv(self, source=None, tag=None):
-        threading.Event().wait()  # parks the receiver thread (daemon)
-
-
-def _gated_service(batch_bytes):
-    world = _GatedWorld()
+def _sent_five(batch_bytes):
+    """Five 10-byte blocks then the EOS on one stream; the envelopes."""
+    world = RecordingWorld()
     service = ShuffleService(world, lambda pid: _config(), batch_bytes=batch_bytes)
-    # primer: one block the sender flushes immediately (queue runs dry),
-    # sticking it in world.send until the gate opens
-    service.send_block("pl", block(0, [("primer", 0)]))
-    assert world.in_send.wait(10), "sender never reached send()"
+    try:
+        for i in range(5):
+            service.send_block("pl", block(0, [(f"k{i}", i)]))
+        service.send_eos("pl")
+    finally:
+        service.shutdown()
     return world, service
 
 
 class TestCoalescing:
     def test_backlog_coalesces_into_one_envelope_with_eos_folded(self):
-        world, service = _gated_service(batch_bytes=1 << 20)
-        for i in range(5):
-            service.send_block("pl", block(0, [(f"k{i}", i)]))
-        service.send_eos("pl")
-        world.gate.set()
-        service.drain_sends()
-
-        assert len(world.envelopes) == 2  # primer + one coalesced batch
-        (kind, plane_id, (seq, origin, blocks, eos)), dest = world.envelopes[1]
+        world, _ = _sent_five(batch_bytes=1 << 20)
+        assert len(world.sent) == 1  # held until the EOS, which rode along
+        (kind, plane_id, (seq, origin, blocks, eos)), dest = world.sent[0]
         assert (kind, plane_id, dest) == ("batch", "pl", 0)
-        assert (seq, origin) == (1, 0)  # second envelope from rank 0
+        assert (seq, origin) == (0, 0)
         assert len(blocks) == 5
-        assert eos is True  # EOS rode along, no extra message
+        assert eos is True  # no extra message
 
     def test_batch_bytes_cap_splits_envelopes(self):
         # blocks are 10 "bytes" each; a 25-byte cap flushes after 3
-        world, service = _gated_service(batch_bytes=25)
-        for i in range(5):
-            service.send_block("pl", block(0, [(f"k{i}", i)]))
-        service.send_eos("pl")
-        world.gate.set()
-        service.drain_sends()
-
-        payloads = [env for env, _ in world.envelopes]
+        world = RecordingWorld()
+        service = ShuffleService(world, lambda pid: _config(), batch_bytes=25)
+        try:
+            for i in range(5):
+                service.send_block("pl", block(0, [(f"k{i}", i)]))
+                # the cap is met by the third block's call, not later
+                assert len(world.sent) == (i >= 2)
+            service.send_eos("pl")
+        finally:
+            service.shutdown()
+        payloads = [env for env, _ in world.sent]
         sizes = [len(blocks) for _, _, (_, _, blocks, _) in payloads]
-        assert sizes == [1, 3, 2]  # primer, capped batch, remainder+eos
-        assert [eos for _, _, (*_, eos) in payloads] == [False, False, True]
+        assert sizes == [3, 2]  # capped batch, remainder+eos
+        assert [eos for _, _, (*_, eos) in payloads] == [False, True]
         # consecutive sequence numbers per (plane, dest) channel
-        assert [seq for _, _, (seq, *_) in payloads] == [0, 1, 2]
+        assert [seq for _, _, (seq, *_) in payloads] == [0, 1]
 
     def test_stats_stay_record_accurate_under_batching(self):
-        world, service = _gated_service(batch_bytes=25)
-        for i in range(5):
-            service.send_block("pl", block(0, [(f"k{i}", i)]))
-        service.send_eos("pl")
-        world.gate.set()
-        service.drain_sends()
-
+        _, service = _sent_five(batch_bytes=25)
         stats = service.stats()
-        assert stats["blocks_sent"] == 6  # primer + 5, independent of batching
-        assert stats["bytes_sent"] == 60
-        assert stats["envelopes_sent"] == 3
+        assert stats["blocks_sent"] == 5  # independent of batching
+        assert stats["bytes_sent"] == 50
+        assert stats["envelopes_sent"] == 2
         assert stats["envelopes_sent"] < stats["blocks_sent"]
 
     def test_separate_destinations_never_share_a_batch(self):
-        world = _GatedWorld()
-        world.size = 2
+        world = RecordingWorld(size=2)
         service = ShuffleService(
             world, lambda pid: _config(num_partitions=2, num_processes=2),
             batch_bytes=1 << 20,
         )
-        service.send_block("pl", block(0, [("mine", 0)]))  # dest 0
-        assert world.in_send.wait(10)
-        service.send_block("pl", block(0, [("mine2", 0)]))   # dest 0
-        service.send_block("pl", block(1, [("theirs", 1)]))  # dest 1
-        world.gate.set()
-        service.drain_sends()
-
+        try:
+            service.send_block("pl", block(0, [("mine", 0)]))  # dest 0
+            service.send_block("pl", block(1, [("theirs", 1)]))  # dest 1
+            service.send_block("pl", block(0, [("mine2", 0)]))   # dest 0
+            service.send_eos("pl")
+        finally:
+            service.shutdown()
         by_dest = {}
-        for (kind, _, (_, _, blocks, _)), dest in world.envelopes:
-            by_dest.setdefault(dest, []).extend(b.partition_id for b in blocks)
-        assert by_dest[0] == [0, 0]
-        assert by_dest[1] == [1]
+        for (kind, _, (_, _, blocks, _)), dest in world.sent:
+            by_dest.setdefault(dest, []).append([b.partition_id for b in blocks])
+        assert by_dest == {0: [[0, 0]], 1: [[1]]}
 
 
 class TestCoalescingOverMPI:
@@ -148,7 +118,6 @@ class TestCoalescingOverMPI:
                     service.send_block("fwd:0", b)
             service.send_eos("fwd:0")
             service.plane("fwd:0").wait_complete(30)
-            service.drain_sends()
             stats = service.stats()
             service.shutdown()
             return stats, nbytes_total
@@ -157,7 +126,7 @@ class TestCoalescingOverMPI:
         stats0, nbytes0 = results[0]
         assert stats0["blocks_sent"] == 60
         assert stats0["bytes_sent"] == nbytes0
-        assert 1 <= stats0["envelopes_sent"] <= 62  # 60 blocks + 2 eos worst case
+        assert stats0["envelopes_sent"] == 2  # one per destination, EOS folded
         assert results[1][0]["records_received"] == 60
 
     def test_uncoalesced_block_message_aborts_the_world(self):

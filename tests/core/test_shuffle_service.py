@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.common.errors import DataMPIError
+from repro.common.errors import DataMPIError, MPIAbort
 from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.mpi import run_world
@@ -134,7 +134,6 @@ class TestShuffleServiceOverMPI:
                     service.send_block("fwd:0", block(1, [("k", 1)]))
             service.send_eos("fwd:0")
             service.plane("fwd:0").wait_complete(30)
-            service.drain_sends()
             stats = service.stats()
             service.shutdown()
             return stats
@@ -203,3 +202,46 @@ class TestShuffleServiceOverMPI:
 
         errors, alive = run_world(1, main)[0]
         assert errors == [] and not alive
+
+
+class TestPlaneWaits:
+    """A plane wait ends one of three ways: complete, the world's abort,
+    or the timeout — woken, never polled."""
+
+    def test_a_waiter_wakes_when_the_world_aborts_and_a_late_plane_is_dead(self):
+        seen = {}
+
+        def main(comm):
+            service = ShuffleService(comm, lambda pid: make_config(1, comm.size))
+            plane = service.plane("fwd:0")
+
+            def wait():
+                try:
+                    plane.wait_complete(600)
+                except MPIAbort as exc:
+                    seen["waiter"] = str(exc)
+
+            waiter = threading.Thread(target=wait, daemon=True)
+            waiter.start()
+            comm.abort(reason="a peer died")
+            waiter.join(60)  # far below the wait's own timeout
+            service._receiver.join(60)
+            seen["alive"] = waiter.is_alive(), service._receiver.is_alive()
+            try:
+                service.plane("fwd:1").wait_complete(600)
+            except MPIAbort as exc:
+                seen["late"] = str(exc)
+            service.shutdown()
+
+        with pytest.raises(MPIAbort):
+            run_world(1, main)
+        assert seen["alive"] == (False, False)
+        assert "a peer died" in seen["waiter"]
+        assert "a peer died" in seen["late"]
+
+    def test_a_complete_plane_returns_and_an_open_one_times_out(self):
+        plane = ShufflePlane("p", 0, make_config(2, 1))
+        with pytest.raises(DataMPIError, match="completion timed out"):
+            plane.wait_complete(0)
+        plane.add_eos()
+        plane.wait_complete(0)

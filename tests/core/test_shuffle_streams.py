@@ -3,15 +3,13 @@
 ``_Channel`` (receive side) and ``_Outbound`` (send side) are plain
 records: the properties below construct them bare — no thread, no MPI,
 no sleeps — and feed them every interleaving Hypothesis can think of.
-The sender pump is then driven over a recording world, and the drain
-contract ("returns when sent, or when the job is dead") is pinned by
-regression tests that hung at the parent commit.
+The send path, which runs on the calling thread, is then driven over a
+recording world, and a send on a dead world is pinned to raise in the
+task that made it.
 """
 
-import queue
 import tempfile
 import threading
-import types
 from collections import Counter, defaultdict
 
 import pytest
@@ -21,6 +19,7 @@ from hypothesis import strategies as st
 from repro.common.errors import DataMPIError, MPIAbort
 from repro.core.buffers import Block
 from repro.core.partition import PartitionWindow
+from repro.mpi.transport import AbortFlag
 from repro.core.shuffle import (
     DUPLICATE,
     REPLAY,
@@ -30,7 +29,7 @@ from repro.core.shuffle import (
     _Outbound,
 )
 from repro.serde.serialization import WritableSerializer
-from tests.core.helpers import batch_block
+from tests.core.helpers import RecordingWorld, batch_block
 
 # -- (a) the channel, bare ------------------------------------------------------
 #
@@ -170,35 +169,10 @@ class TestRebirth:
             assert channel.epoch == seen
 
 
-# -- (b) the sender, over a recording world ---------------------------------------
+# -- (b) the send path, over a recording world ---------------------------------------
 
 NPROCS = 3
 BATCH_BYTES = 100
-
-
-class RecordingWorld:
-    """Intracomm stand-in that keeps what the sender thread sends; the
-    service's own shutdown marker is what its receiver thread gets."""
-
-    def __init__(self, reborn=False):
-        self.rank = 0
-        self.size = NPROCS
-        # everything the shuffle service reads off a runtime
-        self.runtime = types.SimpleNamespace(
-            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None,
-            chaos_routed=False,
-        )
-        self.sent = []
-        self._inbox = queue.SimpleQueue()
-
-    def send(self, obj, dest, tag=0):
-        if obj[0] == "shutdown":
-            self._inbox.put(obj)
-        else:
-            self.sent.append((obj, dest))
-
-    def recv(self, source=None, tag=None):
-        return self._inbox.get()
 
 
 def plane_config(_plane_id):
@@ -208,24 +182,64 @@ def plane_config(_plane_id):
     )
 
 
-def returns(fn, timeout=10.0):
-    """Run a call that may block on its own thread; did it come back?"""
-    thread = threading.Thread(target=fn, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    return not thread.is_alive()
-
-
-#: ("block", plane, partition, nbytes) | ("eos", plane) | ("drain",)
+#: ("block", plane, partition, nbytes) | ("eos", plane)
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("block"), st.sampled_from("ab"),
                   st.integers(0, NPROCS - 1), st.integers(1, 80)),
         st.tuples(st.just("eos"), st.sampled_from("ab")),
-        st.tuples(st.just("drain")),
     ),
     max_size=40,
 )
+
+
+def on_the_wire(world):
+    """Block ids per (plane, dest) stream, wire order, and the ended planes."""
+    on_wire, ended = defaultdict(list), set()
+    for (kind, plane, payload), dest in world.sent:
+        if kind == "batch":
+            on_wire[plane, dest] += [b.records for b in payload[2]]
+            if payload[3]:
+                ended.add(plane)
+    return on_wire, ended
+
+
+def play(ops, reborn=False):
+    """Run ``ops`` (then the two EOS) on a fresh service, checking after
+    every call that a stream holds back only what is short of the cap and
+    that an ended plane is on the wire whole; returns the world, the
+    service and the block ids handed in per stream."""
+    world = RecordingWorld(size=NPROCS, reborn=reborn)
+    service = ShuffleService(world, plane_config, batch_bytes=BATCH_BYTES)
+    handed = defaultdict(list)  # (plane, dest) -> block ids, hand-in order
+    sizes = {}  # block id -> nbytes
+    closed = set()
+    try:
+        for op in [*ops, ("eos", "a"), ("eos", "b")]:
+            if op[1] in closed:
+                continue
+            if op[0] == "block":
+                _, plane, partition, nbytes = op
+                serial = len(sizes)
+                sizes[serial] = nbytes
+                service.send_block(plane, Block(partition, serial, nbytes, False))
+                handed[plane, partition].append(serial)  # dest == partition
+            else:
+                closed.add(op[1])
+                service.send_eos(op[1])
+            on_wire, ended = on_the_wire(world)
+            assert ended == closed
+            for key, ids in handed.items():
+                sent = on_wire.get(key, [])
+                assert ids[: len(sent)] == sent
+                held = ids[len(sent):]
+                if key[0] in closed:
+                    assert held == []  # the EOS call put it all on the wire
+                else:  # held back only while short of the cap
+                    assert sum(sizes[i] for i in held) < BATCH_BYTES
+    finally:
+        service.shutdown()
+    return world, service, handed
 
 
 class TestSenderStreams:
@@ -233,38 +247,10 @@ class TestSenderStreams:
     @settings(max_examples=60, deadline=None)
     @given(ops=OPS)
     def test_every_stream_is_sequenced_ordered_and_closed_once(self, reborn, ops):
-        world = RecordingWorld(reborn)
-        service = ShuffleService(world, plane_config, batch_bytes=BATCH_BYTES)
-        handed = defaultdict(list)  # (plane, dest) -> block ids, hand-in order
-        closed = set()
-        serial = 0
-        try:
-            for op in [*ops, ("eos", "a"), ("eos", "b"), ("drain",)]:
-                if op[0] == "block" and op[1] not in closed:
-                    _, plane, partition, nbytes = op
-                    service.send_block(plane, Block(partition, serial, nbytes, False))
-                    handed[plane, partition].append(serial)  # dest == partition
-                    serial += 1
-                elif op[0] == "eos" and op[1] not in closed:
-                    closed.add(op[1])
-                    service.send_eos(op[1])
-                elif op[0] == "drain":
-                    assert returns(service.drain_sends)
-                    # everything handed in before the drain is on the wire
-                    on_wire = defaultdict(list)
-                    ended = set()
-                    for (kind, plane, payload), dest in list(world.sent):
-                        if kind == "batch":
-                            on_wire[plane, dest] += [b.records for b in payload[2]]
-                            if payload[3]:
-                                ended.add(plane)
-                    assert {k: v for k, v in on_wire.items() if v} == {
-                        k: v for k, v in handed.items() if v
-                    }
-                    assert ended == closed
-        finally:
-            service.shutdown()
-        assert not service._sender.is_alive() and not service._receiver.is_alive()
+        world, service, handed = play(ops, reborn)
+        assert not service._receiver.is_alive()
+        # coalescing follows the calls alone: the same calls, the same envelopes
+        assert play(ops, reborn)[0].sent == world.sent
 
         by_stream = defaultdict(list)
         for (kind, plane, payload), dest in world.sent:
@@ -290,7 +276,7 @@ class TestSenderStreams:
         assert stats["envelopes_sent"] == sum(
             kind == "batch" for (kind, *_), _ in world.sent
         )
-        assert stats["blocks_sent"] == serial
+        assert stats["blocks_sent"] == sum(map(len, handed.values()))
 
     def test_outbound_numbers_its_envelopes_and_hands_blocks_out_once(self):
         out = _Outbound()
@@ -318,18 +304,22 @@ class TestLocalDelivery:
     @given(sizes=st.lists(st.tuples(st.integers(0, NPROCS - 1), st.integers(1, 4)),
                           max_size=30))
     def test_own_partitions_keep_send_order_and_the_counters_add_up(self, sizes):
-        world = RecordingWorld()  # rank 0 owns partition 0 alone
+        world = RecordingWorld(size=NPROCS)  # rank 0 owns partition 0 alone
         service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
         sent = defaultdict(list)  # partition -> records, send order
+        local = []  # the serials of the blocks rank 0 kept
         try:
             for serial, (partition, count) in enumerate(sizes):
                 records = [(serial, i) for i in range(count)]
                 sent[partition] += records
+                if partition == 0:
+                    local.append(serial)
                 service.send_block("a", batch_block(partition, records, sorted_=False))
-                # a local block is the consumer's before send_block returns
+                # a local block is the consumer's before send_block returns,
+                # a peer's is on the wire
                 assert service.plane("a").records_received() == len(sent[0])
+                assert len(world.sent) == serial + 1 - len(local)
             service.send_eos("a")
-            assert returns(service.drain_sends)
             plane = service.plane("a")
             # this rank's own EOS went to the recorded wire, after every
             # local block; hand the plane that one and the two peers'
@@ -355,61 +345,49 @@ class TestLocalDelivery:
 
     @pytest.mark.parametrize("runtime", [{"rank_recovery": True}, {"chaos_routed": True}])
     def test_staged_channels_and_fault_injectors_keep_the_transport(self, runtime):
-        world = RecordingWorld()
+        world = RecordingWorld(size=NPROCS)
         vars(world.runtime).update(runtime)
         service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
         try:
             service.send_block("a", batch_block(0, [("k", 1)], sorted_=False))
-            assert returns(service.drain_sends)
             assert service.plane("a").records_received() == 0
             assert [dest for (kind, *_), dest in world.sent if kind == "batch"] == [0]
         finally:
             service.shutdown()
 
 
-# -- (d) drain returns when sent — or when the job is dead --------------------------
+# -- (d) a dead world fails the task that sends ----------------------------------------
 
 
 class DeadWorld(RecordingWorld):
-    """A worker that lost its router: every send meets MPIAbort, the first
-    only once the gate opens."""
+    """A worker that lost its router: every receive and every send but the
+    local stop marker meets MPIAbort."""
 
     def __init__(self):
-        super().__init__()
-        self.in_send = threading.Event()
-        self.gate = threading.Event()
+        super().__init__(size=NPROCS)
+        self.runtime.abort_flag = AbortFlag()
+        self.runtime.abort_flag.trip("router lost")
 
     def send(self, obj, dest, tag=0):
         if obj[0] == "shutdown":  # the local stop marker needs no router
             return super().send(obj, dest, tag)
-        self.in_send.set()
-        assert self.gate.wait(10), "test gate never released"
-        raise MPIAbort(1, "router lost")
+        self.runtime.abort_flag.check()
+
+    def recv(self, source=None, tag=None):
+        self.runtime.abort_flag.check()
 
 
-class TestDrainAfterAbort:
-    def test_drain_after_the_sender_left_returns(self):
-        """Probe (i): a task still emitting after the abort must not sit in
-        ``drain_sends`` for ever (at the parent commit it did)."""
-        world = DeadWorld()
-        world.gate.set()
-        service = ShuffleService(world, plane_config)
-        service.send_block("a", Block(0, 0, 10, False))
-        service._sender.join(10)
-        assert not service._sender.is_alive()  # met MPIAbort and left
-        service.send_block("a", Block(0, 1, 10, False))
-        assert returns(service.drain_sends, timeout=5.0)
+class TestSendAfterAbort:
+    def test_a_send_on_a_dead_world_raises_in_the_task_and_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        service = ShuffleService(DeadWorld(), plane_config)
+        service._receiver.join(10)  # met MPIAbort and left
+        service.send_block("a", Block(0, 0, 10, False))  # held: short of the cap
+        with pytest.raises(MPIAbort, match="router lost"):
+            service.send_eos("a")
+        # an open plane, and one opened now, report the world's reason
+        for plane_id in ("a", "late"):
+            with pytest.raises(MPIAbort, match="router lost"):
+                service.plane(plane_id).wait_complete(60)
         service.shutdown()
-
-    def test_a_drain_already_waiting_is_released_by_the_abort(self):
-        world = DeadWorld()
-        service = ShuffleService(world, plane_config)
-        service.send_block("a", Block(0, 0, 10, False))
-        assert world.in_send.wait(10)  # the sender is inside send()
-        service.send_block("a", Block(0, 1, 10, False))
-        drained = threading.Thread(target=service.drain_sends, daemon=True)
-        drained.start()
-        world.gate.set()  # ... which now raises MPIAbort
-        drained.join(5.0)
-        assert not drained.is_alive()
-        service.shutdown()
+        assert set(threading.enumerate()) <= before

@@ -36,8 +36,8 @@ class Shipped:
     def __init__(self):
         self.blocks = []
 
-    def send_block(self, _plane_id, block):
-        self.blocks.append(block)
+    def send_blocks(self, _plane_id, blocks, eos=False):
+        self.blocks.extend(blocks)
 
 
 def drive(schedule, linger):

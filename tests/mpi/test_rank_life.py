@@ -11,7 +11,8 @@ model written from the rules, and holds:
 * a rebirth is flushed every logged frame in forwarding order, then the
   parked ones; a first life what was parked for it;
 * respawns never exceed the budget;
-* an overflowed log is never replayed and holds nothing.
+* an overflowed log is never replayed and holds nothing: a rebirth whose
+  log overflowed while it was down gets the rank's ``respawn`` record.
 
 Beside it: the wire has exactly seven frame kinds, and the router's call
 table names only methods that exist — and every name a worker calls.
@@ -76,14 +77,18 @@ def test_a_rank_lives_by_its_record(sequence, budget, cap):
         kind = event[0]
         if kind == "hello":
             conn = Conn(rank.epoch)
-            frames, offline = rank.hello(conn, pid=100 + rank.epoch,
-                                         epoch=rank.epoch)
-            if recovering:
+            verdict = rank.hello(conn, pid=100 + rank.epoch, epoch=rank.epoch)
+            if recovering and overflowed:
+                # nothing whole to replay: the death is final, now
+                assert isinstance(verdict, FailureRecord)
+                assert verdict.kind == "respawn"
+            elif recovering:
                 # a rebirth: the whole log, forwarding order, then parked
+                frames, offline = verdict
                 assert frames == log + parked
                 assert offline is not None and offline >= 0
             else:
-                assert (frames, offline) == (parked, None)
+                assert verdict == (parked, None)
             assert rank.conn is conn and rank.pid == 100 + rank.epoch
             parked, recovering = [], False
         elif kind == "zombie" and rank.epoch > 0:

@@ -164,3 +164,29 @@ class TestHello:
         finally:
             zombie.close()
             reborn.close()
+
+    def test_a_log_that_overflowed_while_down_fails_the_world_at_hello(self, router):
+        """The reborn rank could only sit out its plane timeout: the
+        router fails the world with the rank's one ``respawn`` record."""
+        transport, _warnings = router
+        transport.max_respawns, transport.redelivery_cap = 1, 64
+        transport.watch_world((1, 2), world_context=4)
+        assert transport.respawn(1) == (1, None)  # rank 1 recovering, epoch 1
+        transport._forward(1, b"x" * 65, context=4)  # the log overflows
+        rank = transport.ranks[1]
+        assert rank.redelivery.overflowed
+        reborn = wire.connect_local(transport.address)
+        try:
+            _hello(reborn, 1, 112, epoch=1)
+            reborn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "allocate_context", ())))
+            kinds = []
+            while not kinds or kinds[-1] != FrameKind.RPC_REP:
+                kinds.append(reborn.recv()[0])
+            assert FrameKind.ABORT in kinds  # told at once
+            runtime = transport._runtime
+            assert runtime.abort_flag.is_set()
+            records = runtime.failure_records
+            assert len(records) == 1
+            assert records[0].kind == "respawn" and records[0].error == rank.failure().error
+        finally:
+            reborn.close()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.serde.io import ChunkedDataInput, DataInput, DataOutput
+from repro.serde.io import DataInput, DataOutput
 
 
 class TestFixedWidth:
@@ -126,59 +126,3 @@ class TestStreamState:
         )
         assert src.at_end()
 
-
-def _split(data: bytes, size: int):
-    for i in range(0, len(data), size):
-        yield data[i : i + size]
-
-
-class TestChunkedDataInput:
-    def test_multibyte_reads_span_chunk_boundaries(self):
-        out = DataOutput()
-        out.write_int(-123456)
-        out.write_long(2**40)
-        out.write_utf("héllo")
-        payload = out.getvalue()
-        # one-byte chunks force every read to cross a boundary
-        src = ChunkedDataInput(_split(payload, 1))
-        assert src.read_int() == -123456
-        assert src.read_long() == 2**40
-        assert src.read_utf() == "héllo"
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 64, 10_000])
-    def test_roundtrip_any_chunking(self, chunk_size):
-        out = DataOutput()
-        for i in range(50):
-            out.write_utf(f"key-{i}")
-            out.write_vlong(i * 1_000_003)
-        src = ChunkedDataInput(_split(out.getvalue(), chunk_size))
-        for i in range(50):
-            assert src.read_utf() == f"key-{i}"
-            assert src.read_vlong() == i * 1_000_003
-
-    def test_underflow_after_exhaustion_raises(self):
-        src = ChunkedDataInput(iter([b"\x00\x01"]))
-        assert src.read_bytes(2) == b"\x00\x01"
-        with pytest.raises(SerializationError):
-            src.read_byte()
-
-    def test_chunks_pulled_lazily(self):
-        pulled = []
-
-        def source():
-            for i in range(3):
-                pulled.append(i)
-                yield b"\xab" * 4
-
-        src = ChunkedDataInput(source())
-        assert pulled == []  # nothing consumed until bytes are needed
-        src.read_bytes(4)
-        assert pulled == [0]
-        src.read_bytes(5)  # spans into the second and third chunks
-        assert pulled == [0, 1, 2]
-
-    @given(st.binary(min_size=0, max_size=400), st.integers(1, 37))
-    def test_matches_plain_datainput(self, payload, chunk_size):
-        plain = DataInput(payload)
-        chunked = ChunkedDataInput(_split(payload, chunk_size))
-        assert chunked.read_bytes(len(payload)) == plain.read_bytes(len(payload))
