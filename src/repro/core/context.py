@@ -218,11 +218,12 @@ class TaskContext:
 
         ``None`` means the partition spilled to disk, the plane is
         pipelined, or a pair was already consumed — nothing else; callers
-        then fall back to :meth:`recv_iter`.  This is for consumers of the
-        partition's *bytes* (``batch.data``, ``batch.iter_views()`` when
-        ``batch.raw``; the fields of a non-raw batch carry serializer
-        framing); pairs are read faster through :meth:`recv_iter`, which
-        does not build the merged batch.
+        then fall back to :meth:`recv_iter`.  This is the raw byte path:
+        for consumers of the partition's *bytes* (``batch.unframed()`` or
+        ``batch.iter_views()`` when ``batch.raw``; the fields of a non-raw
+        batch carry serializer framing).  A fixed-stride raw partition is
+        merged and unframed as arrays (TeraSort's part file); pairs are
+        read faster through :meth:`recv_iter`, which builds no batch.
         """
         if self._recv_iter is not None or self._pipelined:
             return None

@@ -153,10 +153,10 @@ def merge_batches(
 ) -> RecordBatch:
     """Merge key-sorted sealed batches into one batch, bytes-first.
 
-    One stable sort over the concatenation: only the keys are decoded,
-    record payloads are copied as opaque slices — no value ever
-    materializes.  Ties keep batch order, then arrival order, exactly as
-    :func:`merge_runs` would.
+    One stable sort over the concatenation (:func:`sort_batch`: an array
+    sort when every record frames to one raw stride): keys alone are
+    read, records are copied as opaque slices or rows.  Ties keep batch
+    order, then arrival order, exactly as :func:`merge_runs` would.
     """
     merged = concat_batches(batches)
     return merged if cmp is None else sort_batch(merged, cmp, serializer)
@@ -369,8 +369,8 @@ class RunStore:
         """The whole store as one merged batch, or ``None``.
 
         Available when everything is resident (no disk runs): for
-        consumers of the partition's bytes; pairs come from iteration.
-        """
+        consumers of the partition's bytes (TeraSort's part file, through
+        ``recv_batch``); pairs come from iteration."""
         if self.disk_runs or not self.memory_runs:
             return None
         self.compact()

@@ -19,15 +19,22 @@ A pair becomes its record bytes exactly once (:func:`framer`, at the
 which then travels as an opaque buffer through coalescing, transports and
 spill files — zero re-encode, zero per-record pickle on any hop.  The
 receive side parses a batch once (:meth:`RecordBatch.key_index`) and
-decodes at the user-function boundary.
+decodes at the user-function boundary.  A raw batch whose records all
+frame to one stride (TeraSort's 102 B) is an ``(n, stride)`` array
+instead: it sorts, and sheds its framing, as NumPy operations.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.common.errors import SerializationError
-from repro.serde.comparators import Compare, sorted_order
+from repro.serde.comparators import (
+    Compare, bytes_compare, default_compare, sorted_order,
+)
 from repro.serde.io import DataInput, DataOutput, append_vint as _append_vint
 from repro.serde.serialization import Serializer
 
@@ -77,9 +84,9 @@ def whole_records(data: bytes, limit: int) -> tuple[int, int]:
 class RecordBatch:
     """An immutable, contiguous block of length-prefixed records.
 
-    ``data`` may be ``bytes`` or a ``memoryview`` slicing a larger buffer
-    (a wire frame body, a spill mmap); iteration never copies more than
-    the records actually materialized.
+    ``data`` may be ``bytes`` or a ``memoryview`` (of a wire frame body,
+    of the array a fixed-stride sort built); iteration never copies more
+    than the records actually materialized.
     """
 
     __slots__ = ("data", "count", "raw")
@@ -128,6 +135,18 @@ class RecordBatch:
         """Whole records (length prefixes included): the unit a merge
         copies into its output batch without decoding."""
         return iter(self._fields(False)[1])
+
+    def unframed(self) -> bytes | memoryview:
+        """Every record's key and value bytes back to back, length prefixes
+        dropped: a raw partition as the application wrote it.  A fixed-
+        stride batch drops its two length columns in one copy; any other
+        joins :meth:`iter_views`."""
+        rows = _fixed_stride(self)
+        if rows is None:
+            return b"".join(chain.from_iterable(self.iter_views()))
+        klen = int(rows[0, 0])
+        return np.concatenate(
+            (rows[:, 1:klen + 1], rows[:, klen + 2:]), axis=1).ravel().data
 
     def iter_pairs(self, serializer: Serializer) -> Iterator[KV]:
         """Decode records into (key, value) objects, one at a time — the
@@ -273,12 +292,48 @@ def concat_batches(batches: list[RecordBatch]) -> RecordBatch:
     )
 
 
+def _fixed_stride(batch: RecordBatch) -> np.ndarray | None:
+    """``batch`` as an ``(n, stride)`` ``uint8`` view when it is raw and
+    every record frames to one stride, else ``None``.  Decided once, by
+    vectorised tests: the first record's one-byte vints give ``klen`` and
+    ``vlen``, the bytes are ``n`` strides, and every row repeats both
+    lengths in their columns — so every record parses at its row."""
+    data, n = batch.data, batch.count
+    if not batch.raw or n < 2:
+        return None
+    klen = data[0]
+    vlen = data[klen + 1] if klen <= 127 else 128  # 128: a multi-byte vint
+    if vlen > 127 or len(data) != n * (klen + vlen + 2):
+        return None
+    rows = np.frombuffer(data, np.uint8).reshape(n, -1)
+    if (rows[:, 0] != klen).any() or (rows[:, klen + 1] != vlen).any():
+        return None
+    return rows
+
+
 def sort_batch(
     batch: RecordBatch, cmp: Compare | None, serializer: Serializer
 ) -> RecordBatch:
-    """Key-sort a batch by permuting record slices (stable; values opaque)."""
-    keys, records = batch.key_index(serializer)
-    order = sorted_order(keys, cmp)
-    return RecordBatch(
-        b"".join(map(records.__getitem__, order)), batch.count, batch.raw
-    )
+    """Key-sort a batch by permuting record slices (stable; values opaque).
+
+    Under the byte order a fixed-stride raw batch sorts as an array: a
+    stable LSD radix over its keys' big-endian 16-bit columns (an odd
+    length padded with a zero byte), last column first, then one
+    ``take``.  Never NumPy's ``S`` dtype: it ties ``b"a\\x00"`` with
+    ``b"a"``.
+    """
+    byte_order = cmp is bytes_compare or cmp is default_compare
+    rows = _fixed_stride(batch) if byte_order else None
+    if rows is None:
+        keys, records = batch.key_index(serializer)
+        order = sorted_order(keys, cmp)
+        return RecordBatch(
+            b"".join(map(records.__getitem__, order)), batch.count, batch.raw
+        )
+    klen = int(rows[0, 0])
+    keys = np.zeros((len(rows), klen + klen % 2), np.uint8)
+    keys[:, :klen] = rows[:, 1:klen + 1]
+    order = np.arange(len(rows))
+    for column in keys.view(">u2").astype(np.uint16).T[::-1]:
+        order = order[column[order].argsort(kind="stable")]
+    return RecordBatch(rows.take(order, axis=0).ravel().data, batch.count, True)

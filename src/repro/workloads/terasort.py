@@ -85,12 +85,18 @@ def terasort_datampi(
                 ctx.send(key, value)
 
     def a_fn(ctx):
-        out = bytearray()
-        for key, value in ctx.recv_iter():
-            out += key
-            out += value
+        # a raw partition held in memory is written as one slice of its
+        # merged batch; a spilled or Writable-framed one pair by pair
+        batch = ctx.recv_batch() if ctx.conf.get_bool(K.SHUFFLE_RAW) else None
+        if batch is not None:
+            out = batch.unframed()
+        else:
+            out = bytearray()
+            for key, value in ctx.recv_iter():
+                out += key
+                out += value
         with open(os.path.join(spill_dir, f"part-{ctx.rank:05d}"), "wb") as f:
-            f.write(bytes(out))
+            f.write(out)
 
     job_conf = dict(conf or {})
     # keys and values are already the application's bytes: shuffle them as

@@ -89,20 +89,40 @@ class TestTeraSort:
         assert verify_terasort_output(dfs_cluster.client(None), "/tera/out", self.N)
         assert result.a_data_locality == 1.0
 
-    @pytest.mark.parametrize("raw", [True, False])
-    def test_datampi_output_is_the_reference_bytes(self, dfs_cluster, raw):
-        """Raw batches feed the part file from key/value views; Writable-
-        framed ones must be decoded first — same bytes either way."""
-        result = terasort_datampi(
-            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=4,
-            conf={K.SHUFFLE_RAW: raw},
-        )
-        assert result.success
+    @staticmethod
+    def _assert_reference_bytes(dfs_cluster):
         dfs = dfs_cluster.client(None)
         blob = dfs.read_file("/tera/in")
         records = [blob[i : i + RECORD_LEN] for i in range(0, len(blob), RECORD_LEN)]
         expected = b"".join(sorted(records, key=lambda r: r[:KEY_LEN]))
         assert b"".join(dfs.read_file(p) for p in dfs.listdir("/tera/out")) == expected
+
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_datampi_output_is_the_reference_bytes(self, dfs_cluster, raw):
+        """Raw batches feed the part file from the merged partition's
+        bytes; Writable-framed ones must be decoded first — same bytes
+        either way."""
+        result = terasort_datampi(
+            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=4,
+            conf={K.SHUFFLE_RAW: raw},
+        )
+        assert result.success
+        self._assert_reference_bytes(dfs_cluster)
+
+    @pytest.mark.parametrize("launcher", ["threads", "processes"])
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_spilled_partitions_are_the_reference_bytes(
+        self, dfs_cluster, raw, launcher
+    ):
+        """A partition with runs on disk has no merged batch: ``recv_batch``
+        declines and the A task writes what ``recv_iter`` hands it."""
+        result = terasort_datampi(
+            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=2,
+            conf={K.SHUFFLE_RAW: raw, K.MEMORY_CACHE_BYTES: 4096,
+                  K.LAUNCHER: launcher},
+        )
+        assert result.success and result.metrics.spilled_bytes > 0
+        self._assert_reference_bytes(dfs_cluster)
 
     def test_hadoop_globally_sorted(self, dfs_cluster):
         hadoop = MiniHadoopCluster(dfs_cluster)
