@@ -15,10 +15,11 @@ the memory budget overflows.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.records import _size_of
 from repro.core.metrics import phase
@@ -187,6 +188,37 @@ class SendPartitionList:
         self.bytes_out += nbytes
         self.combined_away += before - batch.count
         return Block(partition, batch, nbytes, sorted=self.cmp is not None)
+
+    def add_batch(self, batch: RecordBatch, boundaries: Sequence[Any]) -> list[Block]:
+        """Seal a whole fixed-stride raw batch into sorted blocks, without
+        holding it: one :func:`sort_batch`, partition ``i`` the rows whose
+        keys are ``<= boundaries[i]`` (``bisect_right``: a key equal to a
+        cut belongs below it, as in ``range_partitioner``), each sliced
+        into blocks of the records a full partition buffer holds — views of
+        the sorted array.  The caller checked the rest: a raw exchange
+        under the byte order, no combiner, ``_fixed_stride(batch)``."""
+        with phase("partition-sort"), _T.span(
+            "spl.seal", cat="sort", args={"cause": "batch"}
+        ) as span:
+            batch = sort_batch(batch, self.cmp, self.serializer)
+            data, n = batch.data, batch.count
+            stride, klen = len(data) // n, data[0]
+            keys_at = range(1, len(data), stride)  # row i's key starts there
+            cuts = [bisect.bisect_right(keys_at, b, key=lambda at: bytes(
+                data[at:at + klen])) for b in boundaries]
+            per_block = -(-self.flush_bytes // stride)
+            blocks = []
+            for partition, (lo, end) in enumerate(zip([0, *cuts], [*cuts, n])):
+                for start in range(lo, end, per_block):
+                    stop = min(start + per_block, end)
+                    blocks.append(Block(partition, RecordBatch(
+                        data[start * stride:stop * stride], stop - start, True),
+                        (stop - start) * stride, sorted=True))
+            span.set("records", n)
+            span.set("blocks", len(blocks))
+        self.records_out += n
+        self.bytes_out += len(data)
+        return blocks
 
     def flush_all(self, cause: str = "end") -> list[Block]:
         """Seal every non-empty partition — at the end of the O phase, or

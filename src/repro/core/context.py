@@ -17,6 +17,8 @@ from repro.core.buffers import SendPartitionList
 from repro.core.checkpoint import CheckpointReader, CheckpointWriter
 from repro.core.metrics import TaskMetrics
 from repro.core.partition import Partitioner, validate_destination
+from repro.serde.batch import RecordBatch, _fixed_stride
+from repro.serde.comparators import bytes_compare, default_compare
 
 if TYPE_CHECKING:
     from repro.core.shuffle import ShufflePlane, ShuffleService
@@ -183,6 +185,31 @@ class TaskContext:
                 if emitted > self._skip_emits:
                     counted(key, value)
         return send
+
+    def send_batch(self, batch: RecordBatch) -> None:
+        """``MPI_D_SEND`` of every (key bytes, value bytes) pair of a raw
+        ``batch``, in batch order.  A fixed-stride batch bound for a range
+        partitioner is sorted, partitioned and sealed in one array pass
+        (:meth:`SendPartitionList.add_batch`) when nothing wraps the send:
+        a raw, uncombined exchange under the byte order, no checkpoint,
+        crash injection, KEY_CLASS/VALUE_CLASS or linger.  Anything else
+        is exactly ``batch.count`` calls of :attr:`send`."""
+        spl = self._spl
+        boundaries = getattr(self._partitioner, "boundaries", None)
+        n = self.a_size if self.kind == "O" else self.o_size
+        if (
+            spl is not None and spl.raw and spl.combiner is None
+            and (spl.cmp is bytes_compare or spl.cmp is default_compare)
+            and boundaries is not None and len(boundaries) == n - 1
+            and self.send is self._emit and _fixed_stride(batch) is not None
+        ):
+            blocks = spl.add_batch(batch, boundaries)
+            self.metrics.records_emitted += batch.count
+            self._shuffle.send_blocks(self._send_plane_id, blocks)
+            return
+        send = self.send
+        for key, value in batch.iter_views():
+            send(key, value)
 
     # -- receive path -----------------------------------------------------------------
     def _ensure_recv_iter(self) -> Iterator[KV]:

@@ -62,7 +62,10 @@ def range_partitioner(boundaries: Sequence[Any]) -> Partitioner:
     """Total-order partitioner from sorted split points (TeraSort-style).
 
     ``len(boundaries)`` must be ``num_partitions - 1``; keys <=
-    ``boundaries[i]`` land in partition i.
+    ``boundaries[i]`` land in partition i.  The returned function carries
+    the cut points as ``partition.boundaries``: the declared sign that it
+    is monotone in key order, so a sorted batch splits at
+    ``bisect_right`` of each cut (``TaskContext.send_batch``).
     """
     import bisect
 
@@ -76,6 +79,7 @@ def range_partitioner(boundaries: Sequence[Any]) -> Partitioner:
             )
         return bisect.bisect_left(cut, key)
 
+    partition.boundaries = cut
     return partition
 
 

@@ -7,7 +7,8 @@ formats parse split bytes into (key, value) records:
 * :class:`TextInputFormat` — newline records, ``(byte offset, line)``,
   like Hadoop's default (WordCount input);
 * :class:`FixedLengthRecordFormat` — fixed-size binary records split
-  into key/value byte fields (TeraSort's 10+90-byte records);
+  into key/value byte fields (TeraSort's 10+90-byte records), or a
+  whole split framed as one raw record batch;
 * :class:`KeyValueTextOutputFormat` — ``key<TAB>value`` output lines.
 """
 
@@ -16,8 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.common.errors import DataMPIError
 from repro.hdfs.client import DFSClient
+from repro.serde.batch import RecordBatch, batch_from_pairs
 
 
 @dataclass(frozen=True)
@@ -106,12 +110,16 @@ class FixedLengthRecordFormat:
         self.record_len = record_len
         self.key_len = key_len
 
-    def read_records(self, data: bytes) -> Iterator[tuple[bytes, bytes]]:
+    def _whole(self, data: bytes) -> bytes:
         if len(data) % self.record_len:
             raise DataMPIError(
                 f"split of {len(data)} bytes is not a multiple of "
                 f"{self.record_len}-byte records"
             )
+        return data
+
+    def read_records(self, data: bytes) -> Iterator[tuple[bytes, bytes]]:
+        self._whole(data)
         record_len, key_len = self.record_len, self.key_len
         for pos in range(0, len(data), record_len):
             mid = pos + key_len
@@ -121,6 +129,22 @@ class FixedLengthRecordFormat:
         """Record-aligned blocks only (generators must size blocks to a
         multiple of ``record_len``; TeraGen does)."""
         return self.read_records(dfs.read_blocks(split.path, [split.block_index]))
+
+    def read_batch(self, dfs: DFSClient, split: InputSplit) -> RecordBatch:
+        """The split as one raw record batch: viewed as ``(n, record_len)``
+        rows, framed by inserting the two constant one-byte length columns
+        in one copy.  A field over 127 B frames pair by pair."""
+        key_len, value_len = self.key_len, self.record_len - self.key_len
+        if value_len > 127 or key_len > 127:
+            return batch_from_pairs(self.read_split(dfs, split), None, raw=True)
+        data = self._whole(dfs.read_blocks(split.path, [split.block_index]))
+        rows = np.frombuffer(data, np.uint8).reshape(-1, self.record_len)
+        framed = np.empty((len(rows), self.record_len + 2), np.uint8)
+        framed[:, 0] = key_len
+        framed[:, 1:key_len + 1] = rows[:, :key_len]
+        framed[:, key_len + 1] = value_len
+        framed[:, key_len + 2:] = rows[:, key_len:]
+        return RecordBatch(framed.ravel().data, len(rows), raw=True)
 
 
 class KeyValueTextOutputFormat:

@@ -65,9 +65,10 @@ def terasort_datampi(
     """TeraSort as a MapReduce-mode DataMPI job.
 
     O tasks load HDFS splits "by their ranks and the communicator size"
-    (§IV-B's utility function); A tasks receive their range already
-    key-sorted by the shuffle and spill an output part to local disk —
-    the MiniDFS block store is in-memory, so with
+    (§IV-B's utility function) and send each as one raw batch, which
+    the SPL sorts and range-partitions as an array; A tasks receive their
+    range already key-sorted by the shuffle and spill an output part to
+    local disk — the MiniDFS block store is in-memory, so with
     ``mpi.d.launcher=processes`` a worker-side ``write_file`` would be
     invisible to the driver.  The driver commits the local parts into
     HDFS after the job, on both backends alike.
@@ -81,8 +82,7 @@ def terasort_datampi(
     def o_fn(ctx):
         dfs = dfs_cluster.client(None)
         for index in range(ctx.rank, len(splits), ctx.o_size):
-            for key, value in fmt.read_split(dfs, splits[index]):
-                ctx.send(key, value)
+            ctx.send_batch(fmt.read_batch(dfs, splits[index]))
 
     def a_fn(ctx):
         # a raw partition held in memory is written as one slice of its

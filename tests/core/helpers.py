@@ -66,6 +66,16 @@ class RecordingWorld:
         return self._inbox.get()
 
 
+class Shipped:
+    """Stands in for the ShuffleService: keeps what the task shipped."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def send_blocks(self, _plane_id, blocks, eos=False):
+        self.blocks.extend(blocks)
+
+
 def busy_for(seconds: float) -> None:
     """Burn CPU in Python frames (a sampler can see them) for ``seconds``."""
     deadline = time.perf_counter() + seconds

@@ -12,6 +12,7 @@ from repro.core.buffers import SendPartitionList
 from repro.core.context import TaskContext
 from repro.serde.batch import batch_from_pairs
 from repro.serde.serialization import get_serializer
+from tests.core.helpers import Shipped
 
 SER = get_serializer("writable")
 PARTITIONS = 3
@@ -28,16 +29,6 @@ events = st.lists(
     ),
     max_size=80,
 )
-
-
-class Shipped:
-    """Stands in for the ShuffleService: keeps what the task shipped."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def send_blocks(self, _plane_id, blocks, eos=False):
-        self.blocks.extend(blocks)
 
 
 def drive(schedule, linger):

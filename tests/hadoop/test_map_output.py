@@ -15,6 +15,7 @@ from repro.hadoop.io_formats import (
 )
 from repro.hadoop.map_output import MapOutputBuffer
 from repro.hdfs.cluster import MiniDFSCluster
+from repro.serde.batch import batch_from_pairs
 
 
 class TestMapOutputBuffer:
@@ -132,6 +133,29 @@ class TestFixedAndOutputFormats:
         fmt = FixedLengthRecordFormat(record_len=10, key_len=3)
         with pytest.raises(DataMPIError):
             list(fmt.read_records(b"short"))
+
+    @pytest.mark.parametrize("record_len, key_len", [(100, 10), (10, 3), (300, 10)])
+    @pytest.mark.parametrize("records", [1, 7, 9])
+    def test_a_split_reads_as_one_batch_of_its_records(
+        self, record_len, key_len, records
+    ):
+        """One copy for fields up to 127 B (their framing is two constant
+        columns), pair by pair for longer ones; the same bytes either way."""
+        dfs = MiniDFSCluster(num_nodes=1, block_size=7 * record_len).client(0)
+        dfs.write_file("/f", bytes(i % 251 for i in range(records * record_len)))
+        fmt = FixedLengthRecordFormat(record_len, key_len)
+        for split in compute_splits(dfs, "/f"):
+            batch = fmt.read_batch(dfs, split)
+            expected = batch_from_pairs(fmt.read_split(dfs, split), None, raw=True)
+            assert batch.raw and batch.count == expected.count
+            assert bytes(batch.data) == bytes(expected.data)
+
+    def test_a_misaligned_split_does_not_read_as_a_batch(self):
+        dfs = MiniDFSCluster(num_nodes=1, block_size=64).client(0)
+        dfs.write_file("/f", b"short")
+        (split,) = compute_splits(dfs, "/f")
+        with pytest.raises(DataMPIError):
+            FixedLengthRecordFormat(record_len=10, key_len=3).read_batch(dfs, split)
 
     def test_fixed_validation(self):
         with pytest.raises(DataMPIError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.constants import MPI_D_Constants as K
+from repro.core.partition import range_partitioner
 from repro.hadoop import MiniHadoopCluster
 from repro.hdfs import MiniDFSCluster
 from repro.workloads import (
@@ -90,23 +91,66 @@ class TestTeraSort:
         assert result.a_data_locality == 1.0
 
     @staticmethod
-    def _assert_reference_bytes(dfs_cluster):
+    def _assert_reference_bytes(dfs_cluster, a_tasks=3):
+        """Part ``i`` holds exactly the records ``range_partitioner``
+        assigns to partition ``i``, key-sorted.  The boundaries are sampled
+        input keys, so some record's key equals each one: a partition
+        split that sends it a part too high still concatenates to the
+        sorted input, and only a per-part comparison sees it."""
         dfs = dfs_cluster.client(None)
         blob = dfs.read_file("/tera/in")
         records = [blob[i : i + RECORD_LEN] for i in range(0, len(blob), RECORD_LEN)]
-        expected = b"".join(sorted(records, key=lambda r: r[:KEY_LEN]))
-        assert b"".join(dfs.read_file(p) for p in dfs.listdir("/tera/out")) == expected
+        partition = range_partitioner(sample_boundaries(dfs, "/tera/in", a_tasks))
+        parts = [[] for _ in range(a_tasks)]
+        for record in sorted(records, key=lambda r: r[:KEY_LEN]):
+            parts[partition(record[:KEY_LEN], record[KEY_LEN:], a_tasks)].append(record)
+        assert [dfs.read_file(p) for p in dfs.listdir("/tera/out")] == [
+            b"".join(part) for part in parts]
 
-    @pytest.mark.parametrize("raw", [True, False])
-    def test_datampi_output_is_the_reference_bytes(self, dfs_cluster, raw):
+    # the threads cases keep their ids from before the launcher axis
+    @pytest.mark.parametrize("raw, launcher", [
+        pytest.param(raw, launcher,
+                     id=f"{raw}" if launcher == "threads" else f"{raw}-{launcher}")
+        for launcher in ("threads", "processes") for raw in (True, False)
+    ])
+    def test_datampi_output_is_the_reference_bytes(self, dfs_cluster, raw, launcher):
         """Raw batches feed the part file from the merged partition's
         bytes; Writable-framed ones must be decoded first — same bytes
         either way."""
         result = terasort_datampi(
             dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=4,
-            conf={K.SHUFFLE_RAW: raw},
+            conf={K.SHUFFLE_RAW: raw, K.LAUNCHER: launcher},
         )
         assert result.success
+        self._assert_reference_bytes(dfs_cluster)
+
+    @pytest.mark.parametrize("launcher", ["threads", "processes"])
+    def test_a_crash_mid_split_restarts_once_into_the_reference_bytes(
+        self, dfs_cluster, launcher, tmp_path
+    ):
+        """The first attempt's O task 1 counts its sends one by one and
+        dies inside its second split; the restart replays its checkpoint
+        and skips, pair by pair, what the replay already sent."""
+        result = terasort_datampi(
+            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=2,
+            conf={K.LAUNCHER: launcher, K.FT_ENABLED: True,
+                  K.FT_DIR: str(tmp_path), K.JOB_ID: "terasort-crash",
+                  K.JOB_MAX_RESTARTS: 1,
+                  K.INJECT_CRASH_TASK: 1, K.INJECT_CRASH_AFTER_RECORDS: 75},
+        )
+        assert result.success and result.restarts == 1
+        self._assert_reference_bytes(dfs_cluster)
+
+    @pytest.mark.parametrize("launcher", ["threads", "processes"])
+    def test_a_checkpointed_job_persists_every_record(
+        self, dfs_cluster, launcher, tmp_path
+    ):
+        result = terasort_datampi(
+            dfs_cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3, nprocs=2,
+            conf={K.LAUNCHER: launcher, K.FT_ENABLED: True,
+                  K.FT_DIR: str(tmp_path), K.JOB_ID: "terasort-ft"},
+        )
+        assert result.metrics.checkpointed_records == self.N
         self._assert_reference_bytes(dfs_cluster)
 
     @pytest.mark.parametrize("launcher", ["threads", "processes"])
