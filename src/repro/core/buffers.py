@@ -231,7 +231,7 @@ class SendPartitionList:
 class ReceivePartitionList:
     """RPL: arriving blocks for one hosted partition.
 
-    Thread-safe: the receiver thread files blocks under the same lock
+    Thread-safe: the delivering thread files blocks under the same lock
     the A task takes to merge and read the partition.
     """
 

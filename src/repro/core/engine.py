@@ -173,7 +173,8 @@ class WorkerEngine:
         """Bring ``self.metrics`` up to date: the shuffle service's counters
         (``stats()`` keys are :class:`Counters` field names), the phase
         buckets — the main lane's clock as it reads now, plus the spill
-        overlay, which accrues on the receiver thread — and the wall, that
+        overlay, which accrues on whichever threads deliver this rank's
+        envelopes — and the wall, that
         lane's total.  Called by the telemetry shipper for every snapshot
         and by ``run`` ahead of the final report — the only reader of
         ``shuffle.stats()`` and of the clock."""

@@ -1,17 +1,20 @@
 """O-side shuffle pipeline (§IV-C) over the MPI bipartite model.
 
-Per worker process, two threads: the **task thread** runs task logic,
-emits pairs into the SPL and itself ships every block a seal hands it
-(:meth:`ShuffleService.send_blocks`); the **receiver thread** files
-blocks from every peer in the RPL of the hosted partition, which the A
-task merges once, when it reads it.  The paper's communication thread
-between the two overlaps nothing under CPython's GIL, so there is none
-(docs/ARCHITECTURE.md, "Thread model").
+A worker process runs no shuffle thread.  The **task thread** runs task
+logic, emits pairs into the SPL and itself ships every block a seal
+hands it (:meth:`ShuffleService.send_blocks`).  The destination files
+each envelope in the RPL of the hosted partition on the thread that
+delivers it — the sender's on the thread backend, the wire reader's on
+the process backend — through its ``SHUFFLE_TAG`` listener
+(:meth:`ShuffleService._deliver`); the A task merges the RPL once, when
+it reads it.  The paper's communication threads overlap nothing under
+CPython's GIL, so there are none (docs/ARCHITECTURE.md, "Thread model").
 
 A *plane* is one logical exchange (forward O→A, or backward A→O per
 Iteration round).  A plane completes when an end-of-stream marker has
 arrived from every process; Streaming mode delivers records to per-
-partition queues as blocks land, a rank's own without the transport.
+partition queues as blocks land.  Every block takes the one path, a
+rank's own included.
 
 Coalescing follows the seals alone: blocks bound for one ``(plane,
 destination)`` ride in one MPI envelope.  A batch plane's stream leaves
@@ -19,13 +22,12 @@ when it reaches ``batch_bytes`` and at the EOS, which folds into its
 last envelope; a pipelined plane's streams leave at the end of the call
 that touched them, so nothing waits for a later seal.
 
-Three message kinds travel on ``SHUFFLE_TAG``:
+Two message kinds travel on ``SHUFFLE_TAG``:
 
 * ``("batch", plane, (seq, origin, blocks, eos))`` — envelope ``seq`` of
   the stream ``origin`` sends this process on ``plane``;
 * ``("reset", plane, (origin, epoch))`` — a reborn ``origin`` restarts
-  that stream from seq 0 (rank recovery only);
-* ``("shutdown", "", None)`` — a process's stop marker to its own receiver.
+  that stream from seq 0 (rank recovery only).
 
 Each stream has one record on each side: :class:`_Outbound` (sender) and
 :class:`_Channel` (receiver, the exactly-once rule); neither touches a
@@ -46,8 +48,7 @@ from repro.core.metrics import phase
 from repro.core.modes import default_of
 from repro.core.partition import PartitionWindow
 from repro.core.sorter import RunStore
-from repro.mpi.datatypes import ANY_SOURCE
-from repro.mpi.transport import TruncatedPayload
+from repro.mpi.transport import Envelope, TruncatedPayload
 from repro.obs.tracer import TRACER as _T, flow_id as _flow_id
 from repro.serde.batch import RecordBatch
 from repro.serde.comparators import Compare
@@ -56,7 +57,7 @@ from repro.serde.serialization import Serializer
 KV = tuple[Any, Any]
 
 #: sentinels on a streaming partition queue: the plane completed / the
-#: receiver left before it could (the job is dead)
+#: world aborted before it could
 _STREAM_EOS = object()
 _STREAM_ABORT = object()
 
@@ -115,7 +116,7 @@ class ShufflePlane:
         self._eos_seen = 0
         self._eos_expected = config.window.num_processes
         self.complete = threading.Event()
-        #: set at completion, or when the receiver left before it
+        #: set at completion, or when the world aborted before it
         self._settled = threading.Event()
         self._lock = threading.Lock()
         #: runtime abort latch (set by ShuffleService): what a waiter on a
@@ -178,9 +179,9 @@ class ShufflePlane:
         """Live iterator (Streaming mode): yields pairs as they arrive.
 
         The queue carries whole sealed batches, decoded lazily here;
-        per-partition record order is preserved because the receiver
-        thread enqueues blocks in arrival order and each block is
-        unpacked in order here.
+        per-partition record order is preserved because deliveries
+        enqueue blocks one at a time, in arrival order, and each block
+        is unpacked in order here.
         """
         stream = self.streams[partition]
         serializer = self.config.serializer
@@ -193,7 +194,7 @@ class ShufflePlane:
             yield from item.iter_pairs(serializer)
 
     def abort_streams(self) -> None:
-        """The receiver left: an open plane will never complete; wake its
+        """The world aborted: an open plane will never complete; wake its
         stream consumers and waiters now, not at the plane timeout."""
         if not self.complete.is_set():
             for stream in self.streams.values():
@@ -314,21 +315,22 @@ class _Channel:
 
 
 def _note(event: str, cat: str, plane_id: str, origin: int, **args: Any) -> None:
-    """Trace what the receiver decided about one stream's message."""
+    """Trace what the delivery decided about one stream's message."""
     _T.instant(event, cat=cat, args={"plane": plane_id, "origin": origin, **args})
 
 
 def _flow_pair(plane_id: str, dest: int, origin: int, seq: int) -> tuple[int, int]:
-    """The causal pair linking a batch's send span to its receive span.
-    Deterministic, so either side can compute it; ``dest`` is part of the
-    name because seq counts per (plane, dest) stream — without it two
-    same-seq batches from one rank to different receivers would collide."""
+    """The causal pair linking a batch's send span to its receive span,
+    carried by the envelope.  ``dest`` is part of the name because seq
+    counts per (plane, dest) stream — without it two same-seq batches
+    from one rank to different receivers would collide."""
     stream = f"{plane_id}>{dest}"
     return _flow_id(stream, origin, seq), _flow_id(stream, origin, seq, domain=1)
 
 
 class ShuffleService:
-    """The send path of one worker process, and its receiver thread."""
+    """The send path of one worker process, and the delivery of what
+    every process sends it."""
 
     def __init__(
         self,
@@ -342,8 +344,7 @@ class ShuffleService:
         self._factory = plane_config_factory
         self._planes: dict[str, ShufflePlane] = {}
         self._planes_lock = threading.Lock()
-        #: set when the receiver left: a plane opened later never completes
-        self._receiver_gone = False
+        self._abort = world.runtime.abort_flag
         #: the open send streams; the sending task's thread is their only user
         self._streams: dict[tuple[str, int], _Outbound] = defaultdict(_Outbound)
         self.batch_bytes = batch_bytes
@@ -356,14 +357,18 @@ class ShuffleService:
         # a respawn: streams open with a reset) and whether channels stage
         self.epoch = world.runtime.rank_epoch
         self.recovery = world.runtime.rank_recovery
-        #: a pipelined plane's blocks for this rank's own partitions skip
-        #: transport and receiver — unless channels stage (delivery waits
-        #: for the EOS) or a fault injector must see every block
-        self._local = not (self.recovery or world.runtime.chaos_routed)
-        self._receiver = threading.Thread(
-            target=self._receiver_loop, daemon=True, name=f"shuffle-recv-{self.rank}"
-        )
-        self._receiver.start()
+        #: the receive side of every stream, by (plane, origin)
+        self._channels = defaultdict(lambda: _Channel(self.recovery))
+        #: the delivery lock: one envelope is filed at a time, whichever
+        #: thread delivers it
+        self._lock = threading.Lock()
+        with self._lock:
+            # what arrived before this service existed (early peers, a
+            # reborn rank's redelivered frames) is filed first; a deposit
+            # racing in waits here behind it, so each origin keeps its order
+            for envelope in world.listen(SHUFFLE_TAG, self._deliver):
+                self._file(envelope)
+        self._abort.watch(self._abort_planes)
 
     # -- plane registry -----------------------------------------------------------
     def plane(self, plane_id: str) -> ShufflePlane:
@@ -371,43 +376,36 @@ class ShuffleService:
             plane = self._planes.get(plane_id)
             if plane is None:
                 plane = ShufflePlane(plane_id, self.rank, self._factory(plane_id))
-                plane.abort = self.world.runtime.abort_flag
-                if self._receiver_gone:
+                plane.abort = self._abort
+                if self._abort.is_set():
                     plane.abort_streams()  # nothing will ever land on it
                 self._planes[plane_id] = plane
             return plane
 
     def _planes_now(self) -> list[ShufflePlane]:
-        """A snapshot: ``plane()`` inserts from the main and the receiver
-        thread while the telemetry shipper reads the stats."""
+        """A snapshot: ``plane()`` inserts from the task threads and the
+        delivering ones while the telemetry shipper reads the stats."""
         with self._planes_lock:
             return list(self._planes.values())
+
+    def _abort_planes(self) -> None:
+        """The world aborted: no open plane can complete now."""
+        for plane in self._planes_now():
+            plane.abort_streams()
 
     # -- send path -------------------------------------------------------------
     def send_blocks(
         self, plane_id: str, blocks: Iterable[Block], eos: bool = False
     ) -> None:
-        """Ship sealed blocks on the calling task's thread; ``eos``: this
-        process finished the plane, and when the call returns every stream
-        of it is on the wire.  A rank's own blocks of a pipelined plane go
-        straight to the plane; the stream's EOS still travels as an
-        envelope, after every local block.  Raises :class:`MPIAbort` (the
-        job is dead) into the sending task."""
+        """Ship sealed blocks on the calling task's thread, a rank's own as
+        well; ``eos``: this process finished the plane, and when the call
+        returns every stream of it is on the wire.  Raises
+        :class:`MPIAbort` (the job is dead) into the sending task."""
         plane = self.plane(plane_id)
         pipelined, owner = plane.config.pipelined, plane.config.window.owner
         streams = self._streams
         for block in blocks:
             dest = owner(block.partition_id)
-            if dest == self.rank and pipelined and self._local:
-                plane.add_block(block)
-                self.blocks_sent += 1
-                self.bytes_sent += block.nbytes
-                if _T.enabled:  # no flow pair: nothing crossed a rank
-                    _T.instant("shuffle.local", cat="shuffle", args={
-                        "plane": plane_id, "partition": block.partition_id,
-                        "bytes": block.nbytes,
-                    })
-                continue
             out = streams[plane_id, dest]
             out.add(block)
             if out.nbytes >= self.batch_bytes:
@@ -444,8 +442,8 @@ class ShuffleService:
                 self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
             flow = 0
             if _T.enabled:
-                # the pair also travels in the envelope header, so the link
-                # survives the wire even for wildcard receivers
+                # the envelope carries the pair to the receive span (in the
+                # wire header on the process backend)
                 flow, parent = _flow_pair(plane_id, dest, self.rank, seq)
                 _T.set_flow(flow, parent)
             batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
@@ -465,112 +463,82 @@ class ShuffleService:
             _T.counter(f"shuffle.r{self.rank}.bytes_sent", self.bytes_sent)
 
     # -- receive path ------------------------------------------------------------
-    def _receiver_loop(self) -> None:
-        """Accept blocks from every peer until shutdown (or abort).
+    def _deliver(self, envelope: Envelope) -> None:
+        """The ``SHUFFLE_TAG`` listener: file one envelope on the thread
+        that delivers it, sending nothing but a failed delivery's abort."""
+        with self._lock:
+            self._file(envelope)
 
-        The loop decodes a message, asks the stream's :class:`_Channel`,
-        applies the answer and traces it: a dropped duplicate or replay is
-        counted; a lost envelope (a gap) or a :class:`TruncatedPayload`
-        marker (wire corruption) fails loudly.  Any receiver-side failure
-        aborts the whole world; a dead receiver thread must never leave
-        peers blocked on a plane that cannot complete.
-        """
-        _T.bind(self.rank)  # attribute recv spans to this rank's lane
+    def _file(self, envelope: Envelope) -> None:
+        """Decode one message, ask the stream's :class:`_Channel`, apply
+        the answer and trace it (delivery lock held).  A dropped duplicate
+        or replay is counted; a lost envelope (a gap) or a
+        :class:`TruncatedPayload` marker (wire corruption) fails loudly.
+        Any failure aborts the whole world: no peer may be left blocked on
+        a plane that cannot complete.  After an abort nothing is filed."""
+        if self._abort.is_set():
+            return
+        message = envelope.payload
         try:
-            self._pump_receives()
-        finally:
-            # every world abort ends up here: no open plane can complete now
-            with self._planes_lock:
-                self._receiver_gone = True
-                planes = list(self._planes.values())
-            for plane in planes:
-                plane.abort_streams()
-
-    def _pump_receives(self) -> None:
-        # one per stream, by (plane, origin)
-        channels = defaultdict(lambda: _Channel(self.recovery))
-        while True:
-            try:
-                message = self.world.recv(source=ANY_SOURCE, tag=SHUFFLE_TAG)
-                flow_in = _T.recv_flow() if _T.enabled else None
-                if isinstance(message, TruncatedPayload):
-                    raise DataMPIError(
-                        f"shuffle receiver rank {self.rank}: truncated "
-                        f"envelope {message!r}; refusing to interpret "
-                        "corrupt data"
-                    )
-                kind, plane_id, payload = message
-                if kind == "shutdown":
-                    return
-                if kind == "reset":
-                    origin, epoch = payload
-                    channel = channels[plane_id, origin]
-                    if channel.reset(epoch):
-                        _note("shuffle.stream_reset", "recovery", plane_id, origin,
-                              epoch=epoch, committed=channel.committed)
-                    continue
-                if kind != "batch":
-                    raise DataMPIError(f"unknown shuffle message kind {kind!r}")
-                plane = self.plane(plane_id)
-                seq, origin, blocks, eos = payload
-                channel = channels[plane_id, origin]
-                trace_t0 = _T.clock() if _T.enabled else 0.0
-                try:
-                    verdict = channel.accept(seq, blocks, eos)
-                except DataMPIError:
-                    expected = channel.last + 1
-                    _note("shuffle.seq_gap", "shuffle", plane_id, origin,
-                          expected=expected, got=seq)
-                    raise DataMPIError(
-                        f"shuffle plane {plane_id}: lost batch from "
-                        f"process {origin} (expected seq {expected}, "
-                        f"got {seq})"
-                    ) from None
-                if verdict is DUPLICATE:
-                    self.duplicates_dropped += 1
-                    _note("shuffle.duplicate_dropped", "shuffle", plane_id,
-                          origin, seq=seq)
-                    continue
-                if verdict is REPLAY:
-                    self.replays_dropped += 1
-                    _note("shuffle.replay_dropped", "recovery", plane_id,
-                          origin, seq=seq)
-                    continue
-                for block in verdict:
-                    plane.add_block(block)
-                if eos:
-                    plane.add_eos()
-                if _T.enabled and blocks:
-                    # prefer the pair the envelope header carried; a path
-                    # that lost it (direct deposits in unit tests) falls
-                    # back to recomputing the same id
-                    flow = flow_in or _flow_pair(plane_id, self.rank, origin, seq)
-                    _T.complete(
-                        "shuffle.recv.batch", trace_t0,
-                        _T.clock() - trace_t0, cat="shuffle",
-                        args={"plane": plane_id, "origin": origin,
-                              "blocks": len(blocks), "seq": seq,
-                              "flow_in": flow[0], "flow_parent": flow[1]},
-                    )
-            except MPIAbort:
-                return  # job aborted; planes will never complete, that's fine
-            except BaseException as exc:  # noqa: BLE001 - must abort the world
-                self.world.abort(
-                    reason=f"shuffle receiver rank {self.rank}: {exc!r}"
-                )
+            if isinstance(message, TruncatedPayload):
+                raise DataMPIError(f"truncated envelope {message!r}: corrupt data")
+            kind, plane_id, payload = message
+            if kind == "reset":
+                origin, epoch = payload
+                channel = self._channels[plane_id, origin]
+                if channel.reset(epoch):
+                    _note("shuffle.stream_reset", "recovery", plane_id, origin,
+                          epoch=epoch, committed=channel.committed)
                 return
+            if kind != "batch":
+                raise DataMPIError(f"unknown shuffle message kind {kind!r}")
+            plane = self.plane(plane_id)
+            seq, origin, blocks, eos = payload
+            channel = self._channels[plane_id, origin]
+            trace_t0 = _T.clock() if _T.enabled else 0.0
+            try:
+                verdict = channel.accept(seq, blocks, eos)
+            except DataMPIError:
+                expected = channel.last + 1
+                _note("shuffle.seq_gap", "shuffle", plane_id, origin,
+                      expected=expected, got=seq)
+                raise DataMPIError(
+                    f"shuffle plane {plane_id}: lost batch from process "
+                    f"{origin} (expected seq {expected}, got {seq})"
+                ) from None
+            if verdict is DUPLICATE:
+                self.duplicates_dropped += 1
+                _note("shuffle.duplicate_dropped", "shuffle", plane_id, origin, seq=seq)
+                return
+            if verdict is REPLAY:
+                self.replays_dropped += 1
+                _note("shuffle.replay_dropped", "recovery", plane_id, origin, seq=seq)
+                return
+            for block in verdict:
+                plane.add_block(block)
+            if eos:
+                plane.add_eos()
+            if _T.enabled and blocks:
+                # on the thread backend this span nests in the sender's
+                # ``shuffle.send``: ``rank`` names the receiving one
+                _T.complete(
+                    "shuffle.recv.batch", trace_t0, _T.clock() - trace_t0,
+                    cat="shuffle",
+                    args={"plane": plane_id, "rank": self.rank, "origin": origin,
+                          "blocks": len(blocks), "seq": seq,
+                          "flow_in": envelope.trace, "flow_parent": envelope.parent},
+                )
+        except Exception as exc:  # noqa: BLE001 - must abort the world
+            self.world.abort(reason=f"shuffle receiver rank {self.rank}: {exc!r}")
 
     # -- lifecycle ---------------------------------------------------------------
     def shutdown(self) -> None:
-        try:
-            # self-deliver the receiver stop marker through MPI so it drains
-            # everything already enqueued first
-            self.world.send(("shutdown", "", None), dest=self.rank, tag=SHUFFLE_TAG)
-        except MPIAbort:
-            pass  # receiver already unwound via the abort
-        self._receiver.join(timeout=10)
-        for plane in self._planes_now():
-            plane.cleanup()
+        """Stop listening (later arrivals queue in the mailbox) and drop
+        every plane's data."""
+        with self._lock:
+            self.world.listen(SHUFFLE_TAG, None)
+            for plane in self._planes_now():
+                plane.cleanup()
 
     def stats(self) -> dict[str, int]:
         planes = self._planes_now()
@@ -586,5 +554,6 @@ class ShuffleService:
         }
 
     def spill_seconds(self) -> float:
-        """Receiver-thread seconds spent writing spills (overlay phase)."""
+        """Seconds the delivering threads spent writing this process's
+        spills (overlay phase)."""
         return sum(p.spill_seconds() for p in self._planes_now())

@@ -305,8 +305,8 @@ class RunStore:
         self.memory_bytes = 0
         self.spilled_bytes = 0
         self.total_records = 0
-        #: seconds spent writing spills (overlaps compute: spills happen
-        #: on the receiver thread, so this is an overlay phase bucket)
+        #: seconds spent writing spills (an overlay phase bucket: spills
+        #: happen on whichever thread delivered the block)
         self.spill_seconds = 0.0
 
     def add_run(self, run: RecordBatch) -> None:

@@ -113,14 +113,19 @@ class Intracomm:
         envelope = self._my_endpoint().receive(
             self.context, source, tag, timeout=timeout
         )
-        if _T.enabled and envelope.trace:
-            # hand the envelope's causal pair to the receiving thread's
-            # instrumentation (it pops the pair onto its span args)
-            _T.note_recv_flow(envelope.trace, envelope.parent)
         if status is not None:
             st = envelope.status()
             status.source, status.tag, status.count = st.source, st.tag, st.count
         return envelope.payload
+
+    def listen(
+        self, tag: int, handler: Callable[[Envelope], None] | None
+    ) -> list[Envelope]:
+        """Handle every message on ``tag`` as it arrives, on the thread that
+        delivers it, instead of queueing it for a ``recv``; returns those
+        already queued, in arrival order.  ``None`` queues again.  The
+        handler must not send (:meth:`Endpoint.listen`)."""
+        return self._my_endpoint().listen(self.context, tag, handler)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         return RecvRequest(self._my_endpoint(), self.context, source, tag)

@@ -127,12 +127,6 @@ class BaseRuntime:
     #: stage shuffle streams)
     rank_recovery = False
 
-    @property
-    def chaos_routed(self) -> bool:
-        """A fault injector sits on every route, a rank's route to itself
-        included: what must meet its rules may not bypass the transport."""
-        return self.fault_injector is not None
-
     # -- what the driver may ask about the job ----------------------------------
     #: where rank processes write their trace shards (set by mpidrun when
     #: tracing; thread ranks record into the driver's tracer instead)
@@ -272,7 +266,6 @@ class BaseRuntime:
         if record and not self.abort_flag.is_set():
             self.record_failure(FailureRecord(kind="abort", error=reason))
         self.abort_flag.trip(reason, errorcode)
-        self._transport.wake_all()
 
     @property
     def errors(self) -> list[BaseException]:

@@ -704,7 +704,6 @@ class WorkerTransport(Transport):
             self._conn.send(_encode_envelope(dest, envelope, epoch=spec.epoch))
         except OSError:
             self.abort_flag.trip("lost connection to the mpidrun router")
-            self._endpoint.wake()
             self.abort_flag.check()
         envelope.delivered.set()
 
@@ -737,10 +736,6 @@ class WorkerRuntime(BaseRuntime):
 
     def _make_transport(self) -> Transport:
         return WorkerTransport(self.abort_flag, self._spec, self._conn)
-
-    @property
-    def chaos_routed(self) -> bool:
-        return self._spec.chaos_routed  # the injector lives in the driver
 
     # -- what crosses the wire -------------------------------------------------
     def allocate_context(self) -> int:
@@ -834,6 +829,10 @@ class WorkerRuntime(BaseRuntime):
         return result
 
     def _recv_loop(self) -> None:
+        """The wire reader: deposits what the router forwards (a listened
+        shuffle envelope is filed right here, on this thread)."""
+        # what the deposits trace is the receiving rank's
+        _T.bind(self._spec.rank)
         conn = self._conn
         mailbox = self.mailbox(self._spec.gid)
         while True:
@@ -842,17 +841,14 @@ class WorkerRuntime(BaseRuntime):
             except ConnectionError:
                 frame = None
             if frame is None:
-                if not self._closing and not self.abort_flag.is_set():
+                if not self._closing:
                     self.abort_flag.trip("lost connection to the mpidrun router")
-                    self._transport.wake_all()
                 return
             kind, body = frame
             if kind == FrameKind.ENVELOPE:
                 mailbox.deposit(_decode_envelope(wire.unpack_envelope_frame(body)))
             elif kind == FrameKind.ABORT:
-                reason, errorcode = wire.unpack_obj(body)
-                self.abort_flag.trip(reason, errorcode)
-                self._transport.wake_all()
+                self.abort_flag.trip(*wire.unpack_obj(body))
             elif kind == FrameKind.RPC_REP:
                 req_id, ok, result = wire.unpack_obj(body)
                 box = self._rpc_pending.pop(req_id, None)

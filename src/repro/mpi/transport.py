@@ -113,10 +113,13 @@ class Envelope:
 
 
 class AbortFlag:
-    """Runtime-wide abort latch shared by every endpoint."""
+    """Runtime-wide abort latch shared by every endpoint: the one signal
+    that wakes every waiter, through the callbacks :meth:`watch` collects."""
 
     def __init__(self) -> None:
         self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._watchers: list[Callable[[], None]] = []
         self.reason: str = ""
         self.errorcode: int = 0
 
@@ -124,10 +127,24 @@ class AbortFlag:
         return self._event.is_set()
 
     def trip(self, reason: str, errorcode: int = 1) -> None:
-        if not self._event.is_set():
+        """Latch the first reason, then run every watcher once."""
+        with self._lock:
+            if self._event.is_set():
+                return
             self.reason = reason
             self.errorcode = errorcode
             self._event.set()
+            watchers, self._watchers = self._watchers, []
+        for callback in watchers:
+            callback()
+
+    def watch(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once when the flag trips — at once if it has."""
+        with self._lock:
+            if not self._event.is_set():
+                self._watchers.append(callback)
+                return
+        callback()
 
     def check(self) -> None:
         if self._event.is_set():
@@ -347,12 +364,11 @@ class Endpoint:
     All state is guarded by one lock; the sub-queue index maps each
     ``(context, source, tag)`` key to a FIFO deque of envelopes (removed
     from the index when drained, so wildcard scans only visit keys with
-    pending traffic).
+    pending traffic).  A ``(context, tag)`` with a listener (:meth:`listen`)
+    is never queued: its envelopes go to the handler as they arrive.
+    Blocked receivers wait until an arrival or the abort (:meth:`wake`)
+    notifies them, or until their own timeout.
     """
-
-    #: Condition-wait slice; short enough to notice aborts promptly without
-    #: a hot loop (aborts also notify the conditions directly).
-    WAIT_SLICE = 0.1
 
     def __init__(self, rank: int, abort: AbortFlag) -> None:
         self.rank = rank
@@ -366,9 +382,8 @@ class Endpoint:
         #: shared condition for wildcard (ANY_SOURCE/ANY_TAG) waiters
         self._wild_cond = threading.Condition(self._lock)
         self._num_wild_waiters = 0
-        # monotonically increasing count of messages ever enqueued; lets
-        # waiters detect arrivals without re-scanning spuriously
-        self._arrivals = 0
+        #: (context, tag) -> handler of every envelope deposited there
+        self._listeners: dict[tuple[int, int], Callable[[Envelope], None]] = {}
         #: currently queued envelopes
         self._pending = 0
         #: cumulative payload bytes deposited into this mailbox
@@ -376,24 +391,53 @@ class Endpoint:
 
     # -- sender side --------------------------------------------------------
     def deposit(self, envelope: Envelope) -> None:
-        """Called by the *sender's* thread to deliver a message."""
+        """Called by the thread that delivers a message: the sender's, or
+        the wire reader's.  A listened envelope is handed to its handler on
+        this thread, outside the lock."""
         with self._lock:
-            key = (envelope.context, envelope.source, envelope.tag)
-            q = self._queues.get(key)
-            if q is None:
-                self._queues[key] = q = deque()
-            q.append(envelope)
-            self._arrivals += 1
-            self._pending += 1
             self._bytes_in += envelope.nbytes
-            entry = self._key_waiters.get(key)
-            if entry is not None:
-                entry[0].notify_all()
-            if self._num_wild_waiters:
-                self._wild_cond.notify_all()
+            handler = self._listeners.get((envelope.context, envelope.tag))
+            if handler is None:
+                key = (envelope.context, envelope.source, envelope.tag)
+                q = self._queues.get(key)
+                if q is None:
+                    self._queues[key] = q = deque()
+                q.append(envelope)
+                self._pending += 1
+                entry = self._key_waiters.get(key)
+                if entry is not None:
+                    entry[0].notify_all()
+                if self._num_wild_waiters:
+                    self._wild_cond.notify_all()
             if _T.enabled:
                 _T.counter(f"transport.r{self.rank}.pending", self._pending)
                 _T.counter(f"transport.r{self.rank}.bytes", self._bytes_in)
+        if handler is not None:
+            envelope.delivered.set()
+            handler(envelope)
+
+    def listen(
+        self, context: int, tag: int, handler: Callable[[Envelope], None] | None
+    ) -> list[Envelope]:
+        """From now on, hand every envelope deposited on ``(context, tag)``
+        to ``handler``, on the depositing thread, instead of queueing it;
+        returns the ones already queued there, in arrival order, for the
+        caller to handle first.  ``None`` makes the tag queue again.  A
+        handler that sent could deadlock a wire reader on its own socket:
+        it must not."""
+        with self._lock:
+            if handler is None:
+                self._listeners.pop((context, tag), None)
+                return []
+            self._listeners[context, tag] = handler
+            backlog: list[Envelope] = []
+            for key in [k for k in self._queues if k[0] == context and k[2] == tag]:
+                backlog.extend(self._queues.pop(key))
+            self._pending -= len(backlog)
+        backlog.sort(key=lambda envelope: envelope.seq)
+        for envelope in backlog:
+            envelope.delivered.set()
+        return backlog
 
     def wake(self) -> None:
         """Wake every blocked receiver (used on abort)."""
@@ -497,7 +541,7 @@ class Endpoint:
                                 args={"source": source, "tag": tag},
                             )
                         return envelope
-                    wait = Endpoint.WAIT_SLICE
+                    remaining = None
                     if deadline is not None:
                         remaining = deadline - _now()
                         if remaining <= 0:
@@ -505,8 +549,7 @@ class Endpoint:
                                 f"recv(context={context}, source={source}, "
                                 f"tag={tag}) timed out on rank {self.rank}"
                             )
-                        wait = min(wait, remaining)
-                    cond.wait(wait)
+                    cond.wait(remaining)
             finally:
                 self._release_waiter(key)
 
@@ -543,7 +586,7 @@ class Endpoint:
                     envelope = self._match(context, source, tag, pop=False)
                     if envelope is not None:
                         return envelope.status()
-                    cond.wait(Endpoint.WAIT_SLICE)
+                    cond.wait()
             finally:
                 self._release_waiter(key)
 
@@ -575,6 +618,7 @@ class Transport(ABC):
         self.fault_injector = fault_injector
         self._lock = threading.Lock()
         self._endpoints: dict[int, Endpoint] = {}
+        abort_flag.watch(self.wake_all)
 
     def register(self, gid: int) -> Endpoint:
         """Create (or return) the mailbox for a rank hosted *here*."""
@@ -615,7 +659,8 @@ class Transport(ABC):
         """Move one envelope, already past fault injection, to ``dest``."""
 
     def wake_all(self) -> None:
-        """Wake every blocked receiver everywhere (abort propagation)."""
+        """Wake every blocked receiver everywhere; runs when the abort
+        flag trips."""
         for endpoint in self.local_endpoints():
             endpoint.wake()
 

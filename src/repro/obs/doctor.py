@@ -21,7 +21,6 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   automatically trigger an **all-rank stack capture** over the
   DUMP_REQ wire frame;
 * *silent*: a rank that stopped reporting entirely (snapshots aged out);
-* *queue growth*: pending-envelope depth over a threshold;
 * *redelivery churn*: recovery counters (respawns, redelivered frames,
   replays dropped) still climbing between evaluations;
 * *shuffle skew*: max rank bytes-sent over the median, above threshold.
@@ -56,7 +55,6 @@ MAX_CAPTURES = 8
 # severity bands: stalls are acute, stragglers chronic, the rest hints
 _SEV_STALL = 100.0
 _SEV_SILENT = 90.0
-_SEV_QUEUE = 50.0
 _SEV_STRAGGLER = 10.0
 _SEV_REDELIVERY = 5.0
 _SEV_SKEW = 1.0
@@ -69,8 +67,6 @@ class DoctorConfig:
     #: busy-time ratio over the median that flags a straggler
     straggler_threshold: float = 2.0
     stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
-    #: pending-envelope depth per rank that flags queue growth
-    queue_depth: int = 10_000
     skew_threshold: float = 2.0
     #: seconds to wait after a DUMP_REQ broadcast for replies to land
     capture_grace: float = 0.5
@@ -195,7 +191,6 @@ class Doctor:
         findings: list[dict] = []
         findings.extend(self._check_stalls(rows, now))
         findings.extend(self._check_straggler(rows, rollups))
-        findings.extend(self._check_queues(rows))
         findings.extend(self._check_redelivery(rollups))
         findings.extend(self._check_skew(rollups))
         findings.sort(key=lambda f: -f["severity"])
@@ -298,27 +293,6 @@ class Doctor:
             },
         }]
 
-    def _check_queues(self, rows: list[dict]) -> list[dict]:
-        findings = []
-        for row in rows:
-            pending = int(row.get("pending", 0))
-            if pending >= self.config.queue_depth:
-                findings.append({
-                    "kind": "queue-growth",
-                    "rank": row["rank"],
-                    "severity": _SEV_QUEUE + pending / self.config.queue_depth,
-                    "summary": (
-                        f"rank {row['rank']}: {pending} envelopes pending "
-                        f"({row.get('bytes_in', 0)} bytes) — consumer not "
-                        f"keeping up"
-                    ),
-                    "details": {
-                        "pending": pending,
-                        "bytes_in": row.get("bytes_in", 0),
-                    },
-                })
-        return findings
-
     def _check_redelivery(self, rollups: dict) -> list[dict]:
         recovery = {
             k: int(v or 0) for k, v in (rollups.get("recovery") or {}).items()
@@ -407,7 +381,6 @@ class Doctor:
             "thresholds": {
                 "straggler": self.config.straggler_threshold,
                 "stall_seconds": self.config.stall_seconds,
-                "queue_depth": self.config.queue_depth,
                 "skew": self.config.skew_threshold,
             },
             "findings": findings,

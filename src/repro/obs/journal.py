@@ -268,14 +268,15 @@ def to_chrome_trace(journal: Journal) -> dict:
                 out["args"] = args
                 flow_out = args.get("flow_out")
                 flow_in = args.get("flow_in")
-                # anchor flow endpoints to the span *end* (ts + dur): the
-                # send span always closes before its matched recv span
-                # does, so the arrow points forward in time
+                # a flow leaves at its send span's start and lands at its
+                # recv span's end, so the arrow points forward in time
+                # whether the recv span follows the send (process backend)
+                # or nests inside it (thread backend: the sender files it)
                 end_ts = round((event.get("ts", 0.0) + event.get("dur", 0.0)) * 1e6, 3)
                 if flow_out:
                     trace_events.append(
                         {
-                            "ph": "s", "pid": pid, "tid": tid, "ts": end_ts,
+                            "ph": "s", "pid": pid, "tid": tid, "ts": out["ts"],
                             "id": flow_out, "name": "shuffle.flow",
                             "cat": "shuffle",
                         }

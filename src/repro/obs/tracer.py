@@ -216,10 +216,9 @@ class Tracer:
 
     # -- cross-rank flow propagation ----------------------------------------
     # A sender arms the (trace, parent) pair just before the send; the
-    # comm layer pops it onto the outgoing Envelope.  On receive, the
-    # comm layer notes the incoming pair; the receiver's instrumentation
-    # pops it onto its span args.  Both sides are thread-local, so
-    # concurrent sender/receiver threads never see each other's pair.
+    # comm layer pops it onto the outgoing Envelope, whose handler reads
+    # it back off the envelope.  The armed pair is thread-local, so
+    # concurrent senders never see each other's.
     def set_flow(self, trace: int, parent: int) -> None:
         """Arm the calling thread's next send with a causal pair."""
         self._local.flow_out = (trace, parent)
@@ -229,17 +228,6 @@ class Tracer:
         flow = getattr(self._local, "flow_out", None)
         if flow is not None:
             self._local.flow_out = None
-        return flow
-
-    def note_recv_flow(self, trace: int, parent: int) -> None:
-        """Record the causal pair carried by a just-received envelope."""
-        self._local.flow_in = (trace, parent)
-
-    def recv_flow(self) -> tuple[int, int] | None:
-        """Pop the pair from the calling thread's last receive."""
-        flow = getattr(self._local, "flow_in", None)
-        if flow is not None:
-            self._local.flow_in = None
         return flow
 
     # -- recording ----------------------------------------------------------

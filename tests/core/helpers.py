@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import types
@@ -11,6 +10,7 @@ from typing import Any
 
 from repro.core.buffers import Block
 from repro.core.output import FileSink
+from repro.mpi.transport import AbortFlag
 from repro.serde.batch import batch_from_pairs
 from repro.serde.serialization import WritableSerializer
 
@@ -41,29 +41,27 @@ def batch_block(
 
 class RecordingWorld:
     """Intracomm stand-in of rank 0 that keeps what a shuffle service
-    sends, as ``(payload, dest)``; its own shutdown marker is what the
-    service's receiver thread gets.  ``reborn``: a respawned incarnation
-    of a rank-recovery world."""
+    sends, as ``(payload, dest)``, and delivers nothing.  ``reborn``: a
+    respawned incarnation of a rank-recovery world."""
 
     def __init__(self, size: int = 1, reborn: bool = False) -> None:
         self.rank = 0
         self.size = size
         # everything the shuffle service reads off a runtime
         self.runtime = types.SimpleNamespace(
-            rank_epoch=1 if reborn else 0, rank_recovery=reborn, abort_flag=None,
-            chaos_routed=False,
+            rank_epoch=1 if reborn else 0, rank_recovery=reborn,
+            abort_flag=AbortFlag(),
         )
         self.sent: list[tuple[Any, int]] = []
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if obj[0] == "shutdown":
-            self._inbox.put(obj)
-        else:
-            self.sent.append((obj, dest))
+        self.sent.append((obj, dest))
 
-    def recv(self, source: Any = None, tag: Any = None) -> Any:
-        return self._inbox.get()
+    def listen(self, tag: int, handler: Any) -> list:
+        return []  # nothing arrived before the listener
+
+    def abort(self, errorcode: int = 1, reason: str = "MPI_Abort") -> None:
+        self.runtime.abort_flag.trip(reason, errorcode)
 
 
 class Shipped:

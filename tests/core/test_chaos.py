@@ -14,7 +14,7 @@ canonical injector either way.
 
 import time
 
-from repro.core import mapreduce_job, mpidrun
+from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
 from repro.mpi import FaultInjector
 
@@ -68,8 +68,7 @@ class TestBenignFaults:
         assert injector.counts["duplicate"] > 0
         assert out.merged() == expected_wordcount(TEXTS)
         assert_conserved(result.metrics)
-        # every shuffle envelope arrived twice and was applied once (the
-        # rule's other hits are the two ``shutdown`` self-sends)
+        # every shuffle envelope arrived twice and was applied once
         assert result.metrics.duplicates_dropped == result.metrics.envelopes_sent > 0
 
     def test_delayed_envelopes_preserve_order_and_results(self, tmp_path, launcher):
@@ -110,6 +109,39 @@ class TestDestructiveFaults:
         assert injector.counts["truncate"] == 1
         assert out.merged() == expected_wordcount(TEXTS)
         assert any("truncated" in r.error.lower() for r in result.failures)
+
+
+class TestOwnBlocks:
+    def test_a_dropped_own_block_is_a_seq_gap(self, launcher):
+        """A rank's own Streaming blocks take the transport like its
+        peers': the injector sees them, and a drop is a gap the next
+        envelope of that stream exposes at once."""
+        injector = FaultInjector()
+        # global ranks 1 and 2 are the two workers (0 is mpidrun's driver);
+        # a rank that ran an O task sends itself data before its EOS
+        for gid in (1, 2):
+            injector.drop(tag=SHUFFLE_TAG, origin=gid, dest=gid, max_matches=1)
+
+        def o_fn(ctx):
+            for i in range(200):
+                ctx.send(f"k{i}", i)
+
+        def a_fn(ctx):
+            for _ in ctx.recv_iter():
+                pass
+
+        job = DataMPIJob(
+            "own-drop", o_fn, a_fn, o_tasks=2, a_tasks=2, mode=Mode.STREAMING,
+            conf={K.LAUNCHER: launcher, K.SPL_PARTITION_BYTES: 64},
+        )
+        start = time.monotonic()
+        result = mpidrun(job, nprocs=NPROCS, timeout=120.0, fault_injector=injector)
+        assert time.monotonic() - start < 30.0  # not the plane timeout
+        assert not result.success
+        assert injector.counts["drop"] >= 1
+        gaps = [r for r in result.failures if "lost batch" in r.error]
+        assert [r.kind for r in gaps] == ["abort"]
+        assert "(expected seq 0, got 1)" in gaps[0].error
 
 
 class TestInjectorMechanics:

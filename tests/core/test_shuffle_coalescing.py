@@ -131,7 +131,7 @@ class TestCoalescingOverMPI:
 
     def test_uncoalesced_block_message_aborts_the_world(self):
         """``("block", …)`` / ``("eos", …)`` left with the object path:
-        the receiver knows ``batch``, ``reset`` and ``shutdown`` only."""
+        the delivery knows ``batch`` and ``reset`` only."""
 
         def main(comm):
             service = ShuffleService(comm, lambda pid: _config(1, comm.size))
@@ -173,7 +173,7 @@ class TestStreamingBlockGranularity:
         plane.add_block(block(0, [("x", 1)]))
         it = plane.stream_iter(0)
         assert next(it) == ("x", 1)
-        plane.abort_streams()  # the receiver left before the EOS
+        plane.abort_streams()  # the world aborted before the EOS
         with pytest.raises(MPIAbort):
             next(it)
         done = ShufflePlane("q", 0, _config(num_processes=1, pipelined=True))

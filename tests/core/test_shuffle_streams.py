@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.common.errors import DataMPIError, MPIAbort
 from repro.core.buffers import Block
 from repro.core.partition import PartitionWindow
-from repro.mpi.transport import AbortFlag
 from repro.core.shuffle import (
     DUPLICATE,
     REPLAY,
@@ -29,7 +28,7 @@ from repro.core.shuffle import (
     _Outbound,
 )
 from repro.serde.serialization import WritableSerializer
-from tests.core.helpers import RecordingWorld, batch_block
+from tests.core.helpers import RecordingWorld
 
 # -- (a) the channel, bare ------------------------------------------------------
 #
@@ -248,7 +247,6 @@ class TestSenderStreams:
     @given(ops=OPS)
     def test_every_stream_is_sequenced_ordered_and_closed_once(self, reborn, ops):
         world, service, handed = play(ops, reborn)
-        assert not service._receiver.is_alive()
         # coalescing follows the calls alone: the same calls, the same envelopes
         assert play(ops, reborn)[0].sent == world.sent
 
@@ -289,91 +287,17 @@ class TestSenderStreams:
         assert (out.seq, out.blocks, out.nbytes) == (2, [], 0)
 
 
-# -- (c) local delivery: a rank's own streaming blocks skip the transport ------------
-
-
-def pipelined_config(_plane_id):
-    return PlaneConfig(
-        NPROCS, PartitionWindow(NPROCS, NPROCS), None, WritableSerializer(),
-        tempfile.gettempdir(), 1 << 20, pipelined=True,
-    )
-
-
-class TestLocalDelivery:
-    @settings(max_examples=60, deadline=None)
-    @given(sizes=st.lists(st.tuples(st.integers(0, NPROCS - 1), st.integers(1, 4)),
-                          max_size=30))
-    def test_own_partitions_keep_send_order_and_the_counters_add_up(self, sizes):
-        world = RecordingWorld(size=NPROCS)  # rank 0 owns partition 0 alone
-        service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
-        sent = defaultdict(list)  # partition -> records, send order
-        local = []  # the serials of the blocks rank 0 kept
-        try:
-            for serial, (partition, count) in enumerate(sizes):
-                records = [(serial, i) for i in range(count)]
-                sent[partition] += records
-                if partition == 0:
-                    local.append(serial)
-                service.send_block("a", batch_block(partition, records, sorted_=False))
-                # a local block is the consumer's before send_block returns,
-                # a peer's is on the wire
-                assert service.plane("a").records_received() == len(sent[0])
-                assert len(world.sent) == serial + 1 - len(local)
-            service.send_eos("a")
-            plane = service.plane("a")
-            # this rank's own EOS went to the recorded wire, after every
-            # local block; hand the plane that one and the two peers'
-            for _ in range(NPROCS):
-                plane.add_eos()
-            on_wire = defaultdict(list)
-            for (_kind, _plane, (_seq, _origin, blocks, _eos)), dest in world.sent:
-                for block in blocks:
-                    assert block.partition_id == dest != 0
-                    on_wire[dest] += block.records.iter_pairs(plane.config.serializer)
-            stats = service.stats()
-        finally:
-            service.shutdown()
-        assert [eos for (_, _, (*_, eos)), dest in world.sent if dest == 0] == [True]
-        assert list(plane.stream_iter(0)) == sent[0]
-        assert dict(on_wire) == {p: r for p, r in sent.items() if p != 0 and r}
-        assert stats["blocks_sent"] == len(sizes)
-        assert stats["records_received"] == len(sent[0])
-        assert stats["records_received"] + sum(map(len, on_wire.values())) == sum(
-            count for _, count in sizes
-        )
-        assert stats["envelopes_sent"] == len(world.sent)
-
-    @pytest.mark.parametrize("runtime", [{"rank_recovery": True}, {"chaos_routed": True}])
-    def test_staged_channels_and_fault_injectors_keep_the_transport(self, runtime):
-        world = RecordingWorld(size=NPROCS)
-        vars(world.runtime).update(runtime)
-        service = ShuffleService(world, pipelined_config, batch_bytes=BATCH_BYTES)
-        try:
-            service.send_block("a", batch_block(0, [("k", 1)], sorted_=False))
-            assert service.plane("a").records_received() == 0
-            assert [dest for (kind, *_), dest in world.sent if kind == "batch"] == [0]
-        finally:
-            service.shutdown()
-
-
-# -- (d) a dead world fails the task that sends ----------------------------------------
+# -- (c) a dead world fails the task that sends ----------------------------------------
 
 
 class DeadWorld(RecordingWorld):
-    """A worker that lost its router: every receive and every send but the
-    local stop marker meets MPIAbort."""
+    """A worker that lost its router: every send meets MPIAbort."""
 
     def __init__(self):
         super().__init__(size=NPROCS)
-        self.runtime.abort_flag = AbortFlag()
         self.runtime.abort_flag.trip("router lost")
 
     def send(self, obj, dest, tag=0):
-        if obj[0] == "shutdown":  # the local stop marker needs no router
-            return super().send(obj, dest, tag)
-        self.runtime.abort_flag.check()
-
-    def recv(self, source=None, tag=None):
         self.runtime.abort_flag.check()
 
 
@@ -381,7 +305,6 @@ class TestSendAfterAbort:
     def test_a_send_on_a_dead_world_raises_in_the_task_and_leaves_no_thread(self):
         before = set(threading.enumerate())
         service = ShuffleService(DeadWorld(), plane_config)
-        service._receiver.join(10)  # met MPIAbort and left
         service.send_block("a", Block(0, 0, 10, False))  # held: short of the cap
         with pytest.raises(MPIAbort, match="router lost"):
             service.send_eos("a")

@@ -174,14 +174,6 @@ class TestStragglerSignature:
 
 
 class TestQueueAndChurnSignatures:
-    def test_queue_growth(self):
-        hub = TelemetryHub()
-        hub.ingest(_snap(0, pending=50))
-        doctor = Doctor(hub, DoctorConfig(queue_depth=10))
-        findings = [f for f in doctor.evaluate() if f["kind"] == "queue-growth"]
-        assert findings and findings[0]["rank"] == 0
-        assert "50 envelopes pending" in findings[0]["summary"]
-
     def test_redelivery_churn_fires_on_deltas_only(self):
         class _ScriptedHub:
             runtime = None

@@ -197,8 +197,8 @@ class TestInstrumentsAgree:
         assert sum(t.records_received for t in a_rows) == 600
 
     def test_a_streaming_trace_accounts_for_every_block(self, tmp_path, launcher):
-        """Every seal names its cause, and every sealed block left either
-        in a ``shuffle.send`` envelope or as one ``shuffle.local`` event."""
+        """Every seal names its cause, and every sealed block left in a
+        ``shuffle.send`` envelope, a rank's own included."""
         path = str(tmp_path / "blocks.trace.jsonl")
         job = DataMPIJob(
             "spine-blocks", _stream_o, _stream_a, o_tasks=2, a_tasks=5,
@@ -210,12 +210,13 @@ class TestInstrumentsAgree:
         causes = [e["args"]["cause"] for e in journal.spans if e["name"] == "spl.seal"]
         # the O tasks pause 20 ms every 100 records: the linger runs out
         assert set(causes) <= {"full", "age", "end"} and "age" in causes
-        local = [e for e in journal.instants if e["name"] == "shuffle.local"]
-        enveloped = sum(
-            e["args"]["blocks"] for e in journal.spans if e["name"] == "shuffle.send"
-        )
-        assert local and not any("flow_out" in e["args"] for e in local)
-        assert len(local) + enveloped == len(causes) == result.metrics.blocks_sent
+        sends = [e for e in journal.spans if e["name"] == "shuffle.send"]
+        # a rank's own streams are enveloped like its peers'
+        assert {(e["rank"], e["args"]["dest"]) for e in sends} == {
+            (rank, dest) for rank in range(2) for dest in range(2)
+        }
+        enveloped = sum(e["args"]["blocks"] for e in sends)
+        assert enveloped == len(causes) == result.metrics.blocks_sent
 
     def test_profiler_samples_carry_the_bucket_names(self, tmp_path, launcher):
         """One clock feeds both: a sample's phase is a bucket of its rank,

@@ -373,19 +373,39 @@ class TestTraceShardsAndFlows:
                   K.TRACE_PATH: path},
         )
         result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
-        trace = to_chrome_trace(read_journal(result.trace_path))
+        journal = read_journal(result.trace_path)
+        trace = to_chrome_trace(journal)
         starts = [e for e in trace["traceEvents"] if e.get("ph") == "s"]
         finishes = [e for e in trace["traceEvents"] if e.get("ph") == "f"]
         assert starts and finishes
         linked = {e["id"] for e in starts} & {e["id"] for e in finishes}
         assert linked, "no send/recv flow pair shares an id"
+        start_at = {e["id"]: e for e in starts}
         for event in finishes:
             assert event["bp"] == "e"  # bind to the enclosing recv span
-        # at least one arrow crosses ranks (different chrome pids)
-        start_pids = {e["id"]: e["pid"] for e in starts}
-        assert any(
-            start_pids.get(e["id"]) not in (None, e["pid"]) for e in finishes
-        )
+            if event["id"] in start_at:  # the arrow points forward in time
+                assert start_at[event["id"]]["ts"] <= event["ts"]
+        if launcher == "processes":
+            # the wire reader files on the receiving rank's lane: at least
+            # one arrow crosses ranks (different chrome pids)
+            assert any(
+                start_at[e["id"]]["pid"] != e["pid"] for e in finishes
+                if e["id"] in start_at
+            )
+            return
+        # threads: the sender files the envelope, so each receive span
+        # nests inside its send span, on the sender's lane, and names the
+        # receiving rank
+        sends = {e["args"]["flow_out"]: e for e in journal.spans
+                 if e["name"] == "shuffle.send"}
+        recvs = [e for e in journal.spans if e["name"] == "shuffle.recv.batch"]
+        assert recvs
+        for recv in recvs:
+            send = sends[recv["args"]["flow_in"]]
+            assert (recv["tid"], recv["rank"]) == (send["tid"], send["rank"])
+            assert send["ts"] <= recv["ts"]
+            assert recv["ts"] + recv["dur"] <= send["ts"] + send["dur"]
+            assert recv["args"]["rank"] == send["args"]["dest"]
 
 
 # -- recovery counters in repro trace ---------------------------------------------
