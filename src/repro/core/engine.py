@@ -1,16 +1,16 @@
 """Worker-side execution engine.
 
 Each DataMPI *working process* (one MPI rank of the spawned worker
-world) runs a :class:`WorkerEngine`: it pulls task assignments from
-``mpidrun`` over the parent intercommunicator (the control protocol of
-§IV-B), executes O tasks feeding the shuffle pipeline, waits for plane
-completion, then executes the A tasks whose partitions it hosts —
-reduce-side data locality by construction.
+world) runs a :class:`WorkerEngine`: it executes O tasks feeding the
+shuffle pipeline, waits for plane completion, then executes the A tasks
+the Partition Window gives it — reduce-side data locality by
+construction, and no message to ``mpidrun``, which deals only the
+first-come-first-served O tasks (the control protocol of §IV-B).
 
 Iteration mode loops rounds with a backward plane (A→O) per round and a
-process-local ``state`` dict that stays put across rounds.  Streaming
-mode starts the A tasks first, on their own threads, consuming pairs as
-they arrive.
+process-local ``state`` dict that stays put across rounds; its O tasks
+are window-pinned too.  Streaming mode starts the A tasks first, on
+their own threads, consuming pairs as they arrive.
 """
 
 from __future__ import annotations
@@ -132,10 +132,15 @@ class WorkerEngine:
         )
 
     # -- control protocol ------------------------------------------------------------
-    def _tasks(self, side: str, round_no: int) -> Iterator[int]:
-        """The tasks mpidrun hands this rank for (side, round): one request
-        each, until it answers that the side is over."""
-        request = ("req", side, round_no, self.rank)
+    def _o_tasks(self, round_no: int) -> Iterator[int]:
+        """This rank's O tasks of the round.  Iteration pins them by the
+        Partition Window, as every mode pins A tasks, so the rank names
+        them itself; otherwise mpidrun deals them first come, first
+        served: one request each, until it answers that they are gone."""
+        if self.bidirectional:
+            yield from self.window_bwd.owned_by(self.rank)
+            return
+        request = ("req", round_no, self.rank)
         while True:
             self.parent.send(request, dest=0, tag=CONTROL_TAG)
             kind, task_id = self.parent.recv(source=0, tag=CONTROL_TAG)
@@ -394,9 +399,11 @@ class WorkerEngine:
 
     def _run_o_phase(self, round_no: int) -> None:
         spl = self._new_spl("fwd")
-        for task_id in self._tasks("O", round_no):
+        for task_id in self._o_tasks(round_no):
             ctx = self._make_o_context(task_id, round_no, spl)
             self._execute(ctx, self.job.o_fn)
+        if self.bidirectional and round_no > 0:
+            self.shuffle.drop(f"bwd:{round_no - 1}")  # read by these O tasks only
         self._finish_sends(f"fwd:{round_no}", spl)
 
     def _wait_plane(self, plane: ShufflePlane) -> None:
@@ -410,12 +417,12 @@ class WorkerEngine:
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
         self._wait_plane(fwd_plane)
         spl = self._new_spl("bwd") if self.bidirectional else None
-        for task_id in self._tasks("A", round_no):
-            if task_id in fwd_plane.rpls:
-                self.metrics.local_a_tasks += 1
+        for task_id in self.window_fwd.owned_by(self.rank):
             ctx = self._make_a_context(task_id, round_no, fwd_plane, spl)
             self._execute(ctx, self.job.a_fn)
             self.metrics.a_tasks_run += 1
+            self.metrics.local_a_tasks += 1
+        self.shuffle.drop(fwd_plane.plane_id)
         if spl is not None:
             self._finish_sends(f"bwd:{round_no}", spl)
             self._wait_plane(self.shuffle.plane(f"bwd:{round_no}"))
@@ -429,7 +436,7 @@ class WorkerEngine:
         the stuck task instead of silently falling through the join.
         """
         fwd_plane = self.shuffle.plane(f"fwd:{round_no}")
-        a_tasks = list(self._tasks("A", round_no))
+        a_tasks = self.window_fwd.owned_by(self.rank)
         errors: list[BaseException] = []
         done: list[int] = []  # counted on the main thread, after the join
 
@@ -466,7 +473,7 @@ class WorkerEngine:
                 if thread.is_alive():
                     stuck.append(task_id)
         self.metrics.a_tasks_run += len(done)
-        self.metrics.local_a_tasks += sum(t in fwd_plane.rpls for t in done)
+        self.metrics.local_a_tasks += len(done)
         if errors:
             # a real failure outranks a "stuck" symptom it probably caused
             raise errors[0]
@@ -476,6 +483,7 @@ class WorkerEngine:
                 f"{stuck} still running after the {self.plane_timeout}s "
                 f"plane timeout"
             )
+        self.shuffle.drop(fwd_plane.plane_id)
 
     # -- top level ----------------------------------------------------------------------------
     def run(self) -> WorkerMetrics:

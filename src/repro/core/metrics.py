@@ -239,7 +239,8 @@ class JobResult:
     def a_data_locality(self) -> float:
         """Fraction of A tasks that ran on the process holding their data.
 
-        The data-centric scheduler should keep this at 1.0 (§IV-B).
+        1.0 by construction (§IV-B): a rank runs the A tasks whose
+        partitions its Partition Window gives it.
         """
         if self.metrics.a_tasks_run == 0:
             return 1.0

@@ -1,18 +1,21 @@
 """mpidrun's task scheduler (§IV-B, Figure 4).
 
-The driver owns two task queues (communicator O & A) and serves workers'
-pull requests over the parent intercommunicator:
+The driver deals O tasks and serves workers' pull requests over the
+parent intercommunicator:
 
-* **Dichotomic**: separate queues per communicator.
+* **Dichotomic**: O and A tasks are placed by separate rules.
 * **Dynamic**: O tasks (MapReduce/Common/Streaming) are handed out
   first-come-first-served, so fast processes naturally take more tasks.
-* **Data-centric**: A tasks are assigned *only* to the process that
-  hosts their partition (the Partition Window ownership), giving every
-  A task reduce-side data locality.  Iteration-mode O tasks are pinned
-  the same way so cross-round process-local state stays local.
+  They are the only tasks the driver deals.
+* **Data-centric**: an A task runs *only* on the process that hosts its
+  partition (the Partition Window ownership), giving every A task
+  reduce-side data locality; Iteration-mode O tasks are pinned the same
+  way so cross-round process-local state stays local.  A rank computes
+  these tasks itself from the window (``PartitionWindow.owned_by``), and
+  no message is sent for them.
 * **Diversified**: the job's mode changes the loop structure (rounds,
-  streaming overlap) on the worker side; the scheduler just serves
-  queues keyed by (phase, round).
+  streaming overlap) on the worker side; the scheduler just serves one
+  O queue per round.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from typing import Any
 from repro.common.errors import DataMPIError, FailureRecord, JobFailedError
 from repro.common.logging import get_logger
 from repro.core.checkpoint import checkpoint_location, write_rank_manifest
-from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
+from repro.core.constants import CONTROL_TAG, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, WorkerMetrics
 from repro.core.modes import profile_for
-from repro.core.partition import PartitionWindow
 from repro.mpi.datatypes import ANY_SOURCE
 from repro.obs.tracer import TRACER as _T
 
@@ -36,97 +38,61 @@ _log = get_logger("core.scheduler")
 
 
 class TaskScheduler:
-    """Queue state for one job."""
+    """The first-come-first-served O queues of one job."""
 
-    def __init__(self, job: DataMPIJob, nprocs: int) -> None:
+    def __init__(self, job: DataMPIJob) -> None:
         self.job = job
-        self.nprocs = nprocs
-        self.window_fwd = PartitionWindow(job.a_tasks, nprocs)
-        self.window_bwd = PartitionWindow(job.o_tasks, nprocs)
-        #: (phase, round) -> shared FIFO deque (dynamic O scheduling)
-        self._shared: dict[tuple[str, int], deque[int]] = {}
-        #: (phase, round, worker) -> pinned deque (data-centric scheduling)
-        self._pinned: dict[tuple[str, int, int], deque[int]] = {}
-        #: (phase, round, worker) -> replay deque (surgical rank recovery);
-        #: drained ahead of the regular queues and pinned to the reborn
+        #: round -> shared FIFO deque (dynamic O scheduling)
+        self._shared: dict[int, deque[int]] = {}
+        #: (round, worker) -> replay deque (surgical rank recovery);
+        #: drained ahead of the shared queue and pinned to the reborn
         #: worker — replay must land on the same rank so its re-sent
         #: shuffle streams mirror the originals partition-for-partition
-        self._replay: dict[tuple[str, int, int], deque[int]] = {}
-        self.assigned: list[tuple[str, int, int, int]] = []  # audit trail
-
-    def _o_is_pinned(self) -> bool:
-        return self.job.mode is Mode.ITERATION
+        self._replay: dict[tuple[int, int], deque[int]] = {}
+        self.assigned: list[tuple[int, int, int]] = []  # (round, worker, task)
 
     def requeue_worker(self, worker: int) -> int:
-        """Re-enqueue every task ever assigned to ``worker`` (its failure
-        domain, nothing more) for replay by its reborn incarnation;
-        returns the number of tasks requeued."""
-        for key in [k for k in self._replay if k[2] == worker]:
+        """Re-enqueue every O task ever dealt to ``worker`` for replay by
+        its reborn incarnation, which reruns its window-owned tasks by
+        itself; returns the number of tasks requeued."""
+        for key in [k for k in self._replay if k[1] == worker]:
             del self._replay[key]
-        seen: set[tuple[str, int, int]] = set()
-        requeued = 0
-        for phase, round_no, w, task_id in self.assigned:
-            if w != worker:
-                continue
-            key = (phase, round_no, task_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            self._replay.setdefault(
-                (phase, round_no, worker), deque()
-            ).append(task_id)
-            requeued += 1
-        return requeued
+        seen: set[tuple[int, int]] = set()
+        for round_no, w, task_id in self.assigned:
+            if w == worker and (round_no, task_id) not in seen:
+                seen.add((round_no, task_id))
+                self._replay.setdefault((round_no, worker), deque()).append(task_id)
+        return len(seen)
 
-    def next_task(self, phase: str, round_no: int, worker: int) -> int | None:
-        if phase not in ("O", "A"):
-            raise DataMPIError(f"unknown phase {phase!r}")
-        queue = self._replay.get((phase, round_no, worker))
+    def next_task(self, round_no: int, worker: int) -> int | None:
+        """Deal ``worker`` its next O task of ``round_no``, or None."""
+        queue = self._replay.get((round_no, worker))
         if not queue:
-            if phase == "A" or self._o_is_pinned():
-                queue = self._pinned_queue(phase, round_no, worker)
-            else:
-                queue = self._shared_queue(phase, round_no)
+            queue = self._shared.get(round_no)
+            if queue is None:
+                queue = self._shared[round_no] = deque(range(self.job.o_tasks))
         if not queue:
             return None
         task_id = queue.popleft()
-        self.assigned.append((phase, round_no, worker, task_id))
+        self.assigned.append((round_no, worker, task_id))
         if _T.enabled:
             _T.instant(
                 "sched.assign", cat="scheduler",
-                args={
-                    "phase": phase, "round": round_no,
-                    "worker": worker, "task": task_id,
-                },
+                args={"round": round_no, "worker": worker, "task": task_id},
             )
-        _log.debug(
-            "assign %s task %d (round %d) -> worker %d",
-            phase, task_id, round_no, worker,
-        )
+        _log.debug("assign O task %d (round %d) -> worker %d", task_id, round_no, worker)
         return task_id
-
-    def _shared_queue(self, phase: str, round_no: int) -> deque[int]:
-        key = (phase, round_no)
-        if key not in self._shared:
-            count = self.job.o_tasks if phase == "O" else self.job.a_tasks
-            self._shared[key] = deque(range(count))
-        return self._shared[key]
-
-    def _pinned_queue(self, phase: str, round_no: int, worker: int) -> deque[int]:
-        key = (phase, round_no, worker)
-        if key not in self._pinned:
-            window = self.window_fwd if phase == "A" else self.window_bwd
-            self._pinned[key] = deque(window.owned_by(worker))
-        return self._pinned[key]
 
 
 class WorkerSupervisor:
-    """Liveness + assignment tracking for the spawned worker world.
+    """Liveness tracking for the spawned worker world.
 
     Every control message doubles as a heartbeat; a dedicated worker
     thread also beats on an interval, so a worker deep in a long shuffle
     wait still proves it is alive.  A worker silent past ``deadline`` is
-    declared lost with a structured record naming its last assignment.
+    declared lost with a structured record naming the worker, its silence
+    and the deadline — not a task: the driver sees too few task starts to
+    name the one it was running.
     """
 
     def __init__(self, nprocs: int, deadline: float, attempt: int = 1) -> None:
@@ -134,26 +100,19 @@ class WorkerSupervisor:
         self.attempt = attempt
         now = _now()
         self.last_seen: dict[int, float] = {w: now for w in range(nprocs)}
-        #: worker -> (phase, round, task) of its most recent assignment
-        self.last_assignment: dict[int, tuple[str, int, int]] = {}
         self.done: set[int] = set()
 
     def beat(self, worker: int) -> None:
         self.last_seen[worker] = _now()
-
-    def note(self, worker: int, phase: str, round_no: int, task_id: int | None) -> None:
-        if task_id is not None:
-            self.last_assignment[worker] = (phase, round_no, task_id)
 
     def finish(self, worker: int) -> None:
         self.done.add(worker)
 
     def reset(self, worker: int) -> None:
         """A reborn incarnation of ``worker`` is coming up: restart its
-        liveness clock and forget its last assignment."""
+        liveness clock."""
         self.last_seen[worker] = _now()
         self.done.discard(worker)
-        self.last_assignment.pop(worker, None)
 
     def check(self) -> FailureRecord | None:
         """The ``heartbeat`` record of the stalest expired worker, if any."""
@@ -170,13 +129,9 @@ class WorkerSupervisor:
         if lost is None:
             return None
         silent, worker = lost
-        phase, round_no, task_id = self.last_assignment.get(worker, ("", -1, -1))
         return FailureRecord(
             kind="heartbeat",
             worker=worker,
-            phase=phase,
-            task_id=task_id,
-            round_no=round_no,
             attempt=self.attempt,
             error=(
                 f"worker {worker} silent for {silent:.1f}s "
@@ -210,7 +165,7 @@ def driver_main(
     inter = comm.spawn(
         worker_main, nprocs, args=(job, nprocs, attempt), name=f"{job.name}-w"
     )
-    scheduler = TaskScheduler(job, nprocs)
+    scheduler = TaskScheduler(job)
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}
     runtime = comm.runtime
@@ -225,7 +180,9 @@ def driver_main(
 
     def _try_respawn(worker: int, gid: int) -> bool:
         """Fork a replacement for one dead rank and replay only its
-        failure domain; False when surgical recovery is off/exhausted."""
+        failure domain — the O tasks it was dealt, requeued here, and its
+        window-owned tasks, which the reborn rank reruns by itself; False
+        when surgical recovery is off/exhausted."""
         t0 = _now()
         epoch = runtime.respawn_rank(gid)
         if epoch is None:
@@ -254,7 +211,7 @@ def driver_main(
             )
         _log.warning(
             "respawned worker %d (global rank %d) at epoch %d; "
-            "%d task(s) requeued for replay", worker, gid, epoch, requeued,
+            "%d dealt O task(s) requeued for replay", worker, gid, epoch, requeued,
         )
         return True
 
@@ -285,10 +242,9 @@ def driver_main(
                 continue
             kind = message[0]
             if kind == "req":
-                _, phase, round_no, worker = message
+                _, round_no, worker = message
                 supervisor.beat(worker)
-                task_id = scheduler.next_task(phase, round_no, worker)
-                supervisor.note(worker, phase, round_no, task_id)
+                task_id = scheduler.next_task(round_no, worker)
                 reply = ("task", task_id) if task_id is not None else ("none", None)
                 inter.send(reply, dest=worker, tag=CONTROL_TAG)
             elif kind == "hb":

@@ -225,8 +225,17 @@ class ShufflePlane:
     def spilled_bytes(self) -> int:
         return sum(r.store.spilled_bytes for r in self.rpls.values())
 
-    def spill_seconds(self) -> float:
-        return sum(r.store.spill_seconds for r in self.rpls.values())
+    def counts(self) -> dict[str, float]:
+        """The three above and the spill seconds, by name (``_RECEIVED``)."""
+        return {
+            "records_received": self.records_received(),
+            "blocks_received": self.blocks_received(),
+            "spilled_bytes": self.spilled_bytes(),
+            "spill_seconds": sum(r.store.spill_seconds for r in self.rpls.values()),
+        }
+
+
+_RECEIVED = ("records_received", "blocks_received", "spilled_bytes", "spill_seconds")
 
 
 #: :meth:`_Channel.accept` verdicts for an envelope that applies nothing
@@ -344,6 +353,8 @@ class ShuffleService:
         self._factory = plane_config_factory
         self._planes: dict[str, ShufflePlane] = {}
         self._planes_lock = threading.Lock()
+        #: the ``ShufflePlane.counts`` of every dropped plane
+        self._dropped: list[dict[str, float]] = []
         self._abort = world.runtime.abort_flag
         #: the open send streams; the sending task's thread is their only user
         self._streams: dict[tuple[str, int], _Outbound] = defaultdict(_Outbound)
@@ -382,11 +393,30 @@ class ShuffleService:
                 self._planes[plane_id] = plane
             return plane
 
+    def drop(self, plane_id: str) -> None:
+        """This rank is done with a completed plane: free its data now, not
+        at shutdown, and fold its counts into the service totals.  Its
+        channels stay, so a late duplicate or a replayed stream is still
+        told apart (and never recreates the plane)."""
+        with self._planes_lock:
+            plane = self._planes.pop(plane_id, None)
+            if plane is None:
+                return
+            self._dropped.append(plane.counts())
+        plane.cleanup()
+
     def _planes_now(self) -> list[ShufflePlane]:
         """A snapshot: ``plane()`` inserts from the task threads and the
         delivering ones while the telemetry shipper reads the stats."""
         with self._planes_lock:
             return list(self._planes.values())
+
+    def _received(self) -> dict[str, float]:
+        """``ShufflePlane.counts`` summed over the live and dropped planes,
+        read under one lock so a drop never counts twice or not at all."""
+        with self._planes_lock:
+            counts = [p.counts() for p in self._planes.values()] + self._dropped
+        return {name: sum(c[name] for c in counts) for name in _RECEIVED}
 
     def _abort_planes(self) -> None:
         """The world aborted: no open plane can complete now."""
@@ -492,7 +522,6 @@ class ShuffleService:
                 return
             if kind != "batch":
                 raise DataMPIError(f"unknown shuffle message kind {kind!r}")
-            plane = self.plane(plane_id)
             seq, origin, blocks, eos = payload
             channel = self._channels[plane_id, origin]
             trace_t0 = _T.clock() if _T.enabled else 0.0
@@ -514,6 +543,7 @@ class ShuffleService:
                 self.replays_dropped += 1
                 _note("shuffle.replay_dropped", "recovery", plane_id, origin, seq=seq)
                 return
+            plane = self.plane(plane_id)  # after the verdict: drop is final
             for block in verdict:
                 plane.add_block(block)
             if eos:
@@ -541,14 +571,13 @@ class ShuffleService:
                 plane.cleanup()
 
     def stats(self) -> dict[str, int]:
-        planes = self._planes_now()
+        received = self._received()
+        del received["spill_seconds"]
         return {
             "blocks_sent": self.blocks_sent,
             "bytes_sent": self.bytes_sent,
             "envelopes_sent": self.envelopes_sent,
-            "records_received": sum(p.records_received() for p in planes),
-            "blocks_received": sum(p.blocks_received() for p in planes),
-            "spilled_bytes": sum(p.spilled_bytes() for p in planes),
+            **received,
             "duplicates_dropped": self.duplicates_dropped,
             "replays_dropped": self.replays_dropped,
         }
@@ -556,4 +585,4 @@ class ShuffleService:
     def spill_seconds(self) -> float:
         """Seconds the delivering threads spent writing this process's
         spills (overlay phase)."""
-        return sum(p.spill_seconds() for p in self._planes_now())
+        return self._received()["spill_seconds"]

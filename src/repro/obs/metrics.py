@@ -3,9 +3,10 @@
 The :class:`WindowedSampler` reads process CPU and RSS (stdlib
 ``os.times`` / ``/proc``; no external dependencies) on an interval into
 :class:`~repro.common.stats.TimeSeries`, so a real run reproduces the
-paper's Fig-11-style utilization series.  The counters a job reports
-live in :mod:`repro.core.metrics`; telemetry snapshots take the same
-two process readings from here.
+paper's Fig-11-style utilization series of the process it runs in —
+under ``mpidrun`` the driver's, which holds no rank on the process
+backend.  The counters a job reports live in :mod:`repro.core.metrics`;
+telemetry snapshots take the same two readings in each rank's process.
 
 The clock and the loop are injectable, so tests drive ``sample_once``
 with a fake clock and get a bit-identical time axis.
@@ -56,7 +57,8 @@ def _process_rss_bytes() -> float:
 
 
 class WindowedSampler:
-    """Interval sampler: process CPU seconds / CPU percent / RSS series.
+    """Interval sampler: CPU seconds / CPU percent / RSS series of the
+    calling process (the driver's, under ``mpidrun``).
 
     ``start()`` runs a daemon thread; tests instead call
     :meth:`sample_once` directly with a fake clock for a deterministic

@@ -5,6 +5,7 @@ import threading
 import time
 
 from repro.core import DataMPIJob, Mode, MPI_D, common_job, mpidrun
+from repro.core.partition import PartitionWindow
 
 
 class TestCommonMode:
@@ -120,7 +121,8 @@ class TestIterationMode:
         assert observations == [0, 0]
 
     def test_iteration_o_tasks_pinned_per_round(self):
-        """O task t must always run on process t % nprocs (state locality)."""
+        """O task t must always run on process t % nprocs (state locality),
+        and every task, O or A, where its Partition Window names."""
         placements = []
         lock = threading.Lock()
 
@@ -139,12 +141,21 @@ class TestIterationMode:
         job = DataMPIJob(
             "pin", o_fn, a_fn, o_tasks=3, a_tasks=2, mode=Mode.ITERATION, rounds=3
         )
-        assert mpidrun(job, nprocs=3, raise_on_error=True).success
+        result = mpidrun(job, nprocs=3, raise_on_error=True)
+        assert result.success
         by_task = {}
         for _round, rank, thread in placements:
             by_task.setdefault(rank, set()).add(thread)
         # each O task stayed on one worker thread across all rounds
         assert all(len(threads) == 1 for threads in by_task.values())
+        windows = {"O": PartitionWindow(3, 3), "A": PartitionWindow(2, 3)}
+        ran = sorted((t.kind, t.round_no, t.task_id, t.worker)
+                     for t in result.task_metrics)
+        assert ran == sorted(
+            (kind, r, task, window.owner(task))
+            for kind, window in windows.items()
+            for r in range(3) for task in range(window.num_partitions)
+        )
 
 
 class TestStreamingMode:

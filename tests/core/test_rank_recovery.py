@@ -2,9 +2,10 @@
 
 The process backend must survive a SIGKILL'd worker without restarting
 the whole job: the router fences the dead incarnation behind a rank
-epoch, the driver forks a replacement, the scheduler replays only that
-rank's tasks, and the redelivery buffer re-feeds the shuffle batches the
-first life took to the grave.  Peer ranks block on their planes and
+epoch, the driver forks a replacement and requeues only the O tasks it
+dealt that rank (the replacement reruns its window-owned tasks itself),
+and the redelivery buffer re-feeds the shuffle batches the first life
+took to the grave.  Peer ranks block on their planes and
 resume; job output is byte-identical to an unfaulted run.  When the
 respawn budget is spent or the redelivery buffer overflowed, the death
 degrades gracefully to the classic whole-job restart.
@@ -113,6 +114,9 @@ class TestSurgicalRecovery:
         assert len(recovered) == 1  # exactly one rank died and came back
         assert recovered[0]["respawns"] == 1
         assert recovered[0]["epoch"] == 1
+        # the driver requeues the O tasks it dealt the dead rank, nothing
+        # more: the reborn rank reruns its window-owned A tasks by itself
+        assert 1 <= recovered[0]["tasks_requeued"] <= 4  # o_tasks
 
     def test_manifest_lands_beside_the_checkpoints_without_ft_dir(
         self, tmp_path, monkeypatch

@@ -171,7 +171,9 @@ class TestShuffleServiceOverMPI:
         the task and the delivering threads create planes (an Iteration job
         does every round): a reader that walked the live dict died on
         ``dictionary changed size during iteration`` within ~600 planes,
-        and the shipper swallows that and stops without a word."""
+        and the shipper swallows that and stops without a word.  Planes
+        are dropped as they go, as a round's are: a drop racing a read must
+        neither lose a plane's records nor count them twice."""
 
         def main(comm):
             config = make_config(1, comm.size)
@@ -179,10 +181,14 @@ class TestShuffleServiceOverMPI:
             errors, stop = [], threading.Event()
 
             def read():
+                last = 0
                 try:
                     while not stop.is_set():
-                        service.stats()
+                        received = service.stats()["records_received"]
                         service.spill_seconds()
+                        if received < last:
+                            errors.append(f"records_received fell {last} -> {received}")
+                        last = received
                 except Exception as exc:  # noqa: BLE001 - reported below
                     errors.append(repr(exc))
 
@@ -192,7 +198,9 @@ class TestShuffleServiceOverMPI:
             try:
                 reader.start()
                 for i in range(5000):
-                    service.plane(f"fwd:{i}")
+                    service.plane(f"fwd:{i}").add_block(block(0, [("k", i)]))
+                    if i % 2:
+                        service.drop(f"fwd:{i - 1}")
                     if errors:
                         break
             finally:
@@ -254,6 +262,60 @@ class TestDeliveryOnTheDepositingThread:
             assert endpoint.stats()["pending"] == 0
         finally:
             service.shutdown()
+
+
+class TestDroppedPlanes:
+    """A rank drops a plane it is done with: its data goes at once, its
+    counts stay in the service totals, and nothing arriving later for it
+    brings it back."""
+
+    @staticmethod
+    def _deliver(service, message):
+        service._deliver(Envelope(0, 0, SHUFFLE_TAG, message, 1))
+
+    def _complete(self, service, records):
+        self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, records)], True)))
+        plane = service.plane("fwd:0")
+        plane.wait_complete(0)
+        return plane
+
+    def test_counts_survive_the_drop_and_a_duplicate_never_recreates_it(self):
+        world = RecordingWorld()
+        service = ShuffleService(world, lambda pid: make_config(1, 1, budget=1))
+        try:
+            plane = self._complete(service, [("a", 1), ("b", 2), ("c", 3)])
+            assert plane.spilled_bytes() > 0  # a 1-byte budget spills the run
+            before, spill = service.stats(), service.spill_seconds()
+            service.drop("fwd:0")
+            assert service._planes == {}
+            assert plane.rpls[0].store.disk_runs == []  # the spill is gone
+            assert service.stats() == before
+            assert service.spill_seconds() == spill
+            self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, [("a", 1)])], True)))
+            assert service._planes == {}
+            assert service.stats() == {**before, "duplicates_dropped": 1}
+            service.drop("fwd:0")  # a second drop is a no-op
+            assert service.stats()["records_received"] == 3
+        finally:
+            service.shutdown()
+        assert not world.runtime.abort_flag.is_set(), world.runtime.abort_flag.reason
+
+    def test_a_replayed_stream_never_recreates_it(self):
+        world = RecordingWorld()
+        world.runtime.rank_recovery = True  # channels stage and commit
+        service = ShuffleService(world, lambda pid: make_config(1, 1))
+        try:
+            self._complete(service, [("a", 1)])
+            service.drop("fwd:0")
+            # the origin is reborn and sends its stream again from seq 0
+            self._deliver(service, ("reset", "fwd:0", (0, 1)))
+            self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, [("a", 1)])], True)))
+            assert service._planes == {}
+            stats = service.stats()
+            assert (stats["replays_dropped"], stats["records_received"]) == (1, 1)
+        finally:
+            service.shutdown()
+        assert not world.runtime.abort_flag.is_set(), world.runtime.abort_flag.reason
 
 
 class TestPlaneWaits:
