@@ -15,13 +15,14 @@ all-to-all.
 
 from __future__ import annotations
 
+from concurrent import futures
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import MPIError
 from repro.common.records import _size_of
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Op, Status
 from repro.mpi.request import RecvRequest, Request, SendRequest
-from repro.mpi.transport import Envelope
+from repro.mpi.transport import Endpoint, Envelope
 from repro.obs.tracer import TRACER as _T
 
 if TYPE_CHECKING:
@@ -29,7 +30,46 @@ if TYPE_CHECKING:
     from repro.mpi.runtime import MPIRuntime
 
 
-class Intracomm:
+class Receiving:
+    """The receive side both communicator kinds share: matched on this
+    rank's mailbox under the communicator's point-to-point ``context``
+    (``source`` is a rank of the remote group on an intercommunicator)."""
+
+    context: int
+
+    def _my_endpoint(self) -> Endpoint:
+        raise NotImplementedError
+
+    def recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        status: Status | None = None,
+        timeout: float | None = None,
+    ) -> Any:
+        """Blocking matched receive; returns the payload object."""
+        envelope = self._my_endpoint().receive(
+            self.context, source, tag, timeout=timeout
+        )
+        if status is not None:
+            status.source, status.tag, status.count = (
+                envelope.source, envelope.tag, envelope.nbytes
+            )
+        return envelope.payload
+
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
+        return RecvRequest(self._my_endpoint(), self.context, source, tag)
+
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
+        status = self._my_endpoint().probe(self.context, source, tag, block=True)
+        assert status is not None
+        return status
+
+    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
+        return self._my_endpoint().probe(self.context, source, tag, block=False)
+
+
+class Intracomm(Receiving):
     """An intra-communicator bound to one rank."""
 
     def __init__(
@@ -99,24 +139,10 @@ class Intracomm:
         return Request(envelope.status())
 
     def issend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        envelope = self._deposit(self.context, obj, dest, tag)
+        """Synchronous-mode non-blocking send: completes once a receive
+        took the message."""
+        envelope = self._deposit(self.context, obj, dest, tag, futures.Future())
         return SendRequest(envelope)
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-        timeout: float | None = None,
-    ) -> Any:
-        """Blocking matched receive; returns the payload object."""
-        envelope = self._my_endpoint().receive(
-            self.context, source, tag, timeout=timeout
-        )
-        if status is not None:
-            st = envelope.status()
-            status.source, status.tag, status.count = st.source, st.tag, st.count
-        return envelope.payload
 
     def listen(
         self, tag: int, handler: Callable[[Envelope], None] | None
@@ -126,17 +152,6 @@ class Intracomm:
         already queued, in arrival order.  ``None`` queues again.  The
         handler must not send (:meth:`Endpoint.listen`)."""
         return self._my_endpoint().listen(self.context, tag, handler)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        return RecvRequest(self._my_endpoint(), self.context, source, tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        status = self._my_endpoint().probe(self.context, source, tag, block=True)
-        assert status is not None
-        return status
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
-        return self._my_endpoint().probe(self.context, source, tag, block=False)
 
     def sendrecv(
         self,
@@ -153,13 +168,17 @@ class Intracomm:
         """Kill the whole runtime; peers blocked in MPI calls raise MPIAbort."""
         self.runtime.abort(reason, errorcode)
 
-    def _deposit(self, context: int, obj: Any, dest: int, tag: int) -> Envelope:
+    def _deposit(
+        self, context: int, obj: Any, dest: int, tag: int,
+        matched: futures.Future | None = None,
+    ) -> Envelope:
         if tag < 0:
             raise MPIError(f"negative user tag {tag}")
         envelope = Envelope(
             context, self._rank, tag, obj, _size_of(obj),
             origin=self.group[self._rank],
         )
+        envelope.matched = matched
         if _T.enabled:
             flow = _T.take_flow()
             if flow is not None:

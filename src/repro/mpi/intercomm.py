@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.common.records import _size_of
-from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Status
-from repro.mpi.request import RecvRequest, Request
+from repro.mpi.comm import Receiving
+from repro.mpi.request import Request
 from repro.mpi.transport import Envelope
 
 if TYPE_CHECKING:
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     from repro.mpi.runtime import MPIRuntime
 
 
-class Intercomm:
+class Intercomm(Receiving):
     """One side of an intercommunicator.
 
     ``side`` 0 is the spawning/parent group, 1 the spawned/child group;
@@ -81,43 +81,20 @@ class Intercomm:
     def _my_endpoint(self):
         return self.runtime.mailbox(self.local_group[self._rank])
 
-    # -- point-to-point (dest/source are REMOTE ranks) ------------------------
+    # -- point-to-point (dest/source are REMOTE ranks; receives: Receiving) ---
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        self._deposit(obj, dest, tag)
+
+    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
+        return Request(self._deposit(obj, dest, tag).status())
+
+    def _deposit(self, obj: Any, dest: int, tag: int) -> Envelope:
         envelope = Envelope(
             self.context, self._rank, tag, obj, _size_of(obj),
             origin=self.local_group[self._rank],
         )
         self.runtime.deposit(self.remote_group[dest], envelope)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request()
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-        timeout: float | None = None,
-    ) -> Any:
-        envelope = self._my_endpoint().receive(
-            self.context, source, tag, timeout=timeout
-        )
-        if status is not None:
-            st = envelope.status()
-            status.source, status.tag, status.count = st.source, st.tag, st.count
-        return envelope.payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        return RecvRequest(self._my_endpoint(), self.context, source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
-        return self._my_endpoint().probe(self.context, source, tag, block=False)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        status = self._my_endpoint().probe(self.context, source, tag, block=True)
-        assert status is not None
-        return status
+        return envelope
 
     # -- merge ----------------------------------------------------------------
     def merge(self) -> "Intracomm":

@@ -1,37 +1,46 @@
 """Non-blocking communication requests.
 
-``isend`` completes immediately under the eager protocol (the payload is
-already in the destination mailbox); ``issend`` completes when the
-receiver consumes it; ``irecv`` completes when a matching message is
-matched.  ``irecv`` is serviced lazily: ``wait``/``test`` perform the
-actual matching on the caller's thread, so no progress thread is needed.
+Every request wraps a ``concurrent.futures.Future``.  ``isend`` is
+complete at once under the eager protocol (the payload is already in the
+destination mailbox); ``issend`` completes when a receive takes the
+envelope; ``irecv`` *posts* a receive (:meth:`Endpoint.post`), whose
+Future the depositing thread completes with the envelope it matched — in
+post order, with no progress thread and no polling.  ``waitany`` waits on
+the Futures themselves.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Any, Callable, Sequence
+from concurrent import futures
+from typing import Any, Sequence
 
 from repro.mpi.datatypes import Status
 from repro.mpi.transport import Endpoint, Envelope
 
+_DONE: futures.Future = futures.Future()
+_DONE.set_result(None)
+
 
 class Request:
     """Base request; already complete (used for eager isend)."""
+
+    #: what the request completes with; ``waitany`` waits on it
+    future: futures.Future = _DONE
 
     def __init__(self, status: Status | None = None) -> None:
         self._status = status or Status()
 
     def test(self) -> tuple[bool, Any]:
         """(done, payload) without blocking."""
-        return True, None
+        if not self.future.done():
+            return False, None
+        return True, self.wait()
 
     def wait(self, timeout: float | None = None) -> Any:
-        """Block until complete, return the received payload (None for sends)."""
-        done, payload = self.test()
-        assert done
-        return payload
+        """Block until complete, return the received payload (None for
+        sends); ``timeout`` raises ``TimeoutError`` and leaves it pending."""
+        self.future.result(timeout)
+        return None
 
     def cancel(self) -> None:
         """Cancel if possible (no-op once complete)."""
@@ -42,76 +51,34 @@ class Request:
 
 
 class SendRequest(Request):
-    """Synchronous-mode send request: completes when the envelope is consumed."""
+    """Synchronous-mode send request: completes when a receive takes the
+    envelope."""
 
     def __init__(self, envelope: Envelope) -> None:
-        super().__init__(Status(envelope.source, envelope.tag, envelope.nbytes))
-        self._envelope = envelope
-
-    def test(self) -> tuple[bool, Any]:
-        return self._envelope.delivered.is_set(), None
-
-    def wait(self, timeout: float | None = None) -> Any:
-        if not self._envelope.delivered.wait(timeout):
-            raise TimeoutError("issend did not complete in time")
-        return None
+        super().__init__(envelope.status())
+        self.future = envelope.matched
 
 
 class RecvRequest(Request):
-    """Pending receive, completed lazily by ``wait``/``test``.
-
-    A lock serialises completion so waitall from one thread and test from
-    another cannot double-match.
-    """
+    """A posted receive; ``cancel`` withdraws it if nothing matched it yet
+    (it then completes with no payload)."""
 
     def __init__(
         self, endpoint: Endpoint, context: int, source: int, tag: int
     ) -> None:
         super().__init__()
         self._endpoint = endpoint
-        self._context = context
-        self._source = source
-        self._tag = tag
-        self._lock = threading.Lock()
-        self._done = False
-        self._payload: Any = None
-        self._cancelled = False
-
-    def _complete(self, envelope: Envelope) -> None:
-        self._payload = envelope.payload
-        self._status = envelope.status()
-        self._done = True
-
-    def test(self) -> tuple[bool, Any]:
-        with self._lock:
-            if self._done:
-                return True, self._payload
-            if self._cancelled:
-                return True, None
-            envelope = self._endpoint.try_receive(
-                self._context, self._source, self._tag
-            )
-            if envelope is None:
-                return False, None
-            self._complete(envelope)
-            return True, self._payload
+        self.future = endpoint.post(context, source, tag)
 
     def wait(self, timeout: float | None = None) -> Any:
-        with self._lock:
-            if self._done:
-                return self._payload
-            if self._cancelled:
-                return None
-            envelope = self._endpoint.receive(
-                self._context, self._source, self._tag, timeout=timeout
-            )
-            self._complete(envelope)
-            return self._payload
+        envelope = self.future.result(timeout)
+        if envelope is None:  # withdrawn
+            return None
+        self._status = envelope.status()
+        return envelope.payload
 
     def cancel(self) -> None:
-        with self._lock:
-            if not self._done:
-                self._cancelled = True
+        self._endpoint.withdraw(self.future)
 
 
 def waitall(requests: Sequence[Request]) -> list[Any]:
@@ -131,22 +98,8 @@ def testall(requests: Sequence[Request]) -> tuple[bool, list[Any] | None]:
 
 
 def waitany(requests: Sequence[Request]) -> tuple[int, Any]:
-    """Poll until some request completes; returns (index, payload).
-
-    MPI's waitany blocks in the library; here we poll with a short sleep,
-    which is adequate for the coarse-grained messages DataMPI exchanges.
-    """
-    poll: Callable[[], tuple[int, Any] | None] = lambda: next(
-        (
-            (idx, payload)
-            for idx, req in enumerate(requests)
-            for done, payload in [req.test()]
-            if done
-        ),
-        None,
-    )
-    while True:
-        hit = poll()
-        if hit is not None:
-            return hit
-        time.sleep(0.001)
+    """Block until some request completes; returns (index, payload) of the
+    first complete one."""
+    futures.wait([req.future for req in requests], return_when=futures.FIRST_COMPLETED)
+    index = next(i for i, req in enumerate(requests) if req.future.done())
+    return index, requests[index].wait()

@@ -63,9 +63,9 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import queue
 import sys
 import threading
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 from time import monotonic as _now
 from typing import Any, Callable
@@ -443,7 +443,7 @@ class RouterTransport(Transport):
             return
         self._forward(dest, _encode_envelope(dest, envelope), envelope.context)
         # the wire is the eager buffer: the send completes on acceptance
-        envelope.delivered.set()
+        envelope.taken()
 
     def _forward(self, dest: int, frame: bytes, context: int) -> None:
         """Send one packed frame where :meth:`_Rank.route` says.  The
@@ -705,7 +705,7 @@ class WorkerTransport(Transport):
         except OSError:
             self.abort_flag.trip("lost connection to the mpidrun router")
             self.abort_flag.check()
-        envelope.delivered.set()
+        envelope.taken()
 
 
 class WorkerRuntime(BaseRuntime):
@@ -726,9 +726,11 @@ class WorkerRuntime(BaseRuntime):
         self.rank_epoch = spec.epoch
         self.rank_recovery = spec.recovery
         super().__init__()
-        #: ids of calls awaiting their RPC_REP (0 is "no reply wanted")
+        #: calls awaiting their RPC_REP, by id (0 is "no reply wanted"):
+        #: the reader completes each, the abort fails them all
         self._rpc_ids = itertools.count(1)
-        self._rpc_pending: dict[int, queue.SimpleQueue] = {}
+        self._rpc_pending: dict[int, futures.Future] = {}
+        self.abort_flag.watch(self._fail_rpcs)
         self._closing = False
         threading.Thread(
             target=self._recv_loop, name=f"{spec.name}-wire", daemon=True
@@ -811,22 +813,34 @@ class WorkerRuntime(BaseRuntime):
 
     def _rpc(self, method: str, *params: Any) -> Any:
         req_id = next(self._rpc_ids)
-        box = self._rpc_pending[req_id] = queue.SimpleQueue()
-        self._conn.send(wire.pack_obj_frame(FrameKind.RPC_REQ, (req_id, method, params)))
-        deadline = _now() + _RPC_DEADLINE
-        while True:
-            try:
-                ok, result = box.get(timeout=0.1)
-                break
-            except queue.Empty:
-                self.abort_flag.check()
-                if _now() > deadline:
-                    raise MPIError(
-                        f"router rpc {method!r} timed out after {_RPC_DEADLINE}s"
-                    ) from None
+        reply = self._rpc_pending[req_id] = futures.Future()
+        try:
+            # pending before the check: an abort from here on fails it
+            self.abort_flag.check()
+            self._conn.send(
+                wire.pack_obj_frame(FrameKind.RPC_REQ, (req_id, method, params))
+            )
+            ok, result = reply.result(_RPC_DEADLINE)
+        except futures.TimeoutError:
+            raise MPIError(
+                f"router rpc {method!r} timed out after {_RPC_DEADLINE}s"
+            ) from None
+        finally:
+            self._rpc_pending.pop(req_id, None)
         if not ok:
             raise MPIError(f"router rpc {method!r} failed: {result}")
         return result
+
+    def _fail_rpcs(self) -> None:
+        """Fail every call still awaiting its reply (the abort)."""
+        while self._rpc_pending:
+            try:
+                _, reply = self._rpc_pending.popitem()
+            except KeyError:  # the reader or the caller took the last one
+                return
+            reply.set_exception(
+                MPIAbort(self.abort_flag.errorcode, self.abort_flag.reason)
+            )
 
     def _recv_loop(self) -> None:
         """The wire reader: deposits what the router forwards (a listened
@@ -851,9 +865,9 @@ class WorkerRuntime(BaseRuntime):
                 self.abort_flag.trip(*wire.unpack_obj(body))
             elif kind == FrameKind.RPC_REP:
                 req_id, ok, result = wire.unpack_obj(body)
-                box = self._rpc_pending.pop(req_id, None)
-                if box is not None:
-                    box.put((ok, result))
+                reply = self._rpc_pending.pop(req_id, None)
+                if reply is not None:
+                    reply.set_result((ok, result))
             elif kind == FrameKind.DUMP_REQ:
                 # reply on the reader thread: dump_stacks never blocks
                 self.send_stack_dump()

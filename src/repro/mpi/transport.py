@@ -2,7 +2,7 @@
 
 Each global rank owns an :class:`Endpoint`.  Senders deposit
 :class:`Envelope` objects directly into the destination endpoint (eager
-protocol); receivers match against ``(context, source, tag)`` with
+protocol); receives match against ``(context, source, tag)`` with
 wildcard support.
 
 How envelopes *move* between ranks is pluggable.  :class:`Transport` is
@@ -15,24 +15,24 @@ implementation, where remote deposits are pickled and framed over a
 local socket to a driver-side router.  The :class:`Endpoint` matching
 engine is shared by both — only delivery differs.
 
-The mailbox is indexed: every distinct ``(context, source, tag)`` triple
-gets its own FIFO sub-queue, so the exact-match common case (shuffle
-blocks, collective traffic) is an O(1) dict hit + ``popleft`` instead of
-a linear scan.  Wildcard receives (``ANY_SOURCE``/``ANY_TAG``) pick the
-lowest-``seq`` head across the matching sub-queues, which preserves MPI's
-non-overtaking rule between the indexed and wildcard paths: for a given
-(source, context, tag) pair messages are matched in send order, and a
-wildcard receive sees candidates in the same global arrival order the
-old single-FIFO scan did.
+Matching is MPI's, with its two queues.  An arriving envelope completes
+the earliest *posted* receive it fits — a ``concurrent.futures.Future``
+that the depositing thread completes, waking that receiver and no other.
+Otherwise it waits in the *unexpected* queue for the next receive posted
+that fits it.  A blocking ``recv``, an ``irecv``, a blocking ``probe``
+(which takes nothing) and a listener (which stays posted) are all posted
+receives, so receives are matched in the order they were posted.
 
-Wakeups are targeted: an exact-match waiter sleeps on a per-key
-condition that only deposits for that key notify; wildcard waiters share
-one condition.  A deposit therefore never wakes receivers blocked on
-unrelated (source, tag) pairs — the old single-condition ``notify_all``
-thundering herd is gone.
+The unexpected queue is indexed: every distinct ``(context, source,
+tag)`` triple gets its own FIFO sub-queue, so the exact-match common case
+(collective and control traffic) is an O(1) dict hit + ``popleft``.
+Wildcard receives (``ANY_SOURCE``/``ANY_TAG``) pick the lowest-``seq``
+head across the matching sub-queues, which keeps MPI's non-overtaking
+rule between the indexed and wildcard paths: for a given (source,
+context, tag) messages are matched in send order.
 
-A runtime-wide abort flag wakes every blocked receiver so one failing
-rank cannot deadlock the world.
+A runtime-wide abort flag fails every posted receive so one failing rank
+cannot deadlock the world.
 
 Chaos testing hooks into the deposit path: every transport carries an
 optional :class:`FaultInjector` that can drop, delay, duplicate, or
@@ -49,8 +49,8 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
+from concurrent import futures
 from dataclasses import dataclass
-from time import monotonic as _now
 from typing import Any, Callable, Iterable
 
 from repro.common.errors import MPIAbort, MPIError
@@ -67,7 +67,7 @@ class Envelope:
     """One in-flight message."""
 
     __slots__ = (
-        "context", "source", "tag", "payload", "nbytes", "seq", "delivered",
+        "context", "source", "tag", "payload", "nbytes", "seq", "matched",
         "origin", "trace", "parent",
     )
 
@@ -98,8 +98,9 @@ class Envelope:
         #: backend and on this object on the thread backend.
         self.trace = trace
         self.parent = parent
-        #: set when a receiver consumes the message (for synchronous sends)
-        self.delivered = threading.Event()
+        #: a synchronous send's completion (``issend`` sets it); None for
+        #: every other envelope
+        self.matched: futures.Future | None = None
 
     def matches(self, context: int, source: int, tag: int) -> bool:
         return (
@@ -107,6 +108,11 @@ class Envelope:
             and (source == ANY_SOURCE or self.source == source)
             and (tag == ANY_TAG or self.tag == tag)
         )
+
+    def taken(self) -> None:
+        """A receive took this envelope: complete its synchronous send."""
+        if self.matched is not None:
+            self.matched.set_result(None)
 
     def status(self) -> Status:
         return Status(self.source, self.tag, self.nbytes)
@@ -358,30 +364,38 @@ class FaultInjector:
             )
 
 
-class Endpoint:
-    """Mailbox of one global rank.
+class _Posted(futures.Future):
+    """A posted receive, or a blocking probe (``take`` false): completed
+    by the thread that deposits the first envelope it fits — a receive
+    with the envelope, a probe with its :class:`Status`."""
 
-    All state is guarded by one lock; the sub-queue index maps each
-    ``(context, source, tag)`` key to a FIFO deque of envelopes (removed
-    from the index when drained, so wildcard scans only visit keys with
-    pending traffic).  A ``(context, tag)`` with a listener (:meth:`listen`)
-    is never queued: its envelopes go to the handler as they arrive.
-    Blocked receivers wait until an arrival or the abort (:meth:`wake`)
-    notifies them, or until their own timeout.
+    def __init__(self, context: int, source: int, tag: int, take: bool) -> None:
+        super().__init__()
+        self.context, self.source, self.tag, self.take = context, source, tag, take
+
+
+class Endpoint:
+    """Mailbox of one global rank: the posted and the unexpected queue.
+
+    All state is guarded by one lock; a posted receive is completed
+    outside it.  The unexpected queue maps each ``(context, source, tag)``
+    key to a FIFO deque of envelopes (removed from the index when drained,
+    so wildcard scans only visit keys with pending traffic).  An envelope
+    enters it only when no posted receive fits, and a receive is posted
+    only when nothing queued fits, so the two never hold a pair that
+    matches.  A ``(context, tag)`` with a listener (:meth:`listen`) is a
+    receive that stays posted ahead of every other: its envelopes go to
+    the handler as they arrive, whichever receive was posted first.
     """
 
     def __init__(self, rank: int, abort: AbortFlag) -> None:
         self.rank = rank
         self.abort = abort
         self._lock = threading.Lock()
-        #: exact-match sub-queues: (context, source, tag) -> FIFO of envelopes
+        #: the unexpected queue: (context, source, tag) -> FIFO of envelopes
         self._queues: dict[tuple[int, int, int], deque[Envelope]] = {}
-        #: per-key conditions for blocked exact-match waiters;
-        #: value is [condition, waiter_refcount] so idle keys are pruned
-        self._key_waiters: dict[tuple[int, int, int], list] = {}
-        #: shared condition for wildcard (ANY_SOURCE/ANY_TAG) waiters
-        self._wild_cond = threading.Condition(self._lock)
-        self._num_wild_waiters = 0
+        #: posted receives and blocking probes, in post order
+        self._posted: list[_Posted] = []
         #: (context, tag) -> handler of every envelope deposited there
         self._listeners: dict[tuple[int, int], Callable[[Envelope], None]] = {}
         #: currently queued envelopes
@@ -392,35 +406,54 @@ class Endpoint:
     # -- sender side --------------------------------------------------------
     def deposit(self, envelope: Envelope) -> None:
         """Called by the thread that delivers a message: the sender's, or
-        the wire reader's.  A listened envelope is handed to its handler on
-        this thread, outside the lock."""
+        the wire reader's.  The receive the envelope completes, or its
+        listener's handler, runs on this thread, outside the lock."""
+        fits: list[_Posted] = []
         with self._lock:
             self._bytes_in += envelope.nbytes
             handler = self._listeners.get((envelope.context, envelope.tag))
             if handler is None:
-                key = (envelope.context, envelope.source, envelope.tag)
-                q = self._queues.get(key)
-                if q is None:
-                    self._queues[key] = q = deque()
-                q.append(envelope)
-                self._pending += 1
-                entry = self._key_waiters.get(key)
-                if entry is not None:
-                    entry[0].notify_all()
-                if self._num_wild_waiters:
-                    self._wild_cond.notify_all()
+                if self._posted:
+                    fits = self._fits(envelope)
+                if not fits or not fits[-1].take:
+                    key = (envelope.context, envelope.source, envelope.tag)
+                    q = self._queues.get(key)
+                    if q is None:
+                        self._queues[key] = q = deque()
+                    q.append(envelope)
+                    self._pending += 1
             if _T.enabled:
                 _T.counter(f"transport.r{self.rank}.pending", self._pending)
                 _T.counter(f"transport.r{self.rank}.bytes", self._bytes_in)
         if handler is not None:
-            envelope.delivered.set()
+            envelope.taken()
             handler(envelope)
+            return
+        for posted in fits:
+            if posted.take:
+                envelope.taken()
+                posted.set_result(envelope)
+            else:
+                posted.set_result(envelope.status())
+
+    def _fits(self, envelope: Envelope) -> list[_Posted]:
+        """Unpost, in post order, the probes ``envelope`` completes up to
+        the earliest receive it completes, that receive last (lock held)."""
+        fits = []
+        for posted in self._posted:
+            if envelope.matches(posted.context, posted.source, posted.tag):
+                fits.append(posted)
+                if posted.take:
+                    break
+        for posted in fits:
+            self._posted.remove(posted)
+        return fits
 
     def listen(
         self, context: int, tag: int, handler: Callable[[Envelope], None] | None
     ) -> list[Envelope]:
         """From now on, hand every envelope deposited on ``(context, tag)``
-        to ``handler``, on the depositing thread, instead of queueing it;
+        to ``handler``, on the depositing thread, instead of matching it;
         returns the ones already queued there, in arrival order, for the
         caller to handle first.  ``None`` makes the tag queue again.  A
         handler that sent could deadlock a wire reader on its own socket:
@@ -436,21 +469,23 @@ class Endpoint:
             self._pending -= len(backlog)
         backlog.sort(key=lambda envelope: envelope.seq)
         for envelope in backlog:
-            envelope.delivered.set()
+            envelope.taken()
         return backlog
 
     def wake(self) -> None:
-        """Wake every blocked receiver (used on abort)."""
+        """Fail every posted receive and probe with the abort (runs when
+        the abort flag trips)."""
         with self._lock:
-            for entry in self._key_waiters.values():
-                entry[0].notify_all()
-            self._wild_cond.notify_all()
+            posted, self._posted = self._posted, []
+        for receive in posted:
+            receive.set_exception(MPIAbort(self.abort.errorcode, self.abort.reason))
 
-    # -- matching (all called with the lock held) ----------------------------
+    # -- matching ---------------------------------------------------------------
     def _match(
         self, context: int, source: int, tag: int, pop: bool
     ) -> Envelope | None:
-        """Find (and optionally remove) the first matching envelope."""
+        """Find (and optionally remove) the first matching queued envelope
+        (lock held)."""
         if source != ANY_SOURCE and tag != ANY_TAG:
             key = (context, source, tag)
             q = self._queues.get(key)
@@ -487,112 +522,86 @@ class Endpoint:
             del self._queues[best_key]
         return best
 
-    # -- waiter bookkeeping (lock held) ---------------------------------------
-    def _waiter_for(self, context: int, source: int, tag: int):
-        """The condition a blocked receive/probe should sleep on."""
-        if source == ANY_SOURCE or tag == ANY_TAG:
-            self._num_wild_waiters += 1
-            return self._wild_cond, None
-        key = (context, source, tag)
-        entry = self._key_waiters.get(key)
-        if entry is None:
-            self._key_waiters[key] = entry = [threading.Condition(self._lock), 0]
-        entry[1] += 1
-        return entry[0], key
-
-    def _release_waiter(self, key) -> None:
-        if key is None:
-            self._num_wild_waiters -= 1
-            return
-        entry = self._key_waiters[key]
-        entry[1] -= 1
-        if entry[1] == 0:
-            del self._key_waiters[key]
+    def _match_or_post(
+        self, context: int, source: int, tag: int, take: bool, block: bool = True
+    ) -> Envelope | _Posted | None:
+        """The queued envelope that fits (removed when ``take``); else,
+        when ``block``, a receive or probe newly posted for it."""
+        with self._lock:
+            self.abort.check()
+            envelope = self._match(context, source, tag, pop=take)
+            if envelope is not None or not block:
+                return envelope
+            posted = _Posted(context, source, tag, take)
+            self._posted.append(posted)
+            return posted
 
     # -- receiver side -------------------------------------------------------
     def receive(
-        self,
-        context: int,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
+        self, context: int, source: int = ANY_SOURCE, tag: int = ANY_TAG,
         timeout: float | None = None,
     ) -> Envelope:
-        """Block until a matching message arrives, remove and return it;
-        ``timeout`` raises :class:`TimeoutError`."""
-        deadline = None if timeout is None else _now() + timeout
-        with self._lock:
-            self.abort.check()
-            envelope = self._match(context, source, tag, pop=True)
-            if envelope is not None:
-                envelope.delivered.set()
-                return envelope
-            trace_t0 = _T.clock() if _T.enabled else 0.0
-            cond, key = self._waiter_for(context, source, tag)
-            try:
-                while True:
-                    self.abort.check()
-                    envelope = self._match(context, source, tag, pop=True)
-                    if envelope is not None:
-                        envelope.delivered.set()
-                        if _T.enabled:
-                            _T.complete(
-                                "transport.recv.wait", trace_t0,
-                                _T.clock() - trace_t0, cat="transport",
-                                args={"source": source, "tag": tag},
-                            )
-                        return envelope
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - _now()
-                        if remaining <= 0:
-                            raise TimeoutError(
-                                f"recv(context={context}, source={source}, "
-                                f"tag={tag}) timed out on rank {self.rank}"
-                            )
-                    cond.wait(remaining)
-            finally:
-                self._release_waiter(key)
+        """Take the first queued envelope that fits, else post a receive
+        and wait for it; ``timeout`` withdraws it and raises
+        :class:`TimeoutError` — unless it matched meanwhile."""
+        found = self._match_or_post(context, source, tag, take=True)
+        if isinstance(found, Envelope):
+            found.taken()
+            return found
+        trace_t0 = _T.clock() if _T.enabled else 0.0
+        try:
+            envelope = found.result(timeout)
+        except futures.TimeoutError:
+            if self.withdraw(found):
+                raise TimeoutError(
+                    f"recv(context={context}, source={source}, "
+                    f"tag={tag}) timed out on rank {self.rank}"
+                ) from None
+            envelope = found.result()
+        if _T.enabled:
+            _T.complete(
+                "transport.recv.wait", trace_t0, _T.clock() - trace_t0,
+                cat="transport", args={"source": source, "tag": tag},
+            )
+        return envelope
 
-    def try_receive(
-        self, context: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Envelope | None:
-        """Non-blocking matched receive (returns None when nothing matches)."""
+    def post(self, context: int, source: int, tag: int) -> futures.Future:
+        """Post a receive (``irecv``): the Future of the envelope it takes,
+        already complete when one was queued."""
+        found = self._match_or_post(context, source, tag, take=True)
+        if isinstance(found, _Posted):
+            return found
+        found.taken()
+        done: futures.Future = futures.Future()
+        done.set_result(found)
+        return done
+
+    def withdraw(self, posted: futures.Future) -> bool:
+        """Unpost a receive nothing has matched yet: it completes with
+        None.  False when it had matched meanwhile (or was never posted)."""
         with self._lock:
-            self.abort.check()
-            envelope = self._match(context, source, tag, pop=True)
-            if envelope is not None:
-                envelope.delivered.set()
-            return envelope
+            try:
+                self._posted.remove(posted)
+            except ValueError:
+                return False
+        posted.set_result(None)
+        return True
 
     def probe(
-        self,
-        context: int,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
+        self, context: int, source: int = ANY_SOURCE, tag: int = ANY_TAG,
         block: bool = True,
     ) -> Status | None:
-        """Peek for a matching message without consuming it."""
-        with self._lock:
-            self.abort.check()
-            envelope = self._match(context, source, tag, pop=False)
-            if envelope is not None:
-                return envelope.status()
-            if not block:
-                return None
-            cond, key = self._waiter_for(context, source, tag)
-            try:
-                while True:
-                    self.abort.check()
-                    envelope = self._match(context, source, tag, pop=False)
-                    if envelope is not None:
-                        return envelope.status()
-                    cond.wait()
-            finally:
-                self._release_waiter(key)
+        """Peek for a matching message without consuming it; a blocking
+        probe is a posted receive that takes nothing."""
+        found = self._match_or_post(context, source, tag, take=False, block=block)
+        if isinstance(found, _Posted):
+            return found.result()
+        return None if found is None else found.status()
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"pending": self._pending, "bytes_in": self._bytes_in}
+            return {"pending": self._pending, "bytes_in": self._bytes_in,
+                    "posted": len(self._posted)}
 
 
 class Transport(ABC):

@@ -133,6 +133,36 @@ class TestSpawn:
         assert results[0] == ["ack0<-hello", "ack1<-hello"]
         assert results[1] == 2
 
+    def test_intercomm_requests_carry_the_same_status_as_intracomm_ones(self):
+        def child(comm):
+            parent = comm.Get_parent()
+            request = parent.irecv(source=0, tag=4)
+            payload = request.wait()
+            status = request.status
+            reply = parent.isend(payload, dest=0, tag=5)
+            parent.send(
+                [(status.source, status.tag, status.count),
+                 (reply.status.source, reply.status.tag, reply.status.count)],
+                dest=0, tag=6,
+            )
+
+        def main(comm):
+            inter = comm.spawn(child, nprocs=1)
+            sent = inter.isend(b"abc", dest=0, tag=4).status
+            mine = comm.isend(b"abc", dest=0, tag=4).status
+            comm.recv(source=0, tag=4)
+            assert inter.recv(source=0, tag=5) == b"abc"
+            return (
+                [(sent.source, sent.tag, sent.count),
+                 (mine.source, mine.tag, mine.count)],
+                inter.recv(source=0, tag=6),
+            )
+
+        (sent, mine), (received, replied) = run_world(1, main)[0]
+        assert sent == mine == received
+        assert sent[:2] == (0, 4) and sent[2] > 0
+        assert replied == (0, 5, sent[2])
+
     def test_intercomm_merge(self):
         def child(comm):
             merged = comm.Get_parent().merge()

@@ -11,7 +11,9 @@ are held here first, against the star:
 * **wildcards** — an ``ANY_SOURCE``/``ANY_TAG`` receive sees each
   source's messages in that source's send order;
 * **requests** — ``irecv`` completed by ``waitall``/``testall``/
-  ``waitany`` yields the right payloads with the right statuses.
+  ``waitany`` or by waits in a shuffled order yields the right payloads
+  with the right statuses, and same-pattern requests take their
+  messages in the order they were posted, however they are completed.
 
 Hypothesis draws the schedule (who sends what on which communicator and
 tag) and a ``seed`` for the order in which the receiver goes about it;
@@ -34,7 +36,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Status
 from repro.mpi import request as mpi_request  # (a bare ``testall`` would be collected)
 
 LAUNCHERS = ["threads", "processes"]
-EXAMPLES = {"threads": 30, "processes": 5}
+EXAMPLES = {"threads": 100, "processes": 5}
 SENDERS = (1, 2)  # rank 0 receives
 
 #: one sender's sends, in order: (communicator index, tag)
@@ -130,11 +132,12 @@ def _wildcard_receives(comms, schedule, rng):
 
 def _requests(comms, schedule, rng):
     """One ``irecv`` per message, posted in a shuffled order and completed
-    by ``waitall``, polled ``testall`` or repeated ``waitany``."""
+    by ``waitall``, polled ``testall``, repeated ``waitany`` or one
+    ``wait`` each in another shuffled order."""
     todo = [(c, source, tag) for c, source, tag, _ in messages(schedule)]
     rng.shuffle(todo)
     requests = [comms[c].irecv(source=source, tag=tag) for c, source, tag in todo]
-    how = rng.choice(["waitall", "testall", "waitany"])
+    how = rng.choice(["waitall", "testall", "waitany", "shuffled"])
     if how == "waitall":
         payloads = mpi_request.waitall(requests)
     elif how == "testall":
@@ -142,12 +145,18 @@ def _requests(comms, schedule, rng):
         while not done:
             time.sleep(0.001)
             done, payloads = mpi_request.testall(requests)
-    else:
+    elif how == "waitany":
         payloads = [None] * len(requests)
         pending = list(range(len(requests)))
         while pending:
             at, payload = mpi_request.waitany([requests[i] for i in pending])
             payloads[pending.pop(at)] = payload
+    else:
+        payloads = [None] * len(requests)
+        order = list(range(len(requests)))
+        rng.shuffle(order)
+        for i in order:
+            payloads[i] = requests[i].wait()
     seen = []
     for (c, source, tag), request, (sender, k) in zip(todo, requests, payloads):
         # the request completed with a message of its own pattern, and its
@@ -155,7 +164,7 @@ def _requests(comms, schedule, rng):
         assert (request.status.source, request.status.tag) == (source, tag)
         assert sender == source
         seen.append((c, source, tag, k))
-    return how, seen
+    return seen
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -182,14 +191,11 @@ def test_a_wildcard_receive_sees_each_source_in_send_order(launcher):
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_irecv_requests_complete_with_the_right_payloads_and_statuses(launcher):
     @holds(launcher, _requests)
-    def check(schedule, outcome):
-        how, seen = outcome
+    def check(schedule, seen):
         assert Counter(seen) == Counter(messages(schedule))
-        if how != "waitany":
-            # completed in posting order, so same-pattern requests take
-            # their messages in send order (``irecv`` matches lazily, at
-            # completion: ``waitany`` may complete a later twin first)
-            assert in_send_order(seen, key=lambda c, source, tag: (c, source, tag))
+        # ``seen`` is in posting order: same-pattern requests take their
+        # messages in send order, whichever completes first
+        assert in_send_order(seen, key=lambda c, source, tag: (c, source, tag))
 
 
 # -- synchronous mode ---------------------------------------------------------------
@@ -214,8 +220,8 @@ def _ssend_driver(comm):
 @pytest.mark.parametrize("launcher", [
     "threads",
     pytest.param("processes", marks=pytest.mark.xfail(strict=True, reason=(
-        "WorkerTransport._route (mpi/socket_transport.py) sets "
-        "``envelope.delivered`` right after ``conn.send``: on the process "
+        "WorkerTransport._route (mpi/socket_transport.py) completes "
+        "``envelope.matched`` right after ``conn.send``: on the process "
         "backend issend().wait() returns once the frame is on the wire, "
         "not once the receiver matched it.  The mesh PR fixes this or "
         "keeps it knowingly."

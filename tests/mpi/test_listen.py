@@ -2,15 +2,18 @@
 
 ``Endpoint.listen`` hands a ``(context, tag)``'s envelopes to a handler
 on the thread that deposits them instead of queueing them for a
-``recv``; the shuffle files its envelopes this way.  ``AbortFlag.watch``
-runs a callback once when the world aborts, which is how every blocked
-receiver is woken without polling.
+``recv``; the shuffle files its envelopes this way.  A listener is a
+receive that stays posted ahead of every other, whichever was posted
+first.  ``AbortFlag.watch`` runs a callback once when the world aborts,
+which is how every posted receive is failed without polling.
 """
 
 import json
 import os
+import socket
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -18,7 +21,9 @@ from repro.common.errors import MPIAbort
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_world
 from repro.mpi.datatypes import Status
 from repro.mpi.runtime import create_runtime
+from repro.mpi.socket_transport import WorkerRuntime, WorkerSpec
 from repro.mpi.transport import AbortFlag, Endpoint, Envelope
+from repro.net.wire import FrameConnection, FrameKind
 
 
 def _envelope(source, tag, payload, context=0):
@@ -39,21 +44,25 @@ class TestListen:
         assert not depositor.is_alive()
         assert seen == [("handled", depositor)]
         # never queued, still counted
-        assert endpoint.stats() == {"pending": 0, "bytes_in": 1}
+        assert endpoint.stats() == {"pending": 0, "bytes_in": 1, "posted": 0}
         endpoint.deposit(_envelope(1, 8, "another tag"))
-        assert endpoint.try_receive(0, 1, 8).payload == "another tag"
+        assert endpoint.receive(0, 1, 8, timeout=0).payload == "another tag"
         assert len(seen) == 1
 
     def test_arrivals_before_the_listener_come_back_in_arrival_order(self):
         endpoint = Endpoint(0, AbortFlag())
         sent = [(source, i) for i in range(5) for source in (2, 0, 1)]
+        synchronous = []
         for source, i in sent:
-            endpoint.deposit(_envelope(source, 7, (source, i)))
+            envelope = _envelope(source, 7, (source, i))
+            envelope.matched = Future()  # as ``issend`` sends it
+            synchronous.append(envelope.matched)
+            endpoint.deposit(envelope)
         endpoint.deposit(_envelope(0, 8, "another tag"))
         endpoint.deposit(_envelope(0, 7, "another context", context=4))
         backlog = endpoint.listen(0, 7, lambda e: None)
         assert [e.payload for e in backlog] == sent
-        assert all(e.delivered.is_set() for e in backlog)
+        assert all(matched.done() for matched in synchronous)
         assert endpoint.stats()["pending"] == 2  # the other two stay queued
 
     def test_unlisten_queues_again(self):
@@ -65,6 +74,25 @@ class TestListen:
         endpoint.deposit(_envelope(1, 7, "queued"))
         assert [e.payload for e in seen] == ["handled"]
         assert endpoint.receive(0, 1, 7, timeout=10).payload == "queued"
+
+    def test_a_listener_takes_its_tag_from_a_wildcard_recv_posted_before_it(self):
+        endpoint = Endpoint(0, AbortFlag())
+        got = []
+        receiver = threading.Thread(
+            target=lambda: got.append(endpoint.receive(0, ANY_SOURCE, ANY_TAG, 10)),
+            daemon=True,
+        )
+        receiver.start()
+        while endpoint.stats()["posted"] == 0:  # the wildcard recv is posted
+            time.sleep(0.001)
+        seen = []
+        endpoint.listen(0, 7, seen.append)
+        endpoint.deposit(_envelope(1, 7, "listened"))
+        assert [e.payload for e in seen] == ["listened"] and got == []
+        endpoint.deposit(_envelope(1, 8, "received"))
+        receiver.join(10)
+        assert [e.payload for e in got] == ["received"]
+        assert endpoint.stats()["posted"] == 0
 
     def test_a_wildcard_recv_never_sees_a_listened_tag(self):
         def main(comm):
@@ -97,6 +125,33 @@ class TestAbortWatch:
         flag.watch(lambda: calls.append("late"))
         assert calls == ["early", "late"]
 
+    def test_an_abort_fails_a_router_call_still_awaiting_its_reply(self):
+        worker_end, router_end = socket.socketpair()
+        router = FrameConnection(router_end)
+        spec = WorkerSpec(
+            address=None, gid=0, group=(0,), rank=0, world_context=0,
+            parent_group=(), inter_context=0, fn=None, args=(), world_name="w",
+        )
+        runtime = WorkerRuntime(spec, FrameConnection(worker_end))
+        failures = []
+
+        def call():
+            try:
+                runtime.allocate_context()
+            except MPIAbort as exc:
+                failures.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        kind, _ = router.recv()  # the call is on the wire; nobody answers
+        assert kind == FrameKind.RPC_REQ
+        runtime.abort_flag.trip("abort under test")
+        caller.join(10)
+        runtime.close()
+        router.close()
+        assert not caller.is_alive()
+        assert len(failures) == 1 and "abort under test" in failures[0]
+
 
 # module-level: the process backend forks these into a worker process
 
@@ -113,7 +168,7 @@ def _blocked_recv_rank(comm, outdir):
     receiver = threading.Thread(target=receive, daemon=True)
     receiver.start()
     endpoint = comm._my_endpoint()
-    while (comm.context, 0, 77) not in endpoint._key_waiters:  # parked
+    while endpoint.stats()["posted"] == 0:  # the recv is posted
         time.sleep(0.001)
     comm.abort(reason="abort under test")
     receiver.join(1.0)

@@ -1,16 +1,23 @@
 """MPI matching semantics the indexed-mailbox transport must preserve.
 
 The transport keeps one FIFO sub-queue per (context, source, tag) and a
-wildcard path that picks the earliest arrival across sub-queues; these
-tests pin down the observable contract: non-overtaking per (source,
-tag), exact/wildcard interleaving, probe consistency, and abort wakeups.
+wildcard path that picks the earliest arrival across sub-queues, and
+matches arrivals against posted receives in post order; these tests pin
+down the observable contract: non-overtaking per (source, tag),
+exact/wildcard interleaving, posted order, probe consistency, and abort
+wakeups.
 """
 
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.common.errors import MPIAbort
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_world
+from repro.mpi.request import RecvRequest, waitany
+from repro.mpi.transport import AbortFlag, Endpoint, Envelope
 
 
 def _await_arrivals(comm, source, tag):
@@ -78,6 +85,132 @@ class TestNonOvertaking:
             return got
 
         assert run_world(2, main)[1] == [0, 1, 2, 3, 4]
+
+
+def _posted(endpoint, count):
+    """Block until ``count`` receives are posted on ``endpoint``."""
+    while endpoint.stats()["posted"] < count:
+        time.sleep(0.001)
+
+
+class TestPostedOrder:
+    """An arrival completes the earliest posted receive it fits."""
+
+    def test_irecvs_take_messages_in_post_order_whichever_waits_first(self):
+        endpoint = Endpoint(0, AbortFlag())
+        r0 = RecvRequest(endpoint, 0, 1, 5)
+        r1 = RecvRequest(endpoint, 0, 1, 5)
+        endpoint.deposit(Envelope(0, 1, 5, "m0", 1))
+        endpoint.deposit(Envelope(0, 1, 5, "m1", 1))
+        assert r1.wait() == "m1"
+        assert r0.wait() == "m0"
+
+    def test_a_recv_does_not_overtake_an_earlier_irecv_of_its_pattern(self):
+        endpoint = Endpoint(0, AbortFlag())
+        early = RecvRequest(endpoint, 0, 1, 5)
+        got = []
+        receiver = threading.Thread(
+            target=lambda: got.append(endpoint.receive(0, 1, 5, timeout=10).payload),
+            daemon=True,
+        )
+        receiver.start()
+        _posted(endpoint, 2)
+        endpoint.deposit(Envelope(0, 1, 5, "m0", 1))
+        endpoint.deposit(Envelope(0, 1, 5, "m1", 1))
+        receiver.join(10)
+        assert (early.wait(), got) == ("m0", ["m1"])
+
+    def test_waitany_completes_the_earlier_twin_first(self):
+        endpoint = Endpoint(0, AbortFlag())
+        requests = [RecvRequest(endpoint, 0, ANY_SOURCE, 5) for _ in range(2)]
+        endpoint.deposit(Envelope(0, 2, 5, "m0", 1))
+        assert waitany(requests[::-1]) == (1, "m0")
+        assert not requests[1].test()[0]
+
+    def test_a_probe_sees_the_arrival_a_later_receive_takes(self):
+        endpoint = Endpoint(0, AbortFlag())
+        statuses = []
+        prober = threading.Thread(
+            target=lambda: statuses.append(endpoint.probe(0, ANY_SOURCE, ANY_TAG)),
+            daemon=True,
+        )
+        prober.start()
+        _posted(endpoint, 1)
+        request = RecvRequest(endpoint, 0, 3, ANY_TAG)
+        endpoint.deposit(Envelope(0, 3, 9, "m0", 1))
+        prober.join(10)
+        assert [(s.source, s.tag) for s in statuses] == [(3, 9)]
+        assert request.wait() == "m0"
+        assert endpoint.stats() == {"pending": 0, "bytes_in": 1, "posted": 0}
+
+    def test_a_timeout_withdraws_the_receive_and_a_cancel_too(self):
+        endpoint = Endpoint(0, AbortFlag())
+        with pytest.raises(TimeoutError):
+            endpoint.receive(0, 1, 5, timeout=0.01)
+        request = RecvRequest(endpoint, 0, 1, 5)
+        request.cancel()
+        assert request.test() == (True, None)
+        endpoint.deposit(Envelope(0, 1, 5, "queued", 1))
+        assert endpoint.stats() == {"pending": 1, "bytes_in": 1, "posted": 0}
+
+    def test_racing_posts_withdrawals_and_deposits_lose_nothing(self):
+        """More threads than cores, switching every microsecond: per
+        source, exact receives and irecvs take a stream in send order,
+        and receives that time out and retry race the deposits that would
+        complete them — a withdrawn match would lose a message."""
+        endpoint = Endpoint(0, AbortFlag())
+        sources, count = (1, 2, 3), 300
+        got = {source: [] for source in sources}
+        retried = []
+
+        def receive(source):
+            for i in range(count):
+                if i % 3:
+                    got[source].append(endpoint.receive(0, source, 5, 30).payload)
+                else:
+                    got[source].append(RecvRequest(endpoint, 0, source, 5).wait(30))
+
+        def receive_retrying():
+            while len(retried) < len(sources) * count:
+                try:
+                    retried.append(endpoint.receive(0, ANY_SOURCE, 6, 0).payload)
+                except TimeoutError:
+                    pass
+
+        def send(source):
+            for i in range(count):
+                endpoint.deposit(Envelope(0, source, 5, i, 1))
+                endpoint.deposit(Envelope(0, source, 6, (source, i), 1))
+
+        threads = [threading.Thread(target=receive_retrying, daemon=True)]
+        for source in sources:
+            threads.append(threading.Thread(target=receive, args=(source,), daemon=True))
+            threads.append(threading.Thread(target=send, args=(source,), daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {source: list(range(count)) for source in sources}
+        assert sorted(retried) == [(s, i) for s in sources for i in range(count)]
+        assert endpoint.stats()["pending"] == endpoint.stats()["posted"] == 0
+
+    def test_the_abort_fails_every_posted_receive(self):
+        flag = AbortFlag()
+        endpoint = Endpoint(0, flag)
+        flag.watch(endpoint.wake)
+        requests = [RecvRequest(endpoint, 0, 1, tag) for tag in (5, ANY_TAG)]
+        flag.trip("abort under test")
+        for request in requests:
+            with pytest.raises(MPIAbort, match="abort under test"):
+                request.wait()
+        with pytest.raises(MPIAbort):
+            waitany(requests)
 
 
 class TestProbeConsistency:

@@ -1,0 +1,39 @@
+"""``repro.mpi`` waits by being woken, never by sleeping in a loop.
+
+Every blocking call in the package completes a Future, sets an event or
+reads a socket; the one ``time.sleep`` allowed is the fault injector's
+``delay`` rule, which slows a delivery on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+import repro.mpi
+
+PACKAGE = Path(repro.mpi.__file__).parent
+ALLOWED = {("transport.py", "FaultInjector.apply")}
+
+
+def _sleeps(path):
+    """(file name, enclosing qualified name) of every ``sleep`` call."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "sleep":
+                found.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_the_only_sleep_in_repro_mpi_is_the_injected_delay():
+    sleeps = [s for path in sorted(PACKAGE.rglob("*.py")) for s in _sleeps(path)]
+    assert set(sleeps) - ALLOWED == set(), sleeps
+    assert sleeps == sorted(ALLOWED)  # the delay rule itself, once
