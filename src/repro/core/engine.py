@@ -10,11 +10,13 @@ first-come-first-served O tasks (the control protocol of §IV-B).
 Iteration mode loops rounds with a backward plane (A→O) per round and a
 process-local ``state`` dict that stays put across rounds; its O tasks
 are window-pinned too.  Streaming mode starts the A tasks first, on
-their own threads, consuming pairs as they arrive.
+their own threads, consuming pairs as they arrive.  A rank's liveness
+and live telemetry reach mpidrun as one stream: its pulse.
 """
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 import threading
 import time
@@ -87,7 +89,7 @@ class WorkerEngine:
         #: the main thread's lane, the only writer of this rank's time;
         #: whatever runs outside a ``phase(...)`` scope is control
         self.clock = PhaseClock("control")
-        #: guards the fold (the telemetry shipper runs it too)
+        #: guards the fold (the pulse thread runs it too)
         self._fold_lock = threading.Lock()
         self.state: dict = {}  # process-local cross-round state (Iteration)
         self.shuffle = ShuffleService(
@@ -151,37 +153,14 @@ class WorkerEngine:
     def _report(self) -> None:
         self.parent.send(("report", self.rank, self.metrics), dest=0, tag=CONTROL_TAG)
 
-    # -- heartbeats ---------------------------------------------------------------
-    def _start_heartbeat(self) -> threading.Event | None:
-        """Beat ("hb", rank) thirty times per deadline on a daemon thread so
-        a worker deep in a long shuffle wait still proves liveness; with
-        detection off (deadline <= 0) nobody checks, so nobody beats."""
-        interval = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
-        if interval <= 0:
-            return None
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                try:
-                    self.parent.send(("hb", self.rank), dest=0, tag=CONTROL_TAG)
-                except BaseException:  # noqa: BLE001 - abort in flight; stop quietly
-                    return
-
-        thread = threading.Thread(
-            target=beat, daemon=True, name=f"hb-w{self.rank}"
-        )
-        thread.start()
-        return stop
-
     def _fold(self) -> None:
         """Bring ``self.metrics`` up to date: the shuffle service's counters
         (``stats()`` keys are :class:`Counters` field names), the phase
         buckets — the main lane's clock as it reads now, plus the spill
         overlay, which accrues on whichever threads deliver this rank's
         envelopes — and the wall, that
-        lane's total.  Called by the telemetry shipper for every snapshot
-        and by ``run`` ahead of the final report — the only reader of
+        lane's total.  Called by the pulse for every snapshot and by
+        ``run`` ahead of the final report — the only reader of
         ``shuffle.stats()`` and of the clock."""
         with self._fold_lock:
             for name, value in self.shuffle.stats().items():
@@ -193,7 +172,55 @@ class WorkerEngine:
                 phases["spill"] = spill
             self.metrics.phase_times = phases
 
-    # -- live telemetry ------------------------------------------------------------
+    # -- the pulse ---------------------------------------------------------------
+    def _start_pulse(self) -> tuple[threading.Event, threading.Thread] | None:
+        """Send ``("hb", rank, snapshot)`` on ``CONTROL_TAG`` thirty times
+        per heartbeat deadline or once per telemetry interval, whichever
+        is more often, so a rank deep in a long shuffle wait still proves
+        liveness.  ``snapshot`` is None with telemetry off; with it on,
+        the first goes at once and a parting one at stop."""
+        every = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
+        telemetry = self.conf.get_bool(K.TELEMETRY_ENABLED) and every > 0
+        beat_every = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
+        intervals = [i for i in (beat_every, every if telemetry else 0.0) if i > 0]
+        if not intervals:
+            return None
+        interval = min(intervals)
+        epoch = self.world.runtime.rank_epoch
+        endpoint = self.world._my_endpoint()
+        seqs = itertools.count()
+        stop = threading.Event()
+
+        def pulse() -> None:
+            snap = None
+            if telemetry:
+                snap = self._telemetry_snapshot(epoch, endpoint, next(seqs))
+            self.parent.send(("hb", self.rank, snap), dest=0, tag=CONTROL_TAG)
+
+        def beat() -> None:
+            try:
+                if telemetry:
+                    pulse()
+                while not stop.wait(interval):
+                    pulse()
+                if telemetry:
+                    pulse()  # the parting snapshot: final phase totals land
+            except Exception:  # noqa: BLE001 - abort in flight; stop quietly
+                return
+
+        thread = threading.Thread(target=beat, daemon=True, name=f"hb-w{self.rank}")
+        thread.start()
+        return stop, thread
+
+    @staticmethod
+    def _stop_pulse(pulse: tuple[threading.Event, threading.Thread] | None) -> None:
+        """Stop the pulse and wait for its parting snapshot (idempotent)."""
+        if pulse is None:
+            return
+        stop, thread = pulse
+        stop.set()
+        thread.join(timeout=2.0)
+
     def _telemetry_snapshot(self, epoch: int, endpoint: Any, seq: int) -> dict:
         self._fold()
         snap = telemetry_mod.build_snapshot(
@@ -204,53 +231,6 @@ class WorkerEngine:
             if prof is not None:
                 snap["profile"] = prof
         return snap
-
-    def _start_telemetry(self) -> tuple[threading.Event, threading.Thread] | None:
-        """Ship telemetry snapshots to the driver's hub on an interval
-        thread, by whatever route the runtime has to it."""
-        if not self.conf.get_bool(K.TELEMETRY_ENABLED):
-            return None
-        interval = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
-        if interval <= 0:
-            return None
-        runtime = self.world.runtime
-        ship = runtime.ship_telemetry
-        epoch = runtime.rank_epoch
-        endpoint = self.world._my_endpoint()
-        stop = threading.Event()
-
-        def pump() -> None:
-            seq = 0
-            while True:
-                try:
-                    ship(self._telemetry_snapshot(epoch, endpoint, seq))
-                except BaseException:  # noqa: BLE001 - telemetry must not kill the rank
-                    return
-                seq += 1
-                if stop.wait(interval):
-                    # one parting snapshot so final phase totals land
-                    try:
-                        ship(self._telemetry_snapshot(epoch, endpoint, seq))
-                    except BaseException:  # noqa: BLE001
-                        pass
-                    return
-
-        thread = threading.Thread(
-            target=pump, daemon=True, name=f"telemetry-w{self.rank}"
-        )
-        thread.start()
-        return stop, thread
-
-    @staticmethod
-    def _stop_telemetry(
-        telemetry: tuple[threading.Event, threading.Thread] | None,
-    ) -> None:
-        """Stop the shipper and wait for its parting snapshot (idempotent)."""
-        if telemetry is None:
-            return
-        stop, thread = telemetry
-        stop.set()
-        thread.join(timeout=2.0)
 
     # -- task contexts -----------------------------------------------------------------
     def _make_o_context(
@@ -501,8 +481,7 @@ class WorkerEngine:
             pass
         if self.profile_hz > 0:
             PROFILER.acquire(self.profile_hz)
-        hb_stop = self._start_heartbeat()
-        telemetry = self._start_telemetry()
+        pulse = self._start_pulse()
         try:
             for round_no in range(rounds):
                 if self.pipelined:
@@ -512,21 +491,18 @@ class WorkerEngine:
                     self._run_a_phase(round_no)
                 with phase("communicate"):
                     self.world.barrier()
-            # stop the clock first: the last fold and the shipper's parting
+            # stop the clock first: the last fold and the parting
             # snapshot then read the same frozen buckets
             self.clock.switch(None)
             self._fold()
-            # flush the parting telemetry snapshot before the final
-            # report: both ride the same FIFO connection, so the hub is
-            # guaranteed to hold this rank's last word when the
-            # scheduler marks it done
-            self._stop_telemetry(telemetry)
+            # the parting pulse is sent before the report, from this rank
+            # to mpidrun on the same tag: messages do not overtake, so
+            # the hub holds this rank's last word when it is marked done
+            self._stop_pulse(pulse)
             self._report()
             return self.metrics
         finally:
-            if hb_stop is not None:
-                hb_stop.set()
-            self._stop_telemetry(telemetry)
+            self._stop_pulse(pulse)
             self._finish_profile()
             bind_clock(None)
             self.shuffle.shutdown()

@@ -37,7 +37,7 @@ class PhaseClock:
     """One thread lane's time: at every instant it is in exactly one
     phase, so the buckets are disjoint and sum to the time since it
     started.  The owning thread is the only one to :meth:`switch`; any
-    thread may :meth:`read` (the telemetry shipper) or look at
+    thread may :meth:`read` (the pulse, for a snapshot) or look at
     :attr:`current` (the sampling profiler)."""
 
     def __init__(

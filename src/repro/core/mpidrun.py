@@ -323,8 +323,8 @@ class _TelemetrySession:
         return _TelemetrySession(job, conf)
 
     def attach(self, runtime: BaseRuntime) -> None:
-        """Bind this attempt's runtime: the router forwards TELEMETRY
-        frames to the hub, the scheduler marks rank completion on it, and
+        """Bind this attempt's runtime: the scheduler files the ranks'
+        pulse snapshots in the hub and marks rank completion on it, and
         rollups read live recovery counters off the runtime."""
         runtime.telemetry_hub = self.hub
         self.hub.bind_runtime(runtime)
@@ -423,9 +423,9 @@ def mpidrun(
             if scratch is not None:
                 extra_conf[K.LOCAL_DIR] = scratch
             if telemetry is not None and telemetry.doctor is not None:
-                # the diagnosis engine reads live rollups, so engines must
-                # ship telemetry snapshots even if the user only asked for
-                # the doctor
+                # the diagnosis engine reads live rollups, so pulses must
+                # carry telemetry snapshots even if the user only asked
+                # for the doctor
                 extra_conf[K.TELEMETRY_ENABLED] = True
             attempt_job = dataclasses.replace(
                 job, conf={**dict(job.conf or {}), **extra_conf}

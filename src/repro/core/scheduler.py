@@ -87,7 +87,7 @@ class TaskScheduler:
 class WorkerSupervisor:
     """Liveness tracking for the spawned worker world.
 
-    Every control message doubles as a heartbeat; a dedicated worker
+    Every control message doubles as a heartbeat; a worker's pulse
     thread also beats on an interval, so a worker deep in a long shuffle
     wait still proves it is alive.  A worker silent past ``deadline`` is
     declared lost with a structured record naming the worker, its silence
@@ -169,8 +169,9 @@ def driver_main(
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}
     runtime = comm.runtime
-    # -- live telemetry: the hub tracks world size and rank completion so
-    # `repro top` can show a status column and honest rollup denominators
+    # -- live telemetry: pulses carry the snapshots the hub files; it
+    # tracks world size and rank completion so `repro top` can show a
+    # status column and honest rollup denominators
     telemetry_hub = runtime.telemetry_hub
     if telemetry_hub is not None:
         telemetry_hub.expect(nprocs)
@@ -248,7 +249,10 @@ def driver_main(
                 reply = ("task", task_id) if task_id is not None else ("none", None)
                 inter.send(reply, dest=worker, tag=CONTROL_TAG)
             elif kind == "hb":
-                supervisor.beat(message[1])
+                _, worker, snap = message
+                supervisor.beat(worker)
+                if snap is not None and telemetry_hub is not None:
+                    telemetry_hub.ingest(snap)
             elif kind == "report":
                 _, worker, metrics = message
                 supervisor.beat(worker)

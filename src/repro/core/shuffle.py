@@ -407,7 +407,7 @@ class ShuffleService:
 
     def _planes_now(self) -> list[ShufflePlane]:
         """A snapshot: ``plane()`` inserts from the task threads and the
-        delivering ones while the telemetry shipper reads the stats."""
+        delivering ones while the pulse thread reads the stats."""
         with self._planes_lock:
             return list(self._planes.values())
 

@@ -146,7 +146,7 @@ class BaseRuntime:
         self.fault_injector = fault_injector
         self.abort_flag = AbortFlag()
         #: live TelemetryHub bound by mpidrun's telemetry session (None =
-        #: telemetry off); :meth:`ship_telemetry` delivers snapshots here
+        #: telemetry off); the driver files the ranks' pulse snapshots here
         self.telemetry_hub = None
         self._transport = self._make_transport()
 
@@ -166,13 +166,6 @@ class BaseRuntime:
         from repro.obs.profiler import PROFILER
 
         return PROFILER.dump_stacks()
-
-    def ship_telemetry(self, snap: dict) -> None:
-        """Deliver one rank's telemetry snapshot to the driver's hub
-        (dropped while no hub is bound)."""
-        hub = self.telemetry_hub
-        if hub is not None:
-            hub.ingest(snap)
 
     # -- surgical rank recovery (a no-op without respawnable ranks) -------------
     def enable_rank_recovery(

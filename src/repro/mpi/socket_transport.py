@@ -65,6 +65,7 @@ import os
 import pickle
 import sys
 import threading
+import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
 from time import monotonic as _now
@@ -339,7 +340,7 @@ class RouterTransport(Transport):
             call.__name__: call for call in (
                 runtime.allocate_context, runtime.launch_children,
                 runtime.abort, runtime.record_failure,
-                runtime.ship_telemetry, self.rank_failed, self.ingest_dumps,
+                self.rank_failed, self.ingest_dumps,
             )
         }
         # -- surgical rank recovery (inert until the runtime arms it) --------
@@ -713,9 +714,8 @@ class WorkerRuntime(BaseRuntime):
 
     Matching, the abort flag and the failure list are process-local and
     inherited as they are; what it overrides is what has to cross the
-    wire — global allocation and spawning wait for the driver's answer,
-    aborts, failures, telemetry snapshots and stack dumps are
-    fire-and-forget.
+    wire — global allocation and spawning wait for the driver's answer;
+    aborts, failures and stack dumps want none.
     """
 
     launcher = "processes"
@@ -780,10 +780,6 @@ class WorkerRuntime(BaseRuntime):
         self._cast("rank_failed", records, blob)
         super().abort(f"rank {comm.rank}: {exc!r}", record=False)
 
-    def ship_telemetry(self, snap: dict) -> None:
-        """Fire-and-forget one telemetry snapshot to the driver's hub."""
-        self._cast("ship_telemetry", snap)
-
     def send_stack_dump(self) -> None:
         """Answer a DUMP_REQ: snapshot the live stacks and queue stats of
         every rank this process hosts and fire them back best-effort."""
@@ -796,7 +792,7 @@ class WorkerRuntime(BaseRuntime):
                     "rank": self._spec.rank,
                     "epoch": self._spec.epoch,
                     "pid": os.getpid(),
-                    "ts": _now(),
+                    "ts": time.time(),
                     "threads": [],
                 }]
         except Exception:  # noqa: BLE001 - diagnostics never kill the rank
@@ -806,9 +802,9 @@ class WorkerRuntime(BaseRuntime):
     # -- wire plumbing --------------------------------------------------------
     def _cast(self, method: str, *params: Any) -> None:
         """Call the driver by name, no reply wanted (``req_id`` 0).
-        ``try_send`` keeps it strictly best-effort: a full socket or a
-        dying connection drops the call instead of blocking the caller
-        (the telemetry shipper, a rank on its way down) or killing it."""
+        ``try_send`` drops the call on a dead connection instead of
+        killing the caller (a rank on its way down); a full socket blocks
+        it until the router drains, so the wire reader never casts."""
         self._conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REQ, (0, method, params)))
 
     def _rpc(self, method: str, *params: Any) -> Any:
@@ -869,8 +865,8 @@ class WorkerRuntime(BaseRuntime):
                 if reply is not None:
                     reply.set_result((ok, result))
             elif kind == FrameKind.DUMP_REQ:
-                # reply on the reader thread: dump_stacks never blocks
-                self.send_stack_dump()
+                # answered off the reader: the reply may block on a full socket
+                threading.Thread(target=self.send_stack_dump, daemon=True).start()
             else:
                 _log.warning("worker: ignoring unknown frame kind %d", kind)
 

@@ -68,7 +68,7 @@ class DoctorConfig:
     straggler_threshold: float = 2.0
     stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
     skew_threshold: float = 2.0
-    #: seconds to wait after a DUMP_REQ broadcast for replies to land
+    #: at most this many seconds for a DUMP_REQ broadcast's replies
     capture_grace: float = 0.5
     #: minimum seconds between automatic captures
     capture_backoff: float = 2.0
@@ -343,16 +343,17 @@ class Doctor:
     # -- capture ---------------------------------------------------------------
     def capture(self, reason: str = "manual") -> dict:
         """All-rank stack/queue capture: local dumps immediately, remote
-        ranks via DUMP_REQ broadcast (replies land in the hub within the
-        grace window)."""
+        ranks via DUMP_REQ broadcast; returns once every running rank's
+        dump is newer than the request, or after the grace window."""
         runtime = getattr(self.hub, "runtime", None)
         if runtime is not None:
+            requested = time.time()
             try:
                 for dump in runtime.request_stack_dump():
                     self.hub.ingest_dump(dump)
             except Exception:  # noqa: BLE001 - capture what we can
                 _log.exception("doctor: local stack dump failed")
-            time.sleep(self.config.capture_grace)
+            self.hub.wait_dumps(requested, self.config.capture_grace)
         record = {
             "ts": time.time(),
             "reason": reason,

@@ -5,14 +5,14 @@ inspectable until ``mpidrun`` returns.  This module is the *live* half:
 while a job runs, each rank's engine snapshots its
 :class:`~repro.core.metrics.WorkerMetrics` record (counters and phase
 buckets), its mailbox depth and its process CPU/RSS on an interval
-(``mpi.d.telemetry.interval.seconds``) and ships the snapshot to the
-driver:
-
-* **process backend** — a ``ship_telemetry`` call by name (the star's
-  one call frame, fire-and-forget ``try_send``) through the rank's
-  existing router connection;
-* **thread backend** — a direct :meth:`TelemetryHub.ingest` call (the
-  hub lives in the same interpreter).
+(``mpi.d.telemetry.interval.seconds``, or more often when the heartbeat
+deadline asks for it) and sends the snapshot in its heartbeat, the
+``("hb", rank, snapshot)`` pulse on the parent intercommunicator's
+control tag.  mpidrun's serve loop beats the rank's liveness clock and
+files the snapshot in the hub, on both launchers: one channel, so
+whatever cuts a rank's traffic (a severed rank, a dead connection) cuts
+its telemetry too, and the parting snapshot cannot overtake the rank's
+final report.
 
 The driver-side :class:`TelemetryHub` keeps a bounded ring per
 ``(rank, epoch)`` series — a reincarnated rank gets a *new* series, so
@@ -115,7 +115,7 @@ def build_snapshot(
     """One rank-side telemetry snapshot: the rank's metrics record — its
     counters and phase buckets, never the per-task table — plus the
     mailbox and process readings.  A plain dict: it crosses the wire
-    pickled and must stay cheap to build on the shipper thread."""
+    pickled and must stay cheap to build on the pulse thread."""
     return {
         "rank": metrics.rank,
         "epoch": epoch,
@@ -158,6 +158,8 @@ class TelemetryHub:
         #: latest live stack dump per (rank, epoch) — ``ingest_dumps``
         #: calls on the process backend, direct ingest_dump on threads
         self._dumps: dict[tuple[int, int], dict] = {}
+        #: notified on every dump (:meth:`wait_dumps`)
+        self._dumped = threading.Condition()
         self._done: set[int] = set()
         self._expected = 0
         self._runtime: Any = None
@@ -190,7 +192,7 @@ class TelemetryHub:
 
     # -- write path -----------------------------------------------------------
     def ingest(self, snap: dict[str, Any]) -> None:
-        """Accept one snapshot (router reader thread or engine thread)."""
+        """Accept one snapshot (mpidrun's serve loop, from a pulse)."""
         if not isinstance(snap, dict) or "rank" not in snap:
             return
         key = (int(snap["rank"]), int(snap.get("epoch", 0)))
@@ -209,6 +211,23 @@ class TelemetryHub:
         with self._lock:
             self._dumps[key] = dump
             self.dumps_ingested += 1
+        with self._dumped:
+            self._dumped.notify_all()
+
+    def wait_dumps(self, since: float, timeout: float) -> bool:
+        """Block until every running rank — one with a snapshot here and
+        no final report — has a dump stamped at or after ``since``
+        (``time.time()``), for at most ``timeout`` seconds; True when
+        they all have."""
+
+        def fresh() -> bool:
+            dumps = self.dumps()
+            with self._lock:
+                running = {rank for rank, _epoch in self._series} - self._done
+            return all(dumps.get(r, {}).get("ts", 0.0) >= since for r in running)
+
+        with self._dumped:
+            return self._dumped.wait_for(fresh, timeout)
 
     def dumps(self) -> dict[int, dict[str, Any]]:
         """Latest stack dump per rank, from that rank's highest epoch."""

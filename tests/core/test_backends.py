@@ -142,6 +142,34 @@ class TestThreadModel:
         seen = [json.loads(p.read_text()) for p in sorted(outdir.iterdir())]
         assert seen == [[], []]
 
+    def test_a_telemetered_rank_runs_one_pulse_thread(self, tmp_path, launcher):
+        """Liveness and telemetry share the ``hb-w{rank}`` thread."""
+        outdir = tmp_path / "pulse"
+        outdir.mkdir()
+        # an earlier test's wedged rank may still beat in this process
+        before = {t.name for t in threading.enumerate()}
+
+        def o_fn(ctx):
+            names = sorted({t.name for t in threading.enumerate()} - before)
+            (outdir / f"o{ctx.rank}.json").write_text(json.dumps(names))
+            ctx.send(ctx.rank, ctx.rank)
+
+        def a_fn(ctx):
+            list(ctx.recv_iter())
+
+        job = common_job("pulse-threads", o_fn, a_fn, o_tasks=4, a_tasks=2,
+                         conf={K.LAUNCHER: launcher, K.TELEMETRY_ENABLED: True,
+                               K.TELEMETRY_INTERVAL_SECONDS: 0.05})
+        assert mpidrun(job, nprocs=2, raise_on_error=True).success
+        pulses = {"hb-w0", "hb-w1"}
+        for path in sorted(outdir.iterdir()):
+            names = json.loads(path.read_text())
+            assert not [n for n in names if n.startswith("telemetry-w")], names
+            beating = {n for n in names if n.startswith("hb-w")}
+            assert beating and beating <= pulses, names
+            if launcher == "processes":
+                assert len(beating) == 1, names  # its own rank's, only
+
 
 class TestModesOnProcesses:
     """Common / Iteration / Streaming semantics on the process backend."""

@@ -1,14 +1,21 @@
-"""``repro.mpi`` waits by being woken, never by sleeping in a loop.
+"""``repro.mpi``, ``repro.core`` and ``repro.obs`` wait by being woken,
+never by sleeping in a loop.
 
-Every blocking call in the package completes a Future, sets an event or
-reads a socket; the one ``time.sleep`` allowed is the fault injector's
-``delay`` rule, which slows a delivery on purpose.
+Every blocking call in them completes a Future, sets an event, waits on
+a condition or reads a socket.  Two ``time.sleep`` calls are allowed, one
+per package that needs one: the fault injector's ``delay`` rule, which
+slows a delivery on purpose, and ``mpidrun``'s backoff before it
+restarts a failed job.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
+import repro.core
 import repro.mpi
+import repro.obs
 
 PACKAGE = Path(repro.mpi.__file__).parent
 ALLOWED = {("transport.py", "FaultInjector.apply")}
@@ -37,3 +44,16 @@ def test_the_only_sleep_in_repro_mpi_is_the_injected_delay():
     sleeps = [s for path in sorted(PACKAGE.rglob("*.py")) for s in _sleeps(path)]
     assert set(sleeps) - ALLOWED == set(), sleeps
     assert sleeps == sorted(ALLOWED)  # the delay rule itself, once
+
+
+@pytest.mark.parametrize(
+    "package, allowed",
+    [
+        (repro.obs, []),
+        (repro.core, [("mpidrun.py", "mpidrun")]),  # the restart backoff
+    ],
+    ids=["obs", "core"],
+)
+def test_obs_and_core_sleep_only_where_allowed(package, allowed):
+    root = Path(package.__file__).parent
+    assert [s for path in sorted(root.rglob("*.py")) for s in _sleeps(path)] == allowed

@@ -26,8 +26,6 @@ from repro.net.wire import FrameKind, pack_obj_frame
 
 def _probe_rank(comm):
     runtime = comm.runtime
-    # callable with no hub bound
-    runtime.ship_telemetry({"rank": comm.rank, "epoch": 0, "seq": 0})
     comm.parent.send(
         (
             comm.rank,

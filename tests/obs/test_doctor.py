@@ -222,6 +222,38 @@ class TestCapture:
         rendered = render_report(report)
         assert "shuffle.wait_complete:178" in rendered
 
+    def test_capture_returns_once_every_running_rank_has_dumped(self):
+        """The grace window bounds the wait; it is not a sleep.  Rank 0's
+        dump comes back from the call itself (a thread rank), rank 1's
+        later (a DUMP_REQ reply); rank 2 is done and owes none."""
+        hub = TelemetryHub()
+        for rank in (0, 1, 2):
+            hub.ingest(_snap(rank, wall=1.0))
+        hub.mark_done(2)
+
+        def dump(rank):
+            return {"rank": rank, "epoch": 0, "ts": time.time(), "threads": []}
+
+        class _Runtime:
+            def request_stack_dump(self):
+                threading.Timer(0.05, lambda: hub.ingest_dump(dump(1))).start()
+                return [dump(0)]
+
+        hub.bind_runtime(_Runtime())
+        doctor = Doctor(hub, DoctorConfig(capture_grace=30.0))
+        start = time.monotonic()
+        record = doctor.capture("unit test")
+        assert time.monotonic() - start < 10.0
+        assert sorted(d["rank"] for d in record["dumps"]) == [0, 1]
+
+    def test_a_rank_that_never_dumps_costs_the_grace_window_only(self):
+        hub = TelemetryHub()
+        hub.ingest(_snap(0, wall=1.0))
+        # a dump older than the request does not count
+        hub.ingest_dump({"rank": 0, "epoch": 0, "ts": time.time() - 60})
+        assert hub.wait_dumps(time.time(), 0.05) is False
+        assert hub.wait_dumps(time.time() - 120, 0.0) is True
+
     def test_report_write_is_valid_json(self, tmp_path):
         doctor = Doctor(TelemetryHub(), DoctorConfig(), job="wc")
         doctor.evaluate()

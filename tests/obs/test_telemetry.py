@@ -239,6 +239,30 @@ class TestLiveTelemetry:
         assert rollups["ranks_done"] == 2
         assert "# HELP" in hub.prometheus_text()
 
+    def test_a_severed_rank_reports_nothing(self, tmp_path, launcher, captured_hub):
+        """Snapshots ride the heartbeat: what silences a rank's beat —
+        here every envelope to and from worker 1 — silences its
+        telemetry too, and the supervisor still names it."""
+        injector = FaultInjector()
+        injector.sever(2)  # worker 1: globals are driver=0, workers=1..n
+        conf = {
+            K.LAUNCHER: launcher,
+            K.TELEMETRY_ENABLED: True,
+            K.TELEMETRY_INTERVAL_SECONDS: 0.05,
+            K.HEARTBEAT_DEADLINE_SECONDS: 1.5,
+            K.PLANE_TIMEOUT_SECONDS: 30.0,
+        }
+        result = mpidrun(
+            _wordcount_job("tele-sever", conf, TEXTS, FileCollector(tmp_path / "out")),
+            nprocs=2, timeout=120.0, fault_injector=injector,
+        )
+        assert not result.success
+        assert result.failures[0].kind == "heartbeat"
+        assert result.failures[0].worker == 1
+        hub = captured_hub["hub"]
+        assert {rank for rank, _epoch in hub.series_keys()} == {0}
+        assert hub.series(0)  # the healthy rank kept reporting
+
     def test_concurrent_scrape_mid_run_on_process_backend(self, tmp_path):
         from repro.rpc import SocketRpcClient
 
