@@ -197,33 +197,36 @@ TELEMETRY_SWEEP = (0.25, 0.1, 0.05)
 
 
 def bench_telemetry(quick: bool) -> dict:
-    """Cost of one telemetry snapshot (build + hub ingest) and the
-    steady-state overhead that implies at each shipping interval.
+    """Cost of one telemetry record (the pulse's copy + hub ingest) and
+    the steady-state overhead that implies at each shipping interval.
 
-    The shipper thread does exactly this work once per interval, so
-    overhead ≈ snapshot cost / interval — a deterministic estimate,
-    immune to the run-to-run noise an end-to-end A/B would add for an
-    off-hot-path background thread.
+    The pulse thread does exactly this work once per interval, on top
+    of the fold, so overhead ≈ record cost / interval — a deterministic
+    estimate, immune to the run-to-run noise an end-to-end A/B would add
+    for an off-hot-path background thread.
     """
-    from repro.core.metrics import WorkerMetrics
-    from repro.obs.telemetry import TelemetryHub, build_snapshot
+    import dataclasses
+
+    from repro.core.metrics import TaskMetrics, WorkerMetrics
+    from repro.obs.telemetry import TelemetryHub
 
     n = 2_000 if quick else 20_000
     metrics = WorkerMetrics(
-        rank=0, o_tasks_run=4, a_tasks_run=2, records_sent=123_456,
-        blocks_sent=640, bytes_sent=1 << 22, envelopes_sent=80,
-        records_received=100_000, blocks_received=640,
+        rank=0, pid=os.getpid(), o_tasks_run=4, a_tasks_run=2,
+        records_sent=123_456, blocks_sent=640, bytes_sent=1 << 22,
+        envelopes_sent=80, records_received=100_000, blocks_received=640,
         phase_times={
             "compute": 1.25, "partition-sort": 0.4, "communicate": 0.8,
             "merge": 0.3, "checkpoint": 0.1, "control": 0.05,
         },
+        tasks=[TaskMetrics(task_id=i, kind="O") for i in range(4)],
+        queue={"pending": 3, "bytes_in": 4096, "posted": 1},
     )
-    queue_stats = {"pending": 3, "bytes_in": 4096}
     hub = TelemetryHub(ring=256)
 
     t0 = time.perf_counter()
-    for seq in range(n):
-        hub.ingest(build_snapshot(metrics, epoch=0, seq=seq, queue=queue_stats))
+    for _ in range(n):
+        hub.ingest(dataclasses.replace(metrics, tasks=[]))
     per_snapshot_s = (time.perf_counter() - t0) / n
 
     sweep = {

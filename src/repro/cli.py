@@ -32,7 +32,7 @@ console script, so ``repro trace <journal>`` works)::
     $ mpidrun trace /tmp/wc.jsonl --out trace.json   # chrome://tracing
 
 ``--telemetry`` turns on the live telemetry plane: every rank's heartbeat
-carries periodic metric snapshots to a driver-side hub exposed over RPC, and
+carries its metrics record to a driver-side hub exposed over RPC, and
 ``top`` polls it into a live per-rank table (or Prometheus text)::
 
     $ mpidrun --telemetry=/tmp/wc.endpoint --launcher=processes \\

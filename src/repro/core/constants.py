@@ -105,11 +105,11 @@ class MPI_D_Constants:
     TRACE_PATH = "mpi.d.trace.path"
 
     # -- live telemetry plane ------------------------------------------------------
-    #: ship per-rank telemetry snapshots to the driver's TelemetryHub
+    #: ship per-rank metrics records to the driver's TelemetryHub
     #: while the job runs (served over a SocketRpcServer for `repro top`
     #: and Prometheus scrapes)
     TELEMETRY_ENABLED = "mpi.d.telemetry.enabled"
-    #: snapshot shipping period per rank, seconds
+    #: record shipping period per rank, seconds
     TELEMETRY_INTERVAL_SECONDS = "mpi.d.telemetry.interval.seconds"
     #: write the hub's RPC endpoint address to this file so concurrent
     #: clients (`repro top`, scrapers) can find a running job

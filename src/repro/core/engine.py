@@ -16,7 +16,8 @@ and live telemetry reach mpidrun as one stream: its pulse.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
+import os
 import tempfile
 import threading
 import time
@@ -30,7 +31,14 @@ from repro.core.checkpoint import CheckpointManager, checkpoint_location
 from repro.core.constants import CONTROL_TAG, Mode, MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.job import DataMPIJob
-from repro.core.metrics import PhaseClock, WorkerMetrics, bind_clock, phase
+from repro.core.metrics import (
+    PhaseClock,
+    WorkerMetrics,
+    _process_cpu_seconds,
+    _process_rss_bytes,
+    bind_clock,
+    phase,
+)
 from repro.core.modes import (
     STREAM_LINGER_SECONDS,
     mode_is_pipelined,
@@ -41,9 +49,6 @@ from repro.core.partition import PartitionWindow
 from repro.core.shuffle import PlaneConfig, ShufflePlane, ShuffleService
 from repro.common.logging import get_logger
 from repro.obs.profiler import PROFILE_CAT, PROFILER
-# module, not name: obs.telemetry imports core.metrics, so when repro.obs
-# is imported first this line runs while obs.telemetry is still loading
-from repro.obs import telemetry as telemetry_mod
 from repro.obs.tracer import TRACER as _T
 from repro.serde.comparators import default_compare
 from repro.serde.serialization import get_serializer
@@ -85,12 +90,15 @@ class WorkerEngine:
         self.memory_budget = self.conf.get_bytes(K.MEMORY_CACHE_BYTES)
         self.window_fwd = PartitionWindow(job.a_tasks, nprocs)
         self.window_bwd = PartitionWindow(job.o_tasks, nprocs)
-        self.metrics = WorkerMetrics(rank=self.rank)
+        self.metrics = WorkerMetrics(
+            rank=self.rank, epoch=world.runtime.rank_epoch, pid=os.getpid()
+        )
         #: the main thread's lane, the only writer of this rank's time;
         #: whatever runs outside a ``phase(...)`` scope is control
         self.clock = PhaseClock("control")
-        #: guards the fold (the pulse thread runs it too)
-        self._fold_lock = threading.Lock()
+        #: guards the fold and the pulse's copy of the record (the pulse
+        #: thread folds too)
+        self._fold_lock = threading.RLock()
         self.state: dict = {}  # process-local cross-round state (Iteration)
         self.shuffle = ShuffleService(
             world,
@@ -101,7 +109,6 @@ class WorkerEngine:
         #: sampling rate; 0 = profiler off (the stack registry for live
         #: dumps is maintained regardless)
         self.profile_hz = self.conf.get_float(K.PROFILE_HZ)
-        self._prof_epoch = world.runtime.rank_epoch
         from repro.serde.registry import resolve_type
 
         self.key_class = resolve_type(self.conf.get(K.KEY_CLASS))
@@ -153,15 +160,24 @@ class WorkerEngine:
     def _report(self) -> None:
         self.parent.send(("report", self.rank, self.metrics), dest=0, tag=CONTROL_TAG)
 
+    def _sample_process(self) -> None:
+        """Read this process's CPU and RSS into the record; with tracing
+        on, also as counters on the calling thread's lane (the rank's)."""
+        cpu, rss = _process_cpu_seconds(), _process_rss_bytes()
+        self.metrics.process_cpu_seconds, self.metrics.process_rss_bytes = cpu, rss
+        if _T.enabled:
+            _T.counter("process.cpu.seconds", cpu)
+            _T.counter("process.rss.bytes", rss)
+
     def _fold(self) -> None:
         """Bring ``self.metrics`` up to date: the shuffle service's counters
         (``stats()`` keys are :class:`Counters` field names), the phase
         buckets — the main lane's clock as it reads now, plus the spill
         overlay, which accrues on whichever threads deliver this rank's
-        envelopes — and the wall, that
-        lane's total.  Called by the pulse for every snapshot and by
-        ``run`` ahead of the final report — the only reader of
-        ``shuffle.stats()`` and of the clock."""
+        envelopes — the wall, that lane's total, and the mailbox, process
+        and profiler readings.  Called by the pulse for every record it
+        sends and by ``run`` ahead of the final report — the only reader
+        of ``shuffle.stats()`` and of the clock."""
         with self._fold_lock:
             for name, value in self.shuffle.stats().items():
                 setattr(self.metrics, name, value)
@@ -171,14 +187,23 @@ class WorkerEngine:
             if spill > 0:
                 phases["spill"] = spill
             self.metrics.phase_times = phases
+            self.metrics.ts = time.time()
+            self._sample_process()
+            self.metrics.queue = self.world._my_endpoint().stats()
+            if self.profile_hz > 0:
+                self.metrics.profile = PROFILER.snapshot_for(
+                    self.rank, self.metrics.epoch
+                )
 
     # -- the pulse ---------------------------------------------------------------
     def _start_pulse(self) -> tuple[threading.Event, threading.Thread] | None:
-        """Send ``("hb", rank, snapshot)`` on ``CONTROL_TAG`` thirty times
+        """Send ``("hb", rank, record)`` on ``CONTROL_TAG`` thirty times
         per heartbeat deadline or once per telemetry interval, whichever
         is more often, so a rank deep in a long shuffle wait still proves
-        liveness.  ``snapshot`` is None with telemetry off; with it on,
-        the first goes at once and a parting one at stop."""
+        liveness.  ``record`` is None with telemetry off; with it on, a
+        copy of this rank's folded :class:`WorkerMetrics` without its
+        task table, the first at once.  With tracing on, every pulse
+        samples the process on this rank's lane."""
         every = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
         telemetry = self.conf.get_bool(K.TELEMETRY_ENABLED) and every > 0
         beat_every = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
@@ -186,25 +211,27 @@ class WorkerEngine:
         if not intervals:
             return None
         interval = min(intervals)
-        epoch = self.world.runtime.rank_epoch
-        endpoint = self.world._my_endpoint()
-        seqs = itertools.count()
         stop = threading.Event()
 
         def pulse() -> None:
-            snap = None
+            record = None
             if telemetry:
-                snap = self._telemetry_snapshot(epoch, endpoint, next(seqs))
-            self.parent.send(("hb", self.rank, snap), dest=0, tag=CONTROL_TAG)
+                with self._fold_lock:
+                    self._fold()
+                    # a copy: on threads the transport passes it by reference
+                    record = dataclasses.replace(self.metrics, tasks=[])
+            elif _T.enabled:
+                self._sample_process()
+            if not stop.is_set():  # the report is this rank's last word
+                self.parent.send(("hb", self.rank, record), dest=0, tag=CONTROL_TAG)
 
         def beat() -> None:
+            _T.bind(self.rank)
             try:
                 if telemetry:
                     pulse()
                 while not stop.wait(interval):
                     pulse()
-                if telemetry:
-                    pulse()  # the parting snapshot: final phase totals land
             except Exception:  # noqa: BLE001 - abort in flight; stop quietly
                 return
 
@@ -214,23 +241,12 @@ class WorkerEngine:
 
     @staticmethod
     def _stop_pulse(pulse: tuple[threading.Event, threading.Thread] | None) -> None:
-        """Stop the pulse and wait for its parting snapshot (idempotent)."""
+        """Stop the pulse and wait for its thread (idempotent)."""
         if pulse is None:
             return
         stop, thread = pulse
         stop.set()
         thread.join(timeout=2.0)
-
-    def _telemetry_snapshot(self, epoch: int, endpoint: Any, seq: int) -> dict:
-        self._fold()
-        snap = telemetry_mod.build_snapshot(
-            self.metrics, epoch, seq, queue=endpoint.stats()
-        )
-        if self.profile_hz > 0:
-            prof = PROFILER.snapshot_for(self.rank, epoch)
-            if prof is not None:
-                snap["profile"] = prof
-        return snap
 
     # -- task contexts -----------------------------------------------------------------
     def _make_o_context(
@@ -426,7 +442,7 @@ class WorkerEngine:
             # TaskMetrics.duration row, not a share of the rank's buckets
             lane = PhaseClock("merge")
             bind_clock(lane)
-            PROFILER.register_thread(self.rank, self._prof_epoch, lane)
+            PROFILER.register_thread(self.rank, self.metrics.epoch, lane)
             try:
                 ctx = self._make_a_context(task_id, round_no, fwd_plane, None)
                 self._execute(ctx, self.job.a_fn)
@@ -472,15 +488,17 @@ class WorkerEngine:
         bind_clock(self.clock)
         # the stack registry is always on (live DUMP captures work on an
         # unprofiled job); sampling only when profile_hz > 0
-        PROFILER.register_thread(self.rank, self._prof_epoch, self.clock)
+        PROFILER.register_thread(self.rank, self.metrics.epoch, self.clock)
         try:
             PROFILER.register_queue(
-                self.rank, self._prof_epoch, self.world._my_endpoint().stats
+                self.rank, self.metrics.epoch, self.world._my_endpoint().stats
             )
         except Exception:  # noqa: BLE001 - diagnostics never block startup
             pass
         if self.profile_hz > 0:
             PROFILER.acquire(self.profile_hz)
+        if _T.enabled:
+            self._sample_process()  # the utilization series' first point
         pulse = self._start_pulse()
         try:
             for round_no in range(rounds):
@@ -491,14 +509,9 @@ class WorkerEngine:
                     self._run_a_phase(round_no)
                 with phase("communicate"):
                     self.world.barrier()
-            # stop the clock first: the last fold and the parting
-            # snapshot then read the same frozen buckets
             self.clock.switch(None)
-            self._fold()
-            # the parting pulse is sent before the report, from this rank
-            # to mpidrun on the same tag: messages do not overtake, so
-            # the hub holds this rank's last word when it is marked done
             self._stop_pulse(pulse)
+            self._fold()
             self._report()
             return self.metrics
         finally:
@@ -516,7 +529,7 @@ class WorkerEngine:
             if self.profile_hz > 0:
                 PROFILER.release()
                 profile = PROFILER.collect(
-                    self.rank, self._prof_epoch, hz=self.profile_hz
+                    self.rank, self.metrics.epoch, hz=self.profile_hz
                 )
                 if profile["samples"]:
                     _T.instant("profiler.profile", cat=PROFILE_CAT, args=profile)
@@ -524,4 +537,4 @@ class WorkerEngine:
             _log.exception("failed to hand over profile for rank %d", self.rank)
         finally:
             PROFILER.unregister_thread()
-            PROFILER.unregister_queue(self.rank, self._prof_epoch)
+            PROFILER.unregister_queue(self.rank, self.metrics.epoch)

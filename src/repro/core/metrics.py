@@ -1,19 +1,28 @@
 """Job and task metrics: one record per rank, every report a view of it.
 
-:class:`WorkerMetrics` is the only thing a rank writes.  The driver sums
-the workers' :class:`Counters` into :class:`JobMetrics`; the telemetry
-snapshot, the journal summary, ``--metrics-json``, ``repro top`` and the
-Prometheus exposition are all derived from those two records, so a
-counter declared in :class:`Counters` reaches every one of them.
+:class:`WorkerMetrics` is the only thing a rank writes, and the only
+thing it sends: a copy rides every pulse to the telemetry hub, and the
+final report is the last record the hub files.  The driver sums the
+workers' :class:`Counters` into :class:`JobMetrics`; the journal
+summary, ``--metrics-json``, ``repro top`` and the Prometheus exposition
+are all derived from those two records, so a counter declared in
+:class:`Counters` reaches every one of them.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterator
+
+try:  # not on every platform; gate instead of hard-requiring
+    import resource as _resource
+except ImportError:  # pragma: no cover - non-POSIX
+    _resource = None
 
 #: the phases of a rank's main-thread lane: disjoint, and their sum is the
 #: worker's wall
@@ -31,6 +40,35 @@ OVERLAY_PHASES = ("spill",)
 def busy_seconds(phases: dict[str, float]) -> float:
     """The :data:`BUSY_PHASES` share of a rank's phase buckets."""
     return sum(phases.get(name, 0.0) for name in BUSY_PHASES)
+
+
+def _process_cpu_seconds() -> float:
+    """CPU time (user + system) of the calling process."""
+    t = os.times()
+    return t.user + t.system
+
+
+try:
+    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):  # non-POSIX
+    _PAGE_SIZE = 4096
+
+
+def _process_rss_bytes() -> float:
+    """Resident set size of the calling process, in bytes."""
+    # /proc/self/statm field 2 is *current* resident pages — the reading
+    # can go down after frees.  ru_maxrss is the lifetime high-water
+    # mark, kept only as the non-Linux fallback.
+    try:
+        with open("/proc/self/statm", "rb") as f:
+            return float(int(f.read().split()[1]) * _PAGE_SIZE)
+    except (OSError, ValueError, IndexError):
+        pass
+    if _resource is None:
+        return 0.0
+    # ru_maxrss is bytes on macOS, KiB everywhere else
+    rss = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+    return float(rss if sys.platform == "darwin" else rss * 1024)
 
 
 class PhaseClock:
@@ -150,6 +188,16 @@ class WorkerMetrics(Counters):
     """The one record a rank writes; merged into :class:`JobMetrics`."""
 
     rank: int = -1
+    #: the rank's incarnation (bumped by a surgical respawn)
+    epoch: int = 0
+    #: the OS process the rank runs in
+    pid: int = 0
+    #: ``time.time()`` of the last fold
+    ts: float = 0.0
+    #: :func:`_process_cpu_seconds` and :func:`_process_rss_bytes` at the
+    #: last fold
+    process_cpu_seconds: float = 0.0
+    process_rss_bytes: float = 0.0
     #: wall-clock seconds of this worker's engine loop: the total of its
     #: main-thread :class:`PhaseClock`
     wall_seconds: float = 0.0
@@ -159,12 +207,20 @@ class WorkerMetrics(Counters):
     phase_times: dict = field(default_factory=dict)
     #: every task attempt this worker executed, in execution order
     tasks: list = field(default_factory=list)
+    #: the mailbox's ``Endpoint.stats()`` at the last fold
+    queue: dict = field(default_factory=dict)
+    #: the sampling profiler's summary at the last fold (None unprofiled)
+    profile: dict | None = None
 
     def as_dict(self) -> dict:
-        """Everything but the per-task table (the journal's worker rows)."""
+        """The journal's worker row: no task table, queue or profile."""
         return {
             "rank": self.rank,
+            "epoch": self.epoch,
+            "pid": self.pid,
             "wall_seconds": self.wall_seconds,
+            "process_cpu_seconds": self.process_cpu_seconds,
+            "process_rss_bytes": self.process_rss_bytes,
             **self.counters(),
             "phase_times": dict(self.phase_times),
         }

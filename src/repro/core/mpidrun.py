@@ -44,7 +44,6 @@ from repro.mpi.runtime import BaseRuntime, create_runtime
 from repro.mpi.transport import FaultInjector
 from repro.common.logging import get_logger
 from repro.obs.journal import JournalWriter, merge_shards
-from repro.obs.metrics import WindowedSampler
 from repro.obs.tracer import TRACER as _T
 
 _log = get_logger("core.mpidrun")
@@ -148,10 +147,10 @@ class _TraceSession:
     """The flight recorder's lifecycle around one ``mpidrun`` call.
 
     Owns the process-wide :data:`~repro.obs.tracer.TRACER` for the
-    duration of the job, runs the windowed sampler alongside, and writes
-    the journal (meta + drained events + series + driver summary) on
-    close — also on the exception path, so a crashed run still leaves a
-    parsable journal prefix for ``repro trace``.
+    duration of the job and writes the journal (meta + drained events +
+    profiles + driver summary) on close — also on the exception path, so
+    a crashed run still leaves a parsable journal prefix for ``repro
+    trace``.
     """
 
     def __init__(self, job: DataMPIJob, conf: Any, nprocs: int) -> None:
@@ -165,8 +164,6 @@ class _TraceSession:
         self._closed = False
         _T.enable(job=job.name, nprocs=nprocs, mode=job.mode.value)
         _T.bind(-1)  # the driver/launcher thread
-        self.sampler = WindowedSampler()
-        self.sampler.start()
 
     @staticmethod
     def maybe(job: DataMPIJob, conf: Any, nprocs: int) -> "_TraceSession | None":
@@ -196,7 +193,6 @@ class _TraceSession:
         if self._closed:
             return self.path
         self._closed = True
-        self.sampler.stop()
         events = _T.drain()
         _T.disable()
         # process-backend workers leave per-process journal shards next to
@@ -233,8 +229,6 @@ class _TraceSession:
                 mode=self.job.mode.value,
             )
             writer.write_events(events)
-            for name, (times, values) in self.sampler.as_journal_series().items():
-                writer.write_series(name, times, values)
             for profile in profiles:
                 writer.write_profile(profile)
             writer.write_summary(summary)
@@ -272,7 +266,7 @@ class _TelemetrySession:
             self.doctor = Doctor(
                 self.hub,
                 DoctorConfig(
-                    # one evaluation per two snapshots of a rank
+                    # one evaluation per two records of a rank
                     interval=2 * conf.get_float(K.TELEMETRY_INTERVAL_SECONDS),
                     stall_seconds=conf.get_float(K.DOCTOR_STALL_SECONDS),
                 ),
@@ -324,8 +318,8 @@ class _TelemetrySession:
 
     def attach(self, runtime: BaseRuntime) -> None:
         """Bind this attempt's runtime: the scheduler files the ranks'
-        pulse snapshots in the hub and marks rank completion on it, and
-        rollups read live recovery counters off the runtime."""
+        pulse records and reports in the hub and marks rank completion on
+        it, and rollups read live recovery counters off the runtime."""
         runtime.telemetry_hub = self.hub
         self.hub.bind_runtime(runtime)
 
@@ -424,7 +418,7 @@ def mpidrun(
                 extra_conf[K.LOCAL_DIR] = scratch
             if telemetry is not None and telemetry.doctor is not None:
                 # the diagnosis engine reads live rollups, so pulses must
-                # carry telemetry snapshots even if the user only asked
+                # carry the ranks' records even if the user only asked
                 # for the doctor
                 extra_conf[K.TELEMETRY_ENABLED] = True
             attempt_job = dataclasses.replace(

@@ -169,9 +169,10 @@ def driver_main(
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}
     runtime = comm.runtime
-    # -- live telemetry: pulses carry the snapshots the hub files; it
-    # tracks world size and rank completion so `repro top` can show a
-    # status column and honest rollup denominators
+    # -- live telemetry: pulses carry the records the hub files, and a
+    # rank's report is the last; it tracks world size and rank completion
+    # so `repro top` can show a status column and honest rollup
+    # denominators
     telemetry_hub = runtime.telemetry_hub
     if telemetry_hub is not None:
         telemetry_hub.expect(nprocs)
@@ -249,16 +250,17 @@ def driver_main(
                 reply = ("task", task_id) if task_id is not None else ("none", None)
                 inter.send(reply, dest=worker, tag=CONTROL_TAG)
             elif kind == "hb":
-                _, worker, snap = message
+                _, worker, record = message
                 supervisor.beat(worker)
-                if snap is not None and telemetry_hub is not None:
-                    telemetry_hub.ingest(snap)
+                if record is not None and telemetry_hub is not None:
+                    telemetry_hub.ingest(record)
             elif kind == "report":
                 _, worker, metrics = message
                 supervisor.beat(worker)
                 supervisor.finish(worker)
                 reports[worker] = metrics
                 if telemetry_hub is not None:
+                    telemetry_hub.ingest(metrics)
                     telemetry_hub.mark_done(worker)
                 if _T.enabled:
                     _T.instant(

@@ -1,6 +1,6 @@
 """Observability: the flight recorder threaded through the whole stack.
 
-Three pieces, all designed to cost nothing when off:
+The pieces, all designed to cost nothing when off:
 
 * :mod:`repro.obs.tracer` — nestable spans, instant events and counter
   samples recorded per thread into lock-free (thread-local) buffers.
@@ -9,15 +9,14 @@ Three pieces, all designed to cost nothing when off:
   checkpoint) talk to; its ``enabled`` flag is the only thing a
   disabled hot path ever touches.
 * :mod:`repro.obs.journal` — the per-job JSONL event journal and the
-  Chrome ``chrome://tracing`` / Perfetto ``trace.json`` exporter.
-* :mod:`repro.obs.metrics` — process CPU/RSS readings and the
-  :class:`WindowedSampler` that records them on an interval thread into
-  Fig-11-style utilization time series.
-* :mod:`repro.obs.telemetry` — the live telemetry plane: the snapshot
-  of a rank's :class:`~repro.core.metrics.WorkerMetrics` record and the
-  driver-side :class:`TelemetryHub` that merges snapshots into cluster
-  rollups behind a Prometheus/RPC endpoint (see docs/OBSERVABILITY.md
-  and ``repro top``).
+  Chrome ``chrome://tracing`` / Perfetto ``trace.json`` exporter.  A
+  traced rank samples its own process CPU and RSS as tracer counters on
+  its lane: the Fig-11-style utilization series.
+* :mod:`repro.obs.telemetry` — the live telemetry plane: the
+  driver-side :class:`TelemetryHub` that files each rank's
+  :class:`~repro.core.metrics.WorkerMetrics` record, as its pulse
+  carries it, and merges the records into cluster rollups behind a
+  Prometheus/RPC endpoint (see docs/OBSERVABILITY.md and ``repro top``).
 
 The counters themselves live in :mod:`repro.core.metrics`: one record
 per rank, of which every report here is a view.
@@ -35,8 +34,7 @@ from repro.obs.journal import (
     to_chrome_trace,
     write_journal,
 )
-from repro.obs.metrics import WindowedSampler
-from repro.obs.telemetry import TelemetryHub, build_snapshot
+from repro.obs.telemetry import TelemetryHub
 
 __all__ = [
     "TRACER",
@@ -44,8 +42,6 @@ __all__ = [
     "Tracer",
     "Journal",
     "JournalWriter",
-    "WindowedSampler",
-    "build_snapshot",
     "export_chrome",
     "flow_id",
     "read_journal",

@@ -10,9 +10,9 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   busy = compute + partition-sort + merge + checkpoint; waiting phases
   are excluded because ranks blocked *on* the straggler mirror its
   wall) over a threshold; the finding attributes the slow rank's time
-  using the profile summary riding its telemetry snapshots ("82% of
+  using the profile summary riding its telemetry records ("82% of
   samples in sorter.merge under merge");
-* *stall*: a live rank whose snapshots keep arriving but which made no
+* *stall*: a live rank whose records keep arriving but which made no
   *progress* for longer than the stall window — its busy buckets stood
   still and it sent, received and finished nothing.  A rank's phase
   clock always advances (a blocked rank accrues ``communicate``), so
@@ -20,7 +20,7 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   are the shape of a rank wedged inside a shuffle wait, and
   automatically trigger an **all-rank stack capture** over the
   DUMP_REQ wire frame;
-* *silent*: a rank that stopped reporting entirely (snapshots aged out);
+* *silent*: a rank that stopped reporting entirely (records aged out);
 * *redelivery churn*: recovery counters (respawns, redelivered frames,
   replays dropped) still climbing between evaluations;
 * *shuffle skew*: max rank bytes-sent over the median, above threshold.
@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 from repro.common.logging import get_logger
 from repro.core.constants import MPI_D_Constants as K
-from repro.core.metrics import busy_seconds
+from repro.core.metrics import WorkerMetrics, busy_seconds
 from repro.core.modes import default_of
 
 _log = get_logger("obs.doctor")
@@ -62,7 +62,7 @@ _SEV_SKEW = 1.0
 
 @dataclass
 class DoctorConfig:
-    #: evaluation period: every second telemetry snapshot
+    #: evaluation period: every second telemetry record
     interval: float = 2 * default_of(K.TELEMETRY_INTERVAL_SECONDS)
     #: busy-time ratio over the median that flags a straggler
     straggler_threshold: float = 2.0
@@ -74,11 +74,11 @@ class DoctorConfig:
     capture_backoff: float = 2.0
 
 
-def _phase_attribution(snap: dict[str, Any]) -> dict[str, Any]:
+def _phase_attribution(record: WorkerMetrics) -> dict[str, Any]:
     """Attribute a rank's time: prefer profiler samples (mechanism),
     fall back to phase-bucket wall times (symptom)."""
-    profile = snap.get("profile") or {}
-    samples = int(profile.get("samples", 0) or 0)
+    profile = record.profile or {}
+    samples = profile.get("samples", 0)
     if samples > 0:
         phases: dict[str, int] = dict(profile.get("phases", {}))
         top_phase = max(phases, key=phases.get) if phases else ""
@@ -95,7 +95,7 @@ def _phase_attribution(snap: dict[str, Any]) -> dict[str, Any]:
             "top_stack": top_stack,
             "samples": samples,
         }
-    phases_s: dict[str, float] = dict(snap.get("phases", {}))
+    phases_s: dict[str, float] = dict(record.phase_times)
     phases_s.pop("spill", None)  # overlay, not wall coverage
     wall = sum(phases_s.values())
     top_phase = max(phases_s, key=phases_s.get) if phases_s else ""
@@ -332,13 +332,13 @@ class Doctor:
         }]
 
     def _attribution_for(self, rank: int) -> dict[str, Any]:
-        snap = self.hub.latest().get(rank)
-        if snap is None:
+        record = self.hub.latest().get(rank)
+        if record is None:
             return {
                 "source": "none", "phase": "", "phase_pct": 0.0,
                 "top_stack": "", "samples": 0,
             }
-        return _phase_attribution(snap)
+        return _phase_attribution(record)
 
     # -- capture ---------------------------------------------------------------
     def capture(self, reason: str = "manual") -> dict:

@@ -150,7 +150,7 @@ def summarize_journal(journal: Journal, n_tasks: int = 10) -> dict[str, Any]:
                 "replays_dropped",
             )
         },
-        "series": sorted(journal.series),
+        "series": sorted({e.get("name", "?") for e in journal.counters}),
     }
 
 

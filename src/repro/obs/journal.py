@@ -5,11 +5,13 @@ each tagged with a ``type``:
 
 * ``meta``    — job name, nprocs, mode, attempt count, schema version
 * ``event``   — one tracer event (``ph`` is ``X`` span / ``i`` instant /
-  ``C`` counter; ``ts``/``dur`` in seconds relative to the job epoch)
-* ``series``  — one windowed metrics time series (``times``/``values``)
+  ``C`` counter; ``ts``/``dur`` in seconds relative to the job epoch).
+  A rank's utilization series are its ``process.cpu.seconds`` and
+  ``process.rss.bytes`` counters, sampled on its own lane
+* ``profile`` — one rank's sampling-profiler aggregate
 * ``summary`` — driver-side digest: ``JobMetrics.as_dict()`` (counters,
   merged phase times, per-task metrics), one ``WorkerMetrics.as_dict()``
-  row per worker, failure timeline
+  row per worker (CPU and RSS included), failure timeline
 
 The format is append-friendly (a crashed run still has a parsable
 prefix) and greppable.  :func:`to_chrome_trace` converts a journal to
@@ -63,13 +65,6 @@ class JournalWriter:
         for event in events:
             self.write_event(event)
 
-    def write_series(
-        self, name: str, times: list[float], values: list[float]
-    ) -> None:
-        self._write(
-            {"type": "series", "name": name, "times": times, "values": values}
-        )
-
     def write_profile(self, profile: dict) -> None:
         """One rank's sampling-profiler aggregate (collapsed stacks per
         phase bucket; see :mod:`repro.obs.profiler`)."""
@@ -95,7 +90,6 @@ class Journal:
 
     meta: dict = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
-    series: dict[str, tuple[list[float], list[float]]] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     #: sampling-profiler aggregates, one per (rank, epoch)
     profiles: list[dict] = field(default_factory=list)
@@ -117,15 +111,12 @@ def write_journal(
     path: str,
     meta: dict,
     events: Iterable[dict],
-    series: dict[str, tuple[list[float], list[float]]] | None = None,
     summary: dict | None = None,
 ) -> str:
     """One-shot journal write; returns ``path``."""
     with JournalWriter(path) as w:
         w.write_meta(**meta)
         w.write_events(events)
-        for name, (times, values) in (series or {}).items():
-            w.write_series(name, times, values)
         if summary is not None:
             w.write_summary(summary)
     return path
@@ -180,7 +171,8 @@ def merge_shards(journal_path: str, cleanup: bool = True) -> list[dict]:
 
 
 def read_journal(path: str) -> Journal:
-    """Parse a JSONL journal (tolerates a truncated final line)."""
+    """Parse a JSONL journal (tolerates a truncated final line and
+    skips record types it does not know)."""
     journal = Journal()
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -196,10 +188,6 @@ def read_journal(path: str) -> Journal:
                 journal.meta = record
             elif kind == "event":
                 journal.events.append(record)
-            elif kind == "series":
-                journal.series[record["name"]] = (
-                    record["times"], record["values"]
-                )
             elif kind == "summary":
                 journal.summary = record
             elif kind == "profile":
@@ -298,15 +286,6 @@ def to_chrome_trace(journal: Journal) -> dict:
         else:
             continue
         trace_events.append(out)
-
-    for name, (times, values) in journal.series.items():
-        for t, v in zip(times, values):
-            trace_events.append(
-                {
-                    "ph": "C", "pid": 0, "tid": 0, "name": name,
-                    "ts": round(t * 1e6, 3), "args": {"value": v},
-                }
-            )
 
     return {
         "traceEvents": trace_events,

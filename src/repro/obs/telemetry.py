@@ -2,22 +2,22 @@
 
 The flight recorder (:mod:`repro.obs.journal`) is post-hoc — nothing is
 inspectable until ``mpidrun`` returns.  This module is the *live* half:
-while a job runs, each rank's engine snapshots its
-:class:`~repro.core.metrics.WorkerMetrics` record (counters and phase
-buckets), its mailbox depth and its process CPU/RSS on an interval
+while a job runs, each rank folds its
+:class:`~repro.core.metrics.WorkerMetrics` record (counters, phase
+buckets, mailbox depth, process CPU/RSS) on an interval
 (``mpi.d.telemetry.interval.seconds``, or more often when the heartbeat
-deadline asks for it) and sends the snapshot in its heartbeat, the
-``("hb", rank, snapshot)`` pulse on the parent intercommunicator's
-control tag.  mpidrun's serve loop beats the rank's liveness clock and
-files the snapshot in the hub, on both launchers: one channel, so
-whatever cuts a rank's traffic (a severed rank, a dead connection) cuts
-its telemetry too, and the parting snapshot cannot overtake the rank's
-final report.
+deadline asks for it) and sends a copy of it, task table left out, in
+its heartbeat: the ``("hb", rank, record)`` pulse on the parent
+intercommunicator's control tag.  mpidrun's serve loop beats the rank's
+liveness clock and files the record in the hub, on both launchers: one
+channel, so whatever cuts a rank's traffic (a severed rank, a dead
+connection) cuts its telemetry too.  The rank's final report is the
+last record the hub files for it.
 
 The driver-side :class:`TelemetryHub` keeps a bounded ring per
 ``(rank, epoch)`` series — a reincarnated rank gets a *new* series, so
 its counters never clobber its predecessor's — and merges the latest
-snapshots into cluster rollups: per-phase p50/p99, a straggler score
+records into cluster rollups: per-phase p50/p99, a straggler score
 (slowest rank's busy time vs median), shuffle skew (max bytes sent vs
 median) and live recovery counts read off the runtime at scrape time.
 
@@ -34,23 +34,20 @@ the driver starts next to the job (its address is written to
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from collections import deque
 from typing import Any, Callable
 
+from repro.common.stats import percentile
 from repro.core.metrics import (
     COVERAGE_PHASES,
     WorkerMetrics,
     busy_seconds,
     recovery_counts,
 )
-from repro.obs.metrics import _process_cpu_seconds, _process_rss_bytes
 
-__all__ = [
-    "TelemetryHub", "build_snapshot", "format_top_table", "COVERAGE_PHASES",
-]
+__all__ = ["TelemetryHub", "format_top_table", "COVERAGE_PHASES"]
 
 
 def _escape_label_value(value: Any) -> str:
@@ -78,69 +75,8 @@ def _fmt_value(value: Any, fmt: str = "{:.6f}", fallback: float = 0.0) -> str:
     return fmt.format(number)
 
 
-def _as_int(value: Any, fallback: int = 0) -> int:
-    """Defensive int coercion: snapshots cross the wire from rank code
-    and may carry NaN/None where a count belongs."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        return fallback
-    if math.isnan(number) or math.isinf(number):
-        return fallback
-    return int(number)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Linear-interpolation percentile without the numpy dependency —
-    snapshots are small (one value per rank) and the hub must import
-    even where ``repro.common.stats`` (numpy) is unavailable."""
-    if not values:
-        return 0.0
-    data = sorted(values)
-    if len(data) == 1:
-        return data[0]
-    pos = (len(data) - 1) * (q / 100.0)
-    lo = int(pos)
-    hi = min(lo + 1, len(data) - 1)
-    frac = pos - lo
-    return data[lo] * (1.0 - frac) + data[hi] * frac
-
-
-def build_snapshot(
-    metrics: WorkerMetrics,
-    epoch: int,
-    seq: int,
-    queue: dict[str, int] | None = None,
-) -> dict[str, Any]:
-    """One rank-side telemetry snapshot: the rank's metrics record — its
-    counters and phase buckets, never the per-task table — plus the
-    mailbox and process readings.  A plain dict: it crosses the wire
-    pickled and must stay cheap to build on the pulse thread."""
-    return {
-        "rank": metrics.rank,
-        "epoch": epoch,
-        "seq": seq,
-        "pid": os.getpid(),
-        "ts": time.time(),
-        "counters": metrics.counters(),
-        "phases": dict(metrics.phase_times),
-        "queue": dict(queue or {}),
-        "process": {
-            "cpu_seconds": _process_cpu_seconds(),
-            "rss_bytes": _process_rss_bytes(),
-        },
-    }
-
-
-def _wall(snap: dict[str, Any]) -> float:
-    """Seconds a rank has run: its disjoint buckets (the ``spill``
-    overlay runs concurrently and would count the same time twice)."""
-    phases = snap.get("phases", {})
-    return sum(float(phases.get(phase, 0.0)) for phase in COVERAGE_PHASES)
-
-
 class TelemetryHub:
-    """Driver-side aggregator of per-rank telemetry series.
+    """Driver-side aggregator of per-rank :class:`WorkerMetrics` series.
 
     Series are keyed by ``(rank, epoch)`` in bounded rings: a respawned
     rank reports under a bumped epoch and therefore under a *fresh* key,
@@ -191,16 +127,17 @@ class TelemetryHub:
             self._done.add(rank)
 
     # -- write path -----------------------------------------------------------
-    def ingest(self, snap: dict[str, Any]) -> None:
-        """Accept one snapshot (mpidrun's serve loop, from a pulse)."""
-        if not isinstance(snap, dict) or "rank" not in snap:
+    def ingest(self, record: WorkerMetrics) -> None:
+        """File one record (mpidrun's serve loop: a pulse's, or the
+        rank's final report)."""
+        if not isinstance(record, WorkerMetrics):
             return
-        key = (int(snap["rank"]), int(snap.get("epoch", 0)))
+        key = (record.rank, record.epoch)
         with self._lock:
             ring = self._series.get(key)
             if ring is None:
                 ring = self._series[key] = deque(maxlen=self._ring)
-            ring.append(snap)
+            ring.append(record)
             self.snapshots_ingested += 1
 
     def ingest_dump(self, dump: dict[str, Any]) -> None:
@@ -215,7 +152,7 @@ class TelemetryHub:
             self._dumped.notify_all()
 
     def wait_dumps(self, since: float, timeout: float) -> bool:
-        """Block until every running rank — one with a snapshot here and
+        """Block until every running rank — one with a record here and
         no final report — has a dump stamped at or after ``since``
         (``time.time()``), for at most ``timeout`` seconds; True when
         they all have."""
@@ -244,100 +181,81 @@ class TelemetryHub:
         with self._lock:
             return sorted(self._series)
 
-    def series(self, rank: int, epoch: int = 0) -> list[dict[str, Any]]:
+    def series(self, rank: int, epoch: int = 0) -> list[WorkerMetrics]:
         with self._lock:
             return list(self._series.get((rank, epoch), ()))
 
-    def latest(self) -> dict[int, dict[str, Any]]:
-        """Newest snapshot per rank, from that rank's highest epoch."""
+    def latest(self) -> dict[int, WorkerMetrics]:
+        """Newest record per rank, from that rank's highest epoch."""
         with self._lock:
-            best: dict[int, tuple[int, dict[str, Any]]] = {}
+            best: dict[int, tuple[int, WorkerMetrics]] = {}
             for (rank, epoch), ring in self._series.items():
                 if not ring:
                     continue
                 held = best.get(rank)
                 if held is None or epoch > held[0]:
                     best[rank] = (epoch, ring[-1])
-            return {rank: snap for rank, (_e, snap) in best.items()}
+            return {rank: record for rank, (_e, record) in best.items()}
 
     def per_rank(self) -> list[dict[str, Any]]:
         """One row per live rank for the ``repro top`` table."""
         with self._lock:
             done = set(self._done)
         rows = []
-        for rank, snap in sorted(self.latest().items()):
-            phases = snap.get("phases", {})
-            counters = snap.get("counters", {})
-            q = snap.get("queue", {})
+        for rank, record in sorted(self.latest().items()):
             rows.append(
                 {
                     "rank": rank,
-                    "epoch": snap.get("epoch", 0),
-                    "pid": snap.get("pid", 0),
-                    "seq": snap.get("seq", 0),
-                    "age_s": round(time.time() - snap.get("ts", 0.0), 3),
-                    "phases": {k: round(v, 4) for k, v in phases.items()},
-                    "wall_s": round(_wall(snap), 4),
-                    "bytes_sent": _as_int(counters.get("bytes_sent", 0)),
-                    "records_received": _as_int(counters.get("records_received", 0)),
-                    "pending": _as_int(q.get("pending", 0)),
-                    "bytes_in": _as_int(q.get("bytes_in", 0)),
-                    "cpu_s": round(
-                        snap.get("process", {}).get("cpu_seconds", 0.0), 3
-                    ),
-                    "rss_mb": round(
-                        snap.get("process", {}).get("rss_bytes", 0.0) / 2**20, 1
-                    ),
-                    "tasks": {
-                        "o": _as_int(counters.get("o_tasks_run", 0)),
-                        "a": _as_int(counters.get("a_tasks_run", 0)),
+                    "epoch": record.epoch,
+                    "pid": record.pid,
+                    "age_s": round(time.time() - record.ts, 3),
+                    "phases": {
+                        k: round(v, 4) for k, v in record.phase_times.items()
                     },
+                    "wall_s": round(record.wall_seconds, 4),
+                    "bytes_sent": record.bytes_sent,
+                    "records_received": record.records_received,
+                    "pending": record.queue.get("pending", 0),
+                    "bytes_in": record.queue.get("bytes_in", 0),
+                    "cpu_s": round(record.process_cpu_seconds, 3),
+                    "rss_mb": round(record.process_rss_bytes / 2**20, 1),
+                    "tasks": {"o": record.o_tasks_run, "a": record.a_tasks_run},
                     "status": "done" if rank in done else "running",
                 }
             )
         return rows
 
     def rollups(self) -> dict[str, Any]:
-        """Cluster-level view computed from the latest snapshot per rank."""
-        latest = self.latest()
+        """Cluster-level view computed from the latest record per rank."""
+        latest = self.latest().values()
         phase_q: dict[str, dict[str, float]] = {}
         for phase in COVERAGE_PHASES:
-            values = [
-                float(s.get("phases", {}).get(phase, 0.0))
-                for s in latest.values()
-            ]
+            values = [r.phase_times.get(phase, 0.0) for r in latest]
             values = [v for v in values if v > 0.0]
             if values:
                 phase_q[phase] = {
-                    "p50": round(_percentile(values, 50.0), 6),
-                    "p99": round(_percentile(values, 99.0), 6),
+                    "p50": round(percentile(values, 50.0), 6),
+                    "p99": round(percentile(values, 99.0), 6),
                     "max": round(max(values), 6),
                     "ranks": len(values),
                 }
         # busy time, not wall: ranks *waiting* on a straggler accrue the same
         # wall in communicate as the straggler does working
-        busys = [busy_seconds(s.get("phases", {})) for s in latest.values()]
+        busys = [busy_seconds(r.phase_times) for r in latest]
         straggler = 0.0
         if busys and max(busys) > 0.0:
             # ranks that did (almost) no work can push the median to zero —
             # floor it at 1ms so the score stays finite and comparable
-            straggler = round(max(busys) / max(_percentile(busys, 50.0), 1e-3), 4)
-        sent = [
-            float(s.get("counters", {}).get("bytes_sent", 0))
-            for s in latest.values()
-        ]
+            straggler = round(max(busys) / max(percentile(busys, 50.0), 1e-3), 4)
         recovery = recovery_counts(self._runtime)
         for name in ("replays_dropped", "duplicates_dropped"):
-            recovery[name] = sum(
-                _as_int(s.get("counters", {}).get(name, 0))
-                for s in latest.values()
-            )
+            recovery[name] = sum(getattr(r, name) for r in latest)
 
         def skew(values: list[float]) -> float:
             positive = [v for v in values if v > 0.0]
             if not positive:
                 return 0.0
-            med = _percentile(positive, 50.0)
+            med = percentile(positive, 50.0)
             return round(max(positive) / med, 4) if med > 0 else 0.0
 
         with self._lock:
@@ -351,7 +269,7 @@ class TelemetryHub:
             "uptime_s": round(time.time() - self._t0, 3),
             "phases": phase_q,
             "straggler_score": straggler,
-            "shuffle_skew": skew(sent),
+            "shuffle_skew": skew([r.bytes_sent for r in latest]),
             "recovery": recovery,
         }
 
@@ -373,8 +291,8 @@ class TelemetryHub:
         latest = self.latest()
         family("datampi_phase_seconds", "gauge",
                "Cumulative seconds per engine phase bucket, per rank.")
-        for rank, snap in sorted(latest.items()):
-            for phase, seconds in sorted(snap.get("phases", {}).items()):
+        for rank, record in sorted(latest.items()):
+            for phase, seconds in sorted(record.phase_times.items()):
                 lines.append(
                     f'datampi_phase_seconds{{rank="{rank}",'
                     f'phase="{_escape_label_value(phase)}"}}'
@@ -382,7 +300,7 @@ class TelemetryHub:
                 )
         rollups = self.rollups()
         family("datampi_phase_quantile_seconds", "gauge",
-               "Cross-rank phase time quantiles (latest snapshot per rank).")
+               "Cross-rank phase time quantiles (latest record per rank).")
         for phase, quantiles in sorted(rollups["phases"].items()):
             for q_name in ("p50", "p99"):
                 quantile = "0.5" if q_name == "p50" else "0.99"
@@ -404,33 +322,30 @@ class TelemetryHub:
         family("datampi_process_rss_bytes", "gauge",
                "Current resident set size, per rank.")
         family("datampi_telemetry_snapshots_total", "counter",
-               "Snapshots received from each (rank, epoch) series.")
-        for rank, snap in sorted(latest.items()):
-            counters = snap.get("counters", {})
-            q = snap.get("queue", {})
-            process = snap.get("process", {})
+               "Records received from each (rank, epoch) series.")
+        for rank, record in sorted(latest.items()):
             label = f'rank="{rank}"'
             lines.append(
-                f"datampi_shuffle_bytes_sent_total{{{label}}}"
-                f" {_as_int(counters.get('bytes_sent', 0))}"
+                f"datampi_shuffle_bytes_sent_total{{{label}}} {record.bytes_sent}"
             )
             lines.append(
                 f"datampi_shuffle_records_received_total{{{label}}}"
-                f" {_as_int(counters.get('records_received', 0))}"
+                f" {record.records_received}"
             )
             lines.append(
-                f"datampi_queue_pending{{{label}}} {_as_int(q.get('pending', 0))}"
+                f"datampi_queue_pending{{{label}}}"
+                f" {record.queue.get('pending', 0)}"
             )
             lines.append(
-                f"datampi_queue_bytes{{{label}}} {_as_int(q.get('bytes_in', 0))}"
+                f"datampi_queue_bytes{{{label}}} {record.queue.get('bytes_in', 0)}"
             )
             lines.append(
                 f"datampi_process_cpu_seconds_total{{{label}}}"
-                f" {_fmt_value(process.get('cpu_seconds', 0.0), '{:.3f}')}"
+                f" {_fmt_value(record.process_cpu_seconds, '{:.3f}')}"
             )
             lines.append(
                 f"datampi_process_rss_bytes{{{label}}}"
-                f" {_fmt_value(process.get('rss_bytes', 0.0), '{:.0f}')}"
+                f" {_fmt_value(record.process_rss_bytes, '{:.0f}')}"
             )
         with self._lock:
             per_series = {
@@ -443,11 +358,11 @@ class TelemetryHub:
             )
         family("datampi_rank_counter_total", "counter",
                "Every counter of the rank's metrics record, by name.")
-        for rank, snap in sorted(latest.items()):
-            for name, value in sorted(snap.get("counters", {}).items()):
+        for rank, record in sorted(latest.items()):
+            for name, value in sorted(record.counters().items()):
                 lines.append(
                     f'datampi_rank_counter_total{{rank="{rank}",'
-                    f'counter="{_escape_label_value(name)}"}} {_as_int(value)}'
+                    f'counter="{_escape_label_value(name)}"}} {value}'
                 )
         family("datampi_straggler_score", "gauge",
                "Slowest rank busy time over the median (1.0 = balanced).")
@@ -465,10 +380,10 @@ class TelemetryHub:
         for counter, value in sorted(recovery.items()):
             lines.append(
                 f'datampi_recovery_total{{event="{_escape_label_value(counter)}"}}'
-                f" {_as_int(value)}"
+                f" {value}"
             )
         family("datampi_ranks_reporting", "gauge",
-               "Ranks with at least one telemetry snapshot.")
+               "Ranks with at least one telemetry record.")
         lines.append(f"datampi_ranks_reporting {rollups['ranks_reporting']}")
         family("datampi_ranks_done", "gauge",
                "Ranks whose final report reached the scheduler.")

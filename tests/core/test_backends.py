@@ -170,6 +170,29 @@ class TestThreadModel:
             if launcher == "processes":
                 assert len(beating) == 1, names  # its own rank's, only
 
+    def test_a_traced_job_starts_no_sampler_thread(
+        self, tmp_path, launcher, monkeypatch
+    ):
+        """A rank samples its own CPU and RSS on its pulse: the driver
+        runs no sampler of its own."""
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        job = common_job(
+            "traced-threads", lambda ctx: ctx.send(ctx.rank, ctx.rank),
+            lambda ctx: list(ctx.recv_iter()), o_tasks=2, a_tasks=2,
+            conf={K.LAUNCHER: launcher,
+                  K.TRACE_PATH: str(tmp_path / "job.trace.jsonl")},
+        )
+        assert mpidrun(job, nprocs=2, raise_on_error=True).success
+        assert started  # the recorder saw the job's threads
+        assert "obs-sampler" not in started, started
+
 
 class TestModesOnProcesses:
     """Common / Iteration / Streaming semantics on the process backend."""

@@ -187,11 +187,9 @@ class TestADefaultIsWrittenOnce:
 
     def test_derived_periods_keep_the_pairs_the_keys_had(self):
         from repro.obs.doctor import DoctorConfig
-        from repro.obs.metrics import WindowedSampler
 
         assert default_of(K.HEARTBEAT_DEADLINE_SECONDS) / 30 == 0.5
         assert DoctorConfig().interval == 0.5
-        assert WindowedSampler().interval == 0.25
 
 
 class TestJobValidation:

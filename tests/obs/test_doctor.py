@@ -27,7 +27,7 @@ from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import WorkerMetrics
 from repro.mpi import FaultInjector
 from repro.obs.doctor import Doctor, DoctorConfig, render_report
-from repro.obs.telemetry import TelemetryHub, build_snapshot
+from repro.obs.telemetry import TelemetryHub
 
 from tests.core.helpers import (
     FileCollector,
@@ -39,15 +39,13 @@ from tests.core.helpers import (
 _mpidrun_mod = importlib.import_module("repro.core.mpidrun")
 
 
-def _snap(rank, epoch=0, seq=0, wall=1.0, bytes_sent=0, pending=0, **over):
-    metrics = WorkerMetrics(
-        rank=rank, bytes_sent=bytes_sent, phase_times={"compute": wall}
+def _record(rank, epoch=0, wall=1.0, bytes_sent=0, pending=0, **over):
+    fields = dict(
+        rank=rank, epoch=epoch, bytes_sent=bytes_sent, ts=time.time(),
+        phase_times={"compute": wall}, wall_seconds=wall,
+        queue={"pending": pending, "bytes_in": 0},
     )
-    snap = build_snapshot(
-        metrics, epoch, seq, queue={"pending": pending, "bytes_in": 0}
-    )
-    snap.update(over)
-    return snap
+    return WorkerMetrics(**{**fields, **over})
 
 
 # -- signatures, one by one -------------------------------------------------------
@@ -65,10 +63,10 @@ class TestStallSignature:
 
     def test_frozen_phase_clock_with_live_snapshots_is_a_stall(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
-        hub.ingest(_snap(0, wall=1.0))
+        hub.ingest(_record(0, wall=1.0))
         assert doctor.evaluate() == []  # first sighting just records progress
         now[0] = 10.0
-        hub.ingest(_snap(0, seq=1, wall=1.0))  # fresh snapshot, same wall
+        hub.ingest(_record(0, wall=1.0))  # fresh record, same wall
         (finding,) = doctor.evaluate()
         assert finding["kind"] == "stall"
         assert finding["rank"] == 0
@@ -76,23 +74,24 @@ class TestStallSignature:
 
     def test_progress_clears_the_stall(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
-        hub.ingest(_snap(0, wall=1.0))
+        hub.ingest(_record(0, wall=1.0))
         doctor.evaluate()
         now[0] = 10.0
-        hub.ingest(_snap(0, seq=1, wall=1.0))
+        hub.ingest(_record(0, wall=1.0))
         assert doctor.evaluate()
-        hub.ingest(_snap(0, seq=2, wall=2.0))  # the wait returned
+        hub.ingest(_record(0, wall=2.0))  # the wait returned
         assert doctor.evaluate() == []
 
     def test_waiting_time_is_not_progress(self):
         # the phase clock is live: a wedged rank's communicate bucket (and
         # so its wall) keeps growing, which must not clear the stall
         hub, doctor, now = self.make(stall_seconds=5.0)
-        for seq, waited in enumerate((0.0, 10.0)):
+        for waited in (0.0, 10.0):
             now[0] = waited
-            snap = _snap(0, seq=seq, wall=1.0)
-            snap["phases"]["communicate"] = waited
-            hub.ingest(snap)
+            hub.ingest(_record(
+                0, phase_times={"compute": 1.0, "communicate": waited},
+                wall_seconds=1.0 + waited,
+            ))
             findings = doctor.evaluate()
         assert [f["kind"] for f in findings] == ["stall"]
         assert "at wall 11.00s" in findings[0]["summary"]
@@ -101,18 +100,15 @@ class TestStallSignature:
         # busy time flat (a rank waiting in communicate) but records keep
         # arriving: its peers are feeding it, nothing is wedged
         hub, doctor, now = self.make(stall_seconds=5.0)
-        for seq in range(3):
-            now[0] = 10.0 * seq
-            snap = _snap(0, seq=seq, wall=1.0)
-            snap["counters"]["records_received"] = 100 * seq
-            hub.ingest(snap)
+        for n in range(3):
+            now[0] = 10.0 * n
+            hub.ingest(_record(0, wall=1.0, records_received=100 * n))
             assert doctor.evaluate() == []
 
     def test_aged_out_rank_is_silent_not_stalled(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
-        stale = _snap(0, wall=1.0)
-        stale["ts"] = time.time() - 30  # last heard half a minute ago
-        hub.ingest(stale)
+        # last heard half a minute ago
+        hub.ingest(_record(0, wall=1.0, ts=time.time() - 30))
         doctor.evaluate()
         now[0] = 10.0
         (finding,) = doctor.evaluate()
@@ -121,7 +117,7 @@ class TestStallSignature:
 
     def test_done_ranks_never_stall(self):
         hub, doctor, now = self.make(stall_seconds=5.0)
-        hub.ingest(_snap(0, wall=1.0))
+        hub.ingest(_record(0, wall=1.0))
         doctor.evaluate()
         hub.mark_done(0)
         now[0] = 60.0
@@ -131,16 +127,14 @@ class TestStallSignature:
 class TestStragglerSignature:
     def test_profile_attribution_names_the_hot_frame(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, wall=1.0, bytes_sent=100))
-        hub.ingest(_snap(1, wall=1.0, bytes_sent=100))
-        slow = _snap(2, wall=8.0, bytes_sent=800)
-        slow["profile"] = {
+        hub.ingest(_record(0, wall=1.0, bytes_sent=100))
+        hub.ingest(_record(1, wall=1.0, bytes_sent=100))
+        hub.ingest(_record(2, wall=8.0, bytes_sent=800, profile={
             "samples": 100,
             "phases": {"merge": 82, "communicate": 18},
             "top": [["merge", "engine.run;sorter.merge", 60],
                     ["communicate", "engine.run;plane.wait", 18]],
-        }
-        hub.ingest(slow)
+        }))
         doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
         findings = doctor.evaluate()
         assert findings[0]["kind"] == "straggler"  # outranks the skew hint
@@ -156,9 +150,9 @@ class TestStragglerSignature:
 
     def test_phase_clock_fallback_without_a_profile(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, wall=1.0))
-        hub.ingest(_snap(1, wall=1.0))
-        hub.ingest(_snap(2, wall=9.0))  # no profile summary attached
+        hub.ingest(_record(0, wall=1.0))
+        hub.ingest(_record(1, wall=1.0))
+        hub.ingest(_record(2, wall=9.0))  # no profile summary attached
         doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
         findings = [f for f in doctor.evaluate() if f["kind"] == "straggler"]
         assert findings[0]["details"]["source"] == "phases"
@@ -167,8 +161,8 @@ class TestStragglerSignature:
 
     def test_below_threshold_is_quiet(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, wall=1.0))
-        hub.ingest(_snap(1, wall=1.5))
+        hub.ingest(_record(0, wall=1.0))
+        hub.ingest(_record(1, wall=1.5))
         doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
         assert [f for f in doctor.evaluate() if f["kind"] == "straggler"] == []
 
@@ -228,7 +222,7 @@ class TestCapture:
         later (a DUMP_REQ reply); rank 2 is done and owes none."""
         hub = TelemetryHub()
         for rank in (0, 1, 2):
-            hub.ingest(_snap(rank, wall=1.0))
+            hub.ingest(_record(rank, wall=1.0))
         hub.mark_done(2)
 
         def dump(rank):
@@ -248,7 +242,7 @@ class TestCapture:
 
     def test_a_rank_that_never_dumps_costs_the_grace_window_only(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, wall=1.0))
+        hub.ingest(_record(0, wall=1.0))
         # a dump older than the request does not count
         hub.ingest_dump({"rank": 0, "epoch": 0, "ts": time.time() - 60})
         assert hub.wait_dumps(time.time(), 0.05) is False
@@ -482,9 +476,9 @@ def served_doctor(tmp_path):
     from repro.rpc.server import SocketRpcServer
 
     hub = TelemetryHub(job="wc")
-    hub.ingest(_snap(0, wall=1.0))
-    hub.ingest(_snap(1, wall=1.0))
-    hub.ingest(_snap(2, wall=9.0))
+    hub.ingest(_record(0, wall=1.0))
+    hub.ingest(_record(1, wall=1.0))
+    hub.ingest(_record(2, wall=9.0))
     doctor = Doctor(hub, DoctorConfig(capture_grace=0.0), job="wc")
     doctor.evaluate()
     server = SocketRpcServer(

@@ -57,7 +57,7 @@ class TestTracedRun:
         assert j.meta["nprocs"] == 2
         assert j.spans, "expected span events"
         assert j.summary["success"] is True
-        assert "process.cpu.seconds" in j.series
+        assert "process.cpu.seconds" in {e["name"] for e in j.counters}
 
     def test_task_spans_cover_every_attempt(self, traced_result):
         result, path = traced_result
@@ -88,6 +88,26 @@ class TestTracedRun:
         # phase accounting is always on, tracing or not
         assert result.metrics.phase_times
         assert len(result.metrics.tasks) == 4
+
+
+class TestUtilizationSeries:
+    def test_every_rank_samples_its_own_process_on_its_lane(
+        self, tmp_path, launcher
+    ):
+        path = str(tmp_path / "util.trace.jsonl")
+        conf = {K.LAUNCHER: launcher, K.TRACE_PATH: path}
+        result = mpidrun(_job("util", conf), nprocs=2, raise_on_error=True)
+        journal = read_journal(path)
+        for name in ("process.cpu.seconds", "process.rss.bytes"):
+            lanes = [e["rank"] for e in journal.counters if e["name"] == name]
+            # one sample at start and one at the final fold, at least
+            assert all(lanes.count(rank) >= 2 for rank in (0, 1)), lanes
+            assert set(lanes) == {0, 1}  # none on the driver's lane (-1)
+        assert "process.cpu.seconds" in summarize_journal(journal)["series"]
+        workers = journal.summary["workers"]
+        assert [w["rank"] for w in workers] == [0, 1]
+        assert all(w["process_rss_bytes"] > 0 for w in workers)
+        assert result.success
 
 
 class TestTaskMetricsTable:

@@ -33,7 +33,6 @@ class TestRoundTrip:
             path,
             meta={"job": "t", "nprocs": 2},
             events=_sample_events(),
-            series={"cpu": ([0.0, 1.0], [10.0, 20.0])},
             summary={"wall_seconds": 1.5, "phase_times": {"compute": 1.0}},
         )
         j = read_journal(path)
@@ -42,8 +41,7 @@ class TestRoundTrip:
         assert len(j.events) == 3
         assert len(j.spans) == 1
         assert len(j.instants) == 1
-        assert len(j.counters) == 1
-        assert j.series["cpu"] == ([0.0, 1.0], [10.0, 20.0])
+        assert j.counters[0]["args"] == {"value": 42}
         assert j.summary["wall_seconds"] == 1.5
 
     def test_writer_is_a_context_manager(self, tmp_path):
@@ -96,11 +94,7 @@ class TestShards:
 
 class TestChromeExport:
     def test_structure_and_units(self):
-        j = Journal(
-            meta={"job": "t"},
-            events=_sample_events(),
-            series={"cpu": ([1.0], [50.0])},
-        )
+        j = Journal(meta={"job": "t"}, events=_sample_events())
         trace = to_chrome_trace(j)
         assert trace["displayTimeUnit"] == "ms"
         events = trace["traceEvents"]
@@ -114,11 +108,10 @@ class TestChromeExport:
         names = [e for e in events if e["ph"] == "M"]
         assert any(e["name"] == "process_name" for e in names)
         assert any(e["name"] == "thread_name" for e in names)
-        # series flatten to counter samples
-        assert any(
-            e["ph"] == "C" and e["name"] == "cpu" and e["args"]["value"] == 50.0
-            for e in events
-        )
+        # a counter sample renders on its rank's lane
+        counter = next(e for e in events if e["ph"] == "C")
+        assert (counter["name"], counter["pid"]) == ("bytes", 0)
+        assert counter["args"] == {"value": 42}
 
     def test_driver_rank_lands_on_pid_zero(self):
         j = Journal(events=[{"ph": "i", "ts": 0.0, "name": "d", "tid": "Main",

@@ -2,14 +2,14 @@
 
 * a counter declared once in ``Counters`` reaches the merged
   ``JobMetrics``, ``--metrics-json``, the journal summary, the telemetry
-  snapshot and the Prometheus exposition;
-* the parting telemetry snapshot the hub holds for a rank *is* that
-  rank's reported record;
+  hub and the Prometheus exposition;
+* the last record the hub holds for a rank *is* that rank's reported
+  record, task table included;
 * a rank's disjoint phase buckets add up to its wall — also in Streaming
   mode, where each A task runs on a lane of its own;
 * the phases the profiler's samples carry are the rank's bucket names,
   ``partition-sort`` included;
-* a snapshot taken while a task runs already holds the task's time.
+* a record a pulse sends while a task runs already holds the task's time.
 """
 
 import importlib
@@ -28,7 +28,7 @@ from repro.core.metrics import (
 from repro.core.modes import profile_for
 from repro.core.scheduler import merge_reports
 from repro.obs.journal import read_journal
-from repro.obs.telemetry import TelemetryHub, build_snapshot
+from repro.obs.telemetry import TelemetryHub
 
 from tests.core.helpers import (
     FileCollector,
@@ -74,12 +74,12 @@ class TestEveryCounterReachesEveryView:
         session.close(JobResult("spine", True, metrics=job), reports)
         hub = TelemetryHub()
         for wm in reports.values():
-            hub.ingest(build_snapshot(wm, epoch=0, seq=0))
+            hub.ingest(wm)
         return reports, job, read_journal(path).summary, hub
 
     def test_the_counters_are_the_fields_declared_once(self):
         ints = [f.name for f in fields(WorkerMetrics) if f.type == "int"]
-        assert ints == [*COUNTER_NAMES, "rank"]
+        assert ints == [*COUNTER_NAMES, "rank", "epoch", "pid"]
         assert len(set(COUNTER_NAMES)) == len(COUNTER_NAMES) >= 13
 
     @pytest.mark.parametrize("index,name", list(enumerate(COUNTER_NAMES)))
@@ -91,7 +91,7 @@ class TestEveryCounterReachesEveryView:
         assert summary[name] == sum(per_rank)
         assert [w[name] for w in summary["workers"]] == per_rank
         latest = hub.latest()
-        assert [latest[r]["counters"][name] for r in (0, 1)] == per_rank
+        assert [getattr(latest[r], name) for r in (0, 1)] == per_rank
         text = hub.prometheus_text()
         for rank, value in enumerate(per_rank):
             assert (
@@ -131,13 +131,15 @@ class TestReportsAgree:
         latest = hub.latest()
         assert sorted(latest) == [w["rank"] for w in workers] == [0, 1]
         for w in workers:
-            snap = latest[w["rank"]]
-            assert snap["counters"] == {name: w[name] for name in COUNTER_NAMES}
-            assert snap["phases"] == w["phase_times"]
+            record = latest[w["rank"]]
+            assert record.as_dict() == w
+            assert record.tasks == [
+                t for t in result.metrics.tasks if t.worker == w["rank"]
+            ]
         # ... and the job's totals are the sum of what the hub holds
         for name in COUNTER_NAMES:
             assert getattr(result.metrics, name) == sum(
-                snap["counters"][name] for snap in latest.values()
+                getattr(record, name) for record in latest.values()
             )
         assert result.metrics.records_sent > 0
         assert result.metrics.envelopes_sent > 0
@@ -266,7 +268,6 @@ class TestInstrumentsAgree:
         hub = captured_hub["hub"]
         for rank in (0, 1):
             mid_task = [
-                snap for snap in hub.series(rank)
-                if snap["counters"]["o_tasks_run"] == 0
+                record for record in hub.series(rank) if record.o_tasks_run == 0
             ]
-            assert max(_explained(snap["phases"]) for snap in mid_task) >= 0.9
+            assert max(_explained(r.phase_times) for r in mid_task) >= 0.9

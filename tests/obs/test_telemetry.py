@@ -1,8 +1,8 @@
-"""The live telemetry plane: snapshots, hub rollups, scraping, flows.
+"""The live telemetry plane: pulse records, hub rollups, scraping, flows.
 
 Covers the tentpole invariants:
 
-* per-rank snapshots ship while the job runs and a concurrent client
+* per-rank records ship while the job runs and a concurrent client
   can scrape Prometheus text / per-rank tables over RPC mid-run;
 * the hub keys series by ``(rank, epoch)`` so a respawned rank's
   reborn incarnation never clobbers its predecessor's history;
@@ -13,19 +13,21 @@ Covers the tentpole invariants:
 
 import json
 import os
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import DataMPIJob, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
-from repro.core.metrics import WorkerMetrics
+from repro.core import metrics as metrics_mod
+from repro.core.metrics import WorkerMetrics, _process_rss_bytes
 from repro.mpi import FaultInjector
 from repro.obs.journal import Journal, merge_shards, read_journal, to_chrome_trace
 from repro.obs.inspect import format_report, summarize_journal
-from repro.obs.metrics import _process_rss_bytes
-from repro.obs.telemetry import COVERAGE_PHASES, TelemetryHub, build_snapshot
+from repro.obs.telemetry import TelemetryHub
 from repro.obs.tracer import flow_id
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
@@ -67,41 +69,73 @@ class TestProcessRss:
             # allocation churn between the two reads
             assert abs(rss - statm) / statm < 0.5
 
+    @pytest.mark.parametrize("platform,maxrss", [
+        ("darwin", 300 << 20),  # bytes
+        ("linux", 300 << 10),  # KiB
+    ])
+    def test_the_fallback_reads_ru_maxrss_in_the_platform_unit(
+        self, monkeypatch, platform, maxrss
+    ):
+        def unreadable(*_args, **_kwargs):
+            raise OSError("no /proc here")
 
-# -- snapshots --------------------------------------------------------------------
+        usage = SimpleNamespace(ru_maxrss=maxrss)
+        monkeypatch.setattr(metrics_mod, "open", unreadable, raising=False)
+        monkeypatch.setattr(metrics_mod, "_resource", SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda _who: usage,
+        ))
+        monkeypatch.setattr(sys, "platform", platform)
+        assert _process_rss_bytes() == float(300 << 20)
 
 
-class TestBuildSnapshot:
-    def test_snapshot_shape(self):
-        metrics = WorkerMetrics(
-            rank=2, bytes_sent=10, o_tasks_run=3, a_tasks_run=1,
-            phase_times={"compute": 0.5}, tasks=["not shipped"],
-        )
-        snap = build_snapshot(
-            metrics, epoch=1, seq=5, queue={"pending": 1, "bytes_in": 64}
-        )
-        assert set(snap) == {
-            "rank", "epoch", "seq", "pid", "ts", "counters", "phases",
-            "queue", "process",
+# -- the record a pulse sends -----------------------------------------------------
+
+
+class TestPulseRecord:
+    @pytest.fixture
+    def hub(self, tmp_path, launcher, captured_hub):
+        conf = {
+            K.LAUNCHER: launcher,
+            K.TELEMETRY_ENABLED: True,
+            K.TELEMETRY_INTERVAL_SECONDS: 0.05,
         }
-        assert snap["rank"] == 2
-        assert snap["epoch"] == 1
-        assert snap["seq"] == 5
-        assert snap["pid"] == os.getpid()
-        assert snap["counters"] == metrics.counters()
-        assert snap["phases"] == {"compute": 0.5}
-        assert snap["queue"] == {"pending": 1, "bytes_in": 64}
-        assert snap["process"]["rss_bytes"] > 0
-        assert snap["process"]["cpu_seconds"] >= 0
+        out = FileCollector(tmp_path / "out")
+        mpidrun(
+            _wordcount_job("tele-record", conf, TEXTS, out), nprocs=2,
+            timeout=120.0, raise_on_error=True,
+        )
+        return captured_hub["hub"]
+
+    def test_a_pulse_sends_the_record_but_no_task_table(self, hub):
+        for rank in (0, 1):
+            *pulses, report = hub.series(rank)
+            assert pulses, "the first pulse goes at once"
+            assert report.tasks  # the report is the last record filed
+            for record in pulses:
+                assert isinstance(record, WorkerMetrics)
+                assert record.tasks == []
+                assert (record.rank, record.epoch) == (rank, 0)
+                assert record.pid > 0 and record.ts > 0
+                # os.times() ticks at 10 ms: a small forked rank reads 0.0
+                assert record.process_cpu_seconds >= 0
+                assert record.process_rss_bytes > 0
+                assert {"pending", "bytes_in"} <= set(record.queue)
+                assert record.profile is None  # unprofiled
+
+    def test_each_process_rank_reports_its_own_pid(self, hub, launcher):
+        pids = [hub.latest()[rank].pid for rank in (0, 1)]
+        if launcher == "threads":
+            assert pids == [os.getpid()] * 2
+        else:
+            assert len(set(pids)) == 2 and os.getpid() not in pids
 
 
-def _snap(rank, epoch=0, seq=0, wall=1.0, bytes_sent=0, **over):
-    metrics = WorkerMetrics(
-        rank=rank, bytes_sent=bytes_sent, phase_times={"compute": wall}
+def _record(rank, epoch=0, wall=1.0, bytes_sent=0, **over):
+    fields = dict(
+        rank=rank, epoch=epoch, bytes_sent=bytes_sent, ts=time.time(),
+        phase_times={"compute": wall}, wall_seconds=wall,
     )
-    snap = build_snapshot(metrics, epoch, seq, queue={"pending": 0, "bytes_in": 0})
-    snap.update(over)
-    return snap
+    return WorkerMetrics(**{**fields, **over})
 
 
 # -- the hub ----------------------------------------------------------------------
@@ -110,9 +144,9 @@ def _snap(rank, epoch=0, seq=0, wall=1.0, bytes_sent=0, **over):
 class TestTelemetryHub:
     def test_series_keyed_by_rank_and_epoch(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, epoch=0, seq=0))
-        hub.ingest(_snap(0, epoch=0, seq=1))
-        hub.ingest(_snap(0, epoch=1, seq=0))  # reborn incarnation
+        hub.ingest(_record(0, epoch=0))
+        hub.ingest(_record(0, epoch=0))
+        hub.ingest(_record(0, epoch=1))  # reborn incarnation
         assert set(hub.series_keys()) == {(0, 0), (0, 1)}
         # the predecessor's history survives the respawn
         assert len(hub.series(0, epoch=0)) == 2
@@ -120,18 +154,18 @@ class TestTelemetryHub:
 
     def test_latest_prefers_the_highest_epoch(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, epoch=0, seq=9))
-        hub.ingest(_snap(0, epoch=1, seq=0))
+        hub.ingest(_record(0, epoch=0))
+        hub.ingest(_record(0, epoch=1))
         latest = hub.latest()
-        assert latest[0]["epoch"] == 1
+        assert latest[0].epoch == 1
 
     def test_ring_is_bounded(self):
         hub = TelemetryHub(ring=4)
-        for seq in range(32):
-            hub.ingest(_snap(1, seq=seq))
+        for n in range(32):
+            hub.ingest(_record(1, records_sent=n))
         series = hub.series(1)
-        assert len(series) == 4
-        assert series[-1]["seq"] == 31  # keeps the newest
+        # keeps the newest, in arrival order
+        assert [record.records_sent for record in series] == [28, 29, 30, 31]
 
     def test_malformed_snapshots_are_dropped_not_fatal(self):
         hub = TelemetryHub()
@@ -147,7 +181,10 @@ class TestTelemetryHub:
         for rank, busy in enumerate([1.0, 1.0, 1.0, 3.0]):
             # every rank ends at the same wall: the fast ones wait
             phases = {"compute": busy, "communicate": 3.0 - busy}
-            hub.ingest(_snap(rank, bytes_sent=100 * (rank + 1), phases=phases))
+            hub.ingest(_record(
+                rank, bytes_sent=100 * (rank + 1), phase_times=phases,
+                wall_seconds=3.0,
+            ))
         hub.mark_done(0)
         rollups = hub.rollups()
         assert rollups["ranks_expected"] == 4
@@ -166,16 +203,16 @@ class TestTelemetryHub:
         # spill accrues on the receiver thread while the disjoint buckets
         # run: adding it would report more wall than the rank ran
         hub = TelemetryHub()
-        hub.ingest(_snap(0, phases={"compute": 1.0, "spill": 5.0}))
-        hub.ingest(_snap(1, phases={"compute": 1.0}))
+        hub.ingest(_record(0, phase_times={"compute": 1.0, "spill": 5.0}))
+        hub.ingest(_record(1))
         assert [row["wall_s"] for row in hub.per_rank()] == [1.0, 1.0]
         assert hub.rollups()["straggler_score"] == pytest.approx(1.0)
 
     def test_prometheus_text_exposition(self):
         hub = TelemetryHub()
         hub.expect(2)
-        hub.ingest(_snap(0, wall=0.5, bytes_sent=128))
-        hub.ingest(_snap(1, epoch=1, wall=0.7))
+        hub.ingest(_record(0, wall=0.5, bytes_sent=128))
+        hub.ingest(_record(1, epoch=1, wall=0.7))
         text = hub.prometheus_text()
         assert text.endswith("\n")
         for family in (
@@ -196,7 +233,7 @@ class TestTelemetryHub:
 
     def test_rpc_target_exposes_the_scrape_methods(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0))
+        hub.ingest(_record(0))
         target = hub.rpc_target()
         assert "# HELP" in target["telemetry_scrape"]()
         assert target["telemetry_ranks"]()[0]["rank"] == 0
@@ -357,7 +394,7 @@ class TestLiveTelemetry:
         # both lives kept their own series; latest() follows the new one
         assert len(hub.series(rank, epoch=0)) >= 1
         assert len(hub.series(rank, epoch=1)) >= 1
-        assert hub.latest()[rank]["epoch"] == 1
+        assert hub.latest()[rank].epoch == 1
         assert hub.rollups()["recovery"]["respawns"] >= 1
 
 
@@ -480,8 +517,8 @@ class TestReproTop:
 
         hub = TelemetryHub()
         hub.expect(2)
-        hub.ingest(_snap(0, wall=0.5, bytes_sent=100))
-        hub.ingest(_snap(1, wall=0.6, bytes_sent=200))
+        hub.ingest(_record(0, wall=0.5, bytes_sent=100))
+        hub.ingest(_record(1, wall=0.6, bytes_sent=200))
         hub.mark_done(1)
         server = SocketRpcServer(hub.rpc_target(), num_handlers=2,
                                  name="test-telemetry")
@@ -567,7 +604,7 @@ class TestPrometheusEdgeCases:
 
     def test_phase_label_escaping(self):
         hub = TelemetryHub()
-        hub.ingest(_snap(0, phases={'ph"ase\\x\n': 1.0}))
+        hub.ingest(_record(0, phase_times={'ph"ase\\x\n': 1.0}))
         text = hub.prometheus_text()
         line = next(
             l for l in text.splitlines() if l.startswith("datampi_phase_seconds")
@@ -584,10 +621,10 @@ class TestPrometheusEdgeCases:
 
     def test_nan_and_inf_render_as_prometheus_spellings(self):
         hub = TelemetryHub()
-        snap = _snap(0, phases={"compute": float("nan")})
-        snap["process"] = {"cpu_seconds": float("inf"),
-                           "rss_bytes": float("-inf")}
-        hub.ingest(snap)
+        hub.ingest(_record(
+            0, phase_times={"compute": float("nan")},
+            process_cpu_seconds=float("inf"), process_rss_bytes=float("-inf"),
+        ))
         text = hub.prometheus_text()
         phase_line = next(
             l for l in text.splitlines()
@@ -610,28 +647,12 @@ class TestPrometheusEdgeCases:
                 continue
             assert _EXPOSITION_LINE.match(line), f"malformed line: {line!r}"
 
-    def test_nan_counters_fall_back_to_zero_integers(self):
-        hub = TelemetryHub()
-        snap = _snap(0)
-        snap["shuffle"] = {"bytes_sent": float("nan"),
-                           "records_received": "not-a-number"}
-        snap["queue"] = {"pending": float("inf"), "bytes_in": None}
-        hub.ingest(snap)
-        text = hub.prometheus_text()
-        for name in ("datampi_shuffle_bytes_sent_total",
-                     "datampi_shuffle_records_received_total",
-                     "datampi_queue_pending", "datampi_queue_bytes"):
-            line = next(l for l in text.splitlines() if l.startswith(name))
-            assert line.endswith(" 0"), line  # counters stay integral
-        row = hub.per_rank()[0]
-        assert row["bytes_sent"] == 0 and row["pending"] == 0
-
     def test_weird_rank_table_values_do_not_break_top(self):
         from repro.obs.telemetry import format_top_table
 
         hub = TelemetryHub()
-        snap = _snap(3)
-        snap["shuffle"] = {"bytes_sent": float("nan"), "records_received": 0}
-        hub.ingest(snap)
+        hub.ingest(_record(
+            3, process_cpu_seconds=float("nan"), process_rss_bytes=float("inf"),
+        ))
         rendered = format_top_table(hub.per_rank(), hub.rollups())
         assert "   3 " in rendered
