@@ -47,17 +47,20 @@ def test_fig01b_rpc_latency_model(benchmark, emit):
 
 
 def test_fig01b_functional_rpc_roundtrip(benchmark):
-    """Measure the *real* in-process RPC engines on the same frames."""
-    from repro.rpc.client import HadoopRpcClient
-    from repro.rpc.server import HadoopRpcServer
+    """Measure the *real* Hadoop-style RPC engine on the same frames."""
+    from repro.rpc.client import SocketRpcClient
+    from repro.rpc.server import SocketRpcServer
 
-    server = HadoopRpcServer({"echo": lambda x: x}, num_handlers=2).start()
-    client = HadoopRpcClient(server)
+    server = SocketRpcServer({"echo": lambda x: x}, num_handlers=2).start()
+    client = SocketRpcClient(server.address)
     payload = b"x" * 1024
 
     def call():
         return client.call("echo", payload)
 
-    result = benchmark(call)
-    assert result == payload
-    server.stop()
+    try:
+        result = benchmark(call)
+        assert result == payload
+    finally:
+        client.close()
+        server.stop()

@@ -9,6 +9,7 @@ emits — producing output identical to a run that never failed.
 Run:  python examples/fault_tolerance.py
 """
 
+import shutil
 import tempfile
 import threading
 
@@ -53,6 +54,15 @@ def build_job(out: dict, ft_dir: str, crash_after: int):
 
 def main() -> None:
     ft_dir = tempfile.mkdtemp(prefix="datampi-ft-demo-")
+    ref_dir = tempfile.mkdtemp(prefix="datampi-ft-ref-")
+    try:
+        demo(ft_dir, ref_dir)
+    finally:
+        shutil.rmtree(ft_dir, ignore_errors=True)
+        shutil.rmtree(ref_dir, ignore_errors=True)
+
+
+def demo(ft_dir: str, ref_dir: str) -> None:
     print(f"checkpoint directory: {ft_dir}\n")
 
     # --- run 1: inject a crash in O task 1 after 60 emitted records -------
@@ -77,7 +87,6 @@ def main() -> None:
 
     # --- reference: a run that never failed -------------------------------------
     reference: dict = {}
-    ref_dir = tempfile.mkdtemp(prefix="datampi-ft-ref-")
     mpidrun(build_job(reference, ref_dir, crash_after=-1), nprocs=2,
             raise_on_error=True)
     assert recovered_out == reference

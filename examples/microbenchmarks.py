@@ -13,8 +13,8 @@ import time
 
 from repro.net.bandwidth import summarize_figure_1a
 from repro.net.latency import summarize_figure_1b
-from repro.rpc.client import DataMPIRpcClient, HadoopRpcClient, RpcProxy
-from repro.rpc.server import DataMPIRpcServer, HadoopRpcServer
+from repro.rpc.client import DataMPIRpcClient, RpcProxy, SocketRpcClient
+from repro.rpc.server import DataMPIRpcServer, SocketRpcServer
 from repro.mpi import run_world
 
 
@@ -30,17 +30,19 @@ def functional_rpc_demo() -> None:
         def renew_lease(self, client_id):
             return True
 
-    server = HadoopRpcServer(NameNodeProtocol(), num_handlers=4).start()
-    proxy = RpcProxy(HadoopRpcClient(server))
+    server = SocketRpcServer(NameNodeProtocol(), num_handlers=4).start()
+    client = SocketRpcClient(server.address)
+    proxy = RpcProxy(client)
     t0 = time.perf_counter()
     calls = 200
     for _ in range(calls):
         proxy.renew_lease("client-1")
     hadoop_us = (time.perf_counter() - t0) / calls * 1e6
     locations = proxy.get_block_locations("/data/part-0", 0, 1 << 20)
+    client.close()
     server.stop()
     print(f"Hadoop-style RPC: {calls} calls, {hadoop_us:.1f} us/call"
-          f" (in-process); sample reply: {locations}")
+          f" (local socket); sample reply: {locations}")
 
     def mpi_world(comm):
         if comm.rank == 0:

@@ -214,8 +214,9 @@ class CheckpointReader:
 
 def checkpoint_location(conf: Any, job_name: str) -> tuple[str, str]:
     """``(ft_dir, job_id)`` of a job's checkpoint directory — derived
-    here only, so the ranks' round files and the driver's rank manifests
-    land in the same place whatever the job left unset."""
+    here only, so the ranks that write the round files and the driver
+    that removes them after a successful job agree on the place
+    whatever the job left unset."""
     return (
         conf.get(K.FT_DIR) or tempfile.gettempdir(),
         conf.get_str(K.JOB_ID, job_name),
@@ -266,63 +267,22 @@ class CheckpointManager:
 
     def clear(self) -> None:
         """Remove all checkpoints (job completed)."""
-        if not os.path.isdir(self.directory):
-            return
-        for name in os.listdir(self.directory):
-            if name.endswith((".ckpt", ".tmp", ".bad")):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except FileNotFoundError:
-                    pass
-        try:
-            os.rmdir(self.directory)
-        except OSError:
-            pass
+        remove_rounds(self.directory)
 
 
-# -- rank-scoped resume manifests (surgical rank recovery) --------------------
-def _manifest_path(ft_dir: str, job_id: str, worker: int) -> str:
-    return os.path.join(ft_dir, job_id, f"rank_{worker}.manifest.json")
-
-
-def write_rank_manifest(
-    ft_dir: str, job_id: str, worker: int, payload: dict
-) -> str:
-    """Persist one rank's recovery manifest (epoch, tasks requeued, …).
-
-    Written by the driver when it respawns a single rank, scoping the
-    resume to that rank's failure domain: the manifest records exactly
-    which incarnation is authoritative and what was replayed, and the
-    reborn rank's O tasks reload their own ``cp_o<task>_*`` rounds — the
-    whole-job checkpoint set is never touched.  Write is atomic
-    (temp + rename), same crash discipline as round files.
-    """
-    import json
-
-    directory = os.path.join(ft_dir, job_id)
-    os.makedirs(directory, exist_ok=True)
-    path = _manifest_path(ft_dir, job_id, worker)
-    manifest = dict(payload)
-    manifest["worker"] = worker
-    manifest["respawns"] = read_rank_manifest(ft_dir, job_id, worker).get(
-        "respawns", 0
-    ) + 1
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-    os.replace(tmp, path)
-    return path
-
-
-def read_rank_manifest(ft_dir: str, job_id: str, worker: int) -> dict:
-    """The rank's recovery manifest, or ``{}`` when it never respawned
-    (or the manifest is unreadable — recovery state is advisory)."""
-    import json
-
+def remove_rounds(directory: str) -> None:
+    """Remove a job's round files, then its directory if that left it
+    empty.  ``mpidrun`` calls it after a successful FT job, so the next
+    job of the same name replays nothing of this one's."""
+    if not os.path.isdir(directory):
+        return
+    for name in os.listdir(directory):
+        if name.endswith((".ckpt", ".tmp", ".bad")):
+            try:
+                os.unlink(os.path.join(directory, name))
+            except FileNotFoundError:
+                pass
     try:
-        with open(
-            _manifest_path(ft_dir, job_id, worker), encoding="utf-8"
-        ) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return {}
+        os.rmdir(directory)
+    except OSError:
+        pass

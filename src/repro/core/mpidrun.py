@@ -13,11 +13,12 @@ one-rank world, which spawns the working processes and schedules tasks.
 and ``mpi.d.job.max.restarts`` > 0 a failed attempt is automatically
 rerun — with exponential backoff, on a fresh runtime, under the same
 stable job id so the checkpoint reload path (Figure 13's "Job Reload
-Checkpoint") replays every round the previous attempt persisted.  The
-failure history of all attempts travels on the returned
-:class:`~repro.core.metrics.JobResult` as structured records, and a
-single task failing ``mpi.d.task.max.attempts`` times stops the retry
-loop early — restarting cannot fix a deterministic bug.
+Checkpoint") replays every round the previous attempt persisted; a job
+that succeeds removes its rounds.  The failure history of all attempts
+travels on the returned :class:`~repro.core.metrics.JobResult` as
+structured records, and a single task failing
+``mpi.d.task.max.attempts`` times stops the retry loop early —
+restarting cannot fix a deterministic bug.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Any
 from repro.common.errors import (
     FAILURE_KINDS, DataMPIError, FailureRecord, JobFailedError,
 )
+from repro.core.checkpoint import checkpoint_location, remove_rounds
 from repro.core.constants import Mode, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics, recovery_counts
@@ -468,6 +470,10 @@ def mpidrun(
                 )
                 break
             add_recovery(runtime)
+            if ft_enabled:
+                # a failed attempt keeps its rounds for the rerun; a
+                # finished job's would replay into the next of its name
+                remove_rounds(os.path.join(*checkpoint_location(conf, job.name)))
             metrics = dataclasses.replace(
                 merge_reports(reports),
                 duration=time.perf_counter() - start,

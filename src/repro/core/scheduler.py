@@ -26,7 +26,6 @@ from typing import Any
 
 from repro.common.errors import DataMPIError, FailureRecord, JobFailedError
 from repro.common.logging import get_logger
-from repro.core.checkpoint import checkpoint_location, write_rank_manifest
 from repro.core.constants import CONTROL_TAG, MPI_D_Constants as K
 from repro.core.job import DataMPIJob
 from repro.core.metrics import JobMetrics, WorkerMetrics
@@ -191,17 +190,6 @@ def driver_main(
             return False
         requeued = scheduler.requeue_worker(worker)
         supervisor.reset(worker)
-        if conf.get_bool(K.FT_ENABLED):
-            write_rank_manifest(
-                *checkpoint_location(conf, job.name),
-                worker,
-                {
-                    "gid": gid,
-                    "epoch": epoch,
-                    "attempt": attempt,
-                    "tasks_requeued": requeued,
-                },
-            )
         if _T.enabled:
             _T.instant(
                 "recovery.respawn", cat="recovery",

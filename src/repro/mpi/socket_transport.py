@@ -53,8 +53,10 @@ Both ends implement the one runtime contract
 (:class:`~repro.mpi.runtime.BaseRuntime`): :class:`WorkerRuntime` is a
 ``BaseRuntime`` whose transport is a :class:`WorkerTransport` and which
 overrides only the calls that have to cross the wire — each forwarded by
-name in the one call frame, ``RPC_REQ (req_id, method, params)``
-(``req_id`` 0: no reply wanted), to :attr:`RouterTransport.calls`.
+name as an ``RPC_REQ`` frame carrying a :class:`~repro.rpc.protocol.RpcCall`
+(``call_id`` 0: no reply wanted), which the router dispatches to
+:attr:`RouterTransport.calls` through the RPC layer's
+:class:`~repro.rpc.server.HandlerRegistry`.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from repro.net.wire import FrameConnection, FrameKind
 from repro.obs.journal import shard_path, write_shard
 from repro.obs.profiler import PROFILER
 from repro.obs.tracer import TRACER as _T
+from repro.rpc import HandlerRegistry, RpcCall, decode_message, encode_message
 
 _log = get_logger("mpi.socket_transport")
 
@@ -124,6 +127,12 @@ def _decode_envelope(h: wire.EnvelopeHeader) -> Envelope:
         payload = TruncatedPayload(payload)
     return Envelope(h.context, h.source, h.tag, payload, h.nbytes,
                     origin=h.origin, trace=h.trace, parent=h.parent)
+
+
+def _call_frame(call_id: int, method: str, params: tuple) -> bytes:
+    return wire.pack_frame(
+        FrameKind.RPC_REQ, encode_message(RpcCall(call_id, method, params))
+    )
 
 
 def _abort_frame(abort_flag: AbortFlag) -> bytes:
@@ -343,6 +352,7 @@ class RouterTransport(Transport):
                 self.rank_failed, self.ingest_dumps,
             )
         }
+        self._registry = HandlerRegistry(self.calls)
         # -- surgical rank recovery (inert until the runtime arms it) --------
         #: per-rank respawn budget (0 keeps the die-on-death path) and
         #: redelivery-log byte cap, for the worlds watched from now on
@@ -469,17 +479,16 @@ class RouterTransport(Transport):
         elif kind == FrameKind.HELLO:
             self._on_hello(conn, *wire.unpack_obj(body))
         elif kind == FrameKind.RPC_REQ:
-            req_id, method, params = wire.unpack_obj(body)
-            try:
-                call = self.calls.get(method)
-                if call is None:
-                    raise MPIError(f"unknown router rpc {method!r}")
-                reply = (req_id, True, call(*params))
-            except Exception as exc:  # noqa: BLE001 - errors travel back
-                reply = (req_id, False, repr(exc))
-                _log.debug("router: call %s failed: %r", method, exc)
-            if req_id:  # 0: fire-and-forget, nobody waits for an answer
-                conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REP, reply))
+            # dispatched right here, on the connection's reader: a
+            # worker's calls stay ordered with its envelopes
+            call = decode_message(body)
+            response = self._registry.invoke(call)
+            if not response.ok:
+                _log.debug("router: call %s failed: %s", call.method, response.error)
+            if call.call_id:  # 0: fire-and-forget, nobody waits for an answer
+                conn.try_send(
+                    wire.pack_frame(FrameKind.RPC_REP, encode_message(response))
+                )
         elif kind == FrameKind.BYE:
             with self._lock:
                 rank = self._rank_on_locked(conn)
@@ -726,7 +735,7 @@ class WorkerRuntime(BaseRuntime):
         self.rank_epoch = spec.epoch
         self.rank_recovery = spec.recovery
         super().__init__()
-        #: calls awaiting their RPC_REP, by id (0 is "no reply wanted"):
+        #: calls awaiting their RpcResponse, by id (0 is "no reply wanted"):
         #: the reader completes each, the abort fails them all
         self._rpc_ids = itertools.count(1)
         self._rpc_pending: dict[int, futures.Future] = {}
@@ -801,11 +810,11 @@ class WorkerRuntime(BaseRuntime):
 
     # -- wire plumbing --------------------------------------------------------
     def _cast(self, method: str, *params: Any) -> None:
-        """Call the driver by name, no reply wanted (``req_id`` 0).
+        """Call the driver by name, no reply wanted (``call_id`` 0).
         ``try_send`` drops the call on a dead connection instead of
         killing the caller (a rank on its way down); a full socket blocks
         it until the router drains, so the wire reader never casts."""
-        self._conn.try_send(wire.pack_obj_frame(FrameKind.RPC_REQ, (0, method, params)))
+        self._conn.try_send(_call_frame(0, method, params))
 
     def _rpc(self, method: str, *params: Any) -> Any:
         req_id = next(self._rpc_ids)
@@ -813,19 +822,17 @@ class WorkerRuntime(BaseRuntime):
         try:
             # pending before the check: an abort from here on fails it
             self.abort_flag.check()
-            self._conn.send(
-                wire.pack_obj_frame(FrameKind.RPC_REQ, (req_id, method, params))
-            )
-            ok, result = reply.result(_RPC_DEADLINE)
+            self._conn.send(_call_frame(req_id, method, params))
+            response = reply.result(_RPC_DEADLINE)
         except futures.TimeoutError:
             raise MPIError(
                 f"router rpc {method!r} timed out after {_RPC_DEADLINE}s"
             ) from None
         finally:
             self._rpc_pending.pop(req_id, None)
-        if not ok:
-            raise MPIError(f"router rpc {method!r} failed: {result}")
-        return result
+        if not response.ok:
+            raise MPIError(f"router rpc {method!r} failed: {response.error}")
+        return response.result
 
     def _fail_rpcs(self) -> None:
         """Fail every call still awaiting its reply (the abort)."""
@@ -860,10 +867,10 @@ class WorkerRuntime(BaseRuntime):
             elif kind == FrameKind.ABORT:
                 self.abort_flag.trip(*wire.unpack_obj(body))
             elif kind == FrameKind.RPC_REP:
-                req_id, ok, result = wire.unpack_obj(body)
-                reply = self._rpc_pending.pop(req_id, None)
+                response = decode_message(body)
+                reply = self._rpc_pending.pop(response.call_id, None)
                 if reply is not None:
-                    reply.set_result((ok, result))
+                    reply.set_result(response)
             elif kind == FrameKind.DUMP_REQ:
                 # answered off the reader: the reply may block on a full socket
                 threading.Thread(target=self.send_stack_dump, daemon=True).start()

@@ -7,10 +7,15 @@ for the modelled cost of this stack).  Two consumers share it:
 * :mod:`repro.mpi.socket_transport` — the process-per-rank MPI backend
   routes pickled envelopes between worker processes through a driver-side
   router using these frames; everything else a worker asks of the driver
-  is one call frame, ``RPC_REQ (req_id, method, params)``.
+  is one call by name.
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — the Hadoop-style
   RPC layer serves its call protocol over the same accept/read loops
   instead of re-implementing them.
+
+Both speak one call format: an ``RPC_REQ`` body is a
+:class:`repro.rpc.protocol.RpcCall` and an ``RPC_REP`` body an
+:class:`~repro.rpc.protocol.RpcResponse`, Writable-encoded
+(:func:`repro.rpc.protocol.encode_message`).
 
 Frame layout on the wire::
 
@@ -60,8 +65,8 @@ so the batch bytes sealed by the sender-side buffer travel to the
 receiving process without any re-encode; the decoder hands back batches
 as zero-copy views over the frame body.
 
-Everything else (control traffic, application point-to-point messages,
-RPC) is pickled at the wire boundary via
+Everything else but the RPC frames (control traffic, application
+point-to-point messages) is pickled at the wire boundary via
 :class:`repro.serde.serialization.PickleSerializer` — the same "Java
 Serializable analogue" the shuffle can be configured with, so anything a
 job can shuffle it can also send across the process boundary.
@@ -101,9 +106,9 @@ class FrameKind:
     ENVELOPE = 2    # either direction: header + pickled payload
     ABORT = 3       # router -> workers: (reason, errorcode); wakes everyone
     BYE = 6         # worker -> router: clean shutdown (EOF without BYE = crash)
-    RPC_REQ = 7     # worker -> router: (req_id, method, params), a call by
-                    # name; req_id 0 = fire-and-forget, no RPC_REP follows
-    RPC_REP = 8     # router -> worker: (req_id, ok, payload-or-error)
+    RPC_REQ = 7     # client -> server: an RpcCall, a call by name;
+                    # call_id 0 = fire-and-forget, no RPC_REP follows
+    RPC_REP = 8     # server -> client: the RpcResponse to that call_id
     DUMP_REQ = 12   # router -> worker: request a live stack/queue dump of
                     # every rank the worker hosts (empty body); answered by
                     # an ``ingest_dumps`` call
@@ -521,8 +526,10 @@ class FrameServer:
                     frame = conn.recv()
                 except FrameTruncatedError as exc:
                     # conn.truncated is latched; the disconnect handler
-                    # reads it to blame a severed stream, not a clean exit
-                    _log.warning("%s: %s", self._name, exc)
+                    # reads it to blame a severed stream, not a clean exit.
+                    # stop() closing the socket under a read is no news
+                    if not self._stopping:
+                        _log.warning("%s: %s", self._name, exc)
                     break
                 if frame is None:
                     break
@@ -544,8 +551,14 @@ class FrameServer:
 
     def stop(self) -> None:
         self._stopping = True
+        # closing alone does not wake a thread blocked in accept() on
+        # Linux; shutting the listener down does
+        with contextlib.suppress(OSError):
+            self._server.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(OSError):
             self._server.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
         cleanup_local(self.address)
         for conn in self.connections():
             conn.close()

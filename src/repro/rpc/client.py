@@ -10,57 +10,7 @@ from typing import Any
 from repro.common.errors import RPCError
 from repro.net import wire
 from repro.rpc.protocol import RpcCall, RpcResponse, decode_message, encode_message
-from repro.rpc.server import Connection, HadoopRpcServer, _response_tag
-from repro.rpc.server import RPC_REQUEST_TAG
-
-
-class HadoopRpcClient:
-    """Client for :class:`HadoopRpcServer`; safe for concurrent callers.
-
-    Responses can come back out of order (handler pool), so a response
-    router thread matches them to waiting calls by id.
-    """
-
-    def __init__(self, server: HadoopRpcServer, timeout: float = 30.0) -> None:
-        self._conn: Connection = server.connect()
-        self._timeout = timeout
-        self._ids = itertools.count(1)
-        self._pending: dict[int, "queue.Queue[RpcResponse]"] = {}
-        self._lock = threading.Lock()
-        self._router = threading.Thread(
-            target=self._route_responses, daemon=True, name="rpc-client-router"
-        )
-        self._router.start()
-
-    def _route_responses(self) -> None:
-        while True:
-            frame = self._conn.to_client.get()
-            if frame is None:
-                break
-            response = decode_message(frame)
-            assert isinstance(response, RpcResponse)
-            with self._lock:
-                waiter = self._pending.pop(response.call_id, None)
-            if waiter is not None:
-                waiter.put(response)
-
-    def call(self, method: str, *args: Any) -> Any:
-        call = RpcCall(next(self._ids), method, args)
-        waiter: "queue.Queue[RpcResponse]" = queue.Queue(maxsize=1)
-        with self._lock:
-            self._pending[call.call_id] = waiter
-        self._conn.to_server.put(encode_message(call))
-        try:
-            response = waiter.get(timeout=self._timeout)
-        except queue.Empty:
-            with self._lock:
-                self._pending.pop(call.call_id, None)
-            raise RPCError(f"RPC {method} timed out after {self._timeout}s") from None
-        return response.unwrap()
-
-    def close(self) -> None:
-        self._conn.close()
-        self._conn.to_client.put(None)
+from repro.rpc.server import RPC_REQUEST_TAG, _response_tag
 
 
 class SocketRpcClient:
@@ -68,7 +18,8 @@ class SocketRpcClient:
 
     Speaks :mod:`repro.net.wire` frames over a real local socket; safe
     for concurrent callers — the handler pool may reply out of order, so
-    a reader thread routes responses to waiting calls by id.
+    a reader thread routes responses to waiting calls by id.  When the
+    server goes away the reader fails every call still waiting, at once.
     """
 
     def __init__(self, address: Any, timeout: float = 30.0) -> None:
@@ -85,34 +36,50 @@ class SocketRpcClient:
         self._reader.start()
 
     def _route_responses(self) -> None:
-        while True:
-            frame = self._conn.recv()
-            if frame is None:
-                break
-            kind, body = frame
-            if kind != wire.FrameKind.RPC_REP:
-                continue
-            response = decode_message(body)
-            assert isinstance(response, RpcResponse)
+        try:
+            while True:
+                frame = self._conn.recv()
+                if frame is None:
+                    break
+                kind, body = frame
+                if kind != wire.FrameKind.RPC_REP:
+                    continue
+                response = decode_message(body)
+                assert isinstance(response, RpcResponse)
+                with self._lock:
+                    waiter = self._pending.pop(response.call_id, None)
+                if waiter is not None:
+                    waiter.put(response)
+        except ConnectionError:
+            pass  # severed mid-frame: as gone as a clean EOF
+        finally:
             with self._lock:
-                waiter = self._pending.pop(response.call_id, None)
-            if waiter is not None:
-                waiter.put(response)
+                self._closed = True
+                pending, self._pending = self._pending, {}
+            for call_id, waiter in pending.items():
+                waiter.put(RpcResponse(
+                    call_id, False, error="the RPC server closed the connection"
+                ))
 
     def call(self, method: str, *args: Any) -> Any:
-        if self._closed:
-            raise RPCError("socket RPC client is closed")
         call = RpcCall(next(self._ids), method, args)
         waiter: "queue.Queue[RpcResponse]" = queue.Queue(maxsize=1)
         with self._lock:
+            if self._closed:
+                raise RPCError("socket RPC client is closed")
             self._pending[call.call_id] = waiter
-        self._conn.send(wire.pack_frame(wire.FrameKind.RPC_REQ, encode_message(call)))
         try:
+            self._conn.send(
+                wire.pack_frame(wire.FrameKind.RPC_REQ, encode_message(call))
+            )
             response = waiter.get(timeout=self._timeout)
+        except OSError as exc:
+            raise RPCError(f"RPC {method}: {exc}") from exc
         except queue.Empty:
+            raise RPCError(f"RPC {method} timed out after {self._timeout}s") from None
+        finally:
             with self._lock:
                 self._pending.pop(call.call_id, None)
-            raise RPCError(f"RPC {method} timed out after {self._timeout}s") from None
         return response.unwrap()
 
     def close(self) -> None:
@@ -153,7 +120,7 @@ class DataMPIRpcClient:
 class RpcProxy:
     """Attribute-style sugar: ``proxy.add(1, 2)`` == ``client.call("add", 1, 2)``."""
 
-    def __init__(self, client: HadoopRpcClient | DataMPIRpcClient) -> None:
+    def __init__(self, client: SocketRpcClient | DataMPIRpcClient) -> None:
         self._client = client
 
     def __getattr__(self, method: str) -> Any:

@@ -1,20 +1,20 @@
 """RPC servers.
 
-:class:`HadoopRpcServer` reproduces the Hadoop 1.x ``ipc.Server``
-architecture in miniature: accepted connections feed a shared *call
-queue* drained by a pool of *handler* threads, and responses go back on
-the originating connection.  That queue hand-off is exactly the dispatch
+:class:`SocketRpcServer` reproduces the Hadoop 1.x ``ipc.Server``
+architecture over a real local socket: connections accepted by the
+shared :class:`repro.net.wire.FrameServer` loops (the skeleton the MPI
+process backend's router runs on too) feed a shared *call queue*
+drained by a pool of *handler* threads, and responses go back on the
+originating connection.  That queue hand-off is exactly the dispatch
 cost the latency model charges it for.
 
 :class:`DataMPIRpcServer` serves the same frames over an MPI
 communicator: requests arrive as tagged messages, handlers reply to the
-source rank.  It is used for the mpidrun<->worker control protocol tests
-and for the Figure 1(b) functional comparison.
+source rank.  It is the DataMPI side of the Figure 1(b) functional
+comparison.
 
-:class:`SocketRpcServer` serves the same call protocol over a real
-local socket using the shared :class:`repro.net.wire.FrameServer`
-accept/frame-read loops — the identical skeleton the MPI process
-backend's router runs on, so neither layer reimplements socket serving.
+:class:`HandlerRegistry` is the one name lookup both use — and the
+process backend's router, for the calls a worker makes on the star.
 """
 
 from __future__ import annotations
@@ -58,96 +58,13 @@ class HandlerRegistry:
             return RpcResponse(call.call_id, False, error=detail)
 
 
-class Connection:
-    """A bidirectional in-process byte-frame channel (one per client)."""
-
-    def __init__(self) -> None:
-        self.to_server: "queue.Queue[bytes | None]" = queue.Queue()
-        self.to_client: "queue.Queue[bytes | None]" = queue.Queue()
-
-    def close(self) -> None:
-        self.to_server.put(None)
-
-
-class HadoopRpcServer:
-    """Listener -> call queue -> handler pool -> responder."""
-
-    def __init__(self, target: Any, num_handlers: int = 4, name: str = "ipc"):
-        self.registry = HandlerRegistry(target)
-        self.name = name
-        self._call_queue: "queue.Queue[tuple[Connection, bytes] | None]" = (
-            queue.Queue()
-        )
-        self._connections: list[Connection] = []
-        self._threads: list[threading.Thread] = []
-        self._running = False
-        self._num_handlers = num_handlers
-        self._lock = threading.Lock()
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self) -> "HadoopRpcServer":
-        self._running = True
-        for i in range(self._num_handlers):
-            t = threading.Thread(
-                target=self._handler_loop, name=f"{self.name}-handler-{i}", daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        for _ in self._threads:
-            self._call_queue.put(None)
-        for conn in self._connections:
-            conn.close()  # its reader thread is blocked on this queue
-            conn.to_client.put(None)
-        for t in self._threads:
-            t.join(timeout=5)
-
-    # -- connection handling ----------------------------------------------------
-    def connect(self) -> Connection:
-        """Accept a new client; spawns its reader thread."""
-        if not self._running:
-            raise RPCError(f"server {self.name} is not running")
-        conn = Connection()
-        with self._lock:
-            self._connections.append(conn)
-        t = threading.Thread(
-            target=self._reader_loop, args=(conn,), daemon=True,
-            name=f"{self.name}-reader",
-        )
-        t.start()
-        self._threads.append(t)
-        return conn
-
-    def _reader_loop(self, conn: Connection) -> None:
-        while self._running:
-            frame = conn.to_server.get()
-            if frame is None:
-                break
-            self._call_queue.put((conn, frame))
-
-    def _handler_loop(self) -> None:
-        while True:
-            item = self._call_queue.get()
-            if item is None:
-                break
-            conn, frame = item
-            message = decode_message(frame)
-            assert isinstance(message, RpcCall)
-            response = self.registry.invoke(message)
-            conn.to_client.put(encode_message(response))
-
-
 class SocketRpcServer:
     """The Hadoop ipc.Server shape over a real local socket.
 
     Listener (:class:`~repro.net.wire.FrameServer` accept loop) -> call
-    queue -> handler pool -> response on the originating connection:
-    the same architecture as :class:`HadoopRpcServer`, but clients are
-    other processes.  Connect with
-    :class:`~repro.rpc.client.SocketRpcClient` at :attr:`address`.
+    queue -> handler pool -> response on the originating connection.
+    Connect with :class:`~repro.rpc.client.SocketRpcClient` at
+    :attr:`address`.
     """
 
     def __init__(
@@ -240,9 +157,6 @@ class DataMPIRpcServer:
                 encode_message(response), dest=status.source, tag=_response_tag(message.call_id)
             )
             self.calls_served += 1
-
-    def shutdown_frame(self) -> None:
-        """Frame a client can send to stop the server loop."""
 
 
 def _response_tag(call_id: int) -> int:

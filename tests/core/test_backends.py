@@ -193,6 +193,19 @@ class TestThreadModel:
         assert started  # the recorder saw the job's threads
         assert "obs-sampler" not in started, started
 
+    def test_finished_processes_jobs_leave_no_router_thread(self):
+        """Stopping the router joins its accept loop (a closed listener
+        alone does not wake ``accept()``) and its readers."""
+        for _ in range(3):
+            job = common_job(
+                "router-threads", lambda ctx: ctx.send(ctx.rank, ctx.rank),
+                lambda ctx: list(ctx.recv_iter()), o_tasks=2, a_tasks=2,
+                conf={K.LAUNCHER: "processes"},
+            )
+            assert mpidrun(job, nprocs=2, raise_on_error=True).success
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("mpi-router-")]
+
 
 class TestModesOnProcesses:
     """Common / Iteration / Streaming semantics on the process backend."""

@@ -63,6 +63,25 @@ class TestCheckpointedExecution:
         assert result.metrics.checkpointed_records == N
 
 
+    def test_the_next_job_of_the_same_name_replays_nothing(self, tmp_path):
+        # no mpi.d.job.id: both jobs checkpoint under their shared name
+        def run(n, ft):
+            out = Collector()
+            job = mapreduce_job(
+                "same-name", int_range_input(n), _mapper, _reducer, out,
+                o_tasks=O_TASKS, a_tasks=A_TASKS,
+                conf={K.FT_ENABLED: True, K.FT_DIR: str(tmp_path),
+                      K.FT_INTERVAL_RECORDS: 10} if ft else {},
+            )
+            return mpidrun(job, nprocs=NPROCS, raise_on_error=True), out.merged()
+
+        for n in (100, 40):
+            result, output = run(n, ft=True)
+            assert output == run(n, ft=False)[1]
+            assert result.metrics.reloaded_records == 0
+        assert not (tmp_path / "same-name").exists()
+
+
 class TestCrashAndRecover:
     def test_crash_reported_as_failure(self, tmp_path):
         out = Collector()

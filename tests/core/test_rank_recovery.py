@@ -17,13 +17,13 @@ import shutil
 import tempfile
 
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
-from repro.core.checkpoint import read_rank_manifest, write_rank_manifest
 from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
 from repro.core.mpidrun import restart_delay
 from repro.mpi import FaultInjector
 from repro.mpi.runtime import ProcessRuntime
 from repro.mpi.socket_transport import _RedeliveryBuffer
 from repro.net import wire
+from repro.obs.journal import read_journal
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
 
@@ -93,53 +93,61 @@ class TestSurgicalRecovery:
         assert faulted_result.metrics.respawns >= 1
         assert faulted.by_task() == clean.by_task()  # per-task, not just merged
 
-    def test_recovery_writes_a_rank_manifest_with_ft_on(self, tmp_path):
+    def test_recovery_traces_the_respawn_with_ft_on(self, tmp_path):
         injector = FaultInjector()
         injector.kill_rank(tag=SHUFFLE_TAG, skip_first=3, max_matches=1)
+        journal = str(tmp_path / "job.trace.jsonl")
         conf = recovery_conf(**{
             K.FT_ENABLED: True,
             K.FT_DIR: str(tmp_path / "ft"),
             K.JOB_ID: "recovery-wc",
             K.FT_INTERVAL_RECORDS: 10,
+            K.TRACE_PATH: journal,
         })
         result, out = run_wordcount(tmp_path, "out", conf, injector=injector)
         assert result.success
         assert result.restarts == 0
         assert out.merged() == expected_wordcount(TEXTS)
-        manifests = [
-            read_rank_manifest(str(tmp_path / "ft"), "recovery-wc", worker)
-            for worker in range(NPROCS)
+        respawns = [
+            e["args"] for e in read_journal(journal).instants
+            if e["name"] == "recovery.respawn"
         ]
-        recovered = [m for m in manifests if m]
-        assert len(recovered) == 1  # exactly one rank died and came back
-        assert recovered[0]["respawns"] == 1
-        assert recovered[0]["epoch"] == 1
+        assert len(respawns) == 1  # exactly one rank died and came back
+        assert respawns[0]["epoch"] == 1
         # the driver requeues the O tasks it dealt the dead rank, nothing
         # more: the reborn rank reruns its window-owned A tasks by itself
-        assert 1 <= recovered[0]["tasks_requeued"] <= 4  # o_tasks
+        assert 1 <= respawns[0]["tasks_requeued"] <= 4  # o_tasks
+        # a successful job leaves no rounds to replay into the next
+        assert not os.path.exists(tmp_path / "ft" / "recovery-wc")
 
-    def test_manifest_lands_beside_the_checkpoints_without_ft_dir(
+    def test_rounds_use_the_default_dir_without_ft_dir(
         self, tmp_path, monkeypatch
     ):
-        # no mpi.d.ft.dir: the ranks (round files) and the driver (rank
-        # manifest) must fall back to the same directory.  Ranks are
-        # forked, so they inherit the cwd and tempfile.tempdir set here;
-        # the tempdir is a short one of its own because the router's
-        # AF_UNIX socket lives under it
+        # no mpi.d.ft.dir: the ranks write their rounds under the
+        # tempdir, and mpidrun (which removes a successful job's rounds)
+        # must derive the same place.  A job that fails keeps them for
+        # its rerun.  Ranks are forked, so they inherit the cwd and
+        # tempfile.tempdir set here; the tempdir is a short one of its
+        # own because the router's AF_UNIX socket lives under it
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         tmp = tempfile.mkdtemp(prefix="ft-")
         monkeypatch.chdir(cwd)
         monkeypatch.setattr(tempfile, "tempdir", tmp)
         try:
-            injector = FaultInjector()
-            injector.kill_rank(tag=SHUFFLE_TAG, skip_first=3, max_matches=1)
-            conf = recovery_conf(**{K.FT_ENABLED: True, K.FT_INTERVAL_RECORDS: 10})
-            result, out = run_wordcount(tmp_path, "out", conf, injector=injector)
-            assert result.success and result.metrics.respawns >= 1
+            conf = recovery_conf(**{
+                K.FT_ENABLED: True, K.FT_INTERVAL_RECORDS: 10,
+                K.INJECT_CRASH_TASK: 1, K.INJECT_CRASH_AFTER_RECORDS: 15,
+            })
+            failed, _ = run_wordcount(tmp_path, "failed", conf)
+            assert not failed.success
             names = os.listdir(os.path.join(tmp, "recovery-wc"))
             assert any(n.startswith("cp_o") for n in names)
-            assert any(n.endswith(".manifest.json") for n in names)
+            del conf[K.INJECT_CRASH_AFTER_RECORDS]
+            rerun, out = run_wordcount(tmp_path, "rerun", conf)
+            assert rerun.success and rerun.metrics.reloaded_records > 0
+            assert out.merged() == expected_wordcount(TEXTS)
+            assert not os.path.exists(os.path.join(tmp, "recovery-wc"))
             assert os.listdir(cwd) == []
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -360,30 +368,6 @@ class TestRedeliveryBuffer:
         assert buf.frames == []
         assert buf.nbytes == 0
         assert buf.overflowed  # a lossy history cannot be un-lost
-
-
-# -- satellite: rank-scoped checkpoint manifests ----------------------------------
-
-
-class TestRankManifest:
-    def test_round_trip_and_respawn_accounting(self, tmp_path):
-        path = write_rank_manifest(
-            str(tmp_path), "job-1", worker=3,
-            payload={"gid": 4, "epoch": 1, "tasks_requeued": 2},
-        )
-        manifest = read_rank_manifest(str(tmp_path), "job-1", worker=3)
-        assert path.endswith(".json")
-        assert manifest["worker"] == 3
-        assert manifest["gid"] == 4
-        assert manifest["respawns"] == 1
-        write_rank_manifest(str(tmp_path), "job-1", worker=3,
-                            payload={"gid": 4, "epoch": 2})
-        again = read_rank_manifest(str(tmp_path), "job-1", worker=3)
-        assert again["respawns"] == 2  # accumulates across incarnations
-        assert again["epoch"] == 2
-
-    def test_missing_manifest_reads_as_empty(self, tmp_path):
-        assert read_rank_manifest(str(tmp_path), "nope", worker=0) == {}
 
 
 # -- satellite: seeded jitter on the restart backoff ------------------------------

@@ -81,7 +81,7 @@ class TestWireFrames:
         a, b = FrameConnection(left), FrameConnection(right)
         try:
             for i in range(50):
-                a.send(pack_obj_frame(FrameKind.RPC_REQ, i))
+                a.send(pack_obj_frame(FrameKind.HELLO, i))
             a.send(pack_frame(FrameKind.BYE))
             got = []
             while True:
@@ -107,7 +107,7 @@ class TestWireFrames:
         # that must surface as FrameTruncatedError, not a silent None
         left, right = socket.socketpair()
         b = FrameConnection(right)
-        frame = pack_obj_frame(FrameKind.RPC_REQ, {"big": "x" * 512})
+        frame = pack_obj_frame(FrameKind.HELLO, {"big": "x" * 512})
         left.sendall(frame[: len(frame) // 2])
         left.close()
         with pytest.raises(FrameTruncatedError):

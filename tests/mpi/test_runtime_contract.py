@@ -16,7 +16,8 @@ import pytest
 from repro.mpi import BaseRuntime, ProcessRuntime, create_runtime
 from repro.mpi.socket_transport import WorkerRuntime
 from repro.net import wire
-from repro.net.wire import FrameKind, pack_obj_frame
+from repro.net.wire import FrameKind, pack_frame, pack_obj_frame
+from repro.rpc import RpcCall, RpcResponse, decode_message, encode_message
 
 
 # -- inside a rank ------------------------------------------------------------------
@@ -104,13 +105,19 @@ def _hello(conn, gid, pid, epoch=0):
     conn.send(pack_obj_frame(FrameKind.HELLO, (gid, pid, epoch)))
 
 
+def _call(conn, method, *args):
+    """Send one call by name, as a worker does, wanting a reply."""
+    conn.send(pack_frame(FrameKind.RPC_REQ, encode_message(RpcCall(1, method, args))))
+
+
 def _drain(conn):
     """Return once the router has handled every frame sent on ``conn``:
     one reader thread serves a connection in order, so the reply to an
     RPC sent last proves everything before it was processed."""
-    conn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "allocate_context", ())))
-    kind, _body = conn.recv()
+    _call(conn, "allocate_context")
+    kind, body = conn.recv()
     assert kind == FrameKind.RPC_REP
+    assert decode_message(body).ok
 
 
 class TestHello:
@@ -176,7 +183,7 @@ class TestHello:
         reborn = wire.connect_local(transport.address)
         try:
             _hello(reborn, 1, 112, epoch=1)
-            reborn.send(pack_obj_frame(FrameKind.RPC_REQ, (1, "allocate_context", ())))
+            _call(reborn, "allocate_context")
             kinds = []
             while not kinds or kinds[-1] != FrameKind.RPC_REP:
                 kinds.append(reborn.recv()[0])
@@ -188,3 +195,20 @@ class TestHello:
             assert records[0].kind == "respawn" and records[0].error == rank.failure().error
         finally:
             reborn.close()
+
+
+class TestCallFrame:
+    def test_an_unknown_name_is_refused_in_the_reply(self, router):
+        transport, _warnings = router
+        conn = wire.connect_local(transport.address)
+        try:
+            _call(conn, "no_such_call", 1)
+            kind, body = conn.recv()
+            assert kind == FrameKind.RPC_REP
+            response = decode_message(body)
+            assert isinstance(response, RpcResponse)
+            assert (response.call_id, response.ok) == (1, False)
+            assert "no such RPC method: 'no_such_call'" in response.error
+            _drain(conn)  # the connection still serves calls
+        finally:
+            conn.close()

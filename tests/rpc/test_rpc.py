@@ -6,14 +6,9 @@ import time
 import pytest
 
 from repro.common.errors import RPCError
-from repro.rpc.client import (
-    DataMPIRpcClient,
-    HadoopRpcClient,
-    RpcProxy,
-    SocketRpcClient,
-)
+from repro.rpc.client import DataMPIRpcClient, RpcProxy, SocketRpcClient
 from repro.rpc.protocol import RpcCall, RpcResponse, decode_message, encode_message
-from repro.rpc.server import DataMPIRpcServer, HadoopRpcServer, SocketRpcServer
+from repro.rpc.server import DataMPIRpcServer, SocketRpcServer
 from repro.mpi import run_world
 
 
@@ -54,98 +49,18 @@ class TestProtocolFraming:
             decode_message(b"\x07\x00")
 
 
-class TestHadoopRpc:
-    @pytest.fixture()
-    def server(self):
-        server = HadoopRpcServer(Calculator(), num_handlers=2).start()
-        yield server
-        server.stop()
+class _HadoopRpcCases:
+    """What the Hadoop-style engine answers, whatever its handler count.
 
-    def test_basic_call(self, server):
-        client = HadoopRpcClient(server)
-        assert client.call("add", 2, 3) == 5
-        client.close()
+    Subclasses pick :attr:`num_handlers`; every case runs once per class.
+    """
 
-    def test_proxy_sugar(self, server):
-        proxy = RpcProxy(HadoopRpcClient(server))
-        assert proxy.add(10, 20) == 30
-        assert proxy.echo(["deep", {"k": 1}]) == ["deep", {"k": 1}]
-
-    def test_handler_exception_propagates(self, server):
-        client = HadoopRpcClient(server)
-        with pytest.raises(RPCError, match="intentional"):
-            client.call("fail")
-
-    def test_unknown_method(self, server):
-        client = HadoopRpcClient(server)
-        with pytest.raises(RPCError, match="no such RPC method"):
-            client.call("nonexistent")
-
-    def test_private_methods_hidden(self, server):
-        client = HadoopRpcClient(server)
-        with pytest.raises(RPCError):
-            client.call("_secret")
-
-    def test_concurrent_clients(self, server):
-        results = {}
-
-        def worker(i):
-            client = HadoopRpcClient(server)
-            results[i] = client.call("add", i, i)
-            client.close()
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == {i: 2 * i for i in range(8)}
-
-    def test_concurrent_calls_one_client(self, server):
-        client = HadoopRpcClient(server)
-        results = {}
-
-        def worker(i):
-            results[i] = client.call("echo", i)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(10)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == {i: i for i in range(10)}
-
-    def test_dict_target(self):
-        server = HadoopRpcServer({"double": lambda x: 2 * x}).start()
-        try:
-            assert HadoopRpcClient(server).call("double", 21) == 42
-        finally:
-            server.stop()
-
-    def test_stop_unblocks_the_readers_of_open_connections(self):
-        server = HadoopRpcServer(Calculator(), name="stoptest").start()
-        client = HadoopRpcClient(server)  # never closed
-        assert client.call("add", 1, 1) == 2
-        start = time.monotonic()
-        server.stop()
-        assert time.monotonic() - start < 1.0  # not join(timeout=5) run out
-        assert not [
-            t.name for t in threading.enumerate() if t.name == "stoptest-reader"
-        ]
-
-    def test_connect_after_stop_raises(self):
-        server = HadoopRpcServer(Calculator()).start()
-        server.stop()
-        with pytest.raises(RPCError):
-            server.connect()
-
-
-class TestSocketRpc:
-    """The Hadoop server shape over the shared repro.net.wire loops."""
+    num_handlers = 2
 
     @pytest.fixture()
     def server(self):
-        server = SocketRpcServer(Calculator(), num_handlers=2).start()
+        server = SocketRpcServer(Calculator(), num_handlers=self.num_handlers)
+        server.start()
         yield server
         server.stop()
 
@@ -200,7 +115,7 @@ class TestSocketRpc:
         assert results == {i: 2 * i for i in range(8)}
 
     def test_concurrent_calls_one_client(self, server):
-        # the handler pool can reply out of order; the client's reader
+        # a pool of handlers can reply out of order; the client's reader
         # thread must route each response back to the right caller
         client = SocketRpcClient(server.address)
         results = {}
@@ -216,20 +131,103 @@ class TestSocketRpc:
         client.close()
         assert results == {i: i for i in range(10)}
 
-    def test_call_after_close_raises(self, server):
+    def test_private_methods_hidden(self, server):
         client = SocketRpcClient(server.address)
-        client.close()
-        with pytest.raises(RPCError, match="closed"):
-            client.call("add", 1, 1)
+        try:
+            with pytest.raises(RPCError, match="no such RPC method"):
+                client.call("_secret")
+        finally:
+            client.close()
 
     def test_dict_target(self):
-        server = SocketRpcServer({"double": lambda x: 2 * x}).start()
+        server = SocketRpcServer(
+            {"double": lambda x: 2 * x}, num_handlers=self.num_handlers
+        ).start()
         client = SocketRpcClient(server.address)
         try:
             assert client.call("double", 21) == 42
         finally:
             client.close()
             server.stop()
+
+    def test_connect_after_stop_raises(self):
+        server = SocketRpcServer(Calculator(), num_handlers=self.num_handlers)
+        server.start()
+        server.stop()
+        with pytest.raises(OSError):
+            SocketRpcClient(server.address)
+
+
+class TestHadoopRpc(_HadoopRpcCases):
+    """Fig. 1(b)'s engine at Hadoop's smallest handler pool: one handler
+    thread, so every call waits its turn in the call queue."""
+
+    num_handlers = 1
+
+
+class TestSocketRpc(_HadoopRpcCases):
+    """The Hadoop ipc.Server shape over the shared repro.net.wire loops,
+    with a pool that may reply out of order."""
+
+    def test_call_after_close_raises(self, server):
+        client = SocketRpcClient(server.address)
+        client.close()
+        with pytest.raises(RPCError, match="closed"):
+            client.call("add", 1, 1)
+
+    def test_stop_with_a_client_connected_returns_and_leaves_no_thread(self):
+        server = SocketRpcServer(Calculator(), name="stoptest").start()
+        client = SocketRpcClient(server.address)  # still connected
+        try:
+            assert client.call("add", 1, 1) == 2
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0  # no join(timeout=...) run out
+            # the accept loop too: closing a listener does not wake accept()
+            assert not [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("stoptest-")
+            ]
+        finally:
+            client.close()
+
+    def test_a_call_in_flight_when_the_server_stops_fails_at_once(self):
+        started, release = threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            release.wait(10.0)
+
+        server = SocketRpcServer({"block": block}, num_handlers=1).start()
+        client = SocketRpcClient(server.address, timeout=5.0)
+        failures = []
+
+        def call():
+            try:
+                client.call("block")
+            except RPCError as exc:
+                failures.append((time.monotonic(), str(exc)))
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert started.wait(5.0)
+        stopped = time.monotonic()
+        # stop() joins the handler still running the call: off this thread
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        try:
+            caller.join(5.0)
+            assert failures, "the call never returned"
+            (failed_at, error), = failures
+            assert failed_at - stopped < 1.0, error  # not the 5 s timeout
+            assert "closed the connection" in error
+            with pytest.raises(RPCError, match="closed"):
+                client.call("block")  # and no later call waits either
+        finally:
+            release.set()
+            stopper.join(10.0)
+            client.close()
+        assert not stopper.is_alive()
 
 
 class TestDataMPIRpc:
