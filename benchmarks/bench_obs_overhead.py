@@ -222,7 +222,7 @@ def bench_telemetry(quick: bool) -> dict:
         tasks=[TaskMetrics(task_id=i, kind="O") for i in range(4)],
         queue={"pending": 3, "bytes_in": 4096, "posted": 1},
     )
-    hub = TelemetryHub(ring=256)
+    hub = TelemetryHub()
 
     t0 = time.perf_counter()
     for _ in range(n):

@@ -202,10 +202,12 @@ class WorkerEngine:
         is more often, so a rank deep in a long shuffle wait still proves
         liveness.  ``record`` is None with telemetry off; with it on, a
         copy of this rank's folded :class:`WorkerMetrics` without its
-        task table, the first at once.  With tracing on, every pulse
+        task table, the first at once, and with the doctor on, the live
+        stacks of this rank's threads.  With tracing on, every pulse
         samples the process on this rank's lane."""
         every = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
         telemetry = self.conf.get_bool(K.TELEMETRY_ENABLED) and every > 0
+        doctor = self.conf.get_bool(K.DOCTOR_ENABLED)
         beat_every = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
         intervals = [i for i in (beat_every, every if telemetry else 0.0) if i > 0]
         if not intervals:
@@ -219,7 +221,11 @@ class WorkerEngine:
                 with self._fold_lock:
                     self._fold()
                     # a copy: on threads the transport passes it by reference
-                    record = dataclasses.replace(self.metrics, tasks=[])
+                    record = dataclasses.replace(
+                        self.metrics, tasks=[],
+                        stacks=PROFILER.dump_stacks(self.rank, self.metrics.epoch)
+                        if doctor else [],
+                    )
             elif _T.enabled:
                 self._sample_process()
             if not stop.is_set():  # the report is this rank's last word
@@ -486,15 +492,9 @@ class WorkerEngine:
         rounds = self.job.rounds if self.bidirectional else 1
         _T.bind(self.rank)
         bind_clock(self.clock)
-        # the stack registry is always on (live DUMP captures work on an
-        # unprofiled job); sampling only when profile_hz > 0
+        # the stack registry is always on (the doctor's pulse stacks work
+        # on an unprofiled job); sampling only when profile_hz > 0
         PROFILER.register_thread(self.rank, self.metrics.epoch, self.clock)
-        try:
-            PROFILER.register_queue(
-                self.rank, self.metrics.epoch, self.world._my_endpoint().stats
-            )
-        except Exception:  # noqa: BLE001 - diagnostics never block startup
-            pass
         if self.profile_hz > 0:
             PROFILER.acquire(self.profile_hz)
         if _T.enabled:
@@ -537,4 +537,3 @@ class WorkerEngine:
             _log.exception("failed to hand over profile for rank %d", self.rank)
         finally:
             PROFILER.unregister_thread()
-            PROFILER.unregister_queue(self.rank, self.metrics.epoch)

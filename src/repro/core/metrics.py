@@ -211,9 +211,12 @@ class WorkerMetrics(Counters):
     queue: dict = field(default_factory=dict)
     #: the sampling profiler's summary at the last fold (None unprofiled)
     profile: dict | None = None
+    #: the rank's live stacks (``StackSampler.dump_stacks``): filled in a
+    #: pulse's copy while the doctor is on, empty in the folded record
+    stacks: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        """The journal's worker row: no task table, queue or profile."""
+        """The journal's worker row: no task table, queue, profile or stacks."""
         return {
             "rank": self.rank,
             "epoch": self.epoch,

@@ -45,7 +45,7 @@ from repro.core.scheduler import driver_main, merge_reports
 from repro.mpi.runtime import BaseRuntime, create_runtime
 from repro.mpi.transport import FaultInjector
 from repro.common.logging import get_logger
-from repro.obs.journal import JournalWriter, merge_shards
+from repro.obs.journal import JournalWriter
 from repro.obs.tracer import TRACER as _T
 
 _log = get_logger("core.mpidrun")
@@ -195,15 +195,10 @@ class _TraceSession:
         if self._closed:
             return self.path
         self._closed = True
+        # one tracer on both launchers: a rank process hands its events
+        # over as it exits
         events = _T.drain()
         _T.disable()
-        # process-backend workers leave per-process journal shards next to
-        # the journal; fold them onto the driver's timeline
-        shard_events = merge_shards(self.path)
-        if shard_events:
-            events = sorted(
-                events + shard_events, key=lambda e: e.get("ts", 0.0)
-            )
         # a finished rank hands its sampling profile to the tracer as one
         # record; the journal keeps profiles apart from the timeline
         from repro.obs.profiler import PROFILE_CAT
@@ -429,9 +424,6 @@ def mpidrun(
             runtime = create_runtime(launcher, fault_injector=fault_injector)
             if max_respawns > 0:
                 runtime.enable_rank_recovery(max_respawns, redelivery_bytes)
-            if trace is not None:
-                # rank processes of this attempt write their tracer events here
-                runtime.trace_shard_prefix = f"{trace.path}.a{attempt}"
             if telemetry is not None:
                 telemetry.attach(runtime)
             try:

@@ -128,9 +128,6 @@ class BaseRuntime:
     rank_recovery = False
 
     # -- what the driver may ask about the job ----------------------------------
-    #: where rank processes write their trace shards (set by mpidrun when
-    #: tracing; thread ranks record into the driver's tracer instead)
-    trace_shard_prefix: str | None = None
     #: rank-recovery counters (:func:`repro.core.metrics.recovery_counts`)
     respawns = 0
     redelivered_frames = 0
@@ -156,16 +153,6 @@ class BaseRuntime:
     @property
     def transport(self) -> Transport:
         return self._transport
-
-    # -- diagnostics ----------------------------------------------------------
-    def request_stack_dump(self) -> list[dict]:
-        """Snapshot the live stacks + queue stats of every rank hosted in
-        *this* process (on the thread backend: all of them).  Subclasses
-        with remote ranks additionally broadcast a DUMP_REQ; those
-        replies arrive asynchronously in the telemetry hub."""
-        from repro.obs.profiler import PROFILER
-
-        return PROFILER.dump_stacks()
 
     # -- surgical rank recovery (a no-op without respawnable ranks) -------------
     def enable_rank_recovery(
@@ -416,14 +403,6 @@ class ProcessRuntime(BaseRuntime):
 
         return RouterTransport(self)
 
-    def request_stack_dump(self) -> list[dict]:
-        """A DUMP_REQ broadcast; worker replies land in the telemetry hub
-        shortly.  Nothing local: the driver hosts no engine ranks, and a
-        thread an earlier thread-backend job leaked in this process
-        would be filed under a live worker's (rank, epoch)."""
-        self._transport.request_stack_dump()
-        return []
-
     # -- surgical rank recovery ----------------------------------------------
     @property
     def redelivered_frames(self) -> int:
@@ -473,9 +452,7 @@ class ProcessRuntime(BaseRuntime):
         # make sure the old incarnation is dead before its successor
         # speaks — its future frames are fenced by epoch regardless
         _sigkill(old_pid)
-        launched = fork_worker(
-            dataclasses.replace(spec, epoch=epoch), self.trace_shard_prefix
-        )
+        launched = fork_worker(dataclasses.replace(spec, epoch=epoch))
         with self._lock:
             self._procs.append(launched)
         self.respawns += 1
@@ -519,7 +496,6 @@ class ProcessRuntime(BaseRuntime):
                     chaos_routed=self.fault_injector is not None,
                     recovery=self.rank_recovery_enabled,
                 ),
-                self.trace_shard_prefix,
             )
             for rank, gid in enumerate(group)
         ]

@@ -67,7 +67,6 @@ import os
 import pickle
 import sys
 import threading
-import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
 from time import monotonic as _now
@@ -80,7 +79,6 @@ from repro.mpi.runtime import _CONTEXT_STRIDE, BaseRuntime, ProcessRuntime, rank
 from repro.mpi.transport import AbortFlag, Envelope, Transport, TruncatedPayload
 from repro.net import wire
 from repro.net.wire import FrameConnection, FrameKind
-from repro.obs.journal import shard_path, write_shard
 from repro.obs.profiler import PROFILER
 from repro.obs.tracer import TRACER as _T
 from repro.rpc import HandlerRegistry, RpcCall, decode_message, encode_message
@@ -90,6 +88,10 @@ _log = get_logger("mpi.socket_transport")
 #: how long a worker waits for a router RPC reply before declaring the
 #: driver gone (aborts also break the wait, so this is a last resort)
 _RPC_DEADLINE = 120.0
+
+#: how long the router's shutdown waits for the ranks' connections to go
+#: (each rank's process has been joined by then: its BYE is on the way)
+_DRAIN_DEADLINE = 5.0
 
 #: workers are forked: a :class:`WorkerSpec` carries the job's closures,
 #: which only inheritance can deliver
@@ -349,10 +351,12 @@ class RouterTransport(Transport):
             call.__name__: call for call in (
                 runtime.allocate_context, runtime.launch_children,
                 runtime.abort, runtime.record_failure,
-                self.rank_failed, self.ingest_dumps,
+                self.rank_failed, self.absorb_trace,
             )
         }
         self._registry = HandlerRegistry(self.calls)
+        #: notified whenever a rank's connection goes (``shutdown`` waits)
+        self._conn_gone = threading.Condition(self._lock)
         # -- surgical rank recovery (inert until the runtime arms it) --------
         #: per-rank respawn budget (0 keeps the die-on-death path) and
         #: redelivery-log byte cap, for the worlds watched from now on
@@ -414,12 +418,6 @@ class RouterTransport(Transport):
             # a worker that has not handshaken yet is told at its HELLO
             self._broadcast(_abort_frame(self.abort_flag))
 
-    def request_stack_dump(self) -> None:
-        """Broadcast DUMP_REQ to every connected worker; replies arrive
-        asynchronously as ``ingest_dumps`` calls and land in the
-        telemetry hub."""
-        self._broadcast(wire.pack_frame(FrameKind.DUMP_REQ))
-
     def _broadcast(self, frame: bytes) -> None:
         with self._lock:
             conns = [r.conn for r in self.ranks.values() if r.conn is not None]
@@ -427,6 +425,15 @@ class RouterTransport(Transport):
             conn.try_send(frame)
 
     def shutdown(self) -> None:
+        """Stop serving once every rank's connection is gone (at most
+        :data:`_DRAIN_DEADLINE` seconds): its processes are joined, so a
+        BYE or EOF is already in each socket, and what precedes it — the
+        trace call of a rank's last breath — is read, not cut off."""
+        with self._conn_gone:
+            self._conn_gone.wait_for(
+                lambda: all(r.conn is None for r in self.ranks.values()),
+                _DRAIN_DEADLINE,
+            )
         self._server.stop()
 
     # -- bookkeeping for ProcessRuntime -------------------------------------
@@ -494,6 +501,7 @@ class RouterTransport(Transport):
                 rank = self._rank_on_locked(conn)
                 if rank is not None:
                     rank.bye()
+                    self._conn_gone.notify_all()
         else:
             _log.warning("router: ignoring unknown frame kind %d", kind)
 
@@ -514,12 +522,10 @@ class RouterTransport(Transport):
         reason = records[0].error if records else "worker failed"
         self._runtime.record_remote_error(exc, reason)
 
-    def ingest_dumps(self, dumps: list[dict]) -> None:
-        """A worker's answer to DUMP_REQ, for the telemetry hub."""
-        hub = self._runtime.telemetry_hub
-        if hub is not None:
-            for dump in dumps:
-                hub.ingest_dump(dump)
+    def absorb_trace(self, events: list[dict]) -> None:
+        """A traced rank's tracer events, handed over as it exits: into
+        the driver's tracer, whose drain writes the job's journal."""
+        _T.absorb(events)
 
     def _on_hello(
         self, conn: FrameConnection, gid: int, pid: int, epoch: int
@@ -645,6 +651,7 @@ class RouterTransport(Transport):
             if rank is None:
                 return
             verdict = rank.lost(conn.truncated)
+            self._conn_gone.notify_all()
         if self.abort_flag.is_set():
             return  # the world is going down anyway
         if verdict == "respawn":
@@ -678,7 +685,7 @@ class WorkerSpec:
     fn: Callable[..., Any]
     args: tuple
     world_name: str
-    #: process name; set, like ``trace_shard``, by :func:`fork_worker`
+    #: process name; set by :func:`fork_worker`
     name: str = ""
     #: route self-sends through the router so the driver-side injector
     #: sees the same traffic it would on the threaded backend
@@ -690,8 +697,6 @@ class WorkerSpec:
     #: surgical rank recovery armed for this world (receivers stage
     #: shuffle streams)
     recovery: bool = False
-    #: where this incarnation drains its tracer (None = tracing off)
-    trace_shard: str | None = None
 
 
 class WorkerTransport(Transport):
@@ -724,7 +729,7 @@ class WorkerRuntime(BaseRuntime):
     Matching, the abort flag and the failure list are process-local and
     inherited as they are; what it overrides is what has to cross the
     wire — global allocation and spawning wait for the driver's answer;
-    aborts, failures and stack dumps want none.
+    aborts, failures and the trace want none.
     """
 
     launcher = "processes"
@@ -789,25 +794,6 @@ class WorkerRuntime(BaseRuntime):
         self._cast("rank_failed", records, blob)
         super().abort(f"rank {comm.rank}: {exc!r}", record=False)
 
-    def send_stack_dump(self) -> None:
-        """Answer a DUMP_REQ: snapshot the live stacks and queue stats of
-        every rank this process hosts and fire them back best-effort."""
-        try:
-            dumps = self.request_stack_dump()
-            if not dumps:
-                # the engine has not registered yet (or already left):
-                # still identify this incarnation so the doctor sees it
-                dumps = [{
-                    "rank": self._spec.rank,
-                    "epoch": self._spec.epoch,
-                    "pid": os.getpid(),
-                    "ts": time.time(),
-                    "threads": [],
-                }]
-        except Exception:  # noqa: BLE001 - diagnostics never kill the rank
-            return
-        self._cast("ingest_dumps", dumps)
-
     # -- wire plumbing --------------------------------------------------------
     def _cast(self, method: str, *params: Any) -> None:
         """Call the driver by name, no reply wanted (``call_id`` 0).
@@ -871,9 +857,6 @@ class WorkerRuntime(BaseRuntime):
                 reply = self._rpc_pending.pop(response.call_id, None)
                 if reply is not None:
                     reply.set_result(response)
-            elif kind == FrameKind.DUMP_REQ:
-                # answered off the reader: the reply may block on a full socket
-                threading.Thread(target=self.send_stack_dump, daemon=True).start()
             else:
                 _log.warning("worker: ignoring unknown frame kind %d", kind)
 
@@ -883,24 +866,15 @@ class WorkerRuntime(BaseRuntime):
         self._conn.close()
 
 
-def fork_worker(
-    spec: WorkerSpec, shard_prefix: str | None
-) -> tuple[Any, WorkerSpec]:
+def fork_worker(spec: WorkerSpec) -> tuple[Any, WorkerSpec]:
     """Start the process for incarnation ``spec.epoch`` of a rank.
 
     A rank's first life and every respawn start here, so this is the one
-    place that names an incarnation: its process and — when the job is
-    traced — the journal shard it drains its tracer into
-    (``obs.journal.shard_path``).
+    place that names an incarnation's process.  It is traced if the
+    driver's tracer is on as it forks.
     """
     life = f"e{spec.epoch}" if spec.epoch else ""
-    spec = replace(
-        spec,
-        name=f"{spec.world_name}[{spec.rank}]{life}",
-        trace_shard=(
-            shard_path(shard_prefix, spec.gid, spec.epoch) if shard_prefix else None
-        ),
-    )
+    spec = replace(spec, name=f"{spec.world_name}[{spec.rank}]{life}")
     proc = multiprocessing.get_context(_START_METHOD).Process(
         target=_worker_process_main, args=(spec,), name=spec.name, daemon=True
     )
@@ -910,11 +884,10 @@ def fork_worker(
 
 def _worker_process_main(spec: WorkerSpec) -> None:
     """Entry point of one worker process: handshake, run the rank, report."""
-    # the tracer's epoch and meta are the driver's, inherited by the fork,
-    # so every shard lands on the driver's timeline
+    # the tracer's enabled flag, epoch and meta are the driver's,
+    # inherited by the fork, so the events land on the driver's timeline
     _T.reset_after_fork()
     PROFILER.reset_after_fork()
-    _T.enabled = spec.trace_shard is not None
     conn = wire.connect_local(spec.address, timeout=30.0, retries=4)
     conn.send(
         wire.pack_obj_frame(FrameKind.HELLO, (spec.gid, os.getpid(), spec.epoch))
@@ -934,13 +907,12 @@ def _worker_process_main(spec: WorkerSpec) -> None:
         runtime.record_error(comm, exc)
         exitcode = 1
     finally:
-        if spec.trace_shard:
-            # the driver merges it into the job's journal
+        if _T.enabled:
+            # ahead of the BYE on the one connection: the driver's
+            # journal gets them
             try:
-                events = _T.drain()
-                if events:
-                    write_shard(spec.trace_shard, events)
+                runtime._cast("absorb_trace", _T.drain())
             except Exception:  # noqa: BLE001 - tracing must never fail the rank
-                _log.exception("failed to write trace shard %s", spec.trace_shard)
+                _log.exception("failed to hand over the trace of rank %d", spec.gid)
         runtime.close()
     sys.exit(exitcode)

@@ -109,9 +109,6 @@ class FrameKind:
     RPC_REQ = 7     # client -> server: an RpcCall, a call by name;
                     # call_id 0 = fire-and-forget, no RPC_REP follows
     RPC_REP = 8     # server -> client: the RpcResponse to that call_id
-    DUMP_REQ = 12   # router -> worker: request a live stack/queue dump of
-                    # every rank the worker hosts (empty body); answered by
-                    # an ``ingest_dumps`` call
 
 #: truncate-fault marker in the envelope header flags byte
 FLAG_TRUNCATED = 0x01

@@ -18,8 +18,8 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   clock always advances (a blocked rank accrues ``communicate``), so
   the clock's total says nothing; frozen busy time and flat counters
   are the shape of a rank wedged inside a shuffle wait, and
-  automatically trigger an **all-rank stack capture** over the
-  DUMP_REQ wire frame;
+  automatically trigger an **all-rank stack capture**: the live stacks
+  every running rank's newest pulse carried;
 * *silent*: a rank that stopped reporting entirely (records aged out);
 * *redelivery churn*: recovery counters (respawns, redelivered frames,
   replays dropped) still climbing between evaluations;
@@ -37,7 +37,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.logging import get_logger
@@ -68,8 +68,6 @@ class DoctorConfig:
     straggler_threshold: float = 2.0
     stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
     skew_threshold: float = 2.0
-    #: at most this many seconds for a DUMP_REQ broadcast's replies
-    capture_grace: float = 0.5
     #: minimum seconds between automatic captures
     capture_backoff: float = 2.0
 
@@ -342,22 +340,21 @@ class Doctor:
 
     # -- capture ---------------------------------------------------------------
     def capture(self, reason: str = "manual") -> dict:
-        """All-rank stack/queue capture: local dumps immediately, remote
-        ranks via DUMP_REQ broadcast; returns once every running rank's
-        dump is newer than the request, or after the grace window."""
-        runtime = getattr(self.hub, "runtime", None)
-        if runtime is not None:
-            requested = time.time()
-            try:
-                for dump in runtime.request_stack_dump():
-                    self.hub.ingest_dump(dump)
-            except Exception:  # noqa: BLE001 - capture what we can
-                _log.exception("doctor: local stack dump failed")
-            self.hub.wait_dumps(requested, self.config.capture_grace)
+        """All-rank stack/queue capture, read off each running rank's
+        newest pulse (at most one telemetry interval old); a finished
+        rank's last record is its report, which carries no stacks."""
         record = {
             "ts": time.time(),
             "reason": reason,
-            "dumps": list(self.hub.dumps().values()),
+            "dumps": [
+                {
+                    "rank": rank, "epoch": latest.epoch, "pid": latest.pid,
+                    "ts": latest.ts, "queue": dict(latest.queue),
+                    "threads": list(latest.stacks),
+                }
+                for rank, latest in sorted(self.hub.latest().items())
+                if latest.stacks
+            ],
         }
         with self._lock:
             self._captures.append(record)

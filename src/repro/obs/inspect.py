@@ -12,9 +12,9 @@ Turns a flight-recorder journal back into the paper's analyses:
 * **failure timeline** — supervision records and fault-injector firings
   in timestamp order.
 
-Works from the driver-written summary record when present and falls
-back to raw span aggregation, so a journal from a crashed run (no
-summary line) still yields a report.
+Works from the driver-written summary record when present; a journal
+from a crashed run (no summary line) still yields a report — its wall
+time, slowest tasks and failures from the events, an empty phase table.
 """
 
 from __future__ import annotations
@@ -34,23 +34,13 @@ __all__ = [
 ]
 
 
-def _phase_times_from_spans(journal: Journal) -> dict[str, float]:
-    """Fallback aggregation: sum span durations by name for phase spans."""
-    out: dict[str, float] = {}
-    for event in journal.spans:
-        if event.get("cat") != "phase":
-            continue
-        name = event.get("name", "?")
-        out[name] = out.get(name, 0.0) + float(event.get("dur", 0.0))
-    return out
-
-
 def phase_table(journal: Journal) -> dict[str, float]:
-    """Merged per-phase seconds (summary record preferred, spans else)."""
-    summary = journal.summary
-    if summary.get("phase_times"):
-        return {k: float(v) for k, v in summary["phase_times"].items()}
-    return _phase_times_from_spans(journal)
+    """Merged per-phase seconds, from the summary record: the buckets are
+    the ranks' phase clocks, which no span reproduces, so a journal
+    without a summary has none (as its :func:`coverage` is 0.0)."""
+    return {
+        k: float(v) for k, v in (journal.summary.get("phase_times") or {}).items()
+    }
 
 
 def coverage(journal: Journal) -> float:

@@ -22,9 +22,7 @@ a named track; counters render as counter tracks.
 
 from __future__ import annotations
 
-import glob as _glob
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -33,12 +31,9 @@ __all__ = [
     "Journal",
     "JournalWriter",
     "export_chrome",
-    "merge_shards",
     "read_journal",
-    "shard_path",
     "to_chrome_trace",
     "write_journal",
-    "write_shard",
 ]
 
 JOURNAL_VERSION = 1
@@ -120,54 +115,6 @@ def write_journal(
         if summary is not None:
             w.write_summary(summary)
     return path
-
-
-def shard_path(prefix: str, gid: int, epoch: int) -> str:
-    """Where incarnation ``epoch`` of worker rank ``gid`` writes its shard:
-    ``<prefix>.shard-g<gid>[e<epoch>].jsonl`` — a respawn never overwrites
-    its predecessor's.  ``prefix`` is ``<journal_path>.a<attempt>``."""
-    life = f"e{epoch}" if epoch else ""
-    return f"{prefix}.shard-g{gid}{life}.jsonl"
-
-
-def write_shard(path: str, events: Iterable[dict]) -> None:
-    """Write one worker incarnation's tracer events to its shard: raw
-    event dicts, one per line, timestamps already on the driver's epoch."""
-    with open(path, "w", encoding="utf-8") as f:
-        for event in events:
-            f.write(json.dumps(event) + "\n")
-
-
-def merge_shards(journal_path: str, cleanup: bool = True) -> list[dict]:
-    """Collect the shards (:func:`write_shard`) worker processes left at
-    :func:`shard_path` under ``journal_path``, time-sorted.
-
-    On the process backend every worker drains its own tracer into a
-    shard.  The driver calls this while writing the merged journal; shard
-    files are deleted after a successful read so reruns do not
-    double-count.
-    """
-    events: list[dict] = []
-    for shard in sorted(_glob.glob(f"{_glob.escape(journal_path)}.a*.shard-*.jsonl")):
-        try:
-            with open(shard, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        events.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        continue  # torn tail of a crashed worker
-        except OSError:
-            continue
-        if cleanup:
-            try:
-                os.unlink(shard)
-            except OSError:
-                pass
-    events.sort(key=lambda e: e.get("ts", 0.0))
-    return events
 
 
 def read_journal(path: str) -> Journal:

@@ -19,10 +19,10 @@ Design notes:
   would pay the walk N times for the same data.  The sampler is
   refcounted: engines :meth:`~StackSampler.acquire` / ``release`` it,
   and the daemon thread runs only while someone holds it.
-* The *registry* (thread idents -> rank and phase clock, queue-stats
-  callables) is always maintained, even with sampling off, so the
-  on-demand stack dump (the DUMP_REQ wire frame, ``repro doctor``'s
-  capture) works on an unprofiled job.
+* The *registry* (thread idents -> rank and phase clock) is always
+  maintained, even with sampling off, so a rank's live stacks
+  (:meth:`StackSampler.dump_stacks`, which ride its pulse while the
+  doctor is on) are there on an unprofiled job.
 * Aggregates are collapsed-stack counts — the flamegraph interchange
   format — keyed ``(rank, epoch)`` so a respawned rank's incarnations
   stay distinct.  A finished rank hands its aggregate to the tracer as
@@ -38,7 +38,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 #: the sampling rate (Hz) a bare ``--profile`` writes to ``mpi.d.profile.hz``
 DEFAULT_HZ = 50.0
@@ -97,8 +97,6 @@ class StackSampler:
         self._lock = threading.Lock()
         #: thread ident -> ((rank, epoch), the thread's phase clock or None)
         self._threads: dict[int, tuple[tuple[int, int], Any]] = {}
-        #: (rank, epoch) -> transport queue stats callable
-        self._queues: dict[tuple[int, int], Callable[[], dict]] = {}
         #: (rank, epoch) -> {(phase, collapsed_stack): samples}
         self._counts: dict[tuple[int, int], dict[tuple[str, str], int]] = {}
         #: (rank, epoch) -> total samples attributed
@@ -128,17 +126,6 @@ class StackSampler:
         ident = threading.get_ident() if ident is None else ident
         with self._lock:
             self._threads.pop(ident, None)
-
-    def register_queue(
-        self, rank: int, epoch: int, stats_fn: Callable[[], dict]
-    ) -> None:
-        """Attach a transport queue ``stats()`` callable to a rank."""
-        with self._lock:
-            self._queues[(int(rank), int(epoch))] = stats_fn
-
-    def unregister_queue(self, rank: int, epoch: int = 0) -> None:
-        with self._lock:
-            self._queues.pop((int(rank), int(epoch)), None)
 
     # -- sampler lifecycle ---------------------------------------------------
     def acquire(self, hz: float = DEFAULT_HZ) -> None:
@@ -253,44 +240,31 @@ class StackSampler:
         }
 
     # -- live dumps ----------------------------------------------------------
-    def dump_stacks(self) -> list[dict]:
-        """Live stacks + queue stats for every registered rank, by epoch."""
+    def dump_stacks(self, rank: int, epoch: int = 0) -> list[dict]:
+        """The live stack of every thread registered to ``(rank, epoch)``:
+        its name, its phase and its frames, root first."""
+        key = (int(rank), int(epoch))
         frames = sys._current_frames()
         names = {t.ident: t.name for t in threading.enumerate()}
         with self._lock:
-            threads = list(self._threads.items())
-            queues = dict(self._queues)
-        by_key: dict[tuple[int, int], dict] = {}
-        for ident, (key, clock) in threads:
-            dump = by_key.setdefault(key, {
-                "rank": key[0],
-                "epoch": key[1],
-                "pid": os.getpid(),
-                "ts": time.time(),
-                "threads": [],
-            })
-            frame = frames.get(ident)
-            dump["threads"].append({
+            threads = [
+                (ident, clock) for ident, (k, clock) in self._threads.items()
+                if k == key
+            ]
+        return [
+            {
                 "name": names.get(ident, str(ident)),
-                "ident": ident,
                 "phase": _phase_of(clock),
-                "stack": describe_stack(frame) if frame is not None else [],
-            })
-        for key, dump in by_key.items():
-            stats_fn = queues.get(key)
-            if stats_fn is not None:
-                try:
-                    dump["queue"] = dict(stats_fn())
-                except Exception:
-                    dump["queue"] = {}
-        return [by_key[k] for k in sorted(by_key)]
+                "stack": describe_stack(frames[ident]) if ident in frames else [],
+            }
+            for ident, clock in threads
+        ]
 
     # -- process lifecycle ---------------------------------------------------
     def reset_after_fork(self) -> None:
         """Drop state inherited from the parent (fork-start workers)."""
         self._lock = threading.Lock()
         self._threads.clear()
-        self._queues.clear()
         self._counts.clear()
         self._samples.clear()
         self._refs = 0

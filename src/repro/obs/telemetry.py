@@ -14,10 +14,10 @@ channel, so whatever cuts a rank's traffic (a severed rank, a dead
 connection) cuts its telemetry too.  The rank's final report is the
 last record the hub files for it.
 
-The driver-side :class:`TelemetryHub` keeps a bounded ring per
+The driver-side :class:`TelemetryHub` keeps the newest record per
 ``(rank, epoch)`` series — a reincarnated rank gets a *new* series, so
-its counters never clobber its predecessor's — and merges the latest
-records into cluster rollups: per-phase p50/p99, a straggler score
+its counters never clobber its predecessor's — and merges them into
+cluster rollups: per-phase p50/p99, a straggler score
 (slowest rank's busy time vs median), shuffle skew (max bytes sent vs
 median) and live recovery counts read off the runtime at scrape time.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from typing import Any, Callable
 
 from repro.common.stats import percentile
@@ -78,42 +77,32 @@ def _fmt_value(value: Any, fmt: str = "{:.6f}", fallback: float = 0.0) -> str:
 class TelemetryHub:
     """Driver-side aggregator of per-rank :class:`WorkerMetrics` series.
 
-    Series are keyed by ``(rank, epoch)`` in bounded rings: a respawned
-    rank reports under a bumped epoch and therefore under a *fresh* key,
-    so the dead incarnation's last counters survive next to (not under)
-    its successor's.  ``latest()`` surfaces the highest epoch per rank.
+    Series are keyed by ``(rank, epoch)``, and each holds its newest
+    record: a respawned rank reports under a bumped epoch and therefore
+    under a *fresh* key, so the dead incarnation's last counters survive
+    next to (not under) its successor's.  ``latest()`` surfaces the
+    highest epoch per rank.
 
     Thread-safe: router reader threads ingest while RPC handler threads
     scrape.
     """
 
-    def __init__(self, ring: int = 256, job: str = "") -> None:
+    def __init__(self, job: str = "") -> None:
         self._lock = threading.Lock()
-        self._ring = max(1, int(ring))
-        self._series: dict[tuple[int, int], deque] = {}
-        #: latest live stack dump per (rank, epoch) — ``ingest_dumps``
-        #: calls on the process backend, direct ingest_dump on threads
-        self._dumps: dict[tuple[int, int], dict] = {}
-        #: notified on every dump (:meth:`wait_dumps`)
-        self._dumped = threading.Condition()
+        #: newest record per (rank, epoch), and how many were filed
+        self._series: dict[tuple[int, int], WorkerMetrics] = {}
+        self._filed: dict[tuple[int, int], int] = {}
         self._done: set[int] = set()
         self._expected = 0
         self._runtime: Any = None
         self.job = job
         self.snapshots_ingested = 0
-        self.dumps_ingested = 0
         self._t0 = time.time()
 
     # -- wiring ---------------------------------------------------------------
     def bind_runtime(self, runtime: Any) -> None:
         """Read live recovery counters off this runtime at scrape time."""
         self._runtime = runtime
-
-    @property
-    def runtime(self) -> Any:
-        """The bound runtime (None before attach) — the doctor asks it
-        for all-rank stack dumps."""
-        return self._runtime
 
     def expect(self, nprocs: int) -> None:
         """The scheduler announces the world size (rollup denominators)."""
@@ -134,67 +123,23 @@ class TelemetryHub:
             return
         key = (record.rank, record.epoch)
         with self._lock:
-            ring = self._series.get(key)
-            if ring is None:
-                ring = self._series[key] = deque(maxlen=self._ring)
-            ring.append(record)
+            self._series[key] = record
+            self._filed[key] = self._filed.get(key, 0) + 1
             self.snapshots_ingested += 1
-
-    def ingest_dump(self, dump: dict[str, Any]) -> None:
-        """Accept one live stack dump (a DUMP_REQ's reply or local call)."""
-        if not isinstance(dump, dict) or "rank" not in dump:
-            return
-        key = (int(dump["rank"]), int(dump.get("epoch", 0)))
-        with self._lock:
-            self._dumps[key] = dump
-            self.dumps_ingested += 1
-        with self._dumped:
-            self._dumped.notify_all()
-
-    def wait_dumps(self, since: float, timeout: float) -> bool:
-        """Block until every running rank — one with a record here and
-        no final report — has a dump stamped at or after ``since``
-        (``time.time()``), for at most ``timeout`` seconds; True when
-        they all have."""
-
-        def fresh() -> bool:
-            dumps = self.dumps()
-            with self._lock:
-                running = {rank for rank, _epoch in self._series} - self._done
-            return all(dumps.get(r, {}).get("ts", 0.0) >= since for r in running)
-
-        with self._dumped:
-            return self._dumped.wait_for(fresh, timeout)
-
-    def dumps(self) -> dict[int, dict[str, Any]]:
-        """Latest stack dump per rank, from that rank's highest epoch."""
-        with self._lock:
-            best: dict[int, tuple[int, dict]] = {}
-            for (rank, epoch), dump in self._dumps.items():
-                held = best.get(rank)
-                if held is None or epoch > held[0]:
-                    best[rank] = (epoch, dump)
-            return {rank: dump for rank, (_e, dump) in best.items()}
 
     # -- read path ------------------------------------------------------------
     def series_keys(self) -> list[tuple[int, int]]:
         with self._lock:
             return sorted(self._series)
 
-    def series(self, rank: int, epoch: int = 0) -> list[WorkerMetrics]:
-        with self._lock:
-            return list(self._series.get((rank, epoch), ()))
-
     def latest(self) -> dict[int, WorkerMetrics]:
         """Newest record per rank, from that rank's highest epoch."""
         with self._lock:
             best: dict[int, tuple[int, WorkerMetrics]] = {}
-            for (rank, epoch), ring in self._series.items():
-                if not ring:
-                    continue
+            for (rank, epoch), record in self._series.items():
                 held = best.get(rank)
                 if held is None or epoch > held[0]:
-                    best[rank] = (epoch, ring[-1])
+                    best[rank] = (epoch, record)
             return {rank: record for rank, (_e, record) in best.items()}
 
     def per_rank(self) -> list[dict[str, Any]]:
@@ -348,9 +293,7 @@ class TelemetryHub:
                 f" {_fmt_value(record.process_rss_bytes, '{:.0f}')}"
             )
         with self._lock:
-            per_series = {
-                key: len(ring) for key, ring in sorted(self._series.items())
-            }
+            per_series = dict(sorted(self._filed.items()))
         for (rank, epoch), count in per_series.items():
             lines.append(
                 f'datampi_telemetry_snapshots_total{{rank="{rank}",'

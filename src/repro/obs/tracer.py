@@ -123,6 +123,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._bufs: list[_ThreadBuf] = []
+        #: events drained elsewhere and handed over (a worker process's)
+        self._absorbed: list[dict] = []
         self._epoch = 0.0
         #: bumped on every enable(); stale thread-locals re-register
         self._generation = 0
@@ -132,6 +134,7 @@ class Tracer:
         """Start recording; clears any previous buffers."""
         with self._lock:
             self._bufs = []
+            self._absorbed = []
             self._generation += 1
             self.meta = dict(meta)
             self._epoch = self.clock()
@@ -140,12 +143,19 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
+    def absorb(self, events: list[dict]) -> None:
+        """File events another tracer drained on this one's epoch (a
+        forked worker's, handed over as it exits); ``drain`` merges them."""
+        with self._lock:
+            self._absorbed.extend(events)
+
     def drain(self) -> list[dict]:
-        """Stop-the-presses collection: every buffered event as a dict,
-        globally sorted by timestamp (epoch-relative seconds)."""
+        """Stop-the-presses collection: every buffered and absorbed
+        event as a dict, globally sorted by timestamp (epoch-relative
+        seconds)."""
         with self._lock:
             bufs = list(self._bufs)
-        events: list[dict] = []
+            events: list[dict] = list(self._absorbed)
         epoch = self._epoch
         for buf in bufs:
             for ev in list(buf.events):
@@ -180,6 +190,7 @@ class Tracer:
         """Drop all buffered events (tests)."""
         with self._lock:
             self._bufs = []
+            self._absorbed = []
             self._generation += 1
 
     def reset_after_fork(self) -> None:
@@ -187,15 +198,16 @@ class Tracer:
 
         The child inherits the parent's buffers (they belong to threads
         that do not exist here) and possibly a lock captured mid-hold;
-        both are replaced.  The epoch is kept: it is the driver's, so
-        per-process journal shards share one timeline (``perf_counter``
-        is CLOCK_MONOTONIC — system-wide on Linux).
+        both are replaced.  ``enabled`` and the epoch are kept: a worker
+        forked while the driver traces is traced, and the events it hands
+        back (:meth:`absorb`) land on the driver's timeline
+        (``perf_counter`` is CLOCK_MONOTONIC — system-wide on Linux).
         """
         self._lock = threading.Lock()
         self._local = threading.local()
         self._bufs = []
+        self._absorbed = []
         self._generation += 1
-        self.enabled = False
 
     # -- thread attribution -------------------------------------------------
     def _buf(self) -> _ThreadBuf:

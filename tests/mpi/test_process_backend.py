@@ -8,7 +8,6 @@ process connected to the driver-side router over a local socket.
 
 import os
 import pickle
-import queue
 import socket
 import threading
 
@@ -300,56 +299,3 @@ class TestEnvelopeCodec:
         assert decoded.payload == ("k", 2)
         assert (decoded.context, decoded.source, decoded.tag) == (8, 1, 5)
         assert decoded.seq > env.seq  # stamped in the receiving interpreter
-
-
-# -- the wire reader --------------------------------------------------------------
-
-
-class _StuckLink:
-    """A router link whose frames arrive but whose writes never finish
-    (a router that stopped draining this rank's socket)."""
-
-    def __init__(self):
-        self.inbox = queue.Queue()
-        self.release = threading.Event()
-
-    def recv(self):
-        return self.inbox.get()
-
-    def send(self, frame):
-        self.release.wait()
-
-    def try_send(self, frame):
-        self.release.wait()
-        return True
-
-    def close(self):
-        self.inbox.put(None)
-
-
-class TestWireReader:
-    def test_a_dump_request_does_not_stall_the_frames_behind_it(self):
-        """The reader answers DUMP_REQ off its own thread: the reply may
-        block on a full socket, the next envelope must still land."""
-        from repro.mpi.socket_transport import (
-            WorkerRuntime,
-            WorkerSpec,
-            _encode_envelope,
-        )
-
-        link = _StuckLink()
-        spec = WorkerSpec(
-            address=None, gid=1, group=(1,), rank=0, world_context=8,
-            parent_group=(0,), inter_context=12, fn=None, args=(),
-            world_name="w", name="w[0]",
-        )
-        runtime = WorkerRuntime(spec, link)
-        try:
-            env = Envelope(context=8, source=0, tag=5, payload="after", nbytes=8)
-            link.inbox.put((FrameKind.DUMP_REQ, b""))
-            link.inbox.put((FrameKind.ENVELOPE, _encode_envelope(1, env)[5:]))
-            got = runtime.mailbox(1).receive(8, source=0, tag=5, timeout=2.0)
-            assert got.payload == "after"
-        finally:
-            link.release.set()
-            runtime.close()

@@ -168,10 +168,10 @@ def test_one_builder_words_every_way_a_rank_dies():
 # -- the wire's vocabulary ----------------------------------------------------------
 
 
-def test_the_wire_has_exactly_seven_frame_kinds():
+def test_the_wire_has_exactly_six_frame_kinds():
     kinds = {n: v for n, v in vars(FrameKind).items() if not n.startswith("_")}
     assert sorted(kinds) == [
-        "ABORT", "BYE", "DUMP_REQ", "ENVELOPE", "HELLO", "RPC_REP", "RPC_REQ",
+        "ABORT", "BYE", "ENVELOPE", "HELLO", "RPC_REP", "RPC_REQ",
     ]
     assert len(set(kinds.values())) == len(kinds)
 

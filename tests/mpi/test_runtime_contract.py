@@ -10,6 +10,7 @@ fenced).
 """
 
 import logging
+import threading
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.mpi import BaseRuntime, ProcessRuntime, create_runtime
 from repro.mpi.socket_transport import WorkerRuntime
 from repro.net import wire
 from repro.net.wire import FrameKind, pack_frame, pack_obj_frame
+from repro.obs.tracer import TRACER
 from repro.rpc import RpcCall, RpcResponse, decode_message, encode_message
 
 
@@ -212,3 +214,48 @@ class TestCallFrame:
             _drain(conn)  # the connection still serves calls
         finally:
             conn.close()
+
+
+class TestShutdown:
+    def test_a_rank_s_last_trace_call_is_handled_before_the_server_stops(
+        self, router
+    ):
+        """A rank's process exits with its trace call and BYE still in the
+        socket.  ``shutdown`` runs once the process is joined; it must not
+        close the connection on a call its reader has yet to handle.  The
+        router's handling of the trace call is held back until the server
+        stops, or for half a second at most."""
+        transport, _warnings = router
+        order = []
+        stopping = threading.Event()
+        stop, absorb = transport._server.stop, transport.calls["absorb_trace"]
+
+        def held_stop():
+            order.append("stop")
+            stopping.set()
+            stop()
+
+        def held_absorb(events):
+            stopping.wait(0.5)
+            order.append("absorb")
+            absorb(events)
+
+        transport._server.stop = held_stop
+        transport.calls["absorb_trace"] = held_absorb
+        event = {"ph": "i", "name": "last-words", "ts": 0.5, "rank": 1, "tid": "w"}
+        conn = wire.connect_local(transport.address)
+        TRACER.enable()
+        try:
+            _hello(conn, 1, 111)
+            _drain(conn)  # the rank is online, as every rank of a job is
+            conn.send(pack_frame(FrameKind.RPC_REQ, encode_message(
+                RpcCall(0, "absorb_trace", ([event],))
+            )))
+            conn.send(pack_frame(FrameKind.BYE))
+            conn.close()
+            transport.shutdown()
+            assert order == ["absorb", "stop"]
+            assert [e["name"] for e in TRACER.drain()] == ["last-words"]
+        finally:
+            TRACER.disable()
+            TRACER.reset()

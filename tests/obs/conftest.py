@@ -12,12 +12,22 @@ def launcher(request):
 
 @pytest.fixture
 def captured_hub(monkeypatch):
-    """Capture the driver-side hub that mpidrun wires up internally."""
-    captured = {}
+    """Capture the driver-side hub that mpidrun wires up internally, and
+    under ``"records"`` every record it files, in filing order (the hub
+    keeps only the newest of each series)."""
+    captured = {"records": []}
     orig = _mpidrun_mod._TelemetrySession.attach
 
     def attach(self, runtime):
-        captured["hub"] = self.hub
+        hub = captured["hub"] = self.hub
+        if "ingest" not in vars(hub):
+            ingest = hub.ingest
+
+            def spy(record):
+                captured["records"].append(record)
+                ingest(record)
+
+            hub.ingest = spy
         orig(self, runtime)
 
     monkeypatch.setattr(_mpidrun_mod._TelemetrySession, "attach", attach)

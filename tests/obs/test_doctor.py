@@ -17,7 +17,6 @@ Acceptance invariants (both rank backends):
 import importlib
 import json
 import os
-import threading
 import time
 
 import pytest
@@ -197,56 +196,41 @@ class TestQueueAndChurnSignatures:
 
 class TestCapture:
     def test_capture_ingests_local_dumps(self):
-        class _Runtime:
-            def request_stack_dump(self):
-                return [{"rank": 3, "epoch": 0, "pid": os.getpid(),
-                         "ts": time.time(),
-                         "threads": [{"name": "engine-3", "ident": 1,
-                                      "phase": "communicate",
-                                      "stack": ["shuffle.wait_complete:178"]}]}]
-
+        """A capture reads each running rank's stacks and mailbox off the
+        newest record its pulse filed: nothing is asked, nothing waited
+        for."""
         hub = TelemetryHub()
-        hub.bind_runtime(_Runtime())
-        doctor = Doctor(hub, DoctorConfig(capture_grace=0.0))
+        hub.ingest(_record(3, pid=os.getpid(), pending=2, stacks=[
+            {"name": "engine-3", "phase": "communicate",
+             "stack": ["shuffle.wait_complete:178"]},
+        ]))
+        doctor = Doctor(hub, DoctorConfig())
         record = doctor.capture("unit test")
         assert record["reason"] == "unit test"
-        assert [d["rank"] for d in record["dumps"]] == [3]
+        (dump,) = record["dumps"]
+        assert (dump["rank"], dump["epoch"], dump["pid"]) == (3, 0, os.getpid())
+        assert dump["queue"] == {"pending": 2, "bytes_in": 0}
         report = doctor.report()
         assert report["captures"][-1]["dumps"][0]["rank"] == 3
         rendered = render_report(report)
         assert "shuffle.wait_complete:178" in rendered
 
-    def test_capture_returns_once_every_running_rank_has_dumped(self):
-        """The grace window bounds the wait; it is not a sleep.  Rank 0's
-        dump comes back from the call itself (a thread rank), rank 1's
-        later (a DUMP_REQ reply); rank 2 is done and owes none."""
+    def test_capture_holds_the_running_ranks_dumps_only(self):
+        """Two running ranks' pulses carry stacks; the third rank is done,
+        its last record its report, which carries none."""
         hub = TelemetryHub()
-        for rank in (0, 1, 2):
-            hub.ingest(_record(rank, wall=1.0))
+        for rank in (0, 1):
+            hub.ingest(_record(rank, stacks=[
+                {"name": f"w{rank}", "phase": "compute", "stack": ["a.b:1"]},
+            ]))
+        hub.ingest(_record(2, stacks=[
+            {"name": "w2", "phase": "compute", "stack": ["a.b:1"]},
+        ]))
+        hub.ingest(_record(2, tasks=[{"task_id": 0}]))  # its report
         hub.mark_done(2)
-
-        def dump(rank):
-            return {"rank": rank, "epoch": 0, "ts": time.time(), "threads": []}
-
-        class _Runtime:
-            def request_stack_dump(self):
-                threading.Timer(0.05, lambda: hub.ingest_dump(dump(1))).start()
-                return [dump(0)]
-
-        hub.bind_runtime(_Runtime())
-        doctor = Doctor(hub, DoctorConfig(capture_grace=30.0))
-        start = time.monotonic()
-        record = doctor.capture("unit test")
-        assert time.monotonic() - start < 10.0
-        assert sorted(d["rank"] for d in record["dumps"]) == [0, 1]
-
-    def test_a_rank_that_never_dumps_costs_the_grace_window_only(self):
-        hub = TelemetryHub()
-        hub.ingest(_record(0, wall=1.0))
-        # a dump older than the request does not count
-        hub.ingest_dump({"rank": 0, "epoch": 0, "ts": time.time() - 60})
-        assert hub.wait_dumps(time.time(), 0.05) is False
-        assert hub.wait_dumps(time.time() - 120, 0.0) is True
+        record = Doctor(hub, DoctorConfig()).capture("unit test")
+        assert [d["rank"] for d in record["dumps"]] == [0, 1]
+        assert [d["threads"][0]["name"] for d in record["dumps"]] == ["w0", "w1"]
 
     def test_report_write_is_valid_json(self, tmp_path):
         doctor = Doctor(TelemetryHub(), DoctorConfig(), job="wc")
@@ -479,7 +463,7 @@ def served_doctor(tmp_path):
     hub.ingest(_record(0, wall=1.0))
     hub.ingest(_record(1, wall=1.0))
     hub.ingest(_record(2, wall=9.0))
-    doctor = Doctor(hub, DoctorConfig(capture_grace=0.0), job="wc")
+    doctor = Doctor(hub, DoctorConfig(), job="wc")
     doctor.evaluate()
     server = SocketRpcServer(
         {**hub.rpc_target(), **doctor.rpc_target()},

@@ -16,7 +16,7 @@ from repro.obs.inspect import (
     summarize_journal,
     top_tasks,
 )
-from repro.obs.journal import read_journal
+from repro.obs.journal import read_journal, write_journal
 from repro.obs.tracer import TRACER
 
 
@@ -139,6 +139,24 @@ class TestInspector:
         report = format_report(s)
         assert "phase times" in report
         assert "coverage" in report
+
+    def test_a_journal_without_a_summary_has_no_phase_table(self, tmp_path):
+        """The phase buckets are the ranks' clocks, and only the summary
+        carries them: a ``plane.wait`` span (``cat="phase"``) is not a
+        phase, and the report of a journal cut before its summary shows
+        no table rather than one made of it."""
+        path = write_journal(str(tmp_path / "cut.trace.jsonl"), {"job": "x"}, [
+            {"ph": "X", "ts": 0.0, "dur": 0.5, "name": "plane.wait",
+             "cat": "phase", "rank": 1, "tid": "w"},
+            {"ph": "X", "ts": 0.5, "dur": 0.25, "name": "O-task-0",
+             "cat": "task", "rank": 1, "tid": "w", "args": {"kind": "O"}},
+        ])
+        s = summarize_journal(read_journal(path))
+        assert s["phase_times"] == {}
+        assert s["coverage"] == 0.0
+        assert s["wall_seconds"] == 0.75  # the events still give the rest
+        assert s["top_tasks"][0]["duration"] == 0.25
+        assert "phase times" not in format_report(s)
 
     def test_failure_timeline_from_traced_crash(self, tmp_path):
         path = str(tmp_path / "crash.trace.jsonl")

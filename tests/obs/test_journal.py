@@ -6,12 +6,9 @@ from repro.obs.journal import (
     Journal,
     JournalWriter,
     export_chrome,
-    merge_shards,
     read_journal,
-    shard_path,
     to_chrome_trace,
     write_journal,
-    write_shard,
 )
 
 
@@ -64,32 +61,6 @@ class TestRoundTrip:
         with open(path, "w", encoding="utf-8") as f:
             f.write('\n{"type": "meta", "version": 1, "job": "x"}\n\n')
         assert read_journal(path).meta["job"] == "x"
-
-
-class TestShards:
-    def test_two_incarnations_round_trip_once_and_leave_no_file(self, tmp_path):
-        """A rank's first life and its respawn each write a shard under the
-        attempt's prefix; the merge returns every event once, time-sorted,
-        and removes both files."""
-        journal = str(tmp_path / "job.trace.jsonl")
-        prefix = f"{journal}.a1"
-        first, reborn = shard_path(prefix, 3, 0), shard_path(prefix, 3, 1)
-        assert first != reborn  # a respawn never overwrites its predecessor
-        lives = {
-            first: [{"ph": "i", "name": "life-0", "ts": t, "rank": 3}
-                    for t in (0.1, 0.3)],
-            reborn: [{"ph": "i", "name": "life-1", "ts": t, "rank": 3}
-                     for t in (0.2, 0.4)],
-        }
-        for path, events in lives.items():
-            write_shard(path, events)
-        merged = merge_shards(journal)
-        assert merged == sorted(
-            (e for events in lives.values() for e in events),
-            key=lambda e: e["ts"],
-        )
-        assert list(tmp_path.iterdir()) == []
-        assert merge_shards(journal) == []
 
 
 class TestChromeExport:

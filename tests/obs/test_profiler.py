@@ -160,28 +160,26 @@ class TestStackSampler:
         assert sampler.ticks > 0
         assert sampler.sample_cost_seconds > 0.0
 
-    def test_dump_stacks_reports_live_threads_and_queues(self, burning_thread):
+    def test_dump_stacks_reports_the_ranks_live_threads(self, burning_thread):
         sampler = StackSampler()
         sampler.register_thread(
             5, epoch=1, clock=PhaseClock("merge"), ident=burning_thread
         )
-        sampler.register_queue(5, 1, lambda: {"pending": 3, "bytes_in": 64})
-        dumps = sampler.dump_stacks()
-        assert len(dumps) == 1
-        dump = dumps[0]
-        assert dump["rank"] == 5 and dump["epoch"] == 1
-        assert dump["pid"] == os.getpid()
-        assert dump["queue"] == {"pending": 3, "bytes_in": 64}
-        (thread,) = dump["threads"]
+        sampler.register_thread(6, epoch=1)  # another rank's thread
+        (thread,) = sampler.dump_stacks(5, 1)
+        assert set(thread) == {"name", "phase", "stack"}
+        assert thread["name"].startswith("Thread-")
         assert thread["phase"] == "merge"
         assert any("_burn_until" in frame for frame in thread["stack"])
+        # the rank's earlier incarnation has no threads
+        assert sampler.dump_stacks(5, 0) == []
 
     def test_dump_works_with_sampling_off(self, burning_thread):
         # the registry is always on: doctor captures must work unprofiled
         sampler = StackSampler()
         sampler.register_thread(0, ident=burning_thread)
         assert not sampler.running
-        assert sampler.dump_stacks()[0]["threads"]
+        assert sampler.dump_stacks(0)[0]["stack"]
 
 
 # -- exporters --------------------------------------------------------------------

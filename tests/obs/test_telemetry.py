@@ -25,10 +25,10 @@ from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
 from repro.core import metrics as metrics_mod
 from repro.core.metrics import WorkerMetrics, _process_rss_bytes
 from repro.mpi import FaultInjector
-from repro.obs.journal import Journal, merge_shards, read_journal, to_chrome_trace
+from repro.obs.journal import Journal, read_journal, to_chrome_trace
 from repro.obs.inspect import format_report, summarize_journal
 from repro.obs.telemetry import TelemetryHub
-from repro.obs.tracer import flow_id
+from repro.obs.tracer import Tracer, flow_id
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
 
@@ -93,7 +93,7 @@ class TestProcessRss:
 
 class TestPulseRecord:
     @pytest.fixture
-    def hub(self, tmp_path, launcher, captured_hub):
+    def captured(self, tmp_path, launcher, captured_hub):
         conf = {
             K.LAUNCHER: launcher,
             K.TELEMETRY_ENABLED: True,
@@ -104,13 +104,14 @@ class TestPulseRecord:
             _wordcount_job("tele-record", conf, TEXTS, out), nprocs=2,
             timeout=120.0, raise_on_error=True,
         )
-        return captured_hub["hub"]
+        return captured_hub
 
-    def test_a_pulse_sends_the_record_but_no_task_table(self, hub):
+    def test_a_pulse_sends_the_record_but_no_task_table(self, captured):
         for rank in (0, 1):
-            *pulses, report = hub.series(rank)
+            *pulses, report = [r for r in captured["records"] if r.rank == rank]
             assert pulses, "the first pulse goes at once"
             assert report.tasks  # the report is the last record filed
+            assert captured["hub"].latest()[rank] is report
             for record in pulses:
                 assert isinstance(record, WorkerMetrics)
                 assert record.tasks == []
@@ -121,9 +122,11 @@ class TestPulseRecord:
                 assert record.process_rss_bytes > 0
                 assert {"pending", "bytes_in"} <= set(record.queue)
                 assert record.profile is None  # unprofiled
+                assert record.stacks == []  # the doctor is off
+            assert report.stacks == []
 
-    def test_each_process_rank_reports_its_own_pid(self, hub, launcher):
-        pids = [hub.latest()[rank].pid for rank in (0, 1)]
+    def test_each_process_rank_reports_its_own_pid(self, captured, launcher):
+        pids = [captured["hub"].latest()[rank].pid for rank in (0, 1)]
         if launcher == "threads":
             assert pids == [os.getpid()] * 2
         else:
@@ -148,9 +151,10 @@ class TestTelemetryHub:
         hub.ingest(_record(0, epoch=0))
         hub.ingest(_record(0, epoch=1))  # reborn incarnation
         assert set(hub.series_keys()) == {(0, 0), (0, 1)}
-        # the predecessor's history survives the respawn
-        assert len(hub.series(0, epoch=0)) == 2
-        assert len(hub.series(0, epoch=1)) == 1
+        # the predecessor's series survives the respawn, with its count
+        text = hub.prometheus_text()
+        assert 'datampi_telemetry_snapshots_total{rank="0",epoch="0"} 2' in text
+        assert 'datampi_telemetry_snapshots_total{rank="0",epoch="1"} 1' in text
 
     def test_latest_prefers_the_highest_epoch(self):
         hub = TelemetryHub()
@@ -160,12 +164,15 @@ class TestTelemetryHub:
         assert latest[0].epoch == 1
 
     def test_ring_is_bounded(self):
-        hub = TelemetryHub(ring=4)
-        for n in range(32):
-            hub.ingest(_record(1, records_sent=n))
-        series = hub.series(1)
-        # keeps the newest, in arrival order
-        assert [record.records_sent for record in series] == [28, 29, 30, 31]
+        """The hub holds one record a series, whatever a rank sends: its
+        newest."""
+        hub = TelemetryHub()
+        records = [_record(1, records_sent=n) for n in range(32)]
+        for record in records:
+            hub.ingest(record)
+        assert hub.series_keys() == [(1, 0)]
+        assert hub.latest()[1] is records[-1]
+        assert hub.snapshots_ingested == 32
 
     def test_malformed_snapshots_are_dropped_not_fatal(self):
         hub = TelemetryHub()
@@ -298,7 +305,8 @@ class TestLiveTelemetry:
         assert result.failures[0].worker == 1
         hub = captured_hub["hub"]
         assert {rank for rank, _epoch in hub.series_keys()} == {0}
-        assert hub.series(0)  # the healthy rank kept reporting
+        # the healthy rank kept reporting
+        assert {r.rank for r in captured_hub["records"]} == {0}
 
     def test_concurrent_scrape_mid_run_on_process_backend(self, tmp_path):
         from repro.rpc import SocketRpcClient
@@ -392,8 +400,9 @@ class TestLiveTelemetry:
         assert reborn, f"no rank reported from two incarnations: {keys}"
         rank = reborn[0]
         # both lives kept their own series; latest() follows the new one
-        assert len(hub.series(rank, epoch=0)) >= 1
-        assert len(hub.series(rank, epoch=1)) >= 1
+        assert {(r.rank, r.epoch) for r in captured_hub["records"]} >= {
+            (rank, 0), (rank, 1),
+        }
         assert hub.latest()[rank].epoch == 1
         assert hub.rollups()["recovery"]["respawns"] >= 1
 
@@ -402,19 +411,31 @@ class TestLiveTelemetry:
 
 
 class TestTraceShardsAndFlows:
-    def test_merge_keeps_both_incarnations_shards(self, tmp_path):
-        # respawned workers write shard-g<gid>e<epoch>.jsonl next to the
-        # journal; the merge must collect both lives, not let the reborn
-        # shard shadow its predecessor
-        journal = tmp_path / "wc.trace.jsonl"
-        first = tmp_path / "wc.trace.jsonl.a0.shard-g1.jsonl"
-        reborn = tmp_path / "wc.trace.jsonl.a0.shard-g1e1.jsonl"
-        first.write_text(json.dumps(
-            {"ph": "i", "name": "life-0", "ts": 1.0, "rank": 1}) + "\n")
-        reborn.write_text(json.dumps(
-            {"ph": "i", "name": "life-1", "ts": 2.0, "rank": 1}) + "\n")
-        events = merge_shards(str(journal), cleanup=False)
-        assert {e["name"] for e in events} == {"life-0", "life-1"}
+    def test_absorb_keeps_both_incarnations_events(self):
+        # a respawned rank's incarnations each hand their events over as
+        # they exit; the drain returns both lives once, time-sorted, and
+        # the driver's own events among them
+        tracer = Tracer()
+        tracer.enable()
+        first = [{"ph": "i", "name": "life-0", "ts": t, "rank": 1, "tid": "w"}
+                 for t in (1.0, 3.0)]
+        reborn = [{"ph": "i", "name": "life-1", "ts": t, "rank": 1, "tid": "w"}
+                  for t in (2.0, 4.0)]
+        tracer.absorb(first)
+        tracer.absorb(reborn)
+        tracer.instant("driver")
+        events = tracer.drain()
+        assert [e["name"] for e in events] == [
+            "driver", "life-0", "life-1", "life-0", "life-1",
+        ]
+        # a rank forked now (a respawn) is traced, and hands back its
+        # own events only, not the ones the driver already holds
+        tracer.reset_after_fork()
+        assert tracer.enabled
+        assert tracer.drain() == []
+        tracer.absorb(first)
+        tracer.enable()  # a new session starts empty
+        assert tracer.drain() == []
 
     def test_chrome_trace_links_sender_and_receiver_spans(
         self, tmp_path, launcher
