@@ -93,12 +93,13 @@ class MPI_D_Constants:
     #: to a whole-job restart)
     RANK_REDELIVERY_BYTES = "mpi.d.rank.redelivery.bytes"
 
-    # -- observability (flight recorder) -------------------------------------------
-    #: record spans/instants/counters into a per-job JSONL journal
+    # -- launcher -------------------------------------------------------------------
     #: rank substrate: "threads" (in-process, zero-copy) or "processes"
     #: (one OS process per rank over the socket router — real parallelism)
     LAUNCHER = "mpi.d.launcher"
 
+    # -- observability (flight recorder) -------------------------------------------
+    #: record spans/instants/counters into a per-job JSONL journal
     TRACE_ENABLED = "mpi.d.trace.enabled"
     #: journal path (defaults to <job>.trace.jsonl in the local dir);
     #: setting it implies TRACE_ENABLED

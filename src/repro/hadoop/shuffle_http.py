@@ -45,10 +45,6 @@ class ShuffleServer:
             self.bytes_served += sum(kv_bytes(k, v) for k, v in run)
             return run
 
-    def has_map(self, map_id: int) -> bool:
-        with self._lock:
-            return any(m == map_id for m, _ in self._segments)
-
 
 class ShuffleDirectory:
     """Job-wide registry: which host served each map (completion events)."""
@@ -69,10 +65,6 @@ class ShuffleDirectory:
                 return self._map_hosts[map_id]
             except KeyError:
                 raise DataMPIError(f"map {map_id} has not completed") from None
-
-    def completed_maps(self) -> list[int]:
-        with self._lock:
-            return sorted(self._map_hosts)
 
     def fetch(self, map_id: int, partition: int) -> tuple[list[KV], int]:
         """Reducer-side pull: resolve the host, fetch; returns (run, host)."""

@@ -34,10 +34,6 @@ class DataNode:
             self.bytes_read += len(data)
             return data
 
-    def has_block(self, block_id: int) -> bool:
-        with self._lock:
-            return block_id in self._blocks
-
     def drop(self, block_id: int) -> None:
         with self._lock:
             self._blocks.pop(block_id, None)
@@ -45,7 +41,3 @@ class DataNode:
     def used_bytes(self) -> int:
         with self._lock:
             return sum(len(b) for b in self._blocks.values())
-
-    def block_count(self) -> int:
-        with self._lock:
-            return len(self._blocks)

@@ -46,8 +46,8 @@ Semantics are those of the threaded backend, preserved deliberately:
   :class:`_Rank` record alone.
 
 Payloads are pickled only at the wire boundary
-(:data:`repro.net.wire.WIRE_SERDE`); workers are forked, so job closures
-reach them by inheritance, never by pickle.
+(:func:`repro.net.wire.encode_payload`); workers are forked, so job
+closures reach them by inheritance, never by pickle.
 
 Both ends implement the one runtime contract
 (:class:`~repro.mpi.runtime.BaseRuntime`): :class:`WorkerRuntime` is a
@@ -101,9 +101,8 @@ _START_METHOD = "fork"
 def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
     """Envelope -> wire frame; truncation travels as a header flag.
 
-    Shuffle record-batch payloads take the structured FLAG_BATCH codec
-    (sealed batch bytes copied verbatim, zero pickle); everything else is
-    pickled at this boundary.  ``epoch`` is the sender's rank epoch — the
+    The payload is pickled at this boundary, a shuffle block's sealed
+    batch as its bytes.  ``epoch`` is the sender's rank epoch — the
     router fences frames whose epoch lags the sender's current
     incarnation (zombie defense).
     """
@@ -112,10 +111,10 @@ def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
     if isinstance(payload, TruncatedPayload):
         flags |= wire.FLAG_TRUNCATED
         payload = payload.original
-    body, payload_flags = wire.encode_payload(payload)
+    body, _ = wire.encode_payload(payload)
     return wire.pack_envelope_frame(
         envelope.context, envelope.source, envelope.tag, envelope.origin,
-        dest, envelope.nbytes, body, flags | payload_flags,
+        dest, envelope.nbytes, body, flags,
         epoch=epoch, trace=envelope.trace, parent=envelope.parent,
     )
 

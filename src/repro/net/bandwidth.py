@@ -66,17 +66,6 @@ class BandwidthBenchmark:
             result[fabric_name] = row
         return result
 
-    def sweep_curve(
-        self, stack_name: str, fabric_name: str, total: int = 256 * MiB
-    ) -> list[tuple[int, float]]:
-        """Bandwidth-vs-packet-size curve (MB/s) for one system+fabric."""
-        stack = self.stacks[stack_name]
-        fabric = self.fabrics[fabric_name]
-        return [
-            (packet, achieved_bandwidth(stack, fabric, total, packet) / 1e6)
-            for packet in self.packet_sizes
-        ]
-
     @staticmethod
     def improvement_matrix(result: dict[str, dict[str, float]]) -> dict[str, float]:
         """MPI-vs-Jetty bandwidth ratio per fabric (paper: >2x on IB/10GigE)."""

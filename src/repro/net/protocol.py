@@ -125,22 +125,6 @@ NativeMPIStack = ProtocolStack(
     uses_rdma=True,
 )
 
-#: The process-per-rank socket backend (``mpi.d.launcher=processes``):
-#: loopback/AF_UNIX stream path through :mod:`repro.net.wire` — a kernel
-#: round-trip per frame.  Shuffle data rides FLAG_BATCH envelopes whose
-#: record-batch bytes are copied verbatim into the frame (no pickle on
-#: either side), leaving one buffer copy per hop on the data plane.
-#: Modelled here for apples-to-apples comparison with the Figure 1a
-#: stacks; deliberately *not* in :data:`PROTOCOLS`, which is pinned to
-#: the paper's three systems.
-LocalSocketStack = ProtocolStack(
-    name="Local Socket",
-    per_chunk_cost=25e-6,  # syscall pair + frame header parse per chunk
-    copies=1.0,  # sealed batch bytes -> frame; the wire codec never pickles
-    copy_rate=NATIVE_COPY_RATE,
-    uses_rdma=False,
-)
-
 PROTOCOLS: dict[str, ProtocolStack] = {
     stack.name: stack for stack in (JettyHTTPStack, DataMPIStack, NativeMPIStack)
 }

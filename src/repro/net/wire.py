@@ -1,8 +1,7 @@
 """Length-prefixed frame protocol shared by the socket backends.
 
 This is the *real* wire layer (``net/protocol.py`` is the Figure 1a
-transfer-cost *model*; see :data:`repro.net.protocol.LocalSocketStack`
-for the modelled cost of this stack).  Two consumers share it:
+transfer-cost *model*).  Two consumers share it:
 
 * :mod:`repro.mpi.socket_transport` — the process-per-rank MPI backend
   routes pickled envelopes between worker processes through a driver-side
@@ -28,8 +27,7 @@ fault-inject on metadata *without unpickling the payload*::
 
     !6i3qB        context, source, tag, origin, dest, epoch,
                   trace, parent, nbytes, flags
-    ...           payload body (FLAG_BATCH: structured record-batch
-                  layout below; otherwise serde PickleSerializer bytes)
+    ...           payload body: one pickle of the payload
 
 ``epoch`` is the sender's rank incarnation number: 0 for a first spawn,
 incremented each time the driver respawns that rank.  The router fences
@@ -43,39 +41,19 @@ the emitting span.  Zero means "untraced" — the common case — and
 costs nothing beyond the 16 header bytes.  The exporter turns matched
 pairs into Chrome-trace flow events (see ``repro.obs.journal``).
 
-Shuffle batch envelopes — the data-plane hot path — skip pickle
-entirely.  A ``("batch", plane_id, (seq, origin, blocks, eos))`` message
-(every block carries a sealed :class:`~repro.serde.batch.RecordBatch`)
-is framed with the Writable primitives (FLAG_BATCH set)::
-
-    utf           plane_id
-    vlong         seq
-    vint          origin
-    boolean       eos
-    vint          number of blocks
-    per block:
-      vint        partition_id
-      vlong       nbytes
-      byte        flags: 1 = sorted, 2 = raw batch
-      vint        record count
-      vint        len(batch bytes)
-      ...         batch bytes, copied verbatim from the sealed batch
-
-so the batch bytes sealed by the sender-side buffer travel to the
-receiving process without any re-encode; the decoder hands back batches
-as zero-copy views over the frame body.
-
-Everything else but the RPC frames (control traffic, application
-point-to-point messages) is pickled at the wire boundary via
-:class:`repro.serde.serialization.PickleSerializer` — the same "Java
-Serializable analogue" the shuffle can be configured with, so anything a
-job can shuffle it can also send across the process boundary.
+Every payload — shuffle batches, control traffic, application
+point-to-point messages — is one ``pickle.dumps`` at the wire boundary,
+so anything a job can send it can send across the process boundary.
+This layer knows nothing of what a payload means: a shuffle block's
+sealed :class:`~repro.serde.batch.RecordBatch` pickles as its bytes
+(``RecordBatch.__reduce__``), so those bytes travel without a re-encode.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import random
 import socket
 import struct
@@ -85,16 +63,12 @@ import time
 from typing import Any, Callable, NamedTuple
 
 from repro.common.logging import get_logger
-from repro.serde.io import DataInput, DataOutput
-from repro.serde.serialization import PickleSerializer
+from repro.serde.serialization import _pickled
 
 _log = get_logger("net.wire")
 
 _LEN = struct.Struct("!I")
 _ENV_HEADER = struct.Struct("!6i3qB")
-
-#: single serializer instance for the wire boundary (stateless)
-WIRE_SERDE = PickleSerializer()
 
 MAX_FRAME = 1 << 30  # defensive cap: a corrupt length prefix fails loudly
 
@@ -112,114 +86,22 @@ class FrameKind:
 
 #: truncate-fault marker in the envelope header flags byte
 FLAG_TRUNCATED = 0x01
-#: payload is the structured record-batch layout, not pickle
+#: inert: every payload is pickled, so nothing sets it.  Kept only
+#: because the frozen ``bench/replay.py`` passes it as a header flag;
+#: delete it with the next benchmark revision
 FLAG_BATCH = 0x02
-
-#: block flag bits inside a FLAG_BATCH body
-_BLOCK_SORTED = 0x01
-_BLOCK_RAW = 0x02
-
-#: lazily resolved (Block, RecordBatch) — net sits below core in the
-#: layering, so the shuffle types are imported on first use only
-_shuffle_types_cache = None
-
-
-def _shuffle_types():
-    global _shuffle_types_cache
-    if _shuffle_types_cache is None:
-        from repro.core.buffers import Block
-        from repro.serde.batch import RecordBatch
-
-        _shuffle_types_cache = (Block, RecordBatch)
-    return _shuffle_types_cache
 
 
 def encode_payload(payload: Any) -> tuple[bytes, int]:
-    """Encode an envelope payload: ``(body, flag_bits)``.
-
-    Shuffle batch messages use the structured FLAG_BATCH layout (batch
-    bytes copied verbatim, no pickle); everything else falls back to
-    :data:`WIRE_SERDE`.
-    """
-    body = _encode_shuffle_batch(payload)
-    if body is not None:
-        return body, FLAG_BATCH
-    return WIRE_SERDE.dumps(payload), 0
+    """Encode an envelope payload: ``(body, 0)`` — one pickle, and no
+    flag bits for the envelope header."""
+    return _pickled(payload), 0
 
 
 def decode_payload(body: bytes, flags: int) -> Any:
-    """Inverse of :func:`encode_payload` (flags from the envelope header)."""
-    if flags & FLAG_BATCH:
-        return _decode_shuffle_batch(body)
-    return WIRE_SERDE.loads(body)
-
-
-def _encode_shuffle_batch(payload: Any) -> bytes | None:
-    """The FLAG_BATCH body for a shuffle batch message, or ``None`` when
-    the payload is not one (caller falls back to pickle)."""
-    if not (isinstance(payload, tuple) and len(payload) == 3):
-        return None
-    kind, plane_id, inner = payload
-    if kind != "batch" or not isinstance(plane_id, str):
-        return None
-    if not (isinstance(inner, tuple) and len(inner) == 4):
-        return None
-    seq, origin, blocks, eos = inner
-    if (
-        not isinstance(seq, int)
-        or not isinstance(origin, int)
-        or not isinstance(eos, bool)
-        or not isinstance(blocks, list)
-    ):
-        return None
-    block_cls, _ = _shuffle_types()
-    if any(type(block) is not block_cls for block in blocks):
-        return None  # an application message that merely looks like one
-    out = DataOutput()
-    out.write_utf(plane_id)
-    out.write_vlong(seq)
-    out.write_vint(origin)
-    out.write_boolean(eos)
-    out.write_vint(len(blocks))
-    for block in blocks:
-        batch = block.records
-        out.write_vint(block.partition_id)
-        out.write_vlong(block.nbytes)
-        out.write_byte(
-            (_BLOCK_SORTED if block.sorted else 0)
-            | (_BLOCK_RAW if batch.raw else 0)
-        )
-        out.write_vint(batch.count)
-        out.write_vint(len(batch.data))
-        out.write_bytes(batch.data)
-    return out.getvalue()
-
-
-def _decode_shuffle_batch(body: bytes) -> Any:
-    """Rebuild the shuffle batch message; batch payloads are zero-copy
-    views over ``body`` (the views keep the frame body alive)."""
-    block_cls, batch_cls = _shuffle_types()
-    src = DataInput(body)
-    plane_id = src.read_utf()
-    seq = src.read_vlong()
-    origin = src.read_vint()
-    eos = src.read_boolean()
-    blocks = []
-    for _ in range(src.read_vint()):
-        partition_id = src.read_vint()
-        nbytes = src.read_vlong()
-        block_flags = src.read_byte()
-        count = src.read_vint()
-        data = src.read_view(src.read_vint())
-        blocks.append(
-            block_cls(
-                partition_id,
-                batch_cls(data, count, raw=bool(block_flags & _BLOCK_RAW)),
-                nbytes,
-                sorted=bool(block_flags & _BLOCK_SORTED),
-            )
-        )
-    return ("batch", plane_id, (seq, origin, blocks, eos))
+    """Inverse of :func:`encode_payload`; no header flag changes how a
+    payload decodes."""
+    return pickle.loads(body)
 
 
 def pack_frame(kind: int, body: bytes = b"") -> bytes:
@@ -228,12 +110,12 @@ def pack_frame(kind: int, body: bytes = b"") -> bytes:
 
 
 def pack_obj_frame(kind: int, obj: Any) -> bytes:
-    """Frame whose body is one serde-pickled object."""
-    return pack_frame(kind, WIRE_SERDE.dumps(obj))
+    """Frame whose body is one pickled object."""
+    return pack_frame(kind, _pickled(obj))
 
 
 def unpack_obj(body: bytes) -> Any:
-    return WIRE_SERDE.loads(body)
+    return pickle.loads(body)
 
 
 def pack_envelope_frame(
@@ -471,7 +353,8 @@ class FrameServer:
     ``handler(conn, kind, body)`` runs on the connection's reader thread
     (frames from one peer are therefore processed in arrival order — the
     non-overtaking guarantee the MPI layer needs).  ``on_disconnect(conn)``
-    fires exactly once when the peer goes away, cleanly or not.
+    fires exactly once when the peer goes away, cleanly or not; the
+    connection is closed and forgotten right after it.
     """
 
     def __init__(
@@ -541,6 +424,11 @@ class FrameServer:
                     self._on_disconnect(conn)
                 except Exception:
                     _log.exception("%s: disconnect handler failed", self._name)
+            # release a finished connection now, not at stop()
+            conn.close()
+            with self._lock:
+                self._conns.remove(conn)
+                self._readers.remove(threading.current_thread())
 
     def connections(self) -> list[FrameConnection]:
         with self._lock:
@@ -559,5 +447,7 @@ class FrameServer:
         cleanup_local(self.address)
         for conn in self.connections():
             conn.close()
-        for reader in list(self._readers):
+        with self._lock:
+            readers = list(self._readers)
+        for reader in readers:
             reader.join(timeout=2.0)

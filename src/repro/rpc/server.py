@@ -25,8 +25,11 @@ import traceback
 from typing import Any, Callable
 
 from repro.common.errors import RPCError
+from repro.common.logging import get_logger
 from repro.net import wire
 from repro.rpc.protocol import RpcCall, RpcResponse, decode_message, encode_message
+
+_log = get_logger("rpc.server")
 
 #: reserved tag for DataMPI RPC requests on a communicator
 RPC_REQUEST_TAG = 1_000_003
@@ -73,7 +76,7 @@ class SocketRpcServer:
         self.registry = HandlerRegistry(target)
         self.name = name
         self.calls_served = 0
-        self._call_queue: "queue.Queue[tuple[Any, bytes] | None]" = queue.Queue()
+        self._call_queue: "queue.Queue[tuple[Any, RpcCall] | None]" = queue.Queue()
         self._num_handlers = num_handlers
         self._handlers: list[threading.Thread] = []
         self._server = wire.FrameServer(self._on_frame, name=name)
@@ -95,20 +98,27 @@ class SocketRpcServer:
         return self
 
     def _on_frame(self, conn: wire.FrameConnection, kind: int, body: bytes) -> None:
-        # runs on the connection's reader thread: enqueue only, so one
-        # slow call never blocks the connection's other requests
-        if kind == wire.FrameKind.RPC_REQ:
-            self._call_queue.put((conn, body))
+        # runs on the connection's reader thread: decode and enqueue only,
+        # so one slow call never blocks the connection's other requests
+        if kind != wire.FrameKind.RPC_REQ:
+            return
+        try:
+            call = decode_message(body)
+            if not isinstance(call, RpcCall):
+                raise RPCError(f"a {type(call).__name__} sent as a request")
+        except Exception as exc:  # noqa: BLE001 - malformed input from outside
+            _log.warning("%s: closing a connection: %s", self.name, exc)
+            conn.close()
+            return
+        self._call_queue.put((conn, call))
 
     def _handler_loop(self) -> None:
         while True:
             item = self._call_queue.get()
             if item is None:
                 break
-            conn, frame = item
-            message = decode_message(frame)
-            assert isinstance(message, RpcCall)
-            response = self.registry.invoke(message)
+            conn, call = item
+            response = self.registry.invoke(call)
             # count before replying so the client never observes a
             # response ahead of the served-call accounting
             self.calls_served += 1

@@ -7,8 +7,8 @@ records, each framed as::
 
 With ``raw=False`` the key/value bytes are :class:`Serializer` encodings
 (self-describing Writable tags), so a batch can carry any shuffleable
-object; the length prefixes let byte-level consumers (merges, spills,
-the wire codec) slice and copy records without decoding them.  With
+object; the length prefixes let byte-level consumers (merges, spills)
+slice and copy records without decoding them.  With
 ``raw=True`` the key/value bytes are the application's own raw bytes
 (TeraSort records): no serializer framing at all, so key slices compare
 exactly like the decoded keys under ``bytes_compare`` and a merged batch
@@ -17,7 +17,8 @@ can be consumed without materializing a single Python object.
 A pair becomes its record bytes exactly once (:func:`framer`, at the
 ``send`` that emitted it); the sender-side buffer seals them into a batch,
 which then travels as an opaque buffer through coalescing, transports and
-spill files — zero re-encode, zero per-record pickle on any hop.  The
+spill files — zero re-encode, zero per-record pickle on any hop (the
+process backend pickles a batch as its bytes, :meth:`RecordBatch.__reduce__`).  The
 receive side parses a batch once (:meth:`RecordBatch.key_index`) and
 decodes at the user-function boundary.  A raw batch whose records all
 frame to one stride (TeraSort's 102 B) is an ``(n, stride)`` array
@@ -84,9 +85,9 @@ def whole_records(data: bytes, limit: int) -> tuple[int, int]:
 class RecordBatch:
     """An immutable, contiguous block of length-prefixed records.
 
-    ``data`` may be ``bytes`` or a ``memoryview`` (of a wire frame body,
-    of the array a fixed-stride sort built); iteration never copies more
-    than the records actually materialized.
+    ``data`` may be ``bytes`` or a ``memoryview`` (of the array a
+    fixed-stride sort built); iteration never copies more than the
+    records actually materialized.
     """
 
     __slots__ = ("data", "count", "raw")
@@ -111,8 +112,8 @@ class RecordBatch:
         return len(self.data)
 
     def __reduce__(self):
-        # pickled only off the hot path (e.g. a fault-injection rule that
-        # materializes payloads); the wire codec ships batches unpickled
+        # the one place a batch becomes wire bytes: the process backend
+        # pickles every envelope payload, a batch as its record bytes
         return (RecordBatch, (bytes(self.data), self.count, self.raw))
 
     # -- iteration --------------------------------------------------------

@@ -162,15 +162,6 @@ class DataInput:
     def read_bytes(self, n: int) -> bytes:
         return bytes(self._take(n))
 
-    def read_view(self, n: int) -> memoryview:
-        """A zero-copy view of the next ``n`` bytes.
-
-        The view aliases the underlying buffer; holders must not outlive
-        it (record batches sliced out of a wire frame keep the frame's
-        body alive through this view).
-        """
-        return self._take(n)
-
     def read_byte(self) -> int:
         return self._take(1)[0]
 

@@ -40,12 +40,6 @@ class SimJobReport:
         start, end = self.phases[phase]
         return self.disk_read.mean(start, end)
 
-    def mean_net_rate(self, phase: str | None = None) -> float:
-        if phase is None:
-            return self.net.mean(0, self.duration)
-        start, end = self.phases[phase]
-        return self.net.mean(start, end)
-
     def summary(self) -> str:
         phase_bits = ", ".join(
             f"{name}: {end - start:.0f}s" for name, (start, end) in self.phases.items()

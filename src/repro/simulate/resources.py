@@ -84,10 +84,6 @@ class Cores:
 
         self.sim.process(work())
 
-    @property
-    def utilization_now(self) -> float:
-        return self.busy / self.n
-
 
 class MemoryGauge:
     """Tracks allocated bytes; never blocks (RAM exhaustion is modelled

@@ -1,4 +1,4 @@
-"""Bytes-first datapath: record batches end-to-end, pickle off the hot loop.
+"""Bytes-first datapath: record batches end-to-end, no per-record pickle.
 
 The contract under test: after the sender-side buffer seals a block into
 a :class:`~repro.serde.batch.RecordBatch`, no hop — coalescing, wire,
@@ -22,7 +22,6 @@ from repro.serde.batch import RecordBatch, batch_from_pairs
 from repro.serde.comparators import bytes_compare, default_compare
 from repro.serde.serialization import get_serializer
 
-from tests.core.helpers import FileCollector
 from tests.serde.test_batch import CountingSerializer
 
 SER = get_serializer("writable")
@@ -111,9 +110,9 @@ class TestWireCodec:
         block = Block(3, batch, len(batch.data), sorted=True)
         return ("batch", "fwd:0", (7, 2, [block], True))
 
-    def test_batch_message_skips_pickle(self):
+    def test_batch_message_roundtrips(self):
         body, flags = wire.encode_payload(self._message())
-        assert flags == wire.FLAG_BATCH
+        assert flags == 0
         kind, plane_id, (seq, origin, blocks, eos) = wire.decode_payload(
             body, flags
         )
@@ -128,10 +127,25 @@ class TestWireCodec:
         assert block.records.raw
         assert list(block.records.iter_pairs(SER)) == [(b"aa", b"11")]
 
-    def test_decoded_batch_is_zero_copy_view(self):
-        body, flags = wire.encode_payload(self._message(raw=True))
-        _, _, (_, _, [block], _) = wire.decode_payload(body, flags)
-        assert isinstance(block.records.data, memoryview)
+    def test_a_block_cut_from_a_sorted_array_roundtrips(self):
+        """``add_batch`` cuts blocks as views of one sorted array: the
+        wire carries each block's own bytes, not the array's."""
+        records = [(b"%02d" % (i * 7 % 10), b"v%d" % i) for i in range(10)]
+        spl = SendPartitionList(
+            num_partitions=2, flush_bytes=1 << 20, cmp=bytes_compare,
+            serializer=SER, raw=True,
+        )
+        sent = spl.add_batch(batch_from_pairs(records, None, raw=True), [b"04"])
+        assert isinstance(sent[1].records.data, memoryview)
+        body, flags = wire.encode_payload(("batch", "fwd:0", (0, 1, sent, True)))
+        _, _, (_, _, got, _) = wire.decode_payload(body, flags)
+        assert [
+            (b.partition_id, b.sorted, b.records.raw, b.count, b.nbytes)
+            for b in got
+        ] == [(0, True, True, 5, 30), (1, True, True, 5, 30)]
+        for block, original in zip(got, sent):
+            assert type(block.records.data) is bytes  # pins no frame body
+            assert block.records.data == bytes(original.records.data)
 
     def test_non_batch_payload_falls_back_to_pickle(self):
         payload = ("task", 42)
@@ -175,49 +189,6 @@ class TestEndToEndNoPickle:
             with open(os.path.join(outdir, name)) as f:
                 got.extend(json.load(f))
         assert sorted(got) == sorted(f"key-{i % 17:02d}" for i in range(200))
-
-    def test_process_backend_wire_never_pickles_batches(self, tmp_path):
-        """The FLAG_BATCH codec must carry all shuffle data on the wire."""
-        out = FileCollector(tmp_path / "out")
-
-        class BatchRejectingSerde:
-            """WIRE_SERDE stand-in: control traffic only, never batches."""
-
-            def dumps(self, obj):
-                if (
-                    isinstance(obj, tuple)
-                    and len(obj) == 3
-                    and obj[0] == "batch"
-                ):
-                    raise AssertionError(
-                        "shuffle batch message reached the pickle wire path"
-                    )
-                return wire.PickleSerializer().dumps(obj)
-
-            def loads(self, data):
-                return wire.PickleSerializer().loads(data)
-
-        original = wire.WIRE_SERDE
-        wire.WIRE_SERDE = BatchRejectingSerde()  # inherited by fork
-        try:
-
-            def o_fn(ctx):
-                for i in range(ctx.rank, 80, ctx.o_size):
-                    ctx.send(f"k{i % 11:02d}", i)
-
-            def a_fn(ctx):
-                for key, value in ctx.recv_iter():
-                    out(ctx.rank, key, value)
-
-            job = DataMPIJob(
-                "wire-no-pickle", o_fn, a_fn, 2, 2, mode=Mode.MAPREDUCE,
-                conf={K.LAUNCHER: "processes", K.SPL_PARTITION_BYTES: 256},
-            )
-            assert mpidrun(job, nprocs=2, raise_on_error=True).success
-        finally:
-            wire.WIRE_SERDE = original
-        keys = [k for k, _ in out.all_pairs()]
-        assert sorted(keys) == sorted(f"k{i % 11:02d}" for i in range(80))
 
 
 class TestOversizedAndEmpty:

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.common.errors import MPIAbort, MPIError
+from repro.common.errors import MPIAbort, MPIError, SerializationError
 from repro.mpi.datatypes import SUM
 from repro.mpi.runtime import ProcessRuntime, ThreadRuntime, create_runtime
 from repro.mpi.transport import Envelope, TruncatedPayload
@@ -239,6 +239,19 @@ def _spawn_driver(comm, n):
     return inter.recv(tag=12)
 
 
+def _unpicklable_sender(comm):
+    if comm.rank == 1:
+        comm.parent.send(comm.recv(source=0, tag=3), dest=0, tag=4)
+        return
+    with pytest.raises(SerializationError, match="cannot serialize a lock"):
+        comm.send(threading.Lock(), dest=1, tag=3)
+    comm.send("after", dest=1, tag=3)  # the refused send left no trace
+
+
+def _unpicklable_driver(comm):
+    return comm.spawn(_unpicklable_sender, 2, name="unpicklable").recv(tag=4)
+
+
 class TestProcessRuntimeEndToEnd:
     def test_both_backends_run_the_same_world_identically(self):
         expected = [("result", r, 4 * 10 + 0 + 1 + 2 + 3) for r in range(4)]
@@ -261,6 +274,10 @@ class TestProcessRuntimeEndToEnd:
             rt.run(_kill_driver, 1, args=(2,), timeout=60)
         records = rt.failure_records
         assert any(r.kind == "rank" and "goodbye" in r.error for r in records)
+
+    def test_an_unpicklable_payload_is_refused_at_the_send(self):
+        out = ProcessRuntime().run(_unpicklable_driver, 1, timeout=60)
+        assert out == ["after"]
 
     def test_spawn_over_socket_reaches_grandchildren(self):
         out = ProcessRuntime().run(_spawn_driver, 1, args=(2,), timeout=60)

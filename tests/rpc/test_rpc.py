@@ -1,11 +1,14 @@
 """Tests for the functional RPC engines."""
 
+import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.common.errors import RPCError
+from repro.net import wire
 from repro.rpc.client import DataMPIRpcClient, RpcProxy, SocketRpcClient
 from repro.rpc.protocol import RpcCall, RpcResponse, decode_message, encode_message
 from repro.rpc.server import DataMPIRpcServer, SocketRpcServer
@@ -190,6 +193,43 @@ class TestSocketRpc(_HadoopRpcCases):
             ]
         finally:
             client.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc"
+    )
+    def test_finished_connections_release_their_sockets(self):
+        server = SocketRpcServer(Calculator(), name="churn").start()
+        try:
+            fds = len(os.listdir("/proc/self/fd"))
+            for i in range(50):
+                client = SocketRpcClient(server.address)
+                assert client.call("add", i, 1) == i + 1
+                client.close()
+            for t in threading.enumerate():
+                if t.name == "churn-reader":
+                    t.join(5.0)  # each sees its peer's EOF on its own
+            assert server._server.connections() == []
+            assert len(os.listdir("/proc/self/fd")) == fds
+        finally:
+            server.stop()
+
+    def test_a_malformed_request_costs_its_connection_not_a_handler(self):
+        server = SocketRpcServer(Calculator(), num_handlers=1).start()
+        client = SocketRpcClient(server.address, timeout=5.0)
+        family = (
+            socket.AF_UNIX if isinstance(server.address, str) else socket.AF_INET
+        )
+        try:
+            for body in (b"\x07\x00", encode_message(RpcResponse(1, True, 2))):
+                with socket.socket(family, socket.SOCK_STREAM) as raw:
+                    raw.settimeout(5.0)
+                    raw.connect(server.address)
+                    raw.sendall(wire.pack_frame(wire.FrameKind.RPC_REQ, body))
+                    assert raw.recv(1) == b""  # the server hung up on it
+            assert client.call("add", 2, 3) == 5
+        finally:
+            client.close()
+            server.stop()
 
     def test_a_call_in_flight_when_the_server_stops_fails_at_once(self):
         started, release = threading.Event(), threading.Event()
