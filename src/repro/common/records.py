@@ -21,13 +21,13 @@ class KeyValue(NamedTuple):
 
 
 def kv_bytes(key: Any, value: Any) -> int:
-    """Approximate the in-memory payload size of a key-value pair.
+    """Approximate the in-memory payload size of a key-value pair: a cheap,
+    deterministic estimate that does not serialize it.
 
-    Buffer thresholds (SPL flush, spill triggers, checkpoint rounds) need a
-    cheap, deterministic size estimate that does not serialize the pair.
     ``bytes``/``str`` report their real length; other objects use a small
-    fixed cost plus recursion over tuples/lists, which is adequate for
-    threshold accounting.
+    fixed cost plus recursion over tuples/lists.  No buffer sizes itself
+    with this: framed records count their exact bytes, and the SPL's
+    combiner path sums the same per-object ``_size_of`` estimates.
     """
     return _size_of(key) + _size_of(value)
 

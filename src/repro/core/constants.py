@@ -30,7 +30,7 @@ class MPI_D_Constants:
     # -- serialization (the two keys shown in the paper) -----------------------
     KEY_CLASS = "mpi.d.key.class"
     VALUE_CLASS = "mpi.d.value.class"
-    #: serializer backend: "writable" | "pickle" | "java"
+    #: serializer backend: "writable" | "pickle"
     SERIALIZER = "mpi.d.serializer"
 
     # -- buffer management (§IV-D) ---------------------------------------------

@@ -5,11 +5,15 @@ the granularity the paper discusses (§IV-B, Figure 5):
 
 * **JobTracker** — splits input by HDFS block, schedules map tasks with
   data-locality preference, launches reduces only after maps complete;
-* **MapTask** — in-memory sort buffer (``io.sort.mb``), sorted+partitioned
-  spills, final merge, output registered with the host's shuffle server;
+* **MapTask** — collects into the engine's own buffers: a
+  ``SendPartitionList`` frames, sorts and combines, a ``RunStore`` per
+  partition spills past ``io.sort.mb``; at task end each partition's
+  merged segment is written to the job's local directory on disk and
+  registered with the host's shuffle server;
 * **proxy-based two-phase shuffle** — reduce tasks *pull* map output
-  segments from per-TaskTracker HTTP-style servers, then merge;
-* **ReduceTask** — copy, merge, reduce, write ``part-r-NNNNN`` to HDFS.
+  segments as bytes from per-TaskTracker HTTP-style servers;
+* **ReduceTask** — copy, merge (a ``RunStore``, as an A task's), reduce,
+  write ``part-r-NNNNN`` to HDFS.
 
 This is the "two-phase and proxy-based data movement approach" whose
 lack of reduce-side locality and delayed shuffle DataMPI's O-side

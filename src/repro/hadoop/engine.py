@@ -14,6 +14,8 @@ slots and a shuffle server) to every HDFS DataNode.  ``run_job``:
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import threading
 from collections import deque
 from typing import Any
@@ -126,12 +128,14 @@ class MiniHadoopCluster:
             dfs = self.dfs_cluster.client(node)
             run_map_task(
                 job, map_id, splits[map_id], dfs, tracker.shuffle_server,
-                counters, counters_lock,
+                local_dir, counters, counters_lock,
             )
             directory.announce_completion(map_id, node)
             map_timeline.record_end(f"m{map_id}", now())
 
         total_map_slots = sum(t.map_slots for t in self.trackers)
+        # map output on local disk: one directory per job, gone at its end
+        local_dir = tempfile.mkdtemp(prefix=f"minihadoop-{job.name}-")
         try:
             self._run_wave(
                 [(map_wrapper, m, node) for m, node in assignments],
@@ -144,7 +148,7 @@ class MiniHadoopCluster:
                 dfs = self.dfs_cluster.client(node)
                 run_reduce_task(
                     job, reduce_id, len(splits), directory, dfs,
-                    counters, counters_lock,
+                    local_dir, counters, counters_lock,
                 )
                 reduce_timeline.record_end(f"r{reduce_id}", now())
 
@@ -156,6 +160,8 @@ class MiniHadoopCluster:
             self._run_wave(reduce_work, total_reduce_slots)
         except JobFailedError as exc:
             return HadoopJobResult(job.name, False, counters, error=str(exc))
+        finally:
+            shutil.rmtree(local_dir, ignore_errors=True)
 
         output_files = dfs0.listdir(job.output_path)
         return HadoopJobResult(

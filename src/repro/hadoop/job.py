@@ -30,7 +30,9 @@ class HadoopJob:
     comparator: Compare | None = None
     input_format: Any = field(default_factory=TextInputFormat)
     output_format: Any = field(default_factory=KeyValueTextOutputFormat)
-    #: map-side sort buffer (io.sort.mb analogue), bytes
+    #: io.sort.mb analogue, bytes: the map's per-partition flush size in
+    #: its SendPartitionList and the memory budget of each RunStore, map
+    #: side and reduce side, past which sorted runs spill to local disk
     sort_buffer_bytes: int = 1 << 20
 
     def validate(self) -> None:

@@ -1,49 +1,59 @@
 """The TaskTracker shuffle server: Hadoop's HTTP proxy for map output.
 
 "Each reduce task downloads the data from different maps by the proxies,
-which are the built-in HTTP servers in TaskTrackers" (§IV-B).  The mini
-version keeps the architecture — map output is *registered* with the
-server on the map's host and *pulled* by reducers — while replacing
-sockets with direct calls that account the transferred bytes, so the
-proxy-based data movement (and its lack of reduce-side locality) is
-observable in the counters.
+which are the built-in HTTP servers in TaskTrackers" (§IV-B).  A map
+writes each partition's segment to its job's local directory and
+*registers* the file with the server on its host; a reducer's GET
+*pulls* the segment by reading that file back as the bytes the map
+wrote.  Sockets are replaced by direct calls that account the bytes
+read, so the proxy-based data movement (and its lack of reduce-side
+locality) is observable in the counters.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
 
-from repro.common.errors import DataMPIError
-from repro.common.records import kv_bytes
-
-KV = tuple[Any, Any]
+from repro.common.errors import DataMPIError, SerializationError
+from repro.core.sorter import SpillFile
+from repro.serde.batch import RecordBatch
 
 
 class ShuffleServer:
-    """Per-TaskTracker map-output store with HTTP-pull semantics."""
+    """Per-TaskTracker index of map-output files with HTTP-pull semantics."""
 
     def __init__(self, host_id: int) -> None:
         self.host_id = host_id
         self._lock = threading.Lock()
-        #: (map_id, partition) -> sorted run
-        self._segments: dict[tuple[int, int], list[KV]] = {}
+        #: (map_id, partition) -> the segment on local disk (None: empty)
+        self._segments: dict[tuple[int, int], SpillFile | None] = {}
         self.bytes_served = 0
         self.requests_served = 0
 
-    def register_map_output(self, map_id: int, outputs: dict[int, list[KV]]) -> None:
+    def register_map_output(
+        self, map_id: int, segments: dict[int, SpillFile | None]
+    ) -> None:
         """Called by a finished map task on this host."""
         with self._lock:
-            for partition, run in outputs.items():
-                self._segments[(map_id, partition)] = run
+            for partition, segment in segments.items():
+                self._segments[(map_id, partition)] = segment
 
-    def fetch(self, map_id: int, partition: int) -> list[KV]:
-        """One reducer HTTP GET: returns the segment (possibly empty)."""
+    def fetch(self, map_id: int, partition: int) -> RecordBatch | None:
+        """One reducer HTTP GET: the segment's bytes, or ``None`` for an
+        empty partition (still a request served)."""
         with self._lock:
-            run = self._segments.get((map_id, partition), [])
+            segment = self._segments.get((map_id, partition))
             self.requests_served += 1
-            self.bytes_served += sum(kv_bytes(k, v) for k, v in run)
-            return run
+        if segment is None:
+            return None
+        with open(segment.path, "rb") as f:
+            data = f.read()
+        if len(data) != segment.nbytes:
+            raise SerializationError(
+                f"segment {segment.path} holds {len(data)} of {segment.nbytes} bytes")
+        with self._lock:
+            self.bytes_served += len(data)
+        return RecordBatch(data, segment.count, segment.raw)
 
 
 class ShuffleDirectory:
@@ -66,7 +76,7 @@ class ShuffleDirectory:
             except KeyError:
                 raise DataMPIError(f"map {map_id} has not completed") from None
 
-    def fetch(self, map_id: int, partition: int) -> tuple[list[KV], int]:
-        """Reducer-side pull: resolve the host, fetch; returns (run, host)."""
+    def fetch(self, map_id: int, partition: int) -> tuple[RecordBatch | None, int]:
+        """Reducer-side pull: resolve the host, fetch; returns (segment, host)."""
         host = self.host_of(map_id)
         return self.servers[host].fetch(map_id, partition), host

@@ -324,9 +324,6 @@ class PickleSerializer(Serializer):
 _BACKENDS = {
     "writable": WritableSerializer,
     "pickle": PickleSerializer,
-    # the paper calls the JDK mechanism "Java (Serializable)"; pickle plays
-    # that role here
-    "java": PickleSerializer,
 }
 
 

@@ -1,4 +1,8 @@
-"""Tests for the map-side spill buffer and I/O formats."""
+"""Tests for the map side (the engine's buffers, output on local disk)
+and the I/O formats."""
+
+import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,78 +17,92 @@ from repro.hadoop.io_formats import (
     TextInputFormat,
     compute_splits,
 )
-from repro.hadoop.map_output import MapOutputBuffer
+from repro.hadoop.job import HadoopCounters, HadoopJob
+from repro.hadoop.shuffle_http import ShuffleServer
+from repro.hadoop.tasks import SERDE, run_map_task
 from repro.hdfs.cluster import MiniDFSCluster
 from repro.serde.batch import batch_from_pairs
 
 
-class TestMapOutputBuffer:
-    def make(self, **kwargs):
-        defaults = dict(
-            num_partitions=2,
-            partitioner=hash_partitioner,
-            sort_buffer_bytes=10**9,
-        )
-        defaults.update(kwargs)
-        return MapOutputBuffer(**defaults)
+def run_map(pairs, num_partitions=2, partitioner=hash_partitioner,
+            sort_buffer_bytes=10**9, combiner=None):
+    """One map task on a one-node cluster whose mapper emits ``pairs``;
+    returns each non-empty partition's segment as pulled by a reducer,
+    and the task's counters."""
+    dfs = MiniDFSCluster(num_nodes=1, block_size=1024).client(0)
+    dfs.write_file("/in", b"x\n")
+    (split,) = compute_splits(dfs, "/in")
 
+    def mapper(_k, _v, emit):
+        for key, value in pairs:
+            emit(key, value)
+
+    job = HadoopJob(
+        "m", "/in", "/out", mapper, None, num_partitions, combiner=combiner,
+        partitioner=partitioner, sort_buffer_bytes=sort_buffer_bytes,
+    )
+    server, counters = ShuffleServer(0), HadoopCounters()
+    with tempfile.TemporaryDirectory() as local_dir:
+        run_map_task(job, 0, split, dfs, server, local_dir, counters,
+                     threading.Lock())
+        segments = {p: server.fetch(0, p) for p in range(num_partitions)}
+    runs = {p: list(batch.iter_pairs(SERDE))
+            for p, batch in segments.items() if batch is not None}
+    return runs, counters
+
+
+class TestMapOutputBuffer:
     def test_collect_and_finish(self):
-        buf = self.make()
-        for word in ["b", "a", "c", "a"]:
-            buf.collect(word, 1)
-        outputs = buf.finish()
-        all_records = [kv for run in outputs.values() for kv in run]
+        runs, _ = run_map([(word, 1) for word in ["b", "a", "c", "a"]])
+        all_records = [kv for run in runs.values() for kv in run]
         assert sorted(all_records) == [("a", 1), ("a", 1), ("b", 1), ("c", 1)]
-        for run in outputs.values():
+        for run in runs.values():
             assert [k for k, _ in run] == sorted(k for k, _ in run)
 
     def test_spills_on_budget(self):
-        buf = self.make(sort_buffer_bytes=100)
-        for i in range(50):
-            buf.collect(f"key{i}", "v" * 10)
-        assert buf.num_spills > 1
-        outputs = buf.finish()
-        total = sum(len(run) for run in outputs.values())
-        assert total == 50
+        runs, counters = run_map(
+            [(f"key{i}", "v" * 10) for i in range(50)], sort_buffer_bytes=100)
+        # spill files beyond the one segment each partition writes
+        assert counters.spill_files - len(runs) > 1
+        assert sum(len(run) for run in runs.values()) == 50
 
     def test_multi_spill_merge_is_sorted(self):
-        buf = self.make(sort_buffer_bytes=64, num_partitions=1)
         import random
 
         rng = random.Random(0)
         keys = [f"{rng.randint(0, 999):03d}" for _ in range(100)]
-        for k in keys:
-            buf.collect(k, None)
-        (run,) = buf.finish().values()
+        runs, counters = run_map(
+            [(k, None) for k in keys], sort_buffer_bytes=64, num_partitions=1)
+        (run,) = runs.values()
+        assert counters.spill_files > 2
         assert [k for k, _ in run] == sorted(keys)
 
     def test_combiner_applied_per_spill_and_merge(self):
-        buf = self.make(
-            sort_buffer_bytes=80, num_partitions=1,
+        runs, counters = run_map(
+            [("hot", 1)] * 40, sort_buffer_bytes=80, num_partitions=1,
             combiner=lambda k, vs: [sum(vs)],
         )
-        for _ in range(40):
-            buf.collect("hot", 1)
-        (run,) = buf.finish().values()
+        (run,) = runs.values()
         assert run == [("hot", 40)]
-        assert buf.combined_records > 0
+        assert counters.combine_output_records > 0
 
     def test_partitions_respected(self):
-        buf = self.make(num_partitions=3, partitioner=lambda k, v, n: k % n)
-        for i in range(30):
-            buf.collect(i, None)
-        outputs = buf.finish()
-        for partition, run in outputs.items():
+        runs, _ = run_map([(i, None) for i in range(30)], num_partitions=3,
+                          partitioner=lambda k, v, n: k % n)
+        for partition, run in runs.items():
             assert all(k % 3 == partition for k, _ in run)
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=60))
     def test_no_records_lost(self, keys):
-        buf = self.make(sort_buffer_bytes=128, num_partitions=4)
-        for k in keys:
-            buf.collect(k, 1)
-        outputs = buf.finish()
-        assert sum(len(r) for r in outputs.values()) == len(keys)
+        runs, counters = run_map(
+            [(k, 1) for k in keys], sort_buffer_bytes=128, num_partitions=4)
+        assert sum(len(r) for r in runs.values()) == len(keys)
+        assert counters.spilled_records == len(keys)
+
+    def test_a_partitioner_out_of_range_fails_the_task(self):
+        with pytest.raises(DataMPIError):
+            run_map([("k", 1)], partitioner=lambda k, v, n: n)
 
 
 class TestTextInputFormat:

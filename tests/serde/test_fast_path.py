@@ -117,7 +117,7 @@ def test_batches_are_byte_identical_and_read_back_from_any_buffer(pairs):
     assert b"".join(records) == batch.data
 
 
-@pytest.mark.parametrize("name", ["pickle", "java"])
+@pytest.mark.parametrize("name", ["pickle"])
 def test_pickle_serializer_takes_the_base_loops(name):
     serializer = get_serializer(name)
     assert type(serializer).encode_field is Serializer.encode_field

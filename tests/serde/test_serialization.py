@@ -30,7 +30,7 @@ SAMPLES = [
 ]
 
 
-@pytest.fixture(params=["writable", "pickle", "java"])
+@pytest.fixture(params=["writable", "pickle"])
 def serializer(request):
     return get_serializer(request.param)
 
@@ -145,3 +145,11 @@ class TestWritableBackendSpecifics:
 def test_unknown_backend_raises():
     with pytest.raises(SerializationError):
         get_serializer("capnproto")
+
+
+def test_the_java_alias_is_gone():
+    """``"pickle"`` is the one name of the pickle backend; a bad name is
+    refused with the valid ones."""
+    with pytest.raises(SerializationError) as info:
+        get_serializer("java")
+    assert "pickle" in str(info.value) and "writable" in str(info.value)

@@ -38,7 +38,8 @@ class TestTeraSortRatios:
         hadoop = MiniHadoopCluster(cluster)
         result = terasort_hadoop(hadoop, "/x/in", "/x/h", num_reduces=3)
         input_bytes = self.N * RECORD_LEN
-        # kv_bytes adds 4 B of length accounting per field (8/record)
+        # the Writable-framed bytes the maps wrote: a length prefix and a
+        # type tag per field, a few bytes a record over the raw input
         accounted = result.counters.reduce_shuffle_bytes
         assert accounted == pytest.approx(input_bytes * 1.08, rel=0.05)
 

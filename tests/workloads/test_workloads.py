@@ -174,6 +174,11 @@ class TestTeraSort:
         assert result.success
         assert verify_terasort_output(dfs_cluster.client(None), "/tera/out-h", self.N)
 
+    def test_hadoop_pulls_every_map_output_byte_once(self, dfs_cluster):
+        hadoop = MiniHadoopCluster(dfs_cluster)
+        c = terasort_hadoop(hadoop, "/tera/in", "/tera/out-h", num_reduces=3).counters
+        assert c.map_output_bytes == c.reduce_shuffle_bytes > 0
+
     def test_engines_produce_identical_bytes(self, dfs_cluster):
         terasort_datampi(dfs_cluster, "/tera/in", "/d", o_tasks=2, a_tasks=2, nprocs=2)
         hadoop = MiniHadoopCluster(dfs_cluster)
@@ -221,6 +226,13 @@ class TestWordCount:
         hadoop = MiniHadoopCluster(cluster)
         hresult, _ = wordcount_hadoop(hadoop, "/wc/in", "/wc/out2", 2)
         assert hresult.counters.combine_output_records > 0
+
+    def test_hadoop_pulls_every_map_output_byte_once(self, setup):
+        cluster, _ = setup
+        hadoop = MiniHadoopCluster(cluster)
+        result, _ = wordcount_hadoop(hadoop, "/wc/in", "/wc/out", num_reduces=2)
+        c = result.counters
+        assert c.map_output_bytes == c.reduce_shuffle_bytes > 0
 
 
 class TestPageRank:
