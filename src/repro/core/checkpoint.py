@@ -9,14 +9,21 @@ from disk (the "Job Reload Checkpoint" phase of Figure 13) and the
 re-executed task skips that many records — transparent for
 deterministic applications, exactly as the paper requires.
 
-Round files are integrity-checked: the payload (vint record count +
-serialized pairs) is prefixed with its CRC32, verified before replay.  A
-round that fails the check is *quarantined* — renamed to ``*.ckpt.bad``
-along with every higher-numbered round of the task (replay semantics
-need a contiguous prefix: the skip counter assumes rounds reload in emit
-order with no holes) — and recovery proceeds from the surviving prefix,
-so a corrupted checkpoint degrades to re-execution instead of wrong
-output or a crash loop.
+A round's payload is a vint record count followed by the records framed
+exactly as a :class:`~repro.serde.batch.RecordBatch` frames them
+(``raw`` follows the job's ``mpi.d.shuffle.raw.bytes``): a pair sent alone is
+framed once on its way in, a batch sent whole is appended as its bytes,
+and replay reads the round back as a batch.  A round holds at least
+``interval_records`` records and never splits a batch.
+
+Round files are integrity-checked: the payload is prefixed with its
+CRC32, verified before replay.  A round that fails the check is
+*quarantined* — renamed to ``*.ckpt.bad`` along with every
+higher-numbered round of the task (replay semantics need a contiguous
+prefix: the skip counter assumes rounds reload in emit order with no
+holes) — and recovery proceeds from the surviving prefix, so a
+corrupted checkpoint degrades to re-execution instead of wrong output
+or a crash loop.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from repro.common.logging import get_logger
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import phase
 from repro.obs.tracer import TRACER as _T
-from repro.serde.io import DataInput, DataOutput
+from repro.serde.batch import RecordBatch, framer
+from repro.serde.io import DataInput, append_vint
 from repro.serde.serialization import Serializer
 
 KV = tuple[Any, Any]
@@ -52,7 +60,7 @@ def _round_path(directory: str, task: str, round_no: int) -> str:
 
 
 class CheckpointWriter:
-    """Streams one task's emitted pairs into numbered round files."""
+    """Streams one task's emitted records into numbered round files."""
 
     def __init__(
         self,
@@ -61,41 +69,47 @@ class CheckpointWriter:
         serializer: Serializer,
         interval_records: int,
         start_round: int = 0,
+        raw: bool = False,
     ) -> None:
         if interval_records < 1:
             raise CheckpointError("checkpoint interval must be >= 1 record")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.task = task
-        self.serializer = serializer
         self.interval_records = interval_records
         self.round_no = start_round
-        self._buffer: list[KV] = []
+        self._frame = framer(serializer, raw)
+        #: the round's framed records and whole batches, and their count
+        self._buffer: list[bytes | memoryview] = []
+        self._count = 0
         self.records_persisted = 0
 
     def add(self, key: Any, value: Any) -> None:
-        self._buffer.append((key, value))
-        if len(self._buffer) >= self.interval_records:
+        """Frame one pair into the round."""
+        self.add_records(self._frame(key, value), 1)
+
+    def add_records(self, data: bytes | memoryview, count: int) -> None:
+        """Append ``count`` records already framed (a batch's bytes),
+        verbatim; the round closes once it holds ``interval_records``."""
+        self._buffer.append(data)
+        self._count += count
+        if self._count >= self.interval_records:
             self.flush_round()
 
     def flush_round(self) -> None:
         """Persist the buffered round atomically (write-then-rename)."""
         if not self._buffer:
             return
-        # serializing and writing a round is the "checkpoint" phase of
-        # whichever thread's lane the task runs on
+        count = self._count
+        # writing a round is the "checkpoint" phase of whichever thread's
+        # lane the task runs on
         with phase("checkpoint"), _T.span(
             "checkpoint.flush", cat="checkpoint",
-            args={
-                "task": self.task, "round": self.round_no,
-                "records": len(self._buffer),
-            },
+            args={"task": self.task, "round": self.round_no, "records": count},
         ) as span:
-            out = DataOutput()
-            out.write_vint(len(self._buffer))
-            for key, value in self._buffer:
-                self.serializer.serialize_kv(key, value, out)
-            payload = out.getvalue()
+            head = bytearray()
+            append_vint(head, count)
+            payload = b"".join((head, *self._buffer))
             final = _round_path(self.directory, self.task, self.round_no)
             tmp = final + ".tmp"
             with open(tmp, "wb") as f:
@@ -103,8 +117,9 @@ class CheckpointWriter:
                 f.write(payload)
             os.replace(tmp, final)
             span.set("bytes", len(payload))
-        self.records_persisted += len(self._buffer)
+        self.records_persisted += count
         self._buffer.clear()
+        self._count = 0
         self.round_no += 1
 
     def close(self) -> None:
@@ -115,10 +130,13 @@ class CheckpointWriter:
 class CheckpointReader:
     """Recovers one task's persisted rounds."""
 
-    def __init__(self, directory: str, task: str, serializer: Serializer) -> None:
+    def __init__(
+        self, directory: str, task: str, serializer: Serializer, raw: bool = False
+    ) -> None:
         self.directory = directory
         self.task = task
         self.serializer = serializer
+        self.raw = raw
 
     def complete_rounds(self) -> list[int]:
         """Round numbers with a verified persisted file, sorted.
@@ -186,15 +204,16 @@ class CheckpointReader:
         return rounds[-1] + 1 if rounds else 0
 
     def replay(self) -> Iterator[KV]:
-        """All verified persisted pairs in emit order."""
+        """All verified persisted pairs in emit order, each round decoded
+        as the record batch it is."""
         for round_no in self.complete_rounds():
             path = _round_path(self.directory, self.task, round_no)
             with open(path, "rb") as f:
-                src = DataInput(f.read())
-            src.read_bytes(_CRC.size)  # CRC already verified
+                data = f.read()
+            src = DataInput(data, _CRC.size)  # CRC already verified
             count = src.read_vint()
-            for _ in range(count):
-                yield self.serializer.deserialize_kv(src)
+            batch = RecordBatch(data[src.position:], count, self.raw)
+            yield from batch.iter_pairs(self.serializer)
 
     def record_count(self) -> int:
         """Persisted record total from the round headers alone.
@@ -240,10 +259,12 @@ class CheckpointManager:
         job_id: str,
         serializer: Serializer,
         interval_records: int,
+        raw: bool = False,
     ) -> None:
         self.directory = os.path.join(ft_dir, job_id)
         self.serializer = serializer
         self.interval_records = interval_records
+        self.raw = raw
 
     def writer(self, task_id: int, start_round: int = 0) -> CheckpointWriter:
         return CheckpointWriter(
@@ -252,10 +273,13 @@ class CheckpointManager:
             self.serializer,
             self.interval_records,
             start_round=start_round,
+            raw=self.raw,
         )
 
     def reader(self, task_id: int) -> CheckpointReader:
-        return CheckpointReader(self.directory, f"o{task_id}", self.serializer)
+        return CheckpointReader(
+            self.directory, f"o{task_id}", self.serializer, self.raw
+        )
 
     def global_max_round(self, num_o_tasks: int) -> int:
         return max(

@@ -121,12 +121,24 @@ class TaskContext:
     ) -> Callable[[Any, Any], None]:
         """Build this task's ``MPI_D_SEND``, once: every emitted pair runs
         the closure returned here.  Its core partitions, range-checks,
-        counts, buffers and ships a block the SPL sealed; the linger check
-        (Streaming mode), checkpoint writes, KEY_CLASS/VALUE_CLASS coercion
-        (None: unchecked) and crash/replay counting wrap that core only
-        where they are configured."""
+        counts, buffers and ships a block the SPL sealed.  Wrappers go
+        around it only where they are configured, innermost first: the
+        linger check (Streaming mode); the crash/replay counter with the
+        checkpoint write; KEY_CLASS/VALUE_CLASS coercion (None:
+        unchecked) — outside the counter, so a pair it rejects raises in
+        every attempt and is never counted."""
         who = f"{self.kind} task {self.task_id}"
         spl, shuffle, plane_id = self._spl, self._shuffle, self._send_plane_id
+        #: pairs offered past coercion: the replayed prefix is skipped by it
+        self._offered = 0
+        writer = self._cp_writer
+        linger = getattr(spl, "linger", None)  # the frozen bench's SPL has none
+        #: nothing but the counter wraps the core: ``send_batch`` may take
+        #: its array pass
+        self._batchable = (
+            crash_after < 0 and key_class is None and value_class is None
+            and linger is None
+        )
         if spl is None:
             def send(key: Any, value: Any) -> None:
                 raise DataMPIError(f"{who} cannot Send in this mode")
@@ -145,16 +157,24 @@ class TaskContext:
                 shuffle.send_blocks(plane_id, (block,))
 
         self._emit = send = emit  # a checkpoint replay resends through the core
-        if self._cp_writer is not None:
-            def send(key: Any, value: Any, persist=self._cp_writer.add) -> None:
-                emit(key, value)
-                persist(key, value)
-        # Streaming mode (the frozen bench's SPL stand-in has no such attribute)
-        if getattr(spl, "linger", None) is not None:
+        if linger is not None:
             def send(key: Any, value: Any, core=send, now=spl.now) -> None:
                 core(key, value)
                 if now() >= spl.next_seal:  # the oldest held pair is due
                     shuffle.send_blocks(plane_id, spl.flush_all("age"))
+        if crash_after >= 0 or writer is not None or self._cp_reader is not None:
+            persist = writer.add if writer is not None else lambda key, value: None
+
+            def send(key: Any, value: Any, core=send) -> None:
+                if 0 <= crash_after <= self._offered:
+                    raise DataMPIError(
+                        f"injected crash in {who} after {self._offered} records"
+                    )
+                self._offered += 1
+                # the first _skip_emits pairs were resent by replay_checkpoint
+                if self._offered > self._skip_emits:
+                    core(key, value)
+                    persist(key, value)
         if key_class is not None or value_class is not None:
             def typed(what: str, obj: Any, cls: type | None) -> Any:
                 if cls is None or isinstance(obj, cls):
@@ -171,40 +191,33 @@ class TaskContext:
                 checked(
                     typed("key", key, key_class), typed("value", value, value_class)
                 )
-        if crash_after >= 0 or self._cp_reader is not None:
-            emitted = 0
-
-            def send(key: Any, value: Any, counted=send) -> None:
-                nonlocal emitted
-                if 0 <= crash_after <= emitted:
-                    raise DataMPIError(
-                        f"injected crash in {who} after {emitted} records"
-                    )
-                emitted += 1
-                # the first _skip_emits pairs were resent by replay_checkpoint
-                if emitted > self._skip_emits:
-                    counted(key, value)
         return send
 
     def send_batch(self, batch: RecordBatch) -> None:
         """``MPI_D_SEND`` of every (key bytes, value bytes) pair of a raw
         ``batch``, in batch order.  A fixed-stride batch bound for a range
         partitioner is sorted, partitioned and sealed in one array pass
-        (:meth:`SendPartitionList.add_batch`) when nothing wraps the send:
-        a raw, uncombined exchange under the byte order, no checkpoint,
-        crash injection, KEY_CLASS/VALUE_CLASS or linger.  Anything else
-        is exactly ``batch.count`` calls of :attr:`send`."""
+        (:meth:`SendPartitionList.add_batch`) — and, with a checkpoint,
+        added to the round whole, as its bytes — on a raw, uncombined
+        exchange under the byte order, past a restarted task's replayed
+        prefix, when no crash injection, KEY_CLASS/VALUE_CLASS or linger
+        wraps the send.  Anything else is exactly ``batch.count`` calls
+        of :attr:`send`."""
         spl = self._spl
         boundaries = getattr(self._partitioner, "boundaries", None)
         n = self.a_size if self.kind == "O" else self.o_size
         if (
-            spl is not None and spl.raw and spl.combiner is None
+            self._batchable and self._offered >= self._skip_emits
+            and spl is not None and spl.raw and spl.combiner is None
             and (spl.cmp is bytes_compare or spl.cmp is default_compare)
             and boundaries is not None and len(boundaries) == n - 1
-            and self.send is self._emit and _fixed_stride(batch) is not None
+            and _fixed_stride(batch) is not None
         ):
             blocks = spl.add_batch(batch, boundaries)
+            self._offered += batch.count
             self.metrics.records_emitted += batch.count
+            if self._cp_writer is not None:
+                self._cp_writer.add_records(batch.data, batch.count)
             self._shuffle.send_blocks(self._send_plane_id, blocks)
             return
         send = self.send

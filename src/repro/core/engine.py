@@ -138,6 +138,7 @@ class WorkerEngine:
             *checkpoint_location(self.conf, self.job.name),
             self.serializer,
             self.conf.get_int(K.FT_INTERVAL_RECORDS),
+            raw=self.conf.get_bool(K.SHUFFLE_RAW),
         )
 
     # -- control protocol ------------------------------------------------------------

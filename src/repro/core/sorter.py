@@ -4,9 +4,10 @@ A *run* is a key-sorted sequence of (key, value) pairs.  Runs resident
 in memory are merged by one stable sort over their concatenation
 (``list.sort`` gallops over the sorted runs at C speed) — of an index
 over their keys when the partition is read, of the records themselves
-when its bytes are wanted; the heap of :func:`merge_runs` merges lazily
-where a run streams back from disk.  All are stable, so equal keys keep
-their arrival order — which MapReduce semantics rely on.
+when its bytes are wanted; :func:`merge_runs`, ``heapq.merge`` under
+the job's comparator, merges lazily where a run streams back from disk.
+All are stable, so equal keys keep their arrival order — which
+MapReduce semantics rely on.
 """
 
 from __future__ import annotations
@@ -35,27 +36,6 @@ KV = tuple[Any, Any]
 _key_of = operator.itemgetter(0)
 
 
-def _native_class(key: Any) -> type | None:
-    """The native comparison class of ``key``, or None when key ordering
-    must go through the total-order comparator.
-
-    Keys whose class is returned here sort identically under Python's
-    built-in ``<`` and under :func:`default_compare` (which also only uses
-    ``<``), so ``sorted``/``heapq`` can compare them directly — C-speed —
-    instead of bouncing every comparison through a Python-level
-    ``cmp_to_key`` wrapper.  int/float/bool are mutually comparable and
-    share one class.
-    """
-    t = type(key)
-    if t is str:
-        return str
-    if t is int or t is float or t is bool:
-        return float
-    if t is bytes:
-        return bytes
-    return None
-
-
 def sort_block(records: list[KV], cmp: Compare | None = None) -> list[KV]:
     """Stable in-memory sort of one block by key."""
     cmp = cmp or default_compare
@@ -72,80 +52,17 @@ def sort_block(records: list[KV], cmp: Compare | None = None) -> list[KV]:
 def merge_runs(
     runs: list[Iterable[KV]], cmp: Compare | None = None
 ) -> Iterator[KV]:
-    """Lazy stable k-way merge of key-sorted runs.
+    """Lazy stable k-way merge of key-sorted runs (``heapq.merge``).
 
     Ties break by run index then arrival order, so the merge is stable
-    with respect to the order runs were produced.  When the default
-    comparator is in play and every key shares one native comparison
-    class, heap comparisons run on the raw keys (C speed); the merge
-    downgrades itself to the wrapped-comparator path the moment a
-    non-conforming key shows up.
+    with respect to the order runs were produced.  Under
+    ``bytes_compare`` (``<`` on bytes keys: TeraSort) the heap compares
+    the raw keys; any other comparator goes through its sort key.
     """
-    cmp = cmp or default_compare
-    heads: list[tuple[KV, int, Iterator[KV]]] = []
-    native_class: type | None = None
-    # bytes_compare is ``<`` on bytes: raw-key merges (TeraSort) take the
-    # native path too instead of bouncing through cmp_to_key
-    native = cmp is default_compare or cmp is bytes_compare
-    for idx, run in enumerate(runs):
-        it = iter(run)
-        first = next(it, None)
-        if first is None:
-            continue
-        heads.append((first, idx, it))
-        if native:
-            cls = _native_class(first[0])
-            if (
-                cls is None
-                or (cmp is bytes_compare and cls is not bytes)
-                or (native_class is not None and cls is not native_class)
-            ):
-                native = False
-            else:
-                native_class = cls
-    key_fn = sort_key(cmp)
-    if native and native_class is not None:
-        return _merge_native(heads, native_class, key_fn)
-    return _drain_wrapped(
-        [(key_fn(rec[0]), idx, 0, rec, it) for rec, idx, it in heads], key_fn
-    )
-
-
-def _merge_native(
-    heads: list[tuple[KV, int, Iterator[KV]]],
-    native_class: type,
-    key_fn: Callable[[Any], Any],
-) -> Iterator[KV]:
-    """Merge with raw-key comparisons; every key is type-checked *before*
-    entering the heap so heap operations can never raise mid-sift."""
-    heap = [(rec[0], idx, 0, rec, it) for rec, idx, it in heads]
-    heapq.heapify(heap)
-    while heap:
-        _, idx, seq, record, it = heapq.heappop(heap)
-        yield record
-        nxt = next(it, None)
-        if nxt is None:
-            continue
-        if _native_class(nxt[0]) is not native_class:
-            # downgrade: re-wrap the surviving entries and continue stably
-            wrapped = [(key_fn(r[0]), i, s, r, i2) for (_, i, s, r, i2) in heap]
-            wrapped.append((key_fn(nxt[0]), idx, seq + 1, nxt, it))
-            yield from _drain_wrapped(wrapped, key_fn)
-            return
-        heapq.heappush(heap, (nxt[0], idx, seq + 1, nxt, it))
-
-
-def _drain_wrapped(
-    heap: list[tuple[Any, int, int, KV, Iterator[KV]]],
-    key_fn: Callable[[Any], Any],
-) -> Iterator[KV]:
-    heapq.heapify(heap)
-    while heap:
-        _, idx, seq, record, it = heapq.heappop(heap)
-        yield record
-        nxt = next(it, None)
-        if nxt is not None:
-            heapq.heappush(heap, (key_fn(nxt[0]), idx, seq + 1, nxt, it))
+    if cmp is bytes_compare:
+        return heapq.merge(*runs, key=_key_of)
+    key_fn = sort_key(cmp or default_compare)
+    return heapq.merge(*runs, key=lambda kv: key_fn(kv[0]))
 
 
 def merge_batches(

@@ -65,15 +65,17 @@ class TestMergeRuns:
         assert [v for _, v in merge_runs([r1, r2])] == ["first", "second"]
 
     @settings(max_examples=50)
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.integers(-50, 50), st.integers()), max_size=20),
-            max_size=6,
-        )
-    )
-    def test_merge_equals_global_sort(self, runs):
-        sorted_runs = [sort_block(r) for r in runs]
-        merged = [k for k, _ in merge_runs(sorted_runs)]
+    @given(st.sampled_from([
+        (default_compare, st.integers(-50, 50)),
+        # raw keys in byte order: NULs, 0xFF, keys that prefix each other
+        (bytes_compare,
+         st.lists(st.sampled_from([0x00, 0x01, 0xFF]), max_size=3).map(bytes)),
+    ]).flatmap(lambda case: st.tuples(st.just(case[0]), st.lists(
+        st.lists(st.tuples(case[1], st.integers()), max_size=20), max_size=6))))
+    def test_merge_equals_global_sort(self, case):
+        cmp, runs = case
+        sorted_runs = [sort_block(r, cmp) for r in runs]
+        merged = [k for k, _ in merge_runs(sorted_runs, cmp)]
         flat = sorted(k for r in runs for k, _ in r)
         assert merged == flat
 

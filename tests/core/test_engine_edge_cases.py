@@ -418,6 +418,39 @@ class TestBoundSend:
         only_value.send(b"raw", 5)
         assert self._buffered(only_value) == [(b"raw", "5")]
 
+    def test_a_pair_coercion_rejects_is_never_counted(self, tmp_path):
+        """The rejected pair raises in every attempt and takes no place in
+        the replay count, so a resumed task sends each pair once."""
+        from repro.common.errors import DataMPIError
+        from repro.core.checkpoint import CheckpointReader, CheckpointWriter
+        from tests.core.helpers import SERIALIZER
+
+        pairs = [(1, "a"), ("bad", "x"), (2, "b"), (3, "c")]
+
+        def run(ctx, pairs):
+            for key, value in pairs:
+                try:
+                    ctx.send(key, value)
+                except DataMPIError:
+                    assert key == "bad"  # the user catches it and carries on
+            ctx.close()
+
+        first = CheckpointWriter(str(tmp_path), "o3", SERIALIZER, 1)
+        run(self._context(key_class=int, checkpoint_writer=first), pairs)
+        reader = CheckpointReader(str(tmp_path), "o3", SERIALIZER)
+        ctx = self._context(
+            key_class=int, checkpoint_reader=reader,
+            checkpoint_writer=CheckpointWriter(
+                str(tmp_path), "o3", SERIALIZER, 1,
+                start_round=reader.max_round(),
+            ),
+        )
+        assert ctx.replay_checkpoint() == 3
+        run(ctx, pairs + [(4, "d")])
+        sent = [(1, "a"), (2, "b"), (3, "c"), (4, "d")]
+        assert self._buffered(ctx) == sent
+        assert list(reader.replay()) == sent
+
     @pytest.mark.parametrize("dest", [2, -1])
     def test_partitioner_out_of_range_raises(self, dest):
         from repro.common.errors import DataMPIError

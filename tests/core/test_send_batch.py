@@ -11,13 +11,17 @@ another partitioner, a wrapped send, a batch of another shape — must be
 exactly ``batch.count`` calls of ``ctx.send``.
 """
 
+import os
+import zlib
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DataMPIError
 from repro.core import DataMPIJob, Mode, mpidrun
 from repro.core.buffers import SendPartitionList
+from repro.core.checkpoint import CheckpointManager, CheckpointReader, CheckpointWriter
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.partition import hash_partitioner, range_partitioner
@@ -243,3 +247,146 @@ def test_a_job_sees_what_a_send_loop_sends(tmp_path, launcher, partitioner, conf
             len(_INPUTS[inputs](r)) for r in range(O_TASKS))
         outputs.append(out.by_task())
     assert outputs[0] == outputs[1]
+
+
+# -- checkpointed sends -----------------------------------------------------------
+
+
+def test_a_checkpointed_batch_is_one_array_pass_and_one_round(tmp_path):
+    """With a checkpoint on, an eligible batch still sorts as one array,
+    and the round file's payload is the batch's bytes, whole."""
+    spl = SendPartitionList(A_TASKS, 64, **_RAW)
+    writer = CheckpointWriter(str(tmp_path), "o0", SER, 1, raw=True)
+    ctx, shipped, passes = _context(spl, checkpoint_writer=writer)
+    batch = batch_from_pairs(PAIRS, None, raw=True)
+    ctx.send_batch(batch)
+    assert passes == [len(PAIRS)]
+    assert writer.records_persisted == len(PAIRS)
+    (round_file,) = tmp_path.iterdir()  # interval 1, yet a batch is not split
+    data = round_file.read_bytes()
+    # CRC32, the one-byte vint record count, then the batch as it came
+    assert data[:4] == zlib.crc32(data[4:]).to_bytes(4, "big")
+    assert data[4:] == bytes([len(PAIRS)]) + bytes(batch.data)
+    replayed = CheckpointReader(str(tmp_path), "o0", SER, raw=True).replay()
+    assert list(replayed) == PAIRS
+    assert _sent(spl, shipped) == _per_pair(_RAW, PAIRS)
+
+
+def test_a_resumed_task_sends_the_replay_window_per_pair(tmp_path):
+    """A restarted task skips the pairs its checkpoint replayed: a batch
+    inside that window is ``batch.count`` calls of ``send``, the batches
+    past it are one array pass each."""
+    first, second = (batch_from_pairs(half, None, raw=True)
+                     for half in (PAIRS[:20], PAIRS[20:]))
+    spl = SendPartitionList(A_TASKS, 64, **_RAW)
+    writer = CheckpointWriter(str(tmp_path), "o0", SER, 7, raw=True)
+    ctx, _, passes = _context(spl, checkpoint_writer=writer, crash_after=10)
+    with pytest.raises(DataMPIError, match="injected crash"):
+        ctx.send_batch(first)  # crash injection sends pair by pair
+    assert passes == [] and writer.records_persisted == 7
+
+    reader = CheckpointReader(str(tmp_path), "o0", SER, raw=True)
+    spl = SendPartitionList(A_TASKS, 64, **_RAW)
+    writer = CheckpointWriter(
+        str(tmp_path), "o0", SER, 7, start_round=reader.max_round(), raw=True)
+    ctx, shipped, passes = _context(
+        spl, checkpoint_writer=writer, checkpoint_reader=reader)
+    assert ctx.replay_checkpoint() == 7
+    ctx.send_batch(first)  # 7 pairs skipped, 13 sent and persisted
+    assert passes == []
+    ctx.send_batch(second)
+    assert passes == [20]
+    ctx.close()
+    assert ctx.metrics.records_emitted == len(PAIRS)
+    assert writer.records_persisted == 33
+    assert _sent(spl, shipped) == _per_pair(_RAW, PAIRS)  # each pair once
+    assert list(reader.replay()) == PAIRS
+
+
+#: six fixed-stride splits of eight records, three per O task
+SPLIT = 8
+SPLITS = [
+    batch_from_pairs(
+        [(bytes([i * 37 % 256, i % 7]), b"v%03d" % i)
+         for i in range(s * SPLIT, (s + 1) * SPLIT)], None, raw=True)
+    for s in range(6)
+]
+
+
+def _ft_job(out, batched, conf, crash_marker=None, crash_splits=0):
+    """TeraSort's shape: O task r sends splits r, r + 2, ...; A tasks
+    write their range as one part file.  ``crash_marker``: O task 0 raises
+    after ``crash_splits`` splits unless the marker exists, and makes it —
+    so the first attempt dies with whole batches persisted."""
+    def o_fn(ctx):
+        for n, batch in enumerate(SPLITS[ctx.rank::ctx.o_size], 1):
+            if batched:
+                ctx.send_batch(batch)
+            else:
+                for key, value in batch.iter_views():
+                    ctx.send(key, value)
+            if (crash_marker is not None and ctx.rank == 0 and n == crash_splits
+                    and not os.path.exists(crash_marker)):
+                open(crash_marker, "w").close()
+                raise RuntimeError("o_fn crashed")
+
+    def a_fn(ctx):
+        with open(os.path.join(out, f"part-{ctx.rank:05d}"), "wb") as f:
+            for key, value in ctx.recv_iter():
+                f.write(key + value)
+
+    return DataMPIJob(
+        "ft-send-batch", o_fn, a_fn, O_TASKS, A_TASKS, mode=Mode.MAPREDUCE,
+        conf={K.SHUFFLE_RAW: True, K.SPL_PARTITION_BYTES: 64, **conf},
+        partitioner=range_partitioner(BOUNDS), comparator=bytes_compare,
+    )
+
+
+def _parts(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def ft_off_parts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ft-off")
+    mpidrun(_ft_job(str(out), True, {}), nprocs=2, timeout=120.0,
+            raise_on_error=True)
+    return _parts(out)
+
+
+@pytest.mark.parametrize("launcher", ["threads", "processes"])
+@settings(max_examples=25, deadline=None, print_blob=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(interval=st.sampled_from([1, 7, SPLIT]), batched=st.booleans(),
+       crash=st.one_of(
+           st.tuples(st.just("inject"), st.integers(0, 1),
+                     st.integers(0, 3 * SPLIT - 1)),
+           st.tuples(st.just("o_fn"), st.just(0), st.integers(1, 3))))
+def test_a_restarted_job_writes_what_an_unfailed_one_does(
+        tmp_path_factory, ft_off_parts, launcher, interval, batched, crash):
+    """Crash an FT job, rerun it: the rerun reloads exactly what the first
+    attempt persisted and writes the part files an FT-off job writes —
+    no record lost, none sent twice."""
+    how, task, point = crash
+    root = tmp_path_factory.mktemp("ft")
+    conf = {K.LAUNCHER: launcher, K.FT_ENABLED: True, K.FT_DIR: str(root),
+            K.FT_INTERVAL_RECORDS: interval}
+    marker = str(root / "crashed") if how == "o_fn" else None
+    inject = {K.INJECT_CRASH_TASK: task, K.INJECT_CRASH_AFTER_RECORDS: point}
+    first = mpidrun(
+        _ft_job(str(root), batched, {**conf, **(inject if how == "inject" else {})},
+                marker, point),
+        nprocs=2, timeout=120.0)
+    assert not first.success
+    rounds = CheckpointManager(str(root), "ft-send-batch", SER, interval, raw=True)
+    # the crashed task's rounds: a batch sent whole is persisted whole
+    sent = point * SPLIT if how == "o_fn" else point
+    assert rounds.reader(task).record_count() == (
+        sent if how == "o_fn" and batched else sent // interval * interval)
+    persisted = rounds.total_persisted(O_TASKS)
+    out = root / "out"
+    out.mkdir()
+    second = mpidrun(_ft_job(str(out), batched, conf, marker, point),
+                     nprocs=2, timeout=120.0, raise_on_error=True)
+    assert second.metrics.reloaded_records == persisted
+    assert _parts(out) == ft_off_parts

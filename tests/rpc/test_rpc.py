@@ -1,5 +1,6 @@
 """Tests for the functional RPC engines."""
 
+import gc
 import os
 import socket
 import threading
@@ -200,6 +201,9 @@ class TestSocketRpc(_HadoopRpcCases):
     def test_finished_connections_release_their_sockets(self):
         server = SocketRpcServer(Calculator(), name="churn").start()
         try:
+            # earlier tests' garbage may hold sockets: collected mid-loop,
+            # it would close fds this count took as a baseline
+            gc.collect()
             fds = len(os.listdir("/proc/self/fd"))
             for i in range(50):
                 client = SocketRpcClient(server.address)
