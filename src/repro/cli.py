@@ -258,15 +258,69 @@ def _write_metrics_json(result: JobResult, path: str) -> None:
 _COVERAGE_CEILING_PCT = 105.0
 
 
-def _open_journal(prog: str, path: str) -> Any:
-    """The journal at ``path``, or None after saying why not on stderr."""
-    from repro.obs.journal import read_journal
+#: the kinds of target ``repro``'s commands read, as messages name them
+_KINDS = {
+    "journal": "a trace journal",
+    "report": "a doctor report",
+    "endpoint": "a telemetry endpoint",
+}
 
+
+def _open(prog: str, target: str, *kinds: str) -> Any:
+    """Decide what ``target`` is and open it if ``repro prog`` reads that
+    kind, else return None after saying why not on stderr.  A JSON object
+    with ``findings`` is a report (the object); one with ``address``, a
+    ``host:port``, or an existing path that is not a regular file (an
+    AF_UNIX socket) is an endpoint (an RPC client on it); any other file
+    is a journal (read).  Nothing at a path: the kind ``prog`` reads."""
+    import os
+
+    def fail(message: str) -> None:
+        print(f"repro {prog}: {message}", file=sys.stderr)
+
+    doc: Any = {}
+    if os.path.isfile(target):
+        try:
+            with open(target, encoding="utf-8") as f:
+                doc = json.load(f)
+        except (OSError, ValueError):
+            pass  # JSON lines, or unreadable: read_journal says which
+        doc = doc if isinstance(doc, dict) else {}
+        kind = "report" if "findings" in doc else (
+            "endpoint" if "address" in doc else "journal")
+    elif ":" in target and not target.startswith("/") or os.path.exists(target):
+        kind = "endpoint"
+    else:
+        kind = "journal" if "journal" in kinds else "endpoint"
+    if kind not in kinds:
+        wanted = " or ".join(_KINDS[k] for k in kinds)
+        return fail(f"{target} is {_KINDS[kind]}; repro {prog} reads {wanted}")
+    if kind == "report":
+        return doc
+    if kind == "journal":
+        from repro.obs.journal import read_journal
+
+        try:
+            return read_journal(target)
+        except OSError as exc:
+            return fail(f"cannot read {target}: {exc}")
+    from repro.rpc import SocketRpcClient
+
+    address = doc.get("address", target)
+    if isinstance(address, list):
+        address = (address[0], int(address[1]))
+    elif address == target and not os.path.exists(target):
+        host, _, port = target.rpartition(":")
+        if not host or target.startswith("/"):
+            return fail(f"no such endpoint file or socket: {target} "
+                        "(is the job still running with --telemetry?)")
+        if not port.isdigit():
+            return fail(f"bad host:port endpoint {target!r}")
+        address = (host, int(port))
     try:
-        return read_journal(path)
+        return SocketRpcClient(address, timeout=10.0)
     except OSError as exc:
-        print(f"repro {prog}: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        return fail(f"cannot connect to {address!r}: {exc}")
 
 
 def trace_main(argv: list[str]) -> int:
@@ -300,7 +354,7 @@ def trace_main(argv: list[str]) -> int:
         "counted twice)",
     )
     args = parser.parse_args(argv)
-    journal = _open_journal("trace", args.journal)
+    journal = _open("trace", args.journal, "journal")
     if journal is None:
         return 2
     if not journal.events and not journal.summary:
@@ -326,63 +380,6 @@ def trace_main(argv: list[str]) -> int:
             return 1
         print(f"coverage check passed: {pct:.1f}% >= {args.check_coverage:.1f}%")
     return 0
-
-
-def _resolve_telemetry_endpoint(spec: str) -> Any:
-    """Turn a ``repro top`` endpoint argument into an RPC address.
-
-    Accepts the endpoint file ``--telemetry=FILE`` writes (JSON with an
-    ``address`` key), a raw ``host:port`` pair, or an AF_UNIX socket
-    path.
-    """
-    import os
-
-    if os.path.isfile(spec):
-        with open(spec, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except ValueError as exc:
-                raise DataMPIError(f"{spec} is not an endpoint file: {exc}")
-        address = doc.get("address") if isinstance(doc, dict) else None
-        if address is None:
-            raise DataMPIError(f"{spec} has no 'address' key")
-        if isinstance(address, list):
-            return (address[0], int(address[1]))
-        return address
-    if ":" in spec and not spec.startswith("/"):
-        host, _, port = spec.rpartition(":")
-        try:
-            return (host, int(port))
-        except ValueError:
-            raise DataMPIError(f"bad host:port endpoint {spec!r}") from None
-    # the remaining shape is a filesystem path: either the endpoint file
-    # a running job maintains or an AF_UNIX socket.  A path that does not
-    # exist can never connect — fail with a message that says so instead
-    # of a confusing connect error.
-    if not os.path.exists(spec):
-        raise DataMPIError(
-            f"no such endpoint file or socket: {spec} "
-            "(is the job still running with --telemetry?)"
-        )
-    return spec
-
-
-def _connect_endpoint(prog: str, spec: str) -> Any:
-    """An RPC client on the telemetry endpoint ``spec`` names, or None
-    after saying why not on stderr."""
-    from repro.rpc import SocketRpcClient
-
-    try:
-        address = _resolve_telemetry_endpoint(spec)
-    except DataMPIError as exc:
-        print(f"repro {prog}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return SocketRpcClient(address, timeout=10.0)
-    except OSError as exc:
-        print(f"repro {prog}: cannot connect to {address!r}: {exc}",
-              file=sys.stderr)
-        return None
 
 
 def top_main(argv: list[str]) -> int:
@@ -426,7 +423,7 @@ def top_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
     iterations = 1 if args.once else args.iterations
-    client = _connect_endpoint("top", args.endpoint)
+    client = _open("top", args.endpoint, "endpoint")
     if client is None:
         return 2
     count = 0
@@ -494,7 +491,7 @@ def flame_main(argv: list[str]) -> int:
         help="write a speedscope JSON document to PATH",
     )
     args = parser.parse_args(argv)
-    journal = _open_journal("flame", args.journal)
+    journal = _open("flame", args.journal, "journal")
     if journal is None:
         return 2
     profiles = journal.profiles
@@ -532,7 +529,6 @@ def flame_main(argv: list[str]) -> int:
 def doctor_main(argv: list[str]) -> int:
     """``repro doctor <target>`` — straggler/stall diagnosis report."""
     import argparse
-    import os
 
     from repro.common.errors import RPCError
     from repro.obs.doctor import render_report
@@ -561,23 +557,11 @@ def doctor_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    report: dict | None = None
-    if os.path.isfile(args.target):
-        with open(args.target, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except ValueError as exc:
-                print(f"repro doctor: {args.target} is not JSON: {exc}",
-                      file=sys.stderr)
-                return 2
-        if isinstance(doc, dict) and "findings" in doc:
-            report = doc  # a written doctor.json
-        # otherwise fall through: an endpoint file also parses as JSON
-
+    report = _open("doctor", args.target, "report", "endpoint")
     if report is None:
-        client = _connect_endpoint("doctor", args.target)
-        if client is None:
-            return 2
+        return 2
+    if not isinstance(report, dict):  # a live endpoint: ask its doctor
+        client = report
         try:
             if args.capture:
                 client.call("doctor_capture")

@@ -247,10 +247,7 @@ class CheckpointManager:
 
     The job's directory is ``<ft_dir>/<job_id>``; tasks are identified as
     ``o<task_id>`` (only O-side emits are checkpointed — A output goes to
-    the job's final sink).  ``global_max_round`` is the coordination
-    value the paper describes: "all processes can coordinate with each
-    other to get the global maximum checkpoint number among all
-    successfully generated checkpoints".
+    the job's final sink).
     """
 
     def __init__(
@@ -279,11 +276,6 @@ class CheckpointManager:
     def reader(self, task_id: int) -> CheckpointReader:
         return CheckpointReader(
             self.directory, f"o{task_id}", self.serializer, self.raw
-        )
-
-    def global_max_round(self, num_o_tasks: int) -> int:
-        return max(
-            (self.reader(t).max_round() for t in range(num_o_tasks)), default=0
         )
 
     def total_persisted(self, num_o_tasks: int) -> int:

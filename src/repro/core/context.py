@@ -17,7 +17,7 @@ from repro.core.buffers import SendPartitionList
 from repro.core.checkpoint import CheckpointReader, CheckpointWriter
 from repro.core.metrics import TaskMetrics
 from repro.core.partition import Partitioner, validate_destination
-from repro.serde.batch import RecordBatch, _fixed_stride
+from repro.serde.batch import RecordBatch, _fixed_stride, framer
 from repro.serde.comparators import bytes_compare, default_compare
 
 if TYPE_CHECKING:
@@ -164,17 +164,24 @@ class TaskContext:
                     shuffle.send_blocks(plane_id, spl.flush_all("age"))
         if crash_after >= 0 or writer is not None or self._cp_reader is not None:
             persist = writer.add if writer is not None else lambda key, value: None
+            frame = framer(spl.serializer, spl.raw) if spl.combiner is None else None
 
             def send(key: Any, value: Any, core=send) -> None:
                 if 0 <= crash_after <= self._offered:
                     raise DataMPIError(
                         f"injected crash in {who} after {self._offered} records"
                     )
-                self._offered += 1
-                # the first _skip_emits pairs were resent by replay_checkpoint
-                if self._offered > self._skip_emits:
+                # the first _skip_emits pairs were resent by replay_checkpoint;
+                # a skipped one still runs the core's call-time checks, and a
+                # pair any check rejects is never counted
+                if self._offered < self._skip_emits:
+                    validate_destination(partitioner(key, value, n), n)
+                    if frame is not None:
+                        frame(key, value)
+                else:
                     core(key, value)
                     persist(key, value)
+                self._offered += 1
         if key_class is not None or value_class is not None:
             def typed(what: str, obj: Any, cls: type | None) -> Any:
                 if cls is None or isinstance(obj, cls):

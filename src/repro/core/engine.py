@@ -172,19 +172,20 @@ class WorkerEngine:
 
     def _fold(self) -> None:
         """Bring ``self.metrics`` up to date: the shuffle service's counters
-        (``stats()`` keys are :class:`Counters` field names), the phase
-        buckets — the main lane's clock as it reads now, plus the spill
+        (``stats()``: :class:`Counters` field names), the phase buckets —
+        the main lane's clock as it reads now, plus the ``stats()`` spill
         overlay, which accrues on whichever threads deliver this rank's
         envelopes — the wall, that lane's total, and the mailbox, process
         and profiler readings.  Called by the pulse for every record it
         sends and by ``run`` ahead of the final report — the only reader
         of ``shuffle.stats()`` and of the clock."""
         with self._fold_lock:
-            for name, value in self.shuffle.stats().items():
+            stats = self.shuffle.stats()
+            spill = stats.pop("spill_seconds")
+            for name, value in stats.items():
                 setattr(self.metrics, name, value)
             phases = self.clock.read()
             self.metrics.wall_seconds = sum(phases.values())
-            spill = self.shuffle.spill_seconds()
             if spill > 0:
                 phases["spill"] = spill
             self.metrics.phase_times = phases
@@ -192,8 +193,8 @@ class WorkerEngine:
             self._sample_process()
             self.metrics.queue = self.world._my_endpoint().stats()
             if self.profile_hz > 0:
-                self.metrics.profile = PROFILER.snapshot_for(
-                    self.rank, self.metrics.epoch
+                self.metrics.profile = PROFILER.profile(
+                    self.rank, self.metrics.epoch, self.profile_hz
                 )
 
     # -- the pulse ---------------------------------------------------------------

@@ -209,7 +209,7 @@ class WorkerMetrics(Counters):
     tasks: list = field(default_factory=list)
     #: the mailbox's ``Endpoint.stats()`` at the last fold
     queue: dict = field(default_factory=dict)
-    #: the sampling profiler's summary at the last fold (None unprofiled)
+    #: the sampling profiler's document at the last fold (None unprofiled)
     profile: dict | None = None
     #: the rank's live stacks (``StackSampler.dump_stacks``): filled in a
     #: pulse's copy while the doctor is on, empty in the folded record

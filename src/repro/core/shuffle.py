@@ -411,13 +411,6 @@ class ShuffleService:
         with self._planes_lock:
             return list(self._planes.values())
 
-    def _received(self) -> dict[str, float]:
-        """``ShufflePlane.counts`` summed over the live and dropped planes,
-        read under one lock so a drop never counts twice or not at all."""
-        with self._planes_lock:
-            counts = [p.counts() for p in self._planes.values()] + self._dropped
-        return {name: sum(c[name] for c in counts) for name in _RECEIVED}
-
     def _abort_planes(self) -> None:
         """The world aborted: no open plane can complete now."""
         for plane in self._planes_now():
@@ -570,19 +563,19 @@ class ShuffleService:
             for plane in self._planes_now():
                 plane.cleanup()
 
-    def stats(self) -> dict[str, int]:
-        received = self._received()
-        del received["spill_seconds"]
+    def stats(self) -> dict[str, float]:
+        """The counters by :class:`~repro.core.metrics.Counters` field
+        name, and ``spill_seconds``: the seconds the delivering threads
+        spent writing this process's spills (an overlay phase).  The
+        planes' ``counts`` are summed over the live and dropped ones, read
+        under one lock so a drop never counts twice or not at all."""
+        with self._planes_lock:
+            counts = [p.counts() for p in self._planes.values()] + self._dropped
         return {
             "blocks_sent": self.blocks_sent,
             "bytes_sent": self.bytes_sent,
             "envelopes_sent": self.envelopes_sent,
-            **received,
+            **{name: sum(c[name] for c in counts) for name in _RECEIVED},
             "duplicates_dropped": self.duplicates_dropped,
             "replays_dropped": self.replays_dropped,
         }
-
-    def spill_seconds(self) -> float:
-        """Seconds the delivering threads spent writing this process's
-        spills (overlay phase)."""
-        return self._received()["spill_seconds"]

@@ -10,7 +10,7 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   busy = compute + partition-sort + merge + checkpoint; waiting phases
   are excluded because ranks blocked *on* the straggler mirror its
   wall) over a threshold; the finding attributes the slow rank's time
-  using the profile summary riding its telemetry records ("82% of
+  using the profile document riding its telemetry records ("82% of
   samples in sorter.merge under merge");
 * *stall*: a live rank whose records keep arriving but which made no
   *progress* for longer than the stall window — its busy buckets stood
@@ -44,6 +44,7 @@ from repro.common.logging import get_logger
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import WorkerMetrics, busy_seconds
 from repro.core.modes import default_of
+from repro.obs.profiler import hottest
 
 _log = get_logger("obs.doctor")
 
@@ -78,14 +79,12 @@ def _phase_attribution(record: WorkerMetrics) -> dict[str, Any]:
     profile = record.profile or {}
     samples = profile.get("samples", 0)
     if samples > 0:
-        phases: dict[str, int] = dict(profile.get("phases", {}))
+        phases, entries = hottest(profile)
         top_phase = max(phases, key=phases.get) if phases else ""
-        top_stack = ""
-        for entry in profile.get("top", []):
-            # entries are [phase, collapsed_stack, count], ranked
-            if len(entry) >= 3 and entry[0] == top_phase:
-                top_stack = str(entry[1]).split(";")[-1]
-                break
+        top_stack = next(
+            (stack.rsplit(";", 1)[-1] for _n, phase, stack in entries
+             if phase == top_phase), "",
+        )
         return {
             "source": "profile",
             "phase": top_phase,
@@ -208,8 +207,8 @@ class Doctor:
             # work done or data moved, all from the row: busy-phase seconds,
             # bytes out, records in, tasks finished
             progress = (
-                busy_seconds(row["phases"]), row["bytes_sent"],
-                row["records_received"], row["tasks"],
+                busy_seconds(row["phase_times"]), row["bytes_sent"],
+                row["records_received"], row["o_tasks_run"], row["a_tasks_run"],
             )
             held = self._progress.get(rank)
             if held is None or progress != held[0]:
@@ -218,7 +217,7 @@ class Doctor:
             stuck_for = now - held[1]
             if stuck_for < cfg.stall_seconds:
                 continue
-            wall = float(row["wall_s"])
+            wall = float(row["wall_seconds"])
             silent = row["age_s"] > max(cfg.stall_seconds, 3.0)
             kind = "silent" if silent else "stall"
             attribution = self._attribution_for(rank)
@@ -244,7 +243,7 @@ class Doctor:
                     "stuck_for_s": round(stuck_for, 3),
                     "wall_s": wall,
                     "age_s": row["age_s"],
-                    "pending": row["pending"],
+                    "pending": row["queue"].get("pending", 0),
                     **attribution,
                 },
             })
@@ -256,7 +255,7 @@ class Doctor:
         score = float(rollups.get("straggler_score", 0.0) or 0.0)
         if not rows or score < self.config.straggler_threshold:
             return []
-        slow = max(rows, key=lambda row: busy_seconds(row["phases"]))
+        slow = max(rows, key=lambda row: busy_seconds(row["phase_times"]))
         attribution = self._attribution_for(slow["rank"])
         shuffle_skew = float(rollups.get("shuffle_skew", 0.0) or 0.0)
         pct = attribution["phase_pct"]
@@ -283,10 +282,10 @@ class Doctor:
             "summary": summary,
             "details": {
                 "straggler_score": score,
-                "busy_s": round(busy_seconds(slow["phases"]), 4),
+                "busy_s": round(busy_seconds(slow["phase_times"]), 4),
                 "shuffle_skew": shuffle_skew,
-                "wall_s": slow["wall_s"],
-                "phases": slow["phases"],
+                "wall_s": slow["wall_seconds"],
+                "phases": slow["phase_times"],
                 **attribution,
             },
         }]

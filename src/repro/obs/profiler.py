@@ -99,8 +99,6 @@ class StackSampler:
         self._threads: dict[int, tuple[tuple[int, int], Any]] = {}
         #: (rank, epoch) -> {(phase, collapsed_stack): samples}
         self._counts: dict[tuple[int, int], dict[tuple[str, str], int]] = {}
-        #: (rank, epoch) -> total samples attributed
-        self._samples: dict[tuple[int, int], int] = {}
         self._refs = 0
         self._hz = 0.0
         self._started_at = 0.0
@@ -197,19 +195,20 @@ class StackSampler:
                 phase = _phase_of(clock)
                 bucket = self._counts.setdefault(key, {})
                 bucket[(phase, stack)] = bucket.get((phase, stack), 0) + 1
-                self._samples[key] = self._samples.get(key, 0) + 1
                 hit += 1
             self.ticks += 1
             self.sample_cost_seconds += time.perf_counter() - t0
         return hit
 
     # -- aggregate access ----------------------------------------------------
-    def collect(self, rank: int, epoch: int = 0, hz: float | None = None) -> dict:
-        """Pop and return the finished profile for ``(rank, epoch)``."""
+    def profile(self, rank: int, epoch: int = 0, hz: float | None = None) -> dict:
+        """The profile document of ``(rank, epoch)`` so far — ``rank``,
+        ``epoch``, ``hz``, ``samples`` and ``stacks`` (phase -> collapsed
+        stack -> samples) — without forgetting it: a pulse, the report, the
+        journal's ``profile`` record and ``repro flame`` all carry this."""
         key = (int(rank), int(epoch))
         with self._lock:
-            counts = self._counts.pop(key, {})
-            samples = self._samples.pop(key, 0)
+            counts = dict(self._counts.get(key) or {})
         stacks: dict[str, dict[str, int]] = {}
         for (phase, stack), n in counts.items():
             stacks.setdefault(phase, {})[stack] = n
@@ -217,27 +216,16 @@ class StackSampler:
             "rank": key[0],
             "epoch": key[1],
             "hz": float(hz if hz is not None else self._hz),
-            "samples": samples,
+            "samples": sum(counts.values()),
             "stacks": stacks,
         }
 
-    def snapshot_for(self, rank: int, epoch: int = 0, top: int = 5) -> dict | None:
-        """Small live summary for telemetry piggyback (non-destructive)."""
-        key = (int(rank), int(epoch))
+    def collect(self, rank: int, epoch: int = 0, hz: float | None = None) -> dict:
+        """:meth:`profile`, then forget ``(rank, epoch)``: a finished rank's."""
+        profile = self.profile(rank, epoch, hz)
         with self._lock:
-            counts = dict(self._counts.get(key) or {})
-            samples = self._samples.get(key, 0)
-        if not samples:
-            return None
-        phases: dict[str, int] = {}
-        for (phase, _stack), n in counts.items():
-            phases[phase] = phases.get(phase, 0) + n
-        ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:top]
-        return {
-            "samples": samples,
-            "phases": phases,
-            "top": [[phase, stack, n] for (phase, stack), n in ranked],
-        }
+            self._counts.pop((profile["rank"], profile["epoch"]), None)
+        return profile
 
     # -- live dumps ----------------------------------------------------------
     def dump_stacks(self, rank: int, epoch: int = 0) -> list[dict]:
@@ -266,7 +254,6 @@ class StackSampler:
         self._lock = threading.Lock()
         self._threads.clear()
         self._counts.clear()
-        self._samples.clear()
         self._refs = 0
         self._hz = 0.0
         self._stop = None
@@ -286,6 +273,18 @@ def _profile_prefix(profile: dict) -> str:
     return f"rank{rank}" + (f"e{epoch}" if epoch else "")
 
 
+def hottest(profile: dict) -> tuple[dict[str, int], list[tuple[int, str, str]]]:
+    """A profile document's samples per phase, and its ``(count, phase,
+    stack)`` entries, hottest first."""
+    by_phase: dict[str, int] = {}
+    flat: list[tuple[int, str, str]] = []
+    for phase, stacks in (profile.get("stacks") or {}).items():
+        for stack, count in stacks.items():
+            by_phase[phase] = by_phase.get(phase, 0) + count
+            flat.append((count, phase, stack))
+    return by_phase, sorted(flat, reverse=True)
+
+
 def format_profile(profile: dict, top: int = 5) -> str:
     """One rank's profile for ``repro flame``: its share per phase and its
     ``top`` hottest stacks, by leaf frame."""
@@ -295,19 +294,14 @@ def format_profile(profile: dict, top: int = 5) -> str:
     hz = profile.get("hz", 0.0)
     label = f"rank {rank}" + (f" (epoch {epoch})" if epoch else "")
     lines = [f"{label}: {samples} samples @ {hz:g} Hz"]
-    by_phase: dict[str, int] = {}
-    flat: list[tuple[int, str, str]] = []
-    for phase, stacks in (profile.get("stacks") or {}).items():
-        for stack, count in stacks.items():
-            by_phase[phase] = by_phase.get(phase, 0) + count
-            flat.append((count, phase, stack))
+    by_phase, flat = hottest(profile)
     total = sum(by_phase.values()) or 1
     phase_bits = "  ".join(
         f"{phase}={100.0 * n / total:.0f}%"
         for phase, n in sorted(by_phase.items(), key=lambda kv: -kv[1])
     )
     lines.append(f"  phases: {phase_bits}")
-    for count, phase, stack in sorted(flat, reverse=True)[:top]:
+    for count, phase, stack in flat[:top]:
         leaf = stack.rsplit(";", 1)[-1]
         lines.append(f"  {100.0 * count / total:5.1f}%  [{phase}] {leaf}")
     return "\n".join(lines)

@@ -27,8 +27,10 @@ the driver starts next to the job (its address is written to
 
 * ``telemetry_scrape`` — Prometheus text exposition (``datampi_*``
   families), for scrapers;
-* ``telemetry_ranks`` / ``telemetry_rollups`` / ``telemetry_meta`` —
-  structured dicts, polled by the ``repro top <endpoint>`` CLI.
+* ``telemetry_ranks`` / ``telemetry_rollups`` — structured dicts, polled
+  by the ``repro top <endpoint>`` CLI.  A rank's row is the journal's
+  worker row (:meth:`WorkerMetrics.as_dict`) plus ``queue``, ``age_s``
+  and ``status``.
 """
 
 from __future__ import annotations
@@ -134,41 +136,25 @@ class TelemetryHub:
 
     def latest(self) -> dict[int, WorkerMetrics]:
         """Newest record per rank, from that rank's highest epoch."""
-        with self._lock:
-            best: dict[int, tuple[int, WorkerMetrics]] = {}
-            for (rank, epoch), record in self._series.items():
-                held = best.get(rank)
-                if held is None or epoch > held[0]:
-                    best[rank] = (epoch, record)
-            return {rank: record for rank, (_e, record) in best.items()}
+        with self._lock:  # in (rank, epoch) order: a later epoch overwrites
+            return {rank: r for (rank, _e), r in sorted(self._series.items())}
 
     def per_rank(self) -> list[dict[str, Any]]:
-        """One row per live rank for the ``repro top`` table."""
+        """One row per rank, for ``repro top`` and the doctor: the
+        journal's worker row plus what only a live view has — the
+        mailbox, the record's age and whether the final report arrived."""
         with self._lock:
             done = set(self._done)
-        rows = []
-        for rank, record in sorted(self.latest().items()):
-            rows.append(
-                {
-                    "rank": rank,
-                    "epoch": record.epoch,
-                    "pid": record.pid,
-                    "age_s": round(time.time() - record.ts, 3),
-                    "phases": {
-                        k: round(v, 4) for k, v in record.phase_times.items()
-                    },
-                    "wall_s": round(record.wall_seconds, 4),
-                    "bytes_sent": record.bytes_sent,
-                    "records_received": record.records_received,
-                    "pending": record.queue.get("pending", 0),
-                    "bytes_in": record.queue.get("bytes_in", 0),
-                    "cpu_s": round(record.process_cpu_seconds, 3),
-                    "rss_mb": round(record.process_rss_bytes / 2**20, 1),
-                    "tasks": {"o": record.o_tasks_run, "a": record.a_tasks_run},
-                    "status": "done" if rank in done else "running",
-                }
-            )
-        return rows
+        now = time.time()
+        return [
+            {
+                **record.as_dict(),
+                "queue": dict(record.queue),
+                "age_s": round(now - record.ts, 3),
+                "status": "done" if rank in done else "running",
+            }
+            for rank, record in sorted(self.latest().items())
+        ]
 
     def rollups(self) -> dict[str, Any]:
         """Cluster-level view computed from the latest record per rank."""
@@ -339,10 +325,6 @@ class TelemetryHub:
             "telemetry_scrape": self.prometheus_text,
             "telemetry_ranks": self.per_rank,
             "telemetry_rollups": self.rollups,
-            "telemetry_meta": lambda: {
-                "series": [list(k) for k in self.series_keys()],
-                "snapshots_ingested": self.snapshots_ingested,
-            },
         }
 
 
@@ -370,17 +352,15 @@ def format_top_table(rows: list[dict], rollups: dict) -> str:
         f"{'o/a':>7} {'age':>5}"
     )
     lines.append(header)
-    for row in sorted(rows, key=lambda r: r.get("rank", -1)):
-        tasks = row.get("tasks") or {}
+    for row in sorted(rows, key=lambda r: r["rank"]):
         lines.append(
-            f"{row.get('rank', -1):>4} {row.get('epoch', 0):>2} "
-            f"{row.get('status', '?'):>7} "
-            f"{row.get('wall_s', 0.0):>7.2f}s {row.get('cpu_s', 0.0):>6.2f}s "
-            f"{row.get('rss_mb', 0.0):>7.1f} "
-            f"{row.get('bytes_sent', 0) / 1e6:>8.2f} "
-            f"{row.get('records_received', 0):>8} "
-            f"{row.get('pending', 0):>5} "
-            f"{tasks.get('o', 0):>3}/{tasks.get('a', 0):<3} "
-            f"{row.get('age_s', 0.0):>4.1f}s"
+            f"{row['rank']:>4} {row['epoch']:>2} {row['status']:>7} "
+            f"{row['wall_seconds']:>7.2f}s {row['process_cpu_seconds']:>6.2f}s "
+            f"{row['process_rss_bytes'] / 2**20:>7.1f} "
+            f"{row['bytes_sent'] / 1e6:>8.2f} "
+            f"{row['records_received']:>8} "
+            f"{row['queue'].get('pending', 0):>5} "
+            f"{row['o_tasks_run']:>3}/{row['a_tasks_run']:<3} "
+            f"{row['age_s']:>4.1f}s"
         )
     return "\n".join(lines)

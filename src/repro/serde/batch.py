@@ -117,25 +117,18 @@ class RecordBatch:
         return (RecordBatch, (bytes(self.data), self.count, self.raw))
 
     # -- iteration --------------------------------------------------------
-    def _fields(self, values: bool) -> tuple[list[bytes], Any]:
-        """:meth:`key_index` over the field *bytes*: the framing is the
-        same with and without ``raw``, and raw fields are not decoded."""
-        return RecordBatch(self.data, self.count, True).key_index(None, values)
-
     def iter_views(self) -> Iterator[tuple[bytes, bytes]]:
-        """(key bytes, value bytes) per record — zero decode.
+        """(key bytes, value bytes) per record — zero decode: a raw
+        :meth:`key_index` over the field bytes, whose framing is the same
+        with and without ``raw``.
 
         Only meaningful for ``raw`` batches, where the field bytes *are*
         the application data; for serialized batches they carry the
         serializer framing.
         """
-        keys, value_at = self._fields(True)
+        fields = RecordBatch(self.data, self.count, True)
+        keys, value_at = fields.key_index(None, True)
         return zip(keys, map(value_at, range(self.count)))
-
-    def iter_records(self) -> Iterator[bytes]:
-        """Whole records (length prefixes included): the unit a merge
-        copies into its output batch without decoding."""
-        return iter(self._fields(False)[1])
 
     def unframed(self) -> bytes | memoryview:
         """Every record's key and value bytes back to back, length prefixes

@@ -158,7 +158,7 @@ class TestManager:
             w0.add(i, i)  # 3 rounds
         w1 = mgr.writer(1)
         w1.add("x", 1)  # 0 complete rounds (buffered)
-        assert mgr.global_max_round(num_o_tasks=2) == 3
+        assert max(mgr.reader(t).max_round() for t in range(2)) == 3
         assert mgr.total_persisted(2) == 6
 
     def test_jobs_isolated(self, tmp_path, serializer):

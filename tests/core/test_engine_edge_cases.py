@@ -373,6 +373,49 @@ class TestBoundSend:
         assert self._buffered(ctx) == emits  # each pair exactly once
         assert list(reader.replay()) == emits
 
+    @pytest.mark.parametrize("rejected", ["range", "encode"])
+    def test_a_pair_the_core_rejects_is_never_counted(self, tmp_path, rejected):
+        """A pair the core rejects — its partitioner answers 5 of 2, or its
+        value cannot be encoded — raises in every attempt, inside the replay
+        window too, and never advances the counter: a resumed task sends
+        each later pair once."""
+        from repro.common.errors import ReproError
+        from repro.core.checkpoint import CheckpointReader, CheckpointWriter
+        from repro.core.partition import hash_partitioner
+        from tests.core.helpers import SERIALIZER
+
+        bad = ("bad", threading.Lock() if rejected == "encode" else 0)
+
+        def partitioner(key, value, n):
+            if rejected == "range" and key == "bad":
+                return 5
+            return hash_partitioner(key, value, n)
+
+        def attempt(ctx, pairs):
+            for key, value in pairs:
+                try:
+                    ctx.send(key, value)
+                except ReproError:
+                    assert key == "bad"  # the user catches the rejection
+
+        pairs = [(1, "a"), bad, (2, "b"), (3, "c")]
+        first = self._context(
+            partitioner=partitioner,
+            checkpoint_writer=CheckpointWriter(str(tmp_path), "o3", SERIALIZER, 1),
+        )
+        attempt(first, pairs)  # then the task dies, its three rounds on disk
+        reader = CheckpointReader(str(tmp_path), "o3", SERIALIZER)
+        ctx = self._context(
+            partitioner=partitioner, checkpoint_reader=reader,
+            checkpoint_writer=CheckpointWriter(
+                str(tmp_path), "o3", SERIALIZER, 1, start_round=reader.max_round()
+            ),
+        )
+        assert ctx.replay_checkpoint() == 3
+        attempt(ctx, [*pairs, (4, "d")])
+        assert self._buffered(ctx) == [(1, "a"), (2, "b"), (3, "c"), (4, "d")]
+        assert ctx.metrics.records_emitted == 4
+
     def test_crash_counts_skipped_emits(self, tmp_path):
         from repro.common.errors import DataMPIError
         from repro.core.checkpoint import CheckpointReader, CheckpointWriter

@@ -58,7 +58,7 @@ def _heap_merged_bytes(batches, cmp):
     """Reference merged batch: the heap orders (key, framed record)."""
     keyed = [
         [(key, bytes(record)) for (key, _), record
-         in zip(batch.iter_pairs(SER), batch.iter_records())]
+         in zip(batch.iter_pairs(SER), batch.key_index(SER)[1])]
         for batch in batches
     ]
     return b"".join(record for _, record in merge_runs(keyed, cmp))

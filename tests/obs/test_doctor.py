@@ -129,10 +129,12 @@ class TestStragglerSignature:
         hub.ingest(_record(0, wall=1.0, bytes_sent=100))
         hub.ingest(_record(1, wall=1.0, bytes_sent=100))
         hub.ingest(_record(2, wall=8.0, bytes_sent=800, profile={
-            "samples": 100,
-            "phases": {"merge": 82, "communicate": 18},
-            "top": [["merge", "engine.run;sorter.merge", 60],
-                    ["communicate", "engine.run;plane.wait", 18]],
+            "rank": 2, "epoch": 0, "hz": 50.0, "samples": 100,
+            "stacks": {
+                "merge": {"engine.run;sorter.merge": 60,
+                          "engine.run;sorter.spill": 22},
+                "communicate": {"engine.run;plane.wait": 18},
+            },
         }))
         doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
         findings = doctor.evaluate()
@@ -295,7 +297,7 @@ class TestDoctorEndToEnd:
         # (walls are near-equal: the other ranks wait in communicate)
         rows = captured_hub["hub"].per_rank()
         expected_rank = max(
-            rows, key=lambda r: r["phases"].get("merge", 0.0)
+            rows, key=lambda r: r["phase_times"].get("merge", 0.0)
         )["rank"]
 
         with open(doctor_path, encoding="utf-8") as f:

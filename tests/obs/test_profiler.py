@@ -33,6 +33,7 @@ from repro.obs.profiler import (
     StackSampler,
     collapse_stack,
     describe_stack,
+    format_profile,
     to_collapsed,
     to_speedscope,
 )
@@ -110,18 +111,17 @@ class TestStackSampler:
         assert sampler.collect(1)["samples"] == 1
         assert sampler.collect(1)["samples"] == 0  # popped
 
-    def test_snapshot_for_is_non_destructive_and_ranked(self, burning_thread):
+    def test_profile_is_non_destructive(self, burning_thread):
         sampler = StackSampler()
         sampler.register_thread(4, clock=PhaseClock("compute"), ident=burning_thread)
         for _ in range(5):
             sampler.sample_once()
-        snap = sampler.snapshot_for(4)
-        assert snap["samples"] == 5
-        assert snap["phases"] == {"compute": 5}
-        phase, stack, count = snap["top"][0]
-        assert phase == "compute" and count >= 1 and "_burn_until" in stack
-        assert sampler.collect(4)["samples"] == 5  # snapshot did not pop
-        assert sampler.snapshot_for(4) is None  # nothing left -> no summary
+        profile = sampler.profile(4, hz=50.0)
+        assert profile["samples"] == 5 and set(profile["stacks"]) == {"compute"}
+        assert any("_burn_until" in stack for stack in profile["stacks"]["compute"])
+        assert sampler.profile(4, hz=50.0) == profile  # nothing forgotten
+        assert sampler.collect(4, hz=50.0) == profile
+        assert sampler.profile(4)["samples"] == 0  # collect forgot it
 
     def test_unregistered_threads_are_invisible(self, burning_thread):
         sampler = StackSampler()
@@ -150,7 +150,7 @@ class TestStackSampler:
         try:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                if sampler.snapshot_for(9):
+                if sampler.profile(9)["samples"]:
                     break
                 time.sleep(0.01)
         finally:
@@ -216,6 +216,25 @@ class TestExporters:
         for sample in prof["samples"]:
             assert all(0 <= idx < nframes for idx in sample)
 
+    def test_flame_and_the_doctor_name_the_same_hottest_phase(self):
+        from repro.core.metrics import WorkerMetrics
+        from repro.obs.doctor import _phase_attribution
+
+        # the hottest stack (communicate's) is not in the hottest phase
+        crossed = {"rank": 2, "epoch": 0, "hz": 50.0, "samples": 10,
+                   "stacks": {"merge": {"engine.run;sorter.a": 3,
+                                        "engine.run;sorter.b": 3},
+                              "communicate": {"engine.run;plane.wait": 4}}}
+        for profile in [*PROFILES, crossed]:
+            phases_line = format_profile(profile).splitlines()[1]
+            flame_phase = phases_line.split()[1].split("=")[0]
+            attribution = _phase_attribution(WorkerMetrics(profile=profile))
+            assert attribution["source"] == "profile"
+            assert attribution["phase"] == flame_phase
+        assert attribution["phase"] == "merge"
+        assert attribution["top_stack"] in {"sorter.a", "sorter.b"}
+        assert attribution["phase_pct"] == 60.0
+
 
 # -- a profiled job end-to-end ----------------------------------------------------
 
@@ -259,6 +278,38 @@ class TestProfiledJob:
         assert not [e for e in journal.events if e.get("cat") == "profile"]
         # ... and nothing but the journal is left behind
         assert os.listdir(tmp_path) == ["prof.trace.jsonl"]
+
+    def test_a_pulse_carries_the_journals_profile_document(
+        self, tmp_path, captured_hub
+    ):
+        journal_path = str(tmp_path / "pulse.trace.jsonl")
+
+        def o_fn(ctx):
+            busy_for(0.3)
+            for i in range(ctx.rank, 60, ctx.o_size):
+                ctx.send(f"w{i % 7}", 1)
+
+        def a_fn(ctx):
+            list(ctx.recv_iter())
+
+        job = DataMPIJob(
+            name="prof-pulse", o_fn=o_fn, a_fn=a_fn, o_tasks=2, a_tasks=2,
+            conf={
+                K.LAUNCHER: "threads",
+                K.TRACE_ENABLED: True,
+                K.TRACE_PATH: journal_path,
+                K.PROFILE_HZ: 200.0,
+                K.TELEMETRY_ENABLED: True,
+                K.TELEMETRY_INTERVAL_SECONDS: 0.05,
+            },
+        )
+        assert mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True).success
+        shapes = {frozenset(p) for p in read_journal(journal_path).profiles}
+        assert shapes == {frozenset({"rank", "epoch", "hz", "samples", "stacks"})}
+        # a pulse's record carries no task table; the report's does
+        pulses = [r.profile for r in captured_hub["records"] if not r.tasks]
+        assert pulses and all(p is not None for p in pulses)
+        assert {frozenset(p) for p in pulses} == shapes
 
 
 # -- repro flame ------------------------------------------------------------------

@@ -212,8 +212,32 @@ class TestTelemetryHub:
         hub = TelemetryHub()
         hub.ingest(_record(0, phase_times={"compute": 1.0, "spill": 5.0}))
         hub.ingest(_record(1))
-        assert [row["wall_s"] for row in hub.per_rank()] == [1.0, 1.0]
+        assert [row["wall_seconds"] for row in hub.per_rank()] == [1.0, 1.0]
         assert hub.rollups()["straggler_score"] == pytest.approx(1.0)
+
+    def test_a_row_is_the_journals_worker_row_plus_the_live_fields(self):
+        from repro.core.metrics import COUNTER_NAMES
+
+        hub = TelemetryHub()
+        records = [
+            _record(
+                rank, wall=2.5, pid=100 + rank, process_cpu_seconds=1.5,
+                process_rss_bytes=3 * 2**20, queue={"pending": 2, "bytes_in": 9},
+                **{name: 7 + i for i, name in enumerate(COUNTER_NAMES)},
+            )
+            for rank in (0, 1)
+        ]
+        for record in records:
+            assert all(record.counters().values())
+            hub.ingest(record)
+        hub.mark_done(1)
+        rows = hub.per_rank()
+        assert len(rows) == 2
+        for row, record, status in zip(rows, records, ("running", "done")):
+            assert row == {
+                **record.as_dict(), "queue": {"pending": 2, "bytes_in": 9},
+                "age_s": row["age_s"], "status": status,
+            }
 
     def test_prometheus_text_exposition(self):
         hub = TelemetryHub()
@@ -584,6 +608,22 @@ class TestReproTop:
         from repro.cli import main
 
         assert main(["top", str(tmp_path / "missing.endpoint"), "--once"]) == 2
+
+    def test_a_target_of_the_wrong_kind_is_named(self, served_hub, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.journal import JournalWriter
+
+        journal = str(tmp_path / "wc.trace.jsonl")
+        with JournalWriter(journal) as writer:
+            writer.write_meta(job="wc", nprocs=1, mode="common")
+        assert main(["top", journal, "--once"]) == 2
+        err = capsys.readouterr().err
+        assert f"{journal} is a trace journal; repro top reads a telemetry endpoint" in err
+        assert main(["trace", served_hub]) == 2
+        err = capsys.readouterr().err
+        assert f"{served_hub} is a telemetry endpoint; repro trace reads a trace journal" in err
+        assert main(["doctor", journal]) == 2
+        assert "reads a doctor report or a telemetry endpoint" in capsys.readouterr().err
 
 
 # -- launch flag ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.serde.batch import (
 from repro.serde.comparators import bytes_compare, default_compare
 from repro.serde.io import DataInput, DataOutput
 from repro.serde.serialization import Serializer, get_serializer
-from repro.serde.writable import IntWritable, LongWritable, Text
+from repro.serde.writable import IntWritable, LongWritable
 
 
 SER = get_serializer("writable")
@@ -154,14 +154,6 @@ class TestSortAndMerge:
         b2 = batch_from_pairs([(b"a", b"2")], None, raw=True)
         merged = merge_batches([b1, b2], None, SER)
         assert [k for k, _ in merged.iter_pairs(SER)] == [b"x", b"a"]
-
-    def test_iter_records_slices_reassemble(self):
-        pairs = [(Text("k%d" % i), i) for i in range(10)]
-        batch = batch_from_pairs(pairs, SER)
-        records = list(batch.iter_records())
-        assert len(records) == 10 and b"".join(records) == bytes(batch.data)
-        rebuilt = RecordBatch(b"".join(reversed(records)), batch.count)
-        assert list(rebuilt.iter_pairs(SER)) == pairs[::-1]
 
 
 class TestSerializeOnce:
