@@ -1,11 +1,9 @@
 """Partition-List buffer management (§IV-D, Figure 6).
 
 Send side: a :class:`SendPartitionList` (SPL) holds one staging buffer
-per A task.  An emitted pair is framed into its record bytes at the call
-and cached in the partition selected by ``MPI_D_PARTITION``; when a
-partition crosses the flush threshold it is sealed into a block (sorted
-and combined if the mode asks for it), which the sealing task's own
-thread ships (``ShuffleService.send_blocks``).
+per A task, filled by a task's send core (:meth:`SendPartitionList.bind`);
+a partition past the flush threshold is sealed into a block (sorted and
+combined if the mode asks for it) that the sending thread ships.
 
 Receive side: a :class:`ReceivePartitionList` (RPL) per hosted partition
 files arriving blocks in a :class:`~repro.core.sorter.RunStore`, which
@@ -23,6 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.records import _size_of
 from repro.core.metrics import phase
+from repro.core.partition import Partitioner, hash_partitioner, validate_destination
 from repro.core.sorter import RunStore, combine_groups, combine_run, sort_block
 from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch, batch_from_pairs, framer, sort_batch
@@ -35,12 +34,9 @@ Combiner = Callable[[Any, list[Any]], Iterable[Any]]
 
 @dataclass(frozen=True)
 class Block:
-    """A sealed partition block in flight between processes.
-
-    ``records`` is a sealed :class:`~repro.serde.batch.RecordBatch` — one
-    contiguous byte payload that every downstream hop (coalescing, wire,
-    spill, merge) moves without re-encoding.
-    """
+    """A sealed partition block in flight: ``records`` is one contiguous
+    :class:`~repro.serde.batch.RecordBatch` payload that every later hop
+    (coalescing, wire, spill, merge) moves without re-encoding."""
 
     partition_id: int
     records: RecordBatch
@@ -59,14 +55,11 @@ class Block:
 class SendPartitionList:
     """SPL: per-destination-partition staging buffers.
 
-    Without a combiner the ``add`` that receives a pair frames it into its
-    record bytes — ``Send`` owns its bytes when it returns, and a pair that
-    cannot be encoded fails that call — and the partition holds the framed
-    records, beside their keys when the exchange sorts; its seal is a
-    stable sorted index and one join.  Under a combiner a partition holds
-    ``key -> [values]`` in arrival order — values *by reference* until the
-    seal — so that its seal sorts and combines each *unique* key once
-    instead of every record.
+    Without a combiner a partition holds framed records, beside their keys
+    when the exchange sorts; its seal is a stable sorted index and one
+    join.  Under a combiner it holds ``key -> [values]`` in arrival order,
+    values *by reference*, so that its seal sorts and combines each
+    *unique* key once.
     """
 
     def __init__(
@@ -84,12 +77,10 @@ class SendPartitionList:
         #: a combiner implies a sorted exchange (DataMPIJob validates it)
         self._grouped = cmp is not None and combiner is not None
         self._held: list[list | dict[Any, list[Any]]] = [
-            {} if self._grouped else [] for _ in range(num_partitions)
-        ]
+            {} if self._grouped else [] for _ in range(num_partitions)]
         #: the sort keys of the framed records a partition holds
         self._keys: list[list] = [[] for _ in range(num_partitions)]
-        #: per partition, the bytes it holds: exact for framed records,
-        #: ``kv_bytes`` estimates under a combiner
+        #: per partition, its bytes: exact framed, ``kv_bytes`` combined
         self._nbytes = [0] * num_partitions
         self.flush_bytes = flush_bytes
         self.cmp = cmp
@@ -97,73 +88,113 @@ class SendPartitionList:
         #: ``raw`` frames bytes keys/values as they are, without serializer tags
         self.serializer = serializer
         self.raw = raw
-        #: Streaming mode bounds a held record's age too: the sending task
-        #: reads ``now`` after each pair (``TaskContext._bind_send``) and,
-        #: past ``next_seal``, ships ``flush_all("age")``.  Checked only when
-        #: the task sends: a task gone silent holds under one ``linger`` of
-        #: records until its next send or its end.  ``None``: bytes alone
+        #: Streaming mode bounds a held record's age too: after each pair
+        #: the sending task reads ``now`` and, past ``next_seal``, ships
+        #: ``flush_all("age")`` (a silent task holds until its next send or
+        #: its end).  ``None``: bytes alone
         self.linger = linger
         self.now = now
         self.next_seal = now() + linger if linger is not None else float("inf")
         self.records_out = 0
         self.bytes_out = 0
         self.combined_away = 0
-        if not self._grouped:
-            self.add = self._bind_add()
+        #: the memos of the send cores bound to this SPL, emptied by a seal
+        self._memos: list[dict] = []
+        self._hold = self.bind(None, None, None)
 
     def add(self, partition: int, key: Any, value: Any) -> Block | None:
-        """Cache a pair — the only per-record buffer call; returns a
-        sealed block when the partition filled.  This is the combiner's
-        ``add``; :meth:`_bind_add` builds the one that frames."""
-        held = self._held[partition]
-        nbytes = self._nbytes[partition] + _size_of(key) + _size_of(value)
-        if type(held) is list:
-            held.append((key, value))
-        else:
-            try:
-                values = held.get(key)
-                if values is None:
-                    held[key] = [value]
-                else:
-                    values.append(value)
-            except TypeError:
-                # unhashable key: back to tuples until this block seals;
-                # equal keys keep their arrival order, all a stable sort uses
-                held = [(k, v) for k, vs in held.items() for v in vs]
-                held.append((key, value))
-                self._held[partition] = held
-        if nbytes >= self.flush_bytes:
-            return self._seal(partition, "full")
-        self._nbytes[partition] = nbytes
+        """Cache a pair in ``partition``; returns a sealed block when the
+        partition filled: :meth:`bind`'s core with the destination given —
+        no partitioner, no count, no memo, no ship."""
+        return self._hold(key, value, partition)
 
-    def _bind_add(self) -> Callable[[int, Any, Any], Block | None]:
-        """``add`` without a combiner: frame the pair here, once, and hold
-        the record's bytes (a raw sort key is snapshot to ``bytes`` with
-        them); the partition flushes on the exact bytes it holds."""
+    def bind(self, partitioner: Partitioner | None, ship: Callable | None,
+             metrics: Any) -> Callable[..., Block | None]:
+        """A task's send core: one call per pair that partitions,
+        range-checks, counts ``metrics.records_emitted``, holds, sizes,
+        seals and ``ship``s.  Without a combiner the pair is framed here,
+        once (``Send`` owns its bytes when it returns; a raw sort key is
+        snapshot to ``bytes``).  ``core(key, value, dest)`` is :meth:`add`.
+
+        Under a partitioner that reads the key alone (``hash_partitioner``,
+        or one carrying ``boundaries``) a key of exact type str, bytes or
+        int is partitioned and sized once — a repeat under a combiner is
+        one append to its held list.  Exact types: ``1``, ``True`` and
+        ``1.0`` are one dict key, not one partition or size.  A seal empties the
+        memo, so it holds no key the SPL does not."""
         held, sizes, seal, flush_bytes = (
             self._held, self._nbytes, self._seal, self.flush_bytes)
-        keys_of = self._keys if self.cmp is not None else None
-        frame, raw = framer(self.serializer, self.raw), self.raw
+        grouped, n, raw = self._grouped, len(held), self.raw
+        keys_of = self._keys if self.cmp is not None and not grouped else None
+        frame = framer(self.serializer, raw)
+        #: key -> (partition, and under a combiner its size and held values)
+        memo: dict[Any, tuple[int, int, list | None]] = {}
+        memo_types = frozenset()
+        if partitioner is hash_partitioner or hasattr(partitioner, "boundaries"):
+            memo_types = frozenset((str, bytes, int))
+            self._memos.append(memo)
 
-        def add(partition: int, key: Any, value: Any) -> Block | None:
-            record = frame(key, value)
-            held[partition].append(record)
-            if keys_of is not None:
-                keys_of[partition].append(
-                    bytes(key) if raw and type(key) is not bytes else key)
-            nbytes = sizes[partition] + len(record)
-            if nbytes >= flush_bytes:
-                return seal(partition, "full")
-            sizes[partition] = nbytes
+        def core(key: Any, value: Any, dest: int | None = None) -> Block | None:
+            values = fresh = None
+            if dest is None:
+                hit = memo.get(key) if type(key) in memo_types else None
+                if hit is None:
+                    dest = partitioner(key, value, n)
+                    if not 0 <= dest < n:
+                        validate_destination(dest, n)  # raises, uncounted
+                    fresh = type(key) in memo_types
+                else:
+                    dest, ksize, values = hit
+                metrics.records_emitted += 1
+            if values is not None:  # a memoized key, held under a combiner
+                values.append(value)
+                nbytes = sizes[dest] + ksize + _size_of(value)
+            elif grouped:
+                group, ksize = held[dest], _size_of(key)
+                nbytes = sizes[dest] + ksize + _size_of(value)
+                if type(group) is dict:
+                    try:
+                        values = group.get(key)
+                        if values is None:
+                            values = group[key] = [value]
+                        else:
+                            values.append(value)
+                    except TypeError:
+                        # unhashable key: tuples until the seal (a stable
+                        # sort keeps equal keys in order); the memo's lists
+                        # were the dict's
+                        group = [(k, v) for k, vs in group.items() for v in vs]
+                        group.append((key, value))
+                        held[dest] = group
+                        memo.clear()
+                else:
+                    group.append((key, value))
+            else:
+                record = frame(key, value)
+                held[dest].append(record)
+                if keys_of is not None:
+                    keys_of[dest].append(
+                        bytes(key) if raw and type(key) is not bytes else key)
+                ksize, nbytes = 0, sizes[dest] + len(record)
+            if fresh:  # held now: the memo stays within what the SPL holds
+                memo[key] = (dest, ksize, values)
+            if nbytes < flush_bytes:
+                sizes[dest] = nbytes
+            elif ship is None:
+                return seal(dest, "full")
+            else:
+                ship(seal(dest, "full"))
+            return None
 
-        return add
+        return core
 
     def _seal(self, partition: int, cause: str) -> Block:
         held = self._held[partition]
         self._held[partition] = {} if self._grouped else []
         self._nbytes[partition] = 0
-        # the paper's "partition-sort" stage: the seal moves the calling
-        # thread's lane there itself, whoever triggered it
+        for memo in self._memos:
+            memo.clear()
+        # the paper's "partition-sort" stage, on the sealing thread's lane
         with phase("partition-sort"), _T.span(
             "spl.seal", cat="sort", args={"partition": partition, "cause": cause}
         ) as span:
@@ -190,13 +221,11 @@ class SendPartitionList:
         return Block(partition, batch, nbytes, sorted=self.cmp is not None)
 
     def add_batch(self, batch: RecordBatch, boundaries: Sequence[Any]) -> list[Block]:
-        """Seal a whole fixed-stride raw batch into sorted blocks, without
-        holding it: one :func:`sort_batch`, partition ``i`` the rows whose
-        keys are ``<= boundaries[i]`` (``bisect_right``: a key equal to a
-        cut belongs below it, as in ``range_partitioner``), each sliced
-        into blocks of the records a full partition buffer holds — views of
-        the sorted array.  The caller checked the rest: a raw exchange
-        under the byte order, no combiner, ``_fixed_stride(batch)``."""
+        """Seal a whole fixed-stride raw batch into sorted blocks, unheld:
+        one :func:`sort_batch`; partition ``i`` the rows keyed ``<=
+        boundaries[i]`` (``bisect_right``, as in ``range_partitioner``),
+        sliced into full-buffer blocks that view the sorted array.  The
+        caller checked the exchange (``TaskContext.send_batch``)."""
         with phase("partition-sort"), _T.span(
             "spl.seal", cat="sort", args={"cause": "batch"}
         ) as span:
@@ -229,11 +258,8 @@ class SendPartitionList:
 
 
 class ReceivePartitionList:
-    """RPL: arriving blocks for one hosted partition.
-
-    Thread-safe: the delivering thread files blocks under the same lock
-    the A task takes to merge and read the partition.
-    """
+    """RPL: arriving blocks for one hosted partition, filed by the
+    delivering thread under the lock the A task takes to read them."""
 
     def __init__(
         self,
@@ -242,10 +268,8 @@ class ReceivePartitionList:
         store: RunStore,
         merge_threshold_blocks: int | None = None,
     ) -> None:
-        """``merge_threshold_blocks`` is inert: arrivals are never merged
-        eagerly.  The slot stays because the frozen ``bench/replay.py``
-        fills it positionally; it goes with the next benchmark revision.
-        """
+        """``merge_threshold_blocks`` is inert, kept for the frozen
+        ``bench/replay.py``, which fills it positionally."""
         self.partition_id = partition_id
         self.cmp = cmp
         self.store = store

@@ -1,9 +1,8 @@
 """Task execution context: the object behind the MPI_D API calls.
 
-One :class:`TaskContext` exists per task attempt.  It knows which
-bipartite communicator the task belongs to, routes ``Send`` through the
-SPL/partitioner/checkpoint pipeline and serves ``Recv`` from the task's
-merged partition (or its live stream in Streaming mode).
+One :class:`TaskContext` per task attempt: its bipartite communicator,
+``Send`` through the SPL's send core, ``Recv`` from the task's merged
+partition (or its live stream in Streaming mode).
 """
 
 from __future__ import annotations
@@ -76,9 +75,8 @@ class TaskContext:
         self._shuffle = shuffle
         self._recv_plane = recv_plane
         self._pipelined = pipelined
-        #: process-local state shared between rounds (Iteration mode):
-        #: A tasks stash results here; the next round's O task on the same
-        #: process reads them data-locally.
+        #: process-local state shared between rounds (Iteration mode): A
+        #: tasks stash results the next round's local O task reads
         self.state = state if state is not None else {}
         self._cp_writer = checkpoint_writer
         self._cp_reader = checkpoint_reader
@@ -86,8 +84,7 @@ class TaskContext:
         self._recv_iter: Iterator[KV] | None = None
         self.metrics = TaskMetrics(task_id=task_id, kind=kind)
         self.initialized = self.finalized = False
-        #: ``MPI_D_SEND``: emit one pair; no destination — the library
-        #: partitions and schedules the movement implicitly (§III-A)
+        #: ``MPI_D_SEND``: no destination — the library partitions (§III-A)
         self.send = self._bind_send(crash_after, key_class, value_class)
 
     # -- bipartite communicators -------------------------------------------------
@@ -119,14 +116,12 @@ class TaskContext:
     def _bind_send(
         self, crash_after: int, key_class: type | None, value_class: type | None
     ) -> Callable[[Any, Any], None]:
-        """Build this task's ``MPI_D_SEND``, once: every emitted pair runs
-        the closure returned here.  Its core partitions, range-checks,
-        counts, buffers and ships a block the SPL sealed.  Wrappers go
-        around it only where they are configured, innermost first: the
-        linger check (Streaming mode); the crash/replay counter with the
-        checkpoint write; KEY_CLASS/VALUE_CLASS coercion (None:
-        unchecked) — outside the counter, so a pair it rejects raises in
-        every attempt and is never counted."""
+        """Build this task's ``MPI_D_SEND`` once, around the SPL's send
+        core (:meth:`SendPartitionList.bind`).  Wrappers go around it only
+        where configured, innermost first: the linger check (Streaming);
+        the crash/replay counter with the checkpoint write; KEY_CLASS /
+        VALUE_CLASS coercion — outside the counter, so a pair it rejects
+        raises in every attempt and is never counted."""
         who = f"{self.kind} task {self.task_id}"
         spl, shuffle, plane_id = self._spl, self._shuffle, self._send_plane_id
         #: pairs offered past coercion: the replayed prefix is skipped by it
@@ -143,20 +138,17 @@ class TaskContext:
             def send(key: Any, value: Any) -> None:
                 raise DataMPIError(f"{who} cannot Send in this mode")
             return send
-        partitioner, add, metrics = self._partitioner, spl.add, self.metrics
+        partitioner = self._partitioner
         # O sends toward A tasks, A (Iteration mode) back toward O tasks
         n = self.a_size if self.kind == "O" else self.o_size
-
-        def emit(key: Any, value: Any) -> None:
-            dest = partitioner(key, value, n)
-            if not 0 <= dest < n:
-                validate_destination(dest, n)  # raises
-            metrics.records_emitted += 1
-            block = add(dest, key, value)
-            if block is not None:
-                shuffle.send_blocks(plane_id, (block,))
-
-        self._emit = send = emit  # a checkpoint replay resends through the core
+        if hasattr(spl, "bind"):
+            send = spl.bind(partitioner, lambda block: shuffle.send_blocks(
+                plane_id, (block,)), self.metrics)
+        else:  # the frozen bench's stand-in SPL has only ``add``
+            def send(key: Any, value: Any, metrics=self.metrics) -> None:
+                spl.add(validate_destination(partitioner(key, value, n), n), key, value)
+                metrics.records_emitted += 1
+        self._emit = send  # a checkpoint replay resends through the core
         if linger is not None:
             def send(key: Any, value: Any, core=send, now=spl.now) -> None:
                 core(key, value)
@@ -169,8 +161,7 @@ class TaskContext:
             def send(key: Any, value: Any, core=send) -> None:
                 if 0 <= crash_after <= self._offered:
                     raise DataMPIError(
-                        f"injected crash in {who} after {self._offered} records"
-                    )
+                        f"injected crash in {who} after {self._offered} records")
                 # the first _skip_emits pairs were resent by replay_checkpoint;
                 # a skipped one still runs the core's call-time checks, and a
                 # pair any check rejects is never counted
@@ -191,25 +182,20 @@ class TaskContext:
                 except (TypeError, ValueError) as exc:
                     raise DataMPIError(
                         f"{who}: {what} {obj!r} is not a {cls.__name__} "
-                        f"and cannot be coerced ({exc})"
-                    ) from None
+                        f"and cannot be coerced ({exc})") from None
 
             def send(key: Any, value: Any, checked=send) -> None:
-                checked(
-                    typed("key", key, key_class), typed("value", value, value_class)
-                )
+                checked(typed("key", key, key_class),
+                        typed("value", value, value_class))
         return send
 
     def send_batch(self, batch: RecordBatch) -> None:
         """``MPI_D_SEND`` of every (key bytes, value bytes) pair of a raw
-        ``batch``, in batch order.  A fixed-stride batch bound for a range
-        partitioner is sorted, partitioned and sealed in one array pass
-        (:meth:`SendPartitionList.add_batch`) — and, with a checkpoint,
-        added to the round whole, as its bytes — on a raw, uncombined
-        exchange under the byte order, past a restarted task's replayed
-        prefix, when no crash injection, KEY_CLASS/VALUE_CLASS or linger
-        wraps the send.  Anything else is exactly ``batch.count`` calls
-        of :attr:`send`."""
+        ``batch``, in order.  A fixed-stride batch bound for a range
+        partitioner on a raw, uncombined, byte-ordered exchange, past a
+        replayed prefix and with nothing but the counter around the send,
+        takes one array pass (:meth:`SendPartitionList.add_batch`; a
+        checkpoint adds its bytes whole); else ``batch.count`` sends."""
         spl = self._spl
         boundaries = getattr(self._partitioner, "boundaries", None)
         n = self.a_size if self.kind == "O" else self.o_size
@@ -232,16 +218,16 @@ class TaskContext:
             send(key, value)
 
     # -- receive path -----------------------------------------------------------------
+    def _plane(self) -> "ShufflePlane":
+        if self._recv_plane is None:
+            raise DataMPIError(f"{self.kind} task {self.task_id} has nothing to Recv from")
+        return self._recv_plane
+
     def _ensure_recv_iter(self) -> Iterator[KV]:
         if self._recv_iter is None:
-            if self._recv_plane is None:
-                raise DataMPIError(
-                    f"{self.kind} task {self.task_id} has nothing to Recv from"
-                )
-            if self._pipelined:
-                self._recv_iter = self._recv_plane.stream_iter(self.task_id)
-            else:
-                self._recv_iter = self._recv_plane.merged_iter(self.task_id)
+            plane = self._plane()
+            self._recv_iter = (
+                plane.stream_iter if self._pipelined else plane.merged_iter)(self.task_id)
         return self._recv_iter
 
     def recv(self) -> KV | None:
@@ -252,33 +238,23 @@ class TaskContext:
         return record
 
     def recv_iter(self) -> Iterator[KV]:
-        """All remaining pairs — the fast way to read a task's input in
-        every mode: the merge's own iterator, a pair counted as it is
-        handed over (so ``recv`` may be mixed in, or the loop left early)."""
+        """All remaining pairs, each counted as it is handed over (``recv``
+        may be mixed in, or the loop left early) — the fast way to read."""
         metrics = self.metrics
         for record in self._ensure_recv_iter():
             metrics.records_received += 1
             yield record
 
     def recv_batch(self):
-        """This task's whole input as one merged record batch, or ``None``.
-
-        ``None`` means the partition spilled to disk, the plane is
-        pipelined, or a pair was already consumed — nothing else; callers
-        then fall back to :meth:`recv_iter`.  This is the raw byte path:
-        for consumers of the partition's *bytes* (``batch.unframed()`` or
-        ``batch.iter_views()`` when ``batch.raw``; the fields of a non-raw
-        batch carry serializer framing).  A fixed-stride raw partition is
-        merged and unframed as arrays (TeraSort's part file); pairs are
-        read faster through :meth:`recv_iter`, which builds no batch.
-        """
+        """This task's whole input as one merged record batch, or ``None``
+        when the partition spilled, the plane is pipelined or a pair was
+        already consumed (callers fall back to :meth:`recv_iter`).  The
+        raw byte path, for consumers of the partition's *bytes*
+        (``unframed()`` / ``iter_views()`` when ``batch.raw``); pairs read
+        faster through :meth:`recv_iter`, which builds no batch."""
         if self._recv_iter is not None or self._pipelined:
             return None
-        if self._recv_plane is None:
-            raise DataMPIError(
-                f"{self.kind} task {self.task_id} has nothing to Recv from"
-            )
-        batch = self._recv_plane.merged_batch(self.task_id)
+        batch = self._plane().merged_batch(self.task_id)
         if batch is not None:
             self.metrics.records_received += batch.count
             # the input is consumed; recv() afterwards sees end-of-stream

@@ -1,10 +1,11 @@
 """Map and reduce task execution, on the engine's buffers.
 
-A map collects into a ``SendPartitionList`` and files each sealed block
-in its partition's ``RunStore``, which spills past ``io.sort.mb``
-(Hadoop's sort-and-spill); at task end each partition's segment goes to
-local disk (§IV-B).  A reduce merges the segments it pulls in a
-``RunStore``, as an A task merges its arrivals.
+A map collects through a ``SendPartitionList``'s send core — the one an
+engine task's ``MPI_D_SEND`` runs — and files each sealed block in its
+partition's ``RunStore``, which spills past ``io.sort.mb`` (Hadoop's
+sort-and-spill); at task end each partition's segment goes to local disk
+(§IV-B).  A reduce merges the segments it pulls in a ``RunStore``, as an
+A task merges its arrivals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from typing import Any
 
 from repro.core.buffers import SendPartitionList
-from repro.core.partition import validate_destination
+from repro.core.metrics import TaskMetrics
 from repro.core.sorter import RunStore, SpillFile, combine_run, group_by_key, spill_batch
 from repro.hadoop.io_formats import InputSplit
 from repro.hadoop.job import HadoopCounters, HadoopJob
@@ -55,10 +56,11 @@ def run_map_task(
     stores = [RunStore(cmp, SERDE, local_dir, job.sort_buffer_bytes, stem=f"m{map_id}-p{p}")
               for p in range(n)]
 
-    def collect(key: Any, value: Any) -> None:
-        block = spl.add(validate_destination(job.partitioner(key, value, n), n), key, value)
-        if block is not None:
-            stores[block.partition_id].add_run(block.records)
+    metrics = TaskMetrics(task_id=map_id, kind="map")
+    # the engine's send core, each sealed block filed in its partition's store
+    collect = spl.bind(
+        job.partitioner, lambda block: stores[block.partition_id].add_run(block.records),
+        metrics)
 
     input_records = 0
     for key, value in job.input_format.read_split(dfs, split):
@@ -81,7 +83,7 @@ def run_map_task(
     server.register_map_output(map_id, segments)
     with counters_lock:
         counters.map_input_records += input_records
-        counters.map_output_records += spl.records_out + spl.combined_away
+        counters.map_output_records += metrics.records_emitted
         counters.map_output_bytes += sum(s.nbytes for s in written)
         counters.spilled_records += sum(s.count for s in written)
         counters.spill_files += spills

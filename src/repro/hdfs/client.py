@@ -21,11 +21,21 @@ class DFSOutputStream:
     def write(self, data: bytes) -> None:
         if self._closed:
             raise HDFSError(f"stream closed: {self._path}")
-        self._buffer += data
-        block_size = self._client.namenode.block_size
-        while len(self._buffer) >= block_size:
-            self._flush_block(bytes(self._buffer[:block_size]))
-            del self._buffer[:block_size]
+        block_size, buffer = self._client.namenode.block_size, self._buffer
+        with memoryview(data) as view:
+            start = 0
+            if buffer:  # complete the block an earlier write began
+                start = min(block_size - len(buffer), len(view))
+                buffer += view[:start]
+                if len(buffer) < block_size:
+                    return
+                self._flush_block(bytes(buffer))
+                buffer.clear()
+            # whole blocks are cut from ``data`` itself; only a tail waits
+            whole = start + (len(view) - start) // block_size * block_size
+            for lo in range(start, whole, block_size):
+                self._flush_block(bytes(view[lo:lo + block_size]))
+            buffer += view[whole:]
 
     def _flush_block(self, data: bytes) -> None:
         block = self._client.namenode.allocate_block(

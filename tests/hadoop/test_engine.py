@@ -177,23 +177,37 @@ class TestShuffleServer:
 
 class TestSharedMapSide:
     def test_the_baseline_runs_the_engine_s_buffers(self, cluster, monkeypatch):
-        """The map seals in the engine's SPL and files runs in its RunStore;
-        no module of the baseline keeps a sort, merge or size of its own."""
-        calls = Counter()
+        """The map collects through the send core the engine's SPL binds —
+        the very closure, not a copy — seals in that SPL and files runs in
+        its RunStore; no module of the baseline keeps a sort, merge, size
+        or partition check of its own."""
+        calls, cores, emits = Counter(), {}, []
         for cls, name in [(SendPartitionList, "_seal"), (RunStore, "add_run")]:
             def spy(*args, _real=getattr(cls, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cls, name, spy)
+
+        def bind(spl, partitioner, *rest, _real=SendPartitionList.bind):
+            core = _real(spl, partitioner, *rest)
+            cores[core] = partitioner
+            return core
+        monkeypatch.setattr(SendPartitionList, "bind", bind)
+
+        def mapper(key, line, emit):
+            emits.append(emit)
+            word_mapper(key, line, emit)
         write_input(cluster, ["a b a", "c a b"])
-        job = HadoopJob("wc", "/in", "/out", word_mapper, sum_reducer, num_reduces=2)
+        job = HadoopJob("wc", "/in", "/out", mapper, sum_reducer, num_reduces=2)
         assert cluster.run_job(job).success
         assert calls["_seal"] > 0 and calls["add_run"] > 0
+        assert emits and all(cores.get(emit) is job.partitioner for emit in emits)
         for module in pkgutil.iter_modules(repro.hadoop.__path__):
             path = os.path.join(repro.hadoop.__path__[0], f"{module.name}.py")
             with open(path) as f:
                 source = f.read()
-            assert not re.search(r"\b(sort_block|merge_runs|kv_bytes)\b", source), path
+            assert not re.search(
+                r"\b(sort_block|merge_runs|kv_bytes|validate_destination)\b", source), path
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_job_leaves_its_local_directory(

@@ -58,6 +58,27 @@ class TestReadWrite:
         dfs.write_file("/f", b"A" * 100 + b"B" * 100 + b"C" * 100)
         assert dfs.read_blocks("/f", [0, 2]) == b"A" * 100 + b"C" * 100
 
+    @settings(max_examples=40, deadline=None)
+    @given(payload=st.binary(max_size=300), cuts=st.lists(st.integers(0, 10**6)))
+    def test_split_writes_cut_the_blocks_of_one_write(self, payload, cuts):
+        """Writes split anywhere give the blocks one write gives: sizes,
+        ids, replica placement and bytes."""
+        def written(pieces):
+            cluster = MiniDFSCluster(num_nodes=4, block_size=16, replication=2)
+            with cluster.client(1).create("/p") as out:
+                for piece in pieces:
+                    out.write(piece)
+            return [(b.block_id, b.size, b.locations,
+                     [cluster.datanodes[n].fetch(b.block_id) for n in b.locations])
+                    for b in cluster.namenode.get_block_locations("/p")]
+
+        edges = [0, *sorted(c % (len(payload) + 1) for c in cuts), len(payload)]
+        pieces = [payload[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        blocks = written(pieces)
+        assert blocks == written([payload])
+        assert b"".join(replicas[0] for *_, replicas in blocks) == payload
+        assert {len(set(replicas)) for *_, replicas in blocks} <= {1}
+
     @settings(max_examples=25, deadline=None)
     @given(payload=st.binary(max_size=1000))
     def test_roundtrip_property(self, payload):
