@@ -137,6 +137,8 @@ class CheckpointReader:
         self.task = task
         self.serializer = serializer
         self.raw = raw
+        #: rounds this reader has CRC-checked; each is checked once
+        self._verified: set[int] = set()
 
     def complete_rounds(self) -> list[int]:
         """Round numbers with a verified persisted file, sorted.
@@ -145,6 +147,9 @@ class CheckpointReader:
         fails is renamed ``*.ckpt.bad``, together with every
         higher-numbered round of this task (replay needs a contiguous
         prefix), and only the surviving verified prefix is returned.
+        Every call lists the directory, so rounds written since the last
+        call count, but a round this reader verified before is not read
+        again.
         """
         if not os.path.isdir(self.directory):
             return []
@@ -157,10 +162,12 @@ class CheckpointReader:
         verified: list[int] = []
         for idx, round_no in enumerate(rounds):
             path = _round_path(self.directory, self.task, round_no)
-            if self._verify(path):
+            if round_no in self._verified or self._verify(path):
+                self._verified.add(round_no)
                 verified.append(round_no)
             else:
                 self._quarantine(rounds[idx:])
+                self._verified.difference_update(rounds[idx:])
                 break
         return verified
 

@@ -13,9 +13,9 @@ steal input-read bandwidth (Fig 11b).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator
 
 from repro.common.units import GiB, MiB
 from repro.simulate.engine import Event, Simulator
@@ -112,7 +112,7 @@ class SharedDisk:
         self.bytes_written = 0.0
         self.busy_time = 0.0
         self._streams: deque[list] = deque()  # [remaining, done_event, kind]
-        self._server_running = False
+        #: the stream whose chunk is being served; None while the disk idles
         self._last_stream: object = None
 
     def transfer(self, nbytes: float, kind: str = "read") -> Event:
@@ -121,11 +121,9 @@ class SharedDisk:
         if nbytes <= 0:
             done.succeed()
             return done
-        stream = [float(nbytes), done, kind]
-        self._streams.append(stream)
-        if not self._server_running:
-            self._server_running = True
-            self.sim.process(self._serve())
+        self._streams.append([float(nbytes), done, kind])
+        if self._last_stream is None:
+            self._serve_next()
         return done
 
     def read(self, nbytes: float) -> Event:
@@ -134,33 +132,34 @@ class SharedDisk:
     def write(self, nbytes: float) -> Event:
         return self.transfer(nbytes, "write")
 
-    def _serve(self) -> Generator:
-        import math
+    def _serve_next(self) -> None:
+        stream = self._streams.popleft()
+        remaining, _, kind = stream
+        chunk = min(self.CHUNK, remaining)
+        cost = chunk / self.rate
+        if self._last_stream is not stream and self._last_stream is not None:
+            # seeks lengthen mildly with queue depth: more concurrent
+            # streams are spread wider across the platter
+            depth = 1 + len(self._streams)
+            cost += self.seek * min(2.0, math.log2(1 + depth) / 1.8)
+        self._last_stream = stream
+        self.busy_time += cost
+        if kind == "read":
+            self.bytes_read += chunk
+        else:
+            self.bytes_written += chunk
+        self.sim.timeout(cost).then(lambda _: self._chunk_done(stream, chunk))
 
-        while self._streams:
-            stream = self._streams.popleft()
-            remaining, done, kind = stream
-            chunk = min(self.CHUNK, remaining)
-            cost = chunk / self.rate
-            if self._last_stream is not stream and self._last_stream is not None:
-                # seeks lengthen mildly with queue depth: more concurrent
-                # streams are spread wider across the platter
-                depth = 1 + len(self._streams)
-                cost += self.seek * min(2.0, math.log2(1 + depth) / 1.8)
-            self._last_stream = stream
-            self.busy_time += cost
-            if kind == "read":
-                self.bytes_read += chunk
-            else:
-                self.bytes_written += chunk
-            yield self.sim.timeout(cost)
-            stream[0] = remaining - chunk
-            if stream[0] > 0:
-                self._streams.append(stream)  # round-robin
-            else:
-                done.succeed()
-        self._server_running = False
-        self._last_stream = None
+    def _chunk_done(self, stream: list, chunk: float) -> None:
+        stream[0] -= chunk
+        if stream[0] > 0:
+            self._streams.append(stream)  # round-robin
+        else:
+            stream[1].succeed()
+        if self._streams:
+            self._serve_next()
+        else:
+            self._last_stream = None
 
 
 class SimNode:

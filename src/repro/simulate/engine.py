@@ -4,6 +4,11 @@ Processes are Python generators that ``yield`` events; the simulator
 advances a virtual clock through a priority queue.  Everything is
 deterministic: same processes + same seed ⇒ identical timelines.
 
+An event runs its callbacks (:meth:`Event.then`) when it fires.  A
+waiting process is one such callback, and so is the bookkeeping of
+:class:`AllOf` and of the resources, which therefore need no helper
+processes of their own.
+
 >>> sim = Simulator()
 >>> def proc():
 ...     yield sim.timeout(5.0)
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable
 
 from repro.common.errors import SimulationError
 
@@ -26,29 +31,30 @@ from repro.common.errors import SimulationError
 class Event:
     """A one-shot occurrence processes can wait on."""
 
-    __slots__ = ("sim", "triggered", "value", "_waiters")
+    __slots__ = ("sim", "triggered", "value", "_callbacks")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.triggered = False
         self.value: Any = None
-        self._waiters: list[Process] = []
+        self._callbacks: list[Callable[[Any], None]] = []
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimulationError("event triggered twice")
         self.triggered = True
         self.value = value
-        for process in self._waiters:
-            self.sim._schedule_step(process, value)
-        self._waiters.clear()
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(value)
         return self
 
-    def _wait(self, process: "Process") -> None:
+    def then(self, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(value)`` when the event fires, or now if it has."""
         if self.triggered:
-            self.sim._schedule_step(process, self.value)
+            fn(self.value)
         else:
-            self._waiters.append(process)
+            self._callbacks.append(fn)
 
 
 class AllOf(Event):
@@ -62,18 +68,13 @@ class AllOf(Event):
         self._remaining = len(events)
         if self._remaining == 0:
             self.succeed()
-            return
         for event in events:
-            self._watch(event)
+            event.then(self._count_down)
 
-    def _watch(self, event: Event) -> None:
-        def waiter() -> Generator:
-            yield event
-            self._remaining -= 1
-            if self._remaining == 0 and not self.triggered:
-                self.succeed()
-
-        self.sim.process(waiter())
+    def _count_down(self, _value: Any) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed()
 
 
 class Process(Event):
@@ -84,7 +85,7 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         super().__init__(sim)
         self.generator = generator
-        sim._schedule_step(self, None)
+        sim._schedule(self._step, None)
 
     def _step(self, sent: Any) -> None:
         try:
@@ -96,7 +97,10 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {type(yielded).__name__}, expected an Event"
             )
-        yielded._wait(self)
+        yielded.then(self._resume)
+
+    def _resume(self, value: Any) -> None:
+        self.sim._schedule(self._step, value)
 
 
 class Simulator:
@@ -104,7 +108,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[tuple[float, int, Process, Any]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], Any], Any]] = []
         self._counter = itertools.count()
         self._steps = 0
 
@@ -117,7 +121,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         event = Event(self)
         heapq.heappush(
-            self._queue, (self.now + delay, next(self._counter), _Trigger(event, value), None)
+            self._queue, (self.now + delay, next(self._counter), event.succeed, value)
         )
         return event
 
@@ -128,41 +132,24 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling internals -------------------------------------------------------
-    def _schedule_step(self, process: "Process | _Trigger", value: Any) -> None:
-        heapq.heappush(self._queue, (self.now, next(self._counter), process, value))
+    def _schedule(self, fn: Callable[[Any], Any], value: Any) -> None:
+        heapq.heappush(self._queue, (self.now, next(self._counter), fn, value))
 
     # -- the loop ----------------------------------------------------------------------
     def run(self, until: float | None = None, max_steps: int = 20_000_000) -> None:
         """Drain the event queue (optionally stopping at virtual ``until``)."""
         while self._queue:
-            at, _, process, value = heapq.heappop(self._queue)
+            at, _, fn, value = heapq.heappop(self._queue)
             if until is not None and at > until:
                 self.now = until
-                heapq.heappush(self._queue, (at, next(self._counter), process, value))
+                heapq.heappush(self._queue, (at, next(self._counter), fn, value))
                 return
             if at < self.now:
                 raise SimulationError("time went backwards")
             self.now = at
-            if isinstance(process, _Trigger):
-                if not process.event.triggered:
-                    process.event.succeed(process.value)
-            else:
-                process._step(value)
+            fn(value)
             self._steps += 1
             if self._steps > max_steps:
                 raise SimulationError(
                     f"simulation exceeded {max_steps} steps (runaway model?)"
                 )
-
-
-class _Trigger:
-    """Internal queue entry that fires a timeout event."""
-
-    __slots__ = ("event", "value")
-
-    def __init__(self, event: Event, value: Any) -> None:
-        self.event = event
-        self.value = value
-
-    def __lt__(self, other: Any) -> bool:  # tie-break stability in the heap
-        return False

@@ -226,6 +226,12 @@ class _HadoopJobSim:
         consts = self.consts
         segment = self.map_output_total / self.num_maps / self.params.num_reduces
         slowstart_count = max(1, int(self.params.slowstart * self.num_maps))
+        # the background merger spills this fraction of the fetched
+        # segments while the copy continues (overlapped, not serialized)
+        slot_pressure = max(1.0, self.cluster.spec.reduce_slots / 4)
+        merge_frac = min(
+            1.6, consts.reduce_merge_disk * slot_pressure * self.merge_pressure
+        )
         for reduce_id in reduce_ids:
             # wait for slow-start before occupying the slot
             yield self.map_done_events[slowstart_count - 1]
@@ -245,20 +251,10 @@ class _HadoopJobSim:
                     [sim.process(self._fetch(node, m, segment)) for m in group]
                 )
                 shuffled += segment * len(group)
-                # the background merger spills fetched segments while the
-                # copy continues (overlapped, not serialized)
-                slot_pressure = max(1.0, self.cluster.spec.reduce_slots / 4)
-                merge_frac = min(
-                    1.6, consts.reduce_merge_disk * slot_pressure * self.merge_pressure
-                )
                 spill = segment * len(group) * merge_frac
                 if spill > 0:
                     merge_writes.append(node.disk.write(spill))
             # shuffled data buffered in the reducer JVM until the task ends
-            slot_pressure = max(1.0, self.cluster.spec.reduce_slots / 4)
-            merge_frac = min(
-                1.6, consts.reduce_merge_disk * slot_pressure * self.merge_pressure
-            )
             node.mem.allocate(shuffled * max(0.0, 1 - merge_frac))
             self._progress_tick(reduce_id, 1 / 3)
             # ---- final merge pass reads the on-disk segments back -------------

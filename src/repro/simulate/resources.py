@@ -14,7 +14,6 @@ All expose cumulative counters the profiler samples into time series.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator
 
 from repro.common.errors import SimulationError
 from repro.simulate.engine import Event, Simulator
@@ -73,16 +72,13 @@ class Cores:
     def _start(self, seconds: float, done: Event) -> None:
         self.busy += 1
         self.core_seconds += seconds
+        self.sim.timeout(seconds).then(lambda _: self._finish(done))
 
-        def work() -> Generator:
-            yield self.sim.timeout(seconds)
-            self.busy -= 1
-            if self._waiters:
-                next_seconds, next_done = self._waiters.popleft()
-                self._start(next_seconds, next_done)
-            done.succeed()
-
-        self.sim.process(work())
+    def _finish(self, done: Event) -> None:
+        self.busy -= 1
+        if self._waiters:
+            self._start(*self._waiters.popleft())
+        done.succeed()
 
 
 class MemoryGauge:

@@ -138,6 +138,29 @@ class TestIntegrityAndQuarantine:
         assert reader.record_count() == 6
         assert not list(tmp_path.glob("*.bad"))
 
+    def test_recovery_reads_each_round_at_most_twice(
+        self, tmp_path, serializer, monkeypatch
+    ):
+        """A recovering O task asks ``max_round`` then ``replay``: the
+        CRC check runs once per round, then replay decodes it."""
+        import builtins
+        from collections import Counter
+
+        from repro.core import checkpoint
+
+        reader = self._write_rounds(tmp_path, serializer, 4)
+        opens: Counter = Counter()
+
+        def counting_open(path, *args, **kwargs):
+            opens[os.path.basename(path)] += 1
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+        assert reader.max_round() == 4
+        assert len(list(reader.replay())) == 8
+        assert sorted(opens) == [f"cp_o0_{r:06d}.ckpt" for r in range(4)]
+        assert max(opens.values()) <= 2, opens
+
     def test_clear_removes_quarantined_files(self, tmp_path, serializer):
         mgr = CheckpointManager(str(tmp_path), "jobQ", serializer, 1)
         mgr.writer(0).add("k", 1)

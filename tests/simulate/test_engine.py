@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.common.units import MiB
+from repro.simulate.cluster import TESTBED_A, SharedDisk
 from repro.simulate.engine import Simulator
 
 
@@ -158,6 +160,31 @@ class TestProcessesAndEvents:
         sim.run()
         assert p.value == "instant"
 
+    def test_then_on_a_fired_event_calls_at_once(self):
+        sim = Simulator()
+        gate = sim.event()
+        seen = []
+        gate.then(seen.append)
+        gate.succeed("v")
+        gate.then(seen.append)  # already fired: called now, not queued
+        assert seen == ["v", "v"]
+        assert sim._queue == []
+
+    def test_all_of_over_fired_children(self):
+        sim = Simulator()
+        fired = [sim.event().succeed(i) for i in range(3)]
+        assert sim.all_of(fired).triggered  # fires as it is built
+        mixed = sim.all_of([*fired, sim.timeout(2.0)])
+        assert not mixed.triggered
+
+        def main():
+            yield mixed
+            return sim.now
+
+        p = sim.process(main())
+        sim.run()
+        assert p.value == 2.0
+
     def test_bad_yield_raises(self):
         sim = Simulator()
 
@@ -197,3 +224,36 @@ class TestDeterminism:
             return trace
 
         assert build() == build()
+
+    def test_identical_shared_disk_runs(self):
+        """Interleaved streams on one disk: the round-robin, its seeks and
+        the completion order repeat exactly."""
+
+        def build():
+            sim = Simulator()
+            disk = SharedDisk(sim, TESTBED_A.node)
+            trace = []
+
+            def stream(tag, nbytes, start, kind):
+                yield sim.timeout(start)
+                yield disk.transfer(nbytes, kind)
+                trace.append((sim.now, tag))
+
+            for tag, nbytes, start, kind in [
+                ("a", 40 * MiB, 0.0, "read"),
+                ("b", 12 * MiB, 0.0, "write"),
+                ("c", 30 * MiB, 0.05, "read"),
+                ("d", 3 * MiB, 0.2, "write"),
+            ]:
+                sim.process(stream(tag, nbytes, start, kind))
+            sim.run()
+            return trace, disk.busy_time, disk.bytes_read, disk.bytes_written
+
+        first = build()
+        assert first == build()
+        trace, busy, read, written = first
+        assert sorted(tag for _, tag in trace) == ["a", "b", "c", "d"]
+        assert (read, written) == (70 * MiB, 15 * MiB)
+        # interleaving costs seeks: busier than the bytes alone
+        assert busy > 85 * MiB / TESTBED_A.node.disk_rate
+        assert trace[-1][0] == pytest.approx(busy)

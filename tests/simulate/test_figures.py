@@ -23,6 +23,23 @@ from repro.simulate.figures import (
     wordcount_comparison,
 )
 
+# The simulator is deterministic: these reduced sweeps are pinned to the
+# values the model produces, so a kernel change that reorders same-time
+# events (and with it a disk's round-robin or a core's queue) shows here.
+FIG8B_TASK_SWEEP = {
+    2: {"Hadoop": 282.72356882875, "DataMPI": 414.0645192133888},
+    4: {"Hadoop": 310.87836709157165, "DataMPI": 486.25706951793245},
+    8: {"Hadoop": 266.29255001653934, "DataMPI": 515.5432872132686},
+}
+FIG14A_STRONG = {
+    16: {"Hadoop": 750.6034116752132, "DataMPI": 524.9558895850136},
+    64: {"Hadoop": 216.7148005305462, "DataMPI": 129.2843898273777},
+}
+FIG14B_WEAK = {
+    16: {"Hadoop": 352.0281445197005, "DataMPI": 254.61932948877774},
+    64: {"Hadoop": 415.3774990862258, "DataMPI": 254.631675877112},
+}
+
 
 class TestFig8Tuning:
     def test_block_size_peak_at_256(self):
@@ -34,15 +51,22 @@ class TestFig8Tuning:
             assert at[256] > at[64]
             assert at[256] > at[1024]
 
-    def test_task_count_four_beats_two_and_eight_for_hadoop(self):
-        sweep = fig8b_task_sweep(tasks_per_node=(2, 4, 8))
-        hadoop = {k: sweep[k]["Hadoop"] for k in sweep}
+    @pytest.fixture(scope="class")
+    def task_sweep(self):
+        return fig8b_task_sweep(tasks_per_node=(2, 4, 8))
+
+    def test_task_sweep_values_pinned(self, task_sweep):
+        assert task_sweep == {
+            k: pytest.approx(row, rel=1e-9) for k, row in FIG8B_TASK_SWEEP.items()
+        }
+
+    def test_task_count_four_beats_two_and_eight_for_hadoop(self, task_sweep):
+        hadoop = {k: task_sweep[k]["Hadoop"] for k in task_sweep}
         assert hadoop[4] > hadoop[2]
         assert hadoop[4] > hadoop[8]
 
-    def test_task_count_datampi_saturates_after_four(self):
-        sweep = fig8b_task_sweep(tasks_per_node=(2, 4, 8))
-        datampi = {k: sweep[k]["DataMPI"] for k in sweep}
+    def test_task_count_datampi_saturates_after_four(self, task_sweep):
+        datampi = {k: task_sweep[k]["DataMPI"] for k in task_sweep}
         assert datampi[4] > datampi[2]
         # beyond 4 the gain collapses (memory pressure starts spilling)
         gain_24 = datampi[4] - datampi[2]
@@ -135,12 +159,11 @@ class TestFig12Spill:
         degradation = (sweep[0.0] - sweep[1.0]) / sweep[1.0] * 100
         assert 0 < degradation < 40
 
-    def test_zero_cache_still_beats_hadoop(self):
+    def test_zero_cache_still_beats_hadoop(self, sweep):
         from repro.simulate.cluster import TESTBED_A, SimCluster
         from repro.simulate.hadoop_model import HadoopSimParams, simulate_hadoop_job
         from repro.simulate.profiles import TERASORT
 
-        sweep = fig12_spill_sweep(data_bytes=96 * GB, fractions=(0.0,))
         hadoop = simulate_hadoop_job(
             SimCluster(TESTBED_A),
             HadoopSimParams(TERASORT, 96 * GB, TESTBED_A.default_block_size, 64),
@@ -191,6 +214,12 @@ class TestFig14Scalability:
     @pytest.fixture(scope="class")
     def weak(self):
         return fig14b_weak_scale(node_counts=(16, 64))
+
+    def test_sweep_values_pinned(self, strong, weak):
+        for got, pinned in ((strong, FIG14A_STRONG), (weak, FIG14B_WEAK)):
+            assert got == {
+                n: pytest.approx(row, rel=1e-9) for n, row in pinned.items()
+            }
 
     def test_strong_scale_speedup(self, strong):
         """4x nodes shrink both frameworks' times substantially."""
