@@ -26,8 +26,9 @@ def kv_bytes(key: Any, value: Any) -> int:
 
     ``bytes``/``str`` report their real length; other objects use a small
     fixed cost plus recursion over tuples/lists.  No buffer sizes itself
-    with this: framed records count their exact bytes, and the SPL's
-    combiner path sums the same per-object ``_size_of`` estimates.
+    with this: framed records count their exact bytes, and a combined SPL
+    partition counts each key it holds once plus every value, by the same
+    per-object ``_size_of`` estimates.
     """
     return _size_of(key) + _size_of(value)
 

@@ -80,7 +80,7 @@ class SendPartitionList:
             {} if self._grouped else [] for _ in range(num_partitions)]
         #: the sort keys of the framed records a partition holds
         self._keys: list[list] = [[] for _ in range(num_partitions)]
-        #: per partition, its bytes: exact framed, ``kv_bytes`` combined
+        #: per partition, its bytes: exact framed; combined, held keys + values
         self._nbytes = [0] * num_partitions
         self.flush_bytes = flush_bytes
         self.cmp = cmp
@@ -118,66 +118,66 @@ class SendPartitionList:
 
         Under a partitioner that reads the key alone (``hash_partitioner``,
         or one carrying ``boundaries``) a key of exact type str, bytes or
-        int is partitioned and sized once — a repeat under a combiner is
-        one append to its held list.  Exact types: ``1``, ``True`` and
-        ``1.0`` are one dict key, not one partition or size.  A seal empties the
+        int is partitioned once; a held key's repeat under a combiner is one
+        probe, one append and its value's size.  Exact types: ``1``, ``True``
+        and ``1.0`` are one dict key, not one partition.  A seal empties the
         memo, so it holds no key the SPL does not."""
         held, sizes, seal, flush_bytes = (
             self._held, self._nbytes, self._seal, self.flush_bytes)
         grouped, n, raw = self._grouped, len(held), self.raw
         keys_of = self._keys if self.cmp is not None and not grouped else None
         frame = framer(self.serializer, raw)
-        #: key -> (partition, and under a combiner its size and held values)
-        memo: dict[Any, tuple[int, int, list | None]] = {}
-        memo_types = frozenset()
+        #: key -> its partition; under a combiner, (partition, held values)
+        memo: dict[Any, Any] = {}
+        memo_types, numbers = frozenset(), frozenset((int, float))
         if partitioner is hash_partitioner or hasattr(partitioner, "boundaries"):
             memo_types = frozenset((str, bytes, int))
             self._memos.append(memo)
 
         def core(key: Any, value: Any, dest: int | None = None) -> Block | None:
-            values = fresh = None
-            if dest is None:
-                hit = memo.get(key) if type(key) in memo_types else None
-                if hit is None:
-                    dest = partitioner(key, value, n)
+            hit = memo.get(key) if dest is None and type(key) in memo_types else None
+            if hit is not None and grouped:  # a held key: its value alone counts
+                metrics.records_emitted += 1
+                dest, values = hit
+                values.append(value)
+                nbytes = sizes[dest] + (8 if type(value) in numbers else _size_of(value))
+            else:
+                fresh = dest is None and hit is None and type(key) in memo_types
+                if dest is None:
+                    dest = partitioner(key, value, n) if hit is None else hit
                     if not 0 <= dest < n:
                         validate_destination(dest, n)  # raises, uncounted
-                    fresh = type(key) in memo_types
-                else:
-                    dest, ksize, values = hit
-                metrics.records_emitted += 1
-            if values is not None:  # a memoized key, held under a combiner
-                values.append(value)
-                nbytes = sizes[dest] + ksize + _size_of(value)
-            elif grouped:
-                group, ksize = held[dest], _size_of(key)
-                nbytes = sizes[dest] + ksize + _size_of(value)
-                if type(group) is dict:
-                    try:
-                        values = group.get(key)
-                        if values is None:
+                    metrics.records_emitted += 1
+                if grouped:  # a key counts once while held, a value always
+                    group, values, nbytes = held[dest], None, sizes[dest] + _size_of(value)
+                    if type(group) is dict:
+                        try:
+                            values = group.get(key)
+                        except TypeError:
+                            # unhashable: tuples until the seal (a stable sort
+                            # keeps equal keys in order); the memo's lists go
+                            group = held[dest] = [
+                                (k, v) for k, vs in group.items() for v in vs]
+                            memo.clear()
+                    if values is not None:
+                        values.append(value)
+                    else:  # a new group, or tuples: every pair's key counts
+                        nbytes += _size_of(key)
+                        if type(group) is dict:
                             values = group[key] = [value]
                         else:
-                            values.append(value)
-                    except TypeError:
-                        # unhashable key: tuples until the seal (a stable
-                        # sort keeps equal keys in order); the memo's lists
-                        # were the dict's
-                        group = [(k, v) for k, vs in group.items() for v in vs]
-                        group.append((key, value))
-                        held[dest] = group
-                        memo.clear()
+                            group.append((key, value))
+                    if fresh and values is not None:  # held: the memo may hold it
+                        memo[key] = (dest, values)
                 else:
-                    group.append((key, value))
-            else:
-                record = frame(key, value)
-                held[dest].append(record)
-                if keys_of is not None:
-                    keys_of[dest].append(
-                        bytes(key) if raw and type(key) is not bytes else key)
-                ksize, nbytes = 0, sizes[dest] + len(record)
-            if fresh:  # held now: the memo stays within what the SPL holds
-                memo[key] = (dest, ksize, values)
+                    record = frame(key, value)
+                    held[dest].append(record)
+                    if keys_of is not None:
+                        keys_of[dest].append(
+                            bytes(key) if raw and type(key) is not bytes else key)
+                    nbytes = sizes[dest] + len(record)
+                    if fresh:  # framed: the memo stays within what the SPL holds
+                        memo[key] = dest
             if nbytes < flush_bytes:
                 sizes[dest] = nbytes
             elif ship is None:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.records import _size_of, kv_bytes
+from repro.common.records import _size_of
 from repro.core.buffers import ReceivePartitionList, SendPartitionList
-from repro.core.partition import _stable_hash
+from repro.core.metrics import TaskMetrics
+from repro.core.partition import _stable_hash, hash_partitioner
 from repro.core.sorter import (
     RunStore,
     combine_run,
@@ -468,6 +469,10 @@ class TestFramedSeal:
         assert spl.records_out == len(records) and spl.combined_away == 0
 
 
+def _sum(_key, values):
+    return [sum(values)]
+
+
 def _ends_and_count(_key, values):
     """Several values per key, and sensitive to the values' order."""
     return [values[0], len(values), values[-1]]
@@ -504,10 +509,16 @@ class TestHashCombine:
 
     @staticmethod
     def _reference(records, num_partitions, flush_bytes, cmp, combiner):
-        """The tuple-list SPL: per block (index of the sealing record, or
-        None at the final flush; partition; bytes), and the combined-away
-        total."""
+        """The tuple-list SPL under the held-bytes rule: a pair adds its
+        value's size, and its key's only when no equal key is held in its
+        partition yet (dict semantics: ``1``, ``True`` and ``1.0`` are one
+        held key); a partition that met an unhashable key counts every
+        pair's key until its seal.  Per block (index of the sealing record,
+        or None at the final flush; partition; bytes), and the
+        combined-away total."""
         held = [[] for _ in range(num_partitions)]
+        #: per partition, the keys it holds (a dict); None once in tuples
+        held_keys = [{} for _ in range(num_partitions)]
         sizes = [0] * num_partitions
         out, combined_away = [], 0
 
@@ -517,10 +528,25 @@ class TestHashCombine:
             out.append((at, partition, bytes(batch_from_pairs(run, SER).data)))
             combined_away += len(held[partition]) - len(run)
             held[partition], sizes[partition] = [], 0
+            held_keys[partition] = {}
+
+        def key_is_held(partition, key):
+            keys = held_keys[partition]
+            if keys is None:
+                return False
+            try:
+                if key in keys:
+                    return True
+                keys[key] = None
+            except TypeError:  # unhashable: tuples until the seal
+                held_keys[partition] = None
+            return False
 
         for at, (partition, key, value) in enumerate(records):
             held[partition].append((key, value))
-            sizes[partition] += kv_bytes(key, value)
+            sizes[partition] += _size_of(value)
+            if not key_is_held(partition, key):
+                sizes[partition] += _size_of(key)
             if sizes[partition] >= flush_bytes:
                 seal(at, partition)
         for partition in range(num_partitions):
@@ -529,12 +555,23 @@ class TestHashCombine:
         return out, combined_away
 
     @staticmethod
-    def _actual(records, num_partitions, flush_bytes, cmp, combiner):
+    def _actual(records, num_partitions, flush_bytes, cmp, combiner, bound=False):
+        """The SPL's blocks, through :meth:`SendPartitionList.add` or (with
+        ``bound``) a send core bound to ``hash_partitioner``, whose memo
+        hits are then part of the run; each record's partition must be the
+        hash's."""
         spl = SendPartitionList(
             num_partitions, flush_bytes, cmp, combiner=combiner, serializer=SER
         )
+        add = spl.add
+        if bound:
+            core = spl.bind(hash_partitioner, None, TaskMetrics())
+
+            def add(partition, key, value):
+                assert hash_partitioner(key, value, num_partitions) == partition
+                return core(key, value)
         sealed = [
-            (at, spl.add(partition, key, value))
+            (at, add(partition, key, value))
             for at, (partition, key, value) in enumerate(records)
         ]
         sealed = [(at, block) for at, block in sealed if block is not None]
@@ -569,6 +606,58 @@ class TestHashCombine:
         ))
         args = (records, 2, flush_bytes, cmp, combiner)
         assert self._actual(*args) == self._reference(*args)
+
+    # -- the held-bytes rule, case by case: ``_size_of`` of "a" is 5 and of
+    # an int or float 8; ``_size_of(["l"])`` is 9
+    @staticmethod
+    def _seal_points(records, flush_bytes, bound=False):
+        args = (records, 1, flush_bytes, default_compare, _sum)
+        actual = TestHashCombine._actual(*args, bound=bound)
+        assert actual == TestHashCombine._reference(*args)
+        return [at for at, _, _ in actual[0]]
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["add", "bound_core"])
+    def test_a_repeated_key_adds_only_its_value(self, bound):
+        """13, 21, 29, 37: the fourth pair lands exactly on 37 and seals;
+        counting the key with every pair sealed at the third (39)."""
+        records = [(0, "a", 1)] * 6
+        assert self._seal_points(records, 37, bound) == [3, None]
+        assert self._seal_points(records, 38, bound) == [4, None]
+
+    def test_a_memo_hit_seals_the_partition(self):
+        spl = SendPartitionList(1, 40, default_compare, combiner=_sum, serializer=SER)
+        core = spl.bind(hash_partitioner, None, TaskMetrics())
+        (memo,) = spl._memos
+        sealed = []
+        for at in range(5):  # 13, 21, 29, 37, then a hit reaches 45
+            hit = "a" in memo
+            block = core("a", 1)
+            if block is not None:
+                sealed.append((at, hit, pairs(block)))
+        assert sealed == [(4, True, [("a", 5)])]
+        assert not memo and spl._nbytes == [0]
+        assert self._seal_points([(0, "a", 1)] * 5, 40, bound=True) == [4]
+
+    def test_one_true_and_one_point_oh_are_one_held_key(self):
+        """16 for 1, then 8 each for True and 1.0: 32 held, no seal at 40
+        (per-pair keys would read 16 + 9 + 16 = 41)."""
+        spl = SendPartitionList(1, 40, default_compare, combiner=_sum, serializer=SER)
+        for key in (1, True, 1.0):
+            assert spl.add(0, key, 1) is None
+        assert spl._nbytes == [32] and spl._held == [{1: [1, 1, 1]}]
+        records = [(0, key, 1) for key in (1, True, 1.0)]
+        assert self._seal_points(records, 40) == [None]
+        assert self._seal_points(records, 32) == [2]
+
+    def test_an_unhashable_key_mid_partition_counts_every_later_key(self):
+        """Key "a" thrice (29), ["l"] (46), then "a" counts its key again: 59.
+        At 56 that seals on the last pair; a dict rule that outlived the
+        tuples would stop at 54, per-pair keys would seal at 56 one pair
+        earlier."""
+        records = [(0, "a", 1)] * 3 + [(0, ["l"], 1), (0, "a", 1)]
+        assert self._seal_points(records, 56) == [4]
+        assert self._seal_points(records, 60) == [None]
+        assert self._seal_points(records + [(0, "a", 1)], 72) == [5]
 
     def test_a_block_that_met_an_unhashable_key_groups_again_after_its_seal(self):
         spl = SendPartitionList(

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DataMPIError
+from repro.core import buffers
 from repro.core.buffers import SendPartitionList
 from repro.core.metrics import TaskMetrics
 from repro.core.partition import (
@@ -234,3 +235,99 @@ def test_the_memo_empties_at_every_seal_and_on_an_unhashable_key():
     core("a", 1)
     spl.flush_all()
     assert not memo and _held_keys(spl) == 0
+
+
+def test_a_partition_in_tuples_gets_no_memo_entry():
+    """Tuples hold no values list for a hit to append to: their keys are
+    partitioned again, and sized with every pair."""
+    spl = SendPartitionList(1, 10**6, default_compare, _sum, serializer=SER)
+    core = spl.bind(hash_partitioner, None, TaskMetrics())
+    (memo,) = spl._memos
+    for key in ("a", [1], "a", "a", 7, 7):
+        core(key, 1)
+    assert not memo
+    assert spl._nbytes == [13 + 20 + 13 + 13 + 16 + 16]
+    (block,) = spl.flush_all()
+    assert list(block.records.iter_pairs(SER)) == [(7, 2), ([1], 1), ("a", 3)]
+
+
+# -- the hit path -----------------------------------------------------------------
+
+
+class _Probed(dict):
+    """A memo that counts its lookups."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def _probed(spl, core):
+    """Swap the core's memo for a counting copy, in the core's closure and
+    in the SPL's list (a seal still empties it)."""
+    (memo,) = spl._memos
+    (cell,) = [c for c in core.__closure__ if c.cell_contents is memo]
+    cell.cell_contents = spl._memos[0] = _Probed(memo)
+    return cell.cell_contents
+
+
+def test_a_held_key_is_neither_partitioned_nor_sized_again(monkeypatch):
+    partitioned, sized = [], []
+
+    def spy_partitioner(key, value, n, _real=hash_partitioner):
+        partitioned.append(key)
+        return _real(key, value, n)
+
+    def spy_size(obj, _real=buffers._size_of):
+        sized.append(obj)
+        return _real(obj)
+
+    # the spy is the partitioner the core knows to read the key alone
+    monkeypatch.setattr(buffers, "hash_partitioner", spy_partitioner)
+    monkeypatch.setattr(buffers, "_size_of", spy_size)
+    words = ["w", "x", "w", "w", "x", "w"]
+    for value, combiner, value_sizes in [(1, _sum, 2), (b"v", _concat, len(words))]:
+        partitioned.clear()
+        sized.clear()
+        spl, metrics = _spl(combiner, default_compare, False, 10**6), TaskMetrics()
+        core = spl.bind(spy_partitioner, None, metrics)
+        assert spl._memos
+        for word in words:
+            core(word, value)
+        assert partitioned == ["w", "x"]
+        assert sized.count("w") == sized.count("x") == 1
+        # an exact int is 8 bytes without a call; anything else is sized
+        assert len(sized) == 2 + value_sizes
+        assert metrics.records_emitted == len(words)
+        assert sorted(len(vs) for held in spl._held for vs in held.values()) == [2, 4]
+
+
+@pytest.mark.parametrize("combiner", [None, _sum])
+def test_the_memo_is_probed_once_a_pair(combiner):
+    """Framed or grouped, hit or miss: one lookup for a key of a memoized
+    type, none for any other key."""
+    spl = _spl(combiner, default_compare, False, 64)
+    core = spl.bind(hash_partitioner, [].append, TaskMetrics())
+    memo = _probed(spl, core)
+    keys = ["a", "b", "a", 7, True, "a", b"z", 2.5, 7] * 20
+    for key in keys:
+        core(key, 1)
+    assert spl.records_out > 0  # seals emptied the memo along the way
+    assert memo.probes == sum(type(key) in (str, bytes, int) for key in keys)
+
+
+@pytest.mark.parametrize("flush", [20, 40, 10**6])
+def test_a_hit_sizes_its_value_as_add_does(flush):
+    """An exact int or float is 8 bytes without a call; a bool is 1."""
+    pairs = [("k", value) for value in [1, True, 2.5, False, 7, 1.0] * 4]
+    _same(pairs, hash_partitioner, combiner=_sum, cmp=default_compare, flush_bytes=flush)

@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hadoop
+from repro.common.records import _size_of
 from repro.core.buffers import SendPartitionList
-from repro.core.sorter import RunStore, spill_batch
+from repro.core.partition import hash_partitioner
+from repro.core.sorter import RunStore, combine_run, sort_block, spill_batch
 from repro.hadoop import HadoopJob, MiniHadoopCluster
 from repro.hadoop.shuffle_http import ShuffleDirectory, ShuffleServer
 from repro.hadoop.tasks import SERDE
 from repro.hdfs.cluster import MiniDFSCluster
 from repro.serde.batch import batch_from_pairs
+from repro.serde.comparators import default_compare
+from repro.workloads.wordcount import generate_text, wordcount_reference
 
 
 def word_mapper(_k, line, emit):
@@ -239,6 +243,73 @@ class TestSharedMapSide:
         second = HadoopJob("j2", "/in2", "/out2", word_mapper, sum_reducer, 2)
         assert cluster.run_job(first).success and cluster.run_job(second).success
         assert dict(cluster.read_output(second)) == {"a": "1"}
+
+
+def sum_combiner(key, values):
+    return [sum(values)]
+
+
+class TestMapSideSpills:
+    """WordCount maps whose sort buffer fills mid-task: a partition counts
+    each word it holds once, so it seals, and its store spills, less often
+    than counting the word with every pair would."""
+
+    @staticmethod
+    def _spill_files(maps, n, budget, key_once):
+        """mini-Hadoop's ``spill_files``, modelled: each map's words held in
+        tuple-list partitions sealed at ``budget`` bytes (a held word's
+        size counted once with ``key_once``, else with every pair); each
+        sealed block, combined, is filed in a store that spills whenever
+        what it holds passes ``budget``; a partition that got a pair adds
+        its final segment."""
+        files = 0
+        for words in maps:
+            held, sizes, resident = [[] for _ in range(n)], [0] * n, [0] * n
+
+            def seal(p):
+                nonlocal files
+                run = combine_run(sort_block(held[p], default_compare), sum_combiner)
+                resident[p] += len(batch_from_pairs(run, SERDE).data)
+                if resident[p] > budget:
+                    files, resident[p] = files + 1, 0
+                held[p], sizes[p] = [], 0
+
+            for word in words:
+                p = hash_partitioner(word, 1, n)
+                if not (key_once and any(k == word for k, _ in held[p])):
+                    sizes[p] += _size_of(word)
+                sizes[p] += _size_of(1)
+                held[p].append((word, 1))
+                if sizes[p] >= budget:
+                    seal(p)
+            for p in range(n):
+                if held[p]:
+                    seal(p)
+            files += len({hash_partitioner(word, 1, n) for word in words})
+        return files
+
+    def test_spills_follow_the_held_bytes_rule(self):
+        lines = generate_text(300, 12, seed=3)
+        cluster = MiniHadoopCluster(MiniDFSCluster(num_nodes=2, block_size=8192))
+        write_input(cluster, lines)
+        maps = {}
+
+        def mapper(key, line, emit):
+            maps.setdefault(emit, []).extend(line.split())
+            word_mapper(key, line, emit)
+
+        budget = 1024
+        job = HadoopJob("wc", "/in", "/out", mapper, sum_reducer, 2,
+                        combiner=sum_combiner, sort_buffer_bytes=budget)
+        result = cluster.run_job(job)
+        assert result.success and len(maps) > 1
+        assert {k: int(v) for k, v in cluster.read_output(job)} == wordcount_reference(lines)
+        c = result.counters
+        assert c.map_output_records == sum(map(len, maps.values())) == 12 * len(lines)
+        held_rule = self._spill_files(maps.values(), 2, budget, key_once=True)
+        per_pair = self._spill_files(maps.values(), 2, budget, key_once=False)
+        assert c.spill_files == held_rule < per_pair, (held_rule, per_pair)
+        assert c.spill_files > 2 * len(maps)  # a partition spilled mid-task
 
 
 @settings(max_examples=20, deadline=None)
