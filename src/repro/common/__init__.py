@@ -22,7 +22,6 @@ from repro.common.errors import (
     RPCError,
     SerializationError,
 )
-from repro.common.records import KeyValue, kv_bytes
 from repro.common.units import (
     GB,
     GiB,
@@ -50,8 +49,6 @@ __all__ = [
     "CheckpointError",
     "JobFailedError",
     "FailureRecord",
-    "KeyValue",
-    "kv_bytes",
     "KB",
     "MB",
     "GB",

@@ -1,36 +1,16 @@
-"""Key-value record primitives.
+"""The in-memory size estimate of a record's key or value.
 
 Key-value pairs are "the core data representation structure" of Hadoop-like
-systems (paper §II-B); every shuffle buffer, checkpoint file and RPC payload
-in this library ultimately carries them.
+systems (paper §II-B).  :func:`_size_of` estimates one field cheaply and
+deterministically without serializing it: ``bytes``/``str`` report their
+real length, other objects a small fixed cost plus recursion over
+tuples/lists.  A combined SPL partition counts each key it holds once plus
+every value by it; framed records count their exact bytes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, NamedTuple
-
-
-class KeyValue(NamedTuple):
-    """An immutable (key, value) pair — "an intact business record" (§IV-E)."""
-
-    key: Any
-    value: Any
-
-    def __repr__(self) -> str:  # keep shuffle debug output short
-        return f"KV({self.key!r}, {self.value!r})"
-
-
-def kv_bytes(key: Any, value: Any) -> int:
-    """Approximate the in-memory payload size of a key-value pair: a cheap,
-    deterministic estimate that does not serialize it.
-
-    ``bytes``/``str`` report their real length; other objects use a small
-    fixed cost plus recursion over tuples/lists.  No buffer sizes itself
-    with this: framed records count their exact bytes, and a combined SPL
-    partition counts each key it holds once plus every value, by the same
-    per-object ``_size_of`` estimates.
-    """
-    return _size_of(key) + _size_of(value)
+from typing import Any
 
 
 def _size_of(obj: Any) -> int:
@@ -58,9 +38,3 @@ def _size_of(obj: Any) -> int:
     if hasattr(obj, "serialized_size"):
         return int(obj.serialized_size())
     return 16
-
-
-def iter_kv(pairs: Iterable[tuple[Any, Any]]) -> Iterator[KeyValue]:
-    """Normalize an iterable of 2-tuples into :class:`KeyValue` records."""
-    for key, value in pairs:
-        yield KeyValue(key, value)

@@ -49,7 +49,7 @@ from repro.core.modes import default_of
 from repro.core.partition import PartitionWindow
 from repro.core.sorter import RunStore
 from repro.mpi.transport import Envelope, TruncatedPayload
-from repro.obs.tracer import TRACER as _T, flow_id as _flow_id
+from repro.obs.tracer import TRACER as _T
 from repro.serde.batch import RecordBatch
 from repro.serde.comparators import Compare
 from repro.serde.serialization import Serializer
@@ -328,15 +328,6 @@ def _note(event: str, cat: str, plane_id: str, origin: int, **args: Any) -> None
     _T.instant(event, cat=cat, args={"plane": plane_id, "origin": origin, **args})
 
 
-def _flow_pair(plane_id: str, dest: int, origin: int, seq: int) -> tuple[int, int]:
-    """The causal pair linking a batch's send span to its receive span,
-    carried by the envelope.  ``dest`` is part of the name because seq
-    counts per (plane, dest) stream — without it two same-seq batches
-    from one rank to different receivers would collide."""
-    stream = f"{plane_id}>{dest}"
-    return _flow_id(stream, origin, seq), _flow_id(stream, origin, seq, domain=1)
-
-
 class ShuffleService:
     """The send path of one worker process, and the delivery of what
     every process sends it."""
@@ -463,12 +454,6 @@ class ShuffleService:
                 # from seq 0 at this epoch before the stream's first batch
                 reset = ("reset", plane_id, (self.rank, self.epoch))
                 self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
-            flow = 0
-            if _T.enabled:
-                # the envelope carries the pair to the receive span (in the
-                # wire header on the process backend)
-                flow, parent = _flow_pair(plane_id, dest, self.rank, seq)
-                _T.set_flow(flow, parent)
             batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
             self.world.send(batch, dest=dest, tag=SHUFFLE_TAG)
         self.envelopes_sent += 1
@@ -478,9 +463,9 @@ class ShuffleService:
             _T.complete(
                 "shuffle.send", trace_t0, _T.clock() - trace_t0, cat="shuffle",
                 args={
-                    "plane": plane_id, "dest": dest, "seq": seq,
-                    "blocks": len(blocks), "bytes": nbytes,
-                    "eos": eos, "flow_out": flow,
+                    "plane": plane_id, "origin": self.rank, "epoch": self.epoch,
+                    "dest": dest, "seq": seq, "blocks": len(blocks),
+                    "bytes": nbytes, "eos": eos,
                 },
             )
             _T.counter(f"shuffle.r{self.rank}.bytes_sent", self.bytes_sent)
@@ -543,13 +528,14 @@ class ShuffleService:
                 plane.add_eos()
             if _T.enabled and blocks:
                 # on the thread backend this span nests in the sender's
-                # ``shuffle.send``: ``rank`` names the receiving one
+                # ``shuffle.send``: ``rank`` names the receiving one.  The
+                # exporter links it to that send by the stream coordinates
                 _T.complete(
                     "shuffle.recv.batch", trace_t0, _T.clock() - trace_t0,
                     cat="shuffle",
-                    args={"plane": plane_id, "rank": self.rank, "origin": origin,
-                          "blocks": len(blocks), "seq": seq,
-                          "flow_in": envelope.trace, "flow_parent": envelope.parent},
+                    args={"plane": plane_id, "origin": origin,
+                          "epoch": channel.epoch, "rank": self.rank,
+                          "seq": seq, "blocks": len(blocks)},
                 )
         except Exception as exc:  # noqa: BLE001 - must abort the world
             self.world.abort(reason=f"shuffle receiver rank {self.rank}: {exc!r}")

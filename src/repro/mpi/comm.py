@@ -23,7 +23,6 @@ from repro.common.records import _size_of
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, Op, Status
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.transport import Endpoint, Envelope
-from repro.obs.tracer import TRACER as _T
 
 if TYPE_CHECKING:
     from repro.mpi.intercomm import Intercomm
@@ -179,10 +178,6 @@ class Intracomm(Receiving):
             origin=self.group[self._rank],
         )
         envelope.matched = matched
-        if _T.enabled:
-            flow = _T.take_flow()
-            if flow is not None:
-                envelope.trace, envelope.parent = flow
         self.runtime.deposit(self._global(dest), envelope)
         return envelope
 

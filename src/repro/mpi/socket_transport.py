@@ -114,8 +114,7 @@ def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
     body, _ = wire.encode_payload(payload)
     return wire.pack_envelope_frame(
         envelope.context, envelope.source, envelope.tag, envelope.origin,
-        dest, envelope.nbytes, body, flags,
-        epoch=epoch, trace=envelope.trace, parent=envelope.parent,
+        dest, envelope.nbytes, body, flags, epoch=epoch,
     )
 
 
@@ -127,7 +126,7 @@ def _decode_envelope(h: wire.EnvelopeHeader) -> Envelope:
     if h.flags & wire.FLAG_TRUNCATED:
         payload = TruncatedPayload(payload)
     return Envelope(h.context, h.source, h.tag, payload, h.nbytes,
-                    origin=h.origin, trace=h.trace, parent=h.parent)
+                    origin=h.origin)
 
 
 def _call_frame(call_id: int, method: str, params: tuple) -> bytes:

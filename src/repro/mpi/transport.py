@@ -68,7 +68,7 @@ class Envelope:
 
     __slots__ = (
         "context", "source", "tag", "payload", "nbytes", "seq", "matched",
-        "origin", "trace", "parent",
+        "origin",
     )
 
     def __init__(
@@ -79,8 +79,6 @@ class Envelope:
         payload: Any,
         nbytes: int,
         origin: int = -1,
-        trace: int = 0,
-        parent: int = 0,
     ) -> None:
         self.context = context
         self.source = source
@@ -92,12 +90,6 @@ class Envelope:
         #: is the communicator-local rank, this is the runtime-wide identity
         #: used by fault-injection rules and failure diagnostics
         self.origin = origin
-        #: causal-tracing pair: flow id linking the sender-side span to
-        #: the receiver-side span, and the emitting span's id.  Zero means
-        #: untraced; the pair travels in the wire header on the process
-        #: backend and on this object on the thread backend.
-        self.trace = trace
-        self.parent = parent
         #: a synchronous send's completion (``issend`` sets it); None for
         #: every other envelope
         self.matched: futures.Future | None = None

@@ -25,8 +25,8 @@ Frame layout on the wire::
 Envelope frames carry a fixed struct header so the router can route and
 fault-inject on metadata *without unpickling the payload*::
 
-    !6i3qB        context, source, tag, origin, dest, epoch,
-                  trace, parent, nbytes, flags
+    !6iqB         context, source, tag, origin, dest, epoch,
+                  nbytes, flags
     ...           payload body: one pickle of the payload
 
 ``epoch`` is the sender's rank incarnation number: 0 for a first spawn,
@@ -34,12 +34,6 @@ incremented each time the driver respawns that rank.  The router fences
 stale incarnations with it — a zombie process whose rank was already
 respawned keeps stamping the old epoch, and its frames are dropped at
 the hub instead of corrupting the reincarnated rank's streams.
-
-``trace``/``parent`` are the causal-tracing pair: a 63-bit flow id
-linking the sender-side span to the receiver-side span, and the id of
-the emitting span.  Zero means "untraced" — the common case — and
-costs nothing beyond the 16 header bytes.  The exporter turns matched
-pairs into Chrome-trace flow events (see ``repro.obs.journal``).
 
 Every payload — shuffle batches, control traffic, application
 point-to-point messages — is one ``pickle.dumps`` at the wire boundary,
@@ -68,7 +62,7 @@ from repro.serde.serialization import _pickled
 _log = get_logger("net.wire")
 
 _LEN = struct.Struct("!I")
-_ENV_HEADER = struct.Struct("!6i3qB")
+_ENV_HEADER = struct.Struct("!6iqB")
 
 MAX_FRAME = 1 << 30  # defensive cap: a corrupt length prefix fails loudly
 
@@ -128,13 +122,10 @@ def pack_envelope_frame(
     payload: bytes,
     flags: int = 0,
     epoch: int = 0,
-    trace: int = 0,
-    parent: int = 0,
 ) -> bytes:
     """ENVELOPE frame: routable header + already-encoded payload bytes."""
     return EnvelopeHeader(
-        context, source, tag, origin, dest, epoch, trace, parent, nbytes,
-        flags, payload,
+        context, source, tag, origin, dest, epoch, nbytes, flags, payload,
     ).frame()
 
 
@@ -148,8 +139,6 @@ class EnvelopeHeader(NamedTuple):
     origin: int
     dest: int
     epoch: int
-    trace: int
-    parent: int
     nbytes: int
     flags: int
     payload: bytes
@@ -157,7 +146,7 @@ class EnvelopeHeader(NamedTuple):
     def frame(self) -> bytes:
         """This header and payload packed as one ENVELOPE frame."""
         return pack_frame(
-            FrameKind.ENVELOPE, _ENV_HEADER.pack(*self[:10]) + self.payload
+            FrameKind.ENVELOPE, _ENV_HEADER.pack(*self[:8]) + self.payload
         )
 
 

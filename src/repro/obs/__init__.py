@@ -25,7 +25,7 @@ per rank, of which every report here is a view.
 per-phase time breakdown, top-N slowest tasks, failure timeline.
 """
 
-from repro.obs.tracer import TRACER, Tracer, flow_id
+from repro.obs.tracer import TRACER, Tracer
 from repro.obs.journal import (
     Journal,
     JournalWriter,
@@ -43,7 +43,6 @@ __all__ = [
     "Journal",
     "JournalWriter",
     "export_chrome",
-    "flow_id",
     "read_journal",
     "to_chrome_trace",
     "write_journal",

@@ -142,6 +142,22 @@ def read_journal(path: str) -> Journal:
     return journal
 
 
+#: the coordinates naming one shuffle envelope: ``seq`` counts per
+#: (plane, origin incarnation, receiver) stream.  A send span names the
+#: receiver ``dest``; a receive span, recorded on the thread that filed
+#: the envelope (the sender's, on the thread backend), names it ``rank``
+_SEND_KEY = ("plane", "origin", "epoch", "dest", "seq")
+_RECV_KEY = ("plane", "origin", "epoch", "rank", "seq")
+
+
+def _coordinates(event: dict, fields: tuple[str, ...]) -> tuple | None:
+    """The span's values of ``fields``; None when it lacks one."""
+    args = event.get("args") or {}
+    if not all(f in args for f in fields):
+        return None
+    return tuple(args[f] for f in fields)
+
+
 def to_chrome_trace(journal: Journal) -> dict:
     """Convert to the Chrome ``trace.json`` object format.
 
@@ -149,14 +165,23 @@ def to_chrome_trace(journal: Journal) -> dict:
     ``tid`` is a dense index per thread name with ``thread_name``
     metadata, timestamps are microseconds.
 
-    Spans whose args carry a ``flow_out`` / ``flow_in`` id (the shuffle
-    send/recv instrumentation) additionally emit Chrome flow events: a
-    flow start (``ph: s``) anchored to the sending span and a binding
-    flow finish (``ph: f``, ``bp: e``) anchored to the receiving span,
-    sharing the 63-bit flow id minted by :func:`repro.obs.tracer.flow_id`.
+    Each ``shuffle.send`` span additionally emits a Chrome flow start
+    (``ph: s``), and the ``shuffle.recv.batch`` span that filed the same
+    envelope a binding flow finish (``ph: f``, ``bp: e``) with the same
+    id.  Nothing in a message links the two: both spans name the
+    envelope by its stream coordinates (:data:`_SEND_KEY`,
+    :data:`_RECV_KEY`) and each sent envelope gets one dense id here.
     Perfetto renders these as arrows from each send to its receive —
-    cross-rank causal traces.
+    cross-rank causal traces.  A span missing a coordinate gets no
+    arrow.
     """
+    flows: dict[tuple, int] = {}
+    for event in journal.spans:
+        if event.get("name") == "shuffle.send":
+            key = _coordinates(event, _SEND_KEY)
+            if key is not None:
+                flows.setdefault(key, len(flows) + 1)
+
     trace_events: list[dict] = []
     tids: dict[tuple[int, str], int] = {}
     pids_named: set[int] = set()
@@ -201,26 +226,30 @@ def to_chrome_trace(journal: Journal) -> dict:
             args = event.get("args")
             if args:
                 out["args"] = args
-                flow_out = args.get("flow_out")
-                flow_in = args.get("flow_in")
-                # a flow leaves at its send span's start and lands at its
-                # recv span's end, so the arrow points forward in time
-                # whether the recv span follows the send (process backend)
-                # or nests inside it (thread backend: the sender files it)
-                end_ts = round((event.get("ts", 0.0) + event.get("dur", 0.0)) * 1e6, 3)
-                if flow_out:
+            # a flow leaves at its send span's start and lands at its
+            # recv span's end, so the arrow points forward in time
+            # whether the recv span follows the send (process backend)
+            # or nests inside it (thread backend: the sender files it)
+            if out["name"] == "shuffle.send":
+                flow = flows.get(_coordinates(event, _SEND_KEY))
+                if flow:
                     trace_events.append(
                         {
                             "ph": "s", "pid": pid, "tid": tid, "ts": out["ts"],
-                            "id": flow_out, "name": "shuffle.flow",
+                            "id": flow, "name": "shuffle.flow",
                             "cat": "shuffle",
                         }
                     )
-                if flow_in:
+            elif out["name"] == "shuffle.recv.batch":
+                flow = flows.get(_coordinates(event, _RECV_KEY))
+                if flow:
+                    end_ts = round(
+                        (event.get("ts", 0.0) + event.get("dur", 0.0)) * 1e6, 3
+                    )
                     trace_events.append(
                         {
                             "ph": "f", "bp": "e", "pid": pid, "tid": tid,
-                            "ts": end_ts, "id": flow_in,
+                            "ts": end_ts, "id": flow,
                             "name": "shuffle.flow", "cat": "shuffle",
                         }
                     )

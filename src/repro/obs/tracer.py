@@ -24,28 +24,11 @@ global rank, which the exporters map to Perfetto process lanes.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from typing import Any
 
-__all__ = ["TRACER", "Tracer", "flow_id"]
-
-
-def flow_id(plane: str, origin: int, seq: int, domain: int = 0) -> int:
-    """Deterministic 63-bit flow id for cross-rank causal tracing.
-
-    Sender and receiver compute the same id from the same coordinates
-    regardless of interpreter (``hash()`` is salted per process by
-    ``PYTHONHASHSEED``, so it cannot be used here).  ``domain`` separates
-    id families minted from the same coordinates — 0 for the flow id
-    itself, 1 for the emitting span's id.  Masked to 63 bits so the id
-    always fits the signed ``q`` field of the wire envelope header.
-    """
-    digest = hashlib.blake2b(
-        f"{domain}|{plane}|{origin}|{seq}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") & 0x7FFF_FFFF_FFFF_FFFF
+__all__ = ["TRACER", "Tracer"]
 
 
 class _NullSpan:
@@ -225,22 +208,6 @@ class Tracer:
         """Attribute the calling thread's events to a global rank."""
         if self.enabled:
             self._buf().rank = rank
-
-    # -- cross-rank flow propagation ----------------------------------------
-    # A sender arms the (trace, parent) pair just before the send; the
-    # comm layer pops it onto the outgoing Envelope, whose handler reads
-    # it back off the envelope.  The armed pair is thread-local, so
-    # concurrent senders never see each other's.
-    def set_flow(self, trace: int, parent: int) -> None:
-        """Arm the calling thread's next send with a causal pair."""
-        self._local.flow_out = (trace, parent)
-
-    def take_flow(self) -> tuple[int, int] | None:
-        """Pop the armed outgoing pair (None when nothing was armed)."""
-        flow = getattr(self._local, "flow_out", None)
-        if flow is not None:
-            self._local.flow_out = None
-        return flow
 
     # -- recording ----------------------------------------------------------
     def span(self, name: str, cat: str = "", args: dict | None = None):

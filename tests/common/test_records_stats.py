@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.records import KeyValue, iter_kv, kv_bytes
+from repro.common.records import _size_of
 from repro.common.stats import (
     TimeSeries,
     histogram,
@@ -13,20 +13,9 @@ from repro.common.stats import (
 )
 
 
-class TestKeyValue:
-    def test_tuple_behaviour(self):
-        kv = KeyValue("k", 1)
-        key, value = kv
-        assert key == "k" and value == 1
-        assert kv == ("k", 1)
-
-    def test_iter_kv(self):
-        pairs = list(iter_kv([("a", 1), ("b", 2)]))
-        assert all(isinstance(p, KeyValue) for p in pairs)
-        assert pairs[1].key == "b"
-
-    def test_repr_is_compact(self):
-        assert repr(KeyValue("a", 1)) == "KV('a', 1)"
+def kv_bytes(key, value):
+    """A pair's size estimate, as a combined SPL partition counts it."""
+    return _size_of(key) + _size_of(value)
 
 
 class TestKvBytes:

@@ -15,6 +15,7 @@ import os
 import random
 import shutil
 import tempfile
+from collections import Counter
 
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K, SHUFFLE_TAG
@@ -23,7 +24,7 @@ from repro.mpi import FaultInjector
 from repro.mpi.runtime import ProcessRuntime
 from repro.mpi.socket_transport import _RedeliveryBuffer
 from repro.net import wire
-from repro.obs.journal import read_journal
+from repro.obs.journal import read_journal, to_chrome_trace
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
 
@@ -119,6 +120,39 @@ class TestSurgicalRecovery:
         assert 1 <= respawns[0]["tasks_requeued"] <= 4  # o_tasks
         # a successful job leaves no rounds to replay into the next
         assert not os.path.exists(tmp_path / "ft" / "recovery-wc")
+
+    def test_a_reborn_rank_links_its_own_flows(self, tmp_path):
+        # the rule fires on rank 1's first shuffle envelope and delivers
+        # it, so a peer files seq 0 of that stream from the first life
+        # before the reborn restarts the stream at seq 0: only the epoch
+        # tells the two receives apart (the first life's send spans die
+        # with it)
+        injector = FaultInjector()
+        rule = injector.kill_rank(tag=SHUFFLE_TAG, origin=1, max_matches=1)
+        journal = str(tmp_path / "job.trace.jsonl")
+        result, out = run_wordcount(
+            tmp_path, "out", recovery_conf(**{K.TRACE_PATH: journal}),
+            injector=injector,
+        )
+        assert result.success
+        assert rule.applied == 1
+        assert result.metrics.respawns == 1
+        assert out.merged() == expected_wordcount(TEXTS)
+        parsed = read_journal(journal)
+        events = to_chrome_trace(parsed)["traceEvents"]
+        finishes = Counter(e["id"] for e in events if e["ph"] == "f")
+        starts = Counter(e["id"] for e in events if e["ph"] == "s")
+        assert finishes and max(finishes.values()) == 1
+        assert max(starts.values()) == 1
+        assert set(finishes) <= set(starts)
+        # every receive links to its send but the first life's, whose
+        # send spans are lost; the reborn's are filed under epoch 1
+        recvs = [e["args"] for e in parsed.spans
+                 if e["name"] == "shuffle.recv.batch"]
+        reborn = {a["origin"] for a in recvs if a["epoch"] == 1}
+        assert len(reborn) == 1
+        first_life = [a for a in recvs if a["origin"] in reborn and a["epoch"] == 0]
+        assert len(finishes) == len(recvs) - len(first_life)
 
     def test_rounds_use_the_default_dir_without_ft_dir(
         self, tmp_path, monkeypatch
@@ -326,8 +360,7 @@ class TestEpochFencing:
 
     def test_epoch_survives_the_wire_header(self):
         body = self._envelope_body(origin=3, dest=1, epoch=7)
-        (_ctx, _src, _tag, origin, dest, epoch, _trace, _parent, _n, _flags,
-         _payload) = (
+        (_ctx, _src, _tag, origin, dest, epoch, _n, _flags, _payload) = (
             wire.unpack_envelope_frame(body)
         )
         assert (origin, dest, epoch) == (3, 1, 7)

@@ -19,13 +19,23 @@ from repro.serde.serialization import WritableSerializer
 from tests.core.helpers import RecordingWorld, batch_block
 
 
+#: the running test's ``tmp_path``, which pytest removes: every config's
+#: spill directory is made under it
+_spill_root = None
+
+
+@pytest.fixture(autouse=True)
+def _spill_under_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "_spill_root", str(tmp_path))
+
+
 def _config(num_partitions=1, num_processes=1, pipelined=False):
     return PlaneConfig(
         num_partitions=num_partitions,
         window=PartitionWindow(num_partitions, num_processes),
         cmp=default_compare,
         serializer=WritableSerializer(),
-        spill_dir=tempfile.mkdtemp(prefix="coalesce-test-"),
+        spill_dir=tempfile.mkdtemp(prefix="coalesce-test-", dir=_spill_root),
         memory_budget=1 << 30,
         pipelined=pipelined,
     )

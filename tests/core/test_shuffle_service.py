@@ -17,6 +17,16 @@ from repro.serde.serialization import WritableSerializer
 from tests.core.helpers import RecordingWorld, batch_block
 
 
+#: the running test's ``tmp_path``, which pytest removes: every config's
+#: spill directory is made under it
+_spill_root = None
+
+
+@pytest.fixture(autouse=True)
+def _spill_under_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "_spill_root", str(tmp_path))
+
+
 def make_config(num_partitions=4, num_processes=2, cmp=default_compare,
                 pipelined=False, budget=1 << 30):
     return PlaneConfig(
@@ -24,7 +34,7 @@ def make_config(num_partitions=4, num_processes=2, cmp=default_compare,
         window=PartitionWindow(num_partitions, num_processes),
         cmp=cmp,
         serializer=WritableSerializer(),
-        spill_dir=tempfile.mkdtemp(prefix="shuffle-test-"),
+        spill_dir=tempfile.mkdtemp(prefix="shuffle-test-", dir=_spill_root),
         memory_budget=budget,
         pipelined=pipelined,
     )

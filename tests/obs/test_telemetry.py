@@ -6,8 +6,8 @@ Covers the tentpole invariants:
   can scrape Prometheus text / per-rank tables over RPC mid-run;
 * the hub keys series by ``(rank, epoch)`` so a respawned rank's
   reborn incarnation never clobbers its predecessor's history;
-* shuffle send/recv spans carry a deterministic causal pair that the
-  Chrome exporter turns into cross-rank flow arrows;
+* shuffle send/recv spans carry their stream coordinates, which the
+  Chrome exporter pairs into cross-rank flow arrows;
 * ``repro top`` renders the hub over the endpoint file.
 """
 
@@ -28,30 +28,9 @@ from repro.mpi import FaultInjector
 from repro.obs.journal import Journal, read_journal, to_chrome_trace
 from repro.obs.inspect import format_report, summarize_journal
 from repro.obs.telemetry import TelemetryHub
-from repro.obs.tracer import Tracer, flow_id
+from repro.obs.tracer import Tracer
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
-
-
-# -- flow ids ---------------------------------------------------------------------
-
-
-class TestFlowId:
-    def test_deterministic_across_processes(self):
-        # blake2b, not hash(): the sender and receiver run in different
-        # processes with different PYTHONHASHSEEDs and must still agree
-        assert flow_id("fwd:0>1", 3, 7) == flow_id("fwd:0>1", 3, 7)
-
-    def test_fits_a_signed_wire_header_field(self):
-        for seq in range(64):
-            assert 0 <= flow_id("fwd:0>0", 1, seq) < 1 << 63
-
-    def test_domains_and_channels_do_not_collide(self):
-        base = flow_id("fwd:0>1", 3, 7)
-        assert base != flow_id("fwd:0>1", 3, 7, domain=1)  # span vs flow
-        assert base != flow_id("fwd:0>2", 3, 7)  # different receiver
-        assert base != flow_id("fwd:0>1", 2, 7)  # different origin
-        assert base != flow_id("fwd:0>1", 3, 8)  # different batch
 
 
 # -- the RSS gauge fix ------------------------------------------------------------
@@ -502,12 +481,16 @@ class TestTraceShardsAndFlows:
         # threads: the sender files the envelope, so each receive span
         # nests inside its send span, on the sender's lane, and names the
         # receiving rank
-        sends = {e["args"]["flow_out"]: e for e in journal.spans
+        def stream(args, receiver):
+            return (args["plane"], args["origin"], args["epoch"],
+                    args[receiver], args["seq"])
+
+        sends = {stream(e["args"], "dest"): e for e in journal.spans
                  if e["name"] == "shuffle.send"}
         recvs = [e for e in journal.spans if e["name"] == "shuffle.recv.batch"]
         assert recvs
         for recv in recvs:
-            send = sends[recv["args"]["flow_in"]]
+            send = sends[stream(recv["args"], "rank")]
             assert (recv["tid"], recv["rank"]) == (send["tid"], send["rank"])
             assert send["ts"] <= recv["ts"]
             assert recv["ts"] + recv["dur"] <= send["ts"] + send["dur"]
