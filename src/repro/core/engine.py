@@ -208,8 +208,11 @@ class WorkerEngine:
         stacks of this rank's threads.  With tracing on, every pulse
         samples the process on this rank's lane."""
         every = self.conf.get_float(K.TELEMETRY_INTERVAL_SECONDS)
-        telemetry = self.conf.get_bool(K.TELEMETRY_ENABLED) and every > 0
         doctor = self.conf.get_bool(K.DOCTOR_ENABLED)
+        # the doctor reads the records, so it implies them
+        telemetry = (
+            self.conf.get_bool(K.TELEMETRY_ENABLED) or doctor
+        ) and every > 0
         beat_every = self.conf.get_float(K.HEARTBEAT_DEADLINE_SECONDS) / 30
         intervals = [i for i in (beat_every, every if telemetry else 0.0) if i > 0]
         if not intervals:

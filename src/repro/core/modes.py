@@ -93,7 +93,7 @@ def profile_for(mode: Mode, user_conf: Mapping[str, Any] | None = None) -> Confi
 
 def default_of(key: str) -> Any:
     """``key``'s default outside any job, for what tests and benches build
-    bare (a ``ShuffleService``, a ``DoctorConfig``)."""
+    bare (a ``ShuffleService``, a ``Doctor``'s stall window)."""
     return _SHARED_DEFAULTS[key]
 
 

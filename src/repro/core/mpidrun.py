@@ -52,6 +52,9 @@ _log = get_logger("core.mpidrun")
 
 #: cap on the exponential restart backoff, seconds
 _MAX_BACKOFF = 5.0
+#: doublings the backoff may take: the cap wins long before, and a
+#: thousand doublings overflow a float
+_MAX_DOUBLINGS = 16
 #: restart backoff is scaled by a uniform factor in [1-j, 1+j]
 _BACKOFF_JITTER = 0.25
 
@@ -76,7 +79,7 @@ def restart_delay(
     ``[1-jitter, 1+jitter]`` so concurrent supervised jobs sharing a
     machine don't hammer it in lockstep.  Deterministic for a seeded
     ``rng``."""
-    delay = min(_MAX_BACKOFF, backoff * (2 ** (attempt - 1)))
+    delay = min(_MAX_BACKOFF, backoff * 2 ** min(attempt - 1, _MAX_DOUBLINGS))
     if jitter > 0 and delay > 0:
         delay *= (rng or random).uniform(max(0.0, 1.0 - jitter), 1.0 + jitter)
     return delay
@@ -258,17 +261,13 @@ class _TelemetrySession:
         self.server = None
         target = self.hub.rpc_target()
         if conf.get_bool(K.DOCTOR_ENABLED):
-            from repro.obs.doctor import Doctor, DoctorConfig
+            from repro.obs.doctor import Doctor
 
             self.doctor = Doctor(
-                self.hub,
-                DoctorConfig(
-                    # one evaluation per two records of a rank
-                    interval=2 * conf.get_float(K.TELEMETRY_INTERVAL_SECONDS),
-                    stall_seconds=conf.get_float(K.DOCTOR_STALL_SECONDS),
-                ),
-                job=job.name,
+                self.hub, conf.get_float(K.DOCTOR_STALL_SECONDS), job=job.name
             )
+            # every record the hub files is one evaluation
+            self.hub.watcher = self.doctor.evaluate
             self.doctor_path = str(
                 conf.get(K.DOCTOR_PATH)
                 or os.path.join(
@@ -296,8 +295,6 @@ class _TelemetrySession:
                 with open(tmp, "w", encoding="utf-8") as f:
                     json.dump(payload, f)
                 os.replace(tmp, self.endpoint_file)  # pollers never see a partial file
-            if self.doctor is not None:
-                self.doctor.start()
         except BaseException:
             self.close()
             raise
@@ -313,15 +310,9 @@ class _TelemetrySession:
             return None
         return _TelemetrySession(job, conf)
 
-    def attach(self, runtime: BaseRuntime) -> None:
-        """Bind this attempt's runtime: the scheduler files the ranks'
-        pulse records and reports in the hub and marks rank completion on
-        it, and rollups read live recovery counters off the runtime."""
-        runtime.telemetry_hub = self.hub
-        self.hub.bind_runtime(runtime)
-
     def close(self) -> dict | None:
-        """Stop the doctor and server, remove the endpoint file.
+        """Run the doctor's final evaluation, write its report, stop the
+        server, remove the endpoint file.
 
         Idempotent, and ordered so the endpoint file goes away on *every*
         exit path — even when the doctor or the server's stop raises —
@@ -334,7 +325,11 @@ class _TelemetrySession:
         try:
             if self.doctor is not None:
                 try:
-                    self._report = self.doctor.close()
+                    self.doctor.evaluate()
+                except Exception:  # noqa: BLE001 - a report beats a perfect one
+                    _log.exception("doctor: final evaluation failed")
+                try:
+                    self._report = self.doctor.report()
                     if self.doctor_path:
                         self.doctor.write_report(self.doctor_path)
                         _log.info("doctor report written to %s", self.doctor_path)
@@ -413,22 +408,17 @@ def mpidrun(
             extra_conf: dict[str, Any] = {}
             if scratch is not None:
                 extra_conf[K.LOCAL_DIR] = scratch
-            if telemetry is not None and telemetry.doctor is not None:
-                # the diagnosis engine reads live rollups, so pulses must
-                # carry the ranks' records even if the user only asked
-                # for the doctor
-                extra_conf[K.TELEMETRY_ENABLED] = True
             attempt_job = dataclasses.replace(
                 job, conf={**dict(job.conf or {}), **extra_conf}
             )
             runtime = create_runtime(launcher, fault_injector=fault_injector)
             if max_respawns > 0:
                 runtime.enable_rank_recovery(max_respawns, redelivery_bytes)
-            if telemetry is not None:
-                telemetry.attach(runtime)
             try:
                 reports = runtime.run(
-                    driver_main, 1, args=(attempt_job, nprocs, attempt),
+                    driver_main, 1,
+                    args=(attempt_job, nprocs, attempt,
+                          telemetry.hub if telemetry is not None else None),
                     timeout=timeout, name="mpidrun",
                 )[0]
             except Exception as exc:  # noqa: BLE001 - folded into the JobResult

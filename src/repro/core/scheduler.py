@@ -140,7 +140,8 @@ class WorkerSupervisor:
 
 
 def driver_main(
-    comm: Any, job: DataMPIJob, nprocs: int, attempt: int
+    comm: Any, job: DataMPIJob, nprocs: int, attempt: int,
+    telemetry_hub: Any = None,
 ) -> dict[int, WorkerMetrics]:
     """The mpidrun process: spawn workers, serve the control protocol.
 
@@ -155,6 +156,11 @@ def driver_main(
     the runtime — and *any* driver-side failure aborts the worker world
     before propagating: workers can never be left blocked on a dead
     driver.
+
+    ``telemetry_hub`` (None = telemetry off) files the ranks' pulse
+    records and reports, the report last, and tracks world size and
+    rank completion so ``repro top`` shows a status column and honest
+    rollup denominators.
     """
     from repro.core.engine import worker_main
 
@@ -168,13 +174,8 @@ def driver_main(
     supervisor = WorkerSupervisor(nprocs, deadline, attempt=attempt)
     reports: dict[int, WorkerMetrics] = {}
     runtime = comm.runtime
-    # -- live telemetry: pulses carry the records the hub files, and a
-    # rank's report is the last; it tracks world size and rank completion
-    # so `repro top` can show a status column and honest rollup
-    # denominators
-    telemetry_hub = runtime.telemetry_hub
     if telemetry_hub is not None:
-        telemetry_hub.expect(nprocs)
+        telemetry_hub.expect(nprocs, runtime)
     # -- surgical rank recovery plumbing ---------------------------------------
     worker_gids = dict(enumerate(inter.remote_group))
     gid_to_worker = {gid: w for w, gid in worker_gids.items()}

@@ -142,9 +142,6 @@ class BaseRuntime:
         self._failure_records: list[FailureRecord] = []
         self.fault_injector = fault_injector
         self.abort_flag = AbortFlag()
-        #: live TelemetryHub bound by mpidrun's telemetry session (None =
-        #: telemetry off); the driver files the ranks' pulse snapshots here
-        self.telemetry_hub = None
         self._transport = self._make_transport()
 
     def _make_transport(self) -> Transport:

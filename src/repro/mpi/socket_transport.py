@@ -600,48 +600,19 @@ class RouterTransport(Transport):
                 h.origin, h.epoch, sender.epoch,
             )
             return
-        injector = self.fault_injector
-        if injector is None:
-            self._deliver(h, body)
+        if self.fault_injector is not None:
+            # chaos takes the road a driver-local send takes; the frame
+            # re-encoded past it carries epoch 0, which no reader checks
+            self.deposit(h.dest, _decode_envelope(h))
             return
-        # Materialize an Envelope for the injector.  The payload is only
-        # decoded when some rule actually inspects it; otherwise the
-        # router stays metadata-only.
-        obj: Any = None
-        if any(rule.match is not None for rule in injector.rules):
-            obj = wire.decode_payload(h.payload, h.flags)
-        if h.flags & wire.FLAG_TRUNCATED:
-            obj = TruncatedPayload(obj)
-        envelope = Envelope(
-            h.context, h.source, h.tag, obj, h.nbytes, origin=h.origin
-        )
-        for out in injector.apply(h.dest, envelope):
-            flags = h.flags
-            if isinstance(out.payload, TruncatedPayload):
-                flags |= wire.FLAG_TRUNCATED
-            self._deliver(h._replace(
-                context=out.context, source=out.source, tag=out.tag,
-                origin=out.origin, nbytes=out.nbytes, flags=flags,
-            ))
-
-    def _deliver(
-        self, h: wire.EnvelopeHeader, body: bytes | None = None
-    ) -> None:
-        """Hand one worker-sent envelope to its destination: a mailbox
-        hosted here, or the destination rank's connection.  ``body`` is
-        the received frame body when ``h`` is still exactly what it
-        parsed to: the relay then forwards it verbatim — no re-pack, no
-        payload decode (every shuffle byte between workers comes through
-        here)."""
+        # every shuffle byte between workers comes through here: a
+        # mailbox hosted here gets the envelope, a rank's connection the
+        # frame verbatim — no re-pack, no payload decode
         endpoint = self._endpoints.get(h.dest)
         if endpoint is not None:
             endpoint.deposit(_decode_envelope(h))
             return
-        frame = (
-            wire.pack_frame(FrameKind.ENVELOPE, body) if body is not None
-            else h.frame()
-        )
-        self._forward(h.dest, frame, h.context)
+        self._forward(h.dest, wire.pack_frame(FrameKind.ENVELOPE, body), h.context)
 
     def _handle_disconnect(self, conn: FrameConnection) -> None:
         with self._lock:

@@ -2,9 +2,10 @@
 
 The telemetry plane reports symptoms (straggler score, queue depth,
 phase buckets); the profiler explains mechanisms (where the samples
-land).  The :class:`Doctor` closes the loop on the driver side: a daemon
-thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
-**stall signatures** —
+land).  The :class:`Doctor` closes the loop on the driver side: it evaluates
+:class:`~repro.obs.telemetry.TelemetryHub` rollups each time the hub
+files a record (and once more for a live report and at the job's end)
+for **stall signatures** —
 
 * *straggler*: the hub's straggler score (max busy / median busy, where
   busy = compute + partition-sort + merge + checkpoint; waiting phases
@@ -17,9 +18,9 @@ thread watches :class:`~repro.obs.telemetry.TelemetryHub` rollups for
   still and it sent, received and finished nothing.  A rank's phase
   clock always advances (a blocked rank accrues ``communicate``), so
   the clock's total says nothing; frozen busy time and flat counters
-  are the shape of a rank wedged inside a shuffle wait, and
-  automatically trigger an **all-rank stack capture**: the live stacks
-  every running rank's newest pulse carried;
+  are the shape of a rank wedged inside a shuffle wait, and a rank
+  entering the stall (or silent) set triggers one **all-rank stack
+  capture**: the live stacks every running rank's newest pulse carried;
 * *silent*: a rank that stopped reporting entirely (records aged out);
 * *redelivery churn*: recovery counters (respawns, redelivered frames,
   replays dropped) still climbing between evaluations;
@@ -37,21 +38,21 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.logging import get_logger
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import WorkerMetrics, busy_seconds
 from repro.core.modes import default_of
 from repro.obs.profiler import hottest
 
-_log = get_logger("obs.doctor")
-
-__all__ = ["Doctor", "DoctorConfig", "render_report"]
+__all__ = ["Doctor", "render_report"]
 
 #: keep at most this many capture records in a report
 MAX_CAPTURES = 8
+#: busy-time ratio over the median that flags a straggler
+STRAGGLER_THRESHOLD = 2.0
+#: bytes-sent ratio over the median that flags shuffle skew
+SKEW_THRESHOLD = 2.0
 
 # severity bands: stalls are acute, stragglers chronic, the rest hints
 _SEV_STALL = 100.0
@@ -59,18 +60,6 @@ _SEV_SILENT = 90.0
 _SEV_STRAGGLER = 10.0
 _SEV_REDELIVERY = 5.0
 _SEV_SKEW = 1.0
-
-
-@dataclass
-class DoctorConfig:
-    #: evaluation period: every second telemetry record
-    interval: float = 2 * default_of(K.TELEMETRY_INTERVAL_SECONDS)
-    #: busy-time ratio over the median that flags a straggler
-    straggler_threshold: float = 2.0
-    stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS)
-    skew_threshold: float = 2.0
-    #: minimum seconds between automatic captures
-    capture_backoff: float = 2.0
 
 
 def _phase_attribution(record: WorkerMetrics) -> dict[str, Any]:
@@ -108,96 +97,58 @@ def _phase_attribution(record: WorkerMetrics) -> dict[str, Any]:
 
 
 class Doctor:
-    """Driver-side diagnosis engine over a live :class:`TelemetryHub`."""
+    """Driver-side diagnosis engine over a live :class:`TelemetryHub`.
+
+    Keeps no thread: mpidrun installs :meth:`evaluate` as the hub's
+    watcher, so the record stream is the doctor's clock."""
 
     def __init__(
         self,
         hub: Any,
-        config: DoctorConfig | None = None,
+        stall_seconds: float = default_of(K.DOCTOR_STALL_SECONDS),
         job: str = "",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.hub = hub
-        self.config = config or DoctorConfig()
+        self.stall_seconds = stall_seconds
         self.job = job
         self._clock = clock
-        self._lock = threading.Lock()
+        # re-entrant: an evaluation that fires a capture holds it already
+        self._lock = threading.RLock()
         #: rank -> (last observed progress signal, clock when it last moved)
         self._progress: dict[int, tuple[tuple, float]] = {}
         self._recovery_last: dict[str, int] = {}
-        self._recovery_churn: dict[str, int] = {}
+        #: ranks in the stall/silent set at the last evaluation
+        self._stuck: set[int] = set()
         self._captures: list[dict] = []
         self._findings: list[dict] = []
-        self._last_capture = 0.0
         self.evaluations = 0
-        self._stop: threading.Event | None = None
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle -------------------------------------------------------------
-    def start(self) -> "Doctor":
-        # interval <= 0: telemetry is off, there is nothing to watch until
-        # the final evaluation of ``close``
-        if self._thread is None and self.config.interval > 0:
-            self._stop = threading.Event()
-            self._thread = threading.Thread(
-                target=self._loop, args=(self._stop,),
-                name="datampi-doctor", daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        stop, thread = self._stop, self._thread
-        self._stop = self._thread = None
-        if stop is not None:
-            stop.set()
-        if thread is not None:
-            thread.join(timeout=5)
-
-    def close(self) -> dict:
-        """Stop the loop, run one final evaluation, return the report."""
-        self.stop()
-        try:
-            self.evaluate()
-        except Exception:  # noqa: BLE001 - a report beats a perfect report
-            _log.exception("doctor: final evaluation failed")
-        return self.report()
-
-    def _loop(self, stop: threading.Event) -> None:
-        while not stop.wait(self.config.interval):
-            try:
-                findings = self.evaluate()
-            except Exception:  # noqa: BLE001 - diagnosis never kills the driver
-                _log.exception("doctor: evaluation failed")
-                continue
-            if any(f["kind"] == "stall" for f in findings):
-                now = self._clock()
-                if now - self._last_capture >= self.config.capture_backoff:
-                    self._last_capture = now
-                    try:
-                        self.capture("stall detected")
-                    except Exception:  # noqa: BLE001
-                        _log.exception("doctor: capture failed")
 
     # -- diagnosis -------------------------------------------------------------
     def evaluate(self) -> list[dict]:
-        """One evaluation pass; returns (and stores) ranked findings."""
-        rows = self.hub.per_rank()
-        rollups = self.hub.rollups()
-        now = self._clock()
-        findings: list[dict] = []
-        findings.extend(self._check_stalls(rows, now))
-        findings.extend(self._check_straggler(rows, rollups))
-        findings.extend(self._check_redelivery(rollups))
-        findings.extend(self._check_skew(rollups))
-        findings.sort(key=lambda f: -f["severity"])
+        """One evaluation pass; returns (and stores) ranked findings.  A
+        rank entering the stall/silent set fires one capture: a rank that
+        stays wedged is captured once, not once per record."""
         with self._lock:
+            rows = self.hub.per_rank()
+            rollups = self.hub.rollups()
+            findings: list[dict] = []
+            findings.extend(self._check_stalls(rows, self._clock()))
+            findings.extend(self._check_straggler(rows, rollups))
+            findings.extend(self._check_redelivery(rollups))
+            findings.extend(self._check_skew(rollups))
+            findings.sort(key=lambda f: -f["severity"])
             self._findings = findings
             self.evaluations += 1
+            stuck = {
+                f["rank"] for f in findings if f["kind"] in ("stall", "silent")
+            }
+            entered, self._stuck = stuck - self._stuck, stuck
+            if entered:
+                self.capture("stall detected")
         return findings
 
     def _check_stalls(self, rows: list[dict], now: float) -> list[dict]:
-        cfg = self.config
         findings: list[dict] = []
         for row in rows:
             rank = row["rank"]
@@ -215,10 +166,10 @@ class Doctor:
                 self._progress[rank] = (progress, now)
                 continue
             stuck_for = now - held[1]
-            if stuck_for < cfg.stall_seconds:
+            if stuck_for < self.stall_seconds:
                 continue
             wall = float(row["wall_seconds"])
-            silent = row["age_s"] > max(cfg.stall_seconds, 3.0)
+            silent = row["age_s"] > max(self.stall_seconds, 3.0)
             kind = "silent" if silent else "stall"
             attribution = self._attribution_for(rank)
             findings.append({
@@ -253,7 +204,7 @@ class Doctor:
         # the hub's score (busy time, slowest over median): the number
         # `repro top` and the Prometheus family show
         score = float(rollups.get("straggler_score", 0.0) or 0.0)
-        if not rows or score < self.config.straggler_threshold:
+        if not rows or score < STRAGGLER_THRESHOLD:
             return []
         slow = max(rows, key=lambda row: busy_seconds(row["phase_times"]))
         attribution = self._attribution_for(slow["rank"])
@@ -271,7 +222,7 @@ class Doctor:
             )
             + f" — straggler score {score:.1f}x"
         )
-        if shuffle_skew >= self.config.skew_threshold:
+        if shuffle_skew >= SKEW_THRESHOLD:
             summary += f", shuffle skew {shuffle_skew:.1f}x"
         return [{
             "kind": "straggler",
@@ -300,8 +251,6 @@ class Doctor:
             if v > self._recovery_last.get(k, 0)
         }
         self._recovery_last = recovery
-        if churn:
-            self._recovery_churn = churn
         if not churn:
             return []
         desc = ", ".join(f"{k} +{v}" for k, v in sorted(churn.items()))
@@ -315,7 +264,7 @@ class Doctor:
 
     def _check_skew(self, rollups: dict) -> list[dict]:
         skew = float(rollups.get("shuffle_skew", 0.0) or 0.0)
-        if skew < self.config.skew_threshold:
+        if skew < SKEW_THRESHOLD:
             return []
         return [{
             "kind": "shuffle-skew",
@@ -376,9 +325,9 @@ class Doctor:
             "ts": time.time(),
             "evaluations": evaluations,
             "thresholds": {
-                "straggler": self.config.straggler_threshold,
-                "stall_seconds": self.config.stall_seconds,
-                "skew": self.config.skew_threshold,
+                "straggler": STRAGGLER_THRESHOLD,
+                "stall_seconds": self.stall_seconds,
+                "skew": SKEW_THRESHOLD,
             },
             "findings": findings,
             "captures": captures,
@@ -396,9 +345,15 @@ class Doctor:
         return path
 
     def rpc_target(self) -> dict[str, Callable]:
-        """Extra handlers merged into the telemetry RPC endpoint."""
+        """Extra handlers merged into the telemetry RPC endpoint.  A live
+        report evaluates first: a rank silent since the last record
+        filed shows up."""
+        def report_now() -> dict:
+            self.evaluate()
+            return self.report()
+
         return {
-            "doctor_report": self.report,
+            "doctor_report": report_now,
             "doctor_capture": lambda: self.capture("rpc request"),
         }
 

@@ -23,6 +23,7 @@ a named track; counters render as counter tracks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -150,12 +151,19 @@ _SEND_KEY = ("plane", "origin", "epoch", "dest", "seq")
 _RECV_KEY = ("plane", "origin", "epoch", "rank", "seq")
 
 
-def _coordinates(event: dict, fields: tuple[str, ...]) -> tuple | None:
-    """The span's values of ``fields``; None when it lacks one."""
+def _coordinates(
+    event: dict, fields: tuple[str, ...], restarts: list[float]
+) -> tuple | None:
+    """The span's attempt and its values of ``fields``; None when it
+    lacks one.  A whole-job restart reruns every stream from seq 0 at
+    epoch 0, so the attempt is a coordinate too: the number of
+    ``job.restart`` instants before the span (mpidrun records one only
+    after the failed attempt's ranks have all joined)."""
     args = event.get("args") or {}
     if not all(f in args for f in fields):
         return None
-    return tuple(args[f] for f in fields)
+    attempt = bisect_right(restarts, event.get("ts", 0.0))
+    return (attempt, *(args[f] for f in fields))
 
 
 def to_chrome_trace(journal: Journal) -> dict:
@@ -169,16 +177,20 @@ def to_chrome_trace(journal: Journal) -> dict:
     (``ph: s``), and the ``shuffle.recv.batch`` span that filed the same
     envelope a binding flow finish (``ph: f``, ``bp: e``) with the same
     id.  Nothing in a message links the two: both spans name the
-    envelope by its stream coordinates (:data:`_SEND_KEY`,
+    envelope by its attempt and stream coordinates (:data:`_SEND_KEY`,
     :data:`_RECV_KEY`) and each sent envelope gets one dense id here.
     Perfetto renders these as arrows from each send to its receive —
     cross-rank causal traces.  A span missing a coordinate gets no
     arrow.
     """
+    restarts = sorted(
+        e.get("ts", 0.0) for e in journal.events
+        if e.get("ph") == "i" and e.get("name") == "job.restart"
+    )
     flows: dict[tuple, int] = {}
     for event in journal.spans:
         if event.get("name") == "shuffle.send":
-            key = _coordinates(event, _SEND_KEY)
+            key = _coordinates(event, _SEND_KEY, restarts)
             if key is not None:
                 flows.setdefault(key, len(flows) + 1)
 
@@ -231,7 +243,7 @@ def to_chrome_trace(journal: Journal) -> dict:
             # whether the recv span follows the send (process backend)
             # or nests inside it (thread backend: the sender files it)
             if out["name"] == "shuffle.send":
-                flow = flows.get(_coordinates(event, _SEND_KEY))
+                flow = flows.get(_coordinates(event, _SEND_KEY, restarts))
                 if flow:
                     trace_events.append(
                         {
@@ -241,7 +253,7 @@ def to_chrome_trace(journal: Journal) -> dict:
                         }
                     )
             elif out["name"] == "shuffle.recv.batch":
-                flow = flows.get(_coordinates(event, _RECV_KEY))
+                flow = flows.get(_coordinates(event, _RECV_KEY, restarts))
                 if flow:
                     end_ts = round(
                         (event.get("ts", 0.0) + event.get("dur", 0.0)) * 1e6, 3

@@ -40,6 +40,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.common.logging import get_logger
 from repro.common.stats import percentile
 from repro.core.metrics import (
     COVERAGE_PHASES,
@@ -49,6 +50,8 @@ from repro.core.metrics import (
 )
 
 __all__ = ["TelemetryHub", "format_top_table", "COVERAGE_PHASES"]
+
+_log = get_logger("obs.telemetry")
 
 
 def _escape_label_value(value: Any) -> str:
@@ -85,8 +88,9 @@ class TelemetryHub:
     next to (not under) its successor's.  ``latest()`` surfaces the
     highest epoch per rank.
 
-    Thread-safe: router reader threads ingest while RPC handler threads
-    scrape.
+    Thread-safe: the driver ingests while RPC handler threads scrape.
+    ``watcher`` (mpidrun installs the doctor's ``evaluate``) runs after
+    every filed record, outside the hub's lock.
     """
 
     def __init__(self, job: str = "") -> None:
@@ -97,19 +101,20 @@ class TelemetryHub:
         self._done: set[int] = set()
         self._expected = 0
         self._runtime: Any = None
+        #: called with no argument after each filed record (None = none)
+        self.watcher: Callable[[], Any] | None = None
         self.job = job
         self.snapshots_ingested = 0
         self._t0 = time.time()
 
     # -- wiring ---------------------------------------------------------------
-    def bind_runtime(self, runtime: Any) -> None:
-        """Read live recovery counters off this runtime at scrape time."""
-        self._runtime = runtime
-
-    def expect(self, nprocs: int) -> None:
-        """The scheduler announces the world size (rollup denominators)."""
+    def expect(self, nprocs: int, runtime: Any = None) -> None:
+        """The scheduler announces an attempt: its world size (rollup
+        denominators) and its runtime, whose live recovery counters the
+        rollups read at scrape time."""
         with self._lock:
             self._expected = nprocs
+            self._runtime = runtime
             self._done.clear()
 
     def mark_done(self, rank: int) -> None:
@@ -120,7 +125,8 @@ class TelemetryHub:
     # -- write path -----------------------------------------------------------
     def ingest(self, record: WorkerMetrics) -> None:
         """File one record (mpidrun's serve loop: a pulse's, or the
-        rank's final report)."""
+        rank's final report), then run the watcher; a failing watcher
+        costs its evaluation, never the driver."""
         if not isinstance(record, WorkerMetrics):
             return
         key = (record.rank, record.epoch)
@@ -128,6 +134,11 @@ class TelemetryHub:
             self._series[key] = record
             self._filed[key] = self._filed.get(key, 0) + 1
             self.snapshots_ingested += 1
+        if self.watcher is not None:
+            try:
+                self.watcher()
+            except Exception:  # noqa: BLE001 - diagnosis never kills the driver
+                _log.exception("telemetry watcher failed")
 
     # -- read path ------------------------------------------------------------
     def series_keys(self) -> list[tuple[int, int]]:

@@ -117,6 +117,14 @@ def test_restart_delay_stays_within_the_cap(attempt, backoff, jitter, seed):
     assert 0.0 <= delay <= _MAX_BACKOFF * (1 + jitter)
 
 
+def test_restart_delay_takes_any_attempt_number():
+    # mpi.d.job.max.restarts past a thousand: 2 ** 1099 overflows a float
+    assert restart_delay(1100, 0.1) == _MAX_BACKOFF
+    assert restart_delay(1100, 0.0) == 0.0
+    jittered = restart_delay(10**6, 0.1, 0.25, random.Random(7))
+    assert 0.75 * _MAX_BACKOFF <= jittered <= 1.25 * _MAX_BACKOFF
+
+
 # -- the vocabulary ----------------------------------------------------------------
 
 

@@ -186,10 +186,7 @@ class TestADefaultIsWrittenOnce:
         assert named <= set(keys.values())
 
     def test_derived_periods_keep_the_pairs_the_keys_had(self):
-        from repro.obs.doctor import DoctorConfig
-
         assert default_of(K.HEARTBEAT_DEADLINE_SECONDS) / 30 == 0.5
-        assert DoctorConfig().interval == 0.5
 
 
 class TestJobValidation:

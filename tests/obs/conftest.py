@@ -16,19 +16,18 @@ def captured_hub(monkeypatch):
     under ``"records"`` every record it files, in filing order (the hub
     keeps only the newest of each series)."""
     captured = {"records": []}
-    orig = _mpidrun_mod._TelemetrySession.attach
+    orig = _mpidrun_mod._TelemetrySession.__init__
 
-    def attach(self, runtime):
+    def init(self, job, conf):
+        orig(self, job, conf)
         hub = captured["hub"] = self.hub
-        if "ingest" not in vars(hub):
-            ingest = hub.ingest
+        ingest = hub.ingest
 
-            def spy(record):
-                captured["records"].append(record)
-                ingest(record)
+        def spy(record):
+            captured["records"].append(record)
+            ingest(record)
 
-            hub.ingest = spy
-        orig(self, runtime)
+        hub.ingest = spy
 
-    monkeypatch.setattr(_mpidrun_mod._TelemetrySession, "attach", attach)
+    monkeypatch.setattr(_mpidrun_mod._TelemetrySession, "__init__", init)
     return captured

@@ -24,8 +24,9 @@ import pytest
 from repro.core import DataMPIJob, Mode, mapreduce_job, mpidrun
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.metrics import WorkerMetrics
+from repro.core.modes import default_of
 from repro.mpi import FaultInjector
-from repro.obs.doctor import Doctor, DoctorConfig, render_report
+from repro.obs.doctor import Doctor, render_report
 from repro.obs.telemetry import TelemetryHub
 
 from tests.core.helpers import (
@@ -54,10 +55,7 @@ class TestStallSignature:
     def make(self, stall_seconds=5.0):
         hub = TelemetryHub()
         now = [0.0]
-        doctor = Doctor(
-            hub, DoctorConfig(stall_seconds=stall_seconds),
-            clock=lambda: now[0],
-        )
+        doctor = Doctor(hub, stall_seconds, clock=lambda: now[0])
         return hub, doctor, now
 
     def test_frozen_phase_clock_with_live_snapshots_is_a_stall(self):
@@ -136,7 +134,7 @@ class TestStragglerSignature:
                 "communicate": {"engine.run;plane.wait": 18},
             },
         }))
-        doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
+        doctor = Doctor(hub)
         findings = doctor.evaluate()
         assert findings[0]["kind"] == "straggler"  # outranks the skew hint
         assert findings[0]["rank"] == 2
@@ -154,7 +152,7 @@ class TestStragglerSignature:
         hub.ingest(_record(0, wall=1.0))
         hub.ingest(_record(1, wall=1.0))
         hub.ingest(_record(2, wall=9.0))  # no profile summary attached
-        doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
+        doctor = Doctor(hub)
         findings = [f for f in doctor.evaluate() if f["kind"] == "straggler"]
         assert findings[0]["details"]["source"] == "phases"
         assert findings[0]["details"]["phase"] == "compute"
@@ -164,7 +162,7 @@ class TestStragglerSignature:
         hub = TelemetryHub()
         hub.ingest(_record(0, wall=1.0))
         hub.ingest(_record(1, wall=1.5))
-        doctor = Doctor(hub, DoctorConfig(straggler_threshold=2.0))
+        doctor = Doctor(hub)
         assert [f for f in doctor.evaluate() if f["kind"] == "straggler"] == []
 
 
@@ -186,11 +184,81 @@ class TestQueueAndChurnSignatures:
                 return {}
 
         hub = _ScriptedHub()
-        doctor = Doctor(hub, DoctorConfig())
+        doctor = Doctor(hub)
         (finding,) = doctor.evaluate()
         assert finding["kind"] == "redelivery-churn"
         assert "respawns +1" in finding["summary"]
         assert doctor.evaluate() == []  # counters flat -> churn over
+
+
+# -- the record stream is the doctor's clock ---------------------------------------
+
+
+def _watched(stall_seconds=5.0):
+    """A hub whose every filed record runs the doctor, as mpidrun wires
+    them, on a clock the test moves."""
+    hub = TelemetryHub(job="wc")
+    now = [0.0]
+    doctor = Doctor(hub, stall_seconds, job="wc", clock=lambda: now[0])
+    hub.watcher = doctor.evaluate
+    return hub, doctor, now
+
+
+_WEDGED = [{"name": "engine-0", "phase": "communicate",
+            "stack": ["shuffle.wait_complete:178"]}]
+
+
+class TestRecordDrivenEvaluation:
+    def test_each_filed_record_runs_one_evaluation(self):
+        hub, doctor, _ = _watched()
+        hub.ingest(_record(0))
+        assert doctor.evaluations == 1
+        hub.ingest(_record(1))
+        hub.ingest("not a record")  # filed nothing, evaluates nothing
+        assert doctor.evaluations == 2
+
+    def test_a_stall_episode_fires_one_capture(self):
+        hub, doctor, now = _watched(stall_seconds=5.0)
+        for t in range(30):  # wedged well past the window, record after record
+            now[0] = float(t)
+            hub.ingest(_record(0, wall=1.0, stacks=_WEDGED))
+        captures = doctor.report()["captures"]
+        assert [c["reason"] for c in captures] == ["stall detected"]
+        assert captures[0]["dumps"][0]["threads"] == _WEDGED
+        hub.ingest(_record(0, wall=2.0, stacks=_WEDGED))  # the wait returned
+        assert doctor.report()["findings"] == []
+        for t in range(30, 40):  # and wedged again
+            now[0] = float(t)
+            hub.ingest(_record(0, wall=2.0, stacks=_WEDGED))
+        captures = doctor.report()["captures"]
+        assert [c["reason"] for c in captures] == ["stall detected"] * 2
+        assert doctor.evaluations == 41
+
+    def test_a_rank_entering_a_stall_beside_a_stuck_one_is_captured(self):
+        hub, doctor, now = _watched(stall_seconds=5.0)
+        for t in range(10):
+            now[0] = float(t)
+            hub.ingest(_record(0, wall=1.0, stacks=_WEDGED))
+            hub.ingest(_record(1, wall=1.0 + t))  # rank 1 still works
+        assert len(doctor.report()["captures"]) == 1
+        for t in range(10, 20):
+            now[0] = float(t)
+            hub.ingest(_record(0, wall=1.0, stacks=_WEDGED))
+            hub.ingest(_record(1, wall=10.0))  # now rank 1 stands still too
+        assert {f["rank"] for f in doctor.report()["findings"]} == {0, 1}
+        assert len(doctor.report()["captures"]) == 2
+
+    def test_a_failing_watcher_costs_its_evaluation_not_the_ingest(self):
+        hub = TelemetryHub()
+
+        def explode():
+            raise RuntimeError("diagnosis bug")
+
+        hub.watcher = explode
+        hub.ingest(_record(0))
+        hub.ingest(_record(1))
+        assert sorted(hub.latest()) == [0, 1]
+        assert hub.snapshots_ingested == 2
 
 
 # -- captures ---------------------------------------------------------------------
@@ -206,7 +274,7 @@ class TestCapture:
             {"name": "engine-3", "phase": "communicate",
              "stack": ["shuffle.wait_complete:178"]},
         ]))
-        doctor = Doctor(hub, DoctorConfig())
+        doctor = Doctor(hub)
         record = doctor.capture("unit test")
         assert record["reason"] == "unit test"
         (dump,) = record["dumps"]
@@ -230,19 +298,19 @@ class TestCapture:
         ]))
         hub.ingest(_record(2, tasks=[{"task_id": 0}]))  # its report
         hub.mark_done(2)
-        record = Doctor(hub, DoctorConfig()).capture("unit test")
+        record = Doctor(hub).capture("unit test")
         assert [d["rank"] for d in record["dumps"]] == [0, 1]
         assert [d["threads"][0]["name"] for d in record["dumps"]] == ["w0", "w1"]
 
     def test_report_write_is_valid_json(self, tmp_path):
-        doctor = Doctor(TelemetryHub(), DoctorConfig(), job="wc")
+        doctor = Doctor(TelemetryHub(), job="wc")
         doctor.evaluate()
         path = doctor.write_report(str(tmp_path / "doctor.json"))
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
         assert doc["job"] == "wc"
         assert doc["evaluations"] == 1
-        assert doc["thresholds"]["stall_seconds"] == DoctorConfig().stall_seconds
+        assert doc["thresholds"]["stall_seconds"] == default_of(K.DOCTOR_STALL_SECONDS)
         assert "no findings: all ranks healthy" in render_report(doc)
 
 
@@ -366,7 +434,7 @@ class TestDoctorEndToEnd:
         """O tasks that compute for three stall windows before they emit
         are progress (their ``compute`` bucket moves while they run), not
         a wedge: no stall finding — which would have fired a capture the
-        moment the doctor's loop saw it — and none in the final report."""
+        moment an evaluation saw it — and none in the final report."""
         job = DataMPIJob(
             name="long-wc", o_fn=_long_healthy_o, a_fn=_noop_a,
             o_tasks=2, a_tasks=2, mode=Mode.MAPREDUCE,
@@ -457,29 +525,41 @@ class TestEndpointCleanup:
 
 
 @pytest.fixture
-def served_doctor(tmp_path):
-    """A live endpoint whose RPC target includes the doctor handlers."""
+def serve(tmp_path):
+    """Serve a hub, and a doctor if given, on a live endpoint; returns
+    the endpoint file's path."""
     from repro.rpc.server import SocketRpcServer
 
+    servers = []
+
+    def start(hub, doctor=None):
+        target = {**hub.rpc_target(), **(doctor.rpc_target() if doctor else {})}
+        server = SocketRpcServer(target, num_handlers=2, name="test-doctor")
+        server.start()
+        servers.append(server)
+        endpoint = tmp_path / f"job{len(servers)}.endpoint"
+        address = server.address
+        endpoint.write_text(json.dumps({
+            "address": list(address) if isinstance(address, tuple) else address,
+            "job": hub.job, "pid": os.getpid(),
+        }))
+        return str(endpoint)
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def served_doctor(serve):
+    """A live endpoint whose RPC target includes the doctor handlers."""
     hub = TelemetryHub(job="wc")
     hub.ingest(_record(0, wall=1.0))
     hub.ingest(_record(1, wall=1.0))
     hub.ingest(_record(2, wall=9.0))
-    doctor = Doctor(hub, DoctorConfig(), job="wc")
+    doctor = Doctor(hub, job="wc")
     doctor.evaluate()
-    server = SocketRpcServer(
-        {**hub.rpc_target(), **doctor.rpc_target()},
-        num_handlers=2, name="test-doctor",
-    )
-    server.start()
-    endpoint = tmp_path / "job.endpoint"
-    address = server.address
-    endpoint.write_text(json.dumps({
-        "address": list(address) if isinstance(address, tuple) else address,
-        "job": "wc", "pid": os.getpid(),
-    }))
-    yield str(endpoint), doctor
-    server.stop()
+    return serve(hub, doctor), doctor
 
 
 class TestDoctorCli:
@@ -503,7 +583,7 @@ class TestDoctorCli:
     def test_doctor_reads_a_written_report(self, tmp_path, capsys):
         from repro.cli import main
 
-        doctor = Doctor(TelemetryHub(), DoctorConfig(), job="wc")
+        doctor = Doctor(TelemetryHub(), job="wc")
         doctor.evaluate()
         path = doctor.write_report(str(tmp_path / "doctor.json"))
         assert main(["doctor", path]) == 0
@@ -519,25 +599,25 @@ class TestDoctorCli:
         assert main(["doctor", str(tmp_path / "missing.endpoint")]) == 2
         assert "no such endpoint file or socket" in capsys.readouterr().err
 
-    def test_doctor_explains_a_doctorless_job(self, tmp_path, capsys):
+    def test_doctor_explains_a_doctorless_job(self, serve, capsys):
         from repro.cli import main
-        from repro.rpc.server import SocketRpcServer
 
-        hub = TelemetryHub(job="wc")
-        server = SocketRpcServer(hub.rpc_target(), num_handlers=2,
-                                 name="test-no-doctor")
-        server.start()
-        endpoint = tmp_path / "job.endpoint"
-        address = server.address
-        endpoint.write_text(json.dumps({
-            "address": list(address) if isinstance(address, tuple) else address,
-            "job": "wc", "pid": os.getpid(),
-        }))
-        try:
-            assert main(["doctor", str(endpoint)]) == 2
-            assert "no diagnosis engine" in capsys.readouterr().err
-        finally:
-            server.stop()
+        assert main(["doctor", serve(TelemetryHub(job="wc"))]) == 2
+        assert "no diagnosis engine" in capsys.readouterr().err
+
+    def test_a_live_report_names_a_rank_silent_since_its_last_record(
+        self, serve, capsys
+    ):
+        from repro.cli import main
+
+        hub, doctor, now = _watched(stall_seconds=5.0)
+        hub.ingest(_record(0, wall=1.0, ts=time.time() - 30))  # its last word
+        assert doctor.report()["findings"] == []
+        now[0] = 10.0  # and nothing filed since: only the report evaluates
+        assert main(["doctor", serve(hub, doctor), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(f["kind"], f["rank"]) for f in doc["findings"]] == [("silent", 0)]
+        assert doc["evaluations"] == 2
 
 
 class TestDoctorFlag:

@@ -160,6 +160,23 @@ class TestFlowArrows:
         start_ts = {e["id"]: e["ts"] for e in starts}
         assert [start_ts[e["id"]] for e in finishes] == [0.0, 1.0e6]
 
+    def test_two_attempts_of_one_stream_get_two_ids(self):
+        # a whole-job restart reruns the stream from seq 0 at epoch 0;
+        # the job.restart instant between the attempts tells them apart
+        restart = {"ph": "i", "ts": 1.0, "name": "job.restart",
+                   "cat": "failure", "tid": "MainThread", "rank": -1,
+                   "args": {"attempt": 2, "backoff_seconds": 0.0}}
+        starts, finishes = _flows([
+            _send(0.0, rank=0, dest=1, seq=0),
+            _recv(0.5, rank=1, origin=0, seq=0),
+            restart,
+            _send(1.5, rank=0, dest=1, seq=0),
+            _recv(2.0, rank=1, origin=0, seq=0),
+        ])
+        assert len({e["id"] for e in starts}) == 2
+        start_ts = {e["id"]: e["ts"] for e in starts}
+        assert [start_ts[e["id"]] for e in finishes] == [0.0, 1.5e6]
+
     def test_a_receive_without_its_send_gets_no_arrow(self):
         # the first life's send spans died with it
         starts, finishes = _flows([_recv(0.5, rank=1, origin=0, seq=0)])

@@ -16,6 +16,7 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -495,6 +496,38 @@ class TestTraceShardsAndFlows:
             assert send["ts"] <= recv["ts"]
             assert recv["ts"] + recv["dur"] <= send["ts"] + send["dur"]
             assert recv["args"]["rank"] == send["args"]["dest"]
+
+    def test_a_restarted_job_links_each_attempt_apart(self, tmp_path, launcher):
+        # a whole-job restart reruns every stream from seq 0 at epoch 0:
+        # only the attempt tells the two lives of one stream apart
+        texts = [f"w{i % 11} x{i % 5} restart" for i in range(120)]
+        provider, mapper, reducer = wordcount_pieces(texts)
+        out = FileCollector(tmp_path / "out")
+        job = mapreduce_job(
+            "restart-flow", provider, mapper, reducer, out,
+            o_tasks=4, a_tasks=3,
+            conf={
+                K.LAUNCHER: launcher,
+                K.TRACE_PATH: str(tmp_path / "restart.trace.jsonl"),
+                K.FT_ENABLED: True,
+                K.FT_DIR: str(tmp_path / "ft"),
+                K.JOB_MAX_RESTARTS: 1,
+                K.RESTART_BACKOFF_SECONDS: 0.0,
+                K.INJECT_CRASH_TASK: 1,
+                K.INJECT_CRASH_AFTER_RECORDS: 60,
+                K.SHUFFLE_BATCH_BYTES: 256,
+                K.SPL_PARTITION_BYTES: 256,
+            },
+        )
+        result = mpidrun(job, nprocs=3, timeout=120.0, raise_on_error=True)
+        assert result.restarts == 1
+        assert out.merged() == expected_wordcount(texts)
+        events = to_chrome_trace(read_journal(result.trace_path))["traceEvents"]
+        starts = Counter(e["id"] for e in events if e["ph"] == "s")
+        finishes = Counter(e["id"] for e in events if e["ph"] == "f")
+        assert starts and finishes
+        assert max(starts.values()) == 1
+        assert max(finishes.values()) == 1
 
 
 # -- recovery counters in repro trace ---------------------------------------------
