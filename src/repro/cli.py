@@ -244,7 +244,6 @@ def _write_metrics_json(result: JobResult, path: str) -> None:
     payload = {
         "name": result.name,
         "success": result.success,
-        "restarts": result.restarts,
         "trace_path": result.trace_path,
         **result.metrics.as_dict(),
     }

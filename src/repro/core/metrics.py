@@ -247,7 +247,8 @@ class JobMetrics(Counters):
     respawns: int = 0
     #: frames replayed to reborn ranks from the redelivery buffer
     redelivered_frames: int = 0
-    #: zombie-incarnation frames fenced at the router by epoch
+    #: zombie-incarnation frames fenced at the router (their connection
+    #: no longer holds the rank)
     stale_frames_dropped: int = 0
     #: per-phase seconds summed across workers (Fig. 5's breakdown)
     phase_times: dict = field(default_factory=dict)
@@ -280,8 +281,6 @@ class JobResult:
     success: bool
     metrics: JobMetrics = field(default_factory=JobMetrics)
     error: str = ""
-    #: automatic restarts consumed (0 = succeeded or failed first try)
-    restarts: int = 0
     #: structured :class:`~repro.common.errors.FailureRecord` history across
     #: all attempts — empty for a clean run, populated even on success when
     #: the job recovered from failures
@@ -293,6 +292,12 @@ class JobResult:
     doctor: dict = field(default_factory=dict)
     #: doctor.json path ("" when the doctor was off)
     doctor_path: str = ""
+
+    @property
+    def restarts(self) -> int:
+        """Automatic restarts consumed (0 = succeeded or failed first
+        try), as the metrics record them."""
+        return self.metrics.restarts
 
     @property
     def a_data_locality(self) -> float:

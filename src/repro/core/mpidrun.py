@@ -218,7 +218,6 @@ class _TraceSession:
         if result is not None:
             summary.update(result.metrics.as_dict())
             summary["success"] = result.success
-            summary["restarts"] = result.restarts
             summary["failures"] = [f.as_dict() for f in result.failures]
         reports = reports or {}
         summary["workers"] = [reports[rank].as_dict() for rank in sorted(reports)]
@@ -446,9 +445,8 @@ def mpidrun(
                     name=job.name,
                     success=False,
                     error=error,
-                    restarts=attempt - 1,
                     failures=list(ledger.records),
-                    metrics=JobMetrics(**recovery),
+                    metrics=JobMetrics(restarts=attempt - 1, **recovery),
                 )
                 break
             add_recovery(runtime)
@@ -479,7 +477,6 @@ def mpidrun(
                 name=job.name,
                 success=True,
                 metrics=metrics,
-                restarts=attempt - 1,
                 failures=list(ledger.records),
             )
             break

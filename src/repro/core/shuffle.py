@@ -22,12 +22,12 @@ when it reaches ``batch_bytes`` and at the EOS, which folds into its
 last envelope; a pipelined plane's streams leave at the end of the call
 that touched them, so nothing waits for a later seal.
 
-Two message kinds travel on ``SHUFFLE_TAG``:
-
-* ``("batch", plane, (seq, origin, blocks, eos))`` — envelope ``seq`` of
-  the stream ``origin`` sends this process on ``plane``;
-* ``("reset", plane, (origin, epoch))`` — a reborn ``origin`` restarts
-  that stream from seq 0 (rank recovery only).
+One message kind travels on ``SHUFFLE_TAG``:
+``("batch", plane, (seq, origin, epoch, blocks, eos))`` — envelope
+``seq`` of the stream ``origin`` sends this process on ``plane``, from
+its incarnation ``epoch``.  A batch at a higher epoch than its stream's
+tells the receiver that a reborn ``origin`` restarted the stream from
+seq 0 (rank recovery only).
 
 Each stream has one record on each side: :class:`_Outbound` (sender) and
 :class:`_Channel` (receiver, the exactly-once rule); neither touches a
@@ -275,11 +275,12 @@ class _Channel:
     and raises instead of producing short output.  ``staging`` (rank
     recovery armed) holds accepted blocks until the origin's EOS commits
     the stream whole, so a stream cut short by a death leaves nothing
-    half-applied: a :meth:`reset` discards it, and once it committed every
-    later envelope is a :data:`REPLAY` — a reborn origin need not seal what
-    its first life sealed (FCFS task order, the Streaming clock), so a
-    replay never lines up with the first life seq by seq.  Without
-    staging blocks are released at once, nothing commits.
+    half-applied: a :meth:`reset` (a batch at a higher epoch) discards
+    it, and once it committed every later envelope is a :data:`REPLAY` —
+    a reborn origin need not seal what its first life sealed (FCFS task
+    order, the Streaming clock), so a replay never lines up with the
+    first life seq by seq.  Without staging blocks are released at
+    once, nothing commits.
     """
 
     __slots__ = ("staging", "epoch", "last", "staged", "committed")
@@ -356,7 +357,7 @@ class ShuffleService:
         self.duplicates_dropped = 0
         self.replays_dropped = 0
         # rank recovery (process backend): this incarnation's epoch (> 0 after
-        # a respawn: streams open with a reset) and whether channels stage
+        # a respawn; every batch names it) and whether channels stage
         self.epoch = world.runtime.rank_epoch
         self.recovery = world.runtime.rank_recovery
         #: the receive side of every stream, by (plane, origin)
@@ -449,12 +450,7 @@ class ShuffleService:
         seq, blocks, nbytes = out.take()
         with phase("communicate"):
             trace_t0 = _T.clock() if _T.enabled else 0.0
-            if seq == 0 and self.recovery and self.epoch > 0:
-                # reborn incarnation: the receiver's channel must restart
-                # from seq 0 at this epoch before the stream's first batch
-                reset = ("reset", plane_id, (self.rank, self.epoch))
-                self.world.send(reset, dest=dest, tag=SHUFFLE_TAG)
-            batch = ("batch", plane_id, (seq, self.rank, blocks, eos))
+            batch = ("batch", plane_id, (seq, self.rank, self.epoch, blocks, eos))
             self.world.send(batch, dest=dest, tag=SHUFFLE_TAG)
         self.envelopes_sent += 1
         self.blocks_sent += len(blocks)
@@ -491,17 +487,15 @@ class ShuffleService:
             if isinstance(message, TruncatedPayload):
                 raise DataMPIError(f"truncated envelope {message!r}: corrupt data")
             kind, plane_id, payload = message
-            if kind == "reset":
-                origin, epoch = payload
-                channel = self._channels[plane_id, origin]
-                if channel.reset(epoch):
-                    _note("shuffle.stream_reset", "recovery", plane_id, origin,
-                          epoch=epoch, committed=channel.committed)
-                return
             if kind != "batch":
                 raise DataMPIError(f"unknown shuffle message kind {kind!r}")
-            seq, origin, blocks, eos = payload
+            seq, origin, epoch, blocks, eos = payload
             channel = self._channels[plane_id, origin]
+            if epoch > channel.epoch:
+                # a reborn origin restarted the stream from seq 0
+                channel.reset(epoch)
+                _note("shuffle.stream_reset", "recovery", plane_id, origin,
+                      epoch=epoch, committed=channel.committed)
             trace_t0 = _T.clock() if _T.enabled else 0.0
             try:
                 verdict = channel.accept(seq, blocks, eos)

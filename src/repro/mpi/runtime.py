@@ -447,7 +447,7 @@ class ProcessRuntime(BaseRuntime):
             return None
         epoch, old_pid = verdict
         # make sure the old incarnation is dead before its successor
-        # speaks — its future frames are fenced by epoch regardless
+        # speaks — its connection no longer holds the rank regardless
         _sigkill(old_pid)
         launched = fork_worker(dataclasses.replace(spec, epoch=epoch))
         with self._lock:
@@ -475,8 +475,7 @@ class ProcessRuntime(BaseRuntime):
         inter_context = self.allocate_context()
         world_context = self.allocate_context()
         group = self._allocate_ranks(nprocs, register=False)
-        self._transport.expect(group, name)
-        self._transport.watch_world(group, world_context)
+        self._transport.expect(group, name, world_context)
         launched = [
             fork_worker(
                 WorkerSpec(

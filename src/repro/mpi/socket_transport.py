@@ -37,10 +37,11 @@ Semantics are those of the threaded backend, preserved deliberately:
   **rank epoch**, and the reincarnation's HELLO replays that rank's
   worker-world traffic from a byte-capped per-rank **redelivery log**
   (shuffle batches its first life received but took to the grave; the
-  log is released at BYE).  Every envelope carries its sender's epoch in
-  the wire header, so a zombie — a rank declared dead that is still
-  limping — has its frames fenced at the hub (``stale_frames_dropped``)
-  instead of corrupting its successor's streams.  Budget exhaustion or
+  log is released at BYE).  The router knows an incarnation by its
+  connection: a respawn takes the rank's connection away, so a zombie —
+  a rank declared dead that is still limping — has its frames fenced at
+  the hub (``stale_frames_dropped``) instead of corrupting its
+  successor's streams.  Budget exhaustion or
   log overflow degrades to the pre-existing whole-job abort/restart
   path.  What an event in a rank's life means is decided by its
   :class:`_Rank` record alone.
@@ -76,7 +77,7 @@ from repro.common.errors import FailureRecord, MPIAbort, MPIError
 from repro.common.logging import get_logger
 from repro.mpi.comm import Intracomm
 from repro.mpi.runtime import _CONTEXT_STRIDE, BaseRuntime, ProcessRuntime, rank_comm
-from repro.mpi.transport import AbortFlag, Envelope, Transport, TruncatedPayload
+from repro.mpi.transport import AbortFlag, Envelope, Transport
 from repro.net import wire
 from repro.net.wire import FrameConnection, FrameKind
 from repro.obs.profiler import PROFILER
@@ -98,23 +99,14 @@ _DRAIN_DEADLINE = 5.0
 _START_METHOD = "fork"
 
 
-def _encode_envelope(dest: int, envelope: Envelope, epoch: int = 0) -> bytes:
-    """Envelope -> wire frame; truncation travels as a header flag.
-
-    The payload is pickled at this boundary, a shuffle block's sealed
-    batch as its bytes.  ``epoch`` is the sender's rank epoch — the
-    router fences frames whose epoch lags the sender's current
-    incarnation (zombie defense).
-    """
-    payload = envelope.payload
-    flags = 0
-    if isinstance(payload, TruncatedPayload):
-        flags |= wire.FLAG_TRUNCATED
-        payload = payload.original
-    body, _ = wire.encode_payload(payload)
+def _encode_envelope(dest: int, envelope: Envelope) -> bytes:
+    """Envelope -> wire frame.  The payload is pickled at this boundary,
+    a shuffle block's sealed batch as its bytes and a truncate fault's
+    :class:`~repro.mpi.transport.TruncatedPayload` as itself."""
+    body, flags = wire.encode_payload(envelope.payload)
     return wire.pack_envelope_frame(
         envelope.context, envelope.source, envelope.tag, envelope.origin,
-        dest, envelope.nbytes, body, flags, epoch=epoch,
+        dest, envelope.nbytes, body, flags,
     )
 
 
@@ -122,10 +114,8 @@ def _decode_envelope(h: wire.EnvelopeHeader) -> Envelope:
     """Parsed ENVELOPE frame -> the Envelope it delivers, built in the
     *destination* interpreter so ``seq`` reflects local arrival order
     (wildcard matching)."""
-    payload = wire.decode_payload(h.payload, h.flags)
-    if h.flags & wire.FLAG_TRUNCATED:
-        payload = TruncatedPayload(payload)
-    return Envelope(h.context, h.source, h.tag, payload, h.nbytes,
+    return Envelope(h.context, h.source, h.tag,
+                    wire.decode_payload(h.payload, h.flags), h.nbytes,
                     origin=h.origin)
 
 
@@ -192,15 +182,15 @@ class _Rank:
     local_rank: int = -1
     world: str = "worker"
     #: the live incarnation's connection; None before its HELLO, after
-    #: its BYE or death, and from the moment a respawn fences it
+    #: its BYE or death, and from the moment a respawn fences it.  An
+    #: envelope from the rank on any other connection is a zombie's
     conn: FrameConnection | None = None
     #: OS pid from the latest HELLO, None before the first (the runtime
     #: SIGKILLs a hung incarnation before forking the next)
     pid: int | None = None
-    #: respawn count; envelopes stamped lower are zombie traffic
+    #: respawn count; a HELLO naming a lower one is a zombie's
     epoch: int = 0
-    #: respawn budget; 0 (the rank's world is not watched: recovery off)
-    #: keeps the die-on-death path
+    #: respawn budget; 0 (recovery off) keeps the die-on-death path
     max_respawns: int = 0
     #: frames bound for the rank that arrived before its HELLO
     parked: list[bytes] = field(default_factory=list)
@@ -357,7 +347,7 @@ class RouterTransport(Transport):
         self._conn_gone = threading.Condition(self._lock)
         # -- surgical rank recovery (inert until the runtime arms it) --------
         #: per-rank respawn budget (0 keeps the die-on-death path) and
-        #: redelivery-log byte cap, for the worlds watched from now on
+        #: redelivery-log byte cap, for the worlds announced from now on
         self.max_respawns = 0
         self.redelivery_cap = 0
         self.stale_frames_dropped = 0
@@ -369,19 +359,6 @@ class RouterTransport(Transport):
         self.address = self._server.address
 
     # -- rank recovery ---------------------------------------------------------
-    def watch_world(self, group: tuple[int, ...], world_context: int) -> None:
-        """With recovery armed, start logging the worker-world traffic of
-        ``group`` (its point-to-point and collective context block) for
-        redelivery."""
-        with self._lock:
-            if self.max_respawns <= 0:
-                return
-            for gid in group:
-                rank = self.ranks.setdefault(gid, _Rank(gid))
-                rank.redelivery = _RedeliveryBuffer(self.redelivery_cap)
-                rank.max_respawns = self.max_respawns
-                rank.world_context = world_context
-
     def respawn(self, gid: int) -> tuple[int, int | None] | None:
         """Perform :meth:`_Rank.respawn` for the runtime; None = refused
         (a rank already down then fails the world with its record)."""
@@ -435,11 +412,21 @@ class RouterTransport(Transport):
         self._server.stop()
 
     # -- bookkeeping for ProcessRuntime -------------------------------------
-    def expect(self, group: tuple[int, ...], name: str = "worker") -> None:
-        """Announce gids that will live in worker processes."""
+    def expect(
+        self, group: tuple[int, ...], name: str = "worker", world_context: int = 0
+    ) -> None:
+        """Announce gids that will live in worker processes, each armed
+        with the recovery budget and a redelivery log for its world's
+        traffic (the ``world_context`` block); both idle with recovery
+        off."""
         with self._lock:
             for local_rank, gid in enumerate(group):
-                self.ranks[gid] = _Rank(gid, local_rank, name)
+                self.ranks[gid] = _Rank(
+                    gid, local_rank, name,
+                    max_respawns=self.max_respawns,
+                    redelivery=_RedeliveryBuffer(self.redelivery_cap),
+                    world_context=world_context,
+                )
 
     def _rank_on_locked(self, conn: FrameConnection) -> _Rank | None:
         """The rank whose live incarnation speaks on ``conn``.  None for
@@ -480,7 +467,7 @@ class RouterTransport(Transport):
     # -- frame handlers (router reader threads) ------------------------------
     def _handle_frame(self, conn: FrameConnection, kind: int, body: bytes) -> None:
         if kind == FrameKind.ENVELOPE:
-            self._on_envelope(body)
+            self._on_envelope(conn, body)
         elif kind == FrameKind.HELLO:
             self._on_hello(conn, *wire.unpack_obj(body))
         elif kind == FrameKind.RPC_REQ:
@@ -577,12 +564,13 @@ class RouterTransport(Transport):
         if self.abort_flag.is_set():
             conn.try_send(_abort_frame(self.abort_flag))
 
-    def _on_envelope(self, body: bytes) -> None:
+    def _on_envelope(self, conn: FrameConnection, body: bytes) -> None:
         h = wire.unpack_envelope_frame(body)
-        sender = self.ranks.get(h.origin)
-        if sender is not None and h.epoch < sender.epoch:
-            # a zombie speaking: the rank was declared dead and respawned,
-            # but its old incarnation got a frame out first.  Fence it.
+        sender = self.ranks[h.origin]
+        if sender.conn is not conn:
+            # a zombie speaking: its rank was declared dead and respawned
+            # (or its HELLO was refused), so the connection no longer
+            # holds it.  Fence the frame.
             with self._lock:
                 self.stale_frames_dropped += 1
                 dropped = self.stale_frames_dropped
@@ -590,19 +578,18 @@ class RouterTransport(Transport):
                 "recovery.stale_frame.dropped",
                 cat="recovery",
                 args={
-                    "origin": h.origin, "dest": h.dest, "epoch": h.epoch,
+                    "origin": h.origin, "dest": h.dest,
                     "current": sender.epoch, "tag": h.tag,
                 },
             )
             _T.counter("recovery.stale_frames_dropped", dropped, cat="recovery")
             _log.debug(
-                "router: fenced stale frame from rank %d (epoch %d < %d)",
-                h.origin, h.epoch, sender.epoch,
+                "router: fenced a frame from rank %d on a connection it no "
+                "longer holds (epoch now %d)", h.origin, sender.epoch,
             )
             return
         if self.fault_injector is not None:
-            # chaos takes the road a driver-local send takes; the frame
-            # re-encoded past it carries epoch 0, which no reader checks
+            # chaos takes the road a driver-local send takes
             self.deposit(h.dest, _decode_envelope(h))
             return
         # every shuffle byte between workers comes through here: a
@@ -660,8 +647,8 @@ class WorkerSpec:
     #: sees the same traffic it would on the threaded backend
     chaos_routed: bool = False
     #: rank epoch: 0 for the first incarnation, bumped on each respawn;
-    #: stamped into every outgoing envelope so the router can fence the
-    #: previous incarnation's zombie frames
+    #: named in the HELLO (the router refuses a stale one) and in the
+    #: shuffle batches the incarnation sends
     epoch: int = 0
     #: surgical rank recovery armed for this world (receivers stage
     #: shuffle streams)
@@ -685,7 +672,7 @@ class WorkerTransport(Transport):
             self._endpoint.deposit(envelope)
             return
         try:
-            self._conn.send(_encode_envelope(dest, envelope, epoch=spec.epoch))
+            self._conn.send(_encode_envelope(dest, envelope))
         except OSError:
             self.abort_flag.trip("lost connection to the mpidrun router")
             self.abort_flag.check()

@@ -22,18 +22,14 @@ Frame layout on the wire::
     B             frame kind (FrameKind)
     N-1 bytes     body
 
-Envelope frames carry a fixed struct header so the router can route and
-fault-inject on metadata *without unpickling the payload*::
+Envelope frames carry a fixed struct header so the router can route
+*without unpickling the payload*::
 
-    !6iqB         context, source, tag, origin, dest, epoch,
-                  nbytes, flags
+    !5iqB         context, source, tag, origin, dest, nbytes, flags
     ...           payload body: one pickle of the payload
 
-``epoch`` is the sender's rank incarnation number: 0 for a first spawn,
-incremented each time the driver respawns that rank.  The router fences
-stale incarnations with it — a zombie process whose rank was already
-respawned keeps stamping the old epoch, and its frames are dropped at
-the hub instead of corrupting the reincarnated rank's streams.
+The header is routing alone; nothing in it says which life of a rank
+sent the frame or what happened to the payload on the way.
 
 Every payload — shuffle batches, control traffic, application
 point-to-point messages — is one ``pickle.dumps`` at the wire boundary,
@@ -62,7 +58,7 @@ from repro.serde.serialization import _pickled
 _log = get_logger("net.wire")
 
 _LEN = struct.Struct("!I")
-_ENV_HEADER = struct.Struct("!6iqB")
+_ENV_HEADER = struct.Struct("!5iqB")
 
 MAX_FRAME = 1 << 30  # defensive cap: a corrupt length prefix fails loudly
 
@@ -70,7 +66,7 @@ MAX_FRAME = 1 << 30  # defensive cap: a corrupt length prefix fails loudly
 class FrameKind:
     """One byte discriminating what a frame body means."""
 
-    HELLO = 1       # worker -> router: (gid, pid, epoch) rank handshake
+    HELLO = 1       # worker -> router: (gid, pid, incarnation) rank handshake
     ENVELOPE = 2    # either direction: header + pickled payload
     ABORT = 3       # router -> workers: (reason, errorcode); wakes everyone
     BYE = 6         # worker -> router: clean shutdown (EOF without BYE = crash)
@@ -78,8 +74,6 @@ class FrameKind:
                     # call_id 0 = fire-and-forget, no RPC_REP follows
     RPC_REP = 8     # server -> client: the RpcResponse to that call_id
 
-#: truncate-fault marker in the envelope header flags byte
-FLAG_TRUNCATED = 0x01
 #: inert: every payload is pickled, so nothing sets it.  Kept only
 #: because the frozen ``bench/replay.py`` passes it as a header flag;
 #: delete it with the next benchmark revision
@@ -121,11 +115,10 @@ def pack_envelope_frame(
     nbytes: int,
     payload: bytes,
     flags: int = 0,
-    epoch: int = 0,
 ) -> bytes:
     """ENVELOPE frame: routable header + already-encoded payload bytes."""
     return EnvelopeHeader(
-        context, source, tag, origin, dest, epoch, nbytes, flags, payload,
+        context, source, tag, origin, dest, nbytes, flags, payload,
     ).frame()
 
 
@@ -138,7 +131,6 @@ class EnvelopeHeader(NamedTuple):
     tag: int
     origin: int
     dest: int
-    epoch: int
     nbytes: int
     flags: int
     payload: bytes
@@ -146,7 +138,7 @@ class EnvelopeHeader(NamedTuple):
     def frame(self) -> bytes:
         """This header and payload packed as one ENVELOPE frame."""
         return pack_frame(
-            FrameKind.ENVELOPE, _ENV_HEADER.pack(*self[:8]) + self.payload
+            FrameKind.ENVELOPE, _ENV_HEADER.pack(*self[:7]) + self.payload
         )
 
 

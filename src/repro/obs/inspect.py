@@ -86,8 +86,10 @@ def top_tasks(journal: Journal, n: int = 10) -> list[dict]:
 
 
 def failure_timeline(journal: Journal) -> list[dict]:
-    """Failure / fault instants in time order (plus summary records)."""
-    timeline = [
+    """Failure / fault / recovery instants in time order.  The summary's
+    ``failures`` list is not merged in: each of its records is already a
+    ``failure.<kind>`` instant, stamped when its attempt closed."""
+    return sorted((
         {
             "ts": float(e.get("ts", 0.0)),
             "kind": e.get("name", "?"),
@@ -97,19 +99,7 @@ def failure_timeline(journal: Journal) -> list[dict]:
         }
         for e in journal.instants
         if e.get("cat") in ("failure", "fault", "recovery")
-    ]
-    for record in journal.summary.get("failures", []):
-        timeline.append(
-            {
-                "ts": float(record.get("ts", -1.0)),
-                "kind": record.get("kind", "?"),
-                "cat": "failure",
-                "rank": record.get("worker", -1),
-                "detail": record,
-            }
-        )
-    timeline.sort(key=lambda f: f["ts"])
-    return timeline
+    ), key=lambda f: f["ts"])
 
 
 def summarize_journal(journal: Journal, n_tasks: int = 10) -> dict[str, Any]:
@@ -198,8 +188,7 @@ def format_report(summary: dict[str, Any]) -> str:
         lines.append("")
         lines.append("failure timeline:")
         for f in failures:
-            ts = f["ts"]
-            stamp = f"t+{_fmt_seconds(ts)}" if ts >= 0 else "t+?"
+            stamp = f"t+{_fmt_seconds(f['ts'])}"
             detail = f["detail"]
             text = detail.get("error", "") if isinstance(detail, dict) else ""
             lines.append(f"  {stamp:>12}  [{f['cat']}] {f['kind']} {text}".rstrip())

@@ -108,12 +108,12 @@ class TestWireCodec:
         else:
             batch = batch_from_pairs([("a", 1)], SER)
         block = Block(3, batch, len(batch.data), sorted=True)
-        return ("batch", "fwd:0", (7, 2, [block], True))
+        return ("batch", "fwd:0", (7, 2, 0, [block], True))
 
     def test_batch_message_roundtrips(self):
         body, flags = wire.encode_payload(self._message())
         assert flags == 0
-        kind, plane_id, (seq, origin, blocks, eos) = wire.decode_payload(
+        kind, plane_id, (seq, origin, _epoch, blocks, eos) = wire.decode_payload(
             body, flags
         )
         assert (kind, plane_id, seq, origin, eos) == ("batch", "fwd:0", 7, 2, True)
@@ -123,7 +123,7 @@ class TestWireCodec:
 
     def test_raw_flag_roundtrips(self):
         body, flags = wire.encode_payload(self._message(raw=True))
-        _, _, (_, _, [block], _) = wire.decode_payload(body, flags)
+        _, _, (*_, [block], _) = wire.decode_payload(body, flags)
         assert block.records.raw
         assert list(block.records.iter_pairs(SER)) == [(b"aa", b"11")]
 
@@ -137,8 +137,8 @@ class TestWireCodec:
         )
         sent = spl.add_batch(batch_from_pairs(records, None, raw=True), [b"04"])
         assert isinstance(sent[1].records.data, memoryview)
-        body, flags = wire.encode_payload(("batch", "fwd:0", (0, 1, sent, True)))
-        _, _, (_, _, got, _) = wire.decode_payload(body, flags)
+        body, flags = wire.encode_payload(("batch", "fwd:0", (0, 1, 0, sent, True)))
+        _, _, (*_, got, _) = wire.decode_payload(body, flags)
         assert [
             (b.partition_id, b.sorted, b.records.raw, b.count, b.nbytes)
             for b in got
@@ -154,7 +154,7 @@ class TestWireCodec:
         assert wire.decode_payload(body, flags) == payload
 
     def test_lookalike_application_message_falls_back_to_pickle(self):
-        payload = ("batch", "fwd:0", (0, 0, [("a", 1)], False))
+        payload = ("batch", "fwd:0", (0, 0, 0, [("a", 1)], False))
         body, flags = wire.encode_payload(payload)
         assert flags == 0
         assert wire.decode_payload(body, flags) == payload

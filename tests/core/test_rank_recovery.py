@@ -1,8 +1,8 @@
 """Surgical rank recovery: respawn-and-replay one dead rank in place.
 
 The process backend must survive a SIGKILL'd worker without restarting
-the whole job: the router fences the dead incarnation behind a rank
-epoch, the driver forks a replacement and requeues only the O tasks it
+the whole job: the router fences the dead incarnation's connection, the
+driver forks a replacement and requeues only the O tasks it
 dealt that rank (the replacement reruns its window-owned tasks itself),
 and the redelivery buffer re-feeds the shuffle batches the first life
 took to the grave.  Peer ranks block on their planes and
@@ -23,7 +23,6 @@ from repro.core.mpidrun import restart_delay
 from repro.mpi import FaultInjector
 from repro.mpi.runtime import ProcessRuntime
 from repro.mpi.socket_transport import _RedeliveryBuffer
-from repro.net import wire
 from repro.obs.journal import read_journal, to_chrome_trace
 
 from tests.core.helpers import FileCollector, expected_wordcount, wordcount_pieces
@@ -277,7 +276,7 @@ class TestGracefulDegradation:
         try:
             transport = runtime._transport
             runtime.enable_rank_recovery(1, 1 << 20)
-            transport.watch_world((1, 2), world_context=4)
+            transport.expect((1, 2), "w", world_context=4)
             assert transport.ranks[1].recoverable
             epoch, _pid = transport.respawn(1)
             assert epoch == 1
@@ -298,9 +297,8 @@ class TestGracefulDegradation:
         runtime = ProcessRuntime()
         try:
             transport = runtime._transport
-            transport.expect((1, 2), "w")
             runtime.enable_rank_recovery(2, 64)
-            transport.watch_world((1, 2), world_context=4)
+            transport.expect((1, 2), "w", world_context=4)
             rank = transport.ranks[1]
             assert rank.lost() == "respawn"
             rank.route(b"x" * 100, 4)  # 100 > 64: the log is gone
@@ -320,50 +318,6 @@ class TestGracefulDegradation:
             assert runtime._transport.respawn(1) is None
         finally:
             runtime._transport.shutdown()
-
-
-# -- epoch fencing at the router --------------------------------------------------
-
-
-class TestEpochFencing:
-    @staticmethod
-    def _envelope_body(origin, dest, epoch, obj=("k", 1)):
-        payload, _flags = wire.encode_payload(obj)
-        frame = wire.pack_envelope_frame(
-            context=4, source=origin, tag=SHUFFLE_TAG, origin=origin,
-            dest=dest, nbytes=len(payload), payload=payload, epoch=epoch,
-        )
-        return frame[5:]  # strip length prefix + kind byte
-
-    def test_stale_epoch_frames_are_dropped_at_the_router(self):
-        runtime = ProcessRuntime()
-        try:
-            transport = runtime._transport
-            runtime.enable_rank_recovery(2, 1 << 20)
-            transport.watch_world((1, 2), world_context=4)
-            mailbox = transport.register(0)  # driver-hosted destination
-            transport.respawn(1)  # rank 1 now lives at epoch 1
-            # a zombie of epoch 0 gets one last frame out: fenced
-            transport._on_envelope(self._envelope_body(origin=1, dest=0, epoch=0))
-            assert transport.stale_frames_dropped == 1
-            assert mailbox.stats()["pending"] == 0
-            # the reincarnation's own traffic passes
-            transport._on_envelope(self._envelope_body(origin=1, dest=0, epoch=1))
-            assert transport.stale_frames_dropped == 1
-            assert mailbox.stats()["pending"] == 1
-            # an unfenced peer at epoch 0 is untouched
-            transport._on_envelope(self._envelope_body(origin=2, dest=0, epoch=0))
-            assert transport.stale_frames_dropped == 1
-            assert mailbox.stats()["pending"] == 2
-        finally:
-            runtime._transport.shutdown()
-
-    def test_epoch_survives_the_wire_header(self):
-        body = self._envelope_body(origin=3, dest=1, epoch=7)
-        (_ctx, _src, _tag, origin, dest, epoch, _n, _flags, _payload) = (
-            wire.unpack_envelope_frame(body)
-        )
-        assert (origin, dest, epoch) == (3, 1, 7)
 
 
 # -- the redelivery buffer --------------------------------------------------------

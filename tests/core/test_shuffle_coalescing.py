@@ -62,9 +62,9 @@ class TestCoalescing:
     def test_backlog_coalesces_into_one_envelope_with_eos_folded(self):
         world, _ = _sent_five(batch_bytes=1 << 20)
         assert len(world.sent) == 1  # held until the EOS, which rode along
-        (kind, plane_id, (seq, origin, blocks, eos)), dest = world.sent[0]
+        (kind, plane_id, (seq, origin, epoch, blocks, eos)), dest = world.sent[0]
         assert (kind, plane_id, dest) == ("batch", "pl", 0)
-        assert (seq, origin) == (0, 0)
+        assert (seq, origin, epoch) == (0, 0, 0)
         assert len(blocks) == 5
         assert eos is True  # no extra message
 
@@ -81,7 +81,7 @@ class TestCoalescing:
         finally:
             service.shutdown()
         payloads = [env for env, _ in world.sent]
-        sizes = [len(blocks) for _, _, (_, _, blocks, _) in payloads]
+        sizes = [len(blocks) for _, _, (*_, blocks, _) in payloads]
         assert sizes == [3, 2]  # capped batch, remainder+eos
         assert [eos for _, _, (*_, eos) in payloads] == [False, True]
         # consecutive sequence numbers per (plane, dest) channel
@@ -109,7 +109,7 @@ class TestCoalescing:
         finally:
             service.shutdown()
         by_dest = {}
-        for (kind, _, (_, _, blocks, _)), dest in world.sent:
+        for (kind, _, (*_, blocks, _)), dest in world.sent:
             by_dest.setdefault(dest, []).append([b.partition_id for b in blocks])
         assert by_dest == {0: [[0, 0]], 1: [[1]]}
 
@@ -141,7 +141,7 @@ class TestCoalescingOverMPI:
 
     def test_uncoalesced_block_message_aborts_the_world(self):
         """``("block", …)`` / ``("eos", …)`` left with the object path:
-        the delivery knows ``batch`` and ``reset`` only."""
+        the delivery knows ``batch`` only."""
 
         def main(comm):
             service = ShuffleService(comm, lambda pid: _config(1, comm.size))

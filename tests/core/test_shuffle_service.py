@@ -241,7 +241,7 @@ class TestDeliveryOnTheDepositingThread:
                     halfway.wait()  # the service is built from here on
                 for plane_id in planes:
                     blocks = [block(0, [(f"r{rank}", seq)])]
-                    payload = (seq, rank, blocks, seq == per_stream - 1)
+                    payload = (seq, rank, 0, blocks, seq == per_stream - 1)
                     endpoint.deposit(Envelope(
                         0, rank, SHUFFLE_TAG, ("batch", plane_id, payload), 1
                     ))
@@ -273,17 +273,38 @@ class TestDeliveryOnTheDepositingThread:
             service.shutdown()
 
 
+def _deliver(service, message):
+    service._deliver(Envelope(0, 0, SHUFFLE_TAG, message, 1))
+
+
+class TestRebornOrigin:
+    def test_a_batch_at_a_higher_epoch_restarts_an_open_stream(self):
+        """Origin 0 dies after seq 0 of its stream; its reborn incarnation
+        sends the stream again from seq 0 at epoch 1.  Its first batch
+        resets the channel: the first life's staged block is discarded,
+        and the reborn's seq 0 is not taken for a duplicate."""
+        world = RecordingWorld()
+        world.runtime.rank_recovery = True  # channels stage and commit
+        service = ShuffleService(world, lambda pid: make_config(1, 1))
+        try:
+            _deliver(service, ("batch", "fwd:0", (0, 0, 0, [block(0, [("a", 1)])], False)))
+            _deliver(service, ("batch", "fwd:0", (0, 0, 1, [block(0, [("b", 2)])], True)))
+            plane = service.plane("fwd:0")
+            plane.wait_complete(0)
+            assert list(plane.merged_iter(0)) == [("b", 2)]
+            assert service.stats()["duplicates_dropped"] == 0
+        finally:
+            service.shutdown()
+        assert not world.runtime.abort_flag.is_set(), world.runtime.abort_flag.reason
+
+
 class TestDroppedPlanes:
     """A rank drops a plane it is done with: its data goes at once, its
     counts stay in the service totals, and nothing arriving later for it
     brings it back."""
 
-    @staticmethod
-    def _deliver(service, message):
-        service._deliver(Envelope(0, 0, SHUFFLE_TAG, message, 1))
-
     def _complete(self, service, records):
-        self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, records)], True)))
+        _deliver(service, ("batch", "fwd:0", (0, 0, 0, [block(0, records)], True)))
         plane = service.plane("fwd:0")
         plane.wait_complete(0)
         return plane
@@ -299,7 +320,7 @@ class TestDroppedPlanes:
             assert service._planes == {}
             assert plane.rpls[0].store.disk_runs == []  # the spill is gone
             assert service.stats() == before
-            self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, [("a", 1)])], True)))
+            _deliver(service, ("batch", "fwd:0", (0, 0, 0, [block(0, [("a", 1)])], True)))
             assert service._planes == {}
             assert service.stats() == {**before, "duplicates_dropped": 1}
             service.drop("fwd:0")  # a second drop is a no-op
@@ -315,9 +336,9 @@ class TestDroppedPlanes:
         try:
             self._complete(service, [("a", 1)])
             service.drop("fwd:0")
-            # the origin is reborn and sends its stream again from seq 0
-            self._deliver(service, ("reset", "fwd:0", (0, 1)))
-            self._deliver(service, ("batch", "fwd:0", (0, 0, [block(0, [("a", 1)])], True)))
+            # the origin is reborn and sends its stream again from seq 0,
+            # at epoch 1
+            _deliver(service, ("batch", "fwd:0", (0, 0, 1, [block(0, [("a", 1)])], True)))
             assert service._planes == {}
             stats = service.stats()
             assert (stats["replays_dropped"], stats["records_received"]) == (1, 1)

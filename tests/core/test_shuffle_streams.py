@@ -195,11 +195,10 @@ OPS = st.lists(
 def on_the_wire(world):
     """Block ids per (plane, dest) stream, wire order, and the ended planes."""
     on_wire, ended = defaultdict(list), set()
-    for (kind, plane, payload), dest in world.sent:
-        if kind == "batch":
-            on_wire[plane, dest] += [b.records for b in payload[2]]
-            if payload[3]:
-                ended.add(plane)
+    for (_, plane, (*_, blocks, eos)), dest in world.sent:
+        on_wire[plane, dest] += [b.records for b in blocks]
+        if eos:
+            ended.add(plane)
     return on_wire, ended
 
 
@@ -255,25 +254,24 @@ class TestSenderStreams:
             by_stream[plane, dest].append((kind, payload))
         assert set(by_stream) == {(p, d) for p in "ab" for d in range(NPROCS)}
         for (plane, dest), messages in by_stream.items():
-            if reborn:  # one reset, ahead of the stream's first envelope
-                assert messages.pop(0) == ("reset", (0, 1))
+            # one message kind: a reborn incarnation names its epoch in
+            # every batch, no reset goes ahead of them
             assert all(kind == "batch" for kind, _ in messages)
             envelopes = [payload for _, payload in messages]
             assert [seq for seq, *_ in envelopes] == list(range(len(envelopes)))
             assert all(origin == 0 for _, origin, *_ in envelopes)
+            assert all(epoch == int(reborn) for _, _, epoch, *_ in envelopes)
             *before, last = [eos for *_, eos in envelopes]
             assert not any(before) and last is True
-            blocks = [b for _, _, batch, _ in envelopes for b in batch]
+            blocks = [b for *_, batch, _ in envelopes for b in batch]
             assert [b.records for b in blocks] == handed[plane, dest]
             assert all(b.partition_id == dest for b in blocks)
-            for _, _, batch, _ in envelopes:
+            for *_, batch, _ in envelopes:
                 # the cap flushes as soon as it is reached: at most one
                 # block rides above it
                 assert sum(b.nbytes for b in batch[:-1]) < BATCH_BYTES
         stats = service.stats()
-        assert stats["envelopes_sent"] == sum(
-            kind == "batch" for (kind, *_), _ in world.sent
-        )
+        assert stats["envelopes_sent"] == len(world.sent)
         assert stats["blocks_sent"] == sum(map(len, handed.values()))
 
     def test_outbound_numbers_its_envelopes_and_hands_blocks_out_once(self):

@@ -99,6 +99,20 @@ class TestAutoResume:
         assert primary.traceback
         assert "injected crash" in result.error
 
+    def test_a_failed_job_s_metrics_count_its_restarts(self, tmp_path, launcher):
+        job = make_job(Collector(), tmp_path, launcher=launcher, conf={
+            K.JOB_MAX_RESTARTS: 2,
+        })
+
+        def raising_o_fn(ctx):  # fails on every attempt
+            raise ValueError("always")
+
+        job.o_fn = raising_o_fn
+        result = mpidrun(job, nprocs=NPROCS)
+        assert not result.success
+        assert result.restarts == 2
+        assert result.metrics.restarts == 2  # one number, wherever it is read
+
     def test_task_max_attempts_stops_the_retry_loop(self, tmp_path, launcher):
         job = make_job(Collector(), tmp_path, launcher=launcher, conf={
             K.JOB_MAX_RESTARTS: 5,

@@ -18,7 +18,7 @@ from repro.mpi.datatypes import SUM
 from repro.mpi.runtime import ProcessRuntime, ThreadRuntime, create_runtime
 from repro.mpi.transport import Envelope, TruncatedPayload
 from repro.net.wire import (
-    FLAG_TRUNCATED,
+    EnvelopeHeader,
     FrameConnection,
     FrameKind,
     FrameTruncatedError,
@@ -42,24 +42,16 @@ class TestWireFrames:
         )
         conn_kind, body = frame[4], frame[5:]
         assert conn_kind == FrameKind.ENVELOPE
-        context, source, tag, origin, dest, epoch, nbytes, flags, raw = (
+        context, source, tag, origin, dest, nbytes, flags, raw = (
             unpack_envelope_frame(body)
         )
-        assert len(body) == 33 + len(payload)  # !6iqB: no tracing id rides
+        # !5iqB: routing alone, no tracing id and no incarnation ride
+        assert len(body) == 29 + len(payload)
+        assert "epoch" not in EnvelopeHeader._fields
         assert (context, source, tag, origin, dest) == (12, 3, 900_001, 7, 5)
-        assert epoch == 0  # default incarnation
         assert nbytes == len(payload)
         assert flags == 0
         assert pickle.loads(raw) == {"key": "value", "n": 41}
-
-    def test_truncation_flag_travels_in_the_header(self):
-        frame = pack_envelope_frame(
-            context=0, source=0, tag=1, origin=0, dest=1,
-            nbytes=100, payload=b"x", flags=FLAG_TRUNCATED,
-        )
-        *_, nbytes, flags, _raw = unpack_envelope_frame(frame[5:])
-        assert flags & FLAG_TRUNCATED
-        assert nbytes == 100  # original size survives even though payload didn't
 
     def test_negative_tags_and_wildcards_survive_the_struct(self):
         # ANY_SOURCE/ANY_TAG are negative sentinels; the header must be signed
@@ -300,7 +292,7 @@ class TestEnvelopeCodec:
         assert frame[4] == FrameKind.ENVELOPE
         header = unpack_envelope_frame(frame[5:])
         assert header.dest == dest
-        assert header.epoch == 0
+        assert header.flags == 0  # whatever the payload, it is one pickle
         return _decode_envelope(header)
 
     def test_truncated_payload_round_trips_through_the_codec(self):
@@ -309,6 +301,7 @@ class TestEnvelopeCodec:
             context=8, source=1, tag=5,
             payload=TruncatedPayload(original), nbytes=123,
         )
+        # the marker pickles as itself: no header flag carries it
         decoded = self._round_trip(env, dest=2)
         assert isinstance(decoded.payload, TruncatedPayload)
         assert decoded.payload.original == original

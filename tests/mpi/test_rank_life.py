@@ -63,7 +63,7 @@ class Conn:
 @given(events, st.integers(0, 3), st.integers(20, 200))
 def test_a_rank_lives_by_its_record(sequence, budget, cap):
     rank = _Rank(gid=1, local_rank=0, world="w")
-    if budget:  # what RouterTransport.watch_world arms
+    if budget:  # what RouterTransport.expect arms with recovery on
         rank.redelivery = _RedeliveryBuffer(cap)
         rank.max_respawns, rank.world_context = budget, WORLD
     # the model: what the rules say, kept apart from the record

@@ -5,8 +5,9 @@ process backend's two ends — ``ProcessRuntime`` in the driver,
 ``WorkerRuntime`` inside a rank process — are subclasses that override
 what has to cross the wire.  The first half checks the contract from
 inside a rank on both launchers; the second half checks the router's
-handshake rules (a connection is exactly one rank; stale epochs are
-fenced).
+handshake rules (a connection is exactly one rank; a stale HELLO is
+refused) and its fence (no frame is accepted from a connection its rank
+no longer holds).
 """
 
 import logging
@@ -155,7 +156,7 @@ class TestHello:
     def test_a_stale_epoch_hello_is_fenced(self, router):
         transport, warnings = router
         transport.max_respawns, transport.redelivery_cap = 1, 1 << 20
-        transport.watch_world((1, 2), world_context=4)
+        transport.expect((1, 2), "w", world_context=4)  # armed
         assert transport.respawn(1) == (1, None)  # rank 1 -> epoch 1
         zombie = wire.connect_local(transport.address)
         reborn = wire.connect_local(transport.address)
@@ -177,7 +178,7 @@ class TestHello:
         router fails the world with the rank's one ``respawn`` record."""
         transport, _warnings = router
         transport.max_respawns, transport.redelivery_cap = 1, 64
-        transport.watch_world((1, 2), world_context=4)
+        transport.expect((1, 2), "w", world_context=4)  # armed
         assert transport.respawn(1) == (1, None)  # rank 1 recovering, epoch 1
         transport._forward(1, b"x" * 65, context=4)  # the log overflows
         rank = transport.ranks[1]
@@ -197,6 +198,54 @@ class TestHello:
             assert records[0].kind == "respawn" and records[0].error == rank.failure().error
         finally:
             reborn.close()
+
+
+def _envelope(conn, origin):
+    """Send one ENVELOPE frame to global rank 0, as rank ``origin`` would."""
+    payload, _flags = wire.encode_payload(("k", 1))
+    conn.send(wire.pack_envelope_frame(
+        context=4, source=origin, tag=5, origin=origin, dest=0,
+        nbytes=len(payload), payload=payload,
+    ))
+
+
+class TestEnvelopeFence:
+    def test_a_zombie_connection_s_frames_are_dropped(self, router):
+        """A respawn takes the rank's connection away: whatever the old
+        incarnation still sends on it is dropped and counted, while the
+        reborn rank's connection and every peer's pass."""
+        transport, _warnings = router
+        transport.max_respawns, transport.redelivery_cap = 1, 1 << 20
+        transport.expect((1, 2), "w", world_context=4)  # armed
+        mailbox = transport.register(0)  # a driver-hosted destination
+
+        def dropped_and_delivered():
+            return transport.stale_frames_dropped, mailbox.stats()["pending"]
+
+        first, peer = (wire.connect_local(transport.address) for _ in range(2))
+        reborn = None
+        try:
+            _hello(first, 1, 111)
+            _hello(peer, 2, 222)
+            _envelope(first, origin=1)  # the live incarnation: delivered
+            _drain(first)
+            assert dropped_and_delivered() == (0, 1)
+            assert transport.respawn(1) == (1, 111)  # rank 1 -> epoch 1
+            _envelope(first, origin=1)  # a zombie's last frame: fenced
+            _drain(first)
+            assert dropped_and_delivered() == (1, 1)
+            reborn = wire.connect_local(transport.address)
+            _hello(reborn, 1, 112, epoch=1)
+            _envelope(reborn, origin=1)  # the reincarnation's own traffic
+            _drain(reborn)
+            assert dropped_and_delivered() == (1, 2)
+            _envelope(peer, origin=2)  # a peer is untouched
+            _drain(peer)
+            assert dropped_and_delivered() == (1, 3)
+        finally:
+            for conn in (first, peer, reborn):
+                if conn is not None:
+                    conn.close()
 
 
 class TestCallFrame:

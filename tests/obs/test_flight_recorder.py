@@ -1,6 +1,7 @@
 """End-to-end flight recorder tests: traced jobs, the journal they leave,
 the inspector's report, and the ``repro trace`` CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -176,6 +177,24 @@ class TestInspector:
         assert timeline, "expected failure instants/records"
         assert any(f["cat"] == "failure" for f in timeline)
         assert j.summary["success"] is False
+
+    @pytest.mark.parametrize("launcher", ["threads", "processes"])
+    def test_a_failure_is_on_the_timeline_once(self, tmp_path, launcher):
+        """An injected crash, then one restart: the crash is the one
+        ``failure.task`` instant of its attempt, and the summary's copy
+        of the same record adds no undated second entry."""
+        path = str(tmp_path / "restart.trace.jsonl")
+        job = dataclasses.replace(_job("timeline", conf={
+            K.LAUNCHER: launcher, K.TRACE_PATH: path,
+            K.FT_ENABLED: True, K.FT_DIR: str(tmp_path / "ft"),
+            K.JOB_MAX_RESTARTS: 1, K.RESTART_BACKOFF_SECONDS: 0.0,
+            K.INJECT_CRASH_TASK: 1, K.INJECT_CRASH_AFTER_RECORDS: 50,
+        }), o_tasks=4)
+        result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
+        assert result.restarts == 1
+        timeline = failure_timeline(read_journal(path))
+        assert [f["kind"] for f in timeline].count("failure.task") == 1
+        assert all(f["ts"] >= 0 for f in timeline)
 
 
 class TestTraceCli:
