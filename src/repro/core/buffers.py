@@ -230,8 +230,7 @@ class SendPartitionList:
             "spl.seal", cat="sort", args={"cause": "batch"}
         ) as span:
             batch = sort_batch(batch, self.cmp, self.serializer)
-            data, n = batch.data, batch.count
-            stride, klen = len(data) // n, data[0]
+            data, n, stride, klen = batch.data, batch.count, batch.stride, batch.data[0]
             keys_at = range(1, len(data), stride)  # row i's key starts there
             cuts = [bisect.bisect_right(keys_at, b, key=lambda at: bytes(
                 data[at:at + klen])) for b in boundaries]
@@ -241,7 +240,8 @@ class SendPartitionList:
                 for start in range(lo, end, per_block):
                     stop = min(start + per_block, end)
                     blocks.append(Block(partition, RecordBatch(
-                        data[start * stride:stop * stride], stop - start, True),
+                        data[start * stride:stop * stride], stop - start, True,
+                        stride),
                         (stop - start) * stride, sorted=True))
             span.set("records", n)
             span.set("blocks", len(blocks))

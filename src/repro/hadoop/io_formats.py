@@ -144,7 +144,7 @@ class FixedLengthRecordFormat:
         framed[:, 1:key_len + 1] = rows[:, :key_len]
         framed[:, key_len + 1] = value_len
         framed[:, key_len + 2:] = rows[:, key_len:]
-        return RecordBatch(framed.ravel().data, len(rows), raw=True)
+        return RecordBatch(framed.ravel().data, len(rows), True, self.record_len + 2)
 
 
 class KeyValueTextOutputFormat:

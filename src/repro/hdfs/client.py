@@ -22,6 +22,9 @@ class DFSOutputStream:
         if self._closed:
             raise HDFSError(f"stream closed: {self._path}")
         block_size, buffer = self._client.namenode.block_size, self._buffer
+        if not buffer and type(data) is bytes and len(data) == block_size:
+            self._flush_block(data)  # immutable: stored as the block itself
+            return
         with memoryview(data) as view:
             start = 0
             if buffer:  # complete the block an earlier write began
@@ -88,6 +91,12 @@ class DFSClient:
     def write_file(self, path: str, data: bytes, overwrite: bool = False) -> None:
         with self.create(path, overwrite=overwrite) as stream:
             stream.write(data)
+
+    def put(self, local_path: str, path: str, overwrite: bool = False) -> None:
+        """Hadoop's ``copyFromLocal``: each block-size read becomes a block."""
+        with open(local_path, "rb") as f, self.create(path, overwrite) as stream:
+            while chunk := f.read(self.namenode.block_size):
+                stream.write(chunk)
 
     # -- reads ------------------------------------------------------------------
     def _pick_replica(self, block: BlockInfo) -> int:

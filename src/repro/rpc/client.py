@@ -37,10 +37,7 @@ class SocketRpcClient:
 
     def _route_responses(self) -> None:
         try:
-            while True:
-                frame = self._conn.recv()
-                if frame is None:
-                    break
+            while (frame := self._conn.recv()) is not None:
                 kind, body = frame
                 if kind != wire.FrameKind.RPC_REP:
                     continue
@@ -53,6 +50,7 @@ class SocketRpcClient:
         except ConnectionError:
             pass  # severed mid-frame: as gone as a clean EOF
         finally:
+            self._conn.close()  # the one thread that reads it releases it
             with self._lock:
                 self._closed = True
                 pending, self._pending = self._pending, {}
@@ -83,8 +81,9 @@ class SocketRpcClient:
         return response.unwrap()
 
     def close(self) -> None:
-        self._closed = True
-        self._conn.close()
+        """Wake the reader and wait for it: it closes the connection."""
+        self._conn.shutdown()
+        self._reader.join()
 
 
 class DataMPIRpcClient:

@@ -87,17 +87,21 @@ class RecordBatch:
 
     ``data`` may be ``bytes`` or a ``memoryview`` (of the array a
     fixed-stride sort built); iteration never copies more than the
-    records actually materialized.
+    records actually materialized.  ``stride`` is the one record size of
+    a raw batch built as ``(n, stride)`` rows, when its builder knew it
+    (:func:`_fixed_stride` trusts it); a pickled batch carries none.
     """
 
-    __slots__ = ("data", "count", "raw")
+    __slots__ = ("data", "count", "raw", "stride")
 
     def __init__(
-        self, data: bytes | memoryview, count: int, raw: bool = False
+        self, data: bytes | memoryview, count: int, raw: bool = False,
+        stride: int | None = None,
     ) -> None:
         self.data = data
         self.count = count
         self.raw = raw
+        self.stride = stride
 
     def __len__(self) -> int:
         return self.count
@@ -276,25 +280,30 @@ def concat_batches(batches: list[RecordBatch]) -> RecordBatch:
         return RecordBatch(b"", 0)
     if len(batches) == 1:
         return batches[0]
-    raw = batches[0].raw
+    raw, stride = batches[0].raw, batches[0].stride
     if any(batch.raw is not raw for batch in batches):
         raise SerializationError("cannot concatenate raw and serialized batches")
+    if any(batch.stride != stride for batch in batches):
+        stride = None
     return RecordBatch(
         b"".join([batch.data for batch in batches]),
         sum(batch.count for batch in batches),
-        raw,
+        raw, stride,
     )
 
 
 def _fixed_stride(batch: RecordBatch) -> np.ndarray | None:
     """``batch`` as an ``(n, stride)`` ``uint8`` view when it is raw and
-    every record frames to one stride, else ``None``.  Decided once, by
+    every record frames to one stride, else ``None``.  A batch built with
+    its ``stride`` is viewed without a scan; any other is decided by
     vectorised tests: the first record's one-byte vints give ``klen`` and
     ``vlen``, the bytes are ``n`` strides, and every row repeats both
     lengths in their columns — so every record parses at its row."""
     data, n = batch.data, batch.count
     if not batch.raw or n < 2:
         return None
+    if batch.stride is not None:
+        return np.frombuffer(data, np.uint8).reshape(n, batch.stride)
     klen = data[0]
     vlen = data[klen + 1] if klen <= 127 else 128  # 128: a multi-byte vint
     if vlen > 127 or len(data) != n * (klen + vlen + 2):
@@ -305,16 +314,27 @@ def _fixed_stride(batch: RecordBatch) -> np.ndarray | None:
     return rows
 
 
+def _radix_order(keys: np.ndarray) -> np.ndarray:
+    """The stable order of ``(n, klen)`` key rows: an LSD radix over their
+    big-endian 16-bit columns (an odd length zero-padded), last first."""
+    order = np.arange(len(keys))
+    for column in np.pad(keys, ((0, 0), (0, keys.shape[1] % 2))).view(">u2").T[::-1]:
+        order = order[column.astype(np.uint16)[order].argsort(kind="stable")]
+    return order
+
+
 def sort_batch(
     batch: RecordBatch, cmp: Compare | None, serializer: Serializer
 ) -> RecordBatch:
     """Key-sort a batch by permuting record slices (stable; values opaque).
 
-    Under the byte order a fixed-stride raw batch sorts as an array: a
-    stable LSD radix over its keys' big-endian 16-bit columns (an odd
-    length padded with a zero byte), last column first, then one
-    ``take``.  Never NumPy's ``S`` dtype: it ties ``b"a\\x00"`` with
-    ``b"a"``.
+    Under the byte order a fixed-stride raw batch sorts as an array: each
+    key's first 8 bytes (zero-padded) as one big-endian ``uint64``,
+    ``argsort`` once.  When no two sorted heads are equal that order is
+    the only one, so it is the stable one; heads that tie (duplicate
+    keys, a shared 8-byte prefix) fall back to :func:`_radix_order`.  Then
+    one ``take`` of the rows.  Never NumPy's ``S`` dtype: it ties
+    ``b"a\\x00"`` with ``b"a"``.
     """
     byte_order = cmp is bytes_compare or cmp is default_compare
     rows = _fixed_stride(batch) if byte_order else None
@@ -324,10 +344,15 @@ def sort_batch(
         return RecordBatch(
             b"".join(map(records.__getitem__, order)), batch.count, batch.raw
         )
+    n, stride = rows.shape
     klen = int(rows[0, 0])
-    keys = np.zeros((len(rows), klen + klen % 2), np.uint8)
-    keys[:, :klen] = rows[:, 1:klen + 1]
-    order = np.arange(len(rows))
-    for column in keys.view(">u2").astype(np.uint16).T[::-1]:
-        order = order[column[order].argsort(kind="stable")]
-    return RecordBatch(rows.take(order, axis=0).ravel().data, batch.count, True)
+    # 8 bytes read in place past each key length: rows under 9 bytes padded
+    wide = rows if stride > 8 else np.pad(rows, ((0, 0), (0, 9 - stride)))
+    heads = np.ndarray(n, ">u8", wide, 1, (wide.shape[1],)).astype(np.uint64)
+    if klen < 8:  # zero the bytes read past the key
+        heads &= np.uint64(((1 << 8 * klen) - 1) << 8 * (8 - klen))
+    order = heads.argsort()
+    ordered = heads[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = _radix_order(rows[:, 1:klen + 1])
+    return RecordBatch(rows.take(order, axis=0).ravel().data, n, True, stride)

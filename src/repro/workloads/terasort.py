@@ -116,8 +116,7 @@ def terasort_datampi(
     try:
         result = mpidrun(job, nprocs=nprocs, raise_on_error=True)
         for name in sorted(os.listdir(spill_dir)):
-            with open(os.path.join(spill_dir, name), "rb") as f:
-                dfs0.write_file(f"{output_path}/{name}", f.read())
+            dfs0.put(os.path.join(spill_dir, name), f"{output_path}/{name}")
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
     return result

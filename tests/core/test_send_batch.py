@@ -12,6 +12,7 @@ exactly ``batch.count`` calls of ``ctx.send``.
 """
 
 import os
+import pickle
 import zlib
 
 import pytest
@@ -25,9 +26,12 @@ from repro.core.checkpoint import CheckpointManager, CheckpointReader, Checkpoin
 from repro.core.constants import MPI_D_Constants as K
 from repro.core.context import TaskContext
 from repro.core.partition import hash_partitioner, range_partitioner
-from repro.core.sorter import merge_batches
-from repro.serde.batch import RecordBatch, batch_from_pairs
+from repro.core.sorter import RunStore, merge_batches
+from repro.hdfs import MiniDFSCluster
+from repro.serde.batch import RecordBatch, _fixed_stride, batch_from_pairs, sort_batch
 from repro.serde.comparators import bytes_compare, default_compare
+from repro.workloads.teragen import RECORD_LEN, teragen_to_dfs
+from repro.workloads.terasort import terasort_datampi
 from tests.core.helpers import SERIALIZER as SER, FileCollector, Shipped
 
 #: the ends of the unsigned byte range, NULs (trailing ones too) included
@@ -390,3 +394,67 @@ def test_a_restarted_job_writes_what_an_unfailed_one_does(
                      nprocs=2, timeout=120.0, raise_on_error=True)
     assert second.metrics.reloaded_records == persisted
     assert _parts(out) == ft_off_parts
+
+
+# -- a batch's stride -------------------------------------------------------------
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Every ``RecordBatch`` constructed while the test runs."""
+    batches = []
+    init = RecordBatch.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        batches.append(self)
+
+    monkeypatch.setattr(RecordBatch, "__init__", recording)
+    return batches
+
+
+def _checked_stride(batch):
+    """The stride the full vectorised check finds in ``batch``'s bytes."""
+    rows = _fixed_stride(RecordBatch(bytes(batch.data), batch.count, batch.raw))
+    return None if rows is None else rows.shape[1]
+
+
+def test_every_batch_the_terasort_path_builds_has_a_confirmed_stride(built):
+    """Splits, their sorted arrays, the blocks cut from them, the merged
+    partitions: each knows the stride its bytes have."""
+    cluster = MiniDFSCluster(num_nodes=4, block_size=50 * RECORD_LEN)
+    teragen_to_dfs(cluster.client(0), "/tera/in", 600)
+    built.clear()
+    terasort_datampi(cluster, "/tera/in", "/tera/out", o_tasks=4, a_tasks=3,
+                     nprocs=2, conf={K.LAUNCHER: "threads"})
+    made = list(built)
+    # 12 splits, each read and sorted; at least one block and merge per part
+    assert len(made) >= 2 * 12 + 2 * 3
+    for batch in made:
+        assert batch.stride == RECORD_LEN + 2
+        assert batch.raw and len(batch.data) == batch.count * batch.stride
+        if batch.count > 1:
+            assert _checked_stride(batch) == batch.stride
+
+
+def test_a_batch_off_the_wire_or_the_disk_carries_no_stride(built, tmp_path):
+    """Pickled (the process wire), spilled and read back, checkpointed and
+    replayed: such a batch is checked once, not trusted."""
+    pairs = [(bytes([i % 5, i]), b"v%03d" % i) for i in range(40)]
+    framed = batch_from_pairs(pairs, None, raw=True)
+    batch = RecordBatch(framed.data, framed.count, True, _checked_stride(framed))
+    assert pickle.loads(pickle.dumps(batch)).stride is None
+
+    (tmp_path / "spill").mkdir()
+    store = RunStore(bytes_compare, SER, str(tmp_path / "spill"), memory_budget=0)
+    store.add_run(sort_batch(batch, bytes_compare, SER))
+    assert len(store.disk_runs) == 1 and not store.memory_runs
+    writer = CheckpointWriter(str(tmp_path), "o0", SER, 1, raw=True)
+    writer.add_records(batch.data, batch.count)
+    writer.close()
+    built.clear()
+    assert len(list(store)) == len(pairs)
+    replayed = CheckpointReader(str(tmp_path), "o0", SER, raw=True).replay()
+    assert list(replayed) == pairs
+    assert built and all(b.stride is None for b in built)
+    store.cleanup()

@@ -87,6 +87,58 @@ class TestReadWrite:
         assert dfs.read_file("/p") == payload
 
 
+class TestPut:
+    """``put`` (copyFromLocal) reads block by block and stores each read
+    as the block; the file it makes is the one ``write_file`` makes."""
+
+    @staticmethod
+    def _blocks(cluster, path):
+        return [(b.block_id, b.size, b.locations,
+                 [cluster.datanodes[n].fetch(b.block_id) for n in b.locations])
+                for b in cluster.namenode.get_block_locations(path)]
+
+    @pytest.mark.parametrize("size", [0, 99, 300, 350])
+    def test_put_makes_the_blocks_write_file_makes(self, tmp_path, size):
+        """Empty, under a block, whole blocks, whole blocks and a tail."""
+        payload = (bytes(range(251)) * 2)[:size]
+        local = tmp_path / "part"
+        local.write_bytes(payload)
+        put, written = (MiniDFSCluster(num_nodes=4, block_size=100, replication=2)
+                        for _ in range(2))
+        put.client(1).put(str(local), "/f")
+        written.client(1).write_file("/f", payload)
+        assert self._blocks(put, "/f") == self._blocks(written, "/f")
+        assert put.client(None).read_file("/f") == payload
+        assert put.namenode.file_meta("/f").size == size
+
+    def test_put_refuses_an_existing_path_unless_told(self, cluster, tmp_path):
+        local = tmp_path / "part"
+        local.write_bytes(b"x" * 150)
+        dfs = cluster.client(0)
+        dfs.write_file("/f", b"old")
+        with pytest.raises(HDFSError):
+            dfs.put(str(local), "/f")
+        dfs.put(str(local), "/f", overwrite=True)
+        assert dfs.read_file("/f") == b"x" * 150
+
+    def test_a_whole_block_of_bytes_is_stored_as_is(self, cluster):
+        block = b"b" * 100
+        with cluster.client(0).create("/f") as out:
+            out.write(block)
+        (info,) = cluster.namenode.get_block_locations("/f")
+        assert all(cluster.datanodes[n].fetch(info.block_id) is block
+                   for n in info.locations)
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_a_mutable_buffer_is_copied(self, cluster, kind):
+        """The caller may reuse what it wrote."""
+        buffer = bytearray(b"m" * 100)
+        with cluster.client(0).create("/f") as out:
+            out.write(kind(buffer))
+        buffer[:] = b"z" * 100
+        assert cluster.client(0).read_file("/f") == b"m" * 100
+
+
 class TestPlacementAndLocality:
     def test_writer_local_first_replica(self, cluster):
         dfs = cluster.client(2)

@@ -3,6 +3,7 @@
 import gc
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -215,6 +216,55 @@ class TestSocketRpc(_HadoopRpcCases):
             assert server._server.connections() == []
             assert len(os.listdir("/proc/self/fd")) == fds
         finally:
+            server.stop()
+
+    def test_close_returns_once_the_reader_has_exited(self, server):
+        """Only the thread that reads a connection closes its fd: close()
+        wakes the reader and returns once it has left.  Holding the lock
+        the reader takes on its way out keeps it from leaving early."""
+        client = SocketRpcClient(server.address)
+        assert client.call("add", 1, 1) == 2
+        seen = []
+
+        def close():
+            client.close()
+            seen.append(client._reader.is_alive())
+
+        closer = threading.Thread(target=close)
+        with client._lock:
+            closer.start()
+            closer.join(0.5)  # a close that does not wait returns now
+        closer.join(5.0)
+        assert seen == [False]
+        assert client._conn._sock.fileno() == -1
+
+    def test_churn_beside_a_spinning_thread_loses_no_call(self):
+        """Connect, call, close, 3 000 times, while a thread spins on the
+        GIL.  A reader that loaded its fd number before another thread
+        closed the fd could ``recv`` on the next socket given that number —
+        the next client's or the server's — and steal a call's bytes."""
+        server = SocketRpcServer(Calculator(), name="spin").start()
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        spinner = threading.Thread(target=spin, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.005)
+        spinner.start()
+        try:
+            for i in range(3000):
+                client = SocketRpcClient(server.address, timeout=2.0)
+                try:
+                    assert client.call("add", i, 1) == i + 1
+                finally:
+                    client.close()
+        finally:
+            stop.set()
+            spinner.join()
+            sys.setswitchinterval(interval)
             server.stop()
 
     def test_a_malformed_request_costs_its_connection_not_a_handler(self):
