@@ -9,7 +9,7 @@ hierarchy.
 """
 
 from repro.common.config import Configuration
-from repro.common.logging import get_logger, set_level
+from repro.common.logging import get_logger
 from repro.common.errors import (
     CheckpointError,
     ConfigurationError,
@@ -30,7 +30,6 @@ from repro.common.units import (
     MB,
     MiB,
     TB,
-    format_bytes,
     format_duration,
     parse_bytes,
 )
@@ -38,7 +37,6 @@ from repro.common.units import (
 __all__ = [
     "Configuration",
     "get_logger",
-    "set_level",
     "ReproError",
     "DataMPIError",
     "MPIError",
@@ -56,7 +54,6 @@ __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "format_bytes",
     "format_duration",
     "parse_bytes",
 ]

@@ -90,12 +90,6 @@ class Configuration(Mapping[str, Any]):
         except KeyError:
             return default
 
-    def require(self, key: str) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            raise ConfigurationError(f"required configuration key missing: {key!r}")
-
     def get_int(self, key: str, default: int | object = _MISSING) -> int:
         return int(self._typed(key, default))
 

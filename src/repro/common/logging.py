@@ -92,12 +92,3 @@ def get_logger(component: str) -> logging.Logger:
     _configure_root()
     name = component if component.startswith("repro") else f"repro.{component}"
     return logging.getLogger(name)
-
-
-def set_level(level: str, component: str = "repro") -> None:
-    """Programmatic override (tests use this instead of the env var)."""
-    _configure_root()
-    value = _resolve_level(level)
-    if value is None:
-        raise ValueError(f"unknown log level {level!r}")
-    logging.getLogger(component).setLevel(value)

@@ -1,8 +1,8 @@
 """Small statistics helpers used by the evaluation harness.
 
 The paper reports averages over time windows (Fig 11), latency
-distributions (Fig 10c) and improvement percentages; these helpers keep
-that arithmetic in one tested place.
+distributions (Fig 10c); these helpers keep that arithmetic in one
+tested place.
 """
 
 from __future__ import annotations
@@ -12,25 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-def improvement_pct(baseline: float, candidate: float) -> float:
-    """Percentage improvement of ``candidate`` over ``baseline``.
-
-    Matches the paper's convention for execution times: Hadoop 475 s vs
-    DataMPI 312 s is reported as a 34% improvement
-    (``(475 - 312) / 475 * 100``).
-    """
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return (baseline - candidate) / baseline * 100.0
-
-
-def speedup(baseline: float, candidate: float) -> float:
-    """Ratio ``baseline / candidate`` (>1 means candidate is faster)."""
-    if candidate == 0:
-        raise ValueError("candidate must be non-zero")
-    return baseline / candidate
 
 
 def percentile(data: Sequence[float], q: float) -> float:

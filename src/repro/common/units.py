@@ -65,20 +65,6 @@ def parse_bytes(text: str | int | float) -> int:
     return int(float(value) * mult)
 
 
-def format_bytes(n: int | float, *, decimal: bool = False) -> str:
-    """Render a byte count using the largest sensible unit."""
-    n = float(n)
-    units = (
-        [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
-        if decimal
-        else [(TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")]
-    )
-    for mult, name in units:
-        if abs(n) >= mult:
-            return f"{n / mult:.2f} {name}"
-    return f"{n:.0f} B"
-
-
 def format_duration(seconds: float) -> str:
     """Render seconds as a compact human duration (``"1h02m"``, ``"312 s"``)."""
     if seconds < 0:

@@ -117,9 +117,3 @@ class MPI_D(metaclass=_MPIDMeta):
     def Recv() -> tuple[Any, Any] | None:  # noqa: N802
         """Receive the next pair for this task, or None when exhausted."""
         return _context.current().recv()
-
-    # -- introspection helpers beyond the paper's surface -----------------------------
-    @staticmethod
-    def current_context() -> _context.TaskContext:
-        """The live task context (useful for state access in Iteration mode)."""
-        return _context.current()

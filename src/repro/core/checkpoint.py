@@ -285,9 +285,6 @@ class CheckpointManager:
             self.directory, f"o{task_id}", self.serializer, self.raw
         )
 
-    def total_persisted(self, num_o_tasks: int) -> int:
-        return sum(self.reader(t).record_count() for t in range(num_o_tasks))
-
     def clear(self) -> None:
         """Remove all checkpoints (job completed)."""
         remove_rounds(self.directory)

@@ -309,8 +309,3 @@ class JobResult:
         if self.metrics.a_tasks_run == 0:
             return 1.0
         return self.metrics.local_a_tasks / self.metrics.a_tasks_run
-
-    @property
-    def task_metrics(self) -> list[TaskMetrics]:
-        """Per-task-attempt table (duration, records in/out, worker)."""
-        return list(self.metrics.tasks)

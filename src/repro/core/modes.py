@@ -80,7 +80,7 @@ _PROFILE_DEFAULTS: dict[Mode, dict[str, Any]] = {
 #: full or not: a record waits for a clock, not for neighbours, whatever
 #: the rate and the key skew.  A constant, not an ``mpi.d.*`` key: latency
 #: is what the mode is for and no caller wants another value
-#: (docs/PERFORMANCE.md §7 has the 2 / 4 / 8 ms table).
+#: (CHANGES.md's streaming-clock entry measured 2, 4 and 8 ms).
 STREAM_LINGER_SECONDS = 0.004
 
 

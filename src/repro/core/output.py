@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from collections import defaultdict
 from typing import Any, BinaryIO, Iterator
 
 __all__ = ["FileSink"]
@@ -82,12 +81,6 @@ class FileSink:
         """All pairs, in part order (A-task rank order)."""
         for rank in self.ranks():
             yield from self.pairs_for(rank)
-
-    def by_task(self) -> dict[int, list[tuple[Any, Any]]]:
-        out: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
-        for rank in self.ranks():
-            out[rank] = list(self.pairs_for(rank))
-        return dict(out)
 
     def merged(self) -> dict[Any, Any]:
         """Pairs folded into a dict (last write per key wins)."""

@@ -122,7 +122,3 @@ class PartitionWindow:
     def owned_by(self, process: int) -> list[int]:
         """All partitions hosted by ``process`` (that process's A-task wave)."""
         return list(range(process, self.num_partitions, self.num_processes))
-
-    def busy_processes(self) -> int:
-        """How many processes receive any data at all."""
-        return min(self.num_partitions, self.num_processes)

@@ -48,6 +48,3 @@ class MiniDFSCluster:
             (i, block.locations)
             for i, block in enumerate(self.namenode.get_block_locations(path))
         ]
-
-    def total_stored_bytes(self) -> int:
-        return sum(dn.used_bytes() for dn in self.datanodes)

@@ -37,7 +37,3 @@ class DataNode:
     def drop(self, block_id: int) -> None:
         with self._lock:
             self._blocks.pop(block_id, None)
-
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(len(b) for b in self._blocks.values())

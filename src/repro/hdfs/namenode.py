@@ -143,13 +143,3 @@ class NameNode:
                 for path, meta in self._files.items()
                 if path.startswith(prefix)
             )
-
-    def block_distribution(self) -> dict[int, int]:
-        """datanode id -> replica count (for placement-balance tests)."""
-        counts: dict[int, int] = {n: 0 for n in range(self.num_datanodes)}
-        with self._lock:
-            for meta in self._files.values():
-                for block in meta.blocks:
-                    for node in block.locations:
-                        counts[node] += 1
-        return counts

@@ -41,10 +41,9 @@ Semantics are those of the threaded backend, preserved deliberately:
   connection: a respawn takes the rank's connection away, so a zombie —
   a rank declared dead that is still limping — has its frames fenced at
   the hub (``stale_frames_dropped``) instead of corrupting its
-  successor's streams.  Budget exhaustion or
-  log overflow degrades to the pre-existing whole-job abort/restart
-  path.  What an event in a rank's life means is decided by its
-  :class:`_Rank` record alone.
+  successor's streams.  Budget exhaustion or log overflow degrades to
+  the whole-job abort/restart path.  What an event in a rank's life
+  means is decided by its :class:`_Rank` record alone.
 
 Payloads are pickled only at the wire boundary
 (:func:`repro.net.wire.encode_payload`); workers are forked, so job
@@ -702,9 +701,10 @@ class WorkerRuntime(BaseRuntime):
         self._rpc_pending: dict[int, futures.Future] = {}
         self.abort_flag.watch(self._fail_rpcs)
         self._closing = False
-        threading.Thread(
+        self._reader = threading.Thread(
             target=self._recv_loop, name=f"{spec.name}-wire", daemon=True
-        ).start()
+        )
+        self._reader.start()
 
     def _make_transport(self) -> Transport:
         return WorkerTransport(self.abort_flag, self._spec, self._conn)
@@ -778,14 +778,13 @@ class WorkerRuntime(BaseRuntime):
 
     def _fail_rpcs(self) -> None:
         """Fail every call still awaiting its reply (the abort)."""
+        flag = self.abort_flag
         while self._rpc_pending:
             try:
                 _, reply = self._rpc_pending.popitem()
             except KeyError:  # the reader or the caller took the last one
                 return
-            reply.set_exception(
-                MPIAbort(self.abort_flag.errorcode, self.abort_flag.reason)
-            )
+            reply.set_exception(MPIAbort(flag.errorcode, flag.reason))
 
     def _recv_loop(self) -> None:
         """The wire reader: deposits what the router forwards (a listened
@@ -794,32 +793,33 @@ class WorkerRuntime(BaseRuntime):
         _T.bind(self._spec.rank)
         conn = self._conn
         mailbox = self.mailbox(self._spec.gid)
-        while True:
-            try:
-                frame = conn.recv()
-            except ConnectionError:
-                frame = None
-            if frame is None:
-                if not self._closing:
-                    self.abort_flag.trip("lost connection to the mpidrun router")
-                return
-            kind, body = frame
-            if kind == FrameKind.ENVELOPE:
-                mailbox.deposit(_decode_envelope(wire.unpack_envelope_frame(body)))
-            elif kind == FrameKind.ABORT:
-                self.abort_flag.trip(*wire.unpack_obj(body))
-            elif kind == FrameKind.RPC_REP:
-                response = decode_message(body)
-                reply = self._rpc_pending.pop(response.call_id, None)
-                if reply is not None:
-                    reply.set_result(response)
-            else:
-                _log.warning("worker: ignoring unknown frame kind %d", kind)
+        try:
+            while (frame := conn.recv()) is not None:
+                kind, body = frame
+                if kind == FrameKind.ENVELOPE:
+                    mailbox.deposit(_decode_envelope(wire.unpack_envelope_frame(body)))
+                elif kind == FrameKind.ABORT:
+                    self.abort_flag.trip(*wire.unpack_obj(body))
+                elif kind == FrameKind.RPC_REP:
+                    response = decode_message(body)
+                    reply = self._rpc_pending.pop(response.call_id, None)
+                    if reply is not None:
+                        reply.set_result(response)
+                else:
+                    _log.warning("worker: ignoring unknown frame kind %d", kind)
+        except ConnectionError:
+            pass  # severed mid-frame: as gone as a clean EOF
+        finally:
+            conn.close()  # the one thread that reads it releases it
+        if not self._closing:
+            self.abort_flag.trip("lost connection to the mpidrun router")
 
     def close(self) -> None:
+        """Say BYE, wake the reader and wait for it: it closes the fd."""
         self._closing = True
         self._conn.try_send(wire.pack_frame(FrameKind.BYE))
-        self._conn.close()
+        self._conn.shutdown()
+        self._reader.join()
 
 
 def fork_worker(spec: WorkerSpec) -> tuple[Any, WorkerSpec]:

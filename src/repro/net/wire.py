@@ -410,10 +410,6 @@ class FrameServer:
                 self._conns.remove(conn)
                 self._readers.remove(threading.current_thread())
 
-    def connections(self) -> list[FrameConnection]:
-        with self._lock:
-            return list(self._conns)
-
     def stop(self) -> None:
         self._stopping = True
         # closing alone does not wake a thread blocked in accept() on

@@ -32,7 +32,6 @@ from repro.obs.journal import (
     export_chrome,
     read_journal,
     to_chrome_trace,
-    write_journal,
 )
 from repro.obs.telemetry import TelemetryHub
 
@@ -45,5 +44,4 @@ __all__ = [
     "export_chrome",
     "read_journal",
     "to_chrome_trace",
-    "write_journal",
 ]

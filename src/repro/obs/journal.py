@@ -34,7 +34,6 @@ __all__ = [
     "export_chrome",
     "read_journal",
     "to_chrome_trace",
-    "write_journal",
 ]
 
 JOURNAL_VERSION = 1
@@ -101,21 +100,6 @@ class Journal:
     @property
     def counters(self) -> list[dict]:
         return [e for e in self.events if e.get("ph") == "C"]
-
-
-def write_journal(
-    path: str,
-    meta: dict,
-    events: Iterable[dict],
-    summary: dict | None = None,
-) -> str:
-    """One-shot journal write; returns ``path``."""
-    with JournalWriter(path) as w:
-        w.write_meta(**meta)
-        w.write_events(events)
-        if summary is not None:
-            w.write_summary(summary)
-    return path
 
 
 def read_journal(path: str) -> Journal:

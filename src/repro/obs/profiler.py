@@ -160,10 +160,6 @@ class StackSampler:
             thread.join(timeout=5)
 
     @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    @property
     def hz(self) -> float:
         return self._hz
 

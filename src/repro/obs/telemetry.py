@@ -141,10 +141,6 @@ class TelemetryHub:
                 _log.exception("telemetry watcher failed")
 
     # -- read path ------------------------------------------------------------
-    def series_keys(self) -> list[tuple[int, int]]:
-        with self._lock:
-            return sorted(self._series)
-
     def latest(self) -> dict[int, WorkerMetrics]:
         """Newest record per rank, from that rank's highest epoch."""
         with self._lock:  # in (rank, epoch) order: a later epoch overwrites

@@ -131,9 +131,3 @@ class S4App:
             node.inbox.put(_SHUTDOWN)
         for node in self.nodes:
             node.join(timeout)
-
-    def total_processed(self) -> int:
-        return sum(node.events_processed for node in self.nodes)
-
-    def all_instances(self) -> list[ProcessingElement]:
-        return [pe for node in self.nodes for pe in node.instances.values()]

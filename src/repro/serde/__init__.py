@@ -15,7 +15,7 @@ from repro.serde.batch import (
     sort_batch,
 )
 from repro.serde.io import DataInput, DataOutput
-from repro.serde.registry import resolve_type, type_name
+from repro.serde.registry import resolve_type
 from repro.serde.serialization import (
     PickleSerializer,
     Serializer,
@@ -57,5 +57,4 @@ __all__ = [
     "PickleSerializer",
     "get_serializer",
     "resolve_type",
-    "type_name",
 ]

@@ -16,7 +16,6 @@ _INT = struct.Struct(">i")
 _LONG = struct.Struct(">q")
 _FLOAT = struct.Struct(">f")
 _DOUBLE = struct.Struct(">d")
-_SHORT = struct.Struct(">h")
 
 
 class DataOutput:
@@ -53,9 +52,6 @@ class DataOutput:
 
     def write_boolean(self, v: bool) -> None:
         self._buf.append(1 if v else 0)
-
-    def write_short(self, v: int) -> None:
-        self._buf += _SHORT.pack(v)
 
     def write_int(self, v: int) -> None:
         self._buf += _INT.pack(v)
@@ -146,9 +142,6 @@ class DataInput:
     def remaining(self) -> int:
         return len(self._view) - self._pos
 
-    def at_end(self) -> bool:
-        return self._pos >= len(self._view)
-
     def _take(self, n: int) -> memoryview:
         if self._pos + n > len(self._view):
             raise SerializationError(
@@ -171,9 +164,6 @@ class DataInput:
 
     def read_boolean(self) -> bool:
         return self._take(1)[0] != 0
-
-    def read_short(self) -> int:
-        return _SHORT.unpack(self._take(2))[0]
 
     def read_int(self) -> int:
         return _INT.unpack(self._take(4))[0]

@@ -9,20 +9,16 @@ themselves.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.common.errors import ConfigurationError
 from repro.serde import writable as w
 
 _REGISTRY: dict[str, type] = {}
-_REVERSE: dict[type, str] = {}
 
 
 def register_type(name: str, cls: type, *aliases: str) -> None:
     """Register ``cls`` under ``name`` (and optional aliases)."""
     for key in (name, *aliases):
         _REGISTRY[key] = cls
-    _REVERSE.setdefault(cls, name)
 
 
 def resolve_type(spec: str | type | None) -> type | None:
@@ -36,21 +32,6 @@ def resolve_type(spec: str | type | None) -> type | None:
         return _REGISTRY[spec]
     except KeyError:
         raise ConfigurationError(f"unknown key/value class: {spec!r}") from None
-
-
-def type_name(cls: type) -> str:
-    """Canonical registered name for a type (for round-tripping configs)."""
-    try:
-        return _REVERSE[cls]
-    except KeyError:
-        return f"{cls.__module__}.{cls.__qualname__}"
-
-
-def coerce(value: Any, cls: type | None) -> Any:
-    """Coerce a raw Python value into ``cls`` if it is not already one."""
-    if cls is None or isinstance(value, cls):
-        return value
-    return cls(value)
 
 
 # -- built-in registrations ------------------------------------------------

@@ -42,10 +42,6 @@ class Device:
         self.busy_time += duration
         return self.sim.timeout(self._free_at - self.sim.now)
 
-    def utilization(self, window: float) -> float:
-        """Fraction of ``window`` the device has been busy (cumulative)."""
-        return min(1.0, self.busy_time / window) if window > 0 else 0.0
-
 
 class Cores:
     """N CPU cores; ``compute(seconds)`` occupies one until done."""
@@ -97,7 +93,3 @@ class MemoryGauge:
 
     def release(self, nbytes: float) -> None:
         self.used = max(0.0, self.used - nbytes)
-
-    @property
-    def available(self) -> float:
-        return max(0.0, self.capacity - self.used)

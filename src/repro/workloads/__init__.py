@@ -16,7 +16,7 @@ Sort (Listing 1)      Common        ``sorted``
 ====================  ============  =======================================
 """
 
-from repro.workloads.teragen import teragen, teragen_to_dfs, verify_sorted_records
+from repro.workloads.teragen import teragen, teragen_to_dfs
 from repro.workloads.terasort import (
     sample_boundaries,
     terasort_datampi,
@@ -51,7 +51,6 @@ from repro.workloads.topk import (
 __all__ = [
     "teragen",
     "teragen_to_dfs",
-    "verify_sorted_records",
     "sample_boundaries",
     "terasort_datampi",
     "terasort_hadoop",

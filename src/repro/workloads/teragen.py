@@ -47,13 +47,6 @@ def teragen(num_records: int, seed: int = 42, start: int = 0) -> bytes:
     return records.tobytes()
 
 
-def teragen_records(num_records: int, seed: int = 42, start: int = 0):
-    """The same data as (key, value) byte pairs."""
-    blob = teragen(num_records, seed, start)
-    for pos in range(0, len(blob), RECORD_LEN):
-        yield blob[pos : pos + KEY_LEN], blob[pos + KEY_LEN : pos + RECORD_LEN]
-
-
 def teragen_to_dfs(
     dfs: DFSClient,
     path: str,
@@ -78,14 +71,3 @@ def teragen_to_dfs(
             n = min(chunk, num_records - written)
             out.write(teragen(n, seed, start=written))
             written += n
-
-
-def verify_sorted_records(blob: bytes) -> bool:
-    """True if a record blob is key-sorted."""
-    prev = None
-    for pos in range(0, len(blob), RECORD_LEN):
-        key = blob[pos : pos + KEY_LEN]
-        if prev is not None and key < prev:
-            return False
-        prev = key
-    return True

@@ -18,10 +18,6 @@ class TestBasics:
         assert conf.get("missing", 42) == 42
         assert conf.get("missing") is None
 
-    def test_require_raises(self):
-        with pytest.raises(ConfigurationError):
-            Configuration().require("nope")
-
     def test_mapping_protocol(self):
         conf = Configuration({"x": 1, "y": 2})
         assert set(conf) == {"x", "y"}

@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.common.logging import _apply_env, get_logger, set_level
+from repro.common.logging import _apply_env, get_logger
 
 
 class TestGetLogger:
@@ -14,15 +14,10 @@ class TestGetLogger:
         logger = get_logger("test.silent")
         assert not logger.isEnabledFor(logging.DEBUG)
 
-    def test_set_level_programmatic(self):
-        set_level("debug", "repro.test.loud")
-        assert get_logger("test.loud").isEnabledFor(logging.DEBUG)
-        set_level("warning", "repro.test.loud")
-
     def test_env_spec_bare_level(self):
         _apply_env("info")
         assert get_logger("anything").isEnabledFor(logging.INFO)
-        set_level("warning")  # restore
+        _apply_env("warning")  # restore
 
     def test_env_spec_per_component(self):
         _apply_env("repro.test.x=debug, repro.test.y=error")
@@ -48,19 +43,19 @@ class TestGetLogger:
 
     def test_records_reach_handler(self):
         records, handler = self._capture("test.cap")
-        set_level("debug", "repro.test.cap")
+        _apply_env("repro.test.cap=debug")
         try:
             get_logger("test.cap").debug("traced %d", 42)
             assert "traced 42" in records
         finally:
-            set_level("warning", "repro.test.cap")
+            _apply_env("repro.test.cap=warning")
             get_logger("test.cap").removeHandler(handler)
 
     def test_engine_emits_debug_trace(self):
         from repro.core import DataMPIJob, Mode, mpidrun
 
         records, handler = self._capture("core.engine")
-        set_level("debug", "repro.core.engine")
+        _apply_env("repro.core.engine=debug")
         try:
             job = DataMPIJob(
                 "traced", lambda ctx: ctx.send("k", 1),
@@ -71,7 +66,7 @@ class TestGetLogger:
             assert "start O task 0" in text
             assert "end A task 0" in text
         finally:
-            set_level("warning", "repro.core.engine")
+            _apply_env("repro.core.engine=warning")
             get_logger("core.engine").removeHandler(handler)
 
 
@@ -87,20 +82,7 @@ class TestTraceLevelAndReentrancy:
 
         _apply_env("repro.test.tr=trace")
         assert get_logger("test.tr").isEnabledFor(TRACE)
-        set_level("warning", "repro.test.tr")
-
-    def test_set_level_trace(self):
-        from repro.common.logging import TRACE
-
-        set_level("trace", "repro.test.tr2")
-        assert get_logger("test.tr2").isEnabledFor(TRACE)
-        set_level("warning", "repro.test.tr2")
-
-    def test_set_level_unknown_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            set_level("notalevel")
+        _apply_env("repro.test.tr=warning")
 
     def test_configuration_is_reentrant(self):
         root = logging.getLogger("repro")

@@ -6,9 +6,7 @@ from repro.common.records import _size_of
 from repro.common.stats import (
     TimeSeries,
     histogram,
-    improvement_pct,
     percentile,
-    speedup,
     summarize,
 )
 
@@ -33,21 +31,6 @@ class TestKvBytes:
 
     def test_monotone_in_payload(self):
         assert kv_bytes("k", "v" * 100) > kv_bytes("k", "v")
-
-
-class TestImprovement:
-    def test_paper_headline_number(self):
-        # Hadoop 475 s vs DataMPI 312 s -> ~34% improvement (paper Fig 9)
-        assert improvement_pct(475, 312) == pytest.approx(34.3, abs=0.1)
-
-    def test_speedup(self):
-        assert speedup(475, 312) == pytest.approx(1.522, abs=0.01)
-
-    def test_zero_baseline_raises(self):
-        with pytest.raises(ValueError):
-            improvement_pct(0, 1)
-        with pytest.raises(ValueError):
-            speedup(1, 0)
 
 
 class TestHistogramPercentile:

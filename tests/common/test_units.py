@@ -40,19 +40,6 @@ class TestParseBytes:
             units.parse_bytes("12 parsecs")
 
 
-class TestFormatBytes:
-    def test_binary_units(self):
-        assert units.format_bytes(units.MiB) == "1.00 MiB"
-        assert units.format_bytes(512) == "512 B"
-
-    def test_decimal_units(self):
-        assert units.format_bytes(2 * units.GB, decimal=True) == "2.00 GB"
-
-    def test_roundtrip_magnitude(self):
-        text = units.format_bytes(168 * units.GiB)
-        assert text == "168.00 GiB"
-
-
 class TestFormatDuration:
     def test_microseconds(self):
         assert units.format_duration(5e-6) == "5.0 us"

@@ -52,8 +52,7 @@ class TestMapReduceParity:
             out = FileCollector(tmp_path / launcher)
             mpidrun(_wc_job(out, launcher), nprocs=4, raise_on_error=True)
             per_task[launcher] = {
-                rank: sorted(pairs)
-                for rank, pairs in out.by_task().items()
+                rank: sorted(out.pairs_for(rank)) for rank in out.ranks()
             }
         assert per_task["threads"] == per_task["processes"]
 
@@ -96,9 +95,9 @@ class TestFileSink:
             written.append((f"k{i}", i))
             assert sorted(reader.pairs()) == written
         assert len(sink._files) == 2  # one handle per rank, not per pair
-        assert reader.by_task() == {
-            0: [("k0", 0), ("k2", 2), ("k4", 4)], 1: [("k1", 1), ("k3", 3)],
-        }
+        assert reader.ranks() == [0, 1]
+        assert list(reader.pairs_for(0)) == [("k0", 0), ("k2", 2), ("k4", 4)]
+        assert list(reader.pairs_for(1)) == [("k1", 1), ("k3", 3)]
         sink.cleanup()
 
     def test_handles_are_dropped_from_pickled_state(self, tmp_path):
@@ -317,10 +316,15 @@ class TestSealedBytesAreTheSameOnBothBackends:
         from repro.hdfs import MiniDFSCluster
         from repro.serde.batch import batch_from_pairs
         from repro.workloads import teragen_to_dfs, terasort_datampi
-        from repro.workloads.teragen import RECORD_LEN, teragen_records
+        from repro.workloads.teragen import KEY_LEN, RECORD_LEN, teragen
 
         n = 600
-        sealed = batch_from_pairs(teragen_records(n), None, raw=True)
+        blob = teragen(n)
+        sealed = batch_from_pairs(
+            ((blob[p : p + KEY_LEN], blob[p + KEY_LEN : p + RECORD_LEN])
+             for p in range(0, len(blob), RECORD_LEN)),
+            None, raw=True,
+        )
         for launcher in ("threads", "processes"):
             cluster = MiniDFSCluster(num_nodes=4, block_size=50 * RECORD_LEN)
             teragen_to_dfs(cluster.client(0), "/in", n)

@@ -74,7 +74,7 @@ class TestPlacement:
         result = mpidrun(job, nprocs=NPROCS, timeout=120.0, raise_on_error=True)
         window = PartitionWindow(5, NPROCS)
         ran = [(t.round_no, t.task_id, t.worker)
-               for t in result.task_metrics if t.kind == "A"]
+               for t in result.metrics.tasks if t.kind == "A"]
         assert sorted(ran) == sorted(
             (r, task, window.owner(task)) for r in range(rounds) for task in range(5)
         )

@@ -150,7 +150,7 @@ class TestIterationMode:
         assert all(len(threads) == 1 for threads in by_task.values())
         windows = {"O": PartitionWindow(3, 3), "A": PartitionWindow(2, 3)}
         ran = sorted((t.kind, t.round_no, t.task_id, t.worker)
-                     for t in result.task_metrics)
+                     for t in result.metrics.tasks)
         assert ran == sorted(
             (kind, r, task, window.owner(task))
             for kind, window in windows.items()

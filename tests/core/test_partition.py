@@ -91,7 +91,6 @@ class TestPartitionWindow:
         window = PartitionWindow(num_partitions=3, num_processes=5)
         assert [window.owner(p) for p in range(3)] == [0, 1, 2]
         assert window.owned_by(3) == [] and window.owned_by(4) == []
-        assert window.busy_processes() == 3
 
     def test_numo_equals_numa(self):
         window = PartitionWindow(num_partitions=4, num_processes=4)

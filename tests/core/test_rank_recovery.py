@@ -91,7 +91,10 @@ class TestSurgicalRecovery:
         assert clean_result.success and faulted_result.success
         assert clean_result.metrics.respawns == 0
         assert faulted_result.metrics.respawns >= 1
-        assert faulted.by_task() == clean.by_task()  # per-task, not just merged
+        # per task, not just merged
+        assert faulted.ranks() == clean.ranks()
+        for r in clean.ranks():
+            assert list(faulted.pairs_for(r)) == list(clean.pairs_for(r))
 
     def test_recovery_traces_the_respawn_with_ft_on(self, tmp_path):
         injector = FaultInjector()
@@ -215,7 +218,9 @@ class TestSurgicalRecovery:
         assert result.success
         assert result.restarts == 0
         assert result.metrics.respawns >= 1
-        assert faulted.by_task() == clean.by_task()
+        assert faulted.ranks() == clean.ranks()
+        for r in clean.ranks():
+            assert list(faulted.pairs_for(r)) == list(clean.pairs_for(r))
 
     def test_killed_rank_mid_stream_loses_no_records(self, tmp_path):
         def build(out, conf):
@@ -242,7 +247,9 @@ class TestSurgicalRecovery:
         assert result.success
         assert result.restarts == 0
         assert result.metrics.respawns >= 1
-        assert faulted.by_task() == clean.by_task()
+        assert faulted.ranks() == clean.ranks()
+        for r in clean.ranks():
+            assert list(faulted.pairs_for(r)) == list(clean.pairs_for(r))
 
 
 class TestGracefulDegradation:

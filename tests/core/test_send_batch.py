@@ -249,7 +249,7 @@ def test_a_job_sees_what_a_send_loop_sends(tmp_path, launcher, partitioner, conf
         result = mpidrun(job, nprocs=2, timeout=120.0, raise_on_error=True)
         assert result.metrics.records_sent == sum(
             len(_INPUTS[inputs](r)) for r in range(O_TASKS))
-        outputs.append(out.by_task())
+        outputs.append({r: list(out.pairs_for(r)) for r in out.ranks()})
     assert outputs[0] == outputs[1]
 
 
@@ -387,7 +387,7 @@ def test_a_restarted_job_writes_what_an_unfailed_one_does(
     sent = point * SPLIT if how == "o_fn" else point
     assert rounds.reader(task).record_count() == (
         sent if how == "o_fn" and batched else sent // interval * interval)
-    persisted = rounds.total_persisted(O_TASKS)
+    persisted = sum(rounds.reader(t).record_count() for t in range(O_TASKS))
     out = root / "out"
     out.mkdir()
     second = mpidrun(_ft_job(str(out), batched, conf, marker, point),

@@ -1,5 +1,7 @@
 """Tests for the mini-HDFS substrate."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +185,12 @@ class TestPlacementAndLocality:
         dfs = cluster.client(0)
         for i in range(40):
             dfs.write_file(f"/f{i}", b"0123456789")
-        counts = cluster.namenode.block_distribution()
+        counts = Counter(
+            node
+            for i in range(40)
+            for block in cluster.namenode.get_block_locations(f"/f{i}")
+            for node in block.locations
+        )
         # node 0 holds every first replica; others share the seconds
         assert counts[0] == 40
         assert sum(counts[n] for n in range(1, 8)) == 40
@@ -202,10 +209,10 @@ class TestNamespace:
         dfs = cluster.client(0)
         dfs.write_file("/d", b"x" * 150)
         assert dfs.exists("/d")
-        stored_before = cluster.total_stored_bytes()
+        blocks_before = sum(len(dn._blocks) for dn in cluster.datanodes)
         dfs.delete("/d")
         assert not dfs.exists("/d")
-        assert cluster.total_stored_bytes() < stored_before
+        assert sum(len(dn._blocks) for dn in cluster.datanodes) < blocks_before
 
     def test_create_existing_raises(self, cluster):
         dfs = cluster.client(0)

@@ -17,7 +17,7 @@ from repro.obs.inspect import (
     summarize_journal,
     top_tasks,
 )
-from repro.obs.journal import read_journal, write_journal
+from repro.obs.journal import JournalWriter, read_journal
 from repro.obs.tracer import TRACER
 
 
@@ -114,7 +114,7 @@ class TestUtilizationSeries:
 class TestTaskMetricsTable:
     def test_per_task_rows(self):
         result = mpidrun(_job("table"), nprocs=2, raise_on_error=True)
-        rows = result.task_metrics
+        rows = result.metrics.tasks
         assert len(rows) == 4
         kinds = sorted(t.kind for t in rows)
         assert kinds == ["A", "A", "O", "O"]
@@ -146,12 +146,15 @@ class TestInspector:
         carries them: a ``plane.wait`` span (``cat="phase"``) is not a
         phase, and the report of a journal cut before its summary shows
         no table rather than one made of it."""
-        path = write_journal(str(tmp_path / "cut.trace.jsonl"), {"job": "x"}, [
-            {"ph": "X", "ts": 0.0, "dur": 0.5, "name": "plane.wait",
-             "cat": "phase", "rank": 1, "tid": "w"},
-            {"ph": "X", "ts": 0.5, "dur": 0.25, "name": "O-task-0",
-             "cat": "task", "rank": 1, "tid": "w", "args": {"kind": "O"}},
-        ])
+        path = str(tmp_path / "cut.trace.jsonl")
+        with JournalWriter(path) as w:
+            w.write_meta(job="x")
+            w.write_events([
+                {"ph": "X", "ts": 0.0, "dur": 0.5, "name": "plane.wait",
+                 "cat": "phase", "rank": 1, "tid": "w"},
+                {"ph": "X", "ts": 0.5, "dur": 0.25, "name": "O-task-0",
+                 "cat": "task", "rank": 1, "tid": "w", "args": {"kind": "O"}},
+            ])
         s = summarize_journal(read_journal(path))
         assert s["phase_times"] == {}
         assert s["coverage"] == 0.0
@@ -224,36 +227,30 @@ class TestTraceCli:
 
     def test_coverage_gate_fails(self, tmp_path, capsys):
         from repro.cli import trace_main
-        from repro.obs.journal import write_journal
 
         path = str(tmp_path / "low.trace.jsonl")
-        write_journal(
-            path, meta={"job": "low"},
-            events=[{"ph": "i", "ts": 0.0, "name": "e", "tid": "t",
-                     "rank": 0}],
-            summary={"workers": [{"rank": 0, "wall_seconds": 10.0,
-                                  "phase_times": {"compute": 1.0}}]},
-        )
+        with JournalWriter(path) as w:
+            w.write_meta(job="low")
+            w.write_event({"ph": "i", "ts": 0.0, "name": "e", "tid": "t", "rank": 0})
+            w.write_summary({"workers": [{"rank": 0, "wall_seconds": 10.0,
+                                          "phase_times": {"compute": 1.0}}]})
         assert trace_main([path, "--check-coverage", "95"]) == 1
 
     def test_coverage_gate_fails_on_an_over_count(self, tmp_path, capsys):
         # buckets twice the wall (two threads charging one rank): no clamp
         # turns that into "100% covered"
         from repro.cli import trace_main
-        from repro.obs.journal import write_journal
 
         path = str(tmp_path / "twice.trace.jsonl")
-        write_journal(
-            path, meta={"job": "twice"},
-            events=[{"ph": "i", "ts": 0.0, "name": "e", "tid": "t",
-                     "rank": 0}],
-            summary={"workers": [
+        with JournalWriter(path) as w:
+            w.write_meta(job="twice")
+            w.write_event({"ph": "i", "ts": 0.0, "name": "e", "tid": "t", "rank": 0})
+            w.write_summary({"workers": [
                 {"rank": rank, "wall_seconds": 10.0,
                  "phase_times": {"compute": 8.0, "merge": 10.0,
                                  "communicate": 2.0, "spill": 5.0}}
                 for rank in (0, 1)
-            ]},
-        )
+            ]})
         assert coverage(read_journal(path)) == pytest.approx(2.0)
         assert trace_main([path, "--check-coverage", "95"]) == 1
         assert "coverage 200.0% outside 95.0–105%" in capsys.readouterr().err

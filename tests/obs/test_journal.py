@@ -8,7 +8,6 @@ from repro.obs.journal import (
     export_chrome,
     read_journal,
     to_chrome_trace,
-    write_journal,
 )
 
 
@@ -26,12 +25,10 @@ def _sample_events():
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        write_journal(
-            path,
-            meta={"job": "t", "nprocs": 2},
-            events=_sample_events(),
-            summary={"wall_seconds": 1.5, "phase_times": {"compute": 1.0}},
-        )
+        with JournalWriter(path) as w:
+            w.write_meta(job="t", nprocs=2)
+            w.write_events(_sample_events())
+            w.write_summary({"wall_seconds": 1.5, "phase_times": {"compute": 1.0}})
         j = read_journal(path)
         assert j.meta["job"] == "t"
         assert j.meta["version"] == 1
@@ -50,7 +47,9 @@ class TestRoundTrip:
 
     def test_torn_tail_is_tolerated(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        write_journal(path, meta={"job": "t"}, events=_sample_events())
+        with JournalWriter(path) as w:
+            w.write_meta(job="t")
+            w.write_events(_sample_events())
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"type": "event", "ph": "i", "na')  # crash mid-line
         j = read_journal(path)
@@ -94,7 +93,9 @@ class TestChromeExport:
     def test_export_writes_valid_json(self, tmp_path):
         src = str(tmp_path / "j.jsonl")
         dst = str(tmp_path / "trace.json")
-        write_journal(src, meta={"job": "t"}, events=_sample_events())
+        with JournalWriter(src) as w:
+            w.write_meta(job="t")
+            w.write_events(_sample_events())
         export_chrome(read_journal(src), dst)
         with open(dst, encoding="utf-8") as f:
             data = json.load(f)

@@ -193,7 +193,7 @@ class TestInstrumentsAgree:
             assert _explained(w["phase_times"]) == pytest.approx(
                 w["wall_seconds"], rel=0.01
             )
-        a_rows = [t for t in result.task_metrics if t.kind == "A"]
+        a_rows = [t for t in result.metrics.tasks if t.kind == "A"]
         assert sorted(t.task_id for t in a_rows) == [0, 1, 2, 3, 4]
         assert all(t.duration > 0.05 for t in a_rows)
         assert sum(t.records_received for t in a_rows) == 600

@@ -132,15 +132,15 @@ class TestStackSampler:
 
     def test_acquire_release_refcount(self):
         sampler = StackSampler()
-        assert not sampler.running
+        assert sampler._thread is None
         sampler.acquire(10.0)
         sampler.acquire(50.0)
-        assert sampler.running
+        assert sampler._thread is not None
         assert sampler.hz == 50.0  # max requested rate wins
         sampler.release()
-        assert sampler.running  # one holder left
+        assert sampler._thread is not None  # one holder left
         sampler.release()
-        assert not sampler.running
+        assert sampler._thread is None
         sampler.release()  # over-release is a no-op
 
     def test_background_loop_actually_samples(self, burning_thread):
@@ -178,7 +178,7 @@ class TestStackSampler:
         # the registry is always on: doctor captures must work unprofiled
         sampler = StackSampler()
         sampler.register_thread(0, ident=burning_thread)
-        assert not sampler.running
+        assert sampler._thread is None
         assert sampler.dump_stacks(0)[0]["stack"]
 
 

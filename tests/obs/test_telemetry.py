@@ -130,7 +130,7 @@ class TestTelemetryHub:
         hub.ingest(_record(0, epoch=0))
         hub.ingest(_record(0, epoch=0))
         hub.ingest(_record(0, epoch=1))  # reborn incarnation
-        assert set(hub.series_keys()) == {(0, 0), (0, 1)}
+        assert set(hub._series) == {(0, 0), (0, 1)}
         # the predecessor's series survives the respawn, with its count
         text = hub.prometheus_text()
         assert 'datampi_telemetry_snapshots_total{rank="0",epoch="0"} 2' in text
@@ -150,7 +150,7 @@ class TestTelemetryHub:
         records = [_record(1, records_sent=n) for n in range(32)]
         for record in records:
             hub.ingest(record)
-        assert hub.series_keys() == [(1, 0)]
+        assert sorted(hub._series) == [(1, 0)]
         assert hub.latest()[1] is records[-1]
         assert hub.snapshots_ingested == 32
 
@@ -159,7 +159,7 @@ class TestTelemetryHub:
         hub.ingest(None)
         hub.ingest(b"garbage")
         hub.ingest({"no_rank": True})
-        assert hub.series_keys() == []
+        assert sorted(hub._series) == []
         assert hub.snapshots_ingested == 0
 
     def test_rollups_quantiles_and_scores(self):
@@ -308,7 +308,7 @@ class TestLiveTelemetry:
         assert result.failures[0].kind == "heartbeat"
         assert result.failures[0].worker == 1
         hub = captured_hub["hub"]
-        assert {rank for rank, _epoch in hub.series_keys()} == {0}
+        assert {rank for rank, _epoch in sorted(hub._series)} == {0}
         # the healthy rank kept reporting
         assert {r.rank for r in captured_hub["records"]} == {0}
 
@@ -396,7 +396,7 @@ class TestLiveTelemetry:
         assert result.metrics.respawns >= 1
         assert out.merged() == expected_wordcount(TEXTS)
         hub = captured_hub["hub"]
-        keys = hub.series_keys()
+        keys = sorted(hub._series)
         epochs = {}
         for rank, epoch in keys:
             epochs.setdefault(rank, set()).add(epoch)

@@ -213,7 +213,7 @@ class TestSocketRpc(_HadoopRpcCases):
             for t in threading.enumerate():
                 if t.name == "churn-reader":
                     t.join(5.0)  # each sees its peer's EOF on its own
-            assert server._server.connections() == []
+            assert server._server._conns == []
             assert len(os.listdir("/proc/self/fd")) == fds
         finally:
             server.stop()

@@ -40,7 +40,10 @@ class TestRouting:
         for _ in range(20):
             app.inject("s", "hot", 1)
         app.shutdown()
-        instances = [pe for pe in app.all_instances() if pe.key == "hot"]
+        instances = [
+            pe for node in app.nodes for pe in node.instances.values()
+            if pe.key == "hot"
+        ]
         assert len(instances) == 1
         assert instances[0].events_seen == 20
 
@@ -119,7 +122,7 @@ class TestAccounting:
         for i in range(25):
             app.inject("s", i, i)
         app.shutdown()
-        assert app.total_processed() == 25
+        assert sum(node.events_processed for node in app.nodes) == 25
 
     def test_latency_observer(self):
         latencies = []

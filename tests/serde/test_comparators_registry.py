@@ -11,7 +11,7 @@ from repro.serde.comparators import (
     reverse,
     sort_key,
 )
-from repro.serde.registry import coerce, register_type, resolve_type, type_name
+from repro.serde.registry import register_type, resolve_type
 from repro.serde.writable import IntWritable, Text
 
 
@@ -78,12 +78,3 @@ class TestRegistry:
 
         register_type("tests.MyKey", MyKey)
         assert resolve_type("tests.MyKey") is MyKey
-        assert type_name(MyKey) == "tests.MyKey"
-
-    def test_type_name_roundtrip(self):
-        assert resolve_type(type_name(Text)) is Text
-
-    def test_coerce(self):
-        assert coerce("5", int) == 5
-        assert coerce(5, None) == 5
-        assert coerce(Text("x"), Text) == Text("x")

@@ -19,11 +19,6 @@ class TestFixedWidth:
         out.write_long(2**40)
         assert DataInput(out.getvalue()).read_long() == 2**40
 
-    def test_short_roundtrip(self):
-        out = DataOutput()
-        out.write_short(-32768)
-        assert DataInput(out.getvalue()).read_short() == -32768
-
     def test_double_roundtrip(self):
         out = DataOutput()
         out.write_double(3.14159)
@@ -66,7 +61,7 @@ class TestVarInts:
         out.write_vlong(v)
         src = DataInput(out.getvalue())
         assert src.read_vlong() == v
-        assert src.at_end()
+        assert src.remaining() == 0
 
 
 class TestStringsAndBytes:
@@ -100,7 +95,6 @@ class TestStreamState:
         src.read_bytes(4)
         assert src.position == 4
         assert src.remaining() == 6
-        assert not src.at_end()
 
     def test_underflow_raises(self):
         src = DataInput(b"\x00\x01")
@@ -124,5 +118,5 @@ class TestStreamState:
             42,
             2.5,
         )
-        assert src.at_end()
+        assert src.remaining() == 0
 

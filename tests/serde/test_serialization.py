@@ -52,7 +52,7 @@ class TestRoundTrip:
             serializer.serialize(value, out)
         src = DataInput(out.getvalue())
         assert [serializer.deserialize(src) for _ in SAMPLES] == SAMPLES
-        assert src.at_end()
+        assert src.remaining() == 0
 
 
 simple = st.one_of(

@@ -162,7 +162,6 @@ class TestMemoryGauge:
         mem.release(50)
         assert mem.used == 40
         assert mem.peak == 90  # peak is sticky
-        assert mem.available == 60
 
     def test_release_never_negative(self):
         mem = MemoryGauge(10.0)

@@ -31,13 +31,12 @@ from repro.workloads import (
     topk_datampi,
     topk_reference,
     topk_s4,
-    verify_sorted_records,
     verify_terasort_output,
     wordcount_datampi,
     wordcount_hadoop,
     wordcount_reference,
 )
-from repro.workloads.teragen import KEY_LEN, RECORD_LEN, teragen_records
+from repro.workloads.teragen import KEY_LEN, RECORD_LEN
 from repro.workloads.wordcount import write_text_to_dfs
 
 
@@ -55,17 +54,6 @@ class TestTeraGen:
         whole = teragen(100, seed=9)
         parts = teragen(60, seed=9, start=0) + teragen(40, seed=9, start=60)
         assert whole == parts
-
-    def test_records_iterator(self):
-        pairs = list(teragen_records(5))
-        assert len(pairs) == 5
-        assert all(len(k) == 10 and len(v) == 90 for k, v in pairs)
-
-    def test_verify_sorted_records(self):
-        records = sorted(teragen_records(50), key=lambda kv: kv[0])
-        blob = b"".join(k + v for k, v in records)
-        assert verify_sorted_records(blob)
-        assert not verify_sorted_records(blob[RECORD_LEN:] + blob[:RECORD_LEN])
 
     def test_dfs_write_requires_aligned_blocks(self):
         dfs = MiniDFSCluster(num_nodes=1, block_size=150).client(0)
