@@ -42,7 +42,8 @@ def main() -> None:
         hadoop, points, CLUSTERS, ROUNDS, num_reduces=2
     )
     assert np.allclose(hadoop_centroids, reference)
-    reread = sum(r.counters.map_input_records for r in round_results)
+    reread = sum(t.records_received for r in round_results
+                 for t in r.metrics.tasks if t.kind == "O")
     print(f"Hadoop baseline: {len(round_results)} chained jobs re-read"
           f" {reread} point records from HDFS ({ROUNDS}x the dataset)")
 

@@ -53,10 +53,13 @@ def functional_run() -> None:
     hadoop = MiniHadoopCluster(dfs_cluster)
     hresult = terasort_hadoop(hadoop, "/tera/in", "/tera/out-hadoop", 3)
     assert verify_terasort_output(dfs, "/tera/out-hadoop", NUM_RECORDS)
-    print(f"Hadoop : {hresult.counters.map_output_records} map outputs,"
-          f" {hresult.counters.spill_files} spills,"
-          f" {hresult.counters.shuffle_fetches} shuffle fetches,"
-          f" map locality {hresult.counters.map_locality:.0%}")
+    hosts = dict(dfs_cluster.locality_map("/tera/in"))  # map i reads block i
+    maps = [t for t in hresult.metrics.tasks if t.kind == "O"]
+    local = sum(t.worker in hosts[t.task_id] for t in maps) / len(maps)
+    fetches = sum(t.shuffle_server.requests_served for t in hadoop.trackers)
+    print(f"Hadoop : {hresult.metrics.records_sent} map outputs,"
+          f" {hresult.metrics.spilled_bytes} bytes spilled,"
+          f" {fetches} shuffle fetches, map locality {local:.0%}")
 
     d_bytes = b"".join(dfs.read_file(p) for p in dfs.listdir("/tera/out-datampi"))
     h_bytes = b"".join(dfs.read_file(p) for p in dfs.listdir("/tera/out-hadoop"))

@@ -21,7 +21,7 @@ pipeline removes.
 """
 
 from repro.hadoop.engine import MiniHadoopCluster
-from repro.hadoop.job import HadoopJob, HadoopJobResult
+from repro.hadoop.job import HadoopJob
 from repro.hadoop.io_formats import (
     FixedLengthRecordFormat,
     KeyValueTextOutputFormat,
@@ -31,7 +31,6 @@ from repro.hadoop.io_formats import (
 __all__ = [
     "MiniHadoopCluster",
     "HadoopJob",
-    "HadoopJobResult",
     "TextInputFormat",
     "FixedLengthRecordFormat",
     "KeyValueTextOutputFormat",

@@ -9,7 +9,9 @@ slots and a shuffle server) to every HDFS DataNode.  ``run_job``:
    the two-phase proxy shuffle the paper critiques),
 4. schedules reduce tasks round-robin (no data locality is *possible*:
    "the outputs of maps are distributed over the whole cluster"),
-5. returns counters, timelines and HDFS output paths.
+5. returns the engine's ``JobResult``: every task's ``WorkerMetrics``
+   (a map an O task, a reduce an A task, each on its own phase lane)
+   summed with ``merge_into``, as DataMPI's driver sums its ranks'.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from __future__ import annotations
 import shutil
 import tempfile
 import threading
+import time
 from collections import deque
 from typing import Any
 
 from repro.common.errors import JobFailedError
+from repro.core.metrics import JobMetrics, JobResult, WorkerMetrics
 from repro.hadoop.io_formats import compute_splits_for_dir
-from repro.hadoop.job import HadoopCounters, HadoopJob, HadoopJobResult, PhaseTimeline
+from repro.hadoop.job import HadoopJob
 from repro.hadoop.shuffle_http import ShuffleDirectory, ShuffleServer
-from repro.hadoop.tasks import now, run_map_task, run_reduce_task
+from repro.hadoop.tasks import run_map_task, run_reduce_task
 from repro.hdfs.cluster import MiniDFSCluster
 
 
@@ -105,33 +109,31 @@ class MiniHadoopCluster:
             raise JobFailedError(str(errors[0])) from errors[0]
 
     # -- the job driver ------------------------------------------------------------
-    def run_job(self, job: HadoopJob) -> HadoopJobResult:
+    def run_job(self, job: HadoopJob) -> JobResult:
         job.validate()
-        counters = HadoopCounters()
-        counters_lock = threading.Lock()
-        map_timeline = PhaseTimeline()
-        reduce_timeline = PhaseTimeline()
-        dfs0 = self.dfs_cluster.client(None)
-        splits = compute_splits_for_dir(dfs0, job.input_path)
+        start = time.perf_counter()
+        records: list[WorkerMetrics] = []
+
+        def result(success: bool, error: str = "") -> JobResult:
+            metrics = JobMetrics(duration=time.perf_counter() - start)
+            for record in records:
+                record.merge_into(metrics)
+            return JobResult(job.name, success, metrics, error)
+
+        splits = compute_splits_for_dir(self.dfs_cluster.client(None), job.input_path)
         if not splits:
-            return HadoopJobResult(
-                job.name, False, error=f"no input under {job.input_path}"
-            )
+            return result(False, f"no input under {job.input_path}")
         directory = ShuffleDirectory([t.shuffle_server for t in self.trackers])
 
         # ---- map phase ------------------------------------------------------
         assignments = self._assign_maps(splits)
 
         def map_wrapper(map_id: int, node: int) -> None:
-            map_timeline.record_start(f"m{map_id}", now())
-            tracker = self.trackers[node]
-            dfs = self.dfs_cluster.client(node)
-            run_map_task(
-                job, map_id, splits[map_id], dfs, tracker.shuffle_server,
-                local_dir, counters, counters_lock,
-            )
+            records.append(run_map_task(
+                job, map_id, splits[map_id], self.dfs_cluster.client(node),
+                self.trackers[node].shuffle_server, local_dir,
+            ))
             directory.announce_completion(map_id, node)
-            map_timeline.record_end(f"m{map_id}", now())
 
         total_map_slots = sum(t.map_slots for t in self.trackers)
         # map output on local disk: one directory per job, gone at its end
@@ -144,13 +146,10 @@ class MiniHadoopCluster:
 
             # ---- reduce phase ------------------------------------------------
             def reduce_wrapper(reduce_id: int, node: int) -> None:
-                reduce_timeline.record_start(f"r{reduce_id}", now())
-                dfs = self.dfs_cluster.client(node)
-                run_reduce_task(
-                    job, reduce_id, len(splits), directory, dfs,
-                    local_dir, counters, counters_lock,
-                )
-                reduce_timeline.record_end(f"r{reduce_id}", now())
+                records.append(run_reduce_task(
+                    job, reduce_id, len(splits), directory,
+                    self.dfs_cluster.client(node), local_dir,
+                ))
 
             total_reduce_slots = sum(t.reduce_slots for t in self.trackers)
             reduce_work = [
@@ -159,19 +158,10 @@ class MiniHadoopCluster:
             ]
             self._run_wave(reduce_work, total_reduce_slots)
         except JobFailedError as exc:
-            return HadoopJobResult(job.name, False, counters, error=str(exc))
+            return result(False, str(exc))
         finally:
             shutil.rmtree(local_dir, ignore_errors=True)
-
-        output_files = dfs0.listdir(job.output_path)
-        return HadoopJobResult(
-            job.name,
-            True,
-            counters=counters,
-            map_timeline=map_timeline,
-            reduce_timeline=reduce_timeline,
-            output_files=output_files,
-        )
+        return result(True)
 
     def read_output(self, job: HadoopJob) -> list[tuple[str, str]]:
         """Parse every part file of a text-output job."""

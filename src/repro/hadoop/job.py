@@ -1,4 +1,4 @@
-"""Hadoop job definition and result types."""
+"""Hadoop job definition."""
 
 from __future__ import annotations
 
@@ -40,56 +40,3 @@ class HadoopJob:
             raise DataMPIError("num_reduces must be >= 1")
         if self.sort_buffer_bytes < 1024:
             raise DataMPIError("sort buffer unreasonably small")
-
-
-@dataclass
-class PhaseTimeline:
-    """Start/end stamps per task, for progress plots (Figure 9 analogue)."""
-
-    starts: dict[str, float] = field(default_factory=dict)
-    ends: dict[str, float] = field(default_factory=dict)
-
-    def record_start(self, task: str, t: float) -> None:
-        self.starts[task] = t
-
-    def record_end(self, task: str, t: float) -> None:
-        self.ends[task] = t
-
-    def duration(self) -> float:
-        if not self.ends:
-            return 0.0
-        return max(self.ends.values()) - min(self.starts.values())
-
-
-@dataclass
-class HadoopCounters:
-    """The classic job counters."""
-
-    map_input_records: int = 0
-    map_output_records: int = 0
-    map_output_bytes: int = 0
-    combine_output_records: int = 0
-    spilled_records: int = 0
-    spill_files: int = 0
-    reduce_shuffle_bytes: int = 0
-    shuffle_fetches: int = 0
-    reduce_input_records: int = 0
-    reduce_output_records: int = 0
-    data_local_maps: int = 0
-    rack_remote_maps: int = 0
-
-    @property
-    def map_locality(self) -> float:
-        total = self.data_local_maps + self.rack_remote_maps
-        return self.data_local_maps / total if total else 1.0
-
-
-@dataclass
-class HadoopJobResult:
-    name: str
-    success: bool
-    counters: HadoopCounters = field(default_factory=HadoopCounters)
-    map_timeline: PhaseTimeline = field(default_factory=PhaseTimeline)
-    reduce_timeline: PhaseTimeline = field(default_factory=PhaseTimeline)
-    output_files: list[str] = field(default_factory=list)
-    error: str = ""

@@ -7,7 +7,8 @@ writes each partition's segment to its job's local directory and
 *pulls* the segment by reading that file back as the bytes the map
 wrote.  Sockets are replaced by direct calls that account the bytes
 read, so the proxy-based data movement (and its lack of reduce-side
-locality) is observable in the counters.
+locality) is observable in each server's ``requests_served`` and
+``bytes_served``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class ShuffleDirectory:
             except KeyError:
                 raise DataMPIError(f"map {map_id} has not completed") from None
 
-    def fetch(self, map_id: int, partition: int) -> tuple[RecordBatch | None, int]:
-        """Reducer-side pull: resolve the host, fetch; returns (segment, host)."""
-        host = self.host_of(map_id)
-        return self.servers[host].fetch(map_id, partition), host
+    def fetch(self, map_id: int, partition: int) -> RecordBatch | None:
+        """Reducer-side pull: resolve the map's host, fetch from its server."""
+        return self.servers[self.host_of(map_id)].fetch(map_id, partition)

@@ -21,7 +21,6 @@ class S4Node:
         self.inbox: "queue.Queue[Any]" = queue.Queue()
         #: (stream, key) -> PE instance
         self.instances: dict[tuple[str, Any], ProcessingElement] = {}
-        self.events_processed = 0
         self._thread = threading.Thread(
             target=self._loop, daemon=True, name=f"s4-node-{node_id}"
         )
@@ -39,7 +38,6 @@ class S4Node:
                 for stream, prototype in self.app.subscriptions(event.stream):
                     pe = self._instance(stream, prototype, event.key)
                     pe._dispatch(event)
-                self.events_processed += 1
                 self.app.note_latency(event)
             finally:
                 # cascaded emits inside _dispatch were counted before this

@@ -110,7 +110,6 @@ class SharedDisk:
         self.name = name
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        self.busy_time = 0.0
         self._streams: deque[list] = deque()  # [remaining, done_event, kind]
         #: the stream whose chunk is being served; None while the disk idles
         self._last_stream: object = None
@@ -143,7 +142,6 @@ class SharedDisk:
             depth = 1 + len(self._streams)
             cost += self.seek * min(2.0, math.log2(1 + depth) / 1.8)
         self._last_stream = stream
-        self.busy_time += cost
         if kind == "read":
             self.bytes_read += chunk
         else:

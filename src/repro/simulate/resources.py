@@ -31,7 +31,6 @@ class Device:
         #: virtual time at which the device frees up
         self._free_at = 0.0
         self.bytes_transferred = 0.0
-        self.busy_time = 0.0
 
     def transfer(self, nbytes: float) -> Event:
         """Event firing when ``nbytes`` have moved through the device."""
@@ -39,7 +38,6 @@ class Device:
         duration = nbytes / self.rate
         self._free_at = start + duration
         self.bytes_transferred += nbytes
-        self.busy_time += duration
         return self.sim.timeout(self._free_at - self.sim.now)
 
 

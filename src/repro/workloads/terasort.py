@@ -22,7 +22,7 @@ from repro.hadoop.io_formats import (
     FixedLengthRecordFormat,
     compute_splits,
 )
-from repro.hadoop.job import HadoopJob, HadoopJobResult
+from repro.hadoop.job import HadoopJob
 from repro.hdfs.cluster import MiniDFSCluster
 from repro.serde.comparators import bytes_compare
 from repro.workloads.teragen import KEY_LEN, RECORD_LEN
@@ -130,7 +130,7 @@ def terasort_hadoop(
     input_path: str,
     output_path: str,
     num_reduces: int,
-) -> HadoopJobResult:
+) -> JobResult:
     """TeraSort as a mini-Hadoop job (identity map/reduce + range partition)."""
     dfs0 = hadoop.dfs_cluster.client(None)
     boundaries = sample_boundaries(dfs0, input_path, num_reduces)

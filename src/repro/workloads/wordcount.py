@@ -10,7 +10,7 @@ from repro.core import FileSink, mapreduce_job, mpidrun
 from repro.core.metrics import JobResult
 from repro.hadoop.engine import MiniHadoopCluster
 from repro.hadoop.io_formats import compute_splits
-from repro.hadoop.job import HadoopJob, HadoopJobResult
+from repro.hadoop.job import HadoopJob
 from repro.hdfs.client import DFSClient
 from repro.hdfs.cluster import MiniDFSCluster
 
@@ -103,7 +103,7 @@ def wordcount_hadoop(
     input_path: str,
     output_path: str,
     num_reduces: int,
-) -> tuple[HadoopJobResult, dict[str, int]]:
+) -> tuple[JobResult, dict[str, int]]:
     job = HadoopJob(
         name="wordcount",
         input_path=input_path,

@@ -2,7 +2,6 @@
 and the I/O formats."""
 
 import tempfile
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from repro.hadoop.io_formats import (
     TextInputFormat,
     compute_splits,
 )
-from repro.hadoop.job import HadoopCounters, HadoopJob
+from repro.hadoop.job import HadoopJob
 from repro.hadoop.shuffle_http import ShuffleServer
 from repro.hadoop.tasks import SERDE, run_map_task
 from repro.hdfs.cluster import MiniDFSCluster
@@ -28,7 +27,7 @@ def run_map(pairs, num_partitions=2, partitioner=hash_partitioner,
             sort_buffer_bytes=10**9, combiner=None):
     """One map task on a one-node cluster whose mapper emits ``pairs``;
     returns each non-empty partition's segment as pulled by a reducer,
-    and the task's counters."""
+    and the task's record."""
     dfs = MiniDFSCluster(num_nodes=1, block_size=1024).client(0)
     dfs.write_file("/in", b"x\n")
     (split,) = compute_splits(dfs, "/in")
@@ -41,14 +40,13 @@ def run_map(pairs, num_partitions=2, partitioner=hash_partitioner,
         "m", "/in", "/out", mapper, None, num_partitions, combiner=combiner,
         partitioner=partitioner, sort_buffer_bytes=sort_buffer_bytes,
     )
-    server, counters = ShuffleServer(0), HadoopCounters()
+    server = ShuffleServer(0)
     with tempfile.TemporaryDirectory() as local_dir:
-        run_map_task(job, 0, split, dfs, server, local_dir, counters,
-                     threading.Lock())
+        metrics = run_map_task(job, 0, split, dfs, server, local_dir)
         segments = {p: server.fetch(0, p) for p in range(num_partitions)}
     runs = {p: list(batch.iter_pairs(SERDE))
             for p, batch in segments.items() if batch is not None}
-    return runs, counters
+    return runs, metrics
 
 
 class TestMapOutputBuffer:
@@ -59,32 +57,32 @@ class TestMapOutputBuffer:
         for run in runs.values():
             assert [k for k, _ in run] == sorted(k for k, _ in run)
 
-    def test_spills_on_budget(self):
-        runs, counters = run_map(
+    def test_spills_on_budget(self, map_spills):
+        runs, _ = run_map(
             [(f"key{i}", "v" * 10) for i in range(50)], sort_buffer_bytes=100)
         # spill files beyond the one segment each partition writes
-        assert counters.spill_files - len(runs) > 1
+        assert len(map_spills) - len(runs) > 1
         assert sum(len(run) for run in runs.values()) == 50
 
-    def test_multi_spill_merge_is_sorted(self):
+    def test_multi_spill_merge_is_sorted(self, map_spills):
         import random
 
         rng = random.Random(0)
         keys = [f"{rng.randint(0, 999):03d}" for _ in range(100)]
-        runs, counters = run_map(
+        runs, _ = run_map(
             [(k, None) for k in keys], sort_buffer_bytes=64, num_partitions=1)
         (run,) = runs.values()
-        assert counters.spill_files > 2
+        assert len(map_spills) > 2
         assert [k for k, _ in run] == sorted(keys)
 
     def test_combiner_applied_per_spill_and_merge(self):
-        runs, counters = run_map(
+        runs, metrics = run_map(
             [("hot", 1)] * 40, sort_buffer_bytes=80, num_partitions=1,
             combiner=lambda k, vs: [sum(vs)],
         )
         (run,) = runs.values()
         assert run == [("hot", 40)]
-        assert counters.combine_output_records > 0
+        assert metrics.combined_away > 0
 
     def test_partitions_respected(self):
         runs, _ = run_map([(i, None) for i in range(30)], num_partitions=3,
@@ -95,10 +93,10 @@ class TestMapOutputBuffer:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=60))
     def test_no_records_lost(self, keys):
-        runs, counters = run_map(
+        runs, metrics = run_map(
             [(k, 1) for k in keys], sort_buffer_bytes=128, num_partitions=4)
         assert sum(len(r) for r in runs.values()) == len(keys)
-        assert counters.spilled_records == len(keys)
+        assert metrics.records_sent == len(keys)
 
     def test_a_partitioner_out_of_range_fails_the_task(self):
         with pytest.raises(DataMPIError):

@@ -122,7 +122,7 @@ class TestAccounting:
         for i in range(25):
             app.inject("s", i, i)
         app.shutdown()
-        assert sum(node.events_processed for node in app.nodes) == 25
+        assert sorted(v for values in CollectPE.seen.values() for v in values) == list(range(25))
 
     def test_latency_observer(self):
         latencies = []

@@ -38,19 +38,23 @@ class TestTeraSortRatios:
         hadoop = MiniHadoopCluster(cluster)
         result = terasort_hadoop(hadoop, "/x/in", "/x/h", num_reduces=3)
         input_bytes = self.N * RECORD_LEN
-        # the Writable-framed bytes the maps wrote: a length prefix and a
-        # type tag per field, a few bytes a record over the raw input
-        accounted = result.counters.reduce_shuffle_bytes
+        # the Writable-framed bytes the maps wrote and the reduces pulled:
+        # a length prefix and a type tag per field, a few bytes a record
+        # over the raw input
+        accounted = sum(t.shuffle_server.bytes_served for t in hadoop.trackers)
+        assert accounted == result.metrics.bytes_sent
         assert accounted == pytest.approx(input_bytes * 1.08, rel=0.05)
 
     def test_hadoop_identity_record_conservation(self, cluster):
         hadoop = MiniHadoopCluster(cluster)
         result = terasort_hadoop(hadoop, "/x/in", "/x/h2", num_reduces=3)
-        c = result.counters
-        assert c.map_input_records == self.N
-        assert c.map_output_records == self.N  # identity map
-        assert c.reduce_input_records == self.N
-        assert c.reduce_output_records == self.N  # identity reduce
+        m = result.metrics
+        maps = [t for t in m.tasks if t.kind == "O"]
+        reduces = [t for t in m.tasks if t.kind == "A"]
+        assert sum(t.records_received for t in maps) == self.N
+        assert sum(t.records_emitted for t in maps) == self.N  # identity map
+        assert m.records_received == self.N
+        assert sum(t.records_emitted for t in reduces) == self.N  # identity reduce
 
     def test_datampi_output_equals_input_bytes(self, cluster):
         terasort_datampi(cluster, "/x/in", "/x/d", o_tasks=4, a_tasks=3,
@@ -71,8 +75,9 @@ def _wordcount_shuffle_ratio(block_size: int, num_lines: int = 1000) -> float:
     write_text_to_dfs(cluster.client(0), "/w/in", lines)
     input_bytes = cluster.client(None).file_size("/w/in")
     hadoop = MiniHadoopCluster(cluster)
-    result, _ = wordcount_hadoop(hadoop, "/w/in", "/w/h", num_reduces=2)
-    return result.counters.reduce_shuffle_bytes / input_bytes
+    wordcount_hadoop(hadoop, "/w/in", "/w/h", num_reduces=2)
+    shuffled = sum(t.shuffle_server.bytes_served for t in hadoop.trackers)
+    return shuffled / input_bytes
 
 
 class TestWordCountRatios:
@@ -109,8 +114,8 @@ class TestWordCountRatios:
         wc_ratio = _wordcount_shuffle_ratio(block_size=128 * 1024)
         ts_cluster = MiniDFSCluster(num_nodes=3, block_size=100 * RECORD_LEN)
         teragen_to_dfs(ts_cluster.client(0), "/t/in", 600)
-        ts_result = terasort_hadoop(
-            MiniHadoopCluster(ts_cluster), "/t/in", "/t/h", 2
-        )
-        ts_ratio = ts_result.counters.reduce_shuffle_bytes / (600 * RECORD_LEN)
+        ts_hadoop = MiniHadoopCluster(ts_cluster)
+        terasort_hadoop(ts_hadoop, "/t/in", "/t/h", 2)
+        ts_shuffled = sum(t.shuffle_server.bytes_served for t in ts_hadoop.trackers)
+        ts_ratio = ts_shuffled / (600 * RECORD_LEN)
         assert wc_ratio < 0.3 * ts_ratio

@@ -46,7 +46,7 @@ class TestDevice:
         sim.process(proc())
         sim.run()
         assert nic.bytes_transferred == 100
-        assert nic.busy_time == pytest.approx(2.0)
+        assert sim.now == pytest.approx(2.0)
 
     def test_zero_rate_rejected(self):
         with pytest.raises(SimulationError):

@@ -164,8 +164,9 @@ class TestTeraSort:
 
     def test_hadoop_pulls_every_map_output_byte_once(self, dfs_cluster):
         hadoop = MiniHadoopCluster(dfs_cluster)
-        c = terasort_hadoop(hadoop, "/tera/in", "/tera/out-h", num_reduces=3).counters
-        assert c.map_output_bytes == c.reduce_shuffle_bytes > 0
+        m = terasort_hadoop(hadoop, "/tera/in", "/tera/out-h", num_reduces=3).metrics
+        pulled = sum(t.shuffle_server.bytes_served for t in hadoop.trackers)
+        assert m.bytes_sent == pulled > 0
 
     def test_engines_produce_identical_bytes(self, dfs_cluster):
         terasort_datampi(dfs_cluster, "/tera/in", "/d", o_tasks=2, a_tasks=2, nprocs=2)
@@ -213,14 +214,14 @@ class TestWordCount:
         assert result.metrics.combined_away > 0
         hadoop = MiniHadoopCluster(cluster)
         hresult, _ = wordcount_hadoop(hadoop, "/wc/in", "/wc/out2", 2)
-        assert hresult.counters.combine_output_records > 0
+        assert hresult.metrics.combined_away > 0
 
     def test_hadoop_pulls_every_map_output_byte_once(self, setup):
         cluster, _ = setup
         hadoop = MiniHadoopCluster(cluster)
         result, _ = wordcount_hadoop(hadoop, "/wc/in", "/wc/out", num_reduces=2)
-        c = result.counters
-        assert c.map_output_bytes == c.reduce_shuffle_bytes > 0
+        pulled = sum(t.shuffle_server.bytes_served for t in hadoop.trackers)
+        assert result.metrics.bytes_sent == pulled > 0
 
 
 class TestPageRank:
